@@ -240,7 +240,11 @@ class MonitorSpec:
     batch: int = 20
     interval: int = 10
     max_refinements: int = 2
-    refit: str = "incremental"  # or "full"
+    # refinement fit on the window minus its holdout: "incremental" is one
+    # per-sample SGD pass from the deployed weights, "full" is hp.epochs
+    # minibatch epochs from them; ridge and stump refit afresh in both modes
+    # (ridge by its closed form, never by SGD)
+    refit: str = "incremental"
     holdout_fraction: float = 0.2
 
 

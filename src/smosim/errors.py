@@ -33,6 +33,10 @@ class ComponentDown(SimulationError):
     """Operation addressed to a component that has failed."""
 
 
+class TickLimitExceeded(SimulationError):
+    """The next scheduled action lies past the run's ``max_ticks``."""
+
+
 # -- data generation / pipeline ----------------------------------------------
 
 class SchemaMismatch(SimulationError):

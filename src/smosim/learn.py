@@ -9,6 +9,7 @@ times a configured per-record tick cost, never wall clock.
 from __future__ import annotations
 
 import itertools
+import math
 from dataclasses import dataclass, field
 from typing import Any, Iterable
 
@@ -122,18 +123,8 @@ def loss_gradient(kind: ModelKind, params: LinearParams, X: np.ndarray, y: np.nd
 def sgd_step(params: LinearParams, x: np.ndarray, y: float, learning_rate: float,
              l2_lambda: float, kind: ModelKind = ModelKind.LINEAR_SGD) -> LinearParams:
     """One stochastic update from a single sample."""
-    with np.errstate(over="ignore", invalid="ignore"):
-        gw, gb = loss_gradient(kind, params, np.asarray(x, dtype=float)[None, :],
-                               np.array([y], dtype=float), l2_lambda)
-        new = LinearParams(params.weights - learning_rate * gw,
-                           params.bias - learning_rate * gb)
-    _check_finite(new)
-    return new
-
-
-def _check_finite(params: LinearParams) -> None:
-    if not (np.isfinite(params.weights).all() and np.isfinite(params.bias)):
-        raise NonFiniteUpdate("parameters diverged; lower the learning rate")
+    return incremental_update(params, np.asarray(x, dtype=float)[None, :],
+                              np.array([y], dtype=float), learning_rate, l2_lambda, kind)
 
 
 def incremental_update(params: LinearParams, X: np.ndarray, y: np.ndarray,
@@ -142,9 +133,56 @@ def incremental_update(params: LinearParams, X: np.ndarray, y: np.ndarray,
     """Per-sample SGD over new samples in arrival order."""
     if not kind.is_sgd:
         raise UnsupportedKind(f"{kind.value} cannot be updated incrementally")
-    out = params.copy()
-    for i in range(X.shape[0]):
-        out = sgd_step(out, X[i], float(y[i]), learning_rate, l2_lambda, kind)
+    return _sgd(kind, X, y, [np.arange(X.shape[0])], 1, learning_rate, l2_lambda, params)
+
+
+# A run whose loss ends this many times above both its starting model's and
+# the zero model's has diverged, even while its parameters are still finite.
+_DIVERGED_LOSS_RATIO = 1e6
+
+
+def _sgd(kind: ModelKind, X: np.ndarray, y: np.ndarray, orders: Iterable[np.ndarray],
+         batch_size: int, learning_rate: float, l2_lambda: float,
+         init: LinearParams) -> LinearParams:
+    """Minibatch SGD from ``init``, one step per ``batch_size`` rows of each order.
+
+    Every SGD path runs through here. A step does :func:`loss_gradient`'s
+    arithmetic in its order, so results equal a loop over it bit for bit
+    (``X.T @ err`` would sum in another order). Raises NonFiniteUpdate when a
+    step leaves a parameter non-finite or the run ends diverged.
+    """
+    if len(init.weights) != X.shape[1]:
+        raise SchemaMismatch("warm-start width differs from data width")
+    w, b = init.weights.copy(), float(init.bias)
+    logistic = kind is ModelKind.LOGISTIC_SGD
+    decay = 2.0 * l2_lambda
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in orders:
+            for start in range(0, len(order), batch_size):
+                idx = order[start:start + batch_size]
+                n = len(idx)
+                xb = X.take(idx, axis=0)
+                z = xb @ w + b
+                if logistic:
+                    diff = _sigmoid(z) - y.take(idx)
+                    gw = (diff[:, None] * xb).sum(axis=0) / n
+                    gb = float(diff.sum()) / n
+                else:
+                    err = z - y.take(idx)
+                    gw = (2.0 / n) * (err[:, None] * xb).sum(axis=0)
+                    gb = (2.0 / n) * float(err.sum())
+                if l2_lambda:
+                    gw = gw + decay * w
+                w = w - learning_rate * gw
+                b = b - learning_rate * gb
+                if not (np.isfinite(w).all() and math.isfinite(b)):
+                    raise NonFiniteUpdate("parameters diverged; lower the learning rate")
+        out = LinearParams(w, b)
+        if X.shape[0]:
+            start_loss = max(loss_value(kind, init, X, y, l2_lambda),
+                             loss_value(kind, zero_params(X.shape[1]), X, y, l2_lambda))
+            if not loss_value(kind, out, X, y, l2_lambda) <= _DIVERGED_LOSS_RATIO * start_loss:
+                raise NonFiniteUpdate("parameters diverged; lower the learning rate")
     return out
 
 
@@ -212,23 +250,6 @@ class TrainResult:
     params: ModelParameters
     metrics: EvalMetrics
     records_processed: int
-
-
-def _train_sgd(kind: ModelKind, X: np.ndarray, y: np.ndarray, hp: HyperParams,
-               seed: int, init: LinearParams | None) -> LinearParams:
-    if init is not None and len(init.weights) != X.shape[1]:
-        raise SchemaMismatch("warm-start width differs from data width")
-    params = init.copy() if init is not None else zero_params(X.shape[1])
-    n = X.shape[0]
-    with np.errstate(over="ignore", invalid="ignore"):
-        for order in epoch_orders(n, seed, hp.epochs):
-            for start in range(0, n, hp.batch_size):
-                idx = order[start:start + hp.batch_size]
-                gw, gb = loss_gradient(kind, params, X[idx], y[idx], hp.l2_lambda)
-                params = LinearParams(params.weights - hp.learning_rate * gw,
-                                      params.bias - hp.learning_rate * gb)
-                _check_finite(params)
-    return params
 
 
 def ridge_closed_form(X: np.ndarray, y: np.ndarray, l2_lambda: float,
@@ -312,22 +333,30 @@ def _fit_stump(X: np.ndarray, y: np.ndarray, classification: bool) -> StumpParam
     return best_stump
 
 
+def fit(kind: ModelKind, X: np.ndarray, y: np.ndarray, hp: HyperParams, seed: int,
+        init: LinearParams | None = None) -> tuple[ModelParameters, int]:
+    """Fit one model on (X, y); returns it and the number of records processed.
+
+    SGD kinds run ``hp.epochs`` seeded shuffles from ``init`` (zeros if None);
+    the closed form and the stump ignore ``init`` and fit afresh.
+    """
+    n = X.shape[0]
+    if n == 0:
+        raise EmptyTrainSet("train split is empty")
+    if kind is ModelKind.RIDGE_CLOSED_FORM:
+        return ridge_closed_form(X, y, hp.l2_lambda), n
+    if not kind.is_sgd:
+        return _fit_stump(X, y, classification=not kind.is_regression), n
+    init = init if init is not None else zero_params(X.shape[1])
+    return _sgd(kind, X, y, epoch_orders(n, seed, hp.epochs), hp.batch_size,
+                hp.learning_rate, hp.l2_lambda, init), hp.epochs * n
+
+
 def train(kind: ModelKind, split: SplitDataset, hp: HyperParams, seed: int,
           init: LinearParams | None = None,
           costs: CostTable | None = None) -> TrainResult:
     """Fit one model on the train partition and score it on validation."""
-    Xtr, ytr = split.train.X, split.train.y
-    if Xtr.shape[0] == 0:
-        raise EmptyTrainSet("train split is empty")
-    if kind.is_sgd:
-        params: ModelParameters = _train_sgd(kind, Xtr, ytr, hp, seed, init)
-        processed = hp.epochs * Xtr.shape[0]
-    elif kind is ModelKind.RIDGE_CLOSED_FORM:
-        params = ridge_closed_form(Xtr, ytr, hp.l2_lambda)
-        processed = Xtr.shape[0]
-    else:
-        params = _fit_stump(Xtr, ytr, classification=not kind.is_regression)
-        processed = Xtr.shape[0]
+    params, processed = fit(kind, split.train.X, split.train.y, hp, seed, init)
     metrics = evaluate(params, kind, split.val.X, split.val.y, hp.threshold) \
         if len(split.val) else EvalMetrics(float("nan"), float("nan"), float("nan"))
     costs = costs or CostTable()

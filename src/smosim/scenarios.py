@@ -488,7 +488,6 @@ class Driver:
         self._failover_fault: FaultRecord | None = None
         self._pending_resolution: FaultRecord | None = None
         self._collection_round = 0
-        self._refine_mode = False
         self._reports_seen = 0
         self._pending_import: ModelArtifact | None = None
         self._global_artifact: ModelArtifact | None = None
@@ -763,7 +762,7 @@ class Driver:
                                               seed=cfg.seed, costs=self.costs)
             hp = self.search_result.best
             ticks += self.search_result.total_train_ticks
-        result = self._fit(split, hp, init=None)
+        result = self._fit(split, hp)
         ticks += result.metrics.train_ticks
         self._chosen_hp = hp
         duration = self._job_duration(ticks)
@@ -774,21 +773,18 @@ class Driver:
         self.schedule_owned(done, self.active_aiml,
                             lambda: self._on_trained(result, origin))
 
-    def _fit(self, split: pipeline.SplitDataset, hp, init) -> learn.TrainResult:
+    def _fit(self, split: pipeline.SplitDataset, hp) -> learn.TrainResult:
         cfg = self.config
-        if cfg.online_training and cfg.model.kind.is_sgd:
-            params = init.copy() if init is not None else learn.zero_params(
-                split.train.X.shape[1])
-            params = learn.incremental_update(params, split.train.X, split.train.y,
-                                              hp.learning_rate, hp.l2_lambda,
-                                              cfg.model.kind)
-            metrics = learn.evaluate(params, cfg.model.kind, split.val.X, split.val.y,
-                                     hp.threshold)
-            metrics.train_ticks = len(split.train) * self.costs.train_tick_per_record
-            metrics.inference_ticks = len(split.val) * self.costs.inference_tick_per_record
-            return learn.TrainResult(params, metrics, len(split.train))
-        return learn.train(cfg.model.kind, split, hp, seed=cfg.seed, init=init,
-                           costs=self.costs)
+        if not (cfg.online_training and cfg.model.kind.is_sgd):
+            return learn.train(cfg.model.kind, split, hp, seed=cfg.seed, costs=self.costs)
+        params = learn.incremental_update(learn.zero_params(split.train.X.shape[1]),
+                                          split.train.X, split.train.y,
+                                          hp.learning_rate, hp.l2_lambda, cfg.model.kind)
+        metrics = learn.evaluate(params, cfg.model.kind, split.val.X, split.val.y,
+                                 hp.threshold)
+        metrics.train_ticks = len(split.train) * self.costs.train_tick_per_record
+        metrics.inference_ticks = len(split.val) * self.costs.inference_tick_per_record
+        return learn.TrainResult(params, metrics, len(split.train))
 
     def _job_duration(self, ticks: int) -> int:
         """Simulated duration of a training job, through the scheduler if present.
@@ -973,7 +969,6 @@ class Driver:
                            detail={"model": MODEL_ID, "version": entry.version,
                                    "state": "Refining"})
         self.phase = "refine"
-        self._refine_mode = True
         self._run_refinement(entry)
 
     def _run_refinement(self, entry) -> None:
@@ -992,21 +987,13 @@ class Driver:
         X_hold, y_hold = X[-k:], y[-k:]
         hp = getattr(self, "_chosen_hp", cfg.model.hyperparams)
         if cfg.monitor.refit == "incremental" and cfg.model.kind.is_sgd:
-            params = learn.incremental_update(entry.artifact.parameters.copy(),
-                                              X_train, y_train,
+            params = learn.incremental_update(entry.artifact.parameters, X_train, y_train,
                                               hp.learning_rate, hp.l2_lambda,
                                               cfg.model.kind)
             processed = len(X_train)
         else:
-            params = entry.artifact.parameters.copy()
-            for order in learn.epoch_orders(len(X_train), cfg.seed, hp.epochs):
-                for start in range(0, len(order), hp.batch_size):
-                    idx = order[start:start + hp.batch_size]
-                    gw, gb = learn.loss_gradient(cfg.model.kind, params, X_train[idx],
-                                                 y_train[idx], hp.l2_lambda)
-                    params = learn.LinearParams(params.weights - hp.learning_rate * gw,
-                                                params.bias - hp.learning_rate * gb)
-            processed = len(X_train) * hp.epochs
+            params, processed = learn.fit(cfg.model.kind, X_train, y_train, hp, cfg.seed,
+                                          init=entry.artifact.parameters)
         ticks = self._job_duration(processed * self.costs.train_tick_per_record)
         self.count_training(processed * self.costs.train_tick_per_record)
         metrics = learn.evaluate(params, cfg.model.kind, X_hold, y_hold,
@@ -1040,7 +1027,6 @@ class Driver:
 
     def _restart_for_refinement(self) -> None:
         """Post-failover refinement: no buffered samples, so collect afresh."""
-        self._refine_mode = True
         self._start_collection()
 
     # -- scenario C (share-models) -----------------------------------------------------------------------

@@ -14,7 +14,8 @@ from dataclasses import dataclass, field
 from enum import Enum
 from typing import Any, Callable, Iterable, TYPE_CHECKING
 
-from .errors import ComponentDown, DuplicateComponent, UndeclaredRoute, UnknownInterface
+from .errors import (ComponentDown, DuplicateComponent, TickLimitExceeded, UndeclaredRoute,
+                     UnknownInterface)
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
@@ -539,7 +540,7 @@ class Simulation:
         while self._heap and not self.stopped:
             tick = self._heap[0][0]
             if tick > max_tick:
-                raise RuntimeError(f"simulation exceeded max_tick={max_tick}")
+                raise TickLimitExceeded(f"simulation exceeded max_tick={max_tick}")
             _t, _seq, action = heapq.heappop(self._heap)
             self.clock = tick
             action()

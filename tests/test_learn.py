@@ -285,6 +285,116 @@ class TestIncrementalUpdate:
                                np.ones(1), 0.1, 0.0, ModelKind.DECISION_STUMP)
 
 
+def _loop_sgd(kind, X, y, orders, batch_size, lr, lam, init):
+    """Reference minibatch SGD: a plain loop over loss_gradient, no checks.
+
+    Also returns the 1-based step after which a parameter first went
+    non-finite, or None.
+    """
+    params, first_bad, step = init.copy(), None, 0
+    with np.errstate(over="ignore", invalid="ignore"):
+        for order in orders:
+            for start in range(0, len(order), batch_size):
+                idx = order[start:start + batch_size]
+                gw, gb = loss_gradient(kind, params, X[idx], y[idx], lam)
+                params = LinearParams(params.weights - lr * gw, params.bias - lr * gb)
+                step += 1
+                finite = np.isfinite(params.weights).all() and np.isfinite(params.bias)
+                if first_bad is None and not finite:
+                    first_bad = step
+    return params, first_bad
+
+
+def _random_problem(rng, kind, n, d):
+    X = rng.normal(size=(n, d))
+    if kind is ModelKind.LOGISTIC_SGD:
+        y = (X @ rng.normal(size=d) + rng.normal(scale=0.5, size=n) > 0).astype(float)
+    else:
+        y = X @ rng.normal(size=d) + rng.normal(scale=0.3, size=n)
+    return X, y
+
+
+class TestSgdKernel:
+    """train and incremental_update equal a loop over loss_gradient bit for bit."""
+
+    KINDS = [ModelKind.LINEAR_SGD, ModelKind.LOGISTIC_SGD]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    @pytest.mark.parametrize("warm", [False, True])
+    def test_train_equals_loss_gradient_loop(self, kind, lam, warm):
+        rng = np.random.default_rng(int(100 + 10 * lam + warm))
+        partial_last_batch = 0
+        for case in range(20):
+            n, d = int(rng.integers(1, 60)), int(rng.integers(1, 7))
+            X, y = _random_problem(rng, kind, n, d)
+            hp = HyperParams(learning_rate=float(rng.uniform(0.01, 0.05)),
+                             epochs=int(rng.integers(1, 4)),
+                             batch_size=int(rng.integers(1, 20)), l2_lambda=lam)
+            init = (LinearParams(rng.normal(size=d), float(rng.normal()))
+                    if warm else None)
+            got = train(kind, _split(X, y), hp, seed=case, init=init).params
+            want, _ = _loop_sgd(kind, X, y, epoch_orders(n, case, hp.epochs),
+                                hp.batch_size, hp.learning_rate, lam,
+                                init if warm else zero_params(d))
+            assert np.array_equal(got.weights, want.weights)
+            assert got.bias == want.bias
+            partial_last_batch += n % hp.batch_size != 0
+        assert partial_last_batch > 0
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_incremental_update_equals_loss_gradient_loop(self, kind, lam):
+        rng = np.random.default_rng(200 + int(10 * lam))
+        for _ in range(20):
+            n, d = int(rng.integers(1, 40)), int(rng.integers(1, 7))
+            X, y = _random_problem(rng, kind, n, d)
+            init = LinearParams(rng.normal(size=d), float(rng.normal()))
+            lr = float(rng.uniform(0.01, 0.05))
+            got = incremental_update(init, X, y, lr, lam, kind)
+            want, _ = _loop_sgd(kind, X, y, [np.arange(n)], 1, lr, lam, init)
+            assert np.array_equal(got.weights, want.weights)
+            assert got.bias == want.bias
+
+    def test_warm_start_is_not_modified(self):
+        init = LinearParams(np.array([0.5, -0.5]), 0.25)
+        X = np.random.default_rng(3).normal(size=(10, 2))
+        hp = HyperParams(learning_rate=0.1, epochs=2, batch_size=3)
+        train(ModelKind.LINEAR_SGD, _split(X, X[:, 0]), hp, seed=0, init=init)
+        incremental_update(init, X, X[:, 0], 0.1, 0.0)
+        assert np.array_equal(init.weights, [0.5, -0.5]) and init.bias == 0.25
+
+    def test_divergence_partway_through_an_epoch_raises(self):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0, 1, size=(40, 2))
+        y = X[:, 0].copy()
+        hp = HyperParams(learning_rate=0.1, epochs=2, batch_size=8)
+        orders = epoch_orders(40, 0, hp.epochs)
+        X[orders[0][20]] = [1e200, 1e200]  # in the third of five batches
+        _, first_bad = _loop_sgd(ModelKind.LINEAR_SGD, X, y, orders,
+                                 hp.batch_size, hp.learning_rate, 0.0, zero_params(2))
+        assert first_bad == 3
+        with pytest.raises(NonFiniteUpdate):
+            train(ModelKind.LINEAR_SGD, _split(X, y), hp, seed=0)
+
+    def test_finite_but_exploding_run_raises(self):
+        # lr 0.9 on x in [0, 1] is past the stability limit: the weights grow
+        # geometrically to ~1e50 and never overflow
+        rng = np.random.default_rng(23)
+        X = rng.uniform(0, 1, size=(140, 1))
+        y = 2.0 * X[:, 0] + rng.normal(scale=0.05, size=140)
+        hp = HyperParams(learning_rate=0.9, epochs=30, batch_size=8)
+        loop, first_bad = _loop_sgd(ModelKind.LINEAR_SGD, X, y,
+                                    epoch_orders(140, 0, hp.epochs), hp.batch_size,
+                                    hp.learning_rate, 0.0, zero_params(1))
+        assert first_bad is None and abs(loop.bias) > 1e30
+        with pytest.raises(NonFiniteUpdate):
+            train(ModelKind.LINEAR_SGD, _split(X, y), hp, seed=0)
+        stable = train(ModelKind.LINEAR_SGD, _split(X, y),
+                       hp.replace(learning_rate=0.2), seed=0)
+        assert abs(stable.params.weights[0] - 2.0) < 0.2
+
+
 class TestEvaluate:
     def test_perfect_predictions(self):
         params = LinearParams(np.array([1.0]), 0.0)

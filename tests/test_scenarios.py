@@ -342,7 +342,8 @@ class TestScenarioC:
 
 
 class TestMonitoringAndRefinement:
-    def _drift_config(self, max_refinements=2, refit="full"):
+    def _drift_config(self, max_refinements=2, refit="full", learning_rate=0.2,
+                      kind="LinearSgd"):
         schema = [numeric_feature("cpu")]
         data = {
             "scenario": {"kind": "B"},
@@ -351,8 +352,8 @@ class TestMonitoringAndRefinement:
             "sources": [source("NSSMF#0", 200, schema, [2.0], bias=0.0, sigma=0.05)],
             "pipeline": {"scaling": "none",
                          "split": {"train": 0.7, "val": 0.15, "test": 0.15, "seed": 2}},
-            "model": {"kind": "LinearSgd",
-                      "hyperparams": {"learning_rate": 0.2, "epochs": 30,
+            "model": {"kind": kind,
+                      "hyperparams": {"learning_rate": learning_rate, "epochs": 30,
                                       "batch_size": 8}},
             "deploy": {"targets": ["MdaSystem3GPP#0"]},
             "monitor": {"rounds": 4, "batch": 25, "interval": 30, "min_samples": 20,
@@ -398,6 +399,65 @@ class TestMonitoringAndRefinement:
         assert entry.state.value == "Retired"
         assert report.failure == "RefinementBudgetExhausted"
         assert len(result.sim.log.of_type("refinement_budget_exhausted")) == 1
+
+
+    @pytest.mark.parametrize("learning_rate", [0.9, 1.5])
+    def test_diverging_sgd_fails_with_non_finite_update(self, learning_rate):
+        # lr 0.9 used to deploy weights near 1e51; lr 1.5 used to raise a raw
+        # OverflowError from the monitor window's mse
+        result = run_scenario(self._drift_config(learning_rate=learning_rate))
+        report = result.report
+        assert report.status == "failed"
+        assert report.failure.startswith("NonFiniteUpdate")
+        assert report.model is None
+        assert result.sim.log.entries[-1].type == "run_complete"
+
+    @pytest.mark.parametrize("refit", ["incremental", "full"])
+    def test_stump_refinement_refits_a_stump(self, refit):
+        from smosim.learn import StumpParams
+
+        result = run_scenario(self._drift_config(refit=refit, kind="DecisionStump"))
+        report = result.report
+        assert report.status == "completed" and report.failure is None
+        assert report.refinements >= 1
+        entry = result.registry.entries["m0"]
+        assert entry.version >= 2
+        assert isinstance(entry.artifact.parameters, StumpParams)
+
+    @pytest.mark.parametrize("refit", ["incremental", "full"])
+    def test_ridge_refinement_is_closed_form(self, refit, monkeypatch):
+        from smosim import learn
+
+        calls = []
+        real_fit = learn.fit
+
+        def spy(kind, X, y, hp, seed, init=None):
+            out = real_fit(kind, X, y, hp, seed, init)
+            calls.append((X, y, hp, out))
+            return out
+
+        monkeypatch.setattr(learn, "fit", spy)
+        result = run_scenario(self._drift_config(refit=refit, kind="RidgeClosedForm",
+                                                 max_refinements=1))
+        assert result.report.refinements == 1
+        entry = result.registry.entries["m0"]
+        X, y, hp, (params, processed) = calls[-1]
+        oracle = ridge_closed_form(X, y, hp.l2_lambda)
+        assert entry.version == 2
+        assert np.array_equal(params.weights, oracle.weights)
+        assert params.bias == oracle.bias
+        assert processed == len(X)
+        assert entry.artifact.metrics.train_ticks == len(X)
+
+
+class TestTickLimit:
+    def test_run_past_max_ticks_fails_with_named_error(self):
+        result = run_scenario(build(scenario_b_dict(max_ticks=50)))
+        report = result.report
+        assert report.status == "failed"
+        assert report.failure.startswith("TickLimitExceeded")
+        assert report.final_tick <= 50
+        assert result.sim.log.entries[-1].type == "run_complete"
 
 
 class TestFailover:

@@ -5,7 +5,12 @@ from __future__ import annotations
 import pytest
 
 from smosim.config import config_from_dict
-from smosim.errors import DuplicateComponent, UndeclaredRoute, UnknownInterface
+from smosim.errors import (
+    DuplicateComponent,
+    TickLimitExceeded,
+    UndeclaredRoute,
+    UnknownInterface,
+)
 from smosim.topology import (
     ComponentId,
     ComponentKind,
@@ -175,6 +180,17 @@ class TestRunToCompletion:
         sim.run_to_completion()
         assert fired == [3]
         assert sim.clock == 3
+
+    def test_action_past_max_tick_raises_tick_limit_exceeded(self):
+        sim = _bare_sim()
+        fired = []
+        sim.schedule(5, lambda: fired.append(5))
+        sim.schedule(12, lambda: fired.append(12))
+        with pytest.raises(TickLimitExceeded):
+            sim.run_to_completion(max_tick=10)
+        assert fired == [5]
+        assert sim.clock == 5
+        assert sim.pending()
 
 
 class TestMeterContract:
