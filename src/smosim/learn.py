@@ -94,11 +94,15 @@ def predict_score(params: ModelParameters, kind: ModelKind, X: np.ndarray) -> np
 def loss_value(kind: ModelKind, params: LinearParams, X: np.ndarray, y: np.ndarray,
                l2_lambda: float) -> float:
     """Mean per-sample loss plus L2 penalty on the weights (bias excluded)."""
-    z = X @ params.weights + params.bias
+    # in place, so a pass over a large train set holds one or two row vectors
+    z = X @ params.weights
+    z += params.bias
     if kind is ModelKind.LOGISTIC_SGD:
-        per_sample = np.logaddexp(0.0, z) - y * z
+        per_sample = np.logaddexp(0.0, z)
+        per_sample -= y * z
     else:
-        per_sample = (z - y) ** 2
+        z -= y
+        per_sample = np.square(z, out=z)
     reg = l2_lambda * float(params.weights @ params.weights)
     return float(np.mean(per_sample)) + reg
 
