@@ -142,7 +142,10 @@ def incremental_update(params: LinearParams, X: np.ndarray, y: np.ndarray,
 
 # A run whose loss ends this many times above both its starting model's and
 # the zero model's has diverged, even while its parameters are still finite.
+# The losses are taken on the first _CHECK_ROWS rows, which bounds the check's
+# time and memory on large train sets.
 _DIVERGED_LOSS_RATIO = 1e6
+_CHECK_ROWS = 1024
 
 
 def _sgd(kind: ModelKind, X: np.ndarray, y: np.ndarray, orders: Iterable[np.ndarray],
@@ -183,9 +186,10 @@ def _sgd(kind: ModelKind, X: np.ndarray, y: np.ndarray, orders: Iterable[np.ndar
                     raise NonFiniteUpdate("parameters diverged; lower the learning rate")
         out = LinearParams(w, b)
         if X.shape[0]:
-            start_loss = max(loss_value(kind, init, X, y, l2_lambda),
-                             loss_value(kind, zero_params(X.shape[1]), X, y, l2_lambda))
-            if not loss_value(kind, out, X, y, l2_lambda) <= _DIVERGED_LOSS_RATIO * start_loss:
+            Xc, yc = X[:_CHECK_ROWS], y[:_CHECK_ROWS]
+            start_loss = max(loss_value(kind, init, Xc, yc, l2_lambda),
+                             loss_value(kind, zero_params(X.shape[1]), Xc, yc, l2_lambda))
+            if not loss_value(kind, out, Xc, yc, l2_lambda) <= _DIVERGED_LOSS_RATIO * start_loss:
                 raise NonFiniteUpdate("parameters diverged; lower the learning rate")
     return out
 
