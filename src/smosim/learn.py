@@ -94,15 +94,11 @@ def predict_score(params: ModelParameters, kind: ModelKind, X: np.ndarray) -> np
 def loss_value(kind: ModelKind, params: LinearParams, X: np.ndarray, y: np.ndarray,
                l2_lambda: float) -> float:
     """Mean per-sample loss plus L2 penalty on the weights (bias excluded)."""
-    # in place, so a pass over a large train set holds one or two row vectors
-    z = X @ params.weights
-    z += params.bias
+    z = X @ params.weights + params.bias
     if kind is ModelKind.LOGISTIC_SGD:
-        per_sample = np.logaddexp(0.0, z)
-        per_sample -= y * z
+        per_sample = np.logaddexp(0.0, z) - y * z
     else:
-        z -= y
-        per_sample = np.square(z, out=z)
+        per_sample = (z - y) ** 2
     reg = l2_lambda * float(params.weights @ params.weights)
     return float(np.mean(per_sample)) + reg
 
