@@ -400,11 +400,10 @@ class TestMonitoringAndRefinement:
         assert report.failure == "RefinementBudgetExhausted"
         assert len(result.sim.log.of_type("refinement_budget_exhausted")) == 1
 
-
     @pytest.mark.parametrize("learning_rate", [0.9, 1.5])
     def test_diverging_sgd_fails_with_non_finite_update(self, learning_rate):
-        # lr 0.9 used to deploy weights near 1e51; lr 1.5 used to raise a raw
-        # OverflowError from the monitor window's mse
+        # past the stability limit the initial training grows the parameters
+        # to ~7e51 (lr 0.9) or ~4e237 (lr 1.5) without ever overflowing
         result = run_scenario(self._drift_config(learning_rate=learning_rate))
         report = result.report
         assert report.status == "failed"
@@ -440,6 +439,7 @@ class TestMonitoringAndRefinement:
         result = run_scenario(self._drift_config(refit=refit, kind="RidgeClosedForm",
                                                  max_refinements=1))
         assert result.report.refinements == 1
+        assert len(calls) == 2  # the initial training, then the refinement
         entry = result.registry.entries["m0"]
         X, y, hp, (params, processed) = calls[-1]
         oracle = ridge_closed_form(X, y, hp.l2_lambda)
