@@ -10,12 +10,12 @@ from __future__ import annotations
 import hashlib
 import hmac
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
 from .config import FeatureSpec, FilterSpec, PoisonSpec, PrivacySpec, SchedulerSpec
-from .datagen import ManagementRecord
+from .datagen import RecordBatch, is_missing
 from .errors import MissingKey, ZeroCapacity
 from .topology import Simulation
 
@@ -23,7 +23,7 @@ from .topology import Simulation
 # -- data poisoning ---------------------------------------------------------------
 
 
-def poison_inject(records: list[ManagementRecord], spec: PoisonSpec) -> list[ManagementRecord]:
+def poison_inject(records: RecordBatch, spec: PoisonSpec) -> RecordBatch:
     """Alter exactly floor(n * fraction) seeded-selected records.
 
     The poisoned flag is ground truth for reporting only; nothing downstream
@@ -31,65 +31,57 @@ def poison_inject(records: list[ManagementRecord], spec: PoisonSpec) -> list[Man
     """
     n = len(records)
     n_poison = math.floor(n * spec.fraction)
-    out = [r.copy() for r in records]
     if n_poison == 0:
-        return out
-    rng = np.random.default_rng(spec.seed)
-    rows = rng.choice(n, size=n_poison, replace=False)
-    for i in rows:
-        r = out[int(i)]
-        if spec.attack == "target_offset":
-            r.target += spec.delta
-        elif spec.attack == "target_flip":
-            r.target = 1.0 - r.target if r.target in (0.0, 1.0) else -r.target
-        else:  # feature_scale
-            for name, value in r.features.items():
-                if isinstance(value, float):
-                    r.features[name] = value * spec.gamma
-        r.poisoned = True
-    return out
+        return records
+    rows = np.random.default_rng(spec.seed).choice(n, size=n_poison, replace=False)
+    target, columns = records.target.copy(), records.columns
+    if spec.attack == "target_offset":
+        target[rows] += spec.delta
+    elif spec.attack == "target_flip":
+        t = target[rows]
+        target[rows] = np.where((t == 0.0) | (t == 1.0), 1.0 - t, -t)
+    else:  # feature_scale: every numeric value of the chosen rows
+        scale = np.ones(n)
+        scale[rows] = spec.gamma
+        columns = {k: c * scale if c.dtype.kind == "f" else c for k, c in columns.items()}
+    poisoned = records.poisoned.copy()
+    poisoned[rows] = True
+    return replace(records, columns=columns, target=target, poisoned=poisoned)
 
 
 # -- validation filtering ------------------------------------------------------------
 
 
-def mad_statistics(targets: list[float]) -> tuple[float, float]:
+def mad_statistics(targets: np.ndarray) -> tuple[float, float]:
     """Median and median absolute deviation of the targets."""
     med = float(np.median(targets))
-    mad = float(np.median([abs(t - med) for t in targets]))
+    mad = float(np.median(np.abs(np.asarray(targets) - med)))
     return med, mad
 
 
-def validation_filter(records: list[ManagementRecord],
-                      spec: FilterSpec) -> tuple[list[ManagementRecord], list[ManagementRecord]]:
+def validation_filter(records: RecordBatch,
+                      spec: FilterSpec) -> tuple[RecordBatch, RecordBatch]:
     """Reject records whose target deviates more than k robust deviations.
 
     A record is rejected iff |target - median| / max(MAD, floor) > k. The
     filter sees targets only; hidden poison flags are unobservable.
     """
-    if not records:
-        return [], []
-    med, mad = mad_statistics([r.target for r in records])
-    denom = max(mad, spec.mad_floor)
-    kept, rejected = [], []
-    for r in records:
-        if abs(r.target - med) / denom > spec.k:
-            rejected.append(r)
-        else:
-            kept.append(r)
-    return kept, rejected
+    if not len(records):
+        return records, records
+    med, mad = mad_statistics(records.target)
+    rejected = np.abs(records.target - med) / max(mad, spec.mad_floor) > spec.k
+    return records.take(~rejected), records.take(rejected)
 
 
-def poison_detection_report(kept: list[ManagementRecord],
-                            rejected: list[ManagementRecord]) -> dict:
+def poison_detection_report(kept: RecordBatch, rejected: RecordBatch) -> dict:
     """Precision/recall of the filter against ground-truth flags.
 
     Reporting-only: this is the single place the hidden flag may be read.
     """
-    tp = sum(1 for r in rejected if r.poisoned)
+    tp = int(rejected.poisoned.sum())
     fp = len(rejected) - tp
-    fn = sum(1 for r in kept if r.poisoned)
-    precision = tp / (tp + fp) if rejected else None
+    fn = int(kept.poisoned.sum())
+    precision = tp / (tp + fp) if len(rejected) else None
     recall = tp / (tp + fn) if (tp + fn) else None
     return {
         "rejected": len(rejected),
@@ -105,24 +97,34 @@ def poison_detection_report(kept: list[ManagementRecord],
 # -- privacy -------------------------------------------------------------------------
 
 
+def pseudonyms(values, key: str) -> list[str]:
+    """Keyed pseudonyms: "pid-" and the first 16 hex digits of HMAC-SHA256."""
+    keyed = hmac.new(key.encode(), digestmod=hashlib.sha256)
+    out = []
+    for value in values:
+        h = keyed.copy()
+        h.update(str(value).encode())
+        out.append(f"pid-{h.hexdigest()[:16]}")
+    return out
+
+
 def pseudonym(value: str, key: str) -> str:
-    digest = hmac.new(key.encode(), str(value).encode(), hashlib.sha256).hexdigest()
-    return f"pid-{digest[:16]}"
+    return pseudonyms([value], key)[0]
 
 
-def privacy_transform(records: list[ManagementRecord], schema: list[FeatureSpec],
-                      spec: PrivacySpec) -> list[ManagementRecord]:
+def privacy_transform(records: RecordBatch, schema: list[FeatureSpec],
+                      spec: PrivacySpec) -> RecordBatch:
     """Replace sensitive identifier values with keyed pseudonyms, at the source."""
     if not spec.key:
         raise MissingKey("pseudonymization key required")
-    sensitive = [f.name for f in schema if f.sensitive and f.type == "identifier"]
-    out = [r.copy() for r in records]
-    for r in out:
-        for name in sensitive:
-            v = r.features.get(name)
-            if v is not None:
-                r.features[name] = pseudonym(str(v), spec.key)
-    return out
+    columns = dict(records.columns)
+    for f in schema:
+        if f.sensitive and f.type == "identifier" and f.name in columns:
+            col = columns[f.name].copy()
+            present = ~is_missing(col)
+            col[present] = np.array(pseudonyms(col[present], spec.key), dtype=object)
+            columns[f.name] = col
+    return replace(records, columns=columns)
 
 
 def inflate_bytes(payload_bytes: int, inflation: float) -> int:

@@ -9,14 +9,13 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 
 import numpy as np
 
 from .config import DerivedFeature, FeatureSpec, SplitSpec, model_feature_names
-from .datagen import MISSING, ManagementRecord
+from .datagen import RecordBatch, encode, is_missing, missing_column
 from .errors import (
     ConfigError,
     EmptyDataset,
@@ -35,9 +34,6 @@ class Stage(str, Enum):
     SPLIT = "Split"
 
 
-_ORDER = [Stage.RAW, Stage.CLEANSED, Stage.FORMATTED, Stage.TRANSFORMED, Stage.SPLIT]
-
-
 @dataclass(frozen=True)
 class Provenance:
     sources: tuple[str, ...]
@@ -47,11 +43,10 @@ class Provenance:
 
 @dataclass
 class Dataset:
-    """Record-level dataset for the pre-encoding stages."""
+    """Record batch for the pre-encoding stages."""
 
     stage: Stage
-    records: list[ManagementRecord]
-    source_schemas: dict[ComponentId, list[FeatureSpec]]
+    records: RecordBatch
     provenance: Provenance
     canonical: list[FeatureSpec] | None = None
     partial: bool = False
@@ -60,12 +55,6 @@ class Dataset:
         if self.stage is not expected:
             raise SchemaMismatch(f"operation requires stage {expected.value}, "
                                  f"dataset is {self.stage.value}")
-
-    def schema_for(self, source: ComponentId) -> list[FeatureSpec]:
-        try:
-            return self.source_schemas[source]
-        except KeyError:
-            raise SchemaMismatch(f"no schema registered for source {source}") from None
 
 
 @dataclass
@@ -107,7 +96,7 @@ class TransformedDataset:
     y: np.ndarray
     scaler: ScalingParams
     provenance: Provenance
-    record_ids: list[int] = field(default_factory=list)
+    record_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
     poisoned: np.ndarray | None = None  # ground truth, reporting only
     stage: Stage = Stage.TRANSFORMED
 
@@ -121,7 +110,8 @@ class TransformedDataset:
             y=self.y[idx],
             scaler=self.scaler,
             provenance=self.provenance,
-            record_ids=[self.record_ids[i] for i in idx] if self.record_ids else [],
+            record_ids=np.asarray(self.record_ids)[idx] if len(self.record_ids) else
+            self.record_ids,
             poisoned=self.poisoned[idx] if self.poisoned is not None else None,
         )
 
@@ -159,63 +149,82 @@ class ExplorationReport:
 # -- cleansing --------------------------------------------------------------------
 
 
+def _first_rows(keys: list[np.ndarray]) -> np.ndarray:
+    """Mask of the rows that come first among the rows with equal keys.
+
+    NaN keys equal each other, so two rows missing the same value match.
+    """
+    n = len(keys[0])
+    order = np.lexsort(keys[::-1])  # stable: equal rows stay in row order
+    same = np.ones(max(n - 1, 0), dtype=bool)
+    for k in keys:
+        a, b = k[order[1:]], k[order[:-1]]
+        same &= (a == b) | ((a != a) & (b != b))
+    keep = np.zeros(n, dtype=bool)
+    keep[order[np.concatenate([[True], ~same])[:n]]] = True
+    return keep
+
+
+def _value_keys(b: RecordBatch) -> list[np.ndarray]:
+    """Sort keys of each row's field tuple: its source's field names, values, target."""
+    layouts = [tuple(f.name for f in schema) for schema in b.schemas.values()]
+    keys = [np.array([layouts.index(names) for names in layouts])[b.source]]
+    for col in b.columns.values():
+        if col.dtype == object:  # identifiers: the row where each value first appears
+            first: dict = {}
+            col = np.fromiter(map(first.setdefault, col, range(len(col))), np.int64, len(col))
+        keys.append(col)
+    return keys + [b.target]
+
+
+def _impute_value(spec: FeatureSpec, col: np.ndarray):
+    """Median of the present numerics, or the most frequent category
+    (ties: lexicographic); None when nothing is present."""
+    present = col[~is_missing(col)]
+    if not len(present) or spec.type == "identifier":
+        return None
+    if spec.type == "numeric":
+        return float(np.median(present))
+    counts = np.bincount(present, minlength=len(spec.vocab))
+    return spec.vocab.index(min(v for v, c in zip(spec.vocab, counts) if c == counts.max()))
+
+
 def cleanse(d: Dataset) -> Dataset:
     """Dedup, impute and clamp. Idempotent.
 
-    Duplicates (same record id or identical field tuple) keep their first
-    occurrence. Missing numerics take the column median of present values,
-    missing categoricals the most frequent value (ties: lexicographic).
-    Out-of-range numerics clamp to the nearest declared bound.
+    Dedup keeps the first row of each record id, then, among those, the
+    first row of each field tuple: the source's field names, the values and
+    the target, where a missing value equals a missing value. So when an id
+    repeats with different values, only its first row competes on values,
+    and later rows with that id are dropped even if the first one was.
+    Missing numerics take the column median of present values, missing
+    categoricals the most frequent value (ties: lexicographic), missing
+    identifiers "". Out-of-range numerics clamp to the nearest bound their
+    source declares; imputed values are not clamped.
     """
     d._require_stage(Stage.RAW)
-    seen_ids: set[int] = set()
-    seen_tuples: set[tuple] = set()
-    kept: list[ManagementRecord] = []
-    for r in d.records:
-        key = r.field_tuple()
-        if r.record_id in seen_ids or key in seen_tuples:
-            continue
-        seen_ids.add(r.record_id)
-        seen_tuples.add(key)
-        kept.append(r.copy())
-    if not kept:
+    b = d.records
+    first_of_id = np.flatnonzero(_first_rows([b.record_id]))
+    kept = first_of_id[_first_rows([k[first_of_id] for k in _value_keys(b)])]
+    if not len(kept):
         raise EmptyDataset("no records left after deduplication")
-
-    numeric_present: dict[str, list[float]] = {}
-    categorical_present: dict[str, list[str]] = {}
-    for r in kept:
-        for spec in d.schema_for(r.source):
-            v = r.features.get(spec.name, MISSING)
-            if v is MISSING:
-                continue
-            if spec.type == "numeric":
-                numeric_present.setdefault(spec.name, []).append(float(v))
-            elif spec.type == "categorical":
-                categorical_present.setdefault(spec.name, []).append(str(v))
-
-    medians = {k: float(np.median(v)) for k, v in numeric_present.items()}
-    modes: dict[str, str] = {}
-    for k, values in categorical_present.items():
-        counts = Counter(values)
-        top = max(counts.values())
-        modes[k] = min(v for v, c in counts.items() if c == top)
-
-    for r in kept:
-        for spec in d.schema_for(r.source):
-            v = r.features.get(spec.name, MISSING)
+    b = b.take(kept)
+    fill = {name: _impute_value(b.spec_of(name), col) for name, col in b.columns.items()}
+    columns = {name: col.copy() for name, col in b.columns.items()}
+    for code, schema in enumerate(b.schemas.values()):
+        rows = slice(None) if len(b.schemas) == 1 else b.source == code
+        for spec in schema:
+            part = columns[spec.name][rows]
+            value = fill[spec.name]
             if spec.type == "numeric":
                 lo, hi = spec.valid_range  # type: ignore[misc]
-                if v is MISSING:
-                    r.features[spec.name] = medians.get(spec.name, (lo + hi) / 2.0)
-                else:
-                    r.features[spec.name] = min(max(float(v), lo), hi)
-            elif spec.type == "categorical":
-                if v is MISSING:
-                    r.features[spec.name] = modes.get(spec.name, spec.vocab[0])
-            elif v is MISSING:
-                r.features[spec.name] = ""
-    return Dataset(Stage.CLEANSED, kept, d.source_schemas, d.provenance,
-                   canonical=d.canonical, partial=d.partial)
+                part = np.clip(part, lo, hi)
+                value = (lo + hi) / 2.0 if value is None else value
+            elif value is None:
+                value = 0 if spec.type == "categorical" else ""
+            part[is_missing(part)] = value
+            columns[spec.name][rows] = part
+    return replace(d, stage=Stage.CLEANSED, records=replace(b, columns=columns))
 
 
 # -- formatting -------------------------------------------------------------------
@@ -223,72 +232,43 @@ def cleanse(d: Dataset) -> Dataset:
 
 def format_dataset(d: Dataset, canonical: list[FeatureSpec],
                    renames: dict[ComponentId, dict[str, str]] | None = None) -> Dataset:
-    """Rename every record's fields onto the canonical schema, fixed order."""
+    """Rename every source's fields onto the canonical schema, fixed order."""
     d._require_stage(Stage.CLEANSED)
+    b = d.records
     renames = renames or {}
-    canonical_names = [f.name for f in canonical]
-    canonical_set = set(canonical_names)
-    out: list[ManagementRecord] = []
-    for r in d.records:
-        table = renames.get(r.source, {})
-        mapped: dict[str, float | str | None] = {}
-        for name, value in r.features.items():
-            new = table.get(name, name)
-            if new not in canonical_set:
-                raise UnmappableField(
-                    f"field {name!r} from {r.source} has no canonical mapping")
-            mapped[new] = value
-        missing = canonical_set - mapped.keys()
-        if missing:
-            raise UnmappableField(
-                f"record {r.record_id} lacks canonical fields {sorted(missing)}")
-        ordered = {name: mapped[name] for name in canonical_names}
-        out.append(ManagementRecord(r.record_id, r.source, r.tick, ordered,
-                                    r.target, r.poisoned))
-    return Dataset(Stage.FORMATTED, out, {s: canonical for s in d.source_schemas},
-                   d.provenance, canonical=canonical, partial=d.partial)
+    canonical_names = {f.name for f in canonical}
+    columns = {f.name: missing_column(f, len(b)) for f in canonical}
+    for code, (owner, schema) in enumerate(b.schemas.items()):
+        table = renames.get(owner, {})
+        mapped = {table.get(f.name, f.name): f for f in schema}
+        for name, f in mapped.items():
+            if name not in canonical_names:
+                raise UnmappableField(f"field {f.name!r} from {owner} has no canonical mapping")
+        if canonical_names - mapped.keys():
+            raise UnmappableField(f"records from {owner} lack canonical fields "
+                                  f"{sorted(canonical_names - mapped.keys())}")
+        rows = b.source == code
+        for f in canonical:
+            src = mapped[f.name]
+            if (src.type, src.vocab) != (f.type, f.vocab):
+                raise SchemaMismatch(f"{src.name!r} from {owner} does not match {f.name!r}")
+            columns[f.name][rows] = b.columns[src.name][rows]
+    records = replace(b, schemas={s: tuple(canonical) for s in b.schemas}, columns=columns)
+    return replace(d, stage=Stage.FORMATTED, records=records, canonical=canonical)
 
 
 # -- transformation -----------------------------------------------------------------
 
 
-def base_design_matrix(records: list[ManagementRecord], canonical: list[FeatureSpec],
+def base_design_matrix(records: RecordBatch, canonical: list[FeatureSpec],
                        derived: tuple[DerivedFeature, ...] = ()) -> np.ndarray:
     """Unscaled design matrix: numerics, derived features, one-hot groups."""
-    numeric_names = [f.name for f in canonical if f.type == "numeric"]
-    rows = np.empty((len(records), len(numeric_names)), dtype=float)
-    for i, r in enumerate(records):
-        for j, name in enumerate(numeric_names):
-            v = r.features[name]
-            if v is MISSING:
-                raise SchemaMismatch(f"record {r.record_id} still has MISSING {name!r}")
-            rows[i, j] = float(v)
-    cols = [rows]
-    col_of = {name: rows[:, j] for j, name in enumerate(numeric_names)}
-    for dspec in derived:
-        if dspec.a not in col_of or dspec.b not in col_of:
-            raise SchemaMismatch(f"derived feature {dspec.column_name()!r} "
-                                 "references a non-numeric column")
-        a, b = col_of[dspec.a], col_of[dspec.b]
-        if dspec.op == "product":
-            cols.append((a * b)[:, None])
-        else:
-            safe = np.where(np.abs(b) > 1e-12, b, 1.0)
-            cols.append(np.where(np.abs(b) > 1e-12, a / safe, 0.0)[:, None])
     for f in canonical:
-        if f.type == "categorical":
-            block = np.zeros((len(records), len(f.vocab)), dtype=float)
-            index = {v: k for k, v in enumerate(f.vocab)}
-            for i, r in enumerate(records):
-                value = r.features[f.name]
-                if value is MISSING:
-                    raise SchemaMismatch(f"record {r.record_id} still has MISSING {f.name!r}")
-                if str(value) not in index:
-                    raise SchemaMismatch(
-                        f"value {value!r} outside vocab of {f.name!r}")
-                block[i, index[str(value)]] = 1.0
-            cols.append(block)
-    return np.hstack(cols) if cols else np.empty((len(records), 0))
+        missing = is_missing(records.columns[f.name])
+        if f.type != "identifier" and missing.any():
+            raise SchemaMismatch(f"record {records.record_id[missing.argmax()]} "
+                                 f"still has MISSING {f.name!r}")
+    return encode(canonical, records.columns, derived)
 
 
 def fit_scaler(matrix: np.ndarray, names: list[str], canonical: list[FeatureSpec],
@@ -347,16 +327,14 @@ def transform(d: Dataset, scaling: str = "zscore",
     names = model_feature_names(d.canonical, list(derived))
     base = base_design_matrix(d.records, d.canonical, derived)
     scaler = fit_scaler(base, names, d.canonical, derived, scaling)
-    X = scaler.apply(base)
-    y = np.array([r.target for r in d.records], dtype=float)
-    flags = np.array([r.poisoned for r in d.records], dtype=bool)
     return TransformedDataset(
-        feature_names=names, X=X, y=y, scaler=scaler, provenance=d.provenance,
-        record_ids=[r.record_id for r in d.records], poisoned=flags,
+        feature_names=names, X=scaler.apply(base), y=d.records.target.copy(),
+        scaler=scaler, provenance=d.provenance, record_ids=d.records.record_id,
+        poisoned=d.records.poisoned,
     )
 
 
-def reapply_transform(records: list[ManagementRecord], canonical: list[FeatureSpec],
+def reapply_transform(records: RecordBatch, canonical: list[FeatureSpec],
                       derived: tuple[DerivedFeature, ...],
                       scaler: ScalingParams) -> np.ndarray:
     """Inference-time path: encode fresh records with stored scaling parameters."""
@@ -450,14 +428,7 @@ def transformed_from_csv(text: str, provenance: Provenance,
         scaler = ScalingParams("none", names, np.zeros(len(names)), np.ones(len(names)))
     return TransformedDataset(
         feature_names=names, X=data[:, :-1], y=data[:, -1], scaler=scaler,
-        provenance=provenance, record_ids=list(range(len(data))),
+        provenance=provenance, record_ids=np.arange(len(data)),
         poisoned=np.zeros(len(data), dtype=bool),
     )
 
-
-def records_to_jsonl(records: list[ManagementRecord]) -> str:
-    """Debug dump; ground-truth poison flags are stripped."""
-    from .datagen import strip_hidden
-
-    return "".join(json.dumps(r, separators=(",", ":")) + "\n"
-                   for r in strip_hidden(records))

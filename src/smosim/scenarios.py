@@ -187,7 +187,7 @@ class _SourceBehavior:
         self.spec = spec
         self.emission_index = 0
 
-    def _make_records(self, n: int, tick: int) -> list[datagen.ManagementRecord]:
+    def _make_records(self, n: int, tick: int) -> datagen.RecordBatch:
         cfg = self.driver.config
         rng = datagen.derive_rng(cfg.seed, "datagen", self.spec.owner.kind.value,
                                  self.spec.owner.index, self.emission_index)
@@ -474,12 +474,13 @@ class Driver:
         self.exploration: pipeline.ExplorationReport | None = None
         self.search_result: learn.SearchResult | None = None
         self.monitor: MonitorWindow | None = None
-        self.monitor_samples: list[tuple[datagen.ManagementRecord, float]] = []
+        # the last monitor.window reported samples, the refinement's training data
+        self.monitor_samples: datagen.RecordBatch | None = None
         self.checkpoints: list[dict[str, Any]] = []
         self.restored_registry_snapshot: dict[str, Any] | None = None
         self.last_checkpoint_at_promotion: dict[str, Any] | None = None
 
-        self._inbox: dict[str, list[datagen.ManagementRecord]] = {}
+        self._inbox: dict[str, list[datagen.RecordBatch]] = {}
         self._filter_stats: dict[str, Any] | None = None
         self._expected_artifacts: dict[int, set[str]] = {}
         self._domain_models: dict[int, dict[str, DomainModel]] = {}
@@ -493,7 +494,7 @@ class Driver:
         self._global_artifact: ModelArtifact | None = None
         self._test_metrics: learn.EvalMetrics | None = None
         self._chosen_hp = config.model.hyperparams
-        self._local_data_cache: dict[str, list[datagen.ManagementRecord]] = {}
+        self._local_data_cache: dict[str, datagen.RecordBatch] = {}
 
         self.sources = {s.owner: _SourceBehavior(self, s) for s in config.sources}
         self.domains: dict[ComponentId, _DomainBehavior] = {}
@@ -680,7 +681,7 @@ class Driver:
     def _aiml_handle(self, sim: Simulation, msg: InterfaceMessage) -> None:
         if msg.payload_kind in (PayloadKind.RAW_DATA, PayloadKind.CLEANSED_DATA):
             source = msg.meta.get("source", str(msg.src))
-            self._inbox.setdefault(source, []).extend(msg.payload)
+            self._inbox.setdefault(source, []).append(msg.payload)
         elif msg.payload_kind is PayloadKind.MODEL_ARTIFACT:
             payload = msg.payload
             if isinstance(payload, DomainModel):
@@ -697,13 +698,12 @@ class Driver:
         partial = False
         expected = [s.owner for s in self.config.sources]
         for owner in expected:
-            if not self._inbox.get(str(owner)):
+            if not sum(map(len, self._inbox.get(str(owner), []))):
                 partial = True
                 self.sim.log_event("collection_timeout", src=owner,
                                    detail={"window": [start, deadline]})
-        records: list[datagen.ManagementRecord] = []
-        for owner in expected:
-            records.extend(self._inbox.get(str(owner), []))
+        parts = [b for owner in expected for b in self._inbox.get(str(owner), [])]
+        records = datagen.RecordBatch.concat(parts) if parts else None
         if not records:
             self.report.status = "failed"
             self.report.failure = "EmptyCollection: no source delivered any data"
@@ -712,9 +712,7 @@ class Driver:
         provenance = pipeline.Provenance(
             tuple(sorted(str(o) for o in expected)), (start, deadline),
             self.report.config_hash)
-        schemas = {s.owner: s.schema for s in self.config.sources}
-        raw = pipeline.Dataset(pipeline.Stage.RAW, records, schemas, provenance,
-                               partial=partial)
+        raw = pipeline.Dataset(pipeline.Stage.RAW, records, provenance, partial=partial)
         if purpose == "validation":
             self._validate_import(raw)
         else:
@@ -731,16 +729,15 @@ class Driver:
             self.sim.log_event("mitigation", src=self.active_aiml, detail={
                 "mechanism": "validation_filter",
                 "rejected": len(rejected), "kept": len(kept)})
-            raw = pipeline.Dataset(raw.stage, kept, raw.source_schemas, raw.provenance,
-                                   partial=raw.partial)
+            raw = pipeline.Dataset(raw.stage, kept, raw.provenance, partial=raw.partial)
         elif cfg.harness.poison is not None:
             # poisoned run with the mitigation disabled: note it for reporting
-            self._filter_stats = harness.poison_detection_report(raw.records, [])
+            self._filter_stats = harness.poison_detection_report(
+                raw.records, raw.records.take(slice(0)))
         if share_data:
             # domain-side cleansing already ran; records enter as Cleansed
             cleansed = pipeline.Dataset(pipeline.Stage.CLEANSED, raw.records,
-                                        raw.source_schemas, raw.provenance,
-                                        partial=raw.partial)
+                                        raw.provenance, partial=raw.partial)
         else:
             cleansed = pipeline.cleanse(raw)
         renames = {s.owner: s.rename for s in cfg.sources}
@@ -925,10 +922,12 @@ class Driver:
         if self.monitor is None:
             return
         records = payload["records"]
-        predictions = payload["predictions"]
-        for rec, pred in zip(records, predictions):
-            self.monitor.ingest(pred, rec.target, self.sim.clock)
-            self.monitor_samples.append((rec, float(pred)))
+        for actual, pred in zip(records.target, payload["predictions"]):
+            self.monitor.ingest(pred, actual, self.sim.clock)
+        window = self.config.monitor.window
+        if self.monitor_samples is not None:
+            records = datagen.RecordBatch.concat([self.monitor_samples, records])
+        self.monitor_samples = records.take(slice(-window, None))
         self.sim.log_event("report_ingested", src=self.active_aiml, detail={
             "round": payload.get("round"), "target": payload.get("target"),
             "window_mse": self.monitor.mse()})
@@ -974,12 +973,11 @@ class Driver:
     def _run_refinement(self, entry) -> None:
         cfg = self.config
         # refit on the samples that triggered the drift, not the full history
-        samples = self.monitor_samples[-cfg.monitor.window:]
-        if not samples:
+        records = self.monitor_samples
+        if not records:
             self._restart_for_refinement()
             return
-        records = [rec for rec, _ in samples]
-        y = np.array([rec.target for rec in records], dtype=float)
+        y = records.target
         X = pipeline.reapply_transform(records, self.canonical, self.derived,
                                        entry.artifact.scaler)
         k = max(1, math.floor(len(records) * cfg.monitor.holdout_fraction))
@@ -1022,7 +1020,7 @@ class Driver:
         self.registry.transition(entry, LifecycleState.VALIDATED, self.sim.clock)
         if self.monitor is not None:
             self.monitor.clear(new_baseline=metrics.mse)
-        self.monitor_samples = []
+        self.monitor_samples = None
         self._deploy(entry)
 
     def _restart_for_refinement(self) -> None:
@@ -1120,14 +1118,13 @@ class Driver:
     def build_local_split(self, spec: SourceSpec) -> pipeline.SplitDataset:
         records = self.local_cleansed_records(spec)
         provenance = pipeline.Provenance((str(spec.owner),), (0, 0), self.report.config_hash)
-        ds = pipeline.Dataset(pipeline.Stage.CLEANSED, records, {spec.owner: spec.schema},
-                              provenance)
+        ds = pipeline.Dataset(pipeline.Stage.CLEANSED, records, provenance)
         formatted = pipeline.format_dataset(ds, spec.canonical_schema(),
                                             {spec.owner: spec.rename})
         td = pipeline.transform(formatted, self.config.pipeline.scaling, self.derived)
         return pipeline.split(td, self.config.pipeline.split)
 
-    def local_cleansed_records(self, spec: SourceSpec) -> list[datagen.ManagementRecord]:
+    def local_cleansed_records(self, spec: SourceSpec) -> datagen.RecordBatch:
         key = str(spec.owner)
         cache = self._local_data_cache
         if key not in cache:
@@ -1140,10 +1137,9 @@ class Driver:
         return cache[key]
 
     def local_cleanse(self, spec: SourceSpec,
-                      records: list[datagen.ManagementRecord]) -> list[datagen.ManagementRecord]:
+                      records: datagen.RecordBatch) -> datagen.RecordBatch:
         provenance = pipeline.Provenance((str(spec.owner),), (0, 0), self.report.config_hash)
-        ds = pipeline.Dataset(pipeline.Stage.RAW, records, {spec.owner: spec.schema},
-                              provenance)
+        ds = pipeline.Dataset(pipeline.Stage.RAW, records, provenance)
         return pipeline.cleanse(ds).records
 
     # -- scenario A validation ------------------------------------------------------------------------------
@@ -1155,9 +1151,9 @@ class Driver:
         renames = {s.owner: s.rename for s in cfg.sources}
         formatted = pipeline.format_dataset(cleansed, self.canonical, renames)
         n_val = min(len(formatted.records), cfg.external.validation_batch)
-        records = formatted.records[:n_val]
+        records = formatted.records.take(slice(n_val))
         base = pipeline.base_design_matrix(records, self.canonical, self.derived)
-        y = np.array([r.target for r in records], dtype=float)
+        y = records.target
         try:
             if base.shape[1] != len(artifact.feature_names):
                 raise InvalidArtifact(
@@ -1269,7 +1265,9 @@ class Driver:
         if self.phase == "deploy" and entry is not None and entry.state in (
                 LifecycleState.VALIDATED, LifecycleState.DEPLOYED):
             self._deploy(entry)
-        elif self.phase in ("collect", "collect_validation", "train", "deploy"):
+        elif self.phase == "collect_validation":
+            self._start_collection(purpose="validation")
+        elif self.phase in ("collect", "train", "deploy"):
             self._start_collection()
         elif self.phase == "refine":
             self._restart_for_refinement()
@@ -1283,7 +1281,7 @@ class Driver:
                     drift_factor=self.config.monitor.drift_factor,
                     min_samples=self.config.monitor.min_samples,
                 )
-            self.monitor_samples = []
+            self.monitor_samples = None
             if self._pending_resolution is not None:
                 self._pending_resolution.resolution_tick = self.sim.clock
                 self._pending_resolution = None

@@ -4,10 +4,13 @@ from __future__ import annotations
 
 from typing import Any
 
+import numpy as np
 import pytest
 
 from smosim import config_from_dict
-from smosim.config import ScenarioConfig
+from smosim.config import FeatureSpec, ScenarioConfig
+from smosim.datagen import RecordBatch
+from smosim.topology import ComponentId, ComponentKind
 
 
 def numeric_feature(name: str, lo: float = 0.0, hi: float = 1.0,
@@ -62,3 +65,41 @@ def build(data: dict[str, Any]) -> ScenarioConfig:
 @pytest.fixture
 def scenario_b_config() -> ScenarioConfig:
     return build(scenario_b_dict())
+
+
+def record_batch(schema: list[FeatureSpec], rows: list[dict[str, Any]],
+                 targets: list[float] | None = None, ids: list[int] | None = None,
+                 source: ComponentId = ComponentId(ComponentKind.NSSMF, 0)) -> RecordBatch:
+    """A one-source batch from row dicts in which None marks a missing value."""
+    n = len(rows)
+    columns: dict[str, np.ndarray] = {}
+    for f in schema:
+        values = [row[f.name] for row in rows]
+        if f.type == "numeric":
+            columns[f.name] = np.array([np.nan if v is None else v for v in values],
+                                       dtype=float)
+        elif f.type == "categorical":
+            columns[f.name] = np.array([-1 if v is None else f.vocab.index(v)
+                                        for v in values], dtype=np.int64)
+        else:
+            columns[f.name] = np.array(values, dtype=object)
+    return RecordBatch({source: tuple(schema)}, columns,
+                       np.array(range(n) if ids is None else ids, dtype=np.int64),
+                       np.zeros(n, dtype=np.int64), np.zeros(n, dtype=np.int64),
+                       np.array([0.0] * n if targets is None else targets, dtype=float),
+                       np.zeros(n, dtype=bool))
+
+
+def batch_rows(batch: RecordBatch) -> list[dict[str, Any]]:
+    """Row dicts of a batch, the inverse of :func:`record_batch` for one source."""
+    out: list[dict[str, Any]] = [{} for _ in range(len(batch))]
+    for name, col in batch.columns.items():
+        spec = batch.spec_of(name)
+        for row, v in zip(out, col.tolist()):
+            if spec.type == "numeric":
+                row[name] = None if v != v else v
+            elif spec.type == "categorical":
+                row[name] = None if v < 0 else spec.vocab[v]
+            else:
+                row[name] = v
+    return out

@@ -10,15 +10,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smosim.config import FeatureSpec, SourceSpec, EmissionSpec
-from smosim.datagen import (
-    MISSING,
-    encode_features,
-    generate_batch,
-    streaming_emission_ticks,
-    true_target,
-)
+from smosim.datagen import encode, generate_batch, streaming_emission_ticks
 from smosim.errors import SchemaMismatch
 from smosim.topology import ComponentId, ComponentKind
+
+from conftest import batch_rows
+
+MISSING = None
 
 OWNER = ComponentId(ComponentKind.NSSMF, 0)
 
@@ -31,21 +29,22 @@ def _spec(coefficients, schema=None, **kwargs) -> SourceSpec:
 class TestGenerateBatch:
     def test_noiseless_linear_target(self):
         spec = _spec([2.0])
-        records = generate_batch(spec, 5, seed=1)
-        for r in records:
-            assert r.target == pytest.approx(2.0 * r.features["x"], abs=1e-12)
+        batch = generate_batch(spec, 5, seed=1)
+        for r, target in zip(batch_rows(batch), batch.target):
+            assert target == pytest.approx(2.0 * r["x"], abs=1e-12)
 
     def test_specific_feature_value_maps_through_coefficients(self):
         spec = _spec([2.0])
-        assert true_target(spec, {"x": 3.0}) == pytest.approx(6.0)
+        targets = encode(spec.schema, {"x": np.array([3.0])}) @ spec.coefficients + spec.bias
+        assert targets == pytest.approx([6.0])
 
     def test_empty_batch(self):
-        assert generate_batch(_spec([1.0]), 0, seed=1) == []
+        assert len(generate_batch(_spec([1.0]), 0, seed=1)) == 0
 
     def test_missing_count_is_exact_floor(self):
         spec = _spec([1.0], missing_rate=0.2)
-        records = generate_batch(spec, 50, seed=3)
-        with_missing = [r for r in records if MISSING in r.features.values()]
+        records = batch_rows(generate_batch(spec, 50, seed=3))
+        with_missing = [r for r in records if MISSING in r.values()]
         assert len(with_missing) == 10
 
     def test_coefficient_width_checked(self):
@@ -58,56 +57,57 @@ class TestGenerateBatch:
                      error_rate=0.1)
         a = generate_batch(spec, 40, seed=9)
         b = generate_batch(spec, 40, seed=9)
-        assert [r.features for r in a] == [r.features for r in b]
-        assert [r.target for r in a] == [r.target for r in b]
+        assert batch_rows(a) == batch_rows(b)
+        assert list(a.target) == list(b.target)
 
     def test_duplicates_are_exact_copies_with_same_id(self):
         spec = _spec([1.0], duplicate_rate=0.25)
-        records = generate_batch(spec, 20, seed=5)
-        assert len(records) == 25
-        base = {r.record_id: r for r in records[:20]}
-        for dup in records[20:]:
-            original = base[dup.record_id]
-            assert dup.features == original.features
-            assert dup.target == original.target
+        batch = generate_batch(spec, 20, seed=5)
+        assert len(batch) == 25
+        records = list(zip(batch.record_id, batch_rows(batch), batch.target))
+        base = {rid: (rid, features, target) for rid, features, target in records[:20]}
+        for rid, features, target in records[20:]:
+            original = base[rid]
+            assert features == original[1]
+            assert target == original[2]
 
     def test_errors_exceed_valid_range(self):
         spec = _spec([1.0], error_rate=0.5, error_factor=10.0)
-        records = generate_batch(spec, 10, seed=7)
+        records = batch_rows(generate_batch(spec, 10, seed=7))
         hi = 10.0
-        out_of_range = [r for r in records
-                        if isinstance(r.features["x"], float) and r.features["x"] > hi]
+        out_of_range = [r for r in records if isinstance(r["x"], float) and r["x"] > hi]
         assert len(out_of_range) == 5
         for r in out_of_range:
-            assert r.features["x"] == pytest.approx(hi + 10.0 * (hi - 0.0))
+            assert r["x"] == pytest.approx(hi + 10.0 * (hi - 0.0))
 
     def test_targets_computed_before_corruption(self):
         spec = _spec([1.0], error_rate=1.0)
         records = generate_batch(spec, 4, seed=2)
-        for r in records:
-            assert r.target <= 10.0  # original in-range feature value
+        for target in records.target:
+            assert target <= 10.0  # original in-range feature value
 
     def test_categorical_encoding_contributes_to_target(self):
         schema = [FeatureSpec("c", "categorical", vocab=("a", "b", "c"))]
         spec = _spec([1.0, 2.0, 3.0], schema=schema)
-        assert true_target(spec, {"c": "b"}) == pytest.approx(2.0)
-        assert list(encode_features(schema, {"c": "b"})) == [0.0, 1.0, 0.0]
+        b = {"c": np.array([schema[0].vocab.index("b")])}
+        assert encode(schema, b) @ spec.coefficients + spec.bias == pytest.approx([2.0])
+        assert list(encode(schema, b)[0]) == [0.0, 1.0, 0.0]
 
     def test_identifier_features_excluded_from_encoding(self):
         schema = [FeatureSpec("ue", "identifier", sensitive=True),
                   FeatureSpec("x", "numeric", valid_range=(0.0, 1.0))]
         spec = _spec([1.0], schema=schema)
-        records = generate_batch(spec, 3, seed=0)
+        records = batch_rows(generate_batch(spec, 3, seed=0))
         for r in records:
-            assert str(r.features["ue"]).startswith("id-")
+            assert str(r["ue"]).startswith("id-")
 
     @settings(max_examples=40, deadline=None)
     @given(n=st.integers(0, 120), rate=st.floats(0.0, 1.0))
     def test_floor_formula_for_any_rate(self, n: int, rate: float):
         spec = _spec([1.0], missing_rate=rate, duplicate_rate=rate)
-        records = generate_batch(spec, n, seed=11)
+        records = batch_rows(generate_batch(spec, n, seed=11))
         assert len(records) == n + math.floor(n * rate)
-        with_missing = sum(1 for r in records[:n] if MISSING in r.features.values())
+        with_missing = sum(1 for r in records[:n] if MISSING in r.values())
         assert with_missing == math.floor(n * rate)
 
 
@@ -138,5 +138,5 @@ class TestEmission:
     def test_noise_matches_sigma(self):
         spec = _spec([0.0], noise_sigma=2.0)
         records = generate_batch(spec, 4000, seed=13)
-        targets = np.array([r.target for r in records])
+        targets = records.target
         assert np.std(targets) == pytest.approx(2.0, rel=0.1)

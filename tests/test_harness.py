@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import dataclasses
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smosim.config import FeatureSpec, FilterSpec, JobClass, PoisonSpec, PrivacySpec, SchedulerSpec
-from smosim.datagen import ManagementRecord
+from smosim.datagen import RecordBatch
 from smosim.errors import MissingKey, ZeroCapacity
 from smosim.harness import (
     inflate_bytes,
@@ -24,12 +25,15 @@ from smosim.harness import (
 )
 from smosim.topology import ComponentId, ComponentKind
 
+from conftest import batch_rows, record_batch
+
 SRC = ComponentId(ComponentKind.NSSMF, 0)
 
 
-def _records(targets: list[float]) -> list[ManagementRecord]:
-    return [ManagementRecord(i, SRC, 0, {"x": float(i)}, float(t))
-            for i, t in enumerate(targets)]
+def _records(targets: list[float]) -> RecordBatch:
+    schema = [FeatureSpec("x", "numeric", valid_range=(0.0, 1.0))]
+    return record_batch(schema, [{"x": float(i)} for i in range(len(targets))],
+                        [float(t) for t in targets], source=SRC)
 
 
 class TestPoisonInject:
@@ -37,43 +41,42 @@ class TestPoisonInject:
         records = _records([1.0, 2.0, 3.0])
         out = poison_inject(records, PoisonSpec(fraction=0.0, attack="target_offset",
                                                 delta=10.0, seed=1))
-        assert [r.target for r in out] == [1.0, 2.0, 3.0]
-        assert not any(r.poisoned for r in out)
+        assert list(out.target) == [1.0, 2.0, 3.0]
+        assert not any(out.poisoned)
 
     def test_exact_count_and_offset(self):
         records = _records([float(i) for i in range(100)])
         out = poison_inject(records, PoisonSpec(fraction=0.1, attack="target_offset",
                                                 delta=10.0, seed=3))
-        changed = [(a.target, b.target) for a, b in zip(records, out)
-                   if a.target != b.target]
+        changed = [(a, b) for a, b in zip(records.target, out.target) if a != b]
         assert len(changed) == 10
         for before, after in changed:
             assert after == pytest.approx(before + 10.0)
-        assert sum(1 for r in out if r.poisoned) == 10
+        assert sum(1 for flag in out.poisoned if flag) == 10
 
     def test_full_fraction_alters_everything(self):
         records = _records([1.0] * 7)
         out = poison_inject(records, PoisonSpec(fraction=1.0, attack="target_offset",
                                                 delta=1.0, seed=0))
-        assert all(r.poisoned for r in out)
+        assert all(out.poisoned)
 
     def test_flip_attack_on_binary_targets(self):
         records = _records([0.0, 1.0, 1.0])
         out = poison_inject(records, PoisonSpec(fraction=1.0, attack="target_flip",
                                                 seed=0))
-        assert [r.target for r in out] == [1.0, 0.0, 0.0]
+        assert list(out.target) == [1.0, 0.0, 0.0]
 
     def test_feature_scale_attack(self):
         records = _records([1.0, 1.0])
         out = poison_inject(records, PoisonSpec(fraction=1.0, attack="feature_scale",
                                                 gamma=3.0, seed=0))
-        assert [r.features["x"] for r in out] == [0.0, 3.0]
+        assert [r["x"] for r in batch_rows(out)] == [0.0, 3.0]
 
     def test_originals_never_mutated(self):
         records = _records([1.0, 2.0])
         poison_inject(records, PoisonSpec(fraction=1.0, attack="target_offset",
                                           delta=5.0, seed=0))
-        assert [r.target for r in records] == [1.0, 2.0]
+        assert list(records.target) == [1.0, 2.0]
 
 
 class TestValidationFilter:
@@ -83,26 +86,25 @@ class TestValidationFilter:
         assert med == pytest.approx(2.5)
         assert mad == pytest.approx(1.0)
         kept, rejected = validation_filter(records, FilterSpec(k=3.0))
-        assert [r.target for r in rejected] == [100.0]
-        assert [r.target for r in kept] == [1.0, 2.0, 3.0]
+        assert list(rejected.target) == [100.0]
+        assert list(kept.target) == [1.0, 2.0, 3.0]
 
     def test_empty_input(self):
-        assert validation_filter([], FilterSpec()) == ([], [])
+        kept, rejected = validation_filter(_records([]), FilterSpec())
+        assert (list(kept.record_id), list(rejected.record_id)) == ([], [])
 
     def test_identical_targets_nothing_rejected(self):
         records = _records([5.0] * 8)
         kept, rejected = validation_filter(records, FilterSpec(k=3.0))
-        assert rejected == [] and len(kept) == 8
+        assert list(rejected.record_id) == [] and len(kept) == 8
 
     def test_blind_to_hidden_flags(self):
         records = _records([1.0, 2.0, 3.0, 50.0, 2.5, 1.5])
-        flagged = [r.copy() for r in records]
-        for r in flagged:
-            r.poisoned = True
+        flagged = dataclasses.replace(records, poisoned=np.ones(len(records), dtype=bool))
         kept_a, rej_a = validation_filter(records, FilterSpec(k=3.0))
         kept_b, rej_b = validation_filter(flagged, FilterSpec(k=3.0))
-        assert [r.record_id for r in kept_a] == [r.record_id for r in kept_b]
-        assert [r.record_id for r in rej_a] == [r.record_id for r in rej_b]
+        assert list(kept_a.record_id) == list(kept_b.record_id)
+        assert list(rej_a.record_id) == list(rej_b.record_id)
 
     def test_false_positive_rate_on_clean_gaussian(self):
         # expected rejection rate is ~4.3%; large fixed-seed samples keep the
@@ -116,9 +118,9 @@ class TestValidationFilter:
 
     def test_detection_report_counts(self):
         records = _records([0.0] * 6)
-        for r in records[:2]:
-            r.poisoned = True
-        report = poison_detection_report(kept=records[1:], rejected=records[:1])
+        records.poisoned[:2] = True
+        report = poison_detection_report(kept=records.take(slice(1, None)),
+                                         rejected=records.take(slice(1)))
         assert report["true_positives"] == 1
         assert report["false_positives"] == 0
         assert report["false_negatives"] == 1
@@ -131,8 +133,8 @@ class TestPrivacy:
               FeatureSpec("x", "numeric", valid_range=(0.0, 1.0))]
 
     def _records(self):
-        return [ManagementRecord(i, SRC, 0, {"ue": f"imsi-{i}", "x": 0.5}, 1.0)
-                for i in range(4)]
+        return record_batch(self.SCHEMA, [{"ue": f"imsi-{i}", "x": 0.5} for i in range(4)],
+                            [1.0] * 4, source=SRC)
 
     def test_same_key_same_pseudonym(self):
         assert pseudonym("imsi-7", "k1") == pseudonym("imsi-7", "k1")
@@ -145,9 +147,9 @@ class TestPrivacy:
 
     def test_sensitive_fields_replaced_others_kept(self):
         out = privacy_transform(self._records(), self.SCHEMA, PrivacySpec("k", 1.1))
-        for r in out:
-            assert str(r.features["ue"]).startswith("pid-")
-            assert r.features["x"] == 0.5
+        for r in batch_rows(out):
+            assert str(r["ue"]).startswith("pid-")
+            assert r["x"] == 0.5
 
     def test_missing_key_rejected(self):
         with pytest.raises(MissingKey):

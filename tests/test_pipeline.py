@@ -11,7 +11,7 @@ from hypothesis import strategies as st
 
 from smosim import pipeline
 from smosim.config import DerivedFeature, FeatureSpec, SplitSpec
-from smosim.datagen import MISSING, ManagementRecord
+from smosim.datagen import RecordBatch
 from smosim.errors import (
     ConfigError,
     EmptyDataset,
@@ -33,18 +33,25 @@ from smosim.pipeline import (
 )
 from smosim.topology import ComponentId, ComponentKind
 
+from conftest import batch_rows, record_batch
+
 SRC = ComponentId(ComponentKind.NSSMF, 0)
 SRC2 = ComponentId(ComponentKind.NFVO, 0)
 PROV = Provenance((str(SRC),), (0, 10), "test")
+MISSING = None
 
 
-def _record(rid: int, features: dict, target: float,
-            source: ComponentId = SRC) -> ManagementRecord:
-    return ManagementRecord(rid, source, 0, dict(features), target)
+def _record(rid: int, features: dict, target: float) -> tuple:
+    return rid, dict(features), target
+
+
+def _batch(records, schema, source=SRC) -> RecordBatch:
+    return record_batch(schema, [f for _, f, _ in records], [t for _, _, t in records],
+                        [rid for rid, _, _ in records], source)
 
 
 def _raw(records, schema, source=SRC) -> Dataset:
-    return Dataset(Stage.RAW, records, {source: schema}, PROV)
+    return Dataset(Stage.RAW, _batch(records, schema, source), PROV)
 
 
 NUM_SCHEMA = [FeatureSpec("x", "numeric", valid_range=(0.0, 100.0))]
@@ -55,7 +62,7 @@ class TestCleanse:
         records = [_record(1, {"x": 1.0}, 1.0), _record(1, {"x": 2.0}, 2.0)]
         out = cleanse(_raw(records, NUM_SCHEMA))
         assert len(out.records) == 1
-        assert out.records[0].features["x"] == 1.0  # first occurrence kept
+        assert batch_rows(out.records)[0]["x"] == 1.0  # first occurrence kept
 
     def test_duplicate_field_tuple_reduced_to_one(self):
         records = [_record(1, {"x": 5.0}, 1.0), _record(2, {"x": 5.0}, 1.0)]
@@ -67,27 +74,27 @@ class TestCleanse:
                    for i, v in enumerate([1.0, 3.0, 5.0])]
         records.append(_record(3, {"x": MISSING}, 1.0))
         out = cleanse(_raw(records, NUM_SCHEMA))
-        assert out.records[3].features["x"] == 3.0
+        assert batch_rows(out.records)[3]["x"] == 3.0
 
     def test_mode_imputation_for_categorical(self):
         schema = [FeatureSpec("c", "categorical", vocab=("a", "b"))]
         records = [_record(0, {"c": "b"}, 0.0), _record(1, {"c": "b"}, 1.0),
                    _record(2, {"c": "a"}, 2.0), _record(3, {"c": MISSING}, 3.0)]
         out = cleanse(_raw(records, schema))
-        assert out.records[3].features["c"] == "b"
+        assert batch_rows(out.records)[3]["c"] == "b"
 
     def test_out_of_range_clamped_to_nearest_bound(self):
         records = [_record(0, {"x": 150.0}, 0.0), _record(1, {"x": -3.0}, 1.0)]
-        out = cleanse(_raw(records, NUM_SCHEMA))
-        assert out.records[0].features["x"] == 100.0
-        assert out.records[1].features["x"] == 0.0
+        out = batch_rows(cleanse(_raw(records, NUM_SCHEMA)).records)
+        assert out[0]["x"] == 100.0
+        assert out[1]["x"] == 0.0
 
     def test_idempotent(self):
         records = [_record(i, {"x": float(i)}, float(i)) for i in range(4)]
         records.append(_record(9, {"x": MISSING}, 0.0))
         once = cleanse(_raw(records, NUM_SCHEMA))
-        again = cleanse(Dataset(Stage.RAW, once.records, once.source_schemas, PROV))
-        assert [r.features for r in again.records] == [r.features for r in once.records]
+        again = cleanse(Dataset(Stage.RAW, once.records, PROV))
+        assert batch_rows(again.records) == batch_rows(once.records)
 
     def test_empty_after_dedup(self):
         with pytest.raises(EmptyDataset):
@@ -103,20 +110,22 @@ class TestCleanse:
 class TestFormat:
     def test_renaming_merges_columns(self):
         canonical = [FeatureSpec("cpu", "numeric", valid_range=(0.0, 1.0))]
-        records = [
-            _record(0, {"cpu_util": 0.5}, 1.0, source=SRC),
-            _record(1, {"cpuLoad": 0.7}, 2.0, source=SRC2),
-        ]
-        ds = Dataset(Stage.CLEANSED, records,
-                     {SRC: canonical, SRC2: canonical}, PROV)
+        records = RecordBatch.concat([
+            _batch([_record(0, {"cpu_util": 0.5}, 1.0)],
+                   [FeatureSpec("cpu_util", "numeric", valid_range=(0.0, 1.0))], SRC),
+            _batch([_record(1, {"cpuLoad": 0.7}, 2.0)],
+                   [FeatureSpec("cpuLoad", "numeric", valid_range=(0.0, 1.0))], SRC2),
+        ])
+        ds = Dataset(Stage.CLEANSED, records, PROV)
         out = format_dataset(ds, canonical, {
             SRC: {"cpu_util": "cpu"}, SRC2: {"cpuLoad": "cpu"}})
-        assert all(list(r.features) == ["cpu"] for r in out.records)
+        assert all(list(r) == ["cpu"] for r in batch_rows(out.records))
 
     def test_unmapped_field_rejected(self):
         canonical = [FeatureSpec("cpu", "numeric", valid_range=(0.0, 1.0))]
-        ds = Dataset(Stage.CLEANSED, [_record(0, {"mystery": 1.0}, 0.0)],
-                     {SRC: canonical}, PROV)
+        mystery = [FeatureSpec("mystery", "numeric", valid_range=(0.0, 1.0))]
+        ds = Dataset(Stage.CLEANSED, _batch([_record(0, {"mystery": 1.0}, 0.0)], mystery),
+                     PROV)
         with pytest.raises(UnmappableField):
             format_dataset(ds, canonical, {})
 
@@ -126,17 +135,16 @@ class TestFormat:
         rec1 = _record(0, {"b": 0.1, "a": 0.2}, 0.0)
         rec2 = _record(1, {"a": 0.3, "b": 0.4}, 1.0)
         for order in ([rec1, rec2], [rec2, rec1]):
-            ds = Dataset(Stage.CLEANSED, [r.copy() for r in order],
-                         {SRC: canonical}, PROV)
+            arrival = [canonical[1], canonical[0]] if order[0] is rec1 else canonical
+            ds = Dataset(Stage.CLEANSED, _batch(order, arrival), PROV)
             out = format_dataset(ds, canonical, {})
-            assert all(list(r.features) == ["a", "b"] for r in out.records)
+            assert all(list(r) == ["a", "b"] for r in batch_rows(out.records))
 
 
 def _formatted(values: list[dict], canonical, targets=None) -> Dataset:
     targets = targets or [0.0] * len(values)
     records = [_record(i, v, t) for i, (v, t) in enumerate(zip(values, targets))]
-    return Dataset(Stage.FORMATTED, records, {SRC: canonical}, PROV,
-                   canonical=canonical)
+    return Dataset(Stage.FORMATTED, _batch(records, canonical), PROV, canonical=canonical)
 
 
 class TestTransform:

@@ -172,7 +172,7 @@ class TestScenarioB:
 
 
 class TestScenarioAImportModel:
-    def _config(self, tmp_path, weights, bias, threshold=0.05):
+    def _config(self, tmp_path, weights, bias, threshold=0.05, **overrides):
         from smosim.lifecycle import ModelArtifact, save_artifact
         from smosim.learn import EvalMetrics
         from smosim.pipeline import ScalingParams
@@ -197,6 +197,7 @@ class TestScenarioAImportModel:
             "deploy": {"targets": ["MdaSystem3GPP#0"]},
             "external": {"artifact_path": str(path),
                          "validation_mse_threshold": threshold},
+            **overrides,
         })
 
     def test_valid_artifact_deployed_with_external_origin(self, tmp_path):
@@ -208,6 +209,31 @@ class TestScenarioAImportModel:
         assert report.model["state"] == "Deployed"
         ext = report.signaling["interfaces"]["ExternalAiml"]
         assert ext["messages"] == 1
+
+    def test_failover_during_validation_collection_still_validates_import(self, tmp_path):
+        config = self._config(
+            tmp_path, [2.0], 0.0,
+            topology={"nssmf": 1, "mda_3gpp": 1, "external_provider": True,
+                      "aiml_instances": 2},
+            harness={"failure": {"target": "AimlFunction#0", "fail_tick": 3,
+                                 "heartbeat_interval": 2, "missed_to_declare": 2,
+                                 "replicas": ["AimlFunction#1"],
+                                 "checkpoint_interval": 4}})
+        result = run_scenario(config)
+        report = result.report
+        restore = [e for e in result.sim.log.of_type("mitigation")
+                   if e.detail["mechanism"] == "failover_restore"]
+        assert [e.detail["resumed_phase"] for e in restore] == ["collect_validation"]
+        assert report.status == "completed"
+        assert not report.artifact_rejected
+        assert report.model["origin"] == "external"
+        assert report.model["state"] == "Deployed"
+        assert report.training_ticks == 0  # nothing was trained in place of the import
+        entry = result.registry.entries["m0"]
+        assert list(entry.artifact.parameters.weights) == [2.0]
+        assert entry.artifact.parameters.bias == 0.0
+        # registration replaced the artifact's metrics with the local validation's
+        assert 0.0 < entry.artifact.metrics.mse <= 0.05
 
     def test_failing_artifact_rejected_without_deployment(self, tmp_path):
         result = run_scenario(self._config(tmp_path, [0.0], 5.0))
@@ -347,7 +373,7 @@ class TestMonitoringAndRefinement:
         schema = [numeric_feature("cpu")]
         data = {
             "scenario": {"kind": "B"},
-            "seed": 23,
+            "seed": 24,
             "topology": {"nssmf": 1, "mda_3gpp": 1},
             "sources": [source("NSSMF#0", 200, schema, [2.0], bias=0.0, sigma=0.05)],
             "pipeline": {"scaling": "none",
@@ -381,7 +407,7 @@ class TestMonitoringAndRefinement:
         fresh = generate_batch(spec, 300, seed=99)
         X = reapply_transform(fresh, driver.canonical, driver.derived,
                               entry.artifact.scaler)
-        y = np.array([r.target for r in fresh])
+        y = fresh.target
         oracle = ridge_closed_form(X, y, 0.0)
         oracle_mse = evaluate(oracle, ModelKind.RIDGE_CLOSED_FORM, X, y).mse
         refined_mse = evaluate(entry.artifact.parameters, ModelKind.LINEAR_SGD,
