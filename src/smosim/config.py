@@ -242,7 +242,8 @@ class MonitorSpec:
     max_refinements: int = 2
     # refinement fit on the window minus its holdout: "incremental" is one
     # per-sample SGD pass from the deployed weights, "full" is hp.epochs
-    # minibatch epochs from them; ridge and stump refit afresh in both modes
+    # minibatch epochs from them on the window's standardised columns
+    # (learn.fit_standardized); ridge and stump refit afresh in both modes
     # (ridge by its closed form, never by SGD)
     refit: str = "incremental"
     holdout_fraction: float = 0.2
@@ -690,6 +691,7 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
 
     sources = [_source_spec(s, f"sources[{i}]") for i, s in enumerate(data.get("sources", []))]
     canonical: list[FeatureSpec] | None = None
+    raw_fields: dict[str, FeatureSpec] = {}  # record batches hold one column per raw name
     for i, src in enumerate(sources):
         cs = src.canonical_schema()
         if canonical is None:
@@ -697,6 +699,10 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
         elif cs != canonical:
             raise ConfigError(f"sources[{i}].schema",
                               "renamed schema disagrees with the canonical schema")
+        for f in src.schema:
+            known = raw_fields.setdefault(f.name, f)
+            _expect((known.type, known.vocab) == (f.type, f.vocab), f"sources[{i}].schema",
+                    f"field {f.name!r} has another type or vocab in an earlier source")
 
     coll_d = data.get("collection", {})
     collection = CollectionSpec(

@@ -163,9 +163,8 @@ def generate_batch(spec: SourceSpec, n: int, seed: int | np.random.Generator,
         elif f.type == "categorical":
             columns[f.name] = rng.integers(len(f.vocab), size=n)
         else:
-            draws = rng.integers(1 << 31, size=n)
-            columns[f.name] = np.strings.add("id-", draws.astype(np.dtypes.StringDType())
-                                             ).astype(object)
+            draws = rng.integers(1 << 31, size=n).tolist()
+            columns[f.name] = np.array([f"id-{d}" for d in draws], dtype=object)
     target = encode(spec.schema, columns) @ np.asarray(spec.coefficients, dtype=float)
     target += spec.bias
     if spec.noise_sigma > 0:

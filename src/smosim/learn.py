@@ -356,6 +356,25 @@ def fit(kind: ModelKind, X: np.ndarray, y: np.ndarray, hp: HyperParams, seed: in
                 hp.learning_rate, hp.l2_lambda, init), hp.epochs * n
 
 
+def fit_standardized(kind: ModelKind, X: np.ndarray, y: np.ndarray, hp: HyperParams,
+                     seed: int, init: LinearParams) -> tuple[ModelParameters, int]:
+    """:func:`fit` with SGD on X's columns standardised to mean 0 and variance 1
+    (a constant column is only centred), from ``init`` mapped onto them, and
+    the fit mapped back to X's units. On raw columns, such as an unscaled
+    feature on [0, 1], bias and weights are coupled, and ``hp.epochs`` over a
+    window of a few rows stop far short of the optimum. With l2_lambda > 0 the
+    penalty applies to the standardised weights. Other kinds fit as ``fit``.
+    """
+    if not kind.is_sgd or not len(X):
+        return fit(kind, X, y, hp, seed, init)
+    mean, std = X.mean(axis=0), X.std(axis=0)
+    std[std == 0] = 1.0
+    start = LinearParams(init.weights * std, float(init.bias + init.weights @ mean))
+    fitted, processed = fit(kind, (X - mean) / std, y, hp, seed, start)
+    weights = fitted.weights / std
+    return LinearParams(weights, float(fitted.bias - weights @ mean)), processed
+
+
 def train(kind: ModelKind, split: SplitDataset, hp: HyperParams, seed: int,
           init: LinearParams | None = None,
           costs: CostTable | None = None) -> TrainResult:

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from enum import Enum
 
 import numpy as np
@@ -96,7 +96,7 @@ class TransformedDataset:
     y: np.ndarray
     scaler: ScalingParams
     provenance: Provenance
-    record_ids: np.ndarray = field(default_factory=lambda: np.zeros(0, dtype=np.int64))
+    record_ids: np.ndarray
     poisoned: np.ndarray | None = None  # ground truth, reporting only
     stage: Stage = Stage.TRANSFORMED
 
@@ -110,8 +110,7 @@ class TransformedDataset:
             y=self.y[idx],
             scaler=self.scaler,
             provenance=self.provenance,
-            record_ids=np.asarray(self.record_ids)[idx] if len(self.record_ids) else
-            self.record_ids,
+            record_ids=self.record_ids[idx],
             poisoned=self.poisoned[idx] if self.poisoned is not None else None,
         )
 
@@ -212,7 +211,7 @@ def cleanse(d: Dataset) -> Dataset:
     fill = {name: _impute_value(b.spec_of(name), col) for name, col in b.columns.items()}
     columns = {name: col.copy() for name, col in b.columns.items()}
     for code, schema in enumerate(b.schemas.values()):
-        rows = slice(None) if len(b.schemas) == 1 else b.source == code
+        rows = b.source == code
         for spec in schema:
             part = columns[spec.name][rows]
             value = fill[spec.name]

@@ -990,8 +990,8 @@ class Driver:
                                               cfg.model.kind)
             processed = len(X_train)
         else:
-            params, processed = learn.fit(cfg.model.kind, X_train, y_train, hp, cfg.seed,
-                                          init=entry.artifact.parameters)
+            params, processed = learn.fit_standardized(cfg.model.kind, X_train, y_train, hp,
+                                                       cfg.seed, entry.artifact.parameters)
         ticks = self._job_duration(processed * self.costs.train_tick_per_record)
         self.count_training(processed * self.costs.train_tick_per_record)
         metrics = learn.evaluate(params, cfg.model.kind, X_hold, y_hold,

@@ -30,6 +30,8 @@ from smosim.learn import (
     epoch_orders,
     evaluate,
     feature_importance,
+    fit,
+    fit_standardized,
     incremental_update,
     loss_gradient,
     loss_value,
@@ -393,6 +395,62 @@ class TestSgdKernel:
         stable = train(ModelKind.LINEAR_SGD, _split(X, y),
                        hp.replace(learning_rate=0.2), seed=0)
         assert abs(stable.params.weights[0] - 2.0) < 0.2
+
+
+class TestFitStandardized:
+    HP = HyperParams(learning_rate=0.2, epochs=30, batch_size=8)
+
+    def test_refit_on_a_raw_window_reaches_least_squares(self):
+        # refinement windows: 20 unscaled rows on [0, 1] after a drift 2x -> 5x + 2
+        init = LinearParams(np.array([2.0]), 0.0)
+        refit_gaps, raw_gaps = [], []
+        for window in range(10):
+            rng = np.random.default_rng(window)
+            X = rng.uniform(0.0, 1.0, size=(20, 1))
+            y = 5.0 * X[:, 0] + 2.0 + rng.normal(scale=0.05, size=20)
+            oracle = ridge_closed_form(X, y, 0.0)
+            refit, processed = fit_standardized(ModelKind.LINEAR_SGD, X, y, self.HP, 0, init)
+            raw, _ = fit(ModelKind.LINEAR_SGD, X, y, self.HP, 0, init)
+            assert processed == 30 * 20
+            assert abs(refit.bias - oracle.bias) < 0.06
+            refit_gaps.append(abs(refit.weights[0] - oracle.weights[0]))
+            raw_gaps.append(abs(raw.weights[0] - oracle.weights[0]))
+        assert max(refit_gaps) < 0.06
+        # the same epochs on the raw column stop further from the optimum
+        assert all(raw > refit for raw, refit in zip(raw_gaps, refit_gaps))
+        assert np.mean(raw_gaps) > 3 * np.mean(refit_gaps)
+
+    @pytest.mark.parametrize("kind", [ModelKind.LINEAR_SGD, ModelKind.LOGISTIC_SGD])
+    def test_predicts_as_the_fit_on_standardised_columns(self, kind):
+        rng = np.random.default_rng(1)
+        X = np.column_stack([rng.uniform(10.0, 12.0, 30), np.full(30, 3.0),
+                             rng.normal(size=30)])
+        y = X @ np.array([1.0, -2.0, 0.5]) - 5.0
+        if kind is ModelKind.LOGISTIC_SGD:
+            y = (y > np.median(y)).astype(float)
+        init = LinearParams(np.array([0.5, 0.1, -0.2]), 0.3)
+        mean, std = X.mean(axis=0), np.array([X[:, 0].std(), 1.0, X[:, 2].std()])
+        Z = (X - mean) / std  # the constant column is only centred
+        start = LinearParams(init.weights * std, init.bias + init.weights @ mean)
+        assert np.allclose(Z @ start.weights + start.bias, X @ init.weights + init.bias)
+        refit, _ = fit_standardized(kind, X, y, self.HP, 3, init)
+        on_z, _ = fit(kind, Z, y, self.HP, 3, start)
+        np.testing.assert_allclose(predict_score(refit, kind, X),
+                                   predict_score(on_z, kind, Z), rtol=1e-9, atol=1e-9)
+
+    @pytest.mark.parametrize("kind", [ModelKind.RIDGE_CLOSED_FORM, ModelKind.DECISION_STUMP])
+    def test_other_kinds_fit_as_fit(self, kind):
+        rng = np.random.default_rng(2)
+        X = rng.uniform(0.0, 1.0, size=(25, 2))
+        y = X @ np.array([3.0, -1.0]) + 0.5
+        init = LinearParams(np.zeros(2), 0.0)
+        assert repr(fit_standardized(kind, X, y, self.HP, 0, init)) == \
+            repr(fit(kind, X, y, self.HP, 0, init))
+
+    def test_empty_window(self):
+        with pytest.raises(EmptyTrainSet):
+            fit_standardized(ModelKind.LINEAR_SGD, np.ones((0, 2)), np.ones(0), self.HP, 0,
+                             zero_params(2))
 
 
 class TestEvaluate:

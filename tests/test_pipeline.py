@@ -121,6 +121,23 @@ class TestFormat:
             SRC: {"cpu_util": "cpu"}, SRC2: {"cpuLoad": "cpu"}})
         assert all(list(r) == ["cpu"] for r in batch_rows(out.records))
 
+    def test_raw_name_with_two_types_rejected_at_config(self):
+        from conftest import build, categorical_feature, numeric_feature, scenario_b_dict
+
+        data = scenario_b_dict()
+        first, second = data["sources"]
+        first["schema"] = [numeric_feature("x"), categorical_feature("y", ["u", "v"])]
+        first["rename"] = {"x": "a", "y": "b"}
+        second["schema"] = [numeric_feature("y"), categorical_feature("x", ["u", "v"])]
+        second["rename"] = {"y": "a", "x": "b"}
+        first["coefficients"] = second["coefficients"] = [1.0, 0.5, -0.5]
+        # the renamed schemas agree, but raw "x" and "y" would need two column types
+        with pytest.raises(ConfigError, match="sources\\[1\\].schema"):
+            build(data)
+        second["schema"] = [numeric_feature("x"), categorical_feature("y", ["u", "v"])]
+        second["rename"] = {"x": "a", "y": "b"}
+        build(data)
+
     def test_unmapped_field_rejected(self):
         canonical = [FeatureSpec("cpu", "numeric", valid_range=(0.0, 1.0))]
         mystery = [FeatureSpec("mystery", "numeric", valid_range=(0.0, 1.0))]

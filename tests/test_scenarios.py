@@ -373,7 +373,7 @@ class TestMonitoringAndRefinement:
         schema = [numeric_feature("cpu")]
         data = {
             "scenario": {"kind": "B"},
-            "seed": 24,
+            "seed": 23,
             "topology": {"nssmf": 1, "mda_3gpp": 1},
             "sources": [source("NSSMF#0", 200, schema, [2.0], bias=0.0, sigma=0.05)],
             "pipeline": {"scaling": "none",
