@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 simulated failure (e.g. unmitigated single-point
 failure), 2 usage or configuration error. The SMO_SIM_SEED environment
-variable overrides any --seed flag.
+variable overrides any --seed flag. An override is parsed with the rest of
+the config, so it is checked like the file's seed and enters ``config_hash``.
 """
 
 from __future__ import annotations
@@ -13,8 +14,8 @@ import os
 import sys
 from pathlib import Path
 
-from .config import ScenarioConfig, load_config
-from .errors import SimulationError
+from .config import ScenarioConfig, config_from_dict, load_config
+from .errors import ConfigError, SimulationError
 from .scenarios import RunResult, run_scenario
 
 _METRIC_COLUMNS = [
@@ -62,19 +63,20 @@ def main(argv: list[str] | None = None) -> int:
         return 2
 
 
-def _effective_seed(flag_seed: int | None, config: ScenarioConfig) -> int:
+def _seed_override(flag_seed: int | None) -> int | None:
     env = os.environ.get("SMO_SIM_SEED")
-    if env is not None:
-        return int(env)
-    if flag_seed is not None:
+    if env is None:
         return flag_seed
-    return config.seed
+    try:
+        return int(env)
+    except ValueError:
+        raise ConfigError("SMO_SIM_SEED", f"not an integer: {env!r}") from None
 
 
 def _load(path: str, seed_flag: int | None) -> ScenarioConfig:
     config = load_config(path)
-    config.seed = _effective_seed(seed_flag, config)
-    return config
+    seed = _seed_override(seed_flag)
+    return config if seed is None else config_from_dict({**config.raw, "seed": seed})
 
 
 def _cmd_run(args: argparse.Namespace) -> int:

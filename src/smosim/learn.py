@@ -27,8 +27,6 @@ from .errors import (
 )
 from .pipeline import SplitDataset
 
-_INT_PARAMS = {"epochs", "batch_size"}
-
 
 @dataclass
 class LinearParams:
@@ -421,12 +419,13 @@ def enumerate_grid(spec: HyperSearchSpec) -> list[dict[str, Any]]:
 def sample_random(spec: HyperSearchSpec) -> list[dict[str, Any]]:
     rng = np.random.default_rng(spec.seed)
     names = list(spec.ranges.keys())
+    is_int = {n: HyperParams.__dataclass_fields__[n].type is int for n in names}
     combos = []
     for _ in range(spec.budget):
         combo: dict[str, Any] = {}
         for n in names:
             lo, hi = spec.ranges[n]
-            if n in _INT_PARAMS:
+            if is_int[n]:
                 combo[n] = int(rng.integers(int(lo), int(hi) + 1))
             else:
                 combo[n] = float(rng.uniform(lo, hi))

@@ -983,7 +983,7 @@ class Driver:
         k = max(1, math.floor(len(records) * cfg.monitor.holdout_fraction))
         X_train, y_train = X[:-k], y[:-k]
         X_hold, y_hold = X[-k:], y[-k:]
-        hp = getattr(self, "_chosen_hp", cfg.model.hyperparams)
+        hp = self._chosen_hp
         if cfg.monitor.refit == "incremental" and cfg.model.kind.is_sgd:
             params = learn.incremental_update(entry.artifact.parameters, X_train, y_train,
                                               hp.learning_rate, hp.l2_lambda,
@@ -1317,7 +1317,7 @@ class Driver:
         report.poison = self._filter_stats
         entry = self.registry.entries.get(MODEL_ID)
         if entry is not None:
-            test = getattr(self, "_test_metrics", None)
+            test = self._test_metrics
             baseline = self._mean_predictor_mse()
             report.model = {
                 "model_id": entry.model_id,

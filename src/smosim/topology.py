@@ -6,13 +6,12 @@ resolve by the global sequence number assigned at scheduling time, so a run
 is a pure function of (config, seed).
 """
 
-from __future__ import annotations
-
+# annotations stay objects: the config parser reads ComponentId's field types
 import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
-from typing import Any, Callable, Iterable, TYPE_CHECKING
+from typing import Any, Callable, TYPE_CHECKING
 
 from .errors import (ComponentDown, DuplicateComponent, TickLimitExceeded, UndeclaredRoute,
                      UnknownInterface)
@@ -71,7 +70,6 @@ class PayloadKind(str, Enum):
     RAW_DATA = "RawData"
     CLEANSED_DATA = "CleansedData"
     MODEL_ARTIFACT = "ModelArtifact"
-    PREDICTION = "Prediction"
     REPORT = "Report"
     CONTROL = "Control"
     HEARTBEAT = "Heartbeat"
@@ -352,7 +350,7 @@ def build_topology(config: "ScenarioConfig") -> Topology:
             topo.link(a, b, InterfaceName.NONRTRIC_INTERNAL)
 
     for extra in counts.extra_links:
-        topo.link(extra[0], extra[1], extra[2])
+        topo.link(extra.src, extra.dst, extra.interface)
     return topo
 
 
@@ -551,7 +549,3 @@ class Simulation:
 
 def total_delivered_bytes(log: EventLog) -> int:
     return sum(e.bytes for e in log.entries if e.type == "deliver")
-
-
-def iter_messages(log: EventLog, *, type: str = "deliver") -> Iterable[Event]:
-    return (e for e in log.entries if e.type == type)
