@@ -304,7 +304,7 @@ class PrivacySpec:
 class FailurePlan:
     target: ComponentId = _rule(lambda v: v.kind == ComponentKind.AIML_FUNCTION,
                                 "only AimlFunction instances can be failed over")
-    fail_tick: int = 0
+    fail_tick: int = _min(0, default=0)
     heartbeat_interval: int = _min(1, default=2)
     missed_to_declare: int = _min(1, default=2)
     replicas: tuple[ComponentId, ...] = _rule(
@@ -318,7 +318,9 @@ class JobClass:
     name: str = ""  # "" names the class job<index> in its scheduler section
     priority: int = 0  # larger = scheduled first
     demand: int = _min(1, default=1)  # requested capacity per tick
-    work: int | None = None  # total capacity-ticks; None = filled at runtime
+    # total capacity-ticks; None = filled at runtime
+    work: int | None = _rule(lambda v: v is None or v >= 1, "must be >= 1 or null, got {v}",
+                             default=None)
 
 
 @dataclass(frozen=True)
@@ -558,8 +560,12 @@ def _search_spec(d: Any, path: str) -> HyperSearchSpec:
 
 def _scheduler_spec(d: Any, path: str) -> SchedulerSpec:
     spec = _parse(SchedulerSpec, d, path)
-    return replace(spec, classes=tuple(replace(c, name=c.name or f"job{i}")
-                                       for i, c in enumerate(spec.classes)))
+    classes = tuple(replace(c, name=c.name or f"job{i}") for i, c in enumerate(spec.classes))
+    for i, c in enumerate(classes):
+        # the scheduler keys jobs by name, so a repeated name would merge two classes
+        _expect(all(c.name != e.name for e in classes[:i]), f"{path}.classes[{i}].name",
+                "another class of this scheduler has the same name", c.name)
+    return replace(spec, classes=classes)
 
 
 def _interfaces(d: Any, path: str) -> Interfaces:
@@ -633,8 +639,12 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
         plan = cfg.harness.failure
         placed += [("harness.failure.target", plan.target)]
         placed += [(f"harness.failure.replicas[{i}]", r) for i, r in enumerate(plan.replicas)]
+        for i, r in enumerate(plan.replicas):
+            _expect(r != plan.target and r not in plan.replicas[:i],
+                    f"harness.failure.replicas[{i}]",
+                    "a replica must differ from the target and from the other replicas", str(r))
     for path, cid in placed:
-        _expect(cid.index < instances[cid.kind], path,
+        _expect(0 <= cid.index < instances[cid.kind], path,
                 f"{cid} is not instantiated by the topology section")
 
     if kind is ScenarioKind.B or cfg.mode == "import-model":

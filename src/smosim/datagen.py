@@ -9,8 +9,10 @@ selections seeded.
 
 from __future__ import annotations
 
+import hashlib
 import math
 from dataclasses import dataclass, replace
+from functools import lru_cache
 
 import numpy as np
 
@@ -25,10 +27,9 @@ def derive_rng(*parts: int | str) -> np.random.Generator:
     return np.random.default_rng(np.random.SeedSequence(entropy))
 
 
+@lru_cache(maxsize=None)
 def hash_str(text: str) -> int:
     # stable across processes, unlike builtin hash()
-    import hashlib
-
     return int.from_bytes(hashlib.sha256(text.encode()).digest()[:8], "big")
 
 
@@ -150,10 +151,6 @@ def generate_batch(spec: SourceSpec, n: int, seed: int | np.random.Generator,
     """
     if n < 0:
         raise ValueError("n must be >= 0")
-    if len(spec.coefficients) != encoded_width(spec.schema):
-        raise SchemaMismatch(
-            f"{len(spec.coefficients)} coefficients for encoded width "
-            f"{encoded_width(spec.schema)}")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
     columns: dict[str, np.ndarray] = {}
     for f in spec.schema:
@@ -165,7 +162,11 @@ def generate_batch(spec: SourceSpec, n: int, seed: int | np.random.Generator,
         else:
             draws = rng.integers(1 << 31, size=n).tolist()
             columns[f.name] = np.array([f"id-{d}" for d in draws], dtype=object)
-    target = encode(spec.schema, columns) @ np.asarray(spec.coefficients, dtype=float)
+    X = encode(spec.schema, columns)
+    if X.shape[1] != len(spec.coefficients):
+        raise SchemaMismatch(
+            f"{len(spec.coefficients)} coefficients for encoded width {X.shape[1]}")
+    target = X @ np.asarray(spec.coefficients, dtype=float)
     target += spec.bias
     if spec.noise_sigma > 0:
         target += rng.normal(0.0, spec.noise_sigma, size=n)

@@ -302,10 +302,11 @@ class MonitorWindow:
             return 0.0
         return sum((p - a) ** 2 for p, a, _ in self.buffer) / len(self.buffer)
 
-    def detect_drift(self) -> bool:
+    def detect_drift(self, mse: float | None = None) -> bool:
+        """Whether the window's MSE (``mse`` when the caller already has it) drifted."""
         if len(self.buffer) < self.min_samples:
             return False
-        return self.mse() > self.baseline_mse * self.drift_factor
+        return (self.mse() if mse is None else mse) > self.baseline_mse * self.drift_factor
 
     def clear(self, new_baseline: float | None = None) -> None:
         self.buffer.clear()

@@ -10,7 +10,9 @@ parameter aggregation.
 from __future__ import annotations
 
 import math
+from collections import deque
 from dataclasses import dataclass, field
+from functools import partial
 from typing import Any
 
 import numpy as np
@@ -180,24 +182,36 @@ class RunReport:
 
 
 class _SourceBehavior:
-    """Responds to collection requests; streaming mode self-schedules emissions."""
+    """Responds to collection requests; streaming mode self-schedules emissions.
+
+    Each batch collection request draws its records from its own substream,
+    tagged (config seed, "datagen", owner kind, owner index, emission index).
+    A streaming collection draws all of its emissions, in order, from one
+    substream tagged (config seed, "stream", owner kind, owner index,
+    collection round), so streams of different sources stay independent.
+    Poisoning draws from (poison seed, "poison", owner kind, owner index,
+    emission index) in both modes.
+    """
 
     def __init__(self, driver: "Driver", spec: SourceSpec):
         self.driver = driver
         self.spec = spec
         self.emission_index = 0
 
-    def _make_records(self, n: int, tick: int) -> datagen.RecordBatch:
+    def _make_records(self, n: int, tick: int,
+                      rng: np.random.Generator | None = None) -> datagen.RecordBatch:
         cfg = self.driver.config
-        rng = datagen.derive_rng(cfg.seed, "datagen", self.spec.owner.kind.value,
-                                 self.spec.owner.index, self.emission_index)
+        owner = self.spec.owner
+        if rng is None:
+            rng = datagen.derive_rng(cfg.seed, "datagen", owner.kind.value, owner.index,
+                                     self.emission_index)
         self.emission_index += 1
         ids = self.driver.sim.next_record_ids(_batch_total(self.spec, n))
         records = datagen.generate_batch(self.spec, n, rng, id_start=ids.start, tick=tick)
         poison = cfg.harness.poison
-        if poison is not None and (poison.sources is None or self.spec.owner in poison.sources):
-            rng_p = datagen.derive_rng(poison.seed, "poison", self.spec.owner.kind.value,
-                                       self.spec.owner.index, self.emission_index)
+        if poison is not None and (poison.sources is None or owner in poison.sources):
+            rng_p = datagen.derive_rng(poison.seed, "poison", owner.kind.value, owner.index,
+                                       self.emission_index)
             records = harness.poison_inject(
                 records, _reseed_poison(poison, int(rng_p.integers(1 << 31))))
         if cfg.harness.privacy is not None:
@@ -230,11 +244,15 @@ class _SourceBehavior:
             )
 
     def start_streaming(self, start: int, window: int, reply_to_getter) -> None:
+        owner = self.spec.owner
+        rng = datagen.derive_rng(self.driver.config.seed, "stream", owner.kind.value,
+                                 owner.index, self.driver.collection_round)
+        emit = partial(self._emit_streaming, reply_to_getter, rng)
         for tick in datagen.streaming_emission_ticks(start, window, self.spec.emission.interval):
-            self.driver.sim.schedule(tick, lambda t=tick: self._emit_streaming(reply_to_getter))
+            self.driver.sim.schedule(tick, emit)
 
-    def _emit_streaming(self, reply_to_getter) -> None:
-        records = self._make_records(self.spec.emission.size, self.driver.sim.clock)
+    def _emit_streaming(self, reply_to_getter, rng: np.random.Generator) -> None:
+        records = self._make_records(self.spec.emission.size, self.driver.sim.clock, rng)
         self.driver.route_send(
             self.spec.owner, reply_to_getter(), PayloadKind.RAW_DATA,
             self.payload_bytes(len(records)), payload=records,
@@ -465,6 +483,7 @@ class Driver:
         self.canonical = config.canonical_schema()
         self.derived = tuple(config.pipeline.derived)
         self.active_aiml = ComponentId(ComponentKind.AIML_FUNCTION, 0)
+        self._hops: dict[tuple[ComponentId, ComponentId], ComponentId] = {}
         self.phase = "idle"
         self.plan = config.harness.failure
 
@@ -474,8 +493,8 @@ class Driver:
         self.exploration: pipeline.ExplorationReport | None = None
         self.search_result: learn.SearchResult | None = None
         self.monitor: MonitorWindow | None = None
-        # the last monitor.window reported samples, the refinement's training data
-        self.monitor_samples: datagen.RecordBatch | None = None
+        # the fewest recent report batches that hold the last monitor.window samples
+        self._monitor_batches: deque[datagen.RecordBatch] = deque()
         self.checkpoints: list[dict[str, Any]] = []
         self.restored_registry_snapshot: dict[str, Any] | None = None
         self.last_checkpoint_at_promotion: dict[str, Any] | None = None
@@ -488,7 +507,7 @@ class Driver:
         self._drift_fault: FaultRecord | None = None
         self._failover_fault: FaultRecord | None = None
         self._pending_resolution: FaultRecord | None = None
-        self._collection_round = 0
+        self.collection_round = 0
         self._reports_seen = 0
         self._pending_import: ModelArtifact | None = None
         self._global_artifact: ModelArtifact | None = None
@@ -556,6 +575,13 @@ class Driver:
     # -- routing helpers ----------------------------------------------------------------
 
     def next_hop(self, here: ComponentId, final: ComponentId) -> ComponentId:
+        # links never change after build_topology, so a route once found stays exact
+        hop = self._hops.get((here, final))
+        if hop is None:
+            hop = self._hops[(here, final)] = self._find_hop(here, final)
+        return hop
+
+    def _find_hop(self, here: ComponentId, final: ComponentId) -> ComponentId:
         neighbors = self.topology.neighbors(here)
         if final in neighbors:
             return final
@@ -581,16 +607,7 @@ class Driver:
         """Send toward final destination, hopping through terminations."""
         if src == final:
             return
-        from .errors import UndeclaredRoute
-
-        try:
-            self.topology.interface_between(src, final)
-            self.sim.send(src, final, payload_kind, payload_bytes, payload=payload,
-                          final_dst=final, meta=meta or {})
-            return
-        except UndeclaredRoute:
-            pass
-        hop = self.next_hop(src, final)
+        hop = final if self.topology.linked(src, final) else self.next_hop(src, final)
         self.sim.send(src, hop, payload_kind, payload_bytes, payload=payload,
                       final_dst=final, meta=meta or {})
 
@@ -658,7 +675,7 @@ class Driver:
 
     def _start_collection(self, purpose: str = "train") -> None:
         self.phase = "collect" if purpose == "train" else "collect_validation"
-        self._collection_round += 1
+        self.collection_round += 1
         self._inbox = {}
         start = self.sim.clock
         window = self.config.collection.window
@@ -695,11 +712,11 @@ class Driver:
                 self._on_monitor_report(msg.payload)
 
     def _end_collection(self, start: int, deadline: int, purpose: str) -> None:
-        partial = False
+        incomplete = False
         expected = [s.owner for s in self.config.sources]
         for owner in expected:
             if not sum(map(len, self._inbox.get(str(owner), []))):
-                partial = True
+                incomplete = True
                 self.sim.log_event("collection_timeout", src=owner,
                                    detail={"window": [start, deadline]})
         parts = [b for owner in expected for b in self._inbox.get(str(owner), [])]
@@ -712,7 +729,7 @@ class Driver:
         provenance = pipeline.Provenance(
             tuple(sorted(str(o) for o in expected)), (start, deadline),
             self.report.config_hash)
-        raw = pipeline.Dataset(pipeline.Stage.RAW, records, provenance, partial=partial)
+        raw = pipeline.Dataset(pipeline.Stage.RAW, records, provenance, partial=incomplete)
         if purpose == "validation":
             self._validate_import(raw)
         else:
@@ -918,22 +935,32 @@ class Driver:
 
     # -- monitoring + refinement ---------------------------------------------------------------------
 
+    @property
+    def monitor_samples(self) -> datagen.RecordBatch | None:
+        """The last monitor.window reported samples, the refinement's training data."""
+        if not self._monitor_batches:
+            return None
+        window = self.config.monitor.window
+        return datagen.RecordBatch.concat(list(self._monitor_batches)).take(
+            slice(-window, None))
+
     def _on_monitor_report(self, payload: dict[str, Any]) -> None:
         if self.monitor is None:
             return
         records = payload["records"]
         for actual, pred in zip(records.target, payload["predictions"]):
             self.monitor.ingest(pred, actual, self.sim.clock)
-        window = self.config.monitor.window
-        if self.monitor_samples is not None:
-            records = datagen.RecordBatch.concat([self.monitor_samples, records])
-        self.monitor_samples = records.take(slice(-window, None))
+        batches = self._monitor_batches
+        batches.append(records)
+        while sum(map(len, batches)) - len(batches[0]) >= self.config.monitor.window:
+            batches.popleft()
+        window_mse = self.monitor.mse()
         self.sim.log_event("report_ingested", src=self.active_aiml, detail={
             "round": payload.get("round"), "target": payload.get("target"),
-            "window_mse": self.monitor.mse()})
+            "window_mse": window_mse})
         self._reports_seen += 1
-        if self.monitor.detect_drift():
-            self._on_drift_detected()
+        if self.monitor.detect_drift(window_mse):
+            self._on_drift_detected(window_mse)
         elif self._all_reports_done():
             self._finish()
 
@@ -943,14 +970,14 @@ class Driver:
              if t.kind is not ComponentKind.AIML_FUNCTION])
         return self._reports_seen >= expected and self.phase == "monitor"
 
-    def _on_drift_detected(self) -> None:
+    def _on_drift_detected(self, window_mse: float) -> None:
         entry = self.registry.entries.get(MODEL_ID)
         if entry is None or entry.state is not LifecycleState.MONITORED:
             return
         tick = self.sim.clock
+        assert self.monitor is not None
         self.sim.log_event("drift_detected", src=self.active_aiml, detail={
-            "window_mse": self.monitor.mse() if self.monitor else None,
-            "baseline_mse": self.monitor.baseline_mse if self.monitor else None})
+            "window_mse": window_mse, "baseline_mse": self.monitor.baseline_mse})
         if self._drift_fault is not None and self._drift_fault.detection_tick is None:
             self._drift_fault.detection_tick = tick
         if entry.refinements >= self.config.monitor.max_refinements:
@@ -1020,7 +1047,7 @@ class Driver:
         self.registry.transition(entry, LifecycleState.VALIDATED, self.sim.clock)
         if self.monitor is not None:
             self.monitor.clear(new_baseline=metrics.mse)
-        self.monitor_samples = None
+        self._monitor_batches.clear()
         self._deploy(entry)
 
     def _restart_for_refinement(self) -> None:
@@ -1281,7 +1308,7 @@ class Driver:
                     drift_factor=self.config.monitor.drift_factor,
                     min_samples=self.config.monitor.min_samples,
                 )
-            self.monitor_samples = None
+            self._monitor_batches.clear()
             if self._pending_resolution is not None:
                 self._pending_resolution.resolution_tick = self.sim.clock
                 self._pending_resolution = None

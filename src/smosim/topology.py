@@ -11,6 +11,7 @@ import heapq
 import json
 from dataclasses import dataclass, field
 from enum import Enum
+from functools import partial
 from typing import Any, Callable, TYPE_CHECKING
 
 from .errors import (ComponentDown, DuplicateComponent, TickLimitExceeded, UndeclaredRoute,
@@ -48,8 +49,18 @@ class ComponentId:
     kind: ComponentKind
     index: int = 0
 
+    def __post_init__(self) -> None:
+        # every event formats ids and every hop hashes them, so both are computed
+        # once; they are not fields, so equality, ordering and dataclasses.fields
+        # ignore them, and the hash is the one the dataclass would compute
+        object.__setattr__(self, "_text", f"{self.kind.value}#{self.index}")
+        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+
     def __str__(self) -> str:
-        return f"{self.kind.value}#{self.index}"
+        return self._text
+
+    def __hash__(self) -> int:
+        return self._hash
 
     @staticmethod
     def parse(text: str) -> "ComponentId":
@@ -149,6 +160,10 @@ class InterfaceMessage:
     meta: dict[str, Any] = field(default_factory=dict)
 
 
+# json.dumps(entry, separators=(",", ":")) without building an encoder per event
+_COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
+
+
 @dataclass
 class Event:
     """One structured event-log entry; serialized with a stable field order."""
@@ -175,7 +190,7 @@ class Event:
             "bytes": self.bytes,
             "detail": self.detail,
         }
-        return json.dumps(entry, separators=(",", ":"))
+        return _COMPACT_JSON.encode(entry)
 
 
 class EventLog:
@@ -218,6 +233,7 @@ class Topology:
         self.components: dict[ComponentId, _ComponentState] = {}
         self.interfaces = interfaces
         self._links: dict[tuple[ComponentId, ComponentId], InterfaceName] = {}
+        self._adjacent: dict[ComponentId, set[ComponentId]] = {}
 
     def add_component(self, cid: ComponentId, attached_to: ComponentId | None = None) -> None:
         if cid in self.components:
@@ -235,6 +251,8 @@ class Topology:
             )
         self._links[(a, b)] = interface
         self._links[(b, a)] = interface
+        self._adjacent.setdefault(a, set()).add(b)
+        self._adjacent.setdefault(b, set()).add(a)
 
     def interface_between(self, src: ComponentId, dst: ComponentId) -> InterfaceName:
         try:
@@ -242,8 +260,11 @@ class Topology:
         except KeyError:
             raise UndeclaredRoute(f"no declared interface between {src} and {dst}") from None
 
+    def linked(self, a: ComponentId, b: ComponentId) -> bool:
+        return (a, b) in self._links
+
     def neighbors(self, cid: ComponentId) -> list[ComponentId]:
-        return sorted({b for (a, b) in self._links if a == cid})
+        return sorted(self._adjacent.get(cid, ()))
 
     def instances(self, kind: ComponentKind) -> list[ComponentId]:
         return sorted(c for c in self.components if c.kind == kind)
@@ -367,12 +388,14 @@ class Simulation:
         self._record_counter = 0
         self.stopped = False
         self.handlers: dict[ComponentId, Callable[[Simulation, InterfaceMessage], None]] = {}
-        # meters[interface][f"{src}->{dst}" kind pair] and by payload kind
-        self.meters: dict[str, dict[str, MeterCell]] = {
-            name.value: {} for name in topology.interfaces
+        # meters[interface][(src kind, dst kind)] and by payload kind; the
+        # reports name the keys, so delivery formats no strings
+        self.meters: dict[InterfaceName, dict[tuple[ComponentKind, ComponentKind],
+                                              MeterCell]] = {
+            name: {} for name in topology.interfaces
         }
-        self.meters_by_kind: dict[str, dict[str, MeterCell]] = {
-            name.value: {} for name in topology.interfaces
+        self.meters_by_kind: dict[InterfaceName, dict[PayloadKind, MeterCell]] = {
+            name: {} for name in topology.interfaces
         }
 
     # -- scheduling ----------------------------------------------------------
@@ -394,10 +417,10 @@ class Simulation:
             tick=self.clock,
             seq=self._next_seq(),
             type=type,
-            src=str(src) if src else None,
-            dst=str(dst) if dst else None,
-            interface=interface.value if interface else None,
-            payload_kind=payload_kind.value if payload_kind else None,
+            src=None if src is None else str(src),
+            dst=None if dst is None else str(dst),
+            interface=None if interface is None else interface.value,
+            payload_kind=None if payload_kind is None else payload_kind.value,
             bytes=bytes,
             detail=detail or {},
         )
@@ -457,24 +480,23 @@ class Simulation:
             payload_kind=payload_kind, bytes=msg.payload_bytes + spec.overhead_bytes,
             detail={"msg_id": msg.msg_id},
         )
-        self.schedule(msg.deliver_tick, lambda: self._deliver(msg))
+        self.schedule(msg.deliver_tick, partial(self._deliver, msg))
         return msg
 
     def _deliver(self, msg: InterfaceMessage) -> None:
         spec = self.topology.interfaces[msg.interface]
         total = msg.payload_bytes + spec.overhead_bytes
-        if not self.alive(msg.dst) and msg.payload_kind is not PayloadKind.HEARTBEAT:
+        alive = self.alive(msg.dst)
+        if not alive and msg.payload_kind is not PayloadKind.HEARTBEAT:
             self.log_event(
                 "component_down", src=msg.src, dst=msg.dst, interface=msg.interface,
                 payload_kind=msg.payload_kind, bytes=total, detail={"msg_id": msg.msg_id},
             )
             return
-        direction = f"{msg.src.kind.value}->{msg.dst.kind.value}"
-        cell = self.meters[msg.interface.value].setdefault(direction, MeterCell())
+        cell = self.meters[msg.interface].setdefault((msg.src.kind, msg.dst.kind), MeterCell())
         cell.bytes += total
         cell.messages += 1
-        kind_cell = self.meters_by_kind[msg.interface.value].setdefault(
-            msg.payload_kind.value, MeterCell())
+        kind_cell = self.meters_by_kind[msg.interface].setdefault(msg.payload_kind, MeterCell())
         kind_cell.bytes += total
         kind_cell.messages += 1
         self.log_event(
@@ -482,18 +504,18 @@ class Simulation:
             payload_kind=msg.payload_kind, bytes=total, detail={"msg_id": msg.msg_id},
         )
         handler = self.handlers.get(msg.dst)
-        if handler is not None and self.alive(msg.dst):
+        if handler is not None and alive:
             handler(self, msg)
 
     def meter(self, interface: InterfaceName | str) -> dict[str, Any]:
         """Cumulative delivered traffic on one interface, per direction."""
-        name = interface.value if isinstance(interface, InterfaceName) else interface
-        if name not in self.meters:
-            raise UnknownInterface(name)
-        directions = {
-            d: {"bytes": cell.bytes, "messages": cell.messages}
-            for d, cell in sorted(self.meters[name].items())
-        }
+        try:
+            cells = self.meters[InterfaceName(interface)]
+        except (KeyError, ValueError):
+            raise UnknownInterface(getattr(interface, "value", interface)) from None
+        directions = dict(sorted(
+            (f"{src.value}->{dst.value}", {"bytes": cell.bytes, "messages": cell.messages})
+            for (src, dst), cell in cells.items()))
         return {
             "bytes": sum(c["bytes"] for c in directions.values()),
             "messages": sum(c["messages"] for c in directions.values()),
@@ -505,11 +527,10 @@ class Simulation:
         table: dict[str, Any] = {}
         for name in self.meters:
             entry = self.meter(name)
-            entry["by_kind"] = {
-                kind: {"bytes": cell.bytes, "messages": cell.messages}
-                for kind, cell in sorted(self.meters_by_kind[name].items())
-            }
-            table[name] = entry
+            entry["by_kind"] = dict(sorted(
+                (kind.value, {"bytes": cell.bytes, "messages": cell.messages})
+                for kind, cell in self.meters_by_kind[name].items()))
+            table[name.value] = entry
         return table
 
     # -- time ---------------------------------------------------------------------

@@ -24,6 +24,7 @@ from smosim.config import (
     config_from_dict,
 )
 from smosim.errors import ConfigError, MissingKey, SimulationError, ZeroCapacity
+from smosim.harness import schedule
 from smosim.learn import sample_random
 
 from conftest import scenario_b_dict
@@ -75,6 +76,18 @@ MALFORMED = [
     (("harness", "scheduler"), {"budget": 0}, ZeroCapacity, "harness.scheduler.budget"),
     (("harness", "privacy"), {"key": ""}, MissingKey, "harness.privacy.key"),
     (("harness", "privacy"), {"inflation": 1.1}, MissingKey, "harness.privacy.key"),
+    (("harness", "failure"), {"target": "AimlFunction#0", "fail_tick": -1}, ConfigError,
+     "harness.failure.fail_tick"),
+    (("harness", "failure"), {"target": "AimlFunction#0", "replicas": ["AimlFunction#-1"]},
+     ConfigError, "harness.failure.replicas[0]"),
+    (("harness", "failure"), {"target": "AimlFunction#0", "replicas": ["AimlFunction#0"]},
+     ConfigError, "harness.failure.replicas[0]"),
+    (("harness", "scheduler"), {"budget": 4, "classes": [{"name": "a", "work": -3}]},
+     ConfigError, "harness.scheduler.classes[0].work"),
+    (("harness", "scheduler"), {"budget": 4, "classes": [{"name": "a"}, {"name": "a"}]},
+     ConfigError, "harness.scheduler.classes[1].name"),
+    (("harness", "scheduler"), {"budget": 4, "classes": [{"name": "job1"}, {"work": 3}]},
+     ConfigError, "harness.scheduler.classes[1].name"),
 ]
 
 
@@ -240,6 +253,45 @@ def test_one_mutated_leaf_raises_only_simulation_errors(data):
         config_from_dict(config)
     except SimulationError:
         pass
+
+
+class TestCrossFieldRules:
+    @staticmethod
+    def _failover(replicas: list[str]) -> dict:
+        data = scenario_b_dict()
+        data["topology"]["aiml_instances"] = 3
+        data["harness"] = {"failure": {"target": "AimlFunction#0", "replicas": replicas}}
+        return data
+
+    def test_replicas_are_distinct_from_each_other(self):
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(self._failover(["AimlFunction#1", "AimlFunction#2",
+                                             "AimlFunction#1"]))
+        assert info.value.field == "harness.failure.replicas[2]"
+
+    def test_distinct_replicas_are_accepted(self):
+        config = config_from_dict(self._failover(["AimlFunction#2", "AimlFunction#1"]))
+        assert [r.index for r in config.harness.failure.replicas] == [2, 1]
+
+    def test_valid_scheduler_classes_schedule_each_job_no_sooner_than_its_ideal(self):
+        scheduler = {"budget": 3, "classes": [
+            {"name": "a", "priority": 1, "demand": 2, "work": 6},
+            {"demand": 2, "work": 6},  # job1
+            {"name": "job0", "demand": 1, "work": 1}]}
+        spec = config_from_dict(scenario_b_dict(harness={"scheduler": scheduler})) \
+            .harness.scheduler
+        assert [c.name for c in spec.classes] == ["a", "job1", "job0"]
+        jobs = schedule(spec).jobs
+        assert sorted(jobs) == ["a", "job0", "job1"]
+        assert [(jobs[n].ideal_tick, jobs[n].completion_tick) for n in ("a", "job1", "job0")] \
+            == [(3, 3), (3, 5), (1, 2)]
+        assert all(j.completion_tick >= j.ideal_tick >= 1 for j in jobs.values())
+
+    def test_a_class_without_work_is_filled_at_runtime(self):
+        scheduler = {"budget": 2, "classes": [{"name": "open"}, {"name": "fixed", "work": 1}]}
+        spec = config_from_dict(scenario_b_dict(harness={"scheduler": scheduler})) \
+            .harness.scheduler
+        assert [c.work for c in spec.classes] == [None, 1]
 
 
 # -- the CLI ------------------------------------------------------------------------------

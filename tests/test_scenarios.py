@@ -6,17 +6,19 @@ import numpy as np
 import pytest
 
 from smosim import aggregate, config_from_dict, run_scenario
+from smosim import datagen
 from smosim.config import ModelKind
 from smosim.errors import (
     ConfigError,
     InsufficientDomains,
     NoDataSources,
     SchemaMismatch,
+    SimulationError,
     UnsupportedKind,
 )
 from smosim.learn import LinearParams, ridge_closed_form, evaluate
 from smosim.scenarios import DomainModel, Driver, run_scenario_b, run_scenario_c
-from smosim.topology import ComponentId, ComponentKind
+from smosim.topology import ComponentId, ComponentKind, PayloadKind
 
 from conftest import build, numeric_feature, scenario_b_dict, source
 
@@ -131,6 +133,52 @@ class TestScenarioB:
             and e.src == "NSSMF#0"
         ]
         assert len(streamed) == 4  # ticks 5, 10, 15, 20
+
+    @staticmethod
+    def _two_streams(nfvo_size: int) -> dict:
+        data = scenario_b_dict(n_per_source=5)
+        data["topology"] = {"nssmf": 1, "nfmf_per_nssmf": 1, "nfvo": 1}
+        data["sources"][0]["owner"] = "NFMF#0"
+        data["sources"][0]["emission"] = {"mode": "streaming", "size": 5, "interval": 2}
+        data["sources"][1]["emission"] = {"mode": "streaming", "size": nfvo_size,
+                                          "interval": 3}
+        data["collection"] = {"window": 30}
+        data["deploy"] = {"targets": []}
+        return data
+
+    @staticmethod
+    def _streamed(result, owner: str) -> datagen.RecordBatch:
+        return datagen.RecordBatch.concat(result.driver._inbox[owner])
+
+    def test_streams_of_different_sources_are_independent(self):
+        ours = self._streamed(run_scenario(build(self._two_streams(4))), "NFMF#0")
+        other = self._streamed(run_scenario(build(self._two_streams(9))), "NFMF#0")
+        assert len(ours) == len(other) == 15 * 5
+        for name, col in ours.columns.items():
+            np.testing.assert_array_equal(col, other.columns[name])
+        np.testing.assert_array_equal(ours.target, other.target)
+        np.testing.assert_array_equal(ours.tick, other.tick)
+
+    def test_a_streaming_collection_draws_from_one_generator(self):
+        config = build(self._two_streams(4))
+        result = run_scenario(config)
+        streamed = self._streamed(result, "NFMF#0")
+        spec = config.sources[0]
+        rng = datagen.derive_rng(config.seed, "stream", "NFMF", 0, 1)
+        expected = datagen.RecordBatch.concat(
+            [datagen.generate_batch(spec, 5, rng) for _ in range(15)])
+        for name, col in expected.columns.items():
+            np.testing.assert_array_equal(streamed.columns[name], col)
+        np.testing.assert_array_equal(streamed.target, expected.target)
+
+    def test_route_send_without_a_route_raises_simulation_error(self):
+        driver = Driver(build(scenario_b_dict(n_per_source=10)))
+        ric = ComponentId(ComponentKind.NON_RT_RIC, 0)
+        nssmf = ComponentId(ComponentKind.NSSMF, 0)
+        for _ in range(2):  # a failed route is not remembered
+            with pytest.raises(SimulationError, match="no termination serves NonRtRic#0"):
+                driver.route_send(ric, nssmf, PayloadKind.CONTROL, 16)
+        assert driver.sim.log.entries == []
 
     def test_offline_source_yields_partial_dataset_and_timeout_event(self):
         config = build(scenario_b_dict(n_per_source=40))

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 
 from smosim.config import config_from_dict
@@ -50,6 +52,13 @@ def _bare_sim(latency: int = 2, overhead: int = 0) -> Simulation:
               ComponentId(ComponentKind.NSSMF_TERMINATION, 0),
               InterfaceName.NSSMF_NONRTRIC)
     return Simulation(topo)
+
+
+def _rich_topology() -> Topology:
+    """NFMFs, a VNFM, MDA systems, an external provider, rApps and three AI/ML instances."""
+    return build_topology(_minimal_config(
+        nssmf=1, nfmf_per_nssmf=2, nfvo=1, vnfm=1, mda_3gpp=1, mda_nfv=1, rapps=2,
+        aiml_instances=3, external_provider=True))
 
 
 class TestBuildTopology:
@@ -267,3 +276,44 @@ class TestDeterminism:
                 assert allowed_on(InterfaceName(e.interface), src.kind, dst.kind)
                 seen += 1
         assert seen > 0
+
+
+class TestAdjacency:
+    def test_neighbors_equal_a_scan_of_the_links(self):
+        topo = _rich_topology()
+        assert len(topo.components) >= 17
+        for c in topo.components:
+            assert topo.neighbors(c) == sorted({b for (a, b) in topo._links if a == c})
+
+    def test_linked_is_a_declared_interface(self):
+        topo = _rich_topology()
+        for a in topo.components:
+            for b in topo.components:
+                assert topo.linked(a, b) == ((a, b) in topo._links)
+                if topo.linked(a, b):
+                    assert topo.interface_between(a, b) == topo._links[(a, b)]
+
+
+class TestComponentId:
+    def test_text_equality_hash_order_and_fields_are_those_of_the_dataclass(self):
+        a = ComponentId(ComponentKind.NFMF, 3)
+        same = ComponentId.parse("NFMF#3")
+        assert str(a) == f"{a}" == "NFMF#3"
+        assert a == same and a is not same and not (a != same)
+        assert a != ComponentId(ComponentKind.NFMF, 4)
+        assert a != ComponentId(ComponentKind.NSSMF, 3)
+        assert hash(a) == hash(same) == hash((ComponentKind.NFMF, 3))
+        assert len({a, same, ComponentId(ComponentKind.NFMF, 4)}) == 2
+        ids = [ComponentId(ComponentKind.NSSMF, 1), ComponentId(ComponentKind.NFMF, 2),
+               ComponentId(ComponentKind.NSSMF, 0), a]
+        assert sorted(ids) == sorted(ids, key=lambda c: (c.kind, c.index))
+        assert [f.name for f in dataclasses.fields(ComponentId)] == ["kind", "index"]
+        assert dataclasses.asdict(a) == {"kind": ComponentKind.NFMF, "index": 3}
+        assert repr(a) == "ComponentId(kind=<ComponentKind.NFMF: 'NFMF'>, index=3)"
+
+    def test_replace_recomputes_the_text_and_the_id_stays_frozen(self):
+        a = ComponentId(ComponentKind.NFMF, 3)
+        b = dataclasses.replace(a, index=4)
+        assert str(b) == "NFMF#4" and hash(b) == hash((ComponentKind.NFMF, 4))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            a.index = 5  # type: ignore[misc]
