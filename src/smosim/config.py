@@ -24,7 +24,7 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from .errors import ConfigError, MissingKey, SimulationError, ZeroCapacity
-from .topology import ComponentId, ComponentKind, InterfaceName, InterfaceSpec
+from .topology import ComponentId, ComponentKind, InterfaceName, InterfaceSpec, allowed_on
 
 _MDA_KINDS = (ComponentKind.MDA_SYSTEM_3GPP, ComponentKind.MDA_SYSTEM_NFV)
 _SOURCE_KINDS = {ComponentKind.NSSMF, ComponentKind.NFVO, ComponentKind.NFMF,
@@ -379,6 +379,29 @@ class TopologyCounts:
     external_provider: bool = False
     extra_links: tuple[LinkSpec, ...] = ()
 
+    def instances(self) -> dict[ComponentKind, int]:
+        """How many components of each kind ``build_topology`` instantiates."""
+        return {
+            ComponentKind.NON_RT_RIC: 1,
+            ComponentKind.AIML_FUNCTION: self.aiml_instances,
+            ComponentKind.NSSMF: self.nssmf,
+            ComponentKind.NFMF: self.nssmf * self.nfmf_per_nssmf,
+            ComponentKind.NFVO: self.nfvo,
+            ComponentKind.VNFM: self.vnfm,
+            ComponentKind.VIM: self.vim,
+            ComponentKind.WIM: self.wim,
+            ComponentKind.CISM: self.cism,
+            ComponentKind.CIR: self.cir,
+            ComponentKind.CCM: self.ccm,
+            ComponentKind.MDA_SYSTEM_3GPP: self.mda_3gpp,
+            ComponentKind.MDA_SYSTEM_NFV: self.mda_nfv,
+            ComponentKind.RAPP: self.rapps,
+            ComponentKind.NSSMF_TERMINATION: int(self.nssmf + self.mda_3gpp > 0),
+            ComponentKind.NFVO_TERMINATION: int(self.nfvo + self.mda_nfv > 0),
+            ComponentKind.EXTERNAL_PROVIDER: int(self.external_provider),
+            ComponentKind.EXTERNAL_AIML_TERMINATION: int(self.external_provider),
+        }
+
 
 # -- the whole experiment ------------------------------------------------------------------
 
@@ -605,15 +628,7 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
             f"scenario {kind.value} takes mode {' or '.join(map(repr, _MODES[kind]))}")
     _expect(cfg.rounds >= 1 if kind is ScenarioKind.C else cfg.rounds == 1, "scenario.rounds",
             "rounds must be >= 1, and 1 for scenarios A and B")
-    instances = {
-        ComponentKind.NSSMF: counts.nssmf,
-        ComponentKind.NFVO: counts.nfvo,
-        ComponentKind.NFMF: counts.nssmf * counts.nfmf_per_nssmf,
-        ComponentKind.RAPP: counts.rapps,
-        ComponentKind.MDA_SYSTEM_3GPP: counts.mda_3gpp,
-        ComponentKind.MDA_SYSTEM_NFV: counts.mda_nfv,
-        ComponentKind.AIML_FUNCTION: counts.aiml_instances,
-    }
+    instances = counts.instances()
     canonical: list[FeatureSpec] | None = None
     raw_fields: dict[str, FeatureSpec] = {}  # record batches hold one column per raw name
     for i, src in enumerate(cfg.sources):
@@ -643,9 +658,15 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
             _expect(r != plan.target and r not in plan.replicas[:i],
                     f"harness.failure.replicas[{i}]",
                     "a replica must differ from the target and from the other replicas", str(r))
+    placed += [(f"topology.extra_links[{i}]", end)
+               for i, link in enumerate(counts.extra_links) for end in (link.src, link.dst)]
     for path, cid in placed:
         _expect(0 <= cid.index < instances[cid.kind], path,
                 f"{cid} is not instantiated by the topology section")
+    for i, link in enumerate(counts.extra_links):
+        _expect(allowed_on(link.interface, link.src.kind, link.dst.kind),
+                f"topology.extra_links[{i}]", f"{link.interface.value} may not connect "
+                f"{link.src.kind.value} and {link.dst.kind.value}")
 
     if kind is ScenarioKind.B or cfg.mode == "import-model":
         _expect(bool(cfg.sources), "sources",

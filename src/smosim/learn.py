@@ -118,13 +118,6 @@ def loss_gradient(kind: ModelKind, params: LinearParams, X: np.ndarray, y: np.nd
     return gw, gb
 
 
-def sgd_step(params: LinearParams, x: np.ndarray, y: float, learning_rate: float,
-             l2_lambda: float, kind: ModelKind = ModelKind.LINEAR_SGD) -> LinearParams:
-    """One stochastic update from a single sample."""
-    return incremental_update(params, np.asarray(x, dtype=float)[None, :],
-                              np.array([y], dtype=float), learning_rate, l2_lambda, kind)
-
-
 def incremental_update(params: LinearParams, X: np.ndarray, y: np.ndarray,
                        learning_rate: float, l2_lambda: float,
                        kind: ModelKind = ModelKind.LINEAR_SGD) -> LinearParams:
@@ -140,6 +133,9 @@ def incremental_update(params: LinearParams, X: np.ndarray, y: np.ndarray,
 # time and memory on large train sets.
 _DIVERGED_LOSS_RATIO = 1e6
 _CHECK_ROWS = 1024
+# Minibatches whose rows one take gathers: a gather's cost is shared by many
+# steps, and the buffers stay small however large the train set.
+_GATHER_STEPS = 64
 
 
 def _sgd(kind: ModelKind, X: np.ndarray, y: np.ndarray, orders: Iterable[np.ndarray],
@@ -149,35 +145,77 @@ def _sgd(kind: ModelKind, X: np.ndarray, y: np.ndarray, orders: Iterable[np.ndar
 
     Every SGD path runs through here. A step does :func:`loss_gradient`'s
     arithmetic in its order, so results equal a loop over it bit for bit
-    (``X.T @ err`` would sum in another order). Raises NonFiniteUpdate when a
-    step leaves a parameter non-finite or the run ends diverged.
+    (``X.T @ err`` would sum in another order). The in-place ufuncs below are
+    the same IEEE operations on the same layouts: a scalar product commutes
+    exactly and ``ndarray.sum`` is ``np.add.reduce``. Each take gathers the
+    rows of _GATHER_STEPS minibatches of an order into one buffer, and every
+    step works on views of that buffer and of preallocated ones.
+
+    Raises NonFiniteUpdate when an order leaves a parameter non-finite or the
+    run ends diverged. Checking once per order raises for exactly the inputs a
+    per-step check would: a non-finite parameter stays non-finite under every
+    later step (inf minus anything is inf or NaN, and NaN propagates).
     """
-    if len(init.weights) != X.shape[1]:
+    n_rows, d = X.shape
+    if len(init.weights) != d:
         raise SchemaMismatch("warm-start width differs from data width")
-    w, b = init.weights.copy(), float(init.bias)
+    w, b = init.weights.astype(float), float(init.bias)
     logistic = kind is ModelKind.LOGISTIC_SGD
-    decay = 2.0 * l2_lambda
+    block = _GATHER_STEPS * batch_size
+    Xo = np.empty((min(block, n_rows), d), X.dtype)
+    yo = np.empty(len(Xo), y.dtype)
+    prod, gw, wd = np.empty((min(batch_size, n_rows), d)), np.empty(d), np.empty(d)
+    # scalar operands as 0-d arrays: a ufunc takes them faster than Python
+    # floats, and the float64 arithmetic is the same
+    bias, lr, decay = np.array(b), np.array(learning_rate, float), np.array(2.0 * l2_lambda)
+    steps: dict[int, list[tuple]] = {}  # gathered row count -> its minibatches
+
+    def minibatches(rows: int) -> list[tuple]:
+        """(rows, targets, product buffer, row count, 2/count) per minibatch."""
+        out = []
+        for start in range(0, rows, batch_size):
+            n = min(batch_size, rows - start)
+            out.append((Xo[start:start + n], yo[start:start + n], prod[:n], n,
+                        np.array(2.0 / n)))
+        return out
+
+    add, multiply, subtract, add_reduce = np.add, np.multiply, np.subtract, np.add.reduce
     with np.errstate(over="ignore", invalid="ignore"):
         for order in orders:
-            for start in range(0, len(order), batch_size):
-                idx = order[start:start + batch_size]
-                n = len(idx)
-                xb = X.take(idx, axis=0)
-                z = xb @ w + b
-                if logistic:
-                    diff = _sigmoid(z) - y.take(idx)
-                    gw = (diff[:, None] * xb).sum(axis=0) / n
-                    gb = float(diff.sum()) / n
-                else:
-                    err = z - y.take(idx)
-                    gw = (2.0 / n) * (err[:, None] * xb).sum(axis=0)
-                    gb = (2.0 / n) * float(err.sum())
-                if l2_lambda:
-                    gw = gw + decay * w
-                w = w - learning_rate * gw
-                b = b - learning_rate * gb
-                if not (np.isfinite(w).all() and math.isfinite(b)):
-                    raise NonFiniteUpdate("parameters diverged; lower the learning rate")
+            for first in range(0, len(order), block):
+                idx = order[first:first + block]
+                rows = len(idx)
+                # indices from a permutation never wrap, and "wrap" skips the
+                # copy that "raise" makes when it writes to ``out``
+                X.take(idx, 0, Xo[:rows], "wrap")
+                y.take(idx, 0, yo[:rows], "wrap")
+                if rows not in steps:
+                    steps[rows] = minibatches(rows)
+                for xb, yb, p, n, c in steps[rows]:
+                    z = xb @ w
+                    add(z, bias, z)
+                    if logistic:
+                        diff = _sigmoid(z)
+                        subtract(diff, yb, diff)
+                        multiply(diff[:, None], xb, p)
+                        add_reduce(p, 0, None, gw)
+                        gw /= n
+                        gb = float(add_reduce(diff)) / n
+                    else:
+                        subtract(z, yb, z)
+                        multiply(z[:, None], xb, p)
+                        add_reduce(p, 0, None, gw)
+                        multiply(gw, c, gw)
+                        gb = 2.0 / n * float(add_reduce(z))
+                    if l2_lambda:
+                        multiply(w, decay, wd)
+                        add(gw, wd, gw)
+                    multiply(gw, lr, gw)
+                    subtract(w, gw, w)
+                    b = b - learning_rate * gb
+                    bias[()] = b
+            if not (np.isfinite(w).all() and math.isfinite(b)):
+                raise NonFiniteUpdate("parameters diverged; lower the learning rate")
         out = LinearParams(w, b)
         if X.shape[0]:
             Xc, yc = X[:_CHECK_ROWS], y[:_CHECK_ROWS]
@@ -254,34 +292,29 @@ class TrainResult:
     records_processed: int
 
 
-def ridge_closed_form(X: np.ndarray, y: np.ndarray, l2_lambda: float,
-                      pivot_tol: float = 1e-10) -> LinearParams:
-    """Solve (A^T A + lambda D) theta = A^T y with a bias column, D sparing it."""
+def ridge_closed_form(X: np.ndarray, y: np.ndarray, l2_lambda: float) -> LinearParams:
+    """Solve (A^T A + lambda D) theta = A^T y with a bias column, D sparing it.
+
+    Raises SingularSystem when the system's smallest singular value is below
+    m * eps times its largest (m unknowns), where a solve would return noise.
+    """
     n, d = X.shape
     A = np.hstack([X, np.ones((n, 1))])
     G = A.T @ A
     for j in range(d):
         G[j, j] += l2_lambda
     rhs = A.T @ y
-    theta = _solve_partial_pivot(G, rhs, pivot_tol)
+    try:
+        # G is symmetric, so its singular values are its eigenvalues' magnitudes
+        sigma = np.abs(np.linalg.eigvalsh(G))
+        floor = len(G) * np.finfo(float).eps * sigma.max()
+        if not sigma.min() > floor:
+            raise SingularSystem(f"smallest singular value {sigma.min():.3e} "
+                                 f"not above {floor:.3e}")
+        theta = np.linalg.solve(G, rhs)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSystem(str(exc)) from None
     return LinearParams(theta[:-1], float(theta[-1]))
-
-
-def _solve_partial_pivot(G: np.ndarray, rhs: np.ndarray, pivot_tol: float) -> np.ndarray:
-    """Gaussian elimination with partial pivoting and an explicit pivot floor."""
-    m = G.shape[0]
-    M = np.hstack([G.astype(float), rhs.reshape(-1, 1).astype(float)])
-    for col in range(m):
-        pivot_row = col + int(np.argmax(np.abs(M[col:, col])))
-        if abs(M[pivot_row, col]) < pivot_tol:
-            raise SingularSystem(f"pivot {M[pivot_row, col]:.3e} below tolerance")
-        if pivot_row != col:
-            M[[col, pivot_row]] = M[[pivot_row, col]]
-        M[col] = M[col] / M[col, col]
-        for row in range(m):
-            if row != col and M[row, col] != 0.0:
-                M[row] = M[row] - M[row, col] * M[col]
-    return M[:, -1]
 
 
 def _fit_stump(X: np.ndarray, y: np.ndarray, classification: bool) -> StumpParams:

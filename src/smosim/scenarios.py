@@ -47,6 +47,7 @@ from .topology import (
     InterfaceMessage,
     PayloadKind,
     Simulation,
+    Topology,
     build_topology,
 )
 
@@ -283,7 +284,7 @@ class _TargetBehavior:
     def __init__(self, driver: "Driver", cid: ComponentId, spec: SourceSpec | None):
         self.driver = driver
         self.cid = cid
-        self.spec = spec
+        self.spec = None if spec is None else _clean_copy(spec)
         self.artifact: ModelArtifact | None = None
         self.rounds_started = False
         self.emission_index = 0
@@ -317,7 +318,7 @@ class _TargetBehavior:
                                  self.cid.index, round_index)
         ids = driver.sim.next_record_ids(mon.batch)
         records = datagen.generate_batch(
-            _clean_copy(spec), mon.batch, rng, id_start=ids.start, tick=driver.sim.clock)
+            spec, mon.batch, rng, id_start=ids.start, tick=driver.sim.clock)
         X = pipeline.reapply_transform(records, driver.canonical, driver.derived,
                                        self.artifact.scaler)
         preds = self.artifact.predict(X)
@@ -340,9 +341,13 @@ class _TargetBehavior:
 
 
 def _clean_copy(spec: SourceSpec) -> SourceSpec:
+    """The source without corruption and with its fields already renamed onto
+    the canonical schema, which the inference path reads. The draws do not
+    depend on field names."""
     from dataclasses import replace
 
-    return replace(spec, duplicate_rate=0.0, missing_rate=0.0, error_rate=0.0)
+    return replace(spec, schema=spec.canonical_schema(), rename={},
+                   duplicate_rate=0.0, missing_rate=0.0, error_rate=0.0)
 
 
 class _DomainBehavior:
@@ -473,7 +478,13 @@ class Driver:
         self.config = config
         self.sizes: SizeTable = config.sizes
         self.costs: CostTable = config.costs
-        self.topology = build_topology(config)
+        # a topology that cannot be built fails the run, which run() reports
+        self._setup_error: SimulationError | None = None
+        try:
+            self.topology = build_topology(config)
+        except SimulationError as exc:
+            self._setup_error = exc
+            self.topology = Topology({spec.name: spec for spec in config.interface_specs()})
         self.sim = Simulation(self.topology)
         self.registry = Registry()
         self.report = RunReport(
@@ -624,6 +635,8 @@ class Driver:
 
     def run(self) -> "RunResult":
         try:
+            if self._setup_error is not None:
+                raise self._setup_error
             self._start()
             self.sim.run_to_completion(self.config.max_ticks)
         except SimulationError as exc:
@@ -985,6 +998,7 @@ class Driver:
                                detail={"model": MODEL_ID,
                                        "refinements": entry.refinements})
             self.registry.transition(entry, LifecycleState.RETIRED, tick)
+            self.report.status = "failed"
             self.report.failure = "RefinementBudgetExhausted"
             self._finish()
             return

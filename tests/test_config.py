@@ -4,12 +4,13 @@ from __future__ import annotations
 
 import copy
 import json
+from collections import Counter
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smosim import cli
+from smosim import cli, run_scenario
 from smosim.config import (
     CollectionSpec,
     CostTable,
@@ -26,6 +27,7 @@ from smosim.config import (
 from smosim.errors import ConfigError, MissingKey, SimulationError, ZeroCapacity
 from smosim.harness import schedule
 from smosim.learn import sample_random
+from smosim.topology import build_topology
 
 from conftest import scenario_b_dict
 
@@ -190,7 +192,7 @@ def _rich_b_dict() -> dict:
     """scenario_b_dict with every optional section set, so mutations reach each parser."""
     data = scenario_b_dict(n_per_source=20)
     data["topology"].update({"aiml_instances": 2, "extra_links": [
-        {"src": "NSSMF#0", "dst": "NonRtRic#0", "interface": "NSSMF_NonRTRIC"}]})
+        {"src": "MdaSystem3GPP#0", "dst": "NSSMF#0", "interface": "SmoInternal"}]})
     data["interfaces"] = {"R1": {"latency": 2, "overhead_bytes": 30}}
     data["sources"][0]["rename"] = {"cpu": "cpu"}
     data["pipeline"]["derived"] = [{"op": "product", "a": "cpu", "b": "mem"}]
@@ -226,6 +228,7 @@ def _at(data, path):
 def test_rich_base_config_is_valid():
     config = config_from_dict(_rich_b_dict())
     assert config.harness.failure.replicas[0].index == 1
+    assert run_scenario(config).report.failure is None
 
 
 @settings(max_examples=400, deadline=None)
@@ -272,6 +275,27 @@ class TestCrossFieldRules:
     def test_distinct_replicas_are_accepted(self):
         config = config_from_dict(self._failover(["AimlFunction#2", "AimlFunction#1"]))
         assert [r.index for r in config.harness.failure.replicas] == [2, 1]
+
+    @pytest.mark.parametrize("link", [
+        {"src": "NSSMF#0", "dst": "NonRtRic#0", "interface": "NSSMF_NonRTRIC"},
+        {"src": "RApp#0", "dst": "AimlFunction#0", "interface": "R1"},  # no rApp declared
+    ])
+    def test_extra_links_must_be_buildable(self, link):
+        data = scenario_b_dict()
+        data["topology"]["extra_links"] = [
+            {"src": "MdaSystem3GPP#0", "dst": "NSSMF#0", "interface": "SmoInternal"}, link]
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert info.value.field == "topology.extra_links[1]"
+
+    def test_instance_counts_match_the_built_topology(self):
+        counts = {"nssmf": 2, "nfmf_per_nssmf": 2, "nfvo": 1, "vnfm": 1, "vim": 1, "wim": 1,
+                  "cism": 1, "cir": 1, "ccm": 1, "mda_3gpp": 1, "mda_nfv": 1, "rapps": 2,
+                  "aiml_instances": 2, "external_provider": True}
+        config = config_from_dict(scenario_b_dict(topology=counts))
+        built = Counter(c.kind for c in build_topology(config).components)
+        declared = config.topology.instances()
+        assert built == Counter({k: n for k, n in declared.items() if n})
 
     def test_valid_scheduler_classes_schedule_each_job_no_sooner_than_its_ideal(self):
         scheduler = {"budget": 3, "classes": [

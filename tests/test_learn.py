@@ -38,7 +38,6 @@ from smosim.learn import (
     predict_score,
     ridge_closed_form,
     search,
-    sgd_step,
     train,
     training_objective,
     zero_params,
@@ -86,10 +85,13 @@ def _finite_difference(kind, params, X, y, lam, h=1e-6):
 
 
 class TestSgdStep:
+    """One incremental_update on a single sample is one SGD step."""
+
     def test_hand_example_with_finite_difference_oracle(self):
         params = zero_params(1)
         x, y = np.array([1.0]), 1.0
-        out = sgd_step(params, x, y, learning_rate=0.1, l2_lambda=0.0)
+        out = incremental_update(params, x[None, :], np.array([y]),
+                                 learning_rate=0.1, l2_lambda=0.0)
         assert out.weights[0] == pytest.approx(0.2)
         assert out.bias == pytest.approx(0.2)
         gw, gb = _finite_difference(ModelKind.LINEAR_SGD, params,
@@ -99,20 +101,21 @@ class TestSgdStep:
 
     def test_perfect_fit_is_fixed_point(self):
         params = LinearParams(np.array([2.0]), 1.0)
-        out = sgd_step(params, np.array([3.0]), 7.0, 0.1, 0.0)
+        out = incremental_update(params, np.array([[3.0]]), np.array([7.0]), 0.1, 0.0)
         assert out.weights[0] == params.weights[0]
         assert out.bias == params.bias
 
     def test_l2_decay_term(self):
         params = LinearParams(np.array([1.0]), 0.0)
         # perfect fit for the sample, so only the 2*lambda*w decay acts
-        out = sgd_step(params, np.array([1.0]), 1.0, 0.1, l2_lambda=1.0)
+        out = incremental_update(params, np.array([[1.0]]), np.array([1.0]), 0.1,
+                                 l2_lambda=1.0)
         assert out.weights[0] == pytest.approx(0.8)
 
     def test_divergence_raises_non_finite(self):
         params = LinearParams(np.array([1e308]), 0.0)
         with pytest.raises(NonFiniteUpdate):
-            sgd_step(params, np.array([1e308]), 0.0, 1e300, 0.0)
+            incremental_update(params, np.array([[1e308]]), np.array([0.0]), 1e300, 0.0)
 
 
 class TestGradientCheck:
@@ -149,6 +152,15 @@ class TestRidge:
         with pytest.raises(SingularSystem):
             ridge_closed_form(X, np.array([1.0, 2.0, 3.0]), l2_lambda=0.0)
 
+    def test_recovers_coefficients_at_d200(self):
+        rng = np.random.default_rng(8)
+        X = rng.normal(size=(1000, 200))
+        w_true = rng.uniform(-2, 2, size=200)
+        y = X @ w_true - 1.5
+        params = ridge_closed_form(X, y, l2_lambda=0.0)
+        assert params.weights == pytest.approx(w_true, abs=1e-9)
+        assert params.bias == pytest.approx(-1.5, abs=1e-9)
+
     def test_lambda_regularizes_but_spares_bias(self):
         X = np.array([[1.0], [2.0], [-1.0], [-2.0]])
         y = 3.0 * X[:, 0] + 10.0
@@ -166,7 +178,8 @@ class TestRidge:
             best = training_objective(star, X, y, lam)
             params = zero_params(2)
             for i in range(200):
-                params = sgd_step(params, X[i % 50], float(y[i % 50]), 0.05, lam)
+                row = slice(i % 50, i % 50 + 1)
+                params = incremental_update(params, X[row], y[row], 0.05, lam)
                 assert training_objective(params, X, y, lam) >= best - 1e-9
 
 
@@ -262,12 +275,13 @@ class TestIncrementalUpdate:
         out = incremental_update(params, np.empty((0, 2)), np.empty(0), 0.1, 0.0)
         assert np.array_equal(out.weights, params.weights) and out.bias == params.bias
 
-    def test_single_sample_equals_sgd_step(self):
+    def test_single_sample_equals_one_gradient_step(self):
         params = LinearParams(np.array([0.5, -0.5]), 0.1)
         x = np.array([1.0, 2.0])
         a = incremental_update(params, x[None, :], np.array([3.0]), 0.05, 0.01)
-        b = sgd_step(params, x, 3.0, 0.05, 0.01)
-        assert np.array_equal(a.weights, b.weights) and a.bias == b.bias
+        gw, gb = loss_gradient(ModelKind.LINEAR_SGD, params, x[None, :], np.array([3.0]), 0.01)
+        assert np.array_equal(a.weights, params.weights - 0.05 * gw)
+        assert a.bias == params.bias - 0.05 * gb
 
     def test_streamed_pass_equals_batch_epoch_exactly(self):
         rng = np.random.default_rng(6)
@@ -357,6 +371,52 @@ class TestSgdKernel:
             want, _ = _loop_sgd(kind, X, y, [np.arange(n)], 1, lr, lam, init)
             assert np.array_equal(got.weights, want.weights)
             assert got.bias == want.bias
+
+    # (n, d, batch_size, epochs, l2_lambda, layout of X)
+    SHAPES = {
+        "federated_rounds": (1200, 6, 16, 5, 0.0, "C"),
+        "batch_over_n": (10, 3, 32, 3, 0.2, "C"),
+        "fortran": (101, 4, 16, 3, 0.2, "F"),
+        "column_slice": (101, 4, 16, 3, 0.0, "strided"),
+        "gathers_with_ragged_tail": (1000, 3, 7, 2, 0.2, "C"),
+    }
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("shape", list(SHAPES))
+    def test_shapes_and_layouts_equal_loss_gradient_loop(self, kind, shape):
+        n, d, batch_size, epochs, lam, layout = self.SHAPES[shape]
+        rng = np.random.default_rng(300)
+        X, y = _random_problem(rng, kind, n, 2 * d if layout == "strided" else d)
+        if layout == "F":
+            X = np.asfortranarray(X)
+            assert not X.flags.c_contiguous
+        elif layout == "strided":
+            X = X[:, ::2]
+            assert not (X.flags.c_contiguous or X.flags.f_contiguous)
+        init = LinearParams(rng.normal(size=d), float(rng.normal()))
+        hp = HyperParams(learning_rate=0.05, epochs=epochs, batch_size=batch_size,
+                         l2_lambda=lam)
+        got, processed = fit(kind, X, y, hp, 11, init)
+        want, first_bad = _loop_sgd(kind, X, y, epoch_orders(n, 11, epochs), batch_size,
+                                    hp.learning_rate, lam, init)
+        assert first_bad is None and processed == epochs * n
+        assert np.array_equal(got.weights, want.weights)
+        assert got.bias == want.bias
+
+    def test_divergence_on_the_first_step_of_an_epoch_raises(self):
+        rng = np.random.default_rng(9)
+        X = rng.uniform(0, 1, size=(40, 2))
+        y = X[:, 0].copy()
+        hp = HyperParams(learning_rate=0.1, epochs=2, batch_size=8)
+        orders = epoch_orders(40, 0, hp.epochs)
+        X[orders[0][0]] = [1e200, 1e200]  # in the first of five batches
+        init = LinearParams(np.ones(2), 0.0)
+        loop, first_bad = _loop_sgd(ModelKind.LINEAR_SGD, X, y, orders,
+                                    hp.batch_size, hp.learning_rate, 0.0, init)
+        # the parameters stay non-finite through every later step
+        assert first_bad == 1 and not np.isfinite(loop.weights).all()
+        with pytest.raises(NonFiniteUpdate):
+            fit(ModelKind.LINEAR_SGD, X, y, hp, 0, init)
 
     def test_warm_start_is_not_modified(self):
         init = LinearParams(np.array([0.5, -0.5]), 0.25)

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import copy
+
 import numpy as np
 import pytest
 
@@ -179,6 +181,16 @@ class TestScenarioB:
             with pytest.raises(SimulationError, match="no termination serves NonRtRic#0"):
                 driver.route_send(ric, nssmf, PayloadKind.CONTROL, 16)
         assert driver.sim.log.entries == []
+
+    def test_topology_that_cannot_be_built_fails_the_run(self):
+        # accepted by config_from_dict, but a VNFM needs an NFVO to attach to
+        data = scenario_b_dict(n_per_source=10, deploy={"targets": ["MdaSystem3GPP#0"]})
+        data["topology"] = {"nssmf": 1, "mda_3gpp": 1, "vnfm": 1}
+        data["sources"] = data["sources"][:1]
+        result = run_scenario(build(data))
+        assert result.report.status == "failed"
+        assert result.report.failure == "UndeclaredRoute: VNFM declared without an NFVO"
+        assert result.report.event_count == 1  # run_complete
 
     def test_offline_source_yields_partial_dataset_and_timeout_event(self):
         config = build(scenario_b_dict(n_per_source=40))
@@ -471,8 +483,22 @@ class TestMonitoringAndRefinement:
         report = result.report
         entry = result.registry.entries["m0"]
         assert entry.state.value == "Retired"
+        assert report.status == "failed"
         assert report.failure == "RefinementBudgetExhausted"
+        assert result.sim.log.of_type("run_complete")[0].detail["status"] == "failed"
         assert len(result.sim.log.of_type("refinement_budget_exhausted")) == 1
+
+    def test_monitoring_a_target_whose_source_renames_fields(self):
+        data = scenario_b_dict(n_per_source=40, monitor={"rounds": 2, "batch": 5})
+        nfvo = data["sources"][1]
+        nfvo["schema"] = copy.deepcopy(nfvo["schema"])
+        nfvo["schema"][0]["name"] = "cpu_util"
+        nfvo["rename"] = {"cpu_util": "cpu"}
+        result = run_scenario(build(data))
+        assert result.report.status == "completed" and result.report.failure is None
+        reports = result.sim.log.of_type("report_ingested")
+        assert sorted(e.detail["target"] for e in reports) == [
+            "MdaSystem3GPP#0", "MdaSystem3GPP#0", "MdaSystemNFV#0", "MdaSystemNFV#0"]
 
     @pytest.mark.parametrize("learning_rate", [0.9, 1.5])
     def test_diverging_sgd_fails_with_non_finite_update(self, learning_rate):

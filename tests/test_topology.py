@@ -6,7 +6,7 @@ import dataclasses
 
 import pytest
 
-from smosim.config import config_from_dict
+from smosim.config import LinkSpec, config_from_dict
 from smosim.errors import (
     DuplicateComponent,
     TickLimitExceeded,
@@ -73,9 +73,11 @@ class TestBuildTopology:
             assert topo.components[t].attached_to == ric
 
     def test_direct_nssmf_to_aiml_link_is_rejected(self):
-        config = _minimal_config(nssmf=1, extra_links=[
-            {"src": "NSSMF#0", "dst": "AimlFunction#0", "interface": "SmoInternal"},
-        ])
+        # config_from_dict rejects this link too, so it is added past the parser
+        config = _minimal_config(nssmf=1)
+        link = LinkSpec(ComponentId(ComponentKind.NSSMF, 0),
+                        ComponentId(ComponentKind.AIML_FUNCTION, 0), InterfaceName.SMO_INTERNAL)
+        config.topology = dataclasses.replace(config.topology, extra_links=(link,))
         with pytest.raises(UndeclaredRoute):
             build_topology(config)
 
