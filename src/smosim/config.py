@@ -629,6 +629,9 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
     _expect(cfg.rounds >= 1 if kind is ScenarioKind.C else cfg.rounds == 1, "scenario.rounds",
             "rounds must be >= 1, and 1 for scenarios A and B")
     instances = counts.instances()
+    nfv_kinds = ("vnfm", "vim", "wim", "cism", "cir", "ccm")
+    _expect(counts.nfvo > 0 or not any(getattr(counts, k) for k in nfv_kinds), "topology.nfvo",
+            f"{', '.join(nfv_kinds)} attach to an NFVO, so they need nfvo >= 1")
     canonical: list[FeatureSpec] | None = None
     raw_fields: dict[str, FeatureSpec] = {}  # record batches hold one column per raw name
     for i, src in enumerate(cfg.sources):
@@ -645,6 +648,11 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
             known = raw_fields.setdefault(f.name, f)
             _expect((known.type, known.vocab) == (f.type, f.vocab), f"{path}.schema",
                     f"field {f.name!r} has another type or vocab in an earlier source")
+    numeric = {f.name for f in canonical or () if f.type == "numeric"}
+    for i, d in enumerate(cfg.pipeline.derived if canonical else ()):
+        for side, name in (("a", d.a), ("b", d.b)):
+            _expect(name in numeric, f"pipeline.derived[{i}].{side}",
+                    "derived features take numeric columns of the canonical schema", name)
     ratios = cfg.pipeline.split.ratios()
     _expect(math.isclose(sum(ratios), 1.0, abs_tol=1e-9), "pipeline.split",
             f"split ratios must sum to 1, got {sum(ratios)}")

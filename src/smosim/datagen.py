@@ -139,28 +139,32 @@ def encode(schema: list[FeatureSpec], columns: dict[str, np.ndarray],
 
 def generate_batch(spec: SourceSpec, n: int, seed: int | np.random.Generator,
                    id_start: int = 0, tick: int = 0,
-                   owner: ComponentId | None = None) -> RecordBatch:
-    """Draw n records from the source's generative process.
+                   owner: ComponentId | None = None, parts: int = 1) -> RecordBatch:
+    """Draw ``parts`` batches of n records each from the source's generative process.
 
-    Each field is drawn as one column, in schema order, and the targets are
-    one matrix product of the encoded base rows. After the n base records,
-    floor(n*duplicate_rate) exact copies are appended, then
-    floor(n*missing_rate) base records lose one feature and
-    floor(n*error_rate) base records get one numeric feature pushed past its
-    valid range. Targets are computed before corruption.
+    The base records of all parts are drawn at once: each field as one column
+    in schema order, then the targets as one matrix product of the encoded
+    rows, then their noise. Each part then gets its own exact corruption:
+    floor(n*duplicate_rate) copies of its own rows are appended,
+    floor(n*missing_rate) of its base records lose one feature and
+    floor(n*error_rate) get one numeric feature pushed past its valid range.
+    Targets are computed before corruption. The parts follow one another, with
+    ids counting on from ``id_start``; a copy keeps the id of the row it
+    copies. With parts=1 this is one plain batch.
     """
-    if n < 0:
-        raise ValueError("n must be >= 0")
+    if n < 0 or parts < 1:
+        raise ValueError("n must be >= 0 and parts >= 1")
     rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    size = n * parts
     columns: dict[str, np.ndarray] = {}
     for f in spec.schema:
         if f.type == "numeric":
             lo, hi = f.valid_range  # type: ignore[misc]
-            columns[f.name] = rng.uniform(lo, hi, size=n)
+            columns[f.name] = rng.uniform(lo, hi, size=size)
         elif f.type == "categorical":
-            columns[f.name] = rng.integers(len(f.vocab), size=n)
+            columns[f.name] = rng.integers(len(f.vocab), size=size)
         else:
-            draws = rng.integers(1 << 31, size=n).tolist()
+            draws = rng.integers(1 << 31, size=size).tolist()
             columns[f.name] = np.array([f"id-{d}" for d in draws], dtype=object)
     X = encode(spec.schema, columns)
     if X.shape[1] != len(spec.coefficients):
@@ -169,38 +173,43 @@ def generate_batch(spec: SourceSpec, n: int, seed: int | np.random.Generator,
     target = X @ np.asarray(spec.coefficients, dtype=float)
     target += spec.bias
     if spec.noise_sigma > 0:
-        target += rng.normal(0.0, spec.noise_sigma, size=n)
+        target += rng.normal(0.0, spec.noise_sigma, size=size)
 
-    rows = np.arange(n)
     n_dup = math.floor(n * spec.duplicate_rate)
-    if n_dup:
-        rows = np.concatenate([rows, rng.choice(n, size=n_dup, replace=True)])
-        columns = {name: col[rows] for name, col in columns.items()}
-        target = target[rows]
-
     n_missing = math.floor(n * spec.missing_rate)
-    if n_missing:
-        hit = rng.choice(n, size=n_missing, replace=False)
-        names = [f for f in spec.schema if f.type != "identifier"]
-        victim = rng.integers(len(names), size=n_missing)
+    n_error = math.floor(n * spec.error_rate)
+    names = [f for f in spec.schema if f.type != "identifier"]
+    numeric = [f for f in spec.schema if f.type == "numeric"]
+    if n_error and not numeric:
+        raise SchemaMismatch("error injection needs at least one numeric feature")
+    m = n + n_dup  # rows per part
+    rows = np.tile(np.arange(m), (parts, 1))  # each part's rows, numbered within the part
+    missing, errors = [], []  # (row in the batch, victim field) per part
+    for p in range(parts):
+        if n_dup:
+            rows[p, n:] = rng.choice(n, size=n_dup, replace=True)
+        if n_missing:
+            missing.append((p * m + rng.choice(n, size=n_missing, replace=False),
+                            rng.integers(len(names), size=n_missing)))
+        if n_error:
+            errors.append((p * m + rng.choice(n, size=n_error, replace=False),
+                           rng.integers(len(numeric), size=n_error)))
+    if n_dup:
+        drawn = (rows + n * np.arange(parts)[:, None]).ravel()
+        columns = {name: col[drawn] for name, col in columns.items()}
+        target = target[drawn]
+    for hit, victim in missing:
         for j, f in enumerate(names):
             columns[f.name][hit[victim == j]] = missing_column(f, 1)[0]
-
-    n_error = math.floor(n * spec.error_rate)
-    if n_error:
-        numeric = [f for f in spec.schema if f.type == "numeric"]
-        if not numeric:
-            raise SchemaMismatch("error injection needs at least one numeric feature")
-        hit = rng.choice(n, size=n_error, replace=False)
-        victim = rng.integers(len(numeric), size=n_error)
+    for hit, victim in errors:
         for j, f in enumerate(numeric):
             lo, hi = f.valid_range  # type: ignore[misc]
             columns[f.name][hit[victim == j]] = hi + spec.error_factor * (hi - lo)
-    size = len(rows)
+    size = len(target)
     return RecordBatch({owner or spec.owner: tuple(spec.schema)}, columns,
-                       id_start + rows, np.zeros(size, dtype=np.int64),
-                       np.full(size, tick, dtype=np.int64), target,
-                       np.zeros(size, dtype=bool))
+                       id_start + (rows + m * np.arange(parts)[:, None]).ravel(),
+                       np.zeros(size, dtype=np.int64), np.full(size, tick, dtype=np.int64),
+                       target, np.zeros(size, dtype=bool))
 
 
 def streaming_emission_ticks(start: int, window: int, interval: int) -> list[int]:
@@ -213,11 +222,7 @@ def streaming_emission_ticks(start: int, window: int, interval: int) -> list[int
 def shifted(spec: SourceSpec, coefficients: tuple[float, ...] | None,
             bias: float | None) -> SourceSpec:
     """Source with replaced ground truth; used for injected concept drift."""
-    new = replace(spec)
-    if coefficients:
-        if len(coefficients) != encoded_width(spec.schema):
-            raise SchemaMismatch("shifted coefficient width differs from schema")
-        new = replace(new, coefficients=list(coefficients))
-    if bias is not None:
-        new = replace(new, bias=bias)
-    return new
+    if coefficients and len(coefficients) != encoded_width(spec.schema):
+        raise SchemaMismatch("shifted coefficient width differs from schema")
+    return replace(spec, coefficients=list(coefficients) if coefficients else spec.coefficients,
+                   bias=spec.bias if bias is None else bias)

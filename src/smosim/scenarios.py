@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import math
 from collections import deque
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field, replace
 from functools import partial
 from typing import Any
 
@@ -114,14 +114,6 @@ class FaultRecord:
     detection_tick: int | None = None
     resolution_tick: int | None = None
 
-    def to_dict(self) -> dict[str, Any]:
-        return {
-            "kind": self.kind,
-            "fault_tick": self.fault_tick,
-            "detection_tick": self.detection_tick,
-            "resolution_tick": self.resolution_tick,
-        }
-
 
 @dataclass
 class RunReport:
@@ -151,32 +143,7 @@ class RunReport:
     event_count: int = 0
 
     def to_dict(self) -> dict[str, Any]:
-        return {
-            "scenario": self.scenario,
-            "mode": self.mode,
-            "seed": self.seed,
-            "config_hash": self.config_hash,
-            "status": self.status,
-            "failure": self.failure,
-            "model": self.model,
-            "training_ticks": self.training_ticks,
-            "inference_ticks": self.inference_ticks,
-            "cost_ticks": self.cost_ticks,
-            "peak_demand": self.peak_demand,
-            "refinements": self.refinements,
-            "rounds": self.rounds,
-            "time_to_detection": self.time_to_detection,
-            "time_to_resolution": self.time_to_resolution,
-            "downtime_ticks": self.downtime_ticks,
-            "faults": [f.to_dict() for f in self.faults],
-            "signaling": self.signaling,
-            "poison": self.poison,
-            "scheduler": self.scheduler,
-            "forgetting_mse": self.forgetting_mse,
-            "artifact_rejected": self.artifact_rejected,
-            "final_tick": self.final_tick,
-            "event_count": self.event_count,
-        }
+        return asdict(self)
 
 
 # -- component behaviors ---------------------------------------------------------------------
@@ -187,11 +154,13 @@ class _SourceBehavior:
 
     Each batch collection request draws its records from its own substream,
     tagged (config seed, "datagen", owner kind, owner index, emission index).
-    A streaming collection draws all of its emissions, in order, from one
-    substream tagged (config seed, "stream", owner kind, owner index,
-    collection round), so streams of different sources stay independent.
-    Poisoning draws from (poison seed, "poison", owner kind, owner index,
-    emission index) in both modes.
+    A streaming collection draws all of its emissions with one
+    ``generate_batch`` call, one part per emission, from a substream tagged
+    (config seed, "stream", owner kind, owner index, collection round), so
+    streams of different sources stay independent. Each emission sends its
+    part, with record ids and tick given when it is sent. Poisoning draws
+    from (poison seed, "poison", owner kind, owner index, emission index) in
+    both modes.
     """
 
     def __init__(self, driver: "Driver", spec: SourceSpec):
@@ -199,22 +168,24 @@ class _SourceBehavior:
         self.spec = spec
         self.emission_index = 0
 
-    def _make_records(self, n: int, tick: int,
-                      rng: np.random.Generator | None = None) -> datagen.RecordBatch:
+    def _make_records(self, n: int, tick: int, drawn: datagen.RecordBatch | None = None,
+                      part: int = 0) -> datagen.RecordBatch:
         cfg = self.driver.config
         owner = self.spec.owner
-        if rng is None:
+        ids = self.driver.sim.next_record_ids(_batch_total(self.spec, n))
+        if drawn is None:
             rng = datagen.derive_rng(cfg.seed, "datagen", owner.kind.value, owner.index,
                                      self.emission_index)
+            records = datagen.generate_batch(self.spec, n, rng, id_start=ids.start, tick=tick)
+        else:
+            records = _sent_part(drawn, part, ids, tick)
         self.emission_index += 1
-        ids = self.driver.sim.next_record_ids(_batch_total(self.spec, n))
-        records = datagen.generate_batch(self.spec, n, rng, id_start=ids.start, tick=tick)
         poison = cfg.harness.poison
         if poison is not None and (poison.sources is None or owner in poison.sources):
             rng_p = datagen.derive_rng(poison.seed, "poison", owner.kind.value, owner.index,
                                        self.emission_index)
             records = harness.poison_inject(
-                records, _reseed_poison(poison, int(rng_p.integers(1 << 31))))
+                records, replace(poison, seed=int(rng_p.integers(1 << 31))))
         if cfg.harness.privacy is not None:
             records = harness.privacy_transform(records, self.spec.schema, cfg.harness.privacy)
         return records
@@ -245,15 +216,21 @@ class _SourceBehavior:
             )
 
     def start_streaming(self, start: int, window: int, reply_to_getter) -> None:
+        ticks = datagen.streaming_emission_ticks(start, window, self.spec.emission.interval)
+        if not ticks:
+            return
         owner = self.spec.owner
         rng = datagen.derive_rng(self.driver.config.seed, "stream", owner.kind.value,
                                  owner.index, self.driver.collection_round)
-        emit = partial(self._emit_streaming, reply_to_getter, rng)
-        for tick in datagen.streaming_emission_ticks(start, window, self.spec.emission.interval):
-            self.driver.sim.schedule(tick, emit)
+        drawn = datagen.generate_batch(self.spec, self.spec.emission.size, rng,
+                                       parts=len(ticks))
+        for part, tick in enumerate(ticks):
+            self.driver.sim.schedule(
+                tick, partial(self._emit_streaming, reply_to_getter, drawn, part))
 
-    def _emit_streaming(self, reply_to_getter, rng: np.random.Generator) -> None:
-        records = self._make_records(self.spec.emission.size, self.driver.sim.clock, rng)
+    def _emit_streaming(self, reply_to_getter, drawn: datagen.RecordBatch, part: int) -> None:
+        records = self._make_records(self.spec.emission.size, self.driver.sim.clock,
+                                     drawn, part)
         self.driver.route_send(
             self.spec.owner, reply_to_getter(), PayloadKind.RAW_DATA,
             self.payload_bytes(len(records)), payload=records,
@@ -265,20 +242,26 @@ def _batch_total(spec: SourceSpec, n: int) -> int:
     return n + math.floor(n * spec.duplicate_rate)
 
 
-def _reseed_poison(spec, seed: int):
-    from dataclasses import replace
-
-    return replace(spec, seed=seed)
-
-
+def _sent_part(drawn: datagen.RecordBatch, part: int, ids: range,
+               tick: int) -> datagen.RecordBatch:
+    """One of a bulk draw's parts of len(ids) rows, with the ids and tick it is sent with."""
+    m = len(ids)
+    records = drawn.take(slice(part * m, (part + 1) * m))
+    return replace(records, record_id=records.record_id + (ids.start - part * m),
+                   tick=np.full(m, tick, dtype=np.int64))
 
 
 class _TargetBehavior:
     """Production placement: hosts the deployed artifact and serves inference.
 
-    After receiving an artifact it runs the configured report rounds: draw a
-    local batch, predict with the stored scaling parameters, send the
-    (sample, prediction) report upstream.
+    When the first artifact arrives it schedules the configured report rounds
+    and draws every round's local batch from one substream tagged (config
+    seed, "monitor", target kind, target index): one ``generate_batch`` call
+    for the rounds before ``drift_shift.at_round`` and one, with the shifted
+    ground truth, for the rounds from it on, one part per round. Each round
+    takes its part, with record ids and tick given at the round, predicts
+    with the stored scaling parameters and sends the (sample, prediction)
+    report upstream.
     """
 
     def __init__(self, driver: "Driver", cid: ComponentId, spec: SourceSpec | None):
@@ -286,8 +269,7 @@ class _TargetBehavior:
         self.cid = cid
         self.spec = None if spec is None else _clean_copy(spec)
         self.artifact: ModelArtifact | None = None
-        self.rounds_started = False
-        self.emission_index = 0
+        self.drawn: datagen.RecordBatch | None = None
 
     def handle(self, sim: Simulation, msg: InterfaceMessage) -> None:
         if msg.payload_kind is not PayloadKind.MODEL_ARTIFACT:
@@ -295,30 +277,32 @@ class _TargetBehavior:
         self.artifact = msg.payload
         self.driver.on_artifact_delivered(self.cid, self.artifact.version, sim.clock)
         mon = self.driver.config.monitor
-        if mon.rounds > 0 and self.spec is not None and not self.rounds_started:
-            self.rounds_started = True
+        if mon.rounds > 0 and self.spec is not None and self.drawn is None:
+            self.drawn = self._draw_rounds()
             base = sim.clock
             for r in range(1, mon.rounds + 1):
                 sim.schedule(base + r * mon.interval, lambda rr=r: self._report_round(rr))
 
-    def _live_spec(self, round_index: int) -> SourceSpec:
+    def _draw_rounds(self) -> datagen.RecordBatch:
         assert self.spec is not None
-        shift = self.driver.config.harness.drift_shift
-        if shift is not None and round_index >= shift.at_round:
-            return datagen.shifted(self.spec, shift.coefficients, shift.bias)
-        return self.spec
+        cfg = self.driver.config
+        rounds, batch, shift = cfg.monitor.rounds, cfg.monitor.batch, cfg.harness.drift_shift
+        rng = datagen.derive_rng(cfg.seed, "monitor", self.cid.kind.value, self.cid.index)
+        before = rounds if shift is None else min(rounds, shift.at_round - 1)
+        phases = [datagen.generate_batch(self.spec, batch, rng, parts=before)] if before else []
+        if shift is not None and before < rounds:
+            spec = datagen.shifted(self.spec, shift.coefficients, shift.bias)
+            phases.append(datagen.generate_batch(spec, batch, rng, id_start=before * batch,
+                                                 parts=rounds - before))
+        return datagen.RecordBatch.concat(phases)
 
     def _report_round(self, round_index: int) -> None:
         if self.artifact is None:
             return
         driver = self.driver
         mon = driver.config.monitor
-        spec = self._live_spec(round_index)
-        rng = datagen.derive_rng(driver.config.seed, "monitor", self.cid.kind.value,
-                                 self.cid.index, round_index)
         ids = driver.sim.next_record_ids(mon.batch)
-        records = datagen.generate_batch(
-            spec, mon.batch, rng, id_start=ids.start, tick=driver.sim.clock)
+        records = _sent_part(self.drawn, round_index - 1, ids, driver.sim.clock)
         X = pipeline.reapply_transform(records, driver.canonical, driver.derived,
                                        self.artifact.scaler)
         preds = self.artifact.predict(X)
@@ -344,8 +328,6 @@ def _clean_copy(spec: SourceSpec) -> SourceSpec:
     """The source without corruption and with its fields already renamed onto
     the canonical schema, which the inference path reads. The draws do not
     depend on field names."""
-    from dataclasses import replace
-
     return replace(spec, schema=spec.canonical_schema(), rename={},
                    duplicate_rate=0.0, missing_rate=0.0, error_rate=0.0)
 
@@ -439,13 +421,16 @@ class _ReplicaBehavior:
         self.promoted = False
         self.checkpoint: dict[str, Any] | None = None
 
+    def start_watching(self, interval: int) -> None:
+        # armed before any beat arrives, so a primary dying before its first is caught
+        topo = self.driver.topology
+        latency = topo.interfaces[topo.interface_between(self.watched, self.cid)].latency
+        self._schedule_check(interval + latency)
+
     def handle(self, sim: Simulation, msg: InterfaceMessage) -> None:
         if msg.payload_kind is PayloadKind.HEARTBEAT:
-            first = self.last_beat is None
             self.last_beat = sim.clock
             self.missed = 0
-            if first and self.driver.plan is not None:
-                self._schedule_check(sim.clock + self.driver.plan.heartbeat_interval)
         elif msg.payload_kind is PayloadKind.CHECKPOINT:
             self.checkpoint = msg.payload
 
@@ -1251,6 +1236,8 @@ class Driver:
             self.sim.schedule(self.sim.clock + plan.checkpoint_interval, checkpoint)
 
         self.sim.schedule(h, beat)
+        for replica in self.replicas.values():
+            replica.start_watching(h)
         self.sim.schedule(plan.checkpoint_interval, checkpoint)
         self.sim.schedule(plan.fail_tick, self._inject_failure)
 

@@ -90,6 +90,14 @@ MALFORMED = [
      ConfigError, "harness.scheduler.classes[1].name"),
     (("harness", "scheduler"), {"budget": 4, "classes": [{"name": "job1"}, {"work": 3}]},
      ConfigError, "harness.scheduler.classes[1].name"),
+    (("topology",), {"nssmf": 1, "nfvo": 0, "mda_3gpp": 1, "vnfm": 1}, ConfigError,
+     "topology.nfvo"),
+    (("pipeline", "derived"), [{"op": "product", "a": "x", "b": "cpu"}], ConfigError,
+     "pipeline.derived[0].a"),
+    (("pipeline", "derived"), [{"op": "product", "a": "slice", "b": "cpu"}], ConfigError,
+     "pipeline.derived[0].a"),
+    (("pipeline", "derived"), [{"op": "ratio", "a": "cpu", "b": "slice"}], ConfigError,
+     "pipeline.derived[0].b"),
 ]
 
 

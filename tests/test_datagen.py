@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import hashlib
 import math
 
 import numpy as np
@@ -10,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smosim.config import FeatureSpec, SourceSpec, EmissionSpec
-from smosim.datagen import encode, generate_batch, streaming_emission_ticks
+from smosim.datagen import encode, generate_batch, is_missing, streaming_emission_ticks
 from smosim.errors import SchemaMismatch
 from smosim.topology import ComponentId, ComponentKind
 
@@ -109,6 +110,78 @@ class TestGenerateBatch:
         assert len(records) == n + math.floor(n * rate)
         with_missing = sum(1 for r in records[:n] if MISSING in r.values())
         assert with_missing == math.floor(n * rate)
+
+
+DIRTY_SCHEMA = [FeatureSpec("x", "numeric", valid_range=(0.0, 10.0)),
+                FeatureSpec("y", "numeric", valid_range=(-1.0, 1.0)),
+                FeatureSpec("c", "categorical", vocab=("a", "b", "c")),
+                FeatureSpec("ue", "identifier")]
+
+
+def _dirty_spec(**rates) -> SourceSpec:
+    rates = {"duplicate_rate": 0.2, "missing_rate": 0.15, "error_rate": 0.1, **rates}
+    return _spec([1.5, -2.0, 0.3, 0.0, -0.3], schema=DIRTY_SCHEMA, bias=0.4, noise_sigma=0.3,
+                 **rates)
+
+
+def _digest(batch) -> str:
+    h = hashlib.sha256()
+    for name, col in batch.columns.items():
+        h.update(f"{name}={col.tolist()!r}".encode())
+    for arr in (batch.record_id, batch.source, batch.tick, batch.target, batch.poisoned):
+        h.update(repr(arr.tolist()).encode())
+    return h.hexdigest()
+
+
+class TestBulkDraw:
+    N, PARTS = 40, 6
+    M = 40 + 8  # rows per part: n base records and floor(0.2 * n) copies
+
+    def test_one_part_is_the_plain_draw_bit_for_bit(self):
+        # pinned from the draw made before generate_batch took ``parts``
+        batch = generate_batch(_dirty_spec(), self.N, seed=13, id_start=100, tick=7, parts=1)
+        assert len(batch) == self.M
+        assert _digest(batch) == \
+            "d074922c2d4e13326dd217fae974524f242e19402efa5e7755662811232234c6"
+
+    def _parts(self, spec):
+        batch = generate_batch(spec, self.N, seed=21, id_start=100, parts=self.PARTS)
+        assert len(batch) == self.PARTS * self.M
+        return [batch.take(slice(p * self.M, (p + 1) * self.M)) for p in range(self.PARTS)]
+
+    def test_each_part_holds_exact_duplicates_of_its_own_rows(self):
+        for p, part in enumerate(self._parts(_dirty_spec())):
+            base_ids = 100 + p * self.M + np.arange(self.N)
+            np.testing.assert_array_equal(part.record_id[:self.N], base_ids)
+            copies = part.record_id[self.N:]
+            assert len(copies) == math.floor(self.N * 0.2)
+            assert np.isin(copies, base_ids).all()
+            for j, rid in enumerate(copies, start=self.N):
+                original = rid - base_ids[0]
+                assert part.target[j] == part.target[original]
+
+    def test_each_part_holds_exact_range_errors_in_its_base_rows(self):
+        for part in self._parts(_dirty_spec()):
+            errors = (part.columns["x"] > 10.0) | (part.columns["y"] > 1.0)
+            assert errors.sum() == errors[:self.N].sum() == math.floor(self.N * 0.1)
+
+    def test_each_part_holds_exact_missing_values_in_its_base_rows(self):
+        # no range errors here, since one may overwrite a missing value
+        for part in self._parts(_dirty_spec(error_rate=0.0)):
+            missing = sum(is_missing(part.columns[f.name]).astype(int)
+                          for f in DIRTY_SCHEMA if f.type != "identifier")
+            assert missing.max() == 1
+            assert missing.sum() == missing[:self.N].sum() == math.floor(self.N * 0.15)
+
+    def test_parts_share_the_base_columns_of_one_draw(self):
+        clean = _dirty_spec(duplicate_rate=0.0, missing_rate=0.0, error_rate=0.0)
+        whole = generate_batch(clean, self.N * self.PARTS, seed=21, id_start=100)
+        split = generate_batch(clean, self.N, seed=21, id_start=100, parts=self.PARTS)
+        assert _digest(split) == _digest(whole)
+
+    def test_parts_must_be_positive(self):
+        with pytest.raises(ValueError):
+            generate_batch(_dirty_spec(), 5, seed=1, parts=0)
 
 
 class TestEmission:

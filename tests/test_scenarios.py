@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import copy
+import dataclasses
 
 import numpy as np
 import pytest
@@ -23,6 +24,7 @@ from smosim.scenarios import DomainModel, Driver, run_scenario_b, run_scenario_c
 from smosim.topology import ComponentId, ComponentKind, PayloadKind
 
 from conftest import build, numeric_feature, scenario_b_dict, source
+from golden.cases import a_import_model
 
 TERMINATION_IFACES = ("NSSMF_NonRTRIC", "NFVO_NonRTRIC")
 
@@ -167,11 +169,62 @@ class TestScenarioB:
         streamed = self._streamed(result, "NFMF#0")
         spec = config.sources[0]
         rng = datagen.derive_rng(config.seed, "stream", "NFMF", 0, 1)
-        expected = datagen.RecordBatch.concat(
-            [datagen.generate_batch(spec, 5, rng) for _ in range(15)])
+        expected = datagen.generate_batch(spec, 5, rng, parts=15)
         for name, col in expected.columns.items():
             np.testing.assert_array_equal(streamed.columns[name], col)
         np.testing.assert_array_equal(streamed.target, expected.target)
+        # each emission takes its ids when it is sent: NFMF#0 sends 5 records
+        # every 2 ticks, NFVO#0 4 every 3, and NFMF#0 goes first on a shared tick
+        next_id, ids = 0, []
+        for tick in range(1, 31):
+            if tick % 2 == 0:
+                ids += range(next_id, next_id + 5)
+                next_id += 5
+            if tick % 3 == 0:
+                next_id += 4
+        np.testing.assert_array_equal(streamed.record_id, ids)
+        np.testing.assert_array_equal(streamed.tick, np.repeat(np.arange(2, 31, 2), 5))
+
+    def test_monitor_rounds_are_slices_of_one_draw_per_phase(self):
+        data = scenario_b_dict(n_per_source=40, deploy={"targets": ["MdaSystem3GPP#0"]})
+        data["monitor"] = {"rounds": 6, "interval": 10, "batch": 5, "drift_factor": 1e9}
+        data["harness"] = {"drift_shift": {"at_round": 3, "bias": 1.0}}
+        config = build(data)
+        driver = Driver(config)
+        aiml = ComponentId(ComponentKind.AIML_FUNCTION, 0)
+        reports = {}
+        dispatch = driver.sim.handlers[aiml]
+
+        def record_reports(sim, msg):
+            if msg.payload_kind is PayloadKind.REPORT and msg.final_dst == aiml:
+                reports[msg.payload["round"]] = msg.payload["records"]
+            dispatch(sim, msg)
+
+        driver.sim.handlers[aiml] = record_reports
+        assert driver.run().report.status == "completed"
+        assert sorted(reports) == [1, 2, 3, 4, 5, 6]
+
+        spec = config.sources[0]  # NSSMF#0 serves the 3GPP MDA target, with no corruption
+        shifted = datagen.shifted(spec, None, 1.0)
+        rng = datagen.derive_rng(config.seed, "monitor", "MdaSystem3GPP", 0)
+        before = datagen.generate_batch(spec, 5, rng, parts=2)
+        after = datagen.generate_batch(shifted, 5, rng, parts=4)
+        rng = datagen.derive_rng(config.seed, "monitor", "MdaSystem3GPP", 0)
+        datagen.generate_batch(spec, 5, rng, parts=2)
+        unshifted = datagen.generate_batch(spec, 5, rng, parts=4)
+        np.testing.assert_allclose(after.target - unshifted.target, 1.0 - spec.bias)
+        drawn = datagen.RecordBatch.concat([before, after])
+        first = reports[1].tick[0]
+        for r, records in reports.items():
+            part = drawn.take(slice(5 * (r - 1), 5 * r))
+            for name, col in part.columns.items():
+                np.testing.assert_array_equal(records.columns[name], col)
+            np.testing.assert_array_equal(records.target, part.target)
+            # ids and tick are given at the round itself
+            np.testing.assert_array_equal(records.tick, [first + 10 * (r - 1)] * 5)
+            start = records.record_id[0]
+            np.testing.assert_array_equal(records.record_id, np.arange(start, start + 5))
+            assert r == 1 or start > reports[r - 1].record_id[0]
 
     def test_route_send_without_a_route_raises_simulation_error(self):
         driver = Driver(build(scenario_b_dict(n_per_source=10)))
@@ -183,11 +236,14 @@ class TestScenarioB:
         assert driver.sim.log.entries == []
 
     def test_topology_that_cannot_be_built_fails_the_run(self):
-        # accepted by config_from_dict, but a VNFM needs an NFVO to attach to
+        # a VNFM needs an NFVO to attach to; config_from_dict rejects that, so
+        # the VNFM is added after parsing to reach build_topology
         data = scenario_b_dict(n_per_source=10, deploy={"targets": ["MdaSystem3GPP#0"]})
-        data["topology"] = {"nssmf": 1, "mda_3gpp": 1, "vnfm": 1}
+        data["topology"] = {"nssmf": 1, "mda_3gpp": 1}
         data["sources"] = data["sources"][:1]
-        result = run_scenario(build(data))
+        config = build(data)
+        config.topology = dataclasses.replace(config.topology, vnfm=1)
+        result = run_scenario(config)
         assert result.report.status == "failed"
         assert result.report.failure == "UndeclaredRoute: VNFM declared without an NFVO"
         assert result.report.event_count == 1  # run_complete
@@ -590,6 +646,30 @@ class TestFailover:
         promo = result.sim.log.of_type("promotion")[0]
         assert promo.tick == 14
         assert report.model is not None  # replica finished the workflow
+
+    @pytest.mark.parametrize("fail_tick, downtime", [(0, 4), (1, 3)])
+    def test_primary_dying_before_its_first_beat_is_declared_dead(self, fail_tick, downtime):
+        # no beat ever arrives: the checks expected at 2 and 4 both miss
+        result = run_scenario(self._config(["AimlFunction#1"], fail_tick=fail_tick))
+        report = result.report
+        assert report.status == "completed"
+        assert result.sim.log.of_type("promotion")[0].tick == 4
+        assert report.downtime_ticks == downtime
+        assert report.faults[0].detection_tick == 4
+        assert report.model is not None and report.model["origin"] == "internal"
+
+    def test_imported_model_survives_a_primary_failing_at_tick_0(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        data = a_import_model(tmp_path)
+        data["topology"]["aiml_instances"] = 2
+        data["harness"] = {"failure": {
+            "target": "AimlFunction#0", "fail_tick": 0, "heartbeat_interval": 2,
+            "missed_to_declare": 2, "replicas": ["AimlFunction#1"]}}
+        result = run_scenario(build(data))
+        report = result.report
+        assert report.status == "completed" and report.failure is None
+        assert report.faults[0].detection_tick == 4 and report.downtime_ticks == 4
+        assert report.model is not None and report.model["origin"] == "external"
 
     def test_restored_registry_equals_last_checkpoint(self):
         result = run_scenario(self._config(["AimlFunction#1"]))
