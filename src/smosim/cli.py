@@ -14,6 +14,7 @@ import os
 import sys
 from pathlib import Path
 
+from . import learn
 from .config import ScenarioConfig, config_from_dict, load_config
 from .errors import ConfigError, SimulationError
 from .scenarios import RunResult, run_scenario
@@ -124,6 +125,11 @@ def _write_outputs(result: RunResult, out: Path, config_name: str) -> None:
     (out / "report.json").write_text(
         json.dumps(result.report.to_dict(), indent=2) + "\n")
     (out / "metrics.csv").write_text(_rows_to_csv([_metrics_row(result, config_name)]))
+    driver = result.driver
+    if driver.exploration is not None:
+        (out / "exploration.json").write_text(driver.exploration.to_json() + "\n")
+    if driver.search_result is not None:
+        (out / "search_trials.csv").write_text(learn.trials_to_csv(driver.search_result))
 
 
 def _metrics_row(result: RunResult, config_name: str) -> dict:

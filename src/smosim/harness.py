@@ -8,7 +8,6 @@ priority scheduling under contention, and the per-interface byte report.
 from __future__ import annotations
 
 import hashlib
-import hmac
 import math
 from dataclasses import dataclass, field, replace
 
@@ -98,13 +97,25 @@ def poison_detection_report(kept: RecordBatch, rejected: RecordBatch) -> dict:
 
 
 def pseudonyms(values, key: str) -> list[str]:
-    """Keyed pseudonyms: "pid-" and the first 16 hex digits of HMAC-SHA256."""
-    keyed = hmac.new(key.encode(), digestmod=hashlib.sha256)
+    """Keyed pseudonyms: "pid-" and the first 16 hex digits of HMAC-SHA256.
+
+    The RFC 2104 inner and outer hash states are built once per key; each
+    value then costs two state copies and no HMAC object.
+    """
+    block = hashlib.sha256().block_size
+    k = key.encode()
+    if len(k) > block:
+        k = hashlib.sha256(k).digest()
+    k = k.ljust(block, b"\0")
+    inner = hashlib.sha256(bytes(b ^ 0x36 for b in k))
+    outer = hashlib.sha256(bytes(b ^ 0x5C for b in k))
     out = []
     for value in values:
-        h = keyed.copy()
+        h = inner.copy()
         h.update(str(value).encode())
-        out.append(f"pid-{h.hexdigest()[:16]}")
+        o = outer.copy()
+        o.update(h.digest())
+        out.append("pid-" + o.digest()[:8].hex())
     return out
 
 

@@ -246,9 +246,11 @@ def _sent_part(drawn: datagen.RecordBatch, part: int, ids: range,
                tick: int) -> datagen.RecordBatch:
     """One of a bulk draw's parts of len(ids) rows, with the ids and tick it is sent with."""
     m = len(ids)
-    records = drawn.take(slice(part * m, (part + 1) * m))
-    return replace(records, record_id=records.record_id + (ids.start - part * m),
-                   tick=np.full(m, tick, dtype=np.int64))
+    rows = slice(part * m, (part + 1) * m)
+    return datagen.RecordBatch(drawn.schemas, {k: v[rows] for k, v in drawn.columns.items()},
+                               drawn.record_id[rows] + (ids.start - part * m),
+                               drawn.source[rows], np.full(m, tick, dtype=np.int64),
+                               drawn.target[rows], drawn.poisoned[rows])
 
 
 class _TargetBehavior:

@@ -144,7 +144,7 @@ class InterfaceSpec:
             raise ValueError("interface latency/overhead must be >= 0")
 
 
-@dataclass
+@dataclass(slots=True)
 class InterfaceMessage:
     msg_id: int
     src: ComponentId
@@ -163,10 +163,38 @@ class InterfaceMessage:
 # json.dumps(entry, separators=(",", ":")) without building an encoder per event
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
+# the text an event stores for each interface and payload kind, and for None
+_ENUM_TEXT: dict[Enum | None, str | None] = {
+    None: None, **{m: m.value for enum in (InterfaceName, PayloadKind) for m in enum}}
 
-@dataclass
+
+class _JsonText(dict):
+    """Memo of the JSON text of an event's str-or-None fields.
+
+    Those hold event types, component ids, interface and payload kind names,
+    so the memo is bounded by the topology and the event vocabulary.
+    """
+
+    def __missing__(self, value: str | None) -> str:
+        text = self[value] = _COMPACT_JSON.encode(value)
+        return text
+
+
+_JSON_TEXT = _JsonText()
+_LINE = ('{"tick":%d,"seq":%d,"event_type":%s,"src":%s,"dst":%s,"interface":%s,'
+         '"payload_kind":%s,"bytes":%d,"detail":%s}')
+
+
+@dataclass(slots=True)
 class Event:
-    """One structured event-log entry; serialized with a stable field order."""
+    """One structured event-log entry.
+
+    :meth:`to_json` writes exactly ``json.dumps(entry, separators=(",", ":"))``
+    of the dict with the nine keys ``tick``, ``seq``, ``event_type``, ``src``,
+    ``dst``, ``interface``, ``payload_kind``, ``bytes`` and ``detail``, in that
+    order: compact separators, non-ASCII text escaped, NaN and infinities
+    written as ``NaN``/``Infinity``. ``tick``, ``seq`` and ``bytes`` are ints.
+    """
 
     tick: int
     seq: int
@@ -179,18 +207,16 @@ class Event:
     detail: dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> str:
-        entry = {
-            "tick": self.tick,
-            "seq": self.seq,
-            "event_type": self.type,
-            "src": self.src,
-            "dst": self.dst,
-            "interface": self.interface,
-            "payload_kind": self.payload_kind,
-            "bytes": self.bytes,
-            "detail": self.detail,
-        }
-        return _COMPACT_JSON.encode(entry)
+        detail = self.detail
+        msg_id = detail.get("msg_id")
+        if type(msg_id) is int and len(detail) == 1:
+            detail_text = '{"msg_id":%d}' % msg_id
+        else:
+            detail_text = _COMPACT_JSON.encode(detail)
+        text = _JSON_TEXT
+        return _LINE % (self.tick, self.seq, text[self.type], text[self.src], text[self.dst],
+                        text[self.interface], text[self.payload_kind], self.bytes,
+                        detail_text)
 
 
 class EventLog:
@@ -203,7 +229,7 @@ class EventLog:
         self.entries.append(event)
 
     def to_jsonl(self) -> str:
-        return "".join(e.to_json() + "\n" for e in self.entries)
+        return "".join([e.to_json() + "\n" for e in self.entries])
 
     def of_type(self, *types: str) -> list[Event]:
         wanted = set(types)
@@ -413,17 +439,10 @@ class Simulation:
                   dst: ComponentId | None = None, interface: InterfaceName | None = None,
                   payload_kind: PayloadKind | None = None, bytes: int = 0,
                   detail: dict[str, Any] | None = None) -> Event:
-        event = Event(
-            tick=self.clock,
-            seq=self._next_seq(),
-            type=type,
-            src=None if src is None else str(src),
-            dst=None if dst is None else str(dst),
-            interface=None if interface is None else interface.value,
-            payload_kind=None if payload_kind is None else payload_kind.value,
-            bytes=bytes,
-            detail=detail or {},
-        )
+        self._seq += 1
+        event = Event(self.clock, self._seq, type, None if src is None else src._text,
+                      None if dst is None else dst._text, _ENUM_TEXT[interface],
+                      _ENUM_TEXT[payload_kind], bytes, detail or {})
         self.log.append(event)
         return event
 

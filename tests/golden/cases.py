@@ -1,8 +1,8 @@
 """Golden run configs: small runs whose outputs are pinned byte for byte.
 
-Each case builds a config dict; ``run_case`` runs it and returns the
-``report.json`` dict and the sha256 of ``events.jsonl``, built the way
-``smosim run`` writes them. ``tests/golden/<name>.json`` holds the pinned
+Each case builds a config dict; ``run_case`` runs it, and ``pinned`` gives
+the run's ``report.json`` dict and the sha256 of ``events.jsonl``, built the
+way ``smosim run`` writes them. ``tests/golden/<name>.json`` holds the pinned
 pair. A change that alters these outputs on purpose re-pins them with
 ``python tests/golden/repin.py`` and says why in CHANGES.md.
 """
@@ -18,6 +18,7 @@ from typing import Any, Callable
 import numpy as np
 
 from smosim import config_from_dict, run_scenario
+from smosim.scenarios import RunResult
 
 from conftest import numeric_feature, scenario_b_dict, source
 
@@ -134,15 +135,19 @@ CASES: dict[str, Callable[[Path], dict[str, Any]]] = {
 }
 
 
-def run_case(name: str, workdir: Path) -> dict[str, Any]:
+def run_case(name: str, workdir: Path) -> RunResult:
     """Run one case with ``workdir`` as the working directory."""
     data = CASES[name](workdir)
     cwd = os.getcwd()
     os.chdir(workdir)
     try:
-        result = run_scenario(config_from_dict(data))
+        return run_scenario(config_from_dict(data))
     finally:
         os.chdir(cwd)
+
+
+def pinned(result: RunResult) -> dict[str, Any]:
+    """The pinned pair of a run: its report dict and its event log's sha256."""
     events = result.sim.log.to_jsonl().encode()
     return {"report": result.report.to_dict(),
             "events_sha256": hashlib.sha256(events).hexdigest(),

@@ -15,20 +15,20 @@ from pathlib import Path
 
 sys.path[:0] = [str(Path(__file__).resolve().parents[1])]
 
-from golden.cases import CASES, dumps, golden_path, run_case  # noqa: E402
+from golden.cases import CASES, dumps, golden_path, pinned, run_case  # noqa: E402
 
 
 def main(names: list[str]) -> int:
     for name in names or list(CASES):
         with tempfile.TemporaryDirectory() as tmp:
-            pinned = run_case(name, Path(tmp))
+            pin = pinned(run_case(name, Path(tmp)))
         path = golden_path(name)
         old = path.read_text() if path.exists() else None
-        text = dumps(pinned)
+        text = dumps(pin)
         path.write_text(text)
         state = "unchanged" if old == text else ("new" if old is None else "changed")
-        print(f"{name}: {state} ({pinned['report']['status']}, "
-              f"{pinned['event_count']} events)")
+        print(f"{name}: {state} ({pin['report']['status']}, "
+              f"{pin['event_count']} events)")
     return 0
 
 

@@ -1,0 +1,70 @@
+"""Run-level invariants that every finished run must satisfy, whatever its status.
+
+``check_invariants(result)`` asserts them on a :class:`smosim.scenarios.RunResult`;
+``checked_run(config)`` runs a config and checks its result.
+"""
+
+from __future__ import annotations
+
+import math
+
+from smosim import run_scenario
+from smosim.config import ScenarioConfig, ScenarioKind
+from smosim.lifecycle import LEGAL_TRANSITIONS, LifecycleState
+from smosim.scenarios import RunResult
+
+# the origin of a model that was never refined; a refined version is "internal"
+_SCENARIO_ORIGIN = {(ScenarioKind.A, "import-model"): "external",
+                    (ScenarioKind.C, "share-models"): "aggregated"}
+_LEGAL = {(a.value, b.value) for a, b in LEGAL_TRANSITIONS}
+_REFINED = (LifecycleState.REFINING.value, LifecycleState.TRAINED.value)
+
+
+def check_invariants(result: RunResult) -> None:
+    entries = result.sim.log.entries
+    keys = [(e.tick, e.seq) for e in entries]
+    assert keys == sorted(keys), "events are not sorted by (tick, seq)"
+    completes = [i for i, e in enumerate(entries) if e.type == "run_complete"]
+    assert completes == [len(entries) - 1], \
+        f"run_complete at {completes} of {len(entries)} events"
+
+    for entry in result.registry.entries.values():
+        for step in entry.history:
+            assert tuple(step[1:]) in _LEGAL, f"{entry.model_id}: illegal step {step}"
+
+    delivered: dict[str, list[int]] = {}
+    for e in entries:
+        if e.type == "deliver":
+            cell = delivered.setdefault(e.interface, [0, 0])
+            cell[0] += e.bytes
+            cell[1] += 1
+    metered = {name: [m["bytes"], m["messages"]]
+               for name, m in result.sim.signaling_table().items() if m["messages"]}
+    assert delivered == metered, "delivered bytes in the log differ from the meters"
+
+    report = result.report
+    if report.status != "completed":
+        return
+    assert report.failure is None, f"completed run names failure {report.failure!r}"
+    config: ScenarioConfig = result.driver.config
+    scenario_origin = _SCENARIO_ORIGIN.get((config.kind, config.mode), "internal")
+    refined = any(tuple(step[1:]) == _REFINED
+                  for entry in result.registry.entries.values() for step in entry.history)
+    origins = {scenario_origin} | ({"internal"} if refined else set())
+    artifacts = [(f"registry {e.model_id}", e.artifact)
+                 for e in result.registry.entries.values()]
+    artifacts += [(f"target {cid}", t.artifact) for cid, t in result.driver.targets.items()
+                  if t.artifact is not None]
+    for where, artifact in artifacts:
+        assert all(math.isfinite(v) for v in artifact.parameters.to_list()), \
+            f"{where}: non-finite parameters"
+        assert artifact.origin in origins, \
+            f"{where}: origin {artifact.origin!r}, expected one of {sorted(origins)}"
+    if report.model is not None:
+        assert report.model["origin"] in origins
+
+
+def checked_run(config: ScenarioConfig) -> RunResult:
+    result = run_scenario(config)
+    check_invariants(result)
+    return result

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smosim import cli, run_scenario
+from smosim import cli, learn
 from smosim.config import (
     CollectionSpec,
     CostTable,
@@ -30,6 +30,7 @@ from smosim.learn import sample_random
 from smosim.topology import build_topology
 
 from conftest import scenario_b_dict
+from invariants import checked_run
 
 
 def _with(data: dict, path: tuple, value) -> dict:
@@ -236,7 +237,7 @@ def _at(data, path):
 def test_rich_base_config_is_valid():
     config = config_from_dict(_rich_b_dict())
     assert config.harness.failure.replicas[0].index == 1
-    assert run_scenario(config).report.failure is None
+    assert checked_run(config).report.failure is None
 
 
 @settings(max_examples=400, deadline=None)
@@ -371,3 +372,29 @@ class TestCli:
         assert cli.main(["run", "--config", self._config(tmp_path), "--seed", "5",
                          "--out", str(out)]) == 0
         assert json.loads((out / "report.json").read_text())["seed"] == 9
+
+    def test_run_writes_exploration_and_search_trials(self, tmp_path, monkeypatch):
+        monkeypatch.delenv("SMO_SIM_SEED", raising=False)
+        data = scenario_b_dict(n_per_source=60)
+        data["search"] = {"mode": "grid",
+                          "grid": {"learning_rate": [0.05, 0.1], "batch_size": [8, 16]}}
+        path = tmp_path / "search.json"
+        path.write_text(json.dumps(data))
+        out = tmp_path / "out"
+        assert cli.main(["run", "--config", str(path), "--out", str(out)]) == 0
+        driver = checked_run(config_from_dict(data)).driver
+
+        trials = (out / "search_trials.csv").read_text().splitlines()
+        assert trials[0].startswith("trial,learning_rate,epochs,batch_size,")
+        assert [row.split(",")[:4:3] for row in trials[1:]] == [
+            ["0", "8"], ["1", "16"], ["2", "8"], ["3", "16"]]
+        assert "\n".join(trials) + "\n" == learn.trials_to_csv(driver.search_result)
+        exploration = json.loads((out / "exploration.json").read_text())
+        assert exploration["feature_names"] == driver.transformed.feature_names
+        assert len(exploration["correlation"]) == len(exploration["feature_names"])
+        assert (out / "exploration.json").read_text() == driver.exploration.to_json() + "\n"
+
+        plain = tmp_path / "plain"
+        assert cli.main(["run", "--config", self._config(tmp_path), "--out", str(plain)]) == 0
+        assert (plain / "exploration.json").exists()
+        assert not (plain / "search_trials.csv").exists()

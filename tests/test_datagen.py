@@ -16,6 +16,7 @@ from smosim.errors import SchemaMismatch
 from smosim.topology import ComponentId, ComponentKind
 
 from conftest import batch_rows
+from invariants import checked_run
 
 MISSING = None
 
@@ -198,13 +199,12 @@ class TestEmission:
             build(data)
 
     def test_batch_requests_multiply(self):
-        from smosim.scenarios import run_scenario
         from conftest import build, scenario_b_dict
 
         data = scenario_b_dict(n_per_source=10)
         data["collection"] = {"window": 10, "requests": 3}
         data["monitor"] = {"rounds": 0}
-        result = run_scenario(build(data))
+        result = checked_run(build(data))
         assert result.driver.transformed is not None
         assert len(result.driver.transformed) == 60  # 2 sources x 3 requests x 10
 

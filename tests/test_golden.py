@@ -8,10 +8,12 @@ from __future__ import annotations
 
 import pytest
 
-from golden.cases import CASES, dumps, golden_path, run_case
+from golden.cases import CASES, dumps, golden_path, pinned, run_case
+from invariants import check_invariants
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
 def test_golden_run_matches_pin(name, tmp_path):
-    pinned = golden_path(name).read_text()
-    assert dumps(run_case(name, tmp_path)) == pinned
+    result = run_case(name, tmp_path)
+    check_invariants(result)
+    assert dumps(pinned(result)) == golden_path(name).read_text()

@@ -3,6 +3,8 @@
 from __future__ import annotations
 
 import dataclasses
+import hashlib
+import hmac
 import math
 
 import numpy as np
@@ -20,12 +22,14 @@ from smosim.harness import (
     poison_inject,
     privacy_transform,
     pseudonym,
+    pseudonyms,
     schedule,
     validation_filter,
 )
 from smosim.topology import ComponentId, ComponentKind
 
 from conftest import batch_rows, record_batch
+from invariants import checked_run
 
 SRC = ComponentId(ComponentKind.NSSMF, 0)
 
@@ -139,6 +143,14 @@ class TestPrivacy:
     def test_same_key_same_pseudonym(self):
         assert pseudonym("imsi-7", "k1") == pseudonym("imsi-7", "k1")
 
+    @pytest.mark.parametrize("key", ["k", "x" * 63, "y" * 64, "z" * 65, "ключ-" * 20])
+    def test_pseudonyms_equal_truncated_hmac_sha256(self, key):
+        values = ["imsi-7", "", "ünïcödé ☃", "𝄞", 42, "a" * 200]
+        expected = ["pid-" + hmac.new(key.encode(), str(v).encode(),
+                                      hashlib.sha256).hexdigest()[:16] for v in values]
+        assert pseudonyms(values, key) == expected
+        assert pseudonym("ünïcödé ☃", key) == expected[2]
+
     def test_distinct_keys_distinct_pseudonyms(self):
         vocab = [f"imsi-{i}" for i in range(64)]
         a = {pseudonym(v, "key-a") for v in vocab}
@@ -248,11 +260,10 @@ class TestScheduler:
 class TestSignalingReport:
     def test_table_matches_meters_and_log(self):
         from smosim.harness import signaling_report
-        from smosim.scenarios import run_scenario
         from smosim.topology import total_delivered_bytes
         from conftest import build, scenario_b_dict
 
-        result = run_scenario(build(scenario_b_dict(n_per_source=50)))
+        result = checked_run(build(scenario_b_dict(n_per_source=50)))
         report = signaling_report(result.sim)
         table_total = sum(e["bytes"] for e in report["interfaces"].values())
         assert table_total == total_delivered_bytes(result.sim.log)
@@ -261,10 +272,9 @@ class TestSignalingReport:
 
     def test_raw_to_artifact_ratio(self):
         from smosim.harness import signaling_report
-        from smosim.scenarios import run_scenario
         from conftest import build, scenario_b_dict
 
-        result = run_scenario(build(scenario_b_dict(n_per_source=50)))
+        result = checked_run(build(scenario_b_dict(n_per_source=50)))
         report = signaling_report(result.sim)
         assert report["raw_to_artifact_ratio"] == pytest.approx(
             report["raw_data_bytes"] / report["model_artifact_bytes"])

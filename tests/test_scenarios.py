@@ -8,7 +8,7 @@ import dataclasses
 import numpy as np
 import pytest
 
-from smosim import aggregate, config_from_dict, run_scenario
+from smosim import aggregate, config_from_dict
 from smosim import datagen
 from smosim.config import ModelKind
 from smosim.errors import (
@@ -25,6 +25,7 @@ from smosim.topology import ComponentId, ComponentKind, PayloadKind
 
 from conftest import build, numeric_feature, scenario_b_dict, source
 from golden.cases import a_import_model
+from invariants import checked_run
 
 TERMINATION_IFACES = ("NSSMF_NonRTRIC", "NFVO_NonRTRIC")
 
@@ -102,7 +103,7 @@ class TestAggregate:
 
 class TestScenarioB:
     def test_learnable_data_beats_mean_baseline(self):
-        result = run_scenario(build(scenario_b_dict(n_per_source=150, sigma=0.02)))
+        result = checked_run(build(scenario_b_dict(n_per_source=150, sigma=0.02)))
         report = result.report
         assert report.status == "completed"
         assert report.model["test_mse"] < report.model["baseline_test_mse"]
@@ -110,7 +111,7 @@ class TestScenarioB:
     def test_rawdata_message_count_is_sources_times_batches(self):
         data = scenario_b_dict(n_per_source=20)
         data["collection"] = {"window": 10, "requests": 3}
-        result = run_scenario(build(data))
+        result = checked_run(build(data))
         raw_delivers = [
             e for e in result.sim.log.entries
             if e.type == "deliver" and e.payload_kind == "RawData"
@@ -130,7 +131,7 @@ class TestScenarioB:
         data = scenario_b_dict(n_per_source=10)
         data["sources"][0]["emission"] = {"mode": "streaming", "size": 10, "interval": 5}
         data["collection"] = {"window": 20, "requests": 1}
-        result = run_scenario(build(data))
+        result = checked_run(build(data))
         streamed = [
             e for e in result.sim.log.entries
             if e.type == "send" and e.payload_kind == "RawData"
@@ -155,8 +156,8 @@ class TestScenarioB:
         return datagen.RecordBatch.concat(result.driver._inbox[owner])
 
     def test_streams_of_different_sources_are_independent(self):
-        ours = self._streamed(run_scenario(build(self._two_streams(4))), "NFMF#0")
-        other = self._streamed(run_scenario(build(self._two_streams(9))), "NFMF#0")
+        ours = self._streamed(checked_run(build(self._two_streams(4))), "NFMF#0")
+        other = self._streamed(checked_run(build(self._two_streams(9))), "NFMF#0")
         assert len(ours) == len(other) == 15 * 5
         for name, col in ours.columns.items():
             np.testing.assert_array_equal(col, other.columns[name])
@@ -165,7 +166,7 @@ class TestScenarioB:
 
     def test_a_streaming_collection_draws_from_one_generator(self):
         config = build(self._two_streams(4))
-        result = run_scenario(config)
+        result = checked_run(config)
         streamed = self._streamed(result, "NFMF#0")
         spec = config.sources[0]
         rng = datagen.derive_rng(config.seed, "stream", "NFMF", 0, 1)
@@ -243,7 +244,7 @@ class TestScenarioB:
         data["sources"] = data["sources"][:1]
         config = build(data)
         config.topology = dataclasses.replace(config.topology, vnfm=1)
-        result = run_scenario(config)
+        result = checked_run(config)
         assert result.report.status == "failed"
         assert result.report.failure == "UndeclaredRoute: VNFM declared without an NFVO"
         assert result.report.event_count == 1  # run_complete
@@ -260,7 +261,7 @@ class TestScenarioB:
         assert len(driver.transformed) == 40
 
     def test_report_signaling_equals_topology_meters(self):
-        result = run_scenario(build(scenario_b_dict(n_per_source=30)))
+        result = checked_run(build(scenario_b_dict(n_per_source=30)))
         for name, entry in result.report.signaling["interfaces"].items():
             meter = result.sim.meter(name)
             assert entry["bytes"] == meter["bytes"]
@@ -273,7 +274,7 @@ class TestScenarioB:
         data["deploy"] = {"targets": ["NFMF#1"]}
         data["monitor"] = {"rounds": 2, "batch": 10, "interval": 8,
                            "min_samples": 10, "drift_factor": 4.0}
-        result = run_scenario(build(data))
+        result = checked_run(build(data))
         assert result.report.status == "completed"
         deploy_tick = next(e.tick for e in result.sim.log.entries
                            if e.type == "deployment_complete")
@@ -317,7 +318,7 @@ class TestScenarioAImportModel:
         })
 
     def test_valid_artifact_deployed_with_external_origin(self, tmp_path):
-        result = run_scenario(self._config(tmp_path, [2.0], 0.0))
+        result = checked_run(self._config(tmp_path, [2.0], 0.0))
         report = result.report
         assert report.status == "completed"
         assert not report.artifact_rejected
@@ -335,7 +336,7 @@ class TestScenarioAImportModel:
                                  "heartbeat_interval": 2, "missed_to_declare": 2,
                                  "replicas": ["AimlFunction#1"],
                                  "checkpoint_interval": 4}})
-        result = run_scenario(config)
+        result = checked_run(config)
         report = result.report
         restore = [e for e in result.sim.log.of_type("mitigation")
                    if e.detail["mechanism"] == "failover_restore"]
@@ -352,7 +353,7 @@ class TestScenarioAImportModel:
         assert 0.0 < entry.artifact.metrics.mse <= 0.05
 
     def test_failing_artifact_rejected_without_deployment(self, tmp_path):
-        result = run_scenario(self._config(tmp_path, [0.0], 5.0))
+        result = checked_run(self._config(tmp_path, [0.0], 5.0))
         report = result.report
         assert report.status == "completed"
         assert report.artifact_rejected
@@ -364,7 +365,7 @@ class TestScenarioAImportModel:
         config = self._config(tmp_path, [2.0], 0.0)
         (tmp_path / "artifact.json").unlink()
         with pytest.raises(FileNotFoundError):
-            run_scenario(config)
+            checked_run(config)
 
 
 class TestScenarioAImportData:
@@ -375,7 +376,7 @@ class TestScenarioAImportData:
         b_data["monitor"] = {"rounds": 0}
         b_data["search"] = {"mode": "grid",
                             "grid": {"learning_rate": [0.05, 0.1], "epochs": [15]}}
-        b_result = run_scenario(build(b_data))
+        b_result = checked_run(build(b_data))
         csv_path = tmp_path / "cleansed.csv"
         csv_path.write_text(transformed_to_csv(b_result.driver.transformed))
 
@@ -389,7 +390,7 @@ class TestScenarioAImportData:
             "deploy": {"targets": ["MdaSystem3GPP#0"]},
             "external": {"data_path": str(csv_path)},
         }
-        a_result = run_scenario(build(a_data))
+        a_result = checked_run(build(a_data))
         pa = a_result.registry.entries["m0"].artifact.parameters
         pb = b_result.registry.entries["m0"].artifact.parameters
         assert np.array_equal(pa.weights, pb.weights)
@@ -430,7 +431,7 @@ class TestScenarioC:
             run_scenario_c(config)
 
     def test_share_models_moves_no_raw_data(self):
-        result = run_scenario(build(_scenario_c_dict("share-models")))
+        result = checked_run(build(_scenario_c_dict("share-models")))
         assert result.report.status == "completed"
         for iface in TERMINATION_IFACES:
             by_kind = result.report.signaling["interfaces"][iface]["by_kind"]
@@ -439,7 +440,7 @@ class TestScenarioC:
             assert set(by_kind) <= {"ModelArtifact", "Report", "Control", "Heartbeat"}
 
     def test_share_models_converges_near_pooled_oracle(self):
-        result = run_scenario(build(_scenario_c_dict("share-models")))
+        result = checked_run(build(_scenario_c_dict("share-models")))
         driver = result.driver
         # pooled closed-form oracle over both domains' local training splits
         X = np.vstack([d.split.train.X for d in
@@ -457,7 +458,7 @@ class TestScenarioC:
         assert global_mse <= 2.0 * oracle_mse
 
     def test_share_data_trains_centrally_on_cleansed_union(self):
-        result = run_scenario(build(_scenario_c_dict("share-data", rounds=1, size=100)))
+        result = checked_run(build(_scenario_c_dict("share-data", rounds=1, size=100)))
         assert result.report.status == "completed"
         cleansed = [e for e in result.sim.log.entries
                     if e.type == "deliver" and e.payload_kind == "CleansedData"
@@ -470,7 +471,7 @@ class TestScenarioC:
 
     def test_domain_model_messages_per_round(self):
         rounds = 3
-        result = run_scenario(build(_scenario_c_dict("share-models", rounds=rounds)))
+        result = checked_run(build(_scenario_c_dict("share-models", rounds=rounds)))
         ups = [e for e in result.sim.log.entries
                if e.type == "deliver" and e.payload_kind == "ModelArtifact"
                and e.interface in TERMINATION_IFACES
@@ -507,7 +508,7 @@ class TestMonitoringAndRefinement:
         return build(data)
 
     def test_drift_triggers_refinement_and_recovers(self):
-        result = run_scenario(self._drift_config())
+        result = checked_run(self._drift_config())
         report = result.report
         assert report.status == "completed"
         assert report.refinements >= 1
@@ -535,7 +536,7 @@ class TestMonitoringAndRefinement:
         assert report.time_to_resolution >= report.time_to_detection
 
     def test_refinement_budget_exhaustion_retires_model(self):
-        result = run_scenario(self._drift_config(max_refinements=0))
+        result = checked_run(self._drift_config(max_refinements=0))
         report = result.report
         entry = result.registry.entries["m0"]
         assert entry.state.value == "Retired"
@@ -550,7 +551,7 @@ class TestMonitoringAndRefinement:
         nfvo["schema"] = copy.deepcopy(nfvo["schema"])
         nfvo["schema"][0]["name"] = "cpu_util"
         nfvo["rename"] = {"cpu_util": "cpu"}
-        result = run_scenario(build(data))
+        result = checked_run(build(data))
         assert result.report.status == "completed" and result.report.failure is None
         reports = result.sim.log.of_type("report_ingested")
         assert sorted(e.detail["target"] for e in reports) == [
@@ -560,7 +561,7 @@ class TestMonitoringAndRefinement:
     def test_diverging_sgd_fails_with_non_finite_update(self, learning_rate):
         # past the stability limit the initial training grows the parameters
         # to ~7e51 (lr 0.9) or ~4e237 (lr 1.5) without ever overflowing
-        result = run_scenario(self._drift_config(learning_rate=learning_rate))
+        result = checked_run(self._drift_config(learning_rate=learning_rate))
         report = result.report
         assert report.status == "failed"
         assert report.failure.startswith("NonFiniteUpdate")
@@ -571,7 +572,7 @@ class TestMonitoringAndRefinement:
     def test_stump_refinement_refits_a_stump(self, refit):
         from smosim.learn import StumpParams
 
-        result = run_scenario(self._drift_config(refit=refit, kind="DecisionStump"))
+        result = checked_run(self._drift_config(refit=refit, kind="DecisionStump"))
         report = result.report
         assert report.status == "completed" and report.failure is None
         assert report.refinements >= 1
@@ -592,7 +593,7 @@ class TestMonitoringAndRefinement:
             return out
 
         monkeypatch.setattr(learn, "fit", spy)
-        result = run_scenario(self._drift_config(refit=refit, kind="RidgeClosedForm",
+        result = checked_run(self._drift_config(refit=refit, kind="RidgeClosedForm",
                                                  max_refinements=1))
         assert result.report.refinements == 1
         assert len(calls) == 2  # the initial training, then the refinement
@@ -608,7 +609,7 @@ class TestMonitoringAndRefinement:
 
 class TestTickLimit:
     def test_run_past_max_ticks_fails_with_named_error(self):
-        result = run_scenario(build(scenario_b_dict(max_ticks=50)))
+        result = checked_run(build(scenario_b_dict(max_ticks=50)))
         report = result.report
         assert report.status == "failed"
         assert report.failure.startswith("TickLimitExceeded")
@@ -639,7 +640,7 @@ class TestFailover:
         return build(data)
 
     def test_promotion_follows_heartbeat_schedule(self):
-        result = run_scenario(self._config(["AimlFunction#1"]))
+        result = checked_run(self._config(["AimlFunction#1"]))
         report = result.report
         assert report.status == "completed"
         assert report.downtime_ticks == 4  # fail at 10, beats at 12/14 missed
@@ -650,7 +651,7 @@ class TestFailover:
     @pytest.mark.parametrize("fail_tick, downtime", [(0, 4), (1, 3)])
     def test_primary_dying_before_its_first_beat_is_declared_dead(self, fail_tick, downtime):
         # no beat ever arrives: the checks expected at 2 and 4 both miss
-        result = run_scenario(self._config(["AimlFunction#1"], fail_tick=fail_tick))
+        result = checked_run(self._config(["AimlFunction#1"], fail_tick=fail_tick))
         report = result.report
         assert report.status == "completed"
         assert result.sim.log.of_type("promotion")[0].tick == 4
@@ -665,21 +666,21 @@ class TestFailover:
         data["harness"] = {"failure": {
             "target": "AimlFunction#0", "fail_tick": 0, "heartbeat_interval": 2,
             "missed_to_declare": 2, "replicas": ["AimlFunction#1"]}}
-        result = run_scenario(build(data))
+        result = checked_run(build(data))
         report = result.report
         assert report.status == "completed" and report.failure is None
         assert report.faults[0].detection_tick == 4 and report.downtime_ticks == 4
         assert report.model is not None and report.model["origin"] == "external"
 
     def test_restored_registry_equals_last_checkpoint(self):
-        result = run_scenario(self._config(["AimlFunction#1"]))
+        result = checked_run(self._config(["AimlFunction#1"]))
         driver = result.driver
         assert driver.last_checkpoint_at_promotion is not None
         assert driver.restored_registry_snapshot == \
             driver.last_checkpoint_at_promotion["registry"]
 
     def test_no_replica_is_single_point_failure(self):
-        result = run_scenario(self._config([]))
+        result = checked_run(self._config([]))
         report = result.report
         assert report.status == "failed"
         assert "SinglePointFailure" in report.failure
@@ -690,7 +691,7 @@ class TestFailover:
 
     def test_unaligned_fail_tick_schedule(self):
         # fail at 11: last beat 10, misses expected at 12 and 14
-        result = run_scenario(self._config(["AimlFunction#1"], fail_tick=11))
+        result = checked_run(self._config(["AimlFunction#1"], fail_tick=11))
         promo = result.sim.log.of_type("promotion")[0]
         assert promo.tick == 14
         assert result.report.downtime_ticks == 3
@@ -701,7 +702,7 @@ class TestFailover:
         monitor = {"rounds": 5, "interval": 10, "batch": 20}
         # dry run without failure to find the monitoring phase window
         base = self._config(["AimlFunction#1"], fail_tick=10 ** 6, monitor=monitor)
-        probe = run_scenario(base)
+        probe = checked_run(base)
         assert not probe.report.faults
         dep_tick = next(e.tick for e in probe.sim.log.entries
                         if e.type == "deployment_complete")
@@ -710,7 +711,7 @@ class TestFailover:
         fail_tick = dep_tick + 6
         assert fail_tick < end_tick
         late = self._config(["AimlFunction#1"], fail_tick=fail_tick, monitor=monitor)
-        result = run_scenario(late)
+        result = checked_run(late)
         report = result.report
         assert report.status == "completed"
         driver = result.driver

@@ -3,8 +3,12 @@
 from __future__ import annotations
 
 import dataclasses
+import json
+import math
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smosim.config import LinkSpec, config_from_dict
 from smosim.errors import (
@@ -16,6 +20,8 @@ from smosim.errors import (
 from smosim.topology import (
     ComponentId,
     ComponentKind,
+    Event,
+    EventLog,
     InterfaceName,
     InterfaceSpec,
     PayloadKind,
@@ -26,6 +32,7 @@ from smosim.topology import (
 )
 
 from conftest import scenario_b_dict
+from invariants import checked_run
 
 
 def _minimal_config(**topology):
@@ -238,38 +245,34 @@ class TestMeterContract:
 
 class TestDeterminism:
     def test_identical_runs_produce_identical_logs(self):
-        from smosim.scenarios import run_scenario
 
         config_a = config_from_dict(scenario_b_dict(n_per_source=60))
         config_b = config_from_dict(scenario_b_dict(n_per_source=60))
-        log_a = run_scenario(config_a).sim.log.to_jsonl()
-        log_b = run_scenario(config_b).sim.log.to_jsonl()
+        log_a = checked_run(config_a).sim.log.to_jsonl()
+        log_b = checked_run(config_b).sim.log.to_jsonl()
         assert log_a == log_b
 
     def test_log_order_respects_tick_then_seq(self):
-        from smosim.scenarios import run_scenario
 
         config = config_from_dict(scenario_b_dict(n_per_source=60))
-        log = run_scenario(config).sim.log.entries
+        log = checked_run(config).sim.log.entries
         keys = [(e.tick, e.seq) for e in log]
         assert keys == sorted(keys)
 
     def test_causality_deliver_not_before_send(self):
-        from smosim.scenarios import run_scenario
 
         config = config_from_dict(scenario_b_dict(n_per_source=60))
-        log = run_scenario(config).sim.log.entries
+        log = checked_run(config).sim.log.entries
         sends = {e.detail["msg_id"]: e.tick for e in log if e.type == "send"}
         for e in log:
             if e.type == "deliver":
                 assert e.tick >= sends[e.detail["msg_id"]]
 
     def test_routing_soundness_all_messages_on_allowed_pairs(self):
-        from smosim.scenarios import run_scenario
         from smosim.topology import allowed_on
 
         config = config_from_dict(scenario_b_dict(n_per_source=60))
-        log = run_scenario(config).sim.log.entries
+        log = checked_run(config).sim.log.entries
         seen = 0
         for e in log:
             if e.type in ("send", "deliver"):
@@ -319,3 +322,65 @@ class TestComponentId:
         assert str(b) == "NFMF#4" and hash(b) == hash((ComponentKind.NFMF, 4))
         with pytest.raises(dataclasses.FrozenInstanceError):
             a.index = 5  # type: ignore[misc]
+
+
+def _reference_line(e: Event) -> str:
+    return json.dumps({"tick": e.tick, "seq": e.seq, "event_type": e.type, "src": e.src,
+                       "dst": e.dst, "interface": e.interface,
+                       "payload_kind": e.payload_kind, "bytes": e.bytes,
+                       "detail": e.detail}, separators=(",", ":"))
+
+
+_ints = st.one_of(st.integers(min_value=0, max_value=1 << 40),
+                  st.integers(min_value=(1 << 63) - 2, max_value=1 << 80),
+                  st.integers(max_value=-1))
+_texts = st.one_of(
+    st.none(), st.text(max_size=12),
+    st.sampled_from(['say "hi"', "back\\slash\\", "ctl\x00\x1f\x7f\n\t", "ünï©ødé ☃ 𝄞",
+                     "NSSMF#0", "", "msg_id"]))
+_leaves = st.one_of(st.none(), st.booleans(), _ints, st.floats(), _texts)
+_json_values = st.recursive(
+    _leaves, lambda inner: st.one_of(st.lists(inner, max_size=3),
+                                     st.dictionaries(st.text(max_size=4), inner, max_size=3)),
+    max_leaves=8)
+_details = st.one_of(
+    st.sampled_from([{"msg_id": True}, {"msg_id": False}, {"msg_id": 1.0},
+                     {"msg_id": 2 ** 70}, {"msg_id": -3}, {"msg_id": None}, {},
+                     {"msg_id": float("nan")}, {"msg_id": [1, {"x": math.inf}]},
+                     {"status": "completed"}, {"msg_id": 4, "extra": 1}, {"window": [3, 9]}]),
+    st.builds(lambda v: {"msg_id": v}, _ints),
+    st.dictionaries(st.text(max_size=8), _json_values, max_size=4),
+)
+_events = st.builds(Event, tick=_ints, seq=_ints, type=st.text(max_size=12), src=_texts,
+                    dst=_texts, interface=_texts, payload_kind=_texts, bytes=_ints,
+                    detail=_details)
+
+
+class TestEventRendering:
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(_events, max_size=4))
+    def test_lines_equal_json_dumps_of_the_nine_keys(self, events):
+        lines = [e.to_json() for e in events]
+        assert lines == [_reference_line(e) for e in events]
+        log = EventLog()
+        for e in events:
+            log.append(e)
+        assert log.to_jsonl() == "".join(line + "\n" for line in lines)
+
+    def test_simulation_events_render_like_json_dumps(self):
+        sim = _bare_sim(latency=2, overhead=24)
+        a = ComponentId(ComponentKind.NSSMF, 0)
+        b = ComponentId(ComponentKind.NSSMF_TERMINATION, 0)
+        sim.send(a, b, PayloadKind.RAW_DATA, 10)
+        sim.log_event("custom", src=a, detail={"note": "héllo", "x": [1.5, math.nan]})
+        sim.run_until(5)
+        sim.fail_component(b, 5)
+        sim.send(a, b, PayloadKind.REPORT, 2)
+        sim.run_until(10)
+        assert [e.type for e in sim.log.entries] == [
+            "send", "custom", "deliver", "send", "component_down"]
+        assert sim.log.to_jsonl() == "".join(
+            _reference_line(e) + "\n" for e in sim.log.entries)
+        first = sim.log.entries[0]
+        assert (first.src, first.dst, first.interface, first.payload_kind, first.bytes) == (
+            "NSSMF#0", "NssmfTermination#0", "NSSMF_NonRTRIC", "RawData", 34)
