@@ -19,9 +19,6 @@ from .scenarios import (
     RunResult,
     aggregate,
     run_scenario,
-    run_scenario_a,
-    run_scenario_b,
-    run_scenario_c,
 )
 from .topology import (
     ComponentId,
@@ -59,7 +56,4 @@ __all__ = [
     "config_from_dict",
     "load_config",
     "run_scenario",
-    "run_scenario_a",
-    "run_scenario_b",
-    "run_scenario_c",
 ]

@@ -166,9 +166,6 @@ class ScheduleResult:
     jobs: dict[str, JobOutcome]
     total_allocated: dict[str, int] = field(default_factory=dict)
 
-    def delay_of(self, name: str) -> int:
-        return self.jobs[name].delay
-
 
 def schedule(spec: SchedulerSpec, horizon: int | None = None) -> ScheduleResult:
     """Strict-priority allocation with round-robin inside equal priority.

@@ -1,19 +1,27 @@
 """End-to-end orchestration of the three integration scenarios.
 
 A :class:`Driver` owns one run: it wires source/termination/target behaviors
-into the event loop, walks the workflow phases (collect, preprocess, train,
-deploy, monitor, refine), reacts to injected faults, and assembles the final
-RunReport. Scenario C adds synchronous rounds of local training and weighted
-parameter aggregation.
+into the event loop and walks the workflow :class:`Phase` by phase, from
+``idle`` through ``collect`` (and preprocessing) or ``collect_validation`` of an
+imported model, ``train``, ``deploy``, ``monitor`` and ``refine`` to ``done``.
+Scenario C share-models runs ``federated`` rounds of local training and
+weighted parameter aggregation instead. A replica promoted after a failover
+resumes the failed primary's phase through one table, ``Driver.RESUME``. A
+failing step raises a named :class:`SimulationError`, and ``Driver.run``
+writes it into the final RunReport.
 """
 
 from __future__ import annotations
 
+import hashlib
+import json
 import math
 from collections import deque
 from dataclasses import asdict, dataclass, field, replace
+from enum import Enum
 from functools import partial
-from typing import Any
+from pathlib import Path
+from typing import Any, Callable
 
 import numpy as np
 
@@ -25,13 +33,17 @@ from .config import (
     ScenarioKind,
     SizeTable,
     SourceSpec,
+    model_feature_names,
 )
 from .errors import (
+    CollectionTimeout,
     InsufficientDomains,
     InvalidArtifact,
     NoDataSources,
+    RefinementBudgetExhausted,
     SchemaMismatch,
     SimulationError,
+    SinglePointFailure,
     UnsupportedKind,
 )
 from .lifecycle import (
@@ -55,6 +67,20 @@ MODEL_ID = "m0"
 
 _NSSMF_DOMAIN = {ComponentKind.NSSMF, ComponentKind.NFMF, ComponentKind.MDA_SYSTEM_3GPP}
 _NFVO_DOMAIN = {ComponentKind.NFVO, ComponentKind.MDA_SYSTEM_NFV}
+
+
+class Phase(str, Enum):
+    """The workflow stage the active AI/ML function is in; checkpoints carry it."""
+
+    IDLE = "idle"
+    COLLECT = "collect"
+    COLLECT_VALIDATION = "collect_validation"
+    TRAIN = "train"
+    DEPLOY = "deploy"
+    MONITOR = "monitor"
+    REFINE = "refine"
+    FEDERATED = "federated"
+    DONE = "done"
 
 
 # -- federated aggregation (pure) ------------------------------------------------------
@@ -350,17 +376,8 @@ class _DomainBehavior:
         return self.split
 
     def handle(self, sim: Simulation, msg: InterfaceMessage) -> None:
-        driver = self.driver
         if msg.payload_kind is PayloadKind.CONTROL and msg.meta.get("action") == "train_round":
             self._train_round(int(msg.meta["round"]))
-        elif msg.payload_kind is PayloadKind.CONTROL and msg.meta.get("action") == "collect_cleansed":
-            records = driver.local_cleansed_records(self.spec)
-            bytes_ = driver.sizes.data_bytes(len(records))
-            privacy = driver.config.harness.privacy
-            if privacy:
-                bytes_ = harness.inflate_bytes(bytes_, privacy.inflation)
-            driver.route_send(self.cid, msg.meta["reply_to"], PayloadKind.CLEANSED_DATA,
-                              bytes_, payload=records, meta={"source": str(self.cid)})
         elif msg.payload_kind is PayloadKind.MODEL_ARTIFACT:
             artifact: ModelArtifact = msg.payload
             self.params = artifact.parameters.copy()
@@ -482,7 +499,7 @@ class Driver:
         self.derived = tuple(config.pipeline.derived)
         self.active_aiml = ComponentId(ComponentKind.AIML_FUNCTION, 0)
         self._hops: dict[tuple[ComponentId, ComponentId], ComponentId] = {}
-        self.phase = "idle"
+        self.phase = Phase.IDLE
         self.plan = config.harness.failure
 
         # run products, exposed for tests and reporting
@@ -493,7 +510,6 @@ class Driver:
         self.monitor: MonitorWindow | None = None
         # the fewest recent report batches that hold the last monitor.window samples
         self._monitor_batches: deque[datagen.RecordBatch] = deque()
-        self.checkpoints: list[dict[str, Any]] = []
         self.restored_registry_snapshot: dict[str, Any] | None = None
         self.last_checkpoint_at_promotion: dict[str, Any] | None = None
 
@@ -627,54 +643,64 @@ class Driver:
             self._start()
             self.sim.run_to_completion(self.config.max_ticks)
         except SimulationError as exc:
+            # the only writer of a failure: every failing step raises a named error
             self.report.status = "failed"
-            self.report.failure = f"{type(exc).__name__}: {exc}"
+            name = type(exc).__name__
+            self.report.failure = f"{name}: {exc}" if str(exc) else name
         self._finalize()
         return RunResult(report=self.report, driver=self)
 
     def _start(self) -> None:
+        cfg = self.config
+        if not cfg.sources and (cfg.kind is ScenarioKind.B or cfg.mode == "import-model"):
+            raise NoDataSources(f"{cfg.mode or 'scenario B'} needs at least one data source")
+        if cfg.kind is ScenarioKind.C and len({s.owner for s in cfg.sources}) < 2:
+            raise InsufficientDomains(f"{cfg.mode} needs >= 2 domains")
         if self.plan is not None:
             self._start_failover_machinery()
-        kind = self.config.kind
-        if kind is ScenarioKind.B:
-            if not self.config.sources:
-                raise NoDataSources("scenario B needs at least one source")
-            self._start_collection()
-        elif kind is ScenarioKind.A:
-            self._start_scenario_a()
+        if cfg.mode == "import-model":
+            self._start_import()
+        elif cfg.mode == "import-data":
+            self._train_external()
+        elif cfg.mode == "share-models":
+            self.phase = Phase.FEDERATED
+            self._request_round(1)
         else:
-            self._start_scenario_c()
+            self._start_collection(Phase.COLLECT)
 
     # -- scenario A ------------------------------------------------------------------------------
 
-    def _start_scenario_a(self) -> None:
-        ext = self.config.external
-        assert ext is not None
-        if self.config.mode == "import-model":
-            artifact = load_artifact(ext.artifact_path)  # FileNotFoundError if absent
-            artifact.origin = "external"
-            self._pending_import = artifact
-            provider = ComponentId(ComponentKind.EXTERNAL_PROVIDER, 0)
-            inflation = self.config.deploy.package_inflation if artifact.packaged else 1.0
-            self.phase = "import"
-            self.sim.schedule(self.sim.clock, lambda: self.route_send(
-                provider, self.active_aiml, PayloadKind.MODEL_ARTIFACT,
-                self.sizes.artifact_bytes(artifact.param_count, inflation),
-                payload=artifact, meta={"import": True}))
-            # local validation data arrives through the normal collection path
-            self._start_collection(purpose="validation")
+    def _start_import(self) -> None:
+        artifact = load_artifact(self.config.external.artifact_path)  # FileNotFoundError if absent
+        artifact.origin = "external"
+        self._pending_import = artifact
+        provider = ComponentId(ComponentKind.EXTERNAL_PROVIDER, 0)
+        inflation = self.config.deploy.package_inflation if artifact.packaged else 1.0
+        self.sim.schedule(self.sim.clock, lambda: self.route_send(
+            provider, self.active_aiml, PayloadKind.MODEL_ARTIFACT,
+            self.sizes.artifact_bytes(artifact.param_count, inflation), payload=artifact))
+        # local validation data arrives through the normal collection path
+        self._start_collection(Phase.COLLECT_VALIDATION)
+
+    def _train_external(self) -> None:
+        text = _read_external_csv(self.config.external.data_path)
+        td = pipeline.transformed_from_csv(
+            text, pipeline.Provenance(("external",), (0, 0), self.report.config_hash))
+        self.transformed = td
+        self.phase = Phase.TRAIN
+        self._train_on(td, origin="internal")
+
+    def _retrain(self) -> None:
+        """Train afresh: on the external CSV in import-data, on a new collection otherwise."""
+        if self.config.mode == "import-data":
+            self._train_external()
         else:
-            text = _read_external_csv(ext.data_path)
-            td = pipeline.transformed_from_csv(
-                text, pipeline.Provenance(("external",), (0, 0), self.report.config_hash))
-            self.transformed = td
-            self.phase = "train"
-            self._train_on(td, origin="internal")
+            self._start_collection(Phase.COLLECT)
 
     # -- collection --------------------------------------------------------------------------------
 
-    def _start_collection(self, purpose: str = "train") -> None:
-        self.phase = "collect" if purpose == "train" else "collect_validation"
+    def _start_collection(self, phase: Phase) -> None:
+        self.phase = phase
         self.collection_round += 1
         self._inbox = {}
         start = self.sim.clock
@@ -683,7 +709,7 @@ class Driver:
         action = "collect_cleansed" if share_data else "collect"
         for spec in self.config.sources:
             if spec.emission.mode == "batch":
-                requests = 1 if purpose == "validation" else self.config.collection.requests
+                requests = self.config.collection.requests if phase is Phase.COLLECT else 1
                 for _ in range(requests):
                     self.route_send(self.active_aiml, spec.owner, PayloadKind.CONTROL,
                                     self.sizes.control_bytes, payload=None,
@@ -693,25 +719,23 @@ class Driver:
                 behavior.start_streaming(start, window, lambda: self.active_aiml)
         deadline = start + window
         self.schedule_owned(deadline, self.active_aiml,
-                            lambda: self._end_collection(start, deadline, purpose))
+                            lambda: self._end_collection(start, deadline, phase))
 
     def _aiml_handle(self, sim: Simulation, msg: InterfaceMessage) -> None:
         if msg.payload_kind in (PayloadKind.RAW_DATA, PayloadKind.CLEANSED_DATA):
             source = msg.meta.get("source", str(msg.src))
             self._inbox.setdefault(source, []).append(msg.payload)
         elif msg.payload_kind is PayloadKind.MODEL_ARTIFACT:
-            payload = msg.payload
-            if isinstance(payload, DomainModel):
-                self._on_domain_model(payload)
-            elif msg.meta.get("import"):
-                pass  # validated once local data is ready
+            # an imported artifact is validated once local data is ready
+            if isinstance(msg.payload, DomainModel):
+                self._on_domain_model(msg.payload)
         elif msg.payload_kind is PayloadKind.REPORT:
             if msg.meta.get("kind") == "domain_eval":
                 self._on_domain_eval(msg.payload)
             else:
                 self._on_monitor_report(msg.payload)
 
-    def _end_collection(self, start: int, deadline: int, purpose: str) -> None:
+    def _end_collection(self, start: int, deadline: int, phase: Phase) -> None:
         incomplete = False
         expected = [s.owner for s in self.config.sources]
         for owner in expected:
@@ -722,15 +746,12 @@ class Driver:
         parts = [b for owner in expected for b in self._inbox.get(str(owner), [])]
         records = datagen.RecordBatch.concat(parts) if parts else None
         if not records:
-            self.report.status = "failed"
-            self.report.failure = "EmptyCollection: no source delivered any data"
-            self._finish()
-            return
+            raise CollectionTimeout(f"no source delivered any data in [{start}, {deadline}]")
         provenance = pipeline.Provenance(
             tuple(sorted(str(o) for o in expected)), (start, deadline),
             self.report.config_hash)
         raw = pipeline.Dataset(pipeline.Stage.RAW, records, provenance, partial=incomplete)
-        if purpose == "validation":
+        if phase is Phase.COLLECT_VALIDATION:
             self._validate_import(raw)
         else:
             self._preprocess_and_train(raw)
@@ -762,7 +783,7 @@ class Driver:
         td = pipeline.transform(formatted, cfg.pipeline.scaling, self.derived)
         self.transformed = td
         self.exploration = pipeline.explore(td) if len(td) >= 2 else None
-        self.phase = "train"
+        self.phase = Phase.TRAIN
         self._train_on(td, origin="internal")
 
     def _train_on(self, td: pipeline.TransformedDataset, origin: str) -> None:
@@ -810,10 +831,8 @@ class Driver:
         sched = self.config.harness.scheduler
         if sched is None or ticks == 0:
             return ticks
-        from dataclasses import replace as _replace
-
-        spec = _replace(sched, classes=tuple(
-            jc if jc.work is not None else _replace(jc, work=ticks)
+        spec = replace(sched, classes=tuple(
+            jc if jc.work is not None else replace(jc, work=ticks)
             for jc in sched.classes))
         result = harness.schedule(spec)
         open_jobs = [jc.name for jc in sched.classes if jc.work is None]
@@ -871,7 +890,7 @@ class Driver:
 
     def _deploy(self, entry) -> None:
         cfg = self.config
-        self.phase = "deploy"
+        self.phase = Phase.DEPLOY
         targets = cfg.deploy.targets
         version = entry.version
         self._expected_artifacts.setdefault(version, set())
@@ -902,36 +921,43 @@ class Driver:
             return
         pending.discard(str(target))
         if not pending:
+            del self._expected_artifacts[version]  # a second copy completes nothing
             self._deployment_complete(version)
 
     def _deployment_complete(self, version: int) -> None:
         self.sim.log_event("deployment_complete", src=self.active_aiml,
                            detail={"model": MODEL_ID, "version": version})
         entry = self.registry.entries.get(MODEL_ID)
-        if self._pending_resolution is not None:
-            self._pending_resolution.resolution_tick = self.sim.clock
-            self._pending_resolution = None
+        self._resolve_failover()
         if self._drift_fault is not None and self._drift_fault.resolution_tick is None \
                 and version > 1:
             self._drift_fault.resolution_tick = self.sim.clock
         if self.config.monitor.rounds > 0 and entry is not None \
                 and self.config.deploy.targets:
-            if entry.state is LifecycleState.DEPLOYED:
-                self.registry.transition(entry, LifecycleState.MONITORED, self.sim.clock)
-                self.sim.log_event("transition", src=self.active_aiml,
-                                   detail={"model": MODEL_ID, "version": version,
-                                           "state": "Monitored"})
-            if self.monitor is None:
-                baseline = entry.artifact.metrics.mse
-                self.monitor = MonitorWindow(
-                    capacity=self.config.monitor.window,
-                    baseline_mse=baseline,
-                    drift_factor=self.config.monitor.drift_factor,
-                    min_samples=self.config.monitor.min_samples,
-                )
-            self.phase = "monitor"
+            self._start_monitoring(entry)
         else:
             self._finish()
+
+    def _start_monitoring(self, entry) -> None:
+        """Enter monitoring, opening a window on the entry's baseline unless one is open."""
+        if entry.state is LifecycleState.DEPLOYED:
+            self.registry.transition(entry, LifecycleState.MONITORED, self.sim.clock)
+            self.sim.log_event("transition", src=self.active_aiml,
+                               detail={"model": MODEL_ID, "version": entry.version,
+                                       "state": "Monitored"})
+        if self.monitor is None:
+            self.monitor = MonitorWindow(
+                capacity=self.config.monitor.window,
+                baseline_mse=entry.artifact.metrics.mse,
+                drift_factor=self.config.monitor.drift_factor,
+                min_samples=self.config.monitor.min_samples,
+            )
+        self.phase = Phase.MONITOR
+
+    def _resolve_failover(self) -> None:
+        if self._pending_resolution is not None:
+            self._pending_resolution.resolution_tick = self.sim.clock
+            self._pending_resolution = None
 
     # -- monitoring + refinement ---------------------------------------------------------------------
 
@@ -968,7 +994,7 @@ class Driver:
         expected = self.config.monitor.rounds * len(
             [t for t in self.config.deploy.targets
              if t.kind is not ComponentKind.AIML_FUNCTION])
-        return self._reports_seen >= expected and self.phase == "monitor"
+        return self._reports_seen >= expected and self.phase is Phase.MONITOR
 
     def _on_drift_detected(self, window_mse: float) -> None:
         entry = self.registry.entries.get(MODEL_ID)
@@ -985,26 +1011,21 @@ class Driver:
                                detail={"model": MODEL_ID,
                                        "refinements": entry.refinements})
             self.registry.transition(entry, LifecycleState.RETIRED, tick)
-            self.report.status = "failed"
-            self.report.failure = "RefinementBudgetExhausted"
-            self._finish()
-            return
+            raise RefinementBudgetExhausted()
         entry.refinements += 1
         self.report.refinements = entry.refinements
         self.registry.transition(entry, LifecycleState.REFINING, tick)
         self.sim.log_event("transition", src=self.active_aiml,
                            detail={"model": MODEL_ID, "version": entry.version,
                                    "state": "Refining"})
-        self.phase = "refine"
+        self.phase = Phase.REFINE
         self._run_refinement(entry)
 
     def _run_refinement(self, entry) -> None:
         cfg = self.config
-        # refit on the samples that triggered the drift, not the full history
+        # refit on the samples that triggered the drift, not the full history; drift
+        # needs monitor.min_samples >= 1 ingested samples, so there are some
         records = self.monitor_samples
-        if not records:
-            self._restart_for_refinement()
-            return
         y = records.target
         X = pipeline.reapply_transform(records, self.canonical, self.derived,
                                        entry.artifact.scaler)
@@ -1051,22 +1072,7 @@ class Driver:
         self._monitor_batches.clear()
         self._deploy(entry)
 
-    def _restart_for_refinement(self) -> None:
-        """Post-failover refinement: no buffered samples, so collect afresh."""
-        self._start_collection()
-
     # -- scenario C (share-models) -----------------------------------------------------------------------
-
-    def _start_scenario_c(self) -> None:
-        if self.config.mode == "share-data":
-            if len({s.owner for s in self.config.sources}) < 2:
-                raise InsufficientDomains("share-data needs >= 2 domains")
-            self._start_collection()
-            return
-        if len(self.domains) < 2:
-            raise InsufficientDomains("share-models needs >= 2 domains")
-        self.phase = "federated"
-        self._request_round(1)
 
     def _request_round(self, round_index: int) -> None:
         self._domain_models.setdefault(round_index, {})
@@ -1078,6 +1084,8 @@ class Driver:
 
     def _on_domain_model(self, model: DomainModel) -> None:
         round_models = self._domain_models.setdefault(model.round_index, {})
+        if len(round_models) == len(self.domains):
+            return  # the round was aggregated: a second reply to a resumed round
         round_models[str(model.owner)] = model
         if len(round_models) < len(self.domains):
             return
@@ -1102,8 +1110,6 @@ class Driver:
                             meta={"round": model.round_index + 1, "final": final})
 
     def _c_feature_names(self) -> list[str]:
-        from .config import model_feature_names
-
         return model_feature_names(self.canonical, list(self.derived))
 
     def _c_scaler(self) -> pipeline.ScalingParams:
@@ -1226,7 +1232,6 @@ class Driver:
                 return
             snap = {"registry": self.registry.snapshot(), "phase": self.phase,
                     "tick": self.sim.clock}
-            self.checkpoints.append(snap)
             payload_bytes = self.sizes.checkpoint_bytes(
                 len(self.registry.entries), self.registry.total_params())
             self.sim.log_event("checkpoint", src=target,
@@ -1254,9 +1259,7 @@ class Driver:
         self.report.faults.append(fault)
         if not plan.replicas:
             self.sim.log_event("single_point_failure", src=plan.target, detail={})
-            self.report.status = "failed"
-            self.report.failure = "SinglePointFailure: no replica configured"
-            self._finish()
+            raise SinglePointFailure("no replica configured")
 
     def on_promotion(self, replica: ComponentId, checkpoint: dict[str, Any] | None) -> None:
         plan = self.plan
@@ -1268,53 +1271,51 @@ class Driver:
         if self._failover_fault is not None:
             self._failover_fault.detection_tick = tick
             self._pending_resolution = self._failover_fault
-        old = self.active_aiml
         self.active_aiml = replica
         self.last_checkpoint_at_promotion = checkpoint
-        if checkpoint is not None:
-            self.registry = Registry.restore(checkpoint["registry"])
-            self.restored_registry_snapshot = self.registry.snapshot()
-        else:
-            self.registry = Registry()
-            self.restored_registry_snapshot = self.registry.snapshot()
+        self.registry = Registry.restore(checkpoint["registry"]) if checkpoint else Registry()
+        self.restored_registry_snapshot = self.registry.snapshot()
         self.sim.log_event("mitigation", src=replica, detail={
             "mechanism": "failover_restore",
             "restored_entries": len(self.registry.entries),
-            "resumed_phase": self.phase})
-        self._resume_after_promotion(old)
+            "resumed_phase": self.phase.value})
+        # in-flight deployment and monitor state died with the node
+        self._expected_artifacts.clear()
+        self.monitor = None
+        self._monitor_batches.clear()
+        self.RESUME[self.phase](self, self.registry.entries.get(MODEL_ID))
 
-    def _resume_after_promotion(self, old: ComponentId) -> None:
-        if self.config.kind is ScenarioKind.C and self.config.mode == "share-models":
-            pending = [r for r in sorted(self._domain_models)
-                       if len(self._domain_models[r]) < len(self.domains)]
-            round_index = pending[0] if pending else 1
-            self._domain_models[round_index] = {}
-            self._request_round(round_index)
-            return
-        entry = self.registry.entries.get(MODEL_ID)
-        if self.phase == "deploy" and entry is not None and entry.state in (
-                LifecycleState.VALIDATED, LifecycleState.DEPLOYED):
+    def _resume_model(self, entry) -> None:
+        """Deploy, monitor or refine again, from where the restored model stands."""
+        if entry is None and self.config.mode == "import-model":  # lost with the node
+            self._start_collection(Phase.COLLECT_VALIDATION)
+        elif entry is None or entry.state is LifecycleState.REFINING:  # or its refined version
+            self._retrain()
+        elif self.phase is Phase.DEPLOY and entry.state is LifecycleState.DEPLOYED:
             self._deploy(entry)
-        elif self.phase == "collect_validation":
-            self._start_collection(purpose="validation")
-        elif self.phase in ("collect", "train", "deploy"):
-            self._start_collection()
-        elif self.phase == "refine":
-            self._restart_for_refinement()
-        elif self.phase == "monitor":
-            # in-flight monitor state died with the node; restart from the
-            # checkpointed baseline with an empty window
-            if entry is not None:
-                self.monitor = MonitorWindow(
-                    capacity=self.config.monitor.window,
-                    baseline_mse=entry.artifact.metrics.mse,
-                    drift_factor=self.config.monitor.drift_factor,
-                    min_samples=self.config.monitor.min_samples,
-                )
-            self._monitor_batches.clear()
-            if self._pending_resolution is not None:
-                self._pending_resolution.resolution_tick = self.sim.clock
-                self._pending_resolution = None
+        else:  # deployed: monitor it with an empty window on its baseline
+            self._start_monitoring(entry)
+            self._resolve_failover()
+
+    def _resume_rounds(self, entry) -> None:
+        # redo the first round not yet aggregated, or the last one if all were
+        r = 1
+        while r < self.config.rounds and len(self._domain_models.get(r, ())) == len(self.domains):
+            r += 1
+        self._domain_models[r] = {}
+        self._request_round(r)
+
+    # what a promoted replica does in each phase the failed primary can have been in,
+    # given the model entry of the restored registry (None if it holds none)
+    RESUME: dict[Phase, Callable[["Driver", Any], None]] = {
+        Phase.COLLECT: lambda d, entry: d._start_collection(Phase.COLLECT),
+        Phase.COLLECT_VALIDATION: lambda d, entry: d._start_collection(Phase.COLLECT_VALIDATION),
+        Phase.TRAIN: lambda d, entry: d._retrain(),
+        Phase.DEPLOY: _resume_model,
+        Phase.MONITOR: _resume_model,
+        Phase.REFINE: _resume_model,
+        Phase.FEDERATED: _resume_rounds,
+    }
 
     # -- bookkeeping ---------------------------------------------------------------------------------------------
 
@@ -1333,7 +1334,7 @@ class Driver:
 
     def _finish(self) -> None:
         if not self.sim.stopped:
-            self.phase = "done"
+            self.phase = Phase.DONE
             self.sim.log_event("run_complete", detail={"status": self.report.status})
             self.sim.stop()
 
@@ -1392,12 +1393,9 @@ class RunResult:
 
 
 def _search_hash(config: ScenarioConfig) -> str:
-    import hashlib
-    import json as _json
-
     if config.search is None:
         return "none"
-    blob = _json.dumps({
+    blob = json.dumps({
         "mode": config.search.mode,
         "grid": {k: list(v) for k, v in config.search.grid.items()},
         "ranges": {k: list(v) for k, v in config.search.ranges.items()},
@@ -1407,43 +1405,11 @@ def _search_hash(config: ScenarioConfig) -> str:
 
 
 def _read_external_csv(path: str | None) -> str:
-    from pathlib import Path
-
     if path is None or not Path(path).exists():
         raise FileNotFoundError(str(path))
     return Path(path).read_text()
 
 
-# -- public entry points ---------------------------------------------------------------------------------------
-
-
 def run_scenario(config: ScenarioConfig) -> RunResult:
     """Execute whichever scenario the config declares."""
-    if config.kind is ScenarioKind.A:
-        return run_scenario_a(config)
-    if config.kind is ScenarioKind.B:
-        return run_scenario_b(config)
-    return run_scenario_c(config)
-
-
-def run_scenario_a(config: ScenarioConfig) -> RunResult:
-    if config.kind is not ScenarioKind.A:
-        raise SimulationError("config does not describe scenario A")
-    return Driver(config).run()
-
-
-def run_scenario_b(config: ScenarioConfig) -> RunResult:
-    if config.kind is not ScenarioKind.B:
-        raise SimulationError("config does not describe scenario B")
-    if not config.sources:
-        raise NoDataSources("scenario B needs at least one data source")
-    return Driver(config).run()
-
-
-def run_scenario_c(config: ScenarioConfig) -> RunResult:
-    if config.kind is not ScenarioKind.C:
-        raise SimulationError("config does not describe scenario C")
-    domains = {s.owner for s in config.sources}
-    if len(domains) < 2:
-        raise InsufficientDomains("scenario C needs at least two domains")
     return Driver(config).run()

@@ -10,6 +10,7 @@ import math
 
 from smosim import run_scenario
 from smosim.config import ScenarioConfig, ScenarioKind
+from smosim.errors import SimulationError
 from smosim.lifecycle import LEGAL_TRANSITIONS, LifecycleState
 from smosim.scenarios import RunResult
 
@@ -18,6 +19,11 @@ _SCENARIO_ORIGIN = {(ScenarioKind.A, "import-model"): "external",
                     (ScenarioKind.C, "share-models"): "aggregated"}
 _LEGAL = {(a.value, b.value) for a, b in LEGAL_TRANSITIONS}
 _REFINED = (LifecycleState.REFINING.value, LifecycleState.TRAINED.value)
+
+
+def _error_names(cls: type = SimulationError) -> set[str]:
+    """The names of SimulationError and of all its subclasses."""
+    return {cls.__name__}.union(*map(_error_names, cls.__subclasses__()))
 
 
 def check_invariants(result: RunResult) -> None:
@@ -43,9 +49,13 @@ def check_invariants(result: RunResult) -> None:
     assert delivered == metered, "delivered bytes in the log differ from the meters"
 
     report = result.report
+    if report.status == "failed":
+        named = (report.failure or "").split(":")[0]
+        assert named in _error_names(), f"failure {report.failure!r} names no SimulationError"
     if report.status != "completed":
         return
     assert report.failure is None, f"completed run names failure {report.failure!r}"
+    assert report.model is not None or report.artifact_rejected, "completed run has no model"
     config: ScenarioConfig = result.driver.config
     scenario_origin = _SCENARIO_ORIGIN.get((config.kind, config.mode), "internal")
     refined = any(tuple(step[1:]) == _REFINED

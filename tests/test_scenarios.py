@@ -12,6 +12,7 @@ from smosim import aggregate, config_from_dict
 from smosim import datagen
 from smosim.config import ModelKind
 from smosim.errors import (
+    CollectionTimeout,
     ConfigError,
     InsufficientDomains,
     NoDataSources,
@@ -20,11 +21,11 @@ from smosim.errors import (
     UnsupportedKind,
 )
 from smosim.learn import LinearParams, ridge_closed_form, evaluate
-from smosim.scenarios import DomainModel, Driver, run_scenario_b, run_scenario_c
+from smosim.scenarios import DomainModel, Driver, Phase
 from smosim.topology import ComponentId, ComponentKind, PayloadKind
 
 from conftest import build, numeric_feature, scenario_b_dict, source
-from golden.cases import a_import_model
+from golden.cases import a_import_model, b_drift_full, c_share_models
 from invariants import checked_run
 
 TERMINATION_IFACES = ("NSSMF_NonRTRIC", "NFVO_NonRTRIC")
@@ -124,8 +125,9 @@ class TestScenarioB:
             build(scenario_b_dict(sources=[]))
         config = build(scenario_b_dict())
         config.sources = []
-        with pytest.raises(NoDataSources):
-            run_scenario_b(config)
+        report = checked_run(config).report
+        assert report.status == "failed"
+        assert report.failure.startswith(f"{NoDataSources.__name__}: ")
 
     def test_streaming_emission_schedule(self):
         data = scenario_b_dict(n_per_source=10)
@@ -259,6 +261,20 @@ class TestScenarioB:
         assert [e.src for e in timeouts] == ["NSSMF#0"]
         # only the NFVO records made it through
         assert len(driver.transformed) == 40
+
+    def test_collection_that_receives_nothing_fails_with_collection_timeout(self):
+        # a batch reply takes two ticks to arrive, past a one-tick window
+        data = scenario_b_dict(n_per_source=20)
+        data["collection"] = {"window": 1}
+        result = checked_run(build(data))
+        report = result.report
+        assert report.status == "failed"
+        assert report.failure == f"{CollectionTimeout.__name__}: " \
+            "no source delivered any data in [0, 1]"
+        timeouts = result.sim.log.of_type("collection_timeout")
+        assert [e.src for e in timeouts] == ["NSSMF#0", "NFVO#0"]
+        assert result.sim.log.entries[-1].type == "run_complete"
+        assert report.final_tick == 1
 
     def test_report_signaling_equals_topology_meters(self):
         result = checked_run(build(scenario_b_dict(n_per_source=30)))
@@ -427,8 +443,9 @@ class TestScenarioC:
             build(data)
         config = build(_scenario_c_dict("share-models"))
         config.sources = config.sources[:1]
-        with pytest.raises(InsufficientDomains):
-            run_scenario_c(config)
+        report = checked_run(config).report
+        assert report.status == "failed"
+        assert report.failure.startswith(f"{InsufficientDomains.__name__}: ")
 
     def test_share_models_moves_no_raw_data(self):
         result = checked_run(build(_scenario_c_dict("share-models")))
@@ -618,7 +635,7 @@ class TestTickLimit:
 
 
 class TestFailover:
-    def _config(self, replicas, fail_tick=10, cp_interval=4, monitor=None):
+    def _config(self, replicas, fail_tick=10, cp_interval=4, monitor=None, **extra):
         schema = [numeric_feature("cpu")]
         data = {
             "scenario": {"kind": "B"},
@@ -637,7 +654,22 @@ class TestFailover:
         }
         if monitor:
             data["monitor"] = monitor
+        data.update(extra)
         return build(data)
+
+    @staticmethod
+    def _failure(fail_tick, cp_interval=4):
+        return {"failure": {"target": "AimlFunction#0", "fail_tick": fail_tick,
+                            "heartbeat_interval": 2, "missed_to_declare": 2,
+                            "replicas": ["AimlFunction#1"],
+                            "checkpoint_interval": cp_interval}}
+
+    @staticmethod
+    def _restores(result):
+        """(resumed phase, restored entry count) of each promotion."""
+        return [(e.detail["resumed_phase"], e.detail["restored_entries"])
+                for e in result.sim.log.of_type("mitigation")
+                if e.detail["mechanism"] == "failover_restore"]
 
     def test_promotion_follows_heartbeat_schedule(self):
         result = checked_run(self._config(["AimlFunction#1"]))
@@ -720,3 +752,152 @@ class TestFailover:
         restored = driver.restored_registry_snapshot
         assert restored == driver.last_checkpoint_at_promotion["registry"]
         assert restored["entries"], "registry should carry the deployed model"
+
+    def test_resume_table_covers_exactly_the_phases_live_at_a_promotion(self):
+        # idle ends within the run's first call and nothing runs after done
+        assert set(Driver.RESUME) == {
+            Phase.COLLECT, Phase.COLLECT_VALIDATION, Phase.TRAIN, Phase.DEPLOY,
+            Phase.MONITOR, Phase.REFINE, Phase.FEDERATED}
+
+    # Without a failure, this B config collects over ticks [0, 10), trains over
+    # [10, 310), deploys over [310, 312) and, with monitoring, monitors over
+    # [312, 384). With a 12-tick NSSMF_NonRTRIC link and a 40-tick window it
+    # trains over [40, 340) and deploys over [340, 353). Promotion follows a
+    # failure by 3 or 4 ticks.
+    _SLOW = {"collection": {"window": 40}, "interfaces": {"NSSMF_NonRTRIC": {"latency": 12}}}
+
+    @pytest.mark.parametrize("fail_tick, phase", [(3, "collect"), (100, "train")])
+    def test_resume_before_a_model_exists_trains_afresh(self, fail_tick, phase):
+        result = checked_run(self._config(["AimlFunction#1"], fail_tick=fail_tick))
+        report = result.report
+        assert self._restores(result) == [(phase, 0)]
+        assert report.status == "completed"
+        assert report.model["origin"] == "internal" and report.model["version"] == 1
+        collected = [e for e in result.sim.log.entries if e.type == "deliver"
+                     and e.payload_kind == "RawData" and e.dst == "AimlFunction#1"]
+        assert len(collected) == 1
+
+    @pytest.mark.parametrize("monitor, state", [
+        (None, "Deployed"), ({"rounds": 5, "interval": 10, "batch": 20}, "Monitored")])
+    def test_resume_in_deploy_redeploys_the_restored_model(self, monitor, state):
+        plain = checked_run(self._config([], fail_tick=10 ** 6, monitor=monitor, **self._SLOW))
+        result = checked_run(self._config(["AimlFunction#1"], fail_tick=345, monitor=monitor,
+                                          **self._SLOW))
+        report = result.report
+        assert self._restores(result) == [("deploy", 1)]
+        assert report.status == "completed"
+        assert report.training_ticks == plain.report.training_ticks  # nothing retrained
+        resent = [e for e in result.sim.log.entries if e.type == "send"
+                  and e.payload_kind == "ModelArtifact" and e.src == "AimlFunction#1"]
+        assert len(resent) == 1
+        # the dead primary's copy lands first and completes the deployment; the second does not
+        assert len(result.sim.log.of_type("deployment_complete")) == 1
+        assert report.model["version"] == 1 and report.model["state"] == state
+
+    def test_resume_in_monitor_from_a_deployed_checkpoint_monitors(self):
+        # the primary moves the model to Monitored at 353, after its checkpoint at 352
+        config = self._config(["AimlFunction#1"], fail_tick=354,
+                              monitor={"rounds": 5, "interval": 10, "batch": 20}, **self._SLOW)
+        result = checked_run(config)
+        checkpoint = result.driver.last_checkpoint_at_promotion
+        assert checkpoint["registry"]["entries"]["m0"]["state"] == "Deployed"
+        assert self._restores(result) == [("monitor", 1)]
+        promotion = result.sim.log.of_type("promotion")[0].tick
+        history = result.registry.entries["m0"].history
+        assert history[-1] == (promotion, "Deployed", "Monitored")
+        assert result.report.model["state"] == "Monitored"
+
+    @pytest.mark.parametrize("monitor", [None, {"rounds": 5, "interval": 10, "batch": 20}])
+    def test_resume_in_deploy_without_a_model_trains_one(self, monitor):
+        # the primary dies right after its deploy starts at 340; its last
+        # checkpoint, at 336, predates the model
+        config = self._config(["AimlFunction#1"], fail_tick=341, cp_interval=7,
+                              monitor=monitor, **self._SLOW)
+        result = checked_run(config)
+        report = result.report
+        assert self._restores(result) == [("deploy", 0)]
+        assert report.status == "completed"
+        assert report.model is not None and report.model["origin"] == "internal"
+        assert result.registry.entries["m0"].history[0][0] > 341
+
+    @pytest.mark.parametrize("fail_tick, phase, state", [
+        (4330, "refine", "Monitored"), (4500, "refine", "Refining"),
+        (4929, "monitor", "Refining")])
+    def test_resume_around_a_refinement_ends_refined(self, tmp_path, fail_tick, phase, state):
+        # drift is detected at 4329, and the refit job runs until 4929. A model
+        # checkpointed as Monitored is monitored again, and the last report
+        # detects the drift again; one checkpointed as Refining is retrained.
+        data = b_drift_full(tmp_path)
+        data["topology"]["aiml_instances"] = 2
+        data["harness"] = self._failure(fail_tick)
+        result = checked_run(build(data))
+        report = result.report
+        checkpoint = result.driver.last_checkpoint_at_promotion
+        assert checkpoint["registry"]["entries"]["m0"]["state"] == state
+        assert self._restores(result) == [(phase, 1)]
+        assert report.status == "completed"
+        entry = result.registry.entries["m0"]
+        assert entry.version == 2 and entry.state.value == "Monitored"
+        steps = [step[1:] for step in entry.history]
+        assert steps.index(("Refining", "Trained")) == steps.index(("Monitored", "Refining")) + 1
+        assert report.model["origin"] == "internal"
+
+    @pytest.mark.parametrize("fail_tick, rounds", [
+        (100, [1, 2, 3]), (4420, [1, 2, 3]), (13212, [1, 2, 3, 3])])
+    def test_resume_in_federated_aggregates_each_round_once(self, tmp_path, fail_tick, rounds):
+        # rounds are aggregated at 4404, 8808 and 13212; a replica promoted
+        # within a round redoes it, and one promoted after the last redoes the last
+        data = c_share_models(tmp_path)
+        data["topology"]["aiml_instances"] = 2
+        data["harness"] = self._failure(fail_tick)
+        result = checked_run(build(data))
+        report = result.report
+        assert self._restores(result) == [("federated", 0)]
+        assert report.status == "completed"
+        assert report.model["origin"] == "aggregated"
+        assert [e.detail["round"] for e in result.sim.log.of_type("aggregation")] == rounds
+
+    @pytest.mark.parametrize("fail_tick", [10, 11])
+    def test_imported_model_lost_with_the_primary_is_validated_again(self, tmp_path,
+                                                                    monkeypatch, fail_tick):
+        # the primary deploys at 10; the replica restores the empty checkpoint of 8
+        monkeypatch.chdir(tmp_path)
+        data = a_import_model(tmp_path)
+        data["topology"]["aiml_instances"] = 2
+        data["harness"] = self._failure(fail_tick)
+        result = checked_run(build(data))
+        report = result.report
+        assert self._restores(result) == [("monitor", 0)]
+        assert report.status == "completed"
+        assert report.model is not None and report.model["origin"] == "external"
+        assert report.training_ticks == 0
+        validations = [e for e in result.sim.log.entries if e.type == "deliver"
+                       and e.payload_kind == "RawData" and e.dst == "AimlFunction#1"]
+        assert len(validations) == 1
+
+    def test_import_data_resume_retrains_on_the_external_data(self, tmp_path, monkeypatch):
+        from smosim.pipeline import transformed_to_csv
+
+        monkeypatch.chdir(tmp_path)
+        b = scenario_b_dict(n_per_source=200, seed=5, deploy={"targets": ["MdaSystem3GPP#0"]})
+        b["topology"] = {"nssmf": 1, "mda_3gpp": 1}
+        b["sources"] = [source("NSSMF#0", 200, [numeric_feature("cpu")], [2.0], sigma=0.05)]
+        b["pipeline"] = {}
+        transformed = checked_run(build(b)).driver.transformed
+        assert len(transformed) == 200
+        (tmp_path / "data.csv").write_text(transformed_to_csv(transformed))
+        data = a_import_model(tmp_path)
+        data["scenario"]["mode"] = "import-data"
+        data["external"] = {"data_path": "data.csv"}
+        plain = checked_run(build(data))
+        data["topology"]["aiml_instances"] = 2
+        data["harness"] = self._failure(1)
+        result = checked_run(build(data))
+        assert self._restores(result) == [("train", 0)]
+        assert result.report.status == "completed"
+        assert result.driver.transformed.provenance.sources == ("external",)
+        assert len(result.driver.split.train) == len(plain.driver.split.train)
+        assert result.report.model["test_mse"] == plain.report.model["test_mse"]
+        raw = [e for e in result.sim.log.entries
+               if e.type == "deliver" and e.payload_kind == "RawData"]
+        assert raw == []
