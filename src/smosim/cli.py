@@ -19,15 +19,6 @@ from .config import ScenarioConfig, config_from_dict, load_config
 from .errors import ConfigError, SimulationError
 from .scenarios import RunResult, run_scenario
 
-_METRIC_COLUMNS = [
-    "config", "scenario", "mode", "seed", "status",
-    "training_ticks", "inference_ticks", "cost_ticks", "peak_demand",
-    "time_to_detection", "time_to_resolution", "downtime_ticks", "refinements",
-    "model_version", "val_mse", "test_mse", "test_accuracy",
-    "raw_data_bytes", "model_artifact_bytes", "total_bytes", "total_messages",
-]
-
-
 def main(argv: list[str] | None = None) -> int:
     parser = argparse.ArgumentParser(
         prog="smosim",
@@ -58,9 +49,6 @@ def main(argv: list[str] | None = None) -> int:
         return _cmd_validate(args)
     except SimulationError as exc:
         print(f"error: {exc}", file=sys.stderr)
-        return 2
-    except FileNotFoundError as exc:
-        print(f"error: file not found: {exc}", file=sys.stderr)
         return 2
 
 
@@ -164,18 +152,12 @@ def _metrics_row(result: RunResult, config_name: str) -> dict:
     }
 
 
-def _fmt(value) -> str:
-    if value is None:
-        return ""
-    if isinstance(value, float):
-        return repr(value)
-    return str(value)
-
-
 def _rows_to_csv(rows: list[dict]) -> str:
-    lines = [",".join(_METRIC_COLUMNS)]
+    """One line per :func:`_metrics_row`, under a header of its keys; floats print
+    their shortest round-trip text and None prints empty."""
+    lines = [",".join(rows[0])]
     for row in rows:
-        lines.append(",".join(_fmt(row.get(c)) for c in _METRIC_COLUMNS))
+        lines.append(",".join("" if v is None else str(v) for v in row.values()))
     return "\n".join(lines) + "\n"
 
 

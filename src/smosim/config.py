@@ -326,7 +326,9 @@ class JobClass:
 @dataclass(frozen=True)
 class SchedulerSpec:
     budget: int = _min(1, error=ZeroCapacity, default=0)  # capacity per tick
-    classes: tuple[JobClass, ...] = ()
+    # the training job runs as one of the classes, so there must be one
+    classes: tuple[JobClass, ...] = _rule(bool, "a scheduler needs at least one job class",
+                                          default=())
 
 
 @dataclass(frozen=True)
@@ -648,6 +650,11 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
             known = raw_fields.setdefault(f.name, f)
             _expect((known.type, known.vocab) == (f.type, f.vocab), f"{path}.schema",
                     f"field {f.name!r} has another type or vocab in an earlier source")
+    shift = cfg.harness.drift_shift
+    if shift is not None and shift.coefficients and canonical:  # () keeps the source's
+        width = encoded_width(canonical)
+        _expect(len(shift.coefficients) == width, "harness.drift_shift.coefficients",
+                f"expected {width} coefficients for encoded schema, got {len(shift.coefficients)}")
     numeric = {f.name for f in canonical or () if f.type == "numeric"}
     for i, d in enumerate(cfg.pipeline.derived if canonical else ()):
         for side, name in (("a", d.a), ("b", d.b)):

@@ -16,7 +16,7 @@ from functools import lru_cache
 
 import numpy as np
 
-from .config import DerivedFeature, FeatureSpec, SourceSpec, encoded_width
+from .config import DerivedFeature, FeatureSpec, SourceSpec
 from .errors import SchemaMismatch
 from .topology import ComponentId
 
@@ -222,7 +222,5 @@ def streaming_emission_ticks(start: int, window: int, interval: int) -> list[int
 def shifted(spec: SourceSpec, coefficients: tuple[float, ...] | None,
             bias: float | None) -> SourceSpec:
     """Source with replaced ground truth; used for injected concept drift."""
-    if coefficients and len(coefficients) != encoded_width(spec.schema):
-        raise SchemaMismatch("shifted coefficient width differs from schema")
     return replace(spec, coefficients=list(coefficients) if coefficients else spec.coefficients,
                    bias=spec.bias if bias is None else bias)

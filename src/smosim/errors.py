@@ -29,10 +29,6 @@ class UnknownInterface(SimulationError):
     """Meter or send referenced an interface the topology does not declare."""
 
 
-class ComponentDown(SimulationError):
-    """Operation addressed to a component that has failed."""
-
-
 class TickLimitExceeded(SimulationError):
     """The next scheduled action lies past the run's ``max_ticks``."""
 

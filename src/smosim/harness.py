@@ -119,10 +119,6 @@ def pseudonyms(values, key: str) -> list[str]:
     return out
 
 
-def pseudonym(value: str, key: str) -> str:
-    return pseudonyms([value], key)[0]
-
-
 def privacy_transform(records: RecordBatch, schema: list[FeatureSpec],
                       spec: PrivacySpec) -> RecordBatch:
     """Replace sensitive identifier values with keyed pseudonyms, at the source."""

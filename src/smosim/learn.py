@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Iterable
 
 import numpy as np
@@ -510,36 +510,6 @@ def trials_to_csv(result: SearchResult) -> str:
             str(m.train_ticks) if m else "", str(t.failed).lower(),
         ]))
     return "\n".join(lines) + "\n"
-
-
-# -- interpretation ---------------------------------------------------------------------------
-
-
-def feature_importance(params: ModelParameters, kind: ModelKind, X: np.ndarray,
-                       feature_names: list[str]) -> list[tuple[str, float]]:
-    """|weight| x column std for linear kinds; indicator for stumps.
-
-    Descending by importance, ties by feature index.
-    """
-    if isinstance(params, StumpParams):
-        if params.feature >= len(feature_names):
-            raise SchemaMismatch("stump feature index outside the schema")
-        scores = [1.0 if j == params.feature else 0.0
-                  for j in range(len(feature_names))]
-    else:
-        if len(params.weights) != len(feature_names) or X.shape[1] != len(feature_names):
-            raise SchemaMismatch("parameter width differs from the dataset schema")
-        sigma = np.std(X, axis=0)
-        scores = [float(abs(w) * s) for w, s in zip(params.weights, sigma)]
-    order = sorted(range(len(scores)), key=lambda j: (-scores[j], j))
-    return [(feature_names[j], scores[j]) for j in order]
-
-
-def training_objective(params: LinearParams, X: np.ndarray, y: np.ndarray,
-                       l2_lambda: float) -> float:
-    """Sum-of-squares ridge objective minimized by the closed form."""
-    resid = X @ params.weights + params.bias - y
-    return float(resid @ resid) + l2_lambda * float(params.weights @ params.weights)
 
 
 def params_from_list(kind: ModelKind, values: Iterable[float]) -> ModelParameters:

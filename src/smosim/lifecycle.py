@@ -119,10 +119,11 @@ def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
 
 
 def load_artifact(path: str | Path) -> ModelArtifact:
-    p = Path(path)
-    if not p.exists():
-        raise FileNotFoundError(str(p))
-    return ModelArtifact.from_dict(json.loads(p.read_text()))
+    try:
+        d = json.loads(Path(path).read_text())
+    except (OSError, ValueError) as exc:  # unreadable, not UTF-8 or not JSON
+        raise InvalidArtifact(f"cannot read an artifact from {str(path)!r}: {exc}") from None
+    return ModelArtifact.from_dict(d)
 
 
 @dataclass

@@ -404,13 +404,6 @@ def split(td: TransformedDataset, spec: SplitSpec) -> SplitDataset:
 # -- CSV / JSONL interchange ----------------------------------------------------------
 
 
-def transformed_to_csv(td: TransformedDataset) -> str:
-    lines = [",".join(td.feature_names + ["target"])]
-    for row, target in zip(td.X, td.y):
-        lines.append(",".join([repr(float(v)) for v in row] + [repr(float(target))]))
-    return "\n".join(lines) + "\n"
-
-
 def transformed_from_csv(text: str, provenance: Provenance,
                          scaler: ScalingParams | None = None) -> TransformedDataset:
     lines = [ln for ln in text.strip().splitlines() if ln]
@@ -420,9 +413,13 @@ def transformed_from_csv(text: str, provenance: Provenance,
     if header[-1] != "target":
         raise SchemaMismatch("last CSV column must be named 'target'")
     names = header[:-1]
-    data = np.array([[float(v) for v in ln.split(",")] for ln in lines[1:]], dtype=float)
-    if data.ndim != 2 or data.shape[1] != len(header):
+    rows = [ln.split(",") for ln in lines[1:]]
+    if not rows or any(len(row) != len(header) for row in rows):
         raise SchemaMismatch("CSV rows do not match the header width")
+    try:
+        data = np.array(rows, dtype=float)
+    except ValueError as exc:
+        raise SchemaMismatch(f"CSV holds a non-numeric value: {exc}") from None
     if scaler is None:
         scaler = ScalingParams("none", names, np.zeros(len(names)), np.ones(len(names)))
     return TransformedDataset(

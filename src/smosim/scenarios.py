@@ -8,7 +8,10 @@ Scenario C share-models runs ``federated`` rounds of local training and
 weighted parameter aggregation instead. A replica promoted after a failover
 resumes the failed primary's phase through one table, ``Driver.RESUME``. A
 failing step raises a named :class:`SimulationError`, and ``Driver.run``
-writes it into the final RunReport.
+writes it into the final RunReport. The report's fault fields (``faults``,
+``downtime_ticks``, ``time_to_detection`` and ``time_to_resolution``) are not
+kept while the run goes: :func:`timeline` folds them from the event log at
+the end.
 """
 
 from __future__ import annotations
@@ -21,7 +24,7 @@ from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -56,6 +59,7 @@ from .lifecycle import (
 from .topology import (
     ComponentId,
     ComponentKind,
+    Event,
     InterfaceMessage,
     PayloadKind,
     Simulation,
@@ -135,14 +139,96 @@ def aggregate(models: list[DomainModel], weighting: str = "uniform") -> learn.Li
 
 @dataclass
 class FaultRecord:
+    """One fault of a run and the ticks it was detected and resolved at, None
+    while it is not, as :func:`timeline` folds them from the event log."""
+
     kind: str
     fault_tick: int
     detection_tick: int | None = None
     resolution_tick: int | None = None
 
 
+class Timeline(NamedTuple):
+    """What :func:`timeline` folds from a run's log: the RunReport fields so named."""
+
+    faults: list[FaultRecord]
+    downtime_ticks: int | None
+    time_to_detection: int | None
+    time_to_resolution: int | None
+
+
+_DETECTS = {"promotion": "component_failure", "drift_detected": "drift_shift"}
+
+
+def timeline(events: Iterable[Event]) -> Timeline:
+    """Fold a run's event log into its fault records and fault times.
+
+    A ``fault`` event opens a record of its ``kind``, unless the log has opened
+    one of that kind already. Nothing is resolved before it is detected.
+
+    - ``component_failure``: the failover target died. The first ``promotion``
+      detects it. The promoted replica resolves it by putting a model back in
+      service: at once if it goes on monitoring the restored model as it stands
+      (``resumes_monitoring`` in its ``failover_restore`` mitigation), else at
+      the next ``deployment_complete``. Scenario C share-models logs
+      ``aggregation`` events and no deployment, so there the aggregated
+      model's ``transition`` to ``Deployed`` resolves it.
+    - ``drift_shift``: a monitored target's ground truth shifted, and the first
+      target to log it opens the one record. The first ``drift_detected``
+      detects it, and the next ``deployment_complete``, the refined model's,
+      resolves it.
+
+    A record stays open if the run ends first. A failure inside the detection
+    delay, at tick 310 or 311 of a run whose workflow completes at 312, is
+    never detected. A fault after which no model returns to service is never
+    resolved: re-validation rejects the imported artifact after a failover
+    (``artifact_rejected``), or the run fails.
+
+    ``downtime_ticks`` is the component failure's detection delay, the ticks
+    with no active AI/ML function. ``time_to_detection`` and
+    ``time_to_resolution`` count from the first fault. Each is None while its
+    tick is.
+    """
+    records: dict[str, FaultRecord] = {}
+    federated = False
+    for e in events:
+        t = e.type
+        if t == "fault":
+            records.setdefault(e.detail["kind"], FaultRecord(e.detail["kind"], e.tick))
+        elif t == "aggregation":
+            federated = True
+        elif t in _DETECTS:
+            _mark(records.get(_DETECTS[t]), "detection_tick", e.tick)
+        elif t == "deployment_complete":
+            for record in records.values():
+                _mark(record, "resolution_tick", e.tick)
+        elif (t == "mitigation" and e.detail.get("resumes_monitoring")) or \
+                (t == "transition" and federated and e.detail["state"] == "Deployed"):
+            _mark(records.get("component_failure"), "resolution_tick", e.tick)
+    faults = list(records.values())
+    first = faults[0] if faults else None
+    return Timeline(faults, _since(records.get("component_failure"), "detection_tick"),
+                    _since(first, "detection_tick"), _since(first, "resolution_tick"))
+
+
+def _mark(record: FaultRecord | None, attr: str, tick: int) -> None:
+    """Set a record's detection or resolution tick once, a resolution only if detected."""
+    if record is not None and getattr(record, attr) is None \
+            and (attr == "detection_tick" or record.detection_tick is not None):
+        setattr(record, attr, tick)
+
+
+def _since(record: FaultRecord | None, attr: str) -> int | None:
+    tick = getattr(record, attr, None)
+    return None if tick is None else tick - record.fault_tick
+
+
 @dataclass
 class RunReport:
+    """The outcome of one run. ``Driver._finalize`` writes its fault fields,
+    ``faults``, ``downtime_ticks``, ``time_to_detection`` and
+    ``time_to_resolution``, from :func:`timeline` over the run's event log."""
+
     scenario: str
     mode: str | None
     seed: int
@@ -222,24 +308,18 @@ class _SourceBehavior:
         return harness.inflate_bytes(raw, privacy.inflation) if privacy else raw
 
     def handle(self, sim: Simulation, msg: InterfaceMessage) -> None:
-        if msg.payload_kind is not PayloadKind.CONTROL:
-            return
         action = msg.meta.get("action")
-        if action == "collect":
-            records = self._make_records(self.spec.emission.size, sim.clock)
-            self.driver.route_send(
-                self.spec.owner, msg.meta["reply_to"], PayloadKind.RAW_DATA,
-                self.payload_bytes(len(records)), payload=records,
-                meta={"source": str(self.spec.owner)},
-            )
-        elif action == "collect_cleansed":
-            records = self._make_records(self.spec.emission.size, sim.clock)
-            cleansed = self.driver.local_cleanse(self.spec, records)
-            self.driver.route_send(
-                self.spec.owner, msg.meta["reply_to"], PayloadKind.CLEANSED_DATA,
-                self.payload_bytes(len(cleansed)), payload=cleansed,
-                meta={"source": str(self.spec.owner)},
-            )
+        if msg.payload_kind is not PayloadKind.CONTROL or \
+                action not in ("collect", "collect_cleansed"):
+            return
+        records = self._make_records(self.spec.emission.size, sim.clock)
+        kind = PayloadKind.RAW_DATA
+        if action == "collect_cleansed":
+            records = self.driver.local_cleanse(self.spec, records)
+            kind = PayloadKind.CLEANSED_DATA
+        self.driver.route_send(self.spec.owner, msg.meta["reply_to"], kind,
+                               self.payload_bytes(len(records)), payload=records,
+                               meta={"source": str(self.spec.owner)})
 
     def start_streaming(self, start: int, window: int, reply_to_getter) -> None:
         ticks = datagen.streaming_emission_ticks(start, window, self.spec.emission.interval)
@@ -338,7 +418,7 @@ class _TargetBehavior:
         driver.count_inference(mon.batch)
         shift = driver.config.harness.drift_shift
         if shift is not None and round_index == shift.at_round:
-            driver.note_drift_fault(driver.sim.clock)
+            driver.sim.log_event("fault", src=self.cid, detail={"kind": "drift_shift"})
         payload = {
             "records": records,
             "predictions": [float(p) for p in preds],
@@ -437,7 +517,6 @@ class _ReplicaBehavior:
         self.watched = watched
         self.last_beat: int | None = None
         self.missed = 0
-        self.promoted = False
         self.checkpoint: dict[str, Any] | None = None
 
     def start_watching(self, interval: int) -> None:
@@ -454,22 +533,22 @@ class _ReplicaBehavior:
             self.checkpoint = msg.payload
 
     def _schedule_check(self, tick: int) -> None:
-        self.driver.sim.schedule(tick, lambda: self._check(tick))
+        # queued for ``tick`` at ``tick``, the check runs after the delivery of the beat
+        # due then; queued straight for ``tick`` now, it would run before it
+        sim = self.driver.sim
+        sim.schedule(tick, lambda: sim.schedule(tick, lambda: self._check(tick)))
 
     def _check(self, expected: int) -> None:
-        if self.promoted:
-            return
+        if self.driver.active_aiml != self.watched:
+            return  # this replica, or another, has taken over
         plan = self.driver.plan
         assert plan is not None
-        if self.last_beat is not None and self.last_beat >= expected:
-            self._schedule_check(self.last_beat + plan.heartbeat_interval)
-            return
-        self.missed += 1
-        if self.missed >= plan.missed_to_declare:
-            self.promoted = True
-            self.driver.on_promotion(self.cid, self.checkpoint)
-        else:
-            self._schedule_check(expected + plan.heartbeat_interval)
+        if self.last_beat is None or self.last_beat < expected:
+            self.missed += 1
+            if self.missed >= plan.missed_to_declare:
+                self.driver.on_promotion(self.cid, self.checkpoint)
+                return
+        self._schedule_check(expected + plan.heartbeat_interval)
 
 
 # -- the run driver ------------------------------------------------------------------------------
@@ -518,9 +597,6 @@ class Driver:
         self._expected_artifacts: dict[int, set[str]] = {}
         self._domain_models: dict[int, dict[str, DomainModel]] = {}
         self._domain_evals: dict[str, dict[str, Any]] = {}
-        self._drift_fault: FaultRecord | None = None
-        self._failover_fault: FaultRecord | None = None
-        self._pending_resolution: FaultRecord | None = None
         self.collection_round = 0
         self._reports_seen = 0
         self._pending_import: ModelArtifact | None = None
@@ -671,7 +747,7 @@ class Driver:
     # -- scenario A ------------------------------------------------------------------------------
 
     def _start_import(self) -> None:
-        artifact = load_artifact(self.config.external.artifact_path)  # FileNotFoundError if absent
+        artifact = load_artifact(self.config.external.artifact_path)
         artifact.origin = "external"
         self._pending_import = artifact
         provider = ComponentId(ComponentKind.EXTERNAL_PROVIDER, 0)
@@ -683,7 +759,11 @@ class Driver:
         self._start_collection(Phase.COLLECT_VALIDATION)
 
     def _train_external(self) -> None:
-        text = _read_external_csv(self.config.external.data_path)
+        path = self.config.external.data_path
+        try:
+            text = Path(path).read_text()
+        except (OSError, ValueError) as exc:  # unreadable or not UTF-8
+            raise NoDataSources(f"cannot read the external data {path!r}: {exc}") from None
         td = pipeline.transformed_from_csv(
             text, pipeline.Provenance(("external",), (0, 0), self.report.config_hash))
         self.transformed = td
@@ -928,10 +1008,6 @@ class Driver:
         self.sim.log_event("deployment_complete", src=self.active_aiml,
                            detail={"model": MODEL_ID, "version": version})
         entry = self.registry.entries.get(MODEL_ID)
-        self._resolve_failover()
-        if self._drift_fault is not None and self._drift_fault.resolution_tick is None \
-                and version > 1:
-            self._drift_fault.resolution_tick = self.sim.clock
         if self.config.monitor.rounds > 0 and entry is not None \
                 and self.config.deploy.targets:
             self._start_monitoring(entry)
@@ -953,11 +1029,6 @@ class Driver:
                 min_samples=self.config.monitor.min_samples,
             )
         self.phase = Phase.MONITOR
-
-    def _resolve_failover(self) -> None:
-        if self._pending_resolution is not None:
-            self._pending_resolution.resolution_tick = self.sim.clock
-            self._pending_resolution = None
 
     # -- monitoring + refinement ---------------------------------------------------------------------
 
@@ -1004,8 +1075,6 @@ class Driver:
         assert self.monitor is not None
         self.sim.log_event("drift_detected", src=self.active_aiml, detail={
             "window_mse": window_mse, "baseline_mse": self.monitor.baseline_mse})
-        if self._drift_fault is not None and self._drift_fault.detection_tick is None:
-            self._drift_fault.detection_tick = tick
         if entry.refinements >= self.config.monitor.max_refinements:
             self.sim.log_event("refinement_budget_exhausted", src=self.active_aiml,
                                detail={"model": MODEL_ID,
@@ -1127,10 +1196,9 @@ class Driver:
             return
         evals = [self._domain_evals[d] for d in sorted(self._domain_evals)]
         total = sum(e["samples"] for e in evals)
-        val_mse = sum(e["val_mse"] * e["samples"] for e in evals) / total
-        test_mse = sum(e["test_mse"] * e["samples"] for e in evals) / total
-        val_acc = sum(e["val_accuracy"] * e["samples"] for e in evals) / total
-        test_acc = sum(e["test_accuracy"] * e["samples"] for e in evals) / total
+        val_mse, test_mse, val_acc, test_acc = (
+            sum(e[key] * e["samples"] for e in evals) / total
+            for key in ("val_mse", "test_mse", "val_accuracy", "test_accuracy"))
         artifact = self._global_artifact
         artifact.metrics = learn.EvalMetrics(mse=val_mse, rmse=math.sqrt(val_mse),
                                              accuracy=val_acc)
@@ -1254,9 +1322,6 @@ class Driver:
         self.sim.fail_component(plan.target, self.sim.clock)
         self.sim.log_event("fault", src=plan.target,
                            detail={"kind": "component_failure", "tick": self.sim.clock})
-        fault = FaultRecord(kind="component_failure", fault_tick=self.sim.clock)
-        self._failover_fault = fault
-        self.report.faults.append(fault)
         if not plan.replicas:
             self.sim.log_event("single_point_failure", src=plan.target, detail={})
             raise SinglePointFailure("no replica configured")
@@ -1264,38 +1329,41 @@ class Driver:
     def on_promotion(self, replica: ComponentId, checkpoint: dict[str, Any] | None) -> None:
         plan = self.plan
         assert plan is not None
-        tick = self.sim.clock
-        self.sim.log_event("promotion", src=replica, detail={
-            "failed": str(plan.target), "downtime": tick - plan.fail_tick})
-        self.report.downtime_ticks = tick - plan.fail_tick
-        if self._failover_fault is not None:
-            self._failover_fault.detection_tick = tick
-            self._pending_resolution = self._failover_fault
+        self.sim.log_event("promotion", src=replica, detail={"failed": str(plan.target)})
         self.active_aiml = replica
         self.last_checkpoint_at_promotion = checkpoint
         self.registry = Registry.restore(checkpoint["registry"]) if checkpoint else Registry()
         self.restored_registry_snapshot = self.registry.snapshot()
+        entry = self.registry.entries.get(MODEL_ID)
         self.sim.log_event("mitigation", src=replica, detail={
             "mechanism": "failover_restore",
             "restored_entries": len(self.registry.entries),
-            "resumed_phase": self.phase.value})
+            "resumed_phase": self.phase.value,
+            "resumes_monitoring": self._monitors_as_is(entry)})
         # in-flight deployment and monitor state died with the node
         self._expected_artifacts.clear()
         self.monitor = None
         self._monitor_batches.clear()
-        self.RESUME[self.phase](self, self.registry.entries.get(MODEL_ID))
+        self.RESUME[self.phase](self, entry)
+
+    def _monitors_as_is(self, entry) -> bool:
+        """Whether a promoted replica goes on monitoring the restored model as it
+        stands: the primary was past training, and the model is neither lost,
+        nor being refined, nor in a deployment the primary left unfinished."""
+        return (self.phase in (Phase.DEPLOY, Phase.MONITOR, Phase.REFINE) and entry is not None
+                and entry.state is not LifecycleState.REFINING
+                and not (self.phase is Phase.DEPLOY and entry.state is LifecycleState.DEPLOYED))
 
     def _resume_model(self, entry) -> None:
         """Deploy, monitor or refine again, from where the restored model stands."""
-        if entry is None and self.config.mode == "import-model":  # lost with the node
+        if self._monitors_as_is(entry):  # with an empty window on its baseline
+            self._start_monitoring(entry)
+        elif entry is None and self.config.mode == "import-model":  # lost with the node
             self._start_collection(Phase.COLLECT_VALIDATION)
         elif entry is None or entry.state is LifecycleState.REFINING:  # or its refined version
             self._retrain()
-        elif self.phase is Phase.DEPLOY and entry.state is LifecycleState.DEPLOYED:
+        else:  # the primary died mid-deployment
             self._deploy(entry)
-        else:  # deployed: monitor it with an empty window on its baseline
-            self._start_monitoring(entry)
-            self._resolve_failover()
 
     def _resume_rounds(self, entry) -> None:
         # redo the first round not yet aggregated, or the last one if all were
@@ -1326,11 +1394,6 @@ class Driver:
 
     def count_inference(self, records: int) -> None:
         self.report.inference_ticks += records * self.costs.inference_tick_per_record
-
-    def note_drift_fault(self, tick: int) -> None:
-        if self._drift_fault is None:
-            self._drift_fault = FaultRecord(kind="drift_shift", fault_tick=tick)
-            self.report.faults.append(self._drift_fault)
 
     def _finish(self) -> None:
         if not self.sim.stopped:
@@ -1363,13 +1426,9 @@ class Driver:
                 "baseline_test_mse": baseline,
                 "deployments": self.registry.active_deployments(MODEL_ID),
             }
-        faults = [f for f in report.faults if f.detection_tick is not None]
-        if faults:
-            first = report.faults[0]
-            if first.detection_tick is not None:
-                report.time_to_detection = first.detection_tick - first.fault_tick
-            if first.resolution_tick is not None:
-                report.time_to_resolution = first.resolution_tick - first.fault_tick
+        # the only writer of the fault fields
+        (report.faults, report.downtime_ticks, report.time_to_detection,
+         report.time_to_resolution) = timeline(self.sim.log.entries)
 
     def _mean_predictor_mse(self) -> float | None:
         if self.split is None or not len(self.split.test):
@@ -1402,12 +1461,6 @@ def _search_hash(config: ScenarioConfig) -> str:
         "budget": config.search.budget, "seed": config.search.seed,
     }, sort_keys=True)
     return hashlib.sha256(blob.encode()).hexdigest()[:12]
-
-
-def _read_external_csv(path: str | None) -> str:
-    if path is None or not Path(path).exists():
-        raise FileNotFoundError(str(path))
-    return Path(path).read_text()
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:

@@ -14,8 +14,7 @@ from enum import Enum
 from functools import partial
 from typing import Any, Callable, TYPE_CHECKING
 
-from .errors import (ComponentDown, DuplicateComponent, TickLimitExceeded, UndeclaredRoute,
-                     UnknownInterface)
+from .errors import DuplicateComponent, TickLimitExceeded, UndeclaredRoute, UnknownInterface
 
 if TYPE_CHECKING:
     from .config import ScenarioConfig
@@ -585,7 +584,3 @@ class Simulation:
 
     def pending(self) -> bool:
         return bool(self._heap)
-
-
-def total_delivered_bytes(log: EventLog) -> int:
-    return sum(e.bytes for e in log.entries if e.type == "deliver")

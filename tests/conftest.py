@@ -10,6 +10,7 @@ import pytest
 from smosim import config_from_dict
 from smosim.config import FeatureSpec, ScenarioConfig
 from smosim.datagen import RecordBatch
+from smosim.pipeline import TransformedDataset
 from smosim.topology import ComponentId, ComponentKind
 
 
@@ -65,6 +66,15 @@ def build(data: dict[str, Any]) -> ScenarioConfig:
 @pytest.fixture
 def scenario_b_config() -> ScenarioConfig:
     return build(scenario_b_dict())
+
+
+def transformed_to_csv(td: TransformedDataset) -> str:
+    """The CSV that ``pipeline.transformed_from_csv`` reads back to ``td``, bit for bit:
+    the feature names and ``target`` as header, then one row per sample."""
+    lines = [",".join(td.feature_names + ["target"])]
+    for row, target in zip(td.X, td.y):
+        lines.append(",".join([repr(float(v)) for v in row] + [repr(float(target))]))
+    return "\n".join(lines) + "\n"
 
 
 def record_batch(schema: list[FeatureSpec], rows: list[dict[str, Any]],

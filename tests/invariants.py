@@ -49,6 +49,19 @@ def check_invariants(result: RunResult) -> None:
     assert delivered == metered, "delivered bytes in the log differ from the meters"
 
     report = result.report
+    for f in report.faults:
+        ticks = [f.fault_tick, f.detection_tick, f.resolution_tick]
+        known = [t for t in ticks if t is not None]
+        # set ticks come first (no resolution without a detection) and in order
+        assert ticks[:len(known)] == known == sorted(known), f"fault ticks out of order: {f}"
+        assert known[-1] <= report.final_tick, f"fault ticks past the final tick: {f}"
+    assert report.downtime_ticks is None or report.downtime_ticks >= 0, \
+        f"negative downtime {report.downtime_ticks}"
+    failures = [e for e in entries
+                if e.type == "fault" and e.detail["kind"] == "component_failure"]
+    for e in result.sim.log.of_type("promotion"):
+        assert failures and failures[0].seq < e.seq, f"promotion at {e.tick} precedes its fault"
+
     if report.status == "failed":
         named = (report.failure or "").split(":")[0]
         assert named in _error_names(), f"failure {report.failure!r} names no SimulationError"
@@ -56,6 +69,10 @@ def check_invariants(result: RunResult) -> None:
         return
     assert report.failure is None, f"completed run names failure {report.failure!r}"
     assert report.model is not None or report.artifact_rejected, "completed run has no model"
+    unresolved = [f for f in report.faults
+                  if f.detection_tick is not None and f.resolution_tick is None]
+    assert not unresolved or report.artifact_rejected, \
+        f"completed run leaves detected faults unresolved: {unresolved}"
     config: ScenarioConfig = result.driver.config
     scenario_origin = _SCENARIO_ORIGIN.get((config.kind, config.mode), "internal")
     refined = any(tuple(step[1:]) == _REFINED

@@ -4,7 +4,11 @@ from __future__ import annotations
 
 import copy
 import json
+import math
+import os
+import tempfile
 from collections import Counter
+from pathlib import Path
 
 import pytest
 from hypothesis import given, settings
@@ -30,6 +34,7 @@ from smosim.learn import sample_random
 from smosim.topology import build_topology
 
 from conftest import scenario_b_dict
+from golden.cases import CASES, golden_path
 from invariants import checked_run
 
 
@@ -93,6 +98,10 @@ MALFORMED = [
      ConfigError, "harness.scheduler.classes[1].name"),
     (("topology",), {"nssmf": 1, "nfvo": 0, "mda_3gpp": 1, "vnfm": 1}, ConfigError,
      "topology.nfvo"),
+    (("harness", "scheduler"), {"budget": 4, "classes": []}, ConfigError,
+     "harness.scheduler.classes"),
+    (("harness", "drift_shift"), {"at_round": 1, "coefficients": [1.0, 0.0]}, ConfigError,
+     "harness.drift_shift.coefficients"),
     (("pipeline", "derived"), [{"op": "product", "a": "x", "b": "cpu"}], ConfigError,
      "pipeline.derived[0].a"),
     (("pipeline", "derived"), [{"op": "product", "a": "slice", "b": "cpu"}], ConfigError,
@@ -190,11 +199,16 @@ class TestDefaults:
 
 # -- one random leaf of a valid config dropped, added or replaced ------------------------
 
-JSON = st.recursive(
-    st.none() | st.booleans() | st.integers() | st.floats() | st.text(max_size=6),
-    lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
-                                                                 max_size=3),
-    max_leaves=6)
+def _json(numbers: st.SearchStrategy) -> st.SearchStrategy:
+    """Any small JSON value, with its numbers drawn from ``numbers``."""
+    return st.recursive(
+        st.none() | st.booleans() | numbers | st.text(max_size=6),
+        lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=6), inner,
+                                                                     max_size=3),
+        max_leaves=6)
+
+
+JSON = _json(st.integers() | st.floats())
 
 
 def _rich_b_dict() -> dict:
@@ -240,16 +254,14 @@ def test_rich_base_config_is_valid():
     assert checked_run(config).report.failure is None
 
 
-@settings(max_examples=400, deadline=None)
-@given(st.data())
-def test_one_mutated_leaf_raises_only_simulation_errors(data):
-    config = _rich_b_dict()
+def _mutate(data, config: dict, values: st.SearchStrategy = JSON) -> None:
+    """Drop, add or replace one random leaf of ``config``, in place."""
     op = data.draw(st.sampled_from(["drop", "add", "replace"]))
     if op == "add":
         containers = [()] + [p for p in _nodes(config)
                              if isinstance(_at(config, p), (dict, list))]
         parent = _at(config, data.draw(st.sampled_from(containers)))
-        value = data.draw(JSON)
+        value = data.draw(values)
         if isinstance(parent, dict):
             parent[data.draw(st.text(max_size=8))] = value
         else:
@@ -260,11 +272,68 @@ def test_one_mutated_leaf_raises_only_simulation_errors(data):
         if op == "drop":
             del parent[path[-1]]
         else:
-            parent[path[-1]] = data.draw(JSON)
+            parent[path[-1]] = data.draw(values)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_one_mutated_leaf_raises_only_simulation_errors(data):
+    config = _rich_b_dict()
+    _mutate(data, config)
     try:
         config_from_dict(config)
     except SimulationError:
         pass
+
+
+# -- runs of mutated configs ---------------------------------------------------------------
+
+# Numbers up to 40 keep every run short: a mutated record count, round count or
+# epoch count stays small (an integral float is taken as an int). The failover
+# variants draw their fail tick from the whole of the unmutated run.
+RUN_JSON = _json(st.integers(-2, 40) | st.floats(-2, 40)
+                 | st.sampled_from([math.nan, math.inf, -math.inf]))
+FAILOVER_BASES = ("b_small", "a_import_model", "c_share_models")
+RUN_BASES = ("rich_b", *CASES, *(f"{name}+failover" for name in FAILOVER_BASES))
+
+
+def _run_base(data, name: str, workdir: Path) -> dict:
+    """The named base config; a ``+failover`` one fails its primary at a drawn tick."""
+    if name == "rich_b":
+        return _rich_b_dict()
+    case = name.removesuffix("+failover")
+    config = CASES[case](workdir)
+    if case != name:
+        final = json.loads(golden_path(case).read_text())["report"]["final_tick"]
+        config["topology"]["aiml_instances"] = 2
+        config["harness"] = {"failure": {
+            "target": "AimlFunction#0", "replicas": ["AimlFunction#1"],
+            "fail_tick": data.draw(st.integers(0, final), label="fail_tick"),
+            "heartbeat_interval": data.draw(st.integers(1, 4), label="heartbeat_interval"),
+            "missed_to_declare": data.draw(st.integers(1, 3), label="missed_to_declare"),
+            "checkpoint_interval": data.draw(st.integers(1, 10), label="checkpoint_interval")}}
+    return config
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_every_accepted_mutated_config_runs_to_a_checked_report(data):
+    """Each accepted config ends completed, or failed with a named SimulationError,
+    and its run keeps every invariant of ``check_invariants``."""
+    with tempfile.TemporaryDirectory() as tmp:
+        config = _run_base(data, data.draw(st.sampled_from(RUN_BASES), label="base"),
+                           Path(tmp))
+        _mutate(data, config, RUN_JSON)
+        try:
+            parsed = config_from_dict(config)
+        except SimulationError:
+            return
+        cwd = os.getcwd()
+        os.chdir(tmp)  # the import bases name their artifact relative to it
+        try:
+            checked_run(parsed)
+        finally:
+            os.chdir(cwd)
 
 
 class TestCrossFieldRules:

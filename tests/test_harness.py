@@ -21,7 +21,6 @@ from smosim.harness import (
     poison_detection_report,
     poison_inject,
     privacy_transform,
-    pseudonym,
     pseudonyms,
     schedule,
     validation_filter,
@@ -141,7 +140,7 @@ class TestPrivacy:
                             [1.0] * 4, source=SRC)
 
     def test_same_key_same_pseudonym(self):
-        assert pseudonym("imsi-7", "k1") == pseudonym("imsi-7", "k1")
+        assert pseudonyms(["imsi-7"], "k1") == pseudonyms(["imsi-7"], "k1")
 
     @pytest.mark.parametrize("key", ["k", "x" * 63, "y" * 64, "z" * 65, "ключ-" * 20])
     def test_pseudonyms_equal_truncated_hmac_sha256(self, key):
@@ -149,12 +148,12 @@ class TestPrivacy:
         expected = ["pid-" + hmac.new(key.encode(), str(v).encode(),
                                       hashlib.sha256).hexdigest()[:16] for v in values]
         assert pseudonyms(values, key) == expected
-        assert pseudonym("ünïcödé ☃", key) == expected[2]
+        assert pseudonyms(["ünïcödé ☃"], key) == expected[2:3]
 
     def test_distinct_keys_distinct_pseudonyms(self):
         vocab = [f"imsi-{i}" for i in range(64)]
-        a = {pseudonym(v, "key-a") for v in vocab}
-        b = {pseudonym(v, "key-b") for v in vocab}
+        a = set(pseudonyms(vocab, "key-a"))
+        b = set(pseudonyms(vocab, "key-b"))
         assert a.isdisjoint(b)
 
     def test_sensitive_fields_replaced_others_kept(self):
@@ -260,13 +259,12 @@ class TestScheduler:
 class TestSignalingReport:
     def test_table_matches_meters_and_log(self):
         from smosim.harness import signaling_report
-        from smosim.topology import total_delivered_bytes
         from conftest import build, scenario_b_dict
 
         result = checked_run(build(scenario_b_dict(n_per_source=50)))
         report = signaling_report(result.sim)
         table_total = sum(e["bytes"] for e in report["interfaces"].values())
-        assert table_total == total_delivered_bytes(result.sim.log)
+        assert table_total == sum(e.bytes for e in result.sim.log.of_type("deliver"))
         for name, entry in report["interfaces"].items():
             assert entry == result.sim.meter(name) | {"by_kind": entry["by_kind"]}
 

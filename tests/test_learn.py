@@ -20,7 +20,6 @@ from smosim.errors import (
     EmptySearchSpace,
     EmptyTrainSet,
     NonFiniteUpdate,
-    SchemaMismatch,
     SingularSystem,
     UnsupportedKind,
 )
@@ -29,7 +28,6 @@ from smosim.learn import (
     StumpParams,
     epoch_orders,
     evaluate,
-    feature_importance,
     fit,
     fit_standardized,
     incremental_update,
@@ -39,7 +37,6 @@ from smosim.learn import (
     ridge_closed_form,
     search,
     train,
-    training_objective,
     zero_params,
 )
 from smosim.pipeline import ScalingParams, SplitDataset, TransformedDataset, Provenance
@@ -68,6 +65,12 @@ def _split(Xtr, ytr, Xv=None, yv=None, Xte=None, yte=None) -> SplitDataset:
         train=_td(Xtr, ytr), val=_td(Xv, yv), test=_td(Xte, yte),
         train_idx=np.arange(n), val_idx=np.arange(len(yv)), test_idx=np.arange(len(yte)),
     )
+
+
+def _ridge_objective(params: LinearParams, X, y, l2_lambda: float) -> float:
+    """Sum-of-squares ridge objective, which the closed form minimizes."""
+    resid = X @ params.weights + params.bias - y
+    return float(resid @ resid) + l2_lambda * float(params.weights @ params.weights)
 
 
 def _finite_difference(kind, params, X, y, lam, h=1e-6):
@@ -175,12 +178,12 @@ class TestRidge:
         y = X @ np.array([1.0, -2.0]) + rng.normal(scale=0.2, size=50)
         for lam in (0.0, 0.5, 5.0):
             star = ridge_closed_form(X, y, lam)
-            best = training_objective(star, X, y, lam)
+            best = _ridge_objective(star, X, y, lam)
             params = zero_params(2)
             for i in range(200):
                 row = slice(i % 50, i % 50 + 1)
                 params = incremental_update(params, X[row], y[row], 0.05, lam)
-                assert training_objective(params, X, y, lam) >= best - 1e-9
+                assert _ridge_objective(params, X, y, lam) >= best - 1e-9
 
 
 class TestTrain:
@@ -592,45 +595,6 @@ class TestSearch:
         spec = HyperSearchSpec(mode="grid", grid={"l2_lambda": (0.0, 0.0)})
         result = search(ModelKind.RIDGE_CLOSED_FORM, sd, spec, HyperParams(), seed=0)
         assert result.best_index == 0
-
-
-class TestFeatureImportance:
-    def test_largest_weight_ranks_first_with_equal_spread(self):
-        X = np.array([[1.0, 1.0], [2.0, 2.0], [3.0, 3.0], [0.0, 0.0]])
-        params = LinearParams(np.array([0.0, 5.0]), 0.0)
-        ranked = feature_importance(params, ModelKind.LINEAR_SGD, X, ["a", "b"])
-        assert ranked[0][0] == "b"
-
-    def test_all_zero_weights_keep_index_order(self):
-        X = np.random.default_rng(1).uniform(size=(10, 3))
-        ranked = feature_importance(zero_params(3), ModelKind.LINEAR_SGD, X,
-                                    ["a", "b", "c"])
-        assert [n for n, _ in ranked] == ["a", "b", "c"]
-        assert all(v == 0.0 for _, v in ranked)
-
-    def test_weight_times_sigma_hand_example(self):
-        rng = np.random.default_rng(2)
-        a = rng.normal(0, 1.0, size=4000)
-        b = rng.normal(0, 3.0, size=4000)
-        X = np.column_stack([a, b])
-        params = LinearParams(np.array([2.0, 1.0]), 0.0)
-        ranked = feature_importance(params, ModelKind.LINEAR_SGD, X, ["a", "b"])
-        values = dict(ranked)
-        assert values["a"] == pytest.approx(2.0, rel=0.1)
-        assert values["b"] == pytest.approx(3.0, rel=0.1)
-        assert ranked[0][0] == "b"
-
-    def test_stump_indicator(self):
-        stump = StumpParams(1, 0.5, 0.0, 1.0)
-        ranked = feature_importance(stump, ModelKind.DECISION_STUMP,
-                                    np.zeros((2, 3)), ["a", "b", "c"])
-        assert ranked[0] == ("b", 1.0)
-        assert ranked[1:] == [("a", 0.0), ("c", 0.0)]
-
-    def test_schema_mismatch(self):
-        with pytest.raises(SchemaMismatch):
-            feature_importance(zero_params(2), ModelKind.LINEAR_SGD,
-                               np.zeros((2, 3)), ["a", "b", "c"])
 
 
 class TestDeterminism:

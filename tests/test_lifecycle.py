@@ -176,6 +176,14 @@ class TestCheckpoints:
         back = load_artifact(path)
         assert back.to_dict() == art.to_dict()
 
+    @pytest.mark.parametrize("text", [None, "{not json", "\udcff"])
+    def test_unreadable_artifact_rejected(self, tmp_path, text):
+        path = tmp_path / "artifact.json"
+        if text is not None:
+            path.write_text(text, errors="surrogateescape")  # "\udcff": one non-UTF-8 byte
+        with pytest.raises(InvalidArtifact):
+            load_artifact(path)
+
     def test_malformed_artifact_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"kind": "LinearSgd"}')

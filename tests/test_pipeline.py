@@ -29,11 +29,10 @@ from smosim.pipeline import (
     split,
     transform,
     transformed_from_csv,
-    transformed_to_csv,
 )
 from smosim.topology import ComponentId, ComponentKind
 
-from conftest import batch_rows, record_batch
+from conftest import batch_rows, record_batch, transformed_to_csv
 
 SRC = ComponentId(ComponentKind.NSSMF, 0)
 SRC2 = ComponentId(ComponentKind.NFVO, 0)
@@ -306,6 +305,12 @@ class TestCsv:
         assert np.array_equal(back.X, td.X)
         assert np.array_equal(back.y, td.y)
         assert back.feature_names == td.feature_names
+
+    @pytest.mark.parametrize("text", ["x,target\n1.0,2.0\nhigh,3.0\n",
+                                      "x,target\n1.0,2.0\n3.0\n", "x,target\n"])
+    def test_rows_must_be_numbers_under_the_header(self, text):
+        with pytest.raises(SchemaMismatch):
+            transformed_from_csv(text, PROV)
 
     def test_header_must_end_with_target(self):
         with pytest.raises(SchemaMismatch):

@@ -21,11 +21,11 @@ from smosim.errors import (
     UnsupportedKind,
 )
 from smosim.learn import LinearParams, ridge_closed_form, evaluate
-from smosim.scenarios import DomainModel, Driver, Phase
-from smosim.topology import ComponentId, ComponentKind, PayloadKind
+from smosim.scenarios import DomainModel, Driver, FaultRecord, Phase, Timeline, timeline
+from smosim.topology import ComponentId, ComponentKind, Event, PayloadKind
 
-from conftest import build, numeric_feature, scenario_b_dict, source
-from golden.cases import a_import_model, b_drift_full, c_share_models
+from conftest import build, numeric_feature, scenario_b_dict, source, transformed_to_csv
+from golden.cases import a_import_model, b_drift_full, c_share_models, run_case
 from invariants import checked_run
 
 TERMINATION_IFACES = ("NSSMF_NonRTRIC", "NFVO_NonRTRIC")
@@ -377,17 +377,45 @@ class TestScenarioAImportModel:
         assert result.registry.entries == {}
         assert len(result.sim.log.of_type("artifact_rejected")) == 1
 
+    def test_artifact_file_that_is_not_json_fails_run(self, tmp_path):
+        config = self._config(tmp_path, [2.0], 0.0)
+        (tmp_path / "artifact.json").write_text("{not json")
+        report = checked_run(config).report
+        assert report.status == "failed"
+        assert report.failure.startswith("InvalidArtifact: ")
+
     def test_missing_artifact_file_fails_run(self, tmp_path):
         config = self._config(tmp_path, [2.0], 0.0)
         (tmp_path / "artifact.json").unlink()
-        with pytest.raises(FileNotFoundError):
-            checked_run(config)
+        report = checked_run(config).report
+        assert report.status == "failed"
+        assert report.failure.startswith("InvalidArtifact: ")
 
 
 class TestScenarioAImportData:
-    def test_import_data_equals_scenario_b_from_same_transformed_data(self, tmp_path):
-        from smosim.pipeline import transformed_to_csv
+    @staticmethod
+    def _config(csv_path):
+        return build({
+            "scenario": {"kind": "A", "mode": "import-data"},
+            "topology": {"mda_3gpp": 1, "external_provider": True},
+            "deploy": {"targets": ["MdaSystem3GPP#0"]},
+            "external": {"data_path": str(csv_path)},
+        })
 
+    def test_missing_external_data_fails_run(self, tmp_path):
+        report = checked_run(self._config(tmp_path / "absent.csv")).report
+        assert report.status == "failed"
+        assert report.failure.startswith(f"{NoDataSources.__name__}: ")
+
+    @pytest.mark.parametrize("text", ["cpu,target\n0.5,1.0\nhigh,2.0\n",
+                                      "cpu,target\n0.5,1.0\n0.7\n"])
+    def test_malformed_external_data_fails_run(self, tmp_path, text):
+        (tmp_path / "data.csv").write_text(text)
+        report = checked_run(self._config(tmp_path / "data.csv")).report
+        assert report.status == "failed"
+        assert report.failure.startswith(f"{SchemaMismatch.__name__}: ")
+
+    def test_import_data_equals_scenario_b_from_same_transformed_data(self, tmp_path):
         b_data = scenario_b_dict(n_per_source=80, sigma=0.05)
         b_data["monitor"] = {"rounds": 0}
         b_data["search"] = {"mode": "grid",
@@ -704,6 +732,77 @@ class TestFailover:
         assert report.faults[0].detection_tick == 4 and report.downtime_ticks == 4
         assert report.model is not None and report.model["origin"] == "external"
 
+    def test_missed_to_declare_1_sees_the_beat_delivered_at_its_check(self):
+        # each check falls on the tick its beat arrives: seeing that beat, the
+        # replica declares the primary dead at the first check after it fails
+        data = scenario_b_dict()
+        data["topology"]["aiml_instances"] = 2
+        data["harness"] = {"failure": {"target": "AimlFunction#0", "fail_tick": 10,
+                                       "heartbeat_interval": 2, "missed_to_declare": 1,
+                                       "replicas": ["AimlFunction#1"]}}
+        result = checked_run(build(data))
+        report = result.report
+        assert [e.tick for e in result.sim.log.of_type("promotion")] == [12]
+        assert report.status == "completed"
+        assert report.faults == [FaultRecord("component_failure", 10, 12, report.final_tick)]
+        assert report.downtime_ticks == 2
+
+    def test_only_the_first_replica_to_declare_takes_over(self):
+        single = checked_run(self._config(["AimlFunction#1"]))
+        result = checked_run(self._config(
+            ["AimlFunction#1", "AimlFunction#2"],
+            topology={"nssmf": 1, "mda_3gpp": 1, "aiml_instances": 3}))
+        assert [e.src for e in result.sim.log.of_type("promotion")] == ["AimlFunction#1"]
+        assert len(self._restores(result)) == 1
+        assert result.report.faults == single.report.faults
+        assert result.report.final_tick == single.report.final_tick
+
+    def test_resume_into_monitoring_resolves_at_the_promotion(self):
+        result = checked_run(self._config(["AimlFunction#1"], fail_tick=318,
+                                          monitor={"rounds": 5, "interval": 10, "batch": 20}))
+        report = result.report
+        restore = [e for e in result.sim.log.of_type("mitigation")
+                   if e.detail["mechanism"] == "failover_restore"]
+        assert [(e.detail["resumed_phase"], e.detail["resumes_monitoring"])
+                for e in restore] == [("monitor", True)]
+        assert report.faults == [FaultRecord("component_failure", 318, 322, 322)]
+        assert (report.downtime_ticks, report.time_to_detection,
+                report.time_to_resolution) == (4, 4, 4)
+
+    @pytest.mark.parametrize("fail_tick", [310, 311])
+    def test_failure_inside_the_detection_delay_stays_undetected(self, fail_tick):
+        # the workflow completes at 312, before the replica has missed two beats
+        report = checked_run(self._config(["AimlFunction#1"], fail_tick=fail_tick)).report
+        assert (report.status, report.final_tick) == ("completed", 312)
+        assert report.faults == [FaultRecord("component_failure", fail_tick)]
+        assert report.downtime_ticks is None and report.time_to_detection is None
+
+    def test_share_models_failover_resolves_at_the_aggregated_deployment(self, tmp_path):
+        data = c_share_models(tmp_path)
+        data["topology"]["aiml_instances"] = 2
+        data["harness"] = self._failure(100)
+        result = checked_run(build(data))
+        deployed = [e.tick for e in result.sim.log.of_type("transition")
+                    if e.detail["state"] == "Deployed"]
+        assert deployed == [13216]
+        assert result.report.faults == [FaultRecord("component_failure", 100, 104, 13216)]
+        assert result.report.time_to_resolution == 13116
+
+    def test_reimport_rejected_after_failover_leaves_the_fault_open(self, tmp_path,
+                                                                    monkeypatch):
+        # the first validation accepts the artifact; the replica's rejects it
+        monkeypatch.chdir(tmp_path)
+        data = a_import_model(tmp_path)
+        data["topology"]["aiml_instances"] = 2
+        data["sources"][0]["noise_sigma"] = 1.0
+        data["external"]["validation_mse_threshold"] = 1.0
+        data["harness"] = self._failure(10)
+        result = checked_run(build(data))
+        report = result.report
+        assert len(result.sim.log.of_type("artifact_rejected")) == 1
+        assert report.status == "completed" and report.artifact_rejected
+        assert report.faults == [FaultRecord("component_failure", 10, 14)]
+
     def test_restored_registry_equals_last_checkpoint(self):
         result = checked_run(self._config(["AimlFunction#1"]))
         driver = result.driver
@@ -876,8 +975,6 @@ class TestFailover:
         assert len(validations) == 1
 
     def test_import_data_resume_retrains_on_the_external_data(self, tmp_path, monkeypatch):
-        from smosim.pipeline import transformed_to_csv
-
         monkeypatch.chdir(tmp_path)
         b = scenario_b_dict(n_per_source=200, seed=5, deploy={"targets": ["MdaSystem3GPP#0"]})
         b["topology"] = {"nssmf": 1, "mda_3gpp": 1}
@@ -901,3 +998,40 @@ class TestFailover:
         raw = [e for e in result.sim.log.entries
                if e.type == "deliver" and e.payload_kind == "RawData"]
         assert raw == []
+
+
+class TestTimeline:
+    @staticmethod
+    def _events(*spec):
+        """Events from (tick, type, detail) triples, numbered in order."""
+        return [Event(tick, seq, kind, detail=detail or {})
+                for seq, (tick, kind, detail) in enumerate(spec, 1)]
+
+    def test_nothing_is_detected_before_its_fault_or_resolved_before_detection(self):
+        events = self._events(
+            (5, "promotion", None), (6, "deployment_complete", None),
+            (7, "fault", {"kind": "component_failure"}), (9, "deployment_complete", None),
+            (11, "promotion", None), (12, "drift_detected", None),
+            (15, "deployment_complete", None), (20, "promotion", None))
+        assert timeline(events) == Timeline(
+            [FaultRecord("component_failure", 7, 11, 15)], 4, 4, 8)
+
+    def test_a_deployed_transition_resolves_only_after_an_aggregation(self):
+        deployed = (30, "transition", {"state": "Deployed"})
+        head = [(10, "fault", {"kind": "component_failure"}), (14, "promotion", None)]
+        assert timeline(self._events(*head, deployed)).faults == [
+            FaultRecord("component_failure", 10, 14)]
+        assert timeline(self._events(*head, (20, "aggregation", None), deployed)).faults == [
+            FaultRecord("component_failure", 10, 14, 30)]
+
+    def test_every_target_logs_the_shift_but_the_model_drifts_once(self, tmp_path):
+        result = run_case("b_stream_incremental", tmp_path)
+        shifts = result.sim.log.of_type("fault")
+        assert sorted(e.src for e in shifts) == ["MdaSystem3GPP#0", "NFMF#0"]
+        assert {e.detail["kind"] for e in shifts} == {"drift_shift"}
+        drifts = result.sim.log.of_type("drift_detected")
+        deployments = result.sim.log.of_type("deployment_complete")
+        resolved = next(e.tick for e in deployments if e.tick > drifts[0].tick)
+        assert result.report.faults == [
+            FaultRecord("drift_shift", shifts[0].tick, drifts[0].tick, resolved)]
+        assert timeline(result.sim.log.entries).faults == result.report.faults

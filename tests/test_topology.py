@@ -28,7 +28,6 @@ from smosim.topology import (
     Simulation,
     Topology,
     build_topology,
-    total_delivered_bytes,
 )
 
 from conftest import scenario_b_dict
@@ -240,7 +239,7 @@ class TestMeterContract:
             sim.send(dst, src, PayloadKind.CONTROL, size // 2)
         sim.run_until(5)
         total = sum(sim.meter(name)["bytes"] for name in sim.meters)
-        assert total == total_delivered_bytes(sim.log)
+        assert total == sum(e.bytes for e in sim.log.of_type("deliver"))
 
 
 class TestDeterminism:
