@@ -1,17 +1,27 @@
 """Model zoo and training: SGD linear/logistic models, closed-form ridge,
-depth-1 decision stumps, hyperparameter search, evaluation, importance.
+depth-1 decision stumps, hyperparameter search and evaluation.
 
 Everything is deterministic given (data, hyperparams, seed); ties anywhere
 break by enumeration order. Training cost is simulated: records processed
 times a configured per-record tick cost, never wall clock.
+
+Every SGD fit runs through one kernel, :func:`_sgd`, whose steps equal a loop
+over :func:`loss_gradient` bit for bit. One :func:`train` call can fit several
+models of one kind and hyperparameters (its ``peers``), and the kernel picks
+its step by the fit count: one fit keeps the 2-D step, several step in
+lockstep, stacked on a leading fit axis over the full minibatches that all of
+them have in an epoch, then each fit's ragged tail alone. Stacked
+``np.matmul`` and ``np.add.reduce(., 1)`` equal the per-fit ``xb @ w`` and
+``np.add.reduce(., 0)`` bit for bit (numpy 2.4.6 with its bundled OpenBLAS),
+so each stacked fit equals the fit of a call of its own.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass
-from typing import Any, Iterable
+from dataclasses import dataclass, field
+from typing import Any, Callable, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -22,6 +32,7 @@ from .errors import (
     EmptyTrainSet,
     NonFiniteUpdate,
     SchemaMismatch,
+    SimulationError,
     SingularSystem,
     UnsupportedKind,
 )
@@ -124,7 +135,15 @@ def incremental_update(params: LinearParams, X: np.ndarray, y: np.ndarray,
     """Per-sample SGD over new samples in arrival order."""
     if not kind.is_sgd:
         raise UnsupportedKind(f"{kind.value} cannot be updated incrementally")
-    return _sgd(kind, X, y, [np.arange(X.shape[0])], 1, learning_rate, l2_lambda, params)
+    return _raised(_sgd(kind, [(X, y, [np.arange(X.shape[0])], params)], 1,
+                        learning_rate, l2_lambda)[0])
+
+
+def _raised(outcome):
+    """A fit's outcome, raising it if it is the error the fit raised."""
+    if isinstance(outcome, SimulationError):
+        raise outcome
+    return outcome
 
 
 # A run whose loss ends this many times above both its starting model's and
@@ -137,37 +156,95 @@ _CHECK_ROWS = 1024
 # steps, and the buffers stay small however large the train set.
 _GATHER_STEPS = 64
 
+# (X, y, its per-epoch orders, init) of one fit
+_SgdFit = tuple[np.ndarray, np.ndarray, Iterable[np.ndarray], LinearParams]
 
-def _sgd(kind: ModelKind, X: np.ndarray, y: np.ndarray, orders: Iterable[np.ndarray],
-         batch_size: int, learning_rate: float, l2_lambda: float,
-         init: LinearParams) -> LinearParams:
-    """Minibatch SGD from ``init``, one step per ``batch_size`` rows of each order.
+
+def _sgd(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int, learning_rate: float,
+         l2_lambda: float) -> list[LinearParams | SimulationError]:
+    """Minibatch SGD of each fit from its init, one step per ``batch_size``
+    rows of each of its orders; per fit, its parameters or the error it raised.
 
     Every SGD path runs through here. A step does :func:`loss_gradient`'s
     arithmetic in its order, so results equal a loop over it bit for bit
-    (``X.T @ err`` would sum in another order). The in-place ufuncs below are
-    the same IEEE operations on the same layouts: a scalar product commutes
-    exactly and ``ndarray.sum`` is ``np.add.reduce``. Each take gathers the
-    rows of _GATHER_STEPS minibatches of an order into one buffer, and every
-    step works on views of that buffer and of preallocated ones.
+    (``X.T @ err`` would sum in another order). The in-place ufuncs are the
+    same IEEE operations on the same layouts: a scalar product commutes
+    exactly and ``ndarray.sum`` is ``np.add.reduce``.
 
-    Raises NonFiniteUpdate when an order leaves a parameter non-finite or the
-    run ends diverged. Checking once per order raises for exactly the inputs a
-    per-step check would: a non-finite parameter stays non-finite under every
-    later step (inf minus anything is inf or NaN, and NaN propagates).
+    The step is picked by the fit count. One fit, or fits of different widths
+    or dtypes, step alone: the 2-D step of :func:`_stepper`. Several fits step
+    in lockstep (:func:`_lockstep`): all of them stacked on a leading fit
+    axis over the full minibatches every fit has in an epoch, then each fit's
+    ragged tail alone. Stacked ``np.matmul`` runs the same BLAS call per fit
+    as ``xb @ w``, and ``np.add.reduce(., 1)`` over the fit axis sums each
+    fit's rows in the order ``np.add.reduce(., 0)`` does, so each fit's
+    parameters equal those of a call of its own bit for bit (checked on numpy
+    2.4.6 with its bundled OpenBLAS). The 3-D step costs more than the 2-D one
+    at one fit, so a one-fit call keeps the 2-D step.
+
+    A fit's error is a SchemaMismatch for an init of the wrong width, or a
+    NonFiniteUpdate when an order leaves a parameter non-finite or the run
+    ends diverged; it stops that fit alone. Checking once per order finds
+    exactly the fits a per-step check would: a non-finite parameter stays
+    non-finite under every later step (inf minus anything is inf or NaN, and
+    NaN propagates).
     """
-    n_rows, d = X.shape
-    if len(init.weights) != d:
-        raise SchemaMismatch("warm-start width differs from data width")
-    w, b = init.weights.astype(float), float(init.bias)
+    out: list[LinearParams | SimulationError | None] = [None] * len(fits)
+    live = []
+    for i, (X, _, _, init) in enumerate(fits):
+        if len(init.weights) != X.shape[1]:
+            out[i] = SchemaMismatch("warm-start width differs from data width")
+        else:
+            live.append(i)
+    stack = len(live) > 1 and len(
+        {(fits[i][0].shape[1], fits[i][0].dtype, fits[i][1].dtype) for i in live}) == 1
+    groups = [live] if stack else [[i] for i in live]
+    with np.errstate(over="ignore", invalid="ignore"):
+        for group in groups:
+            run = _lockstep if len(group) > 1 else _alone
+            for i, params in zip(group, run(kind, [fits[i] for i in group], batch_size,
+                                            learning_rate, l2_lambda)):
+                X, y, _, init = fits[i]
+                out[i] = params if isinstance(params, SimulationError) \
+                    else _checked(kind, X, y, init, params, l2_lambda)
+    return out  # type: ignore[return-value]
+
+
+def _diverged_error() -> NonFiniteUpdate:
+    return NonFiniteUpdate("parameters diverged; lower the learning rate")
+
+
+def _finite(w: np.ndarray, b: float) -> bool:
+    return bool(np.isfinite(w).all()) and math.isfinite(b)
+
+
+def _checked(kind: ModelKind, X: np.ndarray, y: np.ndarray, init: LinearParams,
+             out: LinearParams, l2_lambda: float) -> LinearParams | NonFiniteUpdate:
+    """``out``, or the error of a run that ended diverged (see _DIVERGED_LOSS_RATIO)."""
+    if X.shape[0]:
+        Xc, yc = X[:_CHECK_ROWS], y[:_CHECK_ROWS]
+        start_loss = max(loss_value(kind, init, Xc, yc, l2_lambda),
+                         loss_value(kind, zero_params(X.shape[1]), Xc, yc, l2_lambda))
+        if not loss_value(kind, out, Xc, yc, l2_lambda) <= _DIVERGED_LOSS_RATIO * start_loss:
+            return _diverged_error()
+    return out
+
+
+def _stepper(kind: ModelKind, X: np.ndarray, y: np.ndarray, w: np.ndarray, Xo: np.ndarray,
+             yo: np.ndarray, batch_size: int, learning_rate: float,
+             l2_lambda: float) -> Callable[[np.ndarray, float], float]:
+    """The 2-D step of one fit: ``run(order, b)`` steps through the rows of
+    ``order`` from bias ``b``, updating ``w`` in place, and returns the new
+    bias. Each take gathers the rows of _GATHER_STEPS minibatches of an order
+    into ``Xo`` (which has that many rows, or all of the order's), and every
+    step works on views of it and of preallocated buffers."""
+    d = X.shape[1]
     logistic = kind is ModelKind.LOGISTIC_SGD
     block = _GATHER_STEPS * batch_size
-    Xo = np.empty((min(block, n_rows), d), X.dtype)
-    yo = np.empty(len(Xo), y.dtype)
-    prod, gw, wd = np.empty((min(batch_size, n_rows), d)), np.empty(d), np.empty(d)
+    prod, gw, wd = np.empty((min(batch_size, len(Xo)), d)), np.empty(d), np.empty(d)
     # scalar operands as 0-d arrays: a ufunc takes them faster than Python
     # floats, and the float64 arithmetic is the same
-    bias, lr, decay = np.array(b), np.array(learning_rate, float), np.array(2.0 * l2_lambda)
+    bias, lr, decay = np.array(0.0), np.array(learning_rate, float), np.array(2.0 * l2_lambda)
     steps: dict[int, list[tuple]] = {}  # gathered row count -> its minibatches
 
     def minibatches(rows: int) -> list[tuple]:
@@ -179,57 +256,139 @@ def _sgd(kind: ModelKind, X: np.ndarray, y: np.ndarray, orders: Iterable[np.ndar
                         np.array(2.0 / n)))
         return out
 
-    add, multiply, subtract, add_reduce = np.add, np.multiply, np.subtract, np.add.reduce
-    with np.errstate(over="ignore", invalid="ignore"):
-        for order in orders:
-            for first in range(0, len(order), block):
-                idx = order[first:first + block]
-                rows = len(idx)
-                # indices from a permutation never wrap, and "wrap" skips the
-                # copy that "raise" makes when it writes to ``out``
-                X.take(idx, 0, Xo[:rows], "wrap")
-                y.take(idx, 0, yo[:rows], "wrap")
-                if rows not in steps:
-                    steps[rows] = minibatches(rows)
-                for xb, yb, p, n, c in steps[rows]:
-                    z = xb @ w
-                    add(z, bias, z)
-                    if logistic:
-                        diff = _sigmoid(z)
-                        subtract(diff, yb, diff)
-                        multiply(diff[:, None], xb, p)
-                        add_reduce(p, 0, None, gw)
-                        gw /= n
-                        gb = float(add_reduce(diff)) / n
-                    else:
-                        subtract(z, yb, z)
-                        multiply(z[:, None], xb, p)
-                        add_reduce(p, 0, None, gw)
-                        multiply(gw, c, gw)
-                        gb = 2.0 / n * float(add_reduce(z))
-                    if l2_lambda:
-                        multiply(w, decay, wd)
-                        add(gw, wd, gw)
-                    multiply(gw, lr, gw)
-                    subtract(w, gw, w)
-                    b = b - learning_rate * gb
-                    bias[()] = b
-            if not (np.isfinite(w).all() and math.isfinite(b)):
-                raise NonFiniteUpdate("parameters diverged; lower the learning rate")
-        out = LinearParams(w, b)
-        if X.shape[0]:
-            Xc, yc = X[:_CHECK_ROWS], y[:_CHECK_ROWS]
-            start_loss = max(loss_value(kind, init, Xc, yc, l2_lambda),
-                             loss_value(kind, zero_params(X.shape[1]), Xc, yc, l2_lambda))
-            if not loss_value(kind, out, Xc, yc, l2_lambda) <= _DIVERGED_LOSS_RATIO * start_loss:
-                raise NonFiniteUpdate("parameters diverged; lower the learning rate")
-    return out
+    def run(order: np.ndarray, b: float) -> float:
+        add, multiply, subtract, divide = np.add, np.multiply, np.subtract, np.true_divide
+        add_reduce = np.add.reduce
+        bias[()] = b
+        for first in range(0, len(order), block):
+            idx = order[first:first + block]
+            rows = len(idx)
+            # indices from a permutation never wrap, and "wrap" skips the
+            # copy that "raise" makes when it writes to ``out``
+            X.take(idx, 0, Xo[:rows], "wrap")
+            y.take(idx, 0, yo[:rows], "wrap")
+            if rows not in steps:
+                steps[rows] = minibatches(rows)
+            for xb, yb, p, n, c in steps[rows]:
+                z = xb @ w
+                add(z, bias, z)
+                if logistic:
+                    diff = _sigmoid(z)
+                    subtract(diff, yb, diff)
+                    multiply(diff[:, None], xb, p)
+                    add_reduce(p, 0, None, gw)
+                    divide(gw, n, gw)
+                    gb = float(add_reduce(diff)) / n
+                else:
+                    subtract(z, yb, z)
+                    multiply(z[:, None], xb, p)
+                    add_reduce(p, 0, None, gw)
+                    multiply(gw, c, gw)
+                    gb = 2.0 / n * float(add_reduce(z))
+                if l2_lambda:
+                    multiply(w, decay, wd)
+                    add(gw, wd, gw)
+                multiply(gw, lr, gw)
+                subtract(w, gw, w)
+                b = b - learning_rate * gb
+                bias[()] = b
+        return b
+
+    return run
 
 
-def epoch_orders(n: int, seed: int, epochs: int) -> list[np.ndarray]:
-    """The seeded per-epoch shuffles used by SGD training."""
+def _alone(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int, learning_rate: float,
+           l2_lambda: float) -> list[LinearParams | SimulationError]:
+    """One fit, stepped alone."""
+    ((X, y, orders, init),) = fits
+    w, b = init.weights.astype(float), float(init.bias)
+    Xo = np.empty((min(_GATHER_STEPS * batch_size, len(X)), X.shape[1]), X.dtype)
+    run = _stepper(kind, X, y, w, Xo, np.empty(len(Xo), y.dtype), batch_size, learning_rate,
+                   l2_lambda)
+    for order in orders:
+        b = run(order, b)
+        if not _finite(w, b):
+            return [_diverged_error()]
+    return [LinearParams(w, b)]
+
+
+def _lockstep(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int,
+              learning_rate: float, l2_lambda: float) -> list[LinearParams | SimulationError]:
+    """Several fits of one width and dtype in lockstep, one epoch at a time.
+
+    An epoch steps every fit's first ``min(n) // batch_size`` minibatches
+    stacked, then each fit's remaining rows alone (its :func:`_stepper` works
+    on the fit's rows of the stacked buffers and parameters). A fit whose
+    parameters go non-finite takes no further tail steps; its stacked rows go
+    on being computed, and the other fits never read them.
+    """
+    count, d = len(fits), fits[0][0].shape[1]
+    common = min(len(X) for X, _, _, _ in fits) // batch_size * batch_size
+    block = _GATHER_STEPS * batch_size
+    Xs = np.empty((count, min(block, max(len(X) for X, _, _, _ in fits)), d), fits[0][0].dtype)
+    ys = np.empty(Xs.shape[:2], fits[0][1].dtype)
+    W = np.array([init.weights for _, _, _, init in fits], float)
+    bias = np.array([init.bias for _, _, _, init in fits], float)
+    tails = [_stepper(kind, X, y, W[f], Xs[f], ys[f], batch_size, learning_rate, l2_lambda)
+             for f, (X, y, _, _) in enumerate(fits)]
+    failed: list[NonFiniteUpdate | None] = [None] * count
+    logistic = kind is ModelKind.LOGISTIC_SGD
+    W3, bias2 = W[:, :, None], bias[:, None]
+    z3, prod = np.empty((count, batch_size, 1)), np.empty((count, batch_size, d))
+    z = z3[:, :, 0]
+    gw, wd, gb = np.empty((count, d)), np.empty((count, d)), np.empty(count)
+    lr, decay = np.array(learning_rate, float), np.array(2.0 * l2_lambda)
+    c = np.array(2.0 / batch_size)
+    views = [(Xs[:, s:s + batch_size], ys[:, s:s + batch_size])
+             for s in range(0, min(block, common), batch_size)]
+    matmul, add, multiply, subtract, add_reduce = (np.matmul, np.add, np.multiply, np.subtract,
+                                                  np.add.reduce)
+    for orders in zip(*(orders for _, _, orders, _ in fits), strict=True):
+        for first in range(0, common, block):
+            rows = min(block, common - first)
+            for f, ((X, y, _, _), order) in enumerate(zip(fits, orders)):
+                X.take(order[first:first + rows], 0, Xs[f, :rows], "wrap")
+                y.take(order[first:first + rows], 0, ys[f, :rows], "wrap")
+            for xb, yb in views[:rows // batch_size]:
+                matmul(xb, W3, z3)
+                add(z, bias2, z)
+                if logistic:
+                    diff = _sigmoid(z)
+                    subtract(diff, yb, diff)
+                    multiply(diff[:, :, None], xb, prod)
+                    add_reduce(prod, 1, None, gw)
+                    gw /= batch_size
+                    add_reduce(diff, 1, None, gb)
+                    gb /= batch_size
+                else:
+                    subtract(z, yb, z)
+                    multiply(z3, xb, prod)
+                    add_reduce(prod, 1, None, gw)
+                    multiply(gw, c, gw)
+                    add_reduce(z, 1, None, gb)
+                    multiply(gb, c, gb)
+                if l2_lambda:
+                    multiply(W, decay, wd)
+                    add(gw, wd, gw)
+                multiply(gw, lr, gw)
+                subtract(W, gw, W)
+                multiply(gb, lr, gb)
+                subtract(bias, gb, bias)
+        for f, order in enumerate(orders):
+            if failed[f] is None:
+                bias[f] = tails[f](order[common:], float(bias[f]))
+                if not _finite(W[f], float(bias[f])):
+                    failed[f] = _diverged_error()
+    return [LinearParams(W[f].copy(), float(bias[f])) if failed[f] is None else failed[f]
+            for f in range(count)]
+
+
+def epoch_orders(n: int, seed: int, epochs: int) -> Iterator[np.ndarray]:
+    """The seeded per-epoch shuffles used by SGD training, one epoch at a time
+    from one generator, so they take O(n) memory however many epochs."""
     rng = np.random.default_rng(seed)
-    return [rng.permutation(n) for _ in range(epochs)]
+    for _ in range(epochs):
+        yield rng.permutation(n)
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -290,6 +449,8 @@ class TrainResult:
     params: ModelParameters
     metrics: EvalMetrics
     records_processed: int
+    # the results of :func:`train`'s peers, or the errors their fits raised
+    peers: list["TrainResult | SimulationError"] = field(default_factory=list)
 
 
 def ridge_closed_form(X: np.ndarray, y: np.ndarray, l2_lambda: float) -> LinearParams:
@@ -375,16 +536,36 @@ def fit(kind: ModelKind, X: np.ndarray, y: np.ndarray, hp: HyperParams, seed: in
     SGD kinds run ``hp.epochs`` seeded shuffles from ``init`` (zeros if None);
     the closed form and the stump ignore ``init`` and fit afresh.
     """
-    n = X.shape[0]
-    if n == 0:
-        raise EmptyTrainSet("train split is empty")
-    if kind is ModelKind.RIDGE_CLOSED_FORM:
-        return ridge_closed_form(X, y, hp.l2_lambda), n
-    if not kind.is_sgd:
-        return _fit_stump(X, y, classification=not kind.is_regression), n
-    init = init if init is not None else zero_params(X.shape[1])
-    return _sgd(kind, X, y, epoch_orders(n, seed, hp.epochs), hp.batch_size,
-                hp.learning_rate, hp.l2_lambda, init), hp.epochs * n
+    return _raised(_fit_each(kind, [(X, y, init)], hp, seed)[0])
+
+
+def _fit_each(kind: ModelKind,
+              data: Sequence[tuple[np.ndarray, np.ndarray, LinearParams | None]],
+              hp: HyperParams, seed: int) -> list[tuple[ModelParameters, int] | SimulationError]:
+    """:func:`fit` on each (X, y, init), its SGD fits in one :func:`_sgd` call;
+    per fit, its (model, records processed) or the error it raised."""
+    out: list[tuple[ModelParameters, int] | SimulationError | None] = [None] * len(data)
+    sgd = []
+    for i, (X, y, _) in enumerate(data):
+        n = X.shape[0]
+        if n == 0:
+            out[i] = EmptyTrainSet("train split is empty")
+        elif kind is ModelKind.RIDGE_CLOSED_FORM:
+            try:
+                out[i] = ridge_closed_form(X, y, hp.l2_lambda), n
+            except SingularSystem as exc:
+                out[i] = exc
+        elif not kind.is_sgd:
+            out[i] = _fit_stump(X, y, classification=not kind.is_regression), n
+        else:
+            sgd.append(i)
+    fits = [(X, y, epoch_orders(len(X), seed, hp.epochs),
+             init if init is not None else zero_params(X.shape[1]))
+            for X, y, init in (data[i] for i in sgd)]
+    for i, params in zip(sgd, _sgd(kind, fits, hp.batch_size, hp.learning_rate, hp.l2_lambda)):
+        out[i] = params if isinstance(params, SimulationError) \
+            else (params, hp.epochs * data[i][0].shape[0])
+    return out  # type: ignore[return-value]
 
 
 def fit_standardized(kind: ModelKind, X: np.ndarray, y: np.ndarray, hp: HyperParams,
@@ -408,12 +589,37 @@ def fit_standardized(kind: ModelKind, X: np.ndarray, y: np.ndarray, hp: HyperPar
 
 def train(kind: ModelKind, split: SplitDataset, hp: HyperParams, seed: int,
           init: LinearParams | None = None,
-          costs: CostTable | None = None) -> TrainResult:
-    """Fit one model on the train partition and score it on validation."""
-    params, processed = fit(kind, split.train.X, split.train.y, hp, seed, init)
+          costs: CostTable | None = None,
+          peers: Sequence[tuple[SplitDataset, LinearParams | None]] = ()) -> TrainResult:
+    """Fit one model on the train partition and score it on validation.
+
+    ``peers`` are more (split, init) pairs fitted in the same call with the
+    same kind, hyperparameters and seed; the result's ``peers`` holds each
+    one's TrainResult, or the SimulationError its fit raised, in order. Their
+    SGD fits run with this one's in one :func:`_sgd` call, stacked when there
+    are several (see there why each stacked fit equals its own call bit for
+    bit). A call without peers is one :func:`fit`, stepped alone. This fit's
+    own error is raised.
+    """
+    costs = costs or CostTable()
+    if not peers:
+        return _scored(kind, split, hp, costs, fit(kind, split.train.X, split.train.y, hp,
+                                                   seed, init))
+    splits = [split, *(s for s, _ in peers)]
+    fits = _fit_each(kind, [(split.train.X, split.train.y, init),
+                            *((s.train.X, s.train.y, i) for s, i in peers)], hp, seed)
+    own, *others = [f if isinstance(f, SimulationError) else _scored(kind, s, hp, costs, f)
+                    for s, f in zip(splits, fits)]
+    own = _raised(own)
+    own.peers = others
+    return own
+
+
+def _scored(kind: ModelKind, split: SplitDataset, hp: HyperParams, costs: CostTable,
+            fitted: tuple[ModelParameters, int]) -> TrainResult:
+    params, processed = fitted
     metrics = evaluate(params, kind, split.val.X, split.val.y, hp.threshold) \
         if len(split.val) else EvalMetrics(float("nan"), float("nan"), float("nan"))
-    costs = costs or CostTable()
     metrics.train_ticks = processed * costs.train_tick_per_record
     metrics.inference_ticks = len(split.val) * costs.inference_tick_per_record
     return TrainResult(params=params, metrics=metrics, records_processed=processed)

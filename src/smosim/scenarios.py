@@ -5,13 +5,19 @@ into the event loop and walks the workflow :class:`Phase` by phase, from
 ``idle`` through ``collect`` (and preprocessing) or ``collect_validation`` of an
 imported model, ``train``, ``deploy``, ``monitor`` and ``refine`` to ``done``.
 Scenario C share-models runs ``federated`` rounds of local training and
-weighted parameter aggregation instead. A replica promoted after a failover
-resumes the failed primary's phase through one table, ``Driver.RESUME``. A
-failing step raises a named :class:`SimulationError`, and ``Driver.run``
-writes it into the final RunReport. The report's fault fields (``faults``,
-``downtime_ticks``, ``time_to_detection`` and ``time_to_resolution``) are not
-kept while the run goes: :func:`timeline` folds them from the event log at
-the end.
+weighted parameter aggregation instead. The first domain to train a round
+fits every other domain that has its data and has not trained the round in
+the same ``learn.train`` call, from its own init, which in a normal round is
+the broadcast global model; the Driver keeps those results, and each domain
+takes its own at its own tick only if its init is the kept one bit for bit
+(``Driver.fit_round``). Training ticks, evaluation and a domain's own
+divergence stay with that domain, so simulated time is unchanged. A replica
+promoted after a failover resumes the failed primary's phase through one
+table, ``Driver.RESUME``. A failing step raises a named
+:class:`SimulationError`, and ``Driver.run`` writes it into the final
+RunReport. The report's fault fields (``faults``, ``downtime_ticks``,
+``time_to_detection`` and ``time_to_resolution``) are not kept while the run
+goes: :func:`timeline` folds them from the event log at the end.
 """
 
 from __future__ import annotations
@@ -440,6 +446,14 @@ def _clean_copy(spec: SourceSpec) -> SourceSpec:
                    duplicate_rate=0.0, missing_rate=0.0, error_rate=0.0)
 
 
+def _same_bits(a: learn.LinearParams | None, b: learn.LinearParams | None) -> bool:
+    """Whether two inits are equal bit for bit, so that -0.0 differs from 0.0
+    (None is the zero start)."""
+    if a is None or b is None:
+        return a is b
+    return np.array([*a.weights, a.bias]).tobytes() == np.array([*b.weights, b.bias]).tobytes()
+
+
 class _DomainBehavior:
     """Scenario C domain: trains locally, shares parameters, adopts the global."""
 
@@ -449,6 +463,7 @@ class _DomainBehavior:
         self.spec = spec
         self.split: pipeline.SplitDataset | None = None
         self.params: learn.LinearParams | None = None
+        self.last_round = 0  # the last round this domain fitted
 
     def _ensure_data(self) -> pipeline.SplitDataset:
         if self.split is None:
@@ -468,11 +483,8 @@ class _DomainBehavior:
 
     def _train_round(self, round_index: int) -> None:
         driver = self.driver
-        split = self._ensure_data()
-        hp = driver.config.model.hyperparams
-        result = learn.train(driver.config.model.kind, split, hp,
-                             seed=driver.config.seed, init=self.params,
-                             costs=driver.costs)
+        self._ensure_data()
+        result = driver.fit_round(self, round_index)
         driver.count_training(result.metrics.train_ticks)
         done_tick = driver.sim.clock + result.metrics.train_ticks
         driver.sim.schedule(done_tick, lambda: self._send_local_model(result, round_index))
@@ -597,6 +609,10 @@ class Driver:
         self._expected_artifacts: dict[int, set[str]] = {}
         self._domain_models: dict[int, dict[str, DomainModel]] = {}
         self._domain_evals: dict[str, dict[str, Any]] = {}
+        # (owner, round) -> (init, result) of a domain's fit made by another's call
+        self._kept_fits: dict[tuple[ComponentId, int],
+                              tuple[learn.LinearParams | None,
+                                    learn.TrainResult | SimulationError]] = {}
         self.collection_round = 0
         self._reports_seen = 0
         self._pending_import: ModelArtifact | None = None
@@ -1216,6 +1232,32 @@ class Driver:
         self._finish()
 
     # -- scenario C helpers shared with domain behaviors ---------------------------------------------------
+
+    def fit_round(self, domain: _DomainBehavior, round_index: int) -> learn.TrainResult:
+        """The domain's local fit of the round, from its current parameters.
+
+        The first domain to fit a round fits every other domain that has its
+        data and has not fitted the round yet in the same ``learn.train`` call,
+        from its own init, and their results are kept by (owner, round). A
+        domain takes its kept result, or raises its kept error, only if its
+        init equals the kept one bit for bit; a fit is a pure function of its
+        split and init, so that result is the one its own call would give.
+        Otherwise, as after a failover resume, it fits afresh.
+        """
+        kept = self._kept_fits.pop((domain.cid, round_index), None)
+        domain.last_round = round_index
+        if kept is not None and _same_bits(kept[0], domain.params):
+            if isinstance(kept[1], SimulationError):
+                raise kept[1]
+            return kept[1]
+        peers = [d for d in self.domains.values()
+                 if d is not domain and d.split is not None and d.last_round < round_index]
+        result = learn.train(self.config.model.kind, domain.split, self.config.model.hyperparams,
+                             seed=self.config.seed, init=domain.params, costs=self.costs,
+                             peers=[(d.split, domain.params) for d in peers])
+        self._kept_fits = {(d.cid, round_index): (domain.params, r)
+                           for d, r in zip(peers, result.peers)}
+        return result
 
     def build_local_split(self, spec: SourceSpec) -> pipeline.SplitDataset:
         records = self.local_cleansed_records(spec)

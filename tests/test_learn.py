@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import itertools
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -292,7 +293,7 @@ class TestIncrementalUpdate:
         y = X @ np.array([1.0, -1.0, 0.5]) + rng.normal(scale=0.1, size=40)
         hp = HyperParams(learning_rate=0.05, epochs=1, batch_size=1, l2_lambda=0.01)
         batch = train(ModelKind.LINEAR_SGD, _split(X, y), hp, seed=17)
-        order = epoch_orders(40, seed=17, epochs=1)[0]
+        order = next(epoch_orders(40, seed=17, epochs=1))
         streamed = incremental_update(zero_params(3), X[order], y[order],
                                       hp.learning_rate, hp.l2_lambda)
         assert np.array_equal(batch.params.weights, streamed.weights)
@@ -411,7 +412,7 @@ class TestSgdKernel:
         X = rng.uniform(0, 1, size=(40, 2))
         y = X[:, 0].copy()
         hp = HyperParams(learning_rate=0.1, epochs=2, batch_size=8)
-        orders = epoch_orders(40, 0, hp.epochs)
+        orders = list(epoch_orders(40, 0, hp.epochs))
         X[orders[0][0]] = [1e200, 1e200]  # in the first of five batches
         init = LinearParams(np.ones(2), 0.0)
         loop, first_bad = _loop_sgd(ModelKind.LINEAR_SGD, X, y, orders,
@@ -434,7 +435,7 @@ class TestSgdKernel:
         X = rng.uniform(0, 1, size=(40, 2))
         y = X[:, 0].copy()
         hp = HyperParams(learning_rate=0.1, epochs=2, batch_size=8)
-        orders = epoch_orders(40, 0, hp.epochs)
+        orders = list(epoch_orders(40, 0, hp.epochs))
         X[orders[0][20]] = [1e200, 1e200]  # in the third of five batches
         _, first_bad = _loop_sgd(ModelKind.LINEAR_SGD, X, y, orders,
                                  hp.batch_size, hp.learning_rate, 0.0, zero_params(2))
@@ -458,6 +459,105 @@ class TestSgdKernel:
         stable = train(ModelKind.LINEAR_SGD, _split(X, y),
                        hp.replace(learning_rate=0.2), seed=0)
         assert abs(stable.params.weights[0] - 2.0) < 0.2
+
+
+class TestEpochOrders:
+    def test_orders_are_drawn_one_epoch_at_a_time(self):
+        tracemalloc.start()
+        try:
+            first = next(epoch_orders(240, 0, 10**9))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert np.array_equal(np.sort(first), np.arange(240))
+        assert peak < 64 * 1024  # one order of 240 rows is 1.9 KB
+
+    def test_orders_equal_successive_permutations_of_one_generator(self):
+        rng = np.random.default_rng(5)
+        want = [rng.permutation(37) for _ in range(6)]
+        got = list(epoch_orders(37, 5, 6))
+        assert len(got) == 6
+        assert all(np.array_equal(a, b) for a, b in zip(got, want))
+
+
+class TestLockstep:
+    """Fits stacked in one train call equal a loop over loss_gradient, and their
+    own calls, bit for bit."""
+
+    KINDS = [ModelKind.LINEAR_SGD, ModelKind.LOGISTIC_SGD]
+    SIZES = (37, 64, 65, 200)  # at batch 16: 2, 4, 4 and 12 full minibatches
+
+    @staticmethod
+    def _problems(kind, seed, sizes, d=3):
+        rng = np.random.default_rng(seed)
+        splits, inits = [], []
+        for n in sizes:
+            X, y = _random_problem(rng, kind, n, d)
+            splits.append(_split(X, y))
+            inits.append(LinearParams(rng.normal(size=d), float(rng.normal())))
+        return splits, inits
+
+    @staticmethod
+    def _train_all(kind, splits, inits, hp, seed=7):
+        result = train(kind, splits[0], hp, seed, init=inits[0],
+                       peers=list(zip(splits[1:], inits[1:])))
+        return [result, *result.peers]
+
+    @pytest.mark.parametrize("kind", KINDS)
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_each_stacked_fit_equals_the_loss_gradient_loop(self, kind, lam):
+        splits, inits = self._problems(kind, 400 + int(10 * lam), self.SIZES)
+        before = [init.copy() for init in inits]
+        hp = HyperParams(learning_rate=0.05, epochs=3, batch_size=16, l2_lambda=lam)
+        results = self._train_all(kind, splits, inits, hp)
+        assert len(results) == len(self.SIZES)
+        for split, init, got in zip(splits, inits, results):
+            X, y = split.train.X, split.train.y
+            want, first_bad = _loop_sgd(kind, X, y, epoch_orders(len(X), 7, hp.epochs),
+                                        hp.batch_size, hp.learning_rate, lam, init)
+            assert first_bad is None
+            assert np.array_equal(got.params.weights, want.weights)
+            assert got.params.bias == want.bias
+            alone = train(kind, split, hp, 7, init=init)
+            assert got.metrics == alone.metrics
+            assert got.records_processed == alone.records_processed == hp.epochs * len(X)
+        for init, kept in zip(inits, before):
+            assert np.array_equal(init.weights, kept.weights) and init.bias == kept.bias
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_fits_of_another_width_or_below_one_batch_step_alone(self, kind):
+        wide, wide_inits = self._problems(kind, 410, (50,), d=5)
+        splits, inits = self._problems(kind, 411, (9, 40, 3))
+        hp = HyperParams(learning_rate=0.05, epochs=2, batch_size=16)
+        results = self._train_all(kind, [*splits, *wide], [*inits, *wide_inits], hp)
+        for split, init, got in zip([*splits, *wide], [*inits, *wide_inits], results):
+            alone = train(kind, split, hp, 7, init=init)
+            assert np.array_equal(got.params.weights, alone.params.weights)
+            assert got.params.bias == alone.params.bias
+
+    # the first order's position of the diverging row in fits 1 and 3: in the
+    # stacked minibatches (rows 0-31 of every order) and in 200's tail
+    @pytest.mark.parametrize("bad", [{1: 5}, {3: 150}, {1: 5, 3: 150}])
+    def test_a_diverging_fit_fails_alone(self, bad):
+        kind = ModelKind.LINEAR_SGD
+        splits, inits = self._problems(kind, 420, self.SIZES)
+        hp = HyperParams(learning_rate=0.05, epochs=2, batch_size=16)
+        for f, position in bad.items():
+            X = splits[f].train.X
+            X[next(epoch_orders(len(X), 7, 1))[position]] = 1e200
+        results = self._train_all(kind, splits, inits, hp)
+        for f, (split, init, got) in enumerate(zip(splits, inits, results)):
+            if f in bad:
+                assert isinstance(got, NonFiniteUpdate)
+                with pytest.raises(NonFiniteUpdate):
+                    train(kind, split, hp, 7, init=init)
+            else:
+                alone = train(kind, split, hp, 7, init=init)
+                assert np.array_equal(got.params.weights, alone.params.weights)
+                assert got.params.bias == alone.params.bias
+        f = min(bad)
+        with pytest.raises(NonFiniteUpdate):  # a call's own fit raises its error
+            self._train_all(kind, [splits[f], splits[0]], [inits[f], inits[0]], hp)
 
 
 class TestFitStandardized:

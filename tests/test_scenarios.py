@@ -529,6 +529,118 @@ class TestScenarioC:
         assert len(downs) == rounds * 2
 
 
+def _ragged_c_dict(sizes=(250, 190, 311), learning_rate=0.1, rounds=3, epochs=25):
+    """Share-models over MdaSystem3GPP#0, MdaSystemNFV#0 and MdaSystem3GPP#1."""
+    schema = [numeric_feature("cpu"), numeric_feature("mem")]
+    owners = ("MdaSystem3GPP#0", "MdaSystemNFV#0", "MdaSystem3GPP#1")
+    data = _scenario_c_dict("share-models", rounds=rounds)
+    data["topology"]["mda_3gpp"] = 2
+    data["sources"] = [source(owner, n, schema, [2.0, -1.0], bias=0.5, sigma=0.1)
+                       for owner, n in zip(owners, sizes)]
+    data["model"]["hyperparams"].update(learning_rate=learning_rate, epochs=epochs)
+    return data
+
+
+class TestFederatedLockstep:
+    """The first domain to fit a round fits the others in the same call; each
+    takes that result only when its own init is the one it was fitted from."""
+
+    @staticmethod
+    def _spy_train(monkeypatch):
+        from smosim import learn
+
+        peer_counts = []
+        real_train = learn.train
+
+        def spy(*args, **kwargs):
+            peer_counts.append(len(kwargs.get("peers", ())))
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(learn, "train", spy)
+        return peer_counts
+
+    def test_ragged_rounds_equal_per_domain_fits_and_aggregate(self, monkeypatch):
+        from smosim import learn
+
+        peer_counts = self._spy_train(monkeypatch)
+        result = checked_run(build(_ragged_c_dict()))
+        assert result.report.status == "completed"
+        # the first round fits each domain alone: the others have no data yet
+        assert peer_counts == [0, 0, 0, 2, 2]
+        cfg = result.driver.config
+        hp = cfg.model.hyperparams
+        domains = [result.driver.domains[s.owner] for s in cfg.sources]
+        assert sorted(len(d.split.train) for d in domains) == [134, 176, 219]
+        global_params = None
+        for round_index in range(1, cfg.rounds + 1):
+            models = [DomainModel(d.cid, cfg.model.kind,
+                                  learn.fit(cfg.model.kind, d.split.train.X, d.split.train.y,
+                                            hp, cfg.seed, global_params)[0],
+                                  len(d.split.train), round_index) for d in domains]
+            global_params = aggregate(models, cfg.aggregation)
+        final = result.registry.entries["m0"].artifact.parameters
+        assert np.array_equal(final.weights, global_params.weights)
+        assert final.bias == global_params.bias
+
+    def test_a_domain_takes_its_kept_fit_only_from_the_same_init(self, monkeypatch):
+        from smosim import learn
+
+        driver = Driver(build(_ragged_c_dict()))
+        cfg = driver.config
+        first, same, other = driver.domains.values()
+        start = LinearParams(np.array([0.5, -0.25]), 0.125)
+        off = LinearParams(start.weights.copy(), start.bias + 2**-20)
+        for domain in (first, same, other):
+            domain._ensure_data()
+            domain.params = start.copy()
+
+        def alone(domain, init):
+            return learn.train(cfg.model.kind, domain.split, cfg.model.hyperparams,
+                               seed=cfg.seed, init=init, costs=driver.costs)
+
+        want = {first: alone(first, start), same: alone(same, start), other: alone(other, off)}
+        assert alone(other, start).params.bias != want[other].params.bias
+        peer_counts = self._spy_train(monkeypatch)
+        got = {first: driver.fit_round(first, 2)}  # fits the others from ``start`` too
+        other.params = off
+        got[same] = driver.fit_round(same, 2)  # takes its kept fit
+        got[other] = driver.fit_round(other, 2)  # not from its kept init: fits afresh
+        assert peer_counts == [2, 0]
+        for domain, result in got.items():
+            assert np.array_equal(result.params.weights, want[domain].params.weights)
+            assert result.params.bias == want[domain].params.bias
+            assert result.metrics == want[domain].metrics
+
+    @pytest.mark.parametrize("fail_tick, detection", [(100, 104), (4420, 4424)])
+    def test_resumed_rounds_keep_the_parameters(self, tmp_path, fail_tick, detection):
+        # 100 redoes round 1, 4420 round 2, which its first attempt fitted in one call
+        data = c_share_models(tmp_path)
+        data["topology"]["aiml_instances"] = 2
+        data["harness"] = TestFailover._failure(fail_tick)
+        result = checked_run(build(data))
+        assert result.report.faults == [
+            FaultRecord("component_failure", fail_tick, detection, 13216)]
+        final = result.registry.entries["m0"].artifact.parameters
+        assert [w.hex() for w in final.weights] == ["0x1.050d1b72624ecp+1",
+                                                    "-0x1.04eed0c65cae6p+0"]
+        assert final.bias.hex() == "0x1.f635beee2b304p-2"
+
+    # lr 0.8 diverges in MdaSystemNFV#0's first round, which it fits alone;
+    # 0.74 in its 59th, whose fit the first domain's call made and kept
+    @pytest.mark.parametrize("learning_rate, final_tick, aggregations",
+                             [(0.8, 2, 0), (0.74, 32714, 58)])
+    def test_a_diverging_domain_fails_the_run_at_its_own_round(self, learning_rate,
+                                                                final_tick, aggregations):
+        data = _ragged_c_dict(sizes=(40, 400, 40), learning_rate=learning_rate, rounds=60,
+                              epochs=2)
+        result = checked_run(build(data))
+        report = result.report
+        assert report.status == "failed"
+        assert report.failure == "NonFiniteUpdate: parameters diverged; lower the learning rate"
+        assert report.final_tick == final_tick
+        assert len(result.sim.log.of_type("aggregation")) == aggregations
+
+
 class TestMonitoringAndRefinement:
     def _drift_config(self, max_refinements=2, refit="full", learning_rate=0.2,
                       kind="LinearSgd"):
