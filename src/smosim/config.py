@@ -212,10 +212,15 @@ class PipelineSpec:
 
 # -- learning --------------------------------------------------------------------------
 
+# training runs every epoch, so a config may not ask for an unbounded number
+MAX_EPOCHS = 10_000
+
+
 @dataclass(frozen=True)
 class HyperParams:
     learning_rate: float = _above(0.0, default=0.01)
-    epochs: int = _min(1, default=10)
+    epochs: int = _rule(lambda v: 1 <= v <= MAX_EPOCHS,
+                        f"must lie in [1, {MAX_EPOCHS}], got {{v}}", default=10)
     batch_size: int = _min(1, default=32)
     l2_lambda: float = _min(0.0, default=0.0)
     threshold: float = 0.5

@@ -598,13 +598,10 @@ def train(kind: ModelKind, split: SplitDataset, hp: HyperParams, seed: int,
     one's TrainResult, or the SimulationError its fit raised, in order. Their
     SGD fits run with this one's in one :func:`_sgd` call, stacked when there
     are several (see there why each stacked fit equals its own call bit for
-    bit). A call without peers is one :func:`fit`, stepped alone. This fit's
-    own error is raised.
+    bit). A call without peers is one fit, stepped alone, as in :func:`fit`.
+    This fit's own error is raised.
     """
     costs = costs or CostTable()
-    if not peers:
-        return _scored(kind, split, hp, costs, fit(kind, split.train.X, split.train.y, hp,
-                                                   seed, init))
     splits = [split, *(s for s, _ in peers)]
     fits = _fit_each(kind, [(split.train.X, split.train.y, init),
                             *((s.train.X, s.train.y, i) for s, i in peers)], hp, seed)

@@ -17,7 +17,13 @@ table, ``Driver.RESUME``. A failing step raises a named
 :class:`SimulationError`, and ``Driver.run`` writes it into the final
 RunReport. The report's fault fields (``faults``, ``downtime_ticks``,
 ``time_to_detection`` and ``time_to_resolution``) are not kept while the run
-goes: :func:`timeline` folds them from the event log at the end.
+goes: :func:`timeline` folds them from the event log at the end, as
+:meth:`Simulation.signaling_table` folds ``report.signaling``.
+
+Every message travels hop by hop over the declared links. The only routing
+rule is :meth:`Driver.next_hop`: the neighbour with the fewest hops to the
+final destination, the first in :meth:`Topology.neighbors` order on a tie,
+from one breadth-first pass per destination.
 """
 
 from __future__ import annotations
@@ -589,7 +595,8 @@ class Driver:
         self.canonical = config.canonical_schema()
         self.derived = tuple(config.pipeline.derived)
         self.active_aiml = ComponentId(ComponentKind.AIML_FUNCTION, 0)
-        self._hops: dict[tuple[ComponentId, ComponentId], ComponentId] = {}
+        # final -> (component -> its next hop toward final), see next_hop
+        self._hops: dict[ComponentId, dict[ComponentId, ComponentId]] = {}
         self.phase = Phase.IDLE
         self.plan = config.harness.failure
 
@@ -681,41 +688,42 @@ class Driver:
     # -- routing helpers ----------------------------------------------------------------
 
     def next_hop(self, here: ComponentId, final: ComponentId) -> ComponentId:
-        # links never change after build_topology, so a route once found stays exact
-        hop = self._hops.get((here, final))
-        if hop is None:
-            hop = self._hops[(here, final)] = self._find_hop(here, final)
-        return hop
+        """The neighbour of ``here`` with the fewest hops to ``final`` over the
+        declared links; on a tie, the first in :meth:`Topology.neighbors` order."""
+        hops = self._hops.get(final)
+        if hops is None:
+            # links never change after build_topology, so the hops stay exact
+            hops = self._hops[final] = self._hops_toward(final)
+        try:
+            return hops[here]
+        except KeyError:
+            raise SimulationError(f"no route from {here} toward {final}") from None
 
-    def _find_hop(self, here: ComponentId, final: ComponentId) -> ComponentId:
-        neighbors = self.topology.neighbors(here)
-        if final in neighbors:
-            return final
-        if final.kind is ComponentKind.NFMF:
-            # reach an NFMF through its parent NSSMF
-            for n in self.topology.neighbors(final):
-                if n.kind is ComponentKind.NSSMF and n in neighbors:
-                    return n
-        if here.kind is ComponentKind.AIML_FUNCTION:
-            return self.topology.termination_for(final)
-        if here.kind is ComponentKind.NFMF:
-            for n in neighbors:
-                if n.kind is ComponentKind.NSSMF:
-                    return n
-        term = self.topology.termination_for(here)
-        if term in neighbors:
-            return term
-        raise SimulationError(f"no route from {here} toward {final}")
+    def _hops_toward(self, final: ComponentId) -> dict[ComponentId, ComponentId]:
+        """Every component's next hop toward ``final``: one breadth-first pass."""
+        neighbors = self.topology.neighbors
+        dist = {final: 0}
+        frontier = [final]
+        while frontier:
+            reached = []
+            for c in frontier:
+                for n in neighbors(c):
+                    if n not in dist:
+                        dist[n] = dist[c] + 1
+                        reached.append(n)
+            frontier = reached
+        return {c: next(n for n in neighbors(c) if dist.get(n) == d - 1)
+                for c, d in dist.items() if d}
 
     def route_send(self, src: ComponentId, final: ComponentId, payload_kind: PayloadKind,
                    payload_bytes: int, payload: Any = None,
                    meta: dict[str, Any] | None = None) -> None:
-        """Send toward final destination, hopping through terminations."""
+        """Send toward ``final`` through :meth:`next_hop`; each component on the
+        way forwards the message by the same rule until it arrives."""
         if src == final:
             return
-        hop = final if self.topology.linked(src, final) else self.next_hop(src, final)
-        self.sim.send(src, hop, payload_kind, payload_bytes, payload=payload,
-                      final_dst=final, meta=meta or {})
+        self.sim.send(src, self.next_hop(src, final), payload_kind, payload_bytes,
+                      payload=payload, final_dst=final, meta=meta or {})
 
     def schedule_owned(self, tick: int, owner: ComponentId, action) -> None:
         """Scheduled work that dies with its owner (e.g. a training job)."""

@@ -3,7 +3,9 @@
 Every exchange between management components is an :class:`InterfaceMessage`
 pushed through :class:`Simulation`. Time is integer ticks; ties at one tick
 resolve by the global sequence number assigned at scheduling time, so a run
-is a pure function of (config, seed).
+is a pure function of (config, seed). The event log is the only record of
+traffic: :meth:`Simulation.signaling_table` folds the per-interface byte and
+message totals from its ``deliver`` events.
 """
 
 # annotations stay objects: the config parser reads ComponentId's field types
@@ -245,12 +247,6 @@ class _ComponentState:
         return self.failed_since is None or tick <= self.failed_since
 
 
-@dataclass
-class MeterCell:
-    bytes: int = 0
-    messages: int = 0
-
-
 class Topology:
     """Validated component graph plus undirected links labeled by interface."""
 
@@ -285,28 +281,8 @@ class Topology:
         except KeyError:
             raise UndeclaredRoute(f"no declared interface between {src} and {dst}") from None
 
-    def linked(self, a: ComponentId, b: ComponentId) -> bool:
-        return (a, b) in self._links
-
     def neighbors(self, cid: ComponentId) -> list[ComponentId]:
         return sorted(self._adjacent.get(cid, ()))
-
-    def instances(self, kind: ComponentKind) -> list[ComponentId]:
-        return sorted(c for c in self.components if c.kind == kind)
-
-    def termination_for(self, far: ComponentId) -> ComponentId:
-        """Termination adapter through which a far-side component reaches the RIC."""
-        if far.kind in (ComponentKind.NSSMF, ComponentKind.MDA_SYSTEM_3GPP, ComponentKind.NFMF):
-            candidates = self.instances(ComponentKind.NSSMF_TERMINATION)
-        elif far.kind in (ComponentKind.NFVO, ComponentKind.MDA_SYSTEM_NFV):
-            candidates = self.instances(ComponentKind.NFVO_TERMINATION)
-        elif far.kind == ComponentKind.EXTERNAL_PROVIDER:
-            candidates = self.instances(ComponentKind.EXTERNAL_AIML_TERMINATION)
-        else:
-            candidates = []
-        if not candidates:
-            raise UndeclaredRoute(f"no termination serves {far}")
-        return candidates[0]
 
 
 def build_topology(config: "ScenarioConfig") -> Topology:
@@ -401,7 +377,7 @@ def build_topology(config: "ScenarioConfig") -> Topology:
 
 
 class Simulation:
-    """Single-threaded event loop: heap of (tick, seq) actions plus metering."""
+    """Single-threaded event loop: a heap of (tick, seq) actions and the event log."""
 
     def __init__(self, topology: Topology):
         self.topology = topology
@@ -413,15 +389,6 @@ class Simulation:
         self._record_counter = 0
         self.stopped = False
         self.handlers: dict[ComponentId, Callable[[Simulation, InterfaceMessage], None]] = {}
-        # meters[interface][(src kind, dst kind)] and by payload kind; the
-        # reports name the keys, so delivery formats no strings
-        self.meters: dict[InterfaceName, dict[tuple[ComponentKind, ComponentKind],
-                                              MeterCell]] = {
-            name: {} for name in topology.interfaces
-        }
-        self.meters_by_kind: dict[InterfaceName, dict[PayloadKind, MeterCell]] = {
-            name: {} for name in topology.interfaces
-        }
 
     # -- scheduling ----------------------------------------------------------
 
@@ -473,8 +440,8 @@ class Simulation:
              meta: dict[str, Any] | None = None) -> InterfaceMessage:
         """Emit a message on the declared interface between src and dst.
 
-        Delivery is scheduled at send tick + interface latency; metering and
-        handler dispatch happen at delivery. A failed destination silently
+        Delivery is scheduled at send tick + interface latency; the ``deliver``
+        event and handler dispatch happen then. A failed destination silently
         drops everything but heartbeats (logged as a component_down event).
         """
         interface = self.topology.interface_between(src, dst)
@@ -511,12 +478,6 @@ class Simulation:
                 payload_kind=msg.payload_kind, bytes=total, detail={"msg_id": msg.msg_id},
             )
             return
-        cell = self.meters[msg.interface].setdefault((msg.src.kind, msg.dst.kind), MeterCell())
-        cell.bytes += total
-        cell.messages += 1
-        kind_cell = self.meters_by_kind[msg.interface].setdefault(msg.payload_kind, MeterCell())
-        kind_cell.bytes += total
-        kind_cell.messages += 1
         self.log_event(
             "deliver", src=msg.src, dst=msg.dst, interface=msg.interface,
             payload_kind=msg.payload_kind, bytes=total, detail={"msg_id": msg.msg_id},
@@ -525,30 +486,35 @@ class Simulation:
         if handler is not None and alive:
             handler(self, msg)
 
-    def meter(self, interface: InterfaceName | str) -> dict[str, Any]:
-        """Cumulative delivered traffic on one interface, per direction."""
-        try:
-            cells = self.meters[InterfaceName(interface)]
-        except (KeyError, ValueError):
-            raise UnknownInterface(getattr(interface, "value", interface)) from None
-        directions = dict(sorted(
-            (f"{src.value}->{dst.value}", {"bytes": cell.bytes, "messages": cell.messages})
-            for (src, dst), cell in cells.items()))
-        return {
-            "bytes": sum(c["bytes"] for c in directions.values()),
-            "messages": sum(c["messages"] for c in directions.values()),
-            "directions": directions,
-        }
-
     def signaling_table(self) -> dict[str, Any]:
-        """Full per-interface meter table plus per-payload-kind byte totals."""
-        table: dict[str, Any] = {}
-        for name in self.meters:
-            entry = self.meter(name)
-            entry["by_kind"] = dict(sorted(
-                (kind.value, {"bytes": cell.bytes, "messages": cell.messages})
-                for kind, cell in self.meters_by_kind[name].items()))
-            table[name.value] = entry
+        """Delivered traffic per interface, folded from the log's ``deliver`` events.
+
+        Every interface of the topology appears, in its order, with its
+        ``bytes`` (payload plus overhead) and ``messages``, and the same two per
+        ``"<src kind>-><dst kind>"`` direction and per payload kind, each map
+        sorted. A ``component_down`` drop was never delivered, so it is not
+        counted; a heartbeat delivered into a failed component is.
+        """
+        # one cell per (interface, src, dst, payload kind) first: few distinct keys
+        cells: dict[tuple[str, str, str, str], list[int]] = {}
+        for e in self.log.entries:
+            if e.type == "deliver":
+                cell = cells.setdefault((e.interface, e.src, e.dst, e.payload_kind), [0, 0])
+                cell[0] += e.bytes
+                cell[1] += 1
+        table = {name.value: {"bytes": 0, "messages": 0, "directions": {}, "by_kind": {}}
+                 for name in self.topology.interfaces}
+        for (interface, src, dst, payload_kind), (total, count) in cells.items():
+            entry = table[interface]
+            directions, kinds = entry["directions"], entry["by_kind"]
+            direction = f"{src.partition('#')[0]}->{dst.partition('#')[0]}"
+            for sums in (entry, directions.setdefault(direction, {"bytes": 0, "messages": 0}),
+                         kinds.setdefault(payload_kind, {"bytes": 0, "messages": 0})):
+                sums["bytes"] += total
+                sums["messages"] += count
+        for entry in table.values():
+            entry["directions"] = dict(sorted(entry["directions"].items()))
+            entry["by_kind"] = dict(sorted(entry["by_kind"].items()))
         return table
 
     # -- time ---------------------------------------------------------------------
@@ -568,8 +534,8 @@ class Simulation:
     def stop(self) -> None:
         """Make :meth:`run_to_completion` return once the running action returns.
 
-        It runs none of the actions left on the heap, so nothing is logged or
-        metered after the stop and the clock stays at the stopping tick.
+        It runs none of the actions left on the heap, so nothing is logged
+        after the stop and the clock stays at the stopping tick.
         """
         self.stopped = True
 

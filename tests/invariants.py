@@ -13,6 +13,7 @@ from smosim.config import ScenarioConfig, ScenarioKind
 from smosim.errors import SimulationError
 from smosim.lifecycle import LEGAL_TRANSITIONS, LifecycleState
 from smosim.scenarios import RunResult
+from smosim.topology import Event
 
 # the origin of a model that was never refined; a refined version is "internal"
 _SCENARIO_ORIGIN = {(ScenarioKind.A, "import-model"): "external",
@@ -38,15 +39,29 @@ def check_invariants(result: RunResult) -> None:
         for step in entry.history:
             assert tuple(step[1:]) in _LEGAL, f"{entry.model_id}: illegal step {step}"
 
-    delivered: dict[str, list[int]] = {}
+    # message conservation: each delivery or drop ends exactly one earlier send
+    # of the same message, unchanged, after its interface's latency
+    latency = {name.value: spec.latency
+               for name, spec in result.sim.topology.interfaces.items()}
+    sent: dict[int, Event] = {}
+    ended: set[int] = set()
     for e in entries:
-        if e.type == "deliver":
-            cell = delivered.setdefault(e.interface, [0, 0])
-            cell[0] += e.bytes
-            cell[1] += 1
-    metered = {name: [m["bytes"], m["messages"]]
-               for name, m in result.sim.signaling_table().items() if m["messages"]}
-    assert delivered == metered, "delivered bytes in the log differ from the meters"
+        if e.type not in ("send", "deliver", "component_down"):
+            continue
+        msg_id = e.detail["msg_id"]
+        if e.type == "send":
+            assert msg_id not in sent, f"message {msg_id} sent twice"
+            sent[msg_id] = e
+            continue
+        assert msg_id in sent, f"{e.type} of message {msg_id} follows no send"
+        assert msg_id not in ended, f"message {msg_id} ends twice"
+        ended.add(msg_id)
+        send = sent[msg_id]
+        assert (e.src, e.dst, e.interface, e.payload_kind, e.bytes) == (
+            send.src, send.dst, send.interface, send.payload_kind, send.bytes), \
+            f"message {msg_id} changed in flight: {send} -> {e}"
+        assert e.tick - send.tick == latency[e.interface], \
+            f"message {msg_id} took {e.tick - send.tick} ticks on {e.interface}"
 
     report = result.report
     for f in report.faults:

@@ -62,6 +62,7 @@ MALFORMED = [
      "harness.scheduler.classes[0].demand"),
     (("model", "hyperparams", "epochs"), 2.9, ConfigError, "model.hyperparams.epochs"),
     (("model", "hyperparams", "epochs"), True, ConfigError, "model.hyperparams.epochs"),
+    (("model", "hyperparams", "epochs"), 696367.0, ConfigError, "model.hyperparams.epochs"),
     (("model", "hyperparams", "stump_depth"), 1, ConfigError, "model.hyperparams.stump_depth"),
     (("monitor", "rouns"), 3, ConfigError, "monitor.rouns"),
     (("monitor", "batch"), -5, ConfigError, "monitor.batch"),
@@ -70,6 +71,7 @@ MALFORMED = [
     (("search",), {"grid": {"batch_size": [16, 0]}}, ConfigError, "search.grid.batch_size[1]"),
     (("search",), {"grid": {"stump_depth": [2]}}, ConfigError, "search.grid.stump_depth"),
     (("search",), {"grid": {"epochs": [1.5]}}, ConfigError, "search.grid.epochs[0]"),
+    (("search",), {"grid": {"epochs": [10, 1000000]}}, ConfigError, "search.grid.epochs[1]"),
     (("search",), {"mode": "random", "budget": 2, "ranges": {"learning_rate": [0.1]}},
      ConfigError, "search.ranges.learning_rate"),
     (("search",), {"mode": "random", "budget": 2, "ranges": {"epochs": [5, 2]}},

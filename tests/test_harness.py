@@ -257,17 +257,6 @@ class TestScheduler:
 
 
 class TestSignalingReport:
-    def test_table_matches_meters_and_log(self):
-        from smosim.harness import signaling_report
-        from conftest import build, scenario_b_dict
-
-        result = checked_run(build(scenario_b_dict(n_per_source=50)))
-        report = signaling_report(result.sim)
-        table_total = sum(e["bytes"] for e in report["interfaces"].values())
-        assert table_total == sum(e.bytes for e in result.sim.log.of_type("deliver"))
-        for name, entry in report["interfaces"].items():
-            assert entry == result.sim.meter(name) | {"by_kind": entry["by_kind"]}
-
     def test_raw_to_artifact_ratio(self):
         from smosim.harness import signaling_report
         from conftest import build, scenario_b_dict

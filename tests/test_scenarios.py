@@ -4,13 +4,16 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+from functools import partial
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from smosim import aggregate, config_from_dict
 from smosim import datagen
-from smosim.config import ModelKind
+from smosim.config import LinkSpec, ModelKind, TopologyCounts
 from smosim.errors import (
     CollectionTimeout,
     ConfigError,
@@ -18,11 +21,22 @@ from smosim.errors import (
     NoDataSources,
     SchemaMismatch,
     SimulationError,
+    UndeclaredRoute,
     UnsupportedKind,
 )
 from smosim.learn import LinearParams, ridge_closed_form, evaluate
 from smosim.scenarios import DomainModel, Driver, FaultRecord, Phase, Timeline, timeline
-from smosim.topology import ComponentId, ComponentKind, Event, PayloadKind
+from smosim.topology import (
+    ComponentId,
+    ComponentKind,
+    Event,
+    InterfaceName,
+    InterfaceSpec,
+    PayloadKind,
+    Simulation,
+    Topology,
+    allowed_on,
+)
 
 from conftest import build, numeric_feature, scenario_b_dict, source, transformed_to_csv
 from golden.cases import a_import_model, b_drift_full, c_share_models, run_case
@@ -229,15 +243,6 @@ class TestScenarioB:
             np.testing.assert_array_equal(records.record_id, np.arange(start, start + 5))
             assert r == 1 or start > reports[r - 1].record_id[0]
 
-    def test_route_send_without_a_route_raises_simulation_error(self):
-        driver = Driver(build(scenario_b_dict(n_per_source=10)))
-        ric = ComponentId(ComponentKind.NON_RT_RIC, 0)
-        nssmf = ComponentId(ComponentKind.NSSMF, 0)
-        for _ in range(2):  # a failed route is not remembered
-            with pytest.raises(SimulationError, match="no termination serves NonRtRic#0"):
-                driver.route_send(ric, nssmf, PayloadKind.CONTROL, 16)
-        assert driver.sim.log.entries == []
-
     def test_topology_that_cannot_be_built_fails_the_run(self):
         # a VNFM needs an NFVO to attach to; config_from_dict rejects that, so
         # the VNFM is added after parsing to reach build_topology
@@ -276,13 +281,6 @@ class TestScenarioB:
         assert result.sim.log.entries[-1].type == "run_complete"
         assert report.final_tick == 1
 
-    def test_report_signaling_equals_topology_meters(self):
-        result = checked_run(build(scenario_b_dict(n_per_source=30)))
-        for name, entry in result.report.signaling["interfaces"].items():
-            meter = result.sim.meter(name)
-            assert entry["bytes"] == meter["bytes"]
-            assert entry["messages"] == meter["messages"]
-
     def test_deploy_to_edge_nfmf_serves_without_raw_transfer(self):
         data = scenario_b_dict(n_per_source=40)
         data["topology"] = {"nssmf": 1, "nfmf_per_nssmf": 2, "mda_3gpp": 1}
@@ -302,6 +300,128 @@ class TestScenarioB:
                    if e.type == "deliver" and e.payload_kind == "Report"
                    and e.dst == "AimlFunction#0"]
         assert len(reports) == 2
+
+
+# -- routing -------------------------------------------------------------------------------
+
+_TERMINATION_OF = {
+    ComponentKind.NSSMF: ComponentKind.NSSMF_TERMINATION,
+    ComponentKind.MDA_SYSTEM_3GPP: ComponentKind.NSSMF_TERMINATION,
+    ComponentKind.NFMF: ComponentKind.NSSMF_TERMINATION,
+    ComponentKind.NFVO: ComponentKind.NFVO_TERMINATION,
+    ComponentKind.MDA_SYSTEM_NFV: ComponentKind.NFVO_TERMINATION,
+    ComponentKind.EXTERNAL_PROVIDER: ComponentKind.EXTERNAL_AIML_TERMINATION,
+}
+
+
+def _reference_hop(topo: Topology, here: ComponentId, final: ComponentId) -> ComponentId:
+    """The per-kind hop rules that routed messages before next hops came from
+    the link graph, kept to check that the graph routes every message alike."""
+
+    def termination_for(far: ComponentId) -> ComponentId:
+        terms = sorted(c for c in topo.components if c.kind is _TERMINATION_OF.get(far.kind))
+        if not terms:
+            raise UndeclaredRoute(f"no termination serves {far}")
+        return terms[0]
+
+    neighbors = topo.neighbors(here)
+    if final in neighbors:
+        return final
+    if final.kind is ComponentKind.NFMF:
+        # reach an NFMF through its parent NSSMF
+        for n in topo.neighbors(final):
+            if n.kind is ComponentKind.NSSMF and n in neighbors:
+                return n
+    if here.kind is ComponentKind.AIML_FUNCTION:
+        return termination_for(final)
+    if here.kind is ComponentKind.NFMF:
+        for n in neighbors:
+            if n.kind is ComponentKind.NSSMF:
+                return n
+    term = termination_for(here)
+    if term in neighbors:
+        return term
+    raise SimulationError(f"no route from {here} toward {final}")
+
+
+def _chain(hop, here: ComponentId, final: ComponentId, limit: int) -> list[ComponentId]:
+    chain = [here]
+    while here != final:
+        assert len(chain) <= limit, f"no arrival within {limit} hops: {chain}"
+        here = hop(here, final)
+        chain.append(here)
+    return chain
+
+
+# every kind a source, a deploy target or the external provider can be
+_END_KINDS = {ComponentKind.NSSMF, ComponentKind.NFVO, ComponentKind.NFMF, ComponentKind.RAPP,
+              ComponentKind.MDA_SYSTEM_3GPP, ComponentKind.MDA_SYSTEM_NFV,
+              ComponentKind.AIML_FUNCTION, ComponentKind.EXTERNAL_PROVIDER}
+
+
+@st.composite
+def _topology_counts(draw) -> TopologyCounts:
+    small = st.integers(0, 2)
+    counts = TopologyCounts(
+        nssmf=draw(small), nfmf_per_nssmf=draw(small), nfvo=draw(small),
+        mda_3gpp=draw(small), mda_nfv=draw(small), rapps=draw(small),
+        aiml_instances=draw(st.integers(1, 3)), external_provider=draw(st.booleans()))
+    if counts.nfvo:
+        counts = dataclasses.replace(counts, **{k: draw(st.integers(0, 1)) for k in (
+            "vnfm", "vim", "wim", "cism", "cir", "ccm")})
+    ids = sorted(ComponentId(kind, i) for kind, n in counts.instances().items()
+                 for i in range(n))
+    allowed = [LinkSpec(a, b, name) for a in ids for b in ids if a < b
+               for name in InterfaceName if allowed_on(name, a.kind, b.kind)]
+    extra = draw(st.lists(st.sampled_from(allowed), max_size=4)) if allowed else []
+    return dataclasses.replace(counts, extra_links=tuple(extra))
+
+
+class TestRouting:
+    @settings(max_examples=150, deadline=None)
+    @given(counts=_topology_counts())
+    def test_hop_chains_between_aiml_and_every_end_match_the_reference_rules(self, counts):
+        config = build(scenario_b_dict(n_per_source=10))
+        config.topology = counts
+        driver = Driver(config)
+        topo = driver.topology
+        assert len(topo.components) == sum(counts.instances().values())
+        aimls = [c for c in topo.components if c.kind is ComponentKind.AIML_FUNCTION]
+        ends = [c for c in topo.components if c.kind in _END_KINDS]
+        limit = len(topo.components)
+        for a in aimls:
+            for end in ends:
+                for here, final in ((a, end), (end, a)):
+                    expected = _chain(partial(_reference_hop, topo), here, final, limit)
+                    assert _chain(driver.next_hop, here, final, limit) == expected
+
+    def test_the_graph_routes_pairs_the_kind_rules_refused(self):
+        driver = Driver(build(scenario_b_dict(n_per_source=10)))
+        ric = ComponentId(ComponentKind.NON_RT_RIC, 0)
+        nssmf = ComponentId(ComponentKind.NSSMF, 0)
+        with pytest.raises(UndeclaredRoute, match="no termination serves NonRtRic#0"):
+            _reference_hop(driver.topology, ric, nssmf)
+        assert _chain(driver.next_hop, ric, nssmf, 4) == [
+            ric, ComponentId(ComponentKind.AIML_FUNCTION, 0),
+            ComponentId(ComponentKind.NSSMF_TERMINATION, 0), nssmf]
+
+    def test_route_send_without_a_route_raises_simulation_error(self):
+        # every pair of a built topology is connected, so this one is built by hand
+        nssmf = ComponentId(ComponentKind.NSSMF, 0)
+        term = ComponentId(ComponentKind.NSSMF_TERMINATION, 0)
+        nfvo = ComponentId(ComponentKind.NFVO, 0)
+        topo = Topology({InterfaceName.NSSMF_NONRTRIC: InterfaceSpec(InterfaceName.NSSMF_NONRTRIC)})
+        for c in (nssmf, term, nfvo):
+            topo.add_component(c)
+        topo.link(nssmf, term, InterfaceName.NSSMF_NONRTRIC)
+        driver = Driver(build(scenario_b_dict(n_per_source=10)))
+        driver.topology, driver.sim = topo, Simulation(topo)
+        for src, dst in ((nssmf, nfvo), (nfvo, nssmf), (nssmf, nfvo)):
+            with pytest.raises(SimulationError, match=f"no route from {src} toward {dst}"):
+                driver.route_send(src, dst, PayloadKind.CONTROL, 16)
+            assert src not in driver._hops[dst]  # a failed route is not remembered
+        assert driver.next_hop(nssmf, term) == term
+        assert driver.sim.log.entries == []
 
 
 class TestScenarioAImportModel:
@@ -742,14 +862,15 @@ class TestMonitoringAndRefinement:
         from smosim import learn
 
         calls = []
-        real_fit = learn.fit
+        real_fit_each = learn._fit_each
 
-        def spy(kind, X, y, hp, seed, init=None):
-            out = real_fit(kind, X, y, hp, seed, init)
-            calls.append((X, y, hp, out))
-            return out
+        def spy(kind, data, hp, seed):
+            # learn.train and learn.fit both fit through _fit_each
+            (out,) = real_fit_each(kind, data, hp, seed)
+            calls.append((*data[0][:2], hp, out))
+            return [out]
 
-        monkeypatch.setattr(learn, "fit", spy)
+        monkeypatch.setattr(learn, "_fit_each", spy)
         result = checked_run(self._drift_config(refit=refit, kind="RidgeClosedForm",
                                                  max_refinements=1))
         assert result.report.refinements == 1

@@ -71,8 +71,8 @@ class TestBuildTopology:
     def test_minimal_instantiation_auto_attaches_terminations(self):
         config = _minimal_config(nssmf=1, nfvo=1)
         topo = build_topology(config)
-        terms = (topo.instances(ComponentKind.NSSMF_TERMINATION)
-                 + topo.instances(ComponentKind.NFVO_TERMINATION))
+        terms = [c for c in topo.components if c.kind in (
+            ComponentKind.NSSMF_TERMINATION, ComponentKind.NFVO_TERMINATION)]
         assert len(terms) == 2
         ric = ComponentId(ComponentKind.NON_RT_RIC, 0)
         for t in terms:
@@ -90,12 +90,18 @@ class TestBuildTopology:
     def test_three_nfmfs_under_one_nssmf(self):
         config = _minimal_config(nssmf=1, nfmf_per_nssmf=3)
         topo = build_topology(config)
-        nfmfs = topo.instances(ComponentKind.NFMF)
+        nfmfs = [c for c in topo.components if c.kind is ComponentKind.NFMF]
         assert len(nfmfs) == 3
         nssmf = ComponentId(ComponentKind.NSSMF, 0)
         for nfmf in nfmfs:
             neighbors = topo.neighbors(nfmf)
             assert neighbors == [nssmf]
+
+    def test_link_on_an_undeclared_interface_rejected(self):
+        topo = _bare_sim().topology
+        with pytest.raises(UnknownInterface):
+            topo.link(ComponentId(ComponentKind.NSSMF, 0),
+                      ComponentId(ComponentKind.NSSMF_TERMINATION, 0), InterfaceName.R1)
 
     def test_duplicate_component_rejected(self):
         topo = Topology({})
@@ -125,7 +131,6 @@ class TestSend:
         sim.run_until(10)
         assert len(sim.log.of_type("component_down")) == 1
         assert len(sim.log.of_type("deliver")) == 0
-        assert sim.meter(InterfaceName.NSSMF_NONRTRIC)["messages"] == 0
 
     def test_heartbeats_pass_through_failed_components(self):
         sim = _bare_sim()
@@ -134,19 +139,6 @@ class TestSend:
         sim.send(ComponentId(ComponentKind.NSSMF, 0), dst, PayloadKind.HEARTBEAT, 8)
         sim.run_until(10)
         assert len(sim.log.of_type("deliver")) == 1
-
-    def test_meter_sums_payload_bytes(self):
-        sim = _bare_sim(latency=0, overhead=0)
-        src = ComponentId(ComponentKind.NSSMF, 0)
-        dst = ComponentId(ComponentKind.NSSMF_TERMINATION, 0)
-        for size in (100, 250, 50):
-            sim.send(src, dst, PayloadKind.RAW_DATA, size)
-        sim.run_until(1)
-        meter = sim.meter(InterfaceName.NSSMF_NONRTRIC)
-        assert meter == {
-            "bytes": 400, "messages": 3,
-            "directions": {"NSSMF->NssmfTermination": {"bytes": 400, "messages": 3}},
-        }
 
     def test_undeclared_route_raises(self):
         sim = _bare_sim()
@@ -210,36 +202,65 @@ class TestRunToCompletion:
         assert sim.pending()
 
 
-class TestMeterContract:
-    def test_unknown_interface(self):
-        sim = _bare_sim()
-        with pytest.raises(UnknownInterface):
-            sim.meter("R1")
+def _cell(bytes: int, messages: int) -> dict[str, int]:
+    return {"bytes": bytes, "messages": messages}
 
-    def test_zero_when_untouched(self):
-        sim = _bare_sim()
-        meter = sim.meter(InterfaceName.NSSMF_NONRTRIC)
-        assert meter["bytes"] == 0 and meter["messages"] == 0
 
-    def test_single_message_includes_overhead(self):
-        sim = _bare_sim(latency=0, overhead=24)
-        sim.send(ComponentId(ComponentKind.NSSMF, 0),
-                 ComponentId(ComponentKind.NSSMF_TERMINATION, 0),
-                 PayloadKind.RAW_DATA, 1000)
-        sim.run_until(1)
-        meter = sim.meter(InterfaceName.NSSMF_NONRTRIC)
-        assert meter["bytes"] == 1024 and meter["messages"] == 1
+class TestSignalingTable:
+    """``signaling_table`` folded from the log of a bare simulation."""
 
-    def test_conservation_against_event_log(self):
+    A = ComponentId(ComponentKind.NSSMF, 0)
+    B = ComponentId(ComponentKind.NSSMF_TERMINATION, 0)
+
+    def test_directions_and_payload_kinds_count_payload_plus_overhead(self):
         sim = _bare_sim(latency=1, overhead=24)
-        src = ComponentId(ComponentKind.NSSMF, 0)
-        dst = ComponentId(ComponentKind.NSSMF_TERMINATION, 0)
-        for size in (10, 20, 30, 40):
-            sim.send(src, dst, PayloadKind.RAW_DATA, size)
-            sim.send(dst, src, PayloadKind.CONTROL, size // 2)
+        # delivered in the reverse of the table's sorted key order
+        sim.send(self.B, self.A, PayloadKind.RAW_DATA, 10)
+        for size in (100, 250):
+            sim.send(self.A, self.B, PayloadKind.CONTROL, size)
         sim.run_until(5)
-        total = sum(sim.meter(name)["bytes"] for name in sim.meters)
-        assert total == sum(e.bytes for e in sim.log.of_type("deliver"))
+        entry = sim.signaling_table()["NSSMF_NonRTRIC"]
+        assert entry == {
+            "bytes": 432, "messages": 3,
+            "directions": {"NSSMF->NssmfTermination": _cell(398, 2),
+                           "NssmfTermination->NSSMF": _cell(34, 1)},
+            "by_kind": {"Control": _cell(398, 2), "RawData": _cell(34, 1)},
+        }
+        assert list(entry["directions"]) == ["NSSMF->NssmfTermination", "NssmfTermination->NSSMF"]
+        assert list(entry["by_kind"]) == ["Control", "RawData"]
+
+    def test_every_interface_in_topology_order_and_untouched_ones_read_zero(self):
+        topo = Topology({name: InterfaceSpec(name, 0, 0)
+                         for name in (InterfaceName.R1, InterfaceName.NSSMF_NONRTRIC)})
+        topo.add_component(self.A)
+        topo.add_component(self.B)
+        topo.link(self.A, self.B, InterfaceName.NSSMF_NONRTRIC)
+        sim = Simulation(topo)
+        empty = {"bytes": 0, "messages": 0, "directions": {}, "by_kind": {}}
+        assert sim.signaling_table() == {"R1": empty, "NSSMF_NonRTRIC": empty}
+        sim.send(self.A, self.B, PayloadKind.REPORT, 7)
+        sim.run_until(0)
+        table = sim.signaling_table()
+        assert list(table) == ["R1", "NSSMF_NonRTRIC"]
+        assert table["R1"] == empty
+        assert table["NSSMF_NonRTRIC"] == {
+            "bytes": 7, "messages": 1, "directions": {"NSSMF->NssmfTermination": _cell(7, 1)},
+            "by_kind": {"Report": _cell(7, 1)}}
+
+    def test_drops_are_not_counted_and_heartbeats_into_a_failed_component_are(self):
+        sim = _bare_sim(latency=1, overhead=24)
+        sim.fail_component(self.B, -1)
+        sim.send(self.A, self.B, PayloadKind.RAW_DATA, 1000)
+        sim.send(self.A, self.B, PayloadKind.HEARTBEAT, 8)
+        sim.run_until(1)
+        sim.send(self.A, self.B, PayloadKind.RAW_DATA, 500)  # still in flight
+        assert [e.type for e in sim.log.entries if e.type != "send"] == [
+            "component_down", "deliver"]
+        assert sim.signaling_table() == {"NSSMF_NonRTRIC": {
+            "bytes": 32, "messages": 1,
+            "directions": {"NSSMF->NssmfTermination": _cell(32, 1)},
+            "by_kind": {"Heartbeat": _cell(32, 1)},
+        }}
 
 
 class TestDeterminism:
@@ -293,9 +314,12 @@ class TestAdjacency:
         topo = _rich_topology()
         for a in topo.components:
             for b in topo.components:
-                assert topo.linked(a, b) == ((a, b) in topo._links)
-                if topo.linked(a, b):
+                if (a, b) in topo._links:
                     assert topo.interface_between(a, b) == topo._links[(a, b)]
+                    assert a in topo.neighbors(b) and b in topo.neighbors(a)
+                else:
+                    with pytest.raises(UndeclaredRoute):
+                        topo.interface_between(a, b)
 
 
 class TestComponentId:
