@@ -24,7 +24,8 @@ from pathlib import Path
 from typing import Any, Callable, Iterable
 
 from .errors import ConfigError, MissingKey, SimulationError, ZeroCapacity
-from .topology import ComponentId, ComponentKind, InterfaceName, InterfaceSpec, allowed_on
+from .topology import (ComponentId, ComponentKind, InterfaceName, InterfaceSpec, allowed_on,
+                       build_topology)
 
 _MDA_KINDS = (ComponentKind.MDA_SYSTEM_3GPP, ComponentKind.MDA_SYSTEM_NFV)
 _SOURCE_KINDS = {ComponentKind.NSSMF, ComponentKind.NFVO, ComponentKind.NFMF,
@@ -214,6 +215,9 @@ class PipelineSpec:
 
 # training runs every epoch, so a config may not ask for an unbounded number
 MAX_EPOCHS = 10_000
+# records one source draws in a collection, or one deploy target over its monitor
+# rounds: each is drawn at once, so a config may not ask for an unbounded number
+MAX_RECORDS = 1_000_000
 
 
 @dataclass(frozen=True)
@@ -370,44 +374,21 @@ class LinkSpec:
 
 @dataclass(frozen=True)
 class TopologyCounts:
-    nssmf: int = 0
-    nfmf_per_nssmf: int = 0
-    nfvo: int = 0
-    vnfm: int = 0
-    vim: int = 0
-    wim: int = 0
-    cism: int = 0
-    cir: int = 0
-    ccm: int = 0
-    mda_3gpp: int = 0
-    mda_nfv: int = 0
-    rapps: int = 0
+    nssmf: int = _min(0, default=0)
+    nfmf_per_nssmf: int = _min(0, default=0)
+    nfvo: int = _min(0, default=0)
+    vnfm: int = _min(0, default=0)
+    vim: int = _min(0, default=0)
+    wim: int = _min(0, default=0)
+    cism: int = _min(0, default=0)
+    cir: int = _min(0, default=0)
+    ccm: int = _min(0, default=0)
+    mda_3gpp: int = _min(0, default=0)
+    mda_nfv: int = _min(0, default=0)
+    rapps: int = _min(0, default=0)
     aiml_instances: int = _min(1, default=1)
     external_provider: bool = False
     extra_links: tuple[LinkSpec, ...] = ()
-
-    def instances(self) -> dict[ComponentKind, int]:
-        """How many components of each kind ``build_topology`` instantiates."""
-        return {
-            ComponentKind.NON_RT_RIC: 1,
-            ComponentKind.AIML_FUNCTION: self.aiml_instances,
-            ComponentKind.NSSMF: self.nssmf,
-            ComponentKind.NFMF: self.nssmf * self.nfmf_per_nssmf,
-            ComponentKind.NFVO: self.nfvo,
-            ComponentKind.VNFM: self.vnfm,
-            ComponentKind.VIM: self.vim,
-            ComponentKind.WIM: self.wim,
-            ComponentKind.CISM: self.cism,
-            ComponentKind.CIR: self.cir,
-            ComponentKind.CCM: self.ccm,
-            ComponentKind.MDA_SYSTEM_3GPP: self.mda_3gpp,
-            ComponentKind.MDA_SYSTEM_NFV: self.mda_nfv,
-            ComponentKind.RAPP: self.rapps,
-            ComponentKind.NSSMF_TERMINATION: int(self.nssmf + self.mda_3gpp > 0),
-            ComponentKind.NFVO_TERMINATION: int(self.nfvo + self.mda_nfv > 0),
-            ComponentKind.EXTERNAL_PROVIDER: int(self.external_provider),
-            ComponentKind.EXTERNAL_AIML_TERMINATION: int(self.external_provider),
-        }
 
 
 # -- the whole experiment ------------------------------------------------------------------
@@ -635,7 +616,6 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
             f"scenario {kind.value} takes mode {' or '.join(map(repr, _MODES[kind]))}")
     _expect(cfg.rounds >= 1 if kind is ScenarioKind.C else cfg.rounds == 1, "scenario.rounds",
             "rounds must be >= 1, and 1 for scenarios A and B")
-    instances = counts.instances()
     nfv_kinds = ("vnfm", "vim", "wim", "cism", "cir", "ccm")
     _expect(counts.nfvo > 0 or not any(getattr(counts, k) for k in nfv_kinds), "topology.nfvo",
             f"{', '.join(nfv_kinds)} attach to an NFVO, so they need nfvo >= 1")
@@ -648,6 +628,10 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
                 f"expected {width} coefficients for encoded schema, got {len(src.coefficients)}")
         _expect(src.emission.mode == "batch" or src.emission.interval >= 1,
                 f"{path}.emission.interval", "streaming interval must be >= 1 tick")
+        draws = cfg.collection.requests if src.emission.mode == "batch" \
+            else cfg.collection.window // src.emission.interval
+        _expect(draws * src.emission.size <= MAX_RECORDS, f"{path}.emission.size",
+                f"{draws} draws of {src.emission.size} records exceed {MAX_RECORDS} records")
         canonical = canonical or src.canonical_schema()
         _expect(src.canonical_schema() == canonical, f"{path}.schema",
                 "renamed schema disagrees with the canonical schema")
@@ -665,6 +649,9 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
         for side, name in (("a", d.a), ("b", d.b)):
             _expect(name in numeric, f"pipeline.derived[{i}].{side}",
                     "derived features take numeric columns of the canonical schema", name)
+    _expect(cfg.monitor.rounds * cfg.monitor.batch <= MAX_RECORDS, "monitor.rounds",
+            f"{cfg.monitor.rounds} rounds of {cfg.monitor.batch} samples exceed "
+            f"{MAX_RECORDS} samples")
     ratios = cfg.pipeline.split.ratios()
     _expect(math.isclose(sum(ratios), 1.0, abs_tol=1e-9), "pipeline.split",
             f"split ratios must sum to 1, got {sum(ratios)}")
@@ -680,9 +667,10 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
                     "a replica must differ from the target and from the other replicas", str(r))
     placed += [(f"topology.extra_links[{i}]", end)
                for i, link in enumerate(counts.extra_links) for end in (link.src, link.dst)]
+    # the components the topology section builds; the extra links are checked below
+    built = build_topology(replace(cfg, topology=replace(counts, extra_links=()))).components
     for path, cid in placed:
-        _expect(0 <= cid.index < instances[cid.kind], path,
-                f"{cid} is not instantiated by the topology section")
+        _expect(cid in built, path, f"{cid} is not instantiated by the topology section")
     for i, link in enumerate(counts.extra_links):
         _expect(allowed_on(link.interface, link.src.kind, link.dst.kind),
                 f"topology.extra_links[{i}]", f"{link.interface.value} may not connect "

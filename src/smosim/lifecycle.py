@@ -2,7 +2,8 @@
 
 The registry is the single authority on model versions and legal state
 transitions; its JSON snapshot doubles as the failover checkpoint format and
-the external import format.
+the external import format. The :class:`MonitorWindow` is the single record
+of the reported samples a deployed model is monitored on.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from typing import Any
 import numpy as np
 
 from .config import ModelKind
+from .datagen import RecordBatch
 from .errors import IllegalTransition, InvalidArtifact
 from .learn import EvalMetrics, LinearParams, ModelParameters, params_from_list
 from .pipeline import ScalingParams
@@ -285,31 +287,52 @@ class Registry:
 
 @dataclass
 class MonitorWindow:
-    """Ring buffer of (prediction, actual) with a drift rule against baseline."""
+    """The monitor's record of the last ``capacity`` reported samples and the drift rule.
+
+    The window owns the reported samples: it keeps the fewest recent reports
+    that hold the last ``capacity`` samples, each as its record batch (the
+    refinement's training data, :meth:`samples`) beside the squared error of
+    each of its predictions (the drift rule's evidence, :meth:`mse`).
+    """
 
     capacity: int
     baseline_mse: float
     drift_factor: float
     min_samples: int
-    buffer: deque = field(default_factory=deque)
+    reports: deque[tuple[RecordBatch, list[float]]] = field(default_factory=deque)
 
-    def ingest(self, prediction: float, actual: float, tick: int) -> None:
-        if len(self.buffer) == self.capacity:
-            self.buffer.popleft()
-        self.buffer.append((float(prediction), float(actual), int(tick)))
+    def ingest(self, records: RecordBatch, predictions: np.ndarray) -> None:
+        """Take one whole report: its samples and the prediction made for each."""
+        errors = [(p - a) ** 2 for p, a in zip(np.asarray(predictions, dtype=float).tolist(),
+                                                records.target.tolist())]
+        reports = self.reports
+        reports.append((records, errors))
+        held = sum(len(e) for _, e in reports)
+        while held - len(reports[0][1]) >= self.capacity:
+            held -= len(reports.popleft()[1])
+
+    def __len__(self) -> int:
+        return min(self.capacity, sum(len(e) for _, e in self.reports))
 
     def mse(self) -> float:
-        if not self.buffer:
+        """Mean squared error of the last ``capacity`` samples, summed oldest first."""
+        n = len(self)
+        if not n:
             return 0.0
-        return sum((p - a) ** 2 for p, a, _ in self.buffer) / len(self.buffer)
+        errors = [e for _, errs in self.reports for e in errs]
+        return sum(errors[-n:]) / n
+
+    def samples(self) -> RecordBatch:
+        """The records of the last ``capacity`` samples, oldest first; the window is not empty."""
+        return RecordBatch.concat([r for r, _ in self.reports]).take(slice(-self.capacity, None))
 
     def detect_drift(self, mse: float | None = None) -> bool:
         """Whether the window's MSE (``mse`` when the caller already has it) drifted."""
-        if len(self.buffer) < self.min_samples:
+        if len(self) < self.min_samples:
             return False
         return (self.mse() if mse is None else mse) > self.baseline_mse * self.drift_factor
 
     def clear(self, new_baseline: float | None = None) -> None:
-        self.buffer.clear()
+        self.reports.clear()
         if new_baseline is not None:
             self.baseline_mse = new_baseline

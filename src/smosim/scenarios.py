@@ -31,7 +31,6 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from collections import deque
 from dataclasses import asdict, dataclass, field, replace
 from enum import Enum
 from functools import partial
@@ -433,7 +432,7 @@ class _TargetBehavior:
             driver.sim.log_event("fault", src=self.cid, detail={"kind": "drift_shift"})
         payload = {
             "records": records,
-            "predictions": [float(p) for p in preds],
+            "predictions": preds,
             "round": round_index,
             "target": str(self.cid),
         }
@@ -606,8 +605,6 @@ class Driver:
         self.exploration: pipeline.ExplorationReport | None = None
         self.search_result: learn.SearchResult | None = None
         self.monitor: MonitorWindow | None = None
-        # the fewest recent report batches that hold the last monitor.window samples
-        self._monitor_batches: deque[datagen.RecordBatch] = deque()
         self.restored_registry_snapshot: dict[str, Any] | None = None
         self.last_checkpoint_at_promotion: dict[str, Any] | None = None
 
@@ -1056,25 +1053,10 @@ class Driver:
 
     # -- monitoring + refinement ---------------------------------------------------------------------
 
-    @property
-    def monitor_samples(self) -> datagen.RecordBatch | None:
-        """The last monitor.window reported samples, the refinement's training data."""
-        if not self._monitor_batches:
-            return None
-        window = self.config.monitor.window
-        return datagen.RecordBatch.concat(list(self._monitor_batches)).take(
-            slice(-window, None))
-
     def _on_monitor_report(self, payload: dict[str, Any]) -> None:
         if self.monitor is None:
             return
-        records = payload["records"]
-        for actual, pred in zip(records.target, payload["predictions"]):
-            self.monitor.ingest(pred, actual, self.sim.clock)
-        batches = self._monitor_batches
-        batches.append(records)
-        while sum(map(len, batches)) - len(batches[0]) >= self.config.monitor.window:
-            batches.popleft()
+        self.monitor.ingest(payload["records"], payload["predictions"])
         window_mse = self.monitor.mse()
         self.sim.log_event("report_ingested", src=self.active_aiml, detail={
             "round": payload.get("round"), "target": payload.get("target"),
@@ -1118,7 +1100,8 @@ class Driver:
         cfg = self.config
         # refit on the samples that triggered the drift, not the full history; drift
         # needs monitor.min_samples >= 1 ingested samples, so there are some
-        records = self.monitor_samples
+        assert self.monitor is not None
+        records = self.monitor.samples()
         y = records.target
         X = pipeline.reapply_transform(records, self.canonical, self.derived,
                                        entry.artifact.scaler)
@@ -1162,7 +1145,6 @@ class Driver:
         self.registry.transition(entry, LifecycleState.VALIDATED, self.sim.clock)
         if self.monitor is not None:
             self.monitor.clear(new_baseline=metrics.mse)
-        self._monitor_batches.clear()
         self._deploy(entry)
 
     # -- scenario C (share-models) -----------------------------------------------------------------------
@@ -1393,7 +1375,6 @@ class Driver:
         # in-flight deployment and monitor state died with the node
         self._expected_artifacts.clear()
         self.monitor = None
-        self._monitor_batches.clear()
         self.RESUME[self.phase](self, entry)
 
     def _monitors_as_is(self, entry) -> bool:

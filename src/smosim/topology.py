@@ -239,8 +239,6 @@ class EventLog:
 
 @dataclass
 class _ComponentState:
-    cid: ComponentId
-    attached_to: ComponentId | None = None
     failed_since: int | None = None  # failure effective strictly after this tick
 
     def alive_at(self, tick: int) -> bool:
@@ -248,18 +246,23 @@ class _ComponentState:
 
 
 class Topology:
-    """Validated component graph plus undirected links labeled by interface."""
+    """Validated component graph plus undirected links labeled by interface.
+
+    ``components`` is the census of the built graph and holds each
+    component's liveness; ``_links`` is the only record of the links, one
+    ``neighbour -> interface`` map per component, filled both ways by
+    :meth:`link`.
+    """
 
     def __init__(self, interfaces: dict[InterfaceName, InterfaceSpec]):
         self.components: dict[ComponentId, _ComponentState] = {}
         self.interfaces = interfaces
-        self._links: dict[tuple[ComponentId, ComponentId], InterfaceName] = {}
-        self._adjacent: dict[ComponentId, set[ComponentId]] = {}
+        self._links: dict[ComponentId, dict[ComponentId, InterfaceName]] = {}
 
-    def add_component(self, cid: ComponentId, attached_to: ComponentId | None = None) -> None:
+    def add_component(self, cid: ComponentId) -> None:
         if cid in self.components:
             raise DuplicateComponent(str(cid))
-        self.components[cid] = _ComponentState(cid, attached_to=attached_to)
+        self.components[cid] = _ComponentState()
 
     def link(self, a: ComponentId, b: ComponentId, interface: InterfaceName) -> None:
         if a not in self.components or b not in self.components:
@@ -270,36 +273,30 @@ class Topology:
             raise UndeclaredRoute(
                 f"{interface.value} may not connect {a.kind.value} and {b.kind.value}"
             )
-        self._links[(a, b)] = interface
-        self._links[(b, a)] = interface
-        self._adjacent.setdefault(a, set()).add(b)
-        self._adjacent.setdefault(b, set()).add(a)
+        self._links.setdefault(a, {})[b] = interface
+        self._links.setdefault(b, {})[a] = interface
 
     def interface_between(self, src: ComponentId, dst: ComponentId) -> InterfaceName:
         try:
-            return self._links[(src, dst)]
+            return self._links[src][dst]
         except KeyError:
             raise UndeclaredRoute(f"no declared interface between {src} and {dst}") from None
 
     def neighbors(self, cid: ComponentId) -> list[ComponentId]:
-        return sorted(self._adjacent.get(cid, ()))
+        return sorted(self._links.get(cid, ()))
 
 
 def build_topology(config: "ScenarioConfig") -> Topology:
     """Instantiate the component graph a scenario config declares.
 
     Terminations are created automatically for every declared far-side
-    management system and attached to the single NonRtRic instance.
+    management system and linked to every AI/ML instance. The built graph is
+    the census of the topology section: ``config_from_dict`` checks every
+    component a config places against it.
     """
     interfaces = {spec.name: spec for spec in config.interface_specs()}
     topo = Topology(interfaces)
     counts = config.topology
-
-    ric = ComponentId(ComponentKind.NON_RT_RIC, 0)
-    topo.add_component(ric)
-    aimls = [ComponentId(ComponentKind.AIML_FUNCTION, i) for i in range(counts.aiml_instances)]
-    for a in aimls:
-        topo.add_component(a, attached_to=ric)
 
     def _add_many(kind: ComponentKind, n: int) -> list[ComponentId]:
         ids = [ComponentId(kind, i) for i in range(n)]
@@ -307,6 +304,8 @@ def build_topology(config: "ScenarioConfig") -> Topology:
             topo.add_component(c)
         return ids
 
+    [ric] = _add_many(ComponentKind.NON_RT_RIC, 1)
+    aimls = _add_many(ComponentKind.AIML_FUNCTION, counts.aiml_instances)
     nssmfs = _add_many(ComponentKind.NSSMF, counts.nssmf)
     nfvos = _add_many(ComponentKind.NFVO, counts.nfvo)
     mda3 = _add_many(ComponentKind.MDA_SYSTEM_3GPP, counts.mda_3gpp)
@@ -336,14 +335,14 @@ def build_topology(config: "ScenarioConfig") -> Topology:
     need_nfvo_term = bool(nfvos or mdan)
     if need_nssmf_term:
         term = ComponentId(ComponentKind.NSSMF_TERMINATION, 0)
-        topo.add_component(term, attached_to=ric)
+        topo.add_component(term)
         for c in nssmfs + mda3:
             topo.link(c, term, InterfaceName.NSSMF_NONRTRIC)
         for a in aimls:
             topo.link(term, a, InterfaceName.SMO_INTERNAL)
     if need_nfvo_term:
         term = ComponentId(ComponentKind.NFVO_TERMINATION, 0)
-        topo.add_component(term, attached_to=ric)
+        topo.add_component(term)
         for c in nfvos + mdan:
             topo.link(c, term, InterfaceName.NFVO_NONRTRIC)
         for a in aimls:
@@ -351,7 +350,7 @@ def build_topology(config: "ScenarioConfig") -> Topology:
     if counts.external_provider:
         term = ComponentId(ComponentKind.EXTERNAL_AIML_TERMINATION, 0)
         provider = ComponentId(ComponentKind.EXTERNAL_PROVIDER, 0)
-        topo.add_component(term, attached_to=ric)
+        topo.add_component(term)
         topo.add_component(provider)
         topo.link(provider, term, InterfaceName.EXTERNAL_AIML)
         for a in aimls:

@@ -63,6 +63,18 @@ def check_invariants(result: RunResult) -> None:
         assert e.tick - send.tick == latency[e.interface], \
             f"message {msg_id} took {e.tick - send.tick} ticks on {e.interface}"
 
+    # the drift rule, read back from the log: a drift is detected right after the
+    # report whose window tripped it, at its tick, on its window MSE
+    drift_factor = result.driver.config.monitor.drift_factor
+    for prev, e in zip(entries, entries[1:]):
+        if e.type != "drift_detected":
+            continue
+        assert (prev.type, prev.tick, prev.detail.get("window_mse")) == (
+            "report_ingested", e.tick, e.detail["window_mse"]), \
+            f"drift at {e.tick} does not follow the report that tripped it: {prev}"
+        assert e.detail["window_mse"] > e.detail["baseline_mse"] * drift_factor, \
+            f"drift at {e.tick} below the threshold: {e.detail}"
+
     report = result.report
     for f in report.faults:
         ticks = [f.fault_tick, f.detection_tick, f.resolution_tick]

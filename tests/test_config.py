@@ -7,7 +7,6 @@ import json
 import math
 import os
 import tempfile
-from collections import Counter
 from pathlib import Path
 
 import pytest
@@ -21,6 +20,7 @@ from smosim.config import (
     DeploySpec,
     EmissionSpec,
     HarnessSpec,
+    MAX_RECORDS,
     ModelSpec,
     MonitorSpec,
     PipelineSpec,
@@ -31,7 +31,6 @@ from smosim.config import (
 from smosim.errors import ConfigError, MissingKey, SimulationError, ZeroCapacity
 from smosim.harness import schedule
 from smosim.learn import sample_random
-from smosim.topology import build_topology
 
 from conftest import scenario_b_dict
 from golden.cases import CASES, golden_path
@@ -110,6 +109,16 @@ MALFORMED = [
      "pipeline.derived[0].a"),
     (("pipeline", "derived"), [{"op": "ratio", "a": "cpu", "b": "slice"}], ConfigError,
      "pipeline.derived[0].b"),
+    (("topology", "rapps"), -3, ConfigError, "topology.rapps"),
+    (("sources", 0, "emission", "size"), 10**13, ConfigError, "sources[0].emission.size"),
+    (("sources", 0, "emission", "size"), MAX_RECORDS + 1, ConfigError,
+     "sources[0].emission.size"),
+    (("collection",), {"requests": MAX_RECORDS // 200 + 1}, ConfigError,
+     "sources[0].emission.size"),
+    (("sources", 1, "emission"), {"mode": "streaming", "size": MAX_RECORDS // 10 + 1,
+                                  "interval": 1}, ConfigError, "sources[1].emission.size"),
+    (("monitor",), {"rounds": MAX_RECORDS // 20 + 1, "batch": 20}, ConfigError,
+     "monitor.rounds"),
 ]
 
 
@@ -368,14 +377,58 @@ class TestCrossFieldRules:
             config_from_dict(data)
         assert info.value.field == "topology.extra_links[1]"
 
-    def test_instance_counts_match_the_built_topology(self):
-        counts = {"nssmf": 2, "nfmf_per_nssmf": 2, "nfvo": 1, "vnfm": 1, "vim": 1, "wim": 1,
-                  "cism": 1, "cir": 1, "ccm": 1, "mda_3gpp": 1, "mda_nfv": 1, "rapps": 2,
-                  "aiml_instances": 2, "external_provider": True}
-        config = config_from_dict(scenario_b_dict(topology=counts))
-        built = Counter(c.kind for c in build_topology(config).components)
-        declared = config.topology.instances()
-        assert built == Counter({k: n for k, n in declared.items() if n})
+    # (where a config places a component, the last component of a kind that
+    # _PLACEMENT_COUNTS builds, the first it does not, the path the error names)
+    _PLACEMENT_COUNTS = {"nssmf": 2, "nfmf_per_nssmf": 2, "nfvo": 1, "mda_3gpp": 1,
+                         "mda_nfv": 1, "rapps": 2, "aiml_instances": 2}
+
+    @pytest.mark.parametrize("path, built, unbuilt, field", [
+        (("sources", 0, "owner"), "NSSMF#1", "NSSMF#2", "sources[0].owner"),
+        (("sources", 0, "owner"), "NFMF#3", "NFMF#4", "sources[0].owner"),
+        (("sources", 1, "owner"), "RApp#1", "RApp#2", "sources[1].owner"),
+        (("deploy", "targets", 1), "MdaSystemNFV#0", "MdaSystemNFV#1", "deploy.targets[1]"),
+        (("deploy", "targets", 0), "AimlFunction#1", "AimlFunction#2", "deploy.targets[0]"),
+        (("harness", "failure", "target"), "AimlFunction#1", "AimlFunction#2",
+         "harness.failure.target"),
+        (("harness", "failure", "replicas"), ["AimlFunction#1"], ["AimlFunction#2"],
+         "harness.failure.replicas[0]"),
+        (("topology", "extra_links", 0, "src"), "RApp#1", "RApp#2", "topology.extra_links[0]"),
+        (("topology", "extra_links", 0, "dst"), "AimlFunction#1", "AimlFunction#2",
+         "topology.extra_links[0]"),
+    ])
+    def test_a_config_places_only_components_the_topology_builds(self, path, built, unbuilt,
+                                                                 field):
+        data = scenario_b_dict()
+        data["topology"] = dict(self._PLACEMENT_COUNTS, extra_links=[
+            {"src": "RApp#0", "dst": "AimlFunction#0", "interface": "R1"}])
+        data["harness"] = {"failure": {"target": "AimlFunction#0"}}
+        config_from_dict(_with(data, path, built))
+        with pytest.raises(ConfigError, match="is not instantiated by the topology section") \
+                as info:
+            config_from_dict(_with(data, path, unbuilt))
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("link", [
+        {"src": "NfvoTermination#1", "dst": "AimlFunction#0", "interface": "SmoInternal"},
+        {"src": "ExternalProvider#0", "dst": "ExternalAimlTermination#0",
+         "interface": "ExternalAiml"},
+    ])
+    def test_links_reach_only_terminations_and_providers_the_topology_builds(self, link):
+        data = scenario_b_dict()
+        data["topology"]["extra_links"] = [link]
+        with pytest.raises(ConfigError, match="is not instantiated") as info:
+            config_from_dict(data)
+        assert info.value.field == "topology.extra_links[0]"
+
+    def test_record_counts_up_to_the_bound_are_accepted(self):
+        data = scenario_b_dict()
+        data["sources"][0]["emission"]["size"] = MAX_RECORDS
+        data["sources"][1]["emission"] = {"mode": "streaming", "size": MAX_RECORDS // 10,
+                                          "interval": 1}
+        data["monitor"] = {"rounds": MAX_RECORDS // 20, "batch": 20}
+        config = config_from_dict(data)
+        assert (config.sources[0].emission.size, config.monitor.rounds) == (
+            MAX_RECORDS, MAX_RECORDS // 20)
 
     def test_valid_scheduler_classes_schedule_each_job_no_sooner_than_its_ideal(self):
         scheduler = {"budget": 3, "classes": [

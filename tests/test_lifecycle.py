@@ -7,7 +7,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smosim.config import ModelKind
+from smosim.config import FeatureSpec, ModelKind
+from smosim.datagen import RecordBatch
 from smosim.errors import IllegalTransition, InvalidArtifact
 from smosim.learn import EvalMetrics, LinearParams
 from smosim.lifecycle import (
@@ -20,6 +21,8 @@ from smosim.lifecycle import (
     save_artifact,
 )
 from smosim.pipeline import ScalingParams
+
+from conftest import record_batch
 
 
 def _artifact(width: int = 2, origin: str = "internal", mse: float = 0.01) -> ModelArtifact:
@@ -191,28 +194,75 @@ class TestCheckpoints:
             load_artifact(path)
 
 
+def _report(targets, start_id: int = 0) -> RecordBatch:
+    """A report of one sample per target, with record ids from ``start_id``."""
+    targets = list(targets)
+    return record_batch([FeatureSpec("x", valid_range=(0.0, 1.0))],
+                        [{"x": 0.5}] * len(targets), targets=targets,
+                        ids=list(range(start_id, start_id + len(targets))))
+
+
 class TestMonitorWindow:
-    def test_ring_semantics_capacity_three(self):
+    def test_keeps_the_fewest_recent_reports_that_hold_the_last_capacity_samples(self):
         w = MonitorWindow(capacity=3, baseline_mse=1.0, drift_factor=1.5, min_samples=1)
-        for i in range(4):
-            w.ingest(float(i), 0.0, tick=i)
-        assert [p for p, _, _ in w.buffer] == [1.0, 2.0, 3.0]
+        for r in range(3):
+            w.ingest(_report([0.0, 0.0], start_id=2 * r), np.array([1.0, 2.0]))
+        assert [list(records.record_id) for records, _ in w.reports] == [[2, 3], [4, 5]]
+        assert len(w) == 3
+        assert list(w.samples().record_id) == [3, 4, 5]
+        assert w.mse() == (4.0 + 1.0 + 4.0) / 3
 
     def test_zero_error_contribution(self):
         w = MonitorWindow(capacity=3, baseline_mse=1.0, drift_factor=1.5, min_samples=1)
-        w.ingest(1.0, 1.0, tick=0)
+        w.ingest(_report([1.0]), [1.0])
         assert w.mse() == 0.0
+
+    def test_empty_window(self):
+        w = MonitorWindow(capacity=3, baseline_mse=1.0, drift_factor=1.5, min_samples=1)
+        assert len(w) == 0 and w.mse() == 0.0 and w.detect_drift() is False
+
+    def test_clear_empties_the_window_and_sets_the_new_baseline(self):
+        w = MonitorWindow(capacity=3, baseline_mse=1.0, drift_factor=1.5, min_samples=1)
+        w.ingest(_report([0.0, 0.0]), [5.0, 5.0])
+        w.clear(new_baseline=0.25)
+        assert len(w) == 0 and not w.reports and w.baseline_mse == 0.25
 
     def test_running_mse_equals_recomputation(self):
         rng = np.random.default_rng(4)
         w = MonitorWindow(capacity=16, baseline_mse=1.0, drift_factor=1.5, min_samples=1)
-        preds = rng.normal(size=50)
-        actuals = rng.normal(size=50)
-        for i, (p, a) in enumerate(zip(preds, actuals)):
-            w.ingest(p, a, tick=i)
-            window = list(zip(preds, actuals))[max(0, i - 15):i + 1]
-            oracle = sum((p2 - a2) ** 2 for p2, a2 in window) / len(window)
-            assert w.mse() == pytest.approx(oracle, rel=1e-12)
+        pairs: list[tuple[float, float]] = []
+        for _ in range(12):
+            n = int(rng.integers(1, 8))
+            preds, actuals = rng.normal(size=n), rng.normal(size=n)
+            w.ingest(_report(actuals, start_id=len(pairs)), preds)
+            pairs += zip(preds.tolist(), actuals.tolist())
+            window = pairs[-16:]
+            assert w.mse() == sum((p - a) ** 2 for p, a in window) / len(window)
+
+    @settings(max_examples=200, deadline=None)
+    @given(capacity=st.integers(1, 12),
+           reports=st.lists(st.lists(st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3)),
+                                     min_size=1, max_size=9), min_size=1, max_size=10))
+    def test_the_window_holds_the_last_capacity_samples_of_whole_reports(self, capacity,
+                                                                         reports):
+        w = MonitorWindow(capacity=capacity, baseline_mse=1.0, drift_factor=1.5,
+                          min_samples=1)
+        pairs: list[tuple[float, float]] = []
+        batches: list[RecordBatch] = []
+        for report in reports:
+            batches.append(_report([a for _, a in report], start_id=len(pairs)))
+            w.ingest(batches[-1], np.array([p for p, _ in report]))
+            pairs += report
+            window = pairs[-capacity:]
+            assert w.mse() == sum((p - a) ** 2 for p, a in window) / len(window)
+            assert len(w) == min(capacity, len(pairs))
+            expected = RecordBatch.concat(batches).take(slice(-capacity, None))
+            held = w.samples()
+            assert held.record_id.tolist() == expected.record_id.tolist()
+            assert held.target.tolist() == expected.target.tolist()
+            assert held.columns["x"].tolist() == expected.columns["x"].tolist()
+            # the oldest kept report holds samples of the window
+            assert sum(len(records) for records, _ in list(w.reports)[1:]) < len(w)
 
 
 class TestDriftRule:
@@ -220,7 +270,7 @@ class TestDriftRule:
         w = MonitorWindow(capacity=10, baseline_mse=baseline, drift_factor=factor,
                           min_samples=min_samples)
         for i in range(n):
-            w.ingest(err, 0.0, tick=i)
+            w.ingest(_report([0.0], start_id=i), [err])
         return w
 
     def test_detects_when_above_threshold_with_full_buffer(self):
@@ -230,6 +280,11 @@ class TestDriftRule:
     def test_insufficient_evidence(self):
         w = self._window(3, err=10.0)
         assert w.detect_drift() is False
+
+    def test_one_report_counts_each_of_its_samples(self):
+        w = MonitorWindow(capacity=10, baseline_mse=1.0, drift_factor=1.5, min_samples=4)
+        w.ingest(_report([0.0] * 4), [10.0] * 4)
+        assert w.detect_drift() is True
 
     def test_equal_to_baseline_is_not_drift(self):
         w = self._window(6, err=1.0, baseline=1.0, factor=1.5)
