@@ -215,6 +215,11 @@ class PipelineSpec:
 
 # training runs every epoch, so a config may not ask for an unbounded number
 MAX_EPOCHS = 10_000
+# a search trains once per trial, so a config may not ask for an unbounded number
+MAX_SEARCH_TRIALS = 1_000
+# scenario C trains every domain once per round, so a config may not ask for an
+# unbounded number
+MAX_ROUNDS = 10_000
 # records one source draws in a collection, or one deploy target over its monitor
 # rounds: each is drawn at once, so a config may not ask for an unbounded number
 MAX_RECORDS = 1_000_000
@@ -565,7 +570,11 @@ def _search_spec(d: Any, path: str) -> HyperSearchSpec:
     random = spec.mode == "random"
     _expect(random or bool(grid), f"{path}.grid", "grid search needs a non-empty grid")
     _expect(not random or bool(ranges), f"{path}.ranges", "random search needs parameter ranges")
-    _expect(not random or spec.budget >= 1, f"{path}.budget", "random search budget must be >= 1")
+    _expect(not random or 1 <= spec.budget <= MAX_SEARCH_TRIALS, f"{path}.budget",
+            f"random search budget must lie in [1, {MAX_SEARCH_TRIALS}]")
+    trials = math.prod(len(values) for values in grid.values())
+    _expect(random or trials <= MAX_SEARCH_TRIALS, f"{path}.grid",
+            f"grid of {trials} trials exceeds {MAX_SEARCH_TRIALS} trials")
     return replace(spec, grid=grid, ranges=ranges)
 
 
@@ -614,8 +623,9 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
     cfg.mode = cfg.mode or None
     _expect(cfg.mode in _MODES[kind], "scenario.mode",
             f"scenario {kind.value} takes mode {' or '.join(map(repr, _MODES[kind]))}")
-    _expect(cfg.rounds >= 1 if kind is ScenarioKind.C else cfg.rounds == 1, "scenario.rounds",
-            "rounds must be >= 1, and 1 for scenarios A and B")
+    _expect(1 <= cfg.rounds <= MAX_ROUNDS if kind is ScenarioKind.C else cfg.rounds == 1,
+            "scenario.rounds", f"rounds must lie in [1, {MAX_ROUNDS}], and be 1 for scenarios "
+            "A and B")
     nfv_kinds = ("vnfm", "vim", "wim", "cism", "cir", "ccm")
     _expect(counts.nfvo > 0 or not any(getattr(counts, k) for k in nfv_kinds), "topology.nfvo",
             f"{', '.join(nfv_kinds)} attach to an NFVO, so they need nfvo >= 1")

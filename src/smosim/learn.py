@@ -7,13 +7,17 @@ times a configured per-record tick cost, never wall clock.
 
 Every SGD fit runs through one kernel, :func:`_sgd`, whose steps equal a loop
 over :func:`loss_gradient` bit for bit. One :func:`train` call can fit several
-models of one kind and hyperparameters (its ``peers``), and the kernel picks
-its step by the fit count: one fit keeps the 2-D step, several step in
-lockstep, stacked on a leading fit axis over the full minibatches that all of
-them have in an epoch, then each fit's ragged tail alone. Stacked
-``np.matmul`` and ``np.add.reduce(., 1)`` equal the per-fit ``xb @ w`` and
-``np.add.reduce(., 0)`` bit for bit (numpy 2.4.6 with its bundled OpenBLAS),
-so each stacked fit equals the fit of a call of its own.
+models of one kind and hyperparameters (its ``peers``), each with a learning
+rate of its own if asked, and the kernel picks its step by the fit count: one
+fit keeps the 2-D step, several step in lockstep, stacked on a leading fit
+axis over the full minibatches that all of them have in an epoch, then each
+fit's ragged tail alone. Stacked ``np.matmul`` and ``np.add.reduce(., 1)``
+equal the per-fit ``xb @ w`` and ``np.add.reduce(., 0)`` bit for bit (numpy
+2.4.6 with its bundled OpenBLAS), and a per-fit rate is the same multiply per
+element as a shared one, so each stacked fit equals the fit of a call of its
+own. :func:`search` uses this to fit the trials that differ only in learning
+rate together, and keeps the winning trial's result, so a searched model
+deploys as its trial fitted it.
 """
 
 from __future__ import annotations
@@ -135,8 +139,8 @@ def incremental_update(params: LinearParams, X: np.ndarray, y: np.ndarray,
     """Per-sample SGD over new samples in arrival order."""
     if not kind.is_sgd:
         raise UnsupportedKind(f"{kind.value} cannot be updated incrementally")
-    return _raised(_sgd(kind, [(X, y, [np.arange(X.shape[0])], params)], 1,
-                        learning_rate, l2_lambda)[0])
+    return _raised(_sgd(kind, [(X, y, [np.arange(X.shape[0])], params, learning_rate)], 1,
+                        l2_lambda)[0])
 
 
 def _raised(outcome):
@@ -155,15 +159,20 @@ _CHECK_ROWS = 1024
 # Minibatches whose rows one take gathers: a gather's cost is shared by many
 # steps, and the buffers stay small however large the train set.
 _GATHER_STEPS = 64
+# Fits that one kernel call stacks at most: its buffers hold up to
+# _GATHER_STEPS minibatches of rows per fit, so a call of many fits (a random
+# search of many trials) steps them in lockstep this many at a time.
+_STACK_FITS = 16
 
-# (X, y, its per-epoch orders, init) of one fit
-_SgdFit = tuple[np.ndarray, np.ndarray, Iterable[np.ndarray], LinearParams]
+# (X, y, its per-epoch orders, init, learning rate) of one fit
+_SgdFit = tuple[np.ndarray, np.ndarray, Iterable[np.ndarray], LinearParams, float]
 
 
-def _sgd(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int, learning_rate: float,
+def _sgd(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int,
          l2_lambda: float) -> list[LinearParams | SimulationError]:
-    """Minibatch SGD of each fit from its init, one step per ``batch_size``
-    rows of each of its orders; per fit, its parameters or the error it raised.
+    """Minibatch SGD of each fit from its init at its learning rate, one step
+    per ``batch_size`` rows of each of its orders; per fit, its parameters or
+    the error it raised.
 
     Every SGD path runs through here. A step does :func:`loss_gradient`'s
     arithmetic in its order, so results equal a loop over it bit for bit
@@ -173,14 +182,17 @@ def _sgd(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int, learning_rat
 
     The step is picked by the fit count. One fit, or fits of different widths
     or dtypes, step alone: the 2-D step of :func:`_stepper`. Several fits step
-    in lockstep (:func:`_lockstep`): all of them stacked on a leading fit
-    axis over the full minibatches every fit has in an epoch, then each fit's
-    ragged tail alone. Stacked ``np.matmul`` runs the same BLAS call per fit
-    as ``xb @ w``, and ``np.add.reduce(., 1)`` over the fit axis sums each
-    fit's rows in the order ``np.add.reduce(., 0)`` does, so each fit's
-    parameters equal those of a call of its own bit for bit (checked on numpy
-    2.4.6 with its bundled OpenBLAS). The 3-D step costs more than the 2-D one
-    at one fit, so a one-fit call keeps the 2-D step.
+    in lockstep (:func:`_lockstep`), _STACK_FITS at a time: stacked on a
+    leading fit axis over the full minibatches every fit has in an epoch,
+    then each fit's ragged tail alone. Stacked ``np.matmul`` runs the same
+    BLAS call per fit as ``xb @ w``, ``np.add.reduce(., 1)`` over the fit
+    axis sums each fit's rows in the order ``np.add.reduce(., 0)`` does, and
+    an array of the fits' learning rates multiplies each gradient element by
+    its fit's rate as a scalar rate would. So each fit's parameters equal
+    those of a call of its own bit for bit (checked on numpy 2.4.6 with its
+    bundled OpenBLAS).
+    The 3-D step costs more than the 2-D one at one fit, so a one-fit call
+    keeps the 2-D step.
 
     A fit's error is a SchemaMismatch for an init of the wrong width, or a
     NonFiniteUpdate when an order leaves a parameter non-finite or the run
@@ -191,20 +203,21 @@ def _sgd(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int, learning_rat
     """
     out: list[LinearParams | SimulationError | None] = [None] * len(fits)
     live = []
-    for i, (X, _, _, init) in enumerate(fits):
+    for i, (X, _, _, init, _) in enumerate(fits):
         if len(init.weights) != X.shape[1]:
             out[i] = SchemaMismatch("warm-start width differs from data width")
         else:
             live.append(i)
     stack = len(live) > 1 and len(
         {(fits[i][0].shape[1], fits[i][0].dtype, fits[i][1].dtype) for i in live}) == 1
-    groups = [live] if stack else [[i] for i in live]
+    groups = [live[i:i + _STACK_FITS] for i in range(0, len(live), _STACK_FITS)] if stack \
+        else [[i] for i in live]
     with np.errstate(over="ignore", invalid="ignore"):
         for group in groups:
             run = _lockstep if len(group) > 1 else _alone
             for i, params in zip(group, run(kind, [fits[i] for i in group], batch_size,
-                                            learning_rate, l2_lambda)):
-                X, y, _, init = fits[i]
+                                            l2_lambda)):
+                X, y, _, init, _ = fits[i]
                 out[i] = params if isinstance(params, SimulationError) \
                     else _checked(kind, X, y, init, params, l2_lambda)
     return out  # type: ignore[return-value]
@@ -297,10 +310,10 @@ def _stepper(kind: ModelKind, X: np.ndarray, y: np.ndarray, w: np.ndarray, Xo: n
     return run
 
 
-def _alone(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int, learning_rate: float,
+def _alone(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int,
            l2_lambda: float) -> list[LinearParams | SimulationError]:
     """One fit, stepped alone."""
-    ((X, y, orders, init),) = fits
+    ((X, y, orders, init, learning_rate),) = fits
     w, b = init.weights.astype(float), float(init.bias)
     Xo = np.empty((min(_GATHER_STEPS * batch_size, len(X)), X.shape[1]), X.dtype)
     run = _stepper(kind, X, y, w, Xo, np.empty(len(Xo), y.dtype), batch_size, learning_rate,
@@ -313,7 +326,7 @@ def _alone(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int, learning_r
 
 
 def _lockstep(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int,
-              learning_rate: float, l2_lambda: float) -> list[LinearParams | SimulationError]:
+              l2_lambda: float) -> list[LinearParams | SimulationError]:
     """Several fits of one width and dtype in lockstep, one epoch at a time.
 
     An epoch steps every fit's first ``min(n) // batch_size`` minibatches
@@ -323,30 +336,35 @@ def _lockstep(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int,
     on being computed, and the other fits never read them.
     """
     count, d = len(fits), fits[0][0].shape[1]
-    common = min(len(X) for X, _, _, _ in fits) // batch_size * batch_size
+    common = min(len(X) for X, _, _, _, _ in fits) // batch_size * batch_size
     block = _GATHER_STEPS * batch_size
-    Xs = np.empty((count, min(block, max(len(X) for X, _, _, _ in fits)), d), fits[0][0].dtype)
+    Xs = np.empty((count, min(block, max(len(X) for X, _, _, _, _ in fits)), d),
+                  fits[0][0].dtype)
     ys = np.empty(Xs.shape[:2], fits[0][1].dtype)
-    W = np.array([init.weights for _, _, _, init in fits], float)
-    bias = np.array([init.bias for _, _, _, init in fits], float)
-    tails = [_stepper(kind, X, y, W[f], Xs[f], ys[f], batch_size, learning_rate, l2_lambda)
-             for f, (X, y, _, _) in enumerate(fits)]
+    W = np.array([init.weights for _, _, _, init, _ in fits], float)
+    bias = np.array([init.bias for _, _, _, init, _ in fits], float)
+    tails = [_stepper(kind, X, y, W[f], Xs[f], ys[f], batch_size, rate, l2_lambda)
+             for f, (X, y, _, _, rate) in enumerate(fits)]
     failed: list[NonFiniteUpdate | None] = [None] * count
     logistic = kind is ModelKind.LOGISTIC_SGD
     W3, bias2 = W[:, :, None], bias[:, None]
     z3, prod = np.empty((count, batch_size, 1)), np.empty((count, batch_size, d))
     z = z3[:, :, 0]
     gw, wd, gb = np.empty((count, d)), np.empty((count, d)), np.empty(count)
-    lr, decay = np.array(learning_rate, float), np.array(2.0 * l2_lambda)
+    # each fit's rate in its row: an (F, d) operand multiplies as fast as a
+    # 0-d one, where broadcasting an (F, 1) one costs about 1 us more a step
+    lr_b = np.array([rate for _, _, _, _, rate in fits], float)
+    lr_w = np.repeat(lr_b, d).reshape(count, d)
+    decay = np.array(2.0 * l2_lambda)
     c = np.array(2.0 / batch_size)
     views = [(Xs[:, s:s + batch_size], ys[:, s:s + batch_size])
              for s in range(0, min(block, common), batch_size)]
     matmul, add, multiply, subtract, add_reduce = (np.matmul, np.add, np.multiply, np.subtract,
                                                   np.add.reduce)
-    for orders in zip(*(orders for _, _, orders, _ in fits), strict=True):
+    for orders in zip(*(orders for _, _, orders, _, _ in fits), strict=True):
         for first in range(0, common, block):
             rows = min(block, common - first)
-            for f, ((X, y, _, _), order) in enumerate(zip(fits, orders)):
+            for f, ((X, y, _, _, _), order) in enumerate(zip(fits, orders)):
                 X.take(order[first:first + rows], 0, Xs[f, :rows], "wrap")
                 y.take(order[first:first + rows], 0, ys[f, :rows], "wrap")
             for xb, yb in views[:rows // batch_size]:
@@ -370,9 +388,9 @@ def _lockstep(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int,
                 if l2_lambda:
                     multiply(W, decay, wd)
                     add(gw, wd, gw)
-                multiply(gw, lr, gw)
+                multiply(gw, lr_w, gw)
                 subtract(W, gw, W)
-                multiply(gb, lr, gb)
+                multiply(gb, lr_b, gb)
                 subtract(bias, gb, bias)
         for f, order in enumerate(orders):
             if failed[f] is None:
@@ -536,17 +554,18 @@ def fit(kind: ModelKind, X: np.ndarray, y: np.ndarray, hp: HyperParams, seed: in
     SGD kinds run ``hp.epochs`` seeded shuffles from ``init`` (zeros if None);
     the closed form and the stump ignore ``init`` and fit afresh.
     """
-    return _raised(_fit_each(kind, [(X, y, init)], hp, seed)[0])
+    return _raised(_fit_each(kind, [(X, y, init, hp.learning_rate)], hp, seed)[0])
 
 
 def _fit_each(kind: ModelKind,
-              data: Sequence[tuple[np.ndarray, np.ndarray, LinearParams | None]],
+              data: Sequence[tuple[np.ndarray, np.ndarray, LinearParams | None, float]],
               hp: HyperParams, seed: int) -> list[tuple[ModelParameters, int] | SimulationError]:
-    """:func:`fit` on each (X, y, init), its SGD fits in one :func:`_sgd` call;
-    per fit, its (model, records processed) or the error it raised."""
+    """:func:`fit` on each (X, y, init, learning rate), its SGD fits in one
+    :func:`_sgd` call; per fit, its (model, records processed) or the error it
+    raised."""
     out: list[tuple[ModelParameters, int] | SimulationError | None] = [None] * len(data)
     sgd = []
-    for i, (X, y, _) in enumerate(data):
+    for i, (X, y, _, _) in enumerate(data):
         n = X.shape[0]
         if n == 0:
             out[i] = EmptyTrainSet("train split is empty")
@@ -560,9 +579,9 @@ def _fit_each(kind: ModelKind,
         else:
             sgd.append(i)
     fits = [(X, y, epoch_orders(len(X), seed, hp.epochs),
-             init if init is not None else zero_params(X.shape[1]))
-            for X, y, init in (data[i] for i in sgd)]
-    for i, params in zip(sgd, _sgd(kind, fits, hp.batch_size, hp.learning_rate, hp.l2_lambda)):
+             init if init is not None else zero_params(X.shape[1]), rate)
+            for X, y, init, rate in (data[i] for i in sgd)]
+    for i, params in zip(sgd, _sgd(kind, fits, hp.batch_size, hp.l2_lambda)):
         out[i] = params if isinstance(params, SimulationError) \
             else (params, hp.epochs * data[i][0].shape[0])
     return out  # type: ignore[return-value]
@@ -590,11 +609,13 @@ def fit_standardized(kind: ModelKind, X: np.ndarray, y: np.ndarray, hp: HyperPar
 def train(kind: ModelKind, split: SplitDataset, hp: HyperParams, seed: int,
           init: LinearParams | None = None,
           costs: CostTable | None = None,
-          peers: Sequence[tuple[SplitDataset, LinearParams | None]] = ()) -> TrainResult:
+          peers: Sequence[tuple[SplitDataset, LinearParams | None]] = (),
+          peer_rates: Sequence[float] | None = None) -> TrainResult:
     """Fit one model on the train partition and score it on validation.
 
     ``peers`` are more (split, init) pairs fitted in the same call with the
-    same kind, hyperparameters and seed; the result's ``peers`` holds each
+    same kind, hyperparameters and seed, each at its learning rate in
+    ``peer_rates`` when that is given; the result's ``peers`` holds each
     one's TrainResult, or the SimulationError its fit raised, in order. Their
     SGD fits run with this one's in one :func:`_sgd` call, stacked when there
     are several (see there why each stacked fit equals its own call bit for
@@ -603,8 +624,10 @@ def train(kind: ModelKind, split: SplitDataset, hp: HyperParams, seed: int,
     """
     costs = costs or CostTable()
     splits = [split, *(s for s, _ in peers)]
-    fits = _fit_each(kind, [(split.train.X, split.train.y, init),
-                            *((s.train.X, s.train.y, i) for s, i in peers)], hp, seed)
+    rates = [hp.learning_rate] * len(peers) if peer_rates is None else peer_rates
+    fits = _fit_each(kind, [(split.train.X, split.train.y, init, hp.learning_rate),
+                            *((s.train.X, s.train.y, i, rate)
+                              for (s, i), rate in zip(peers, rates, strict=True))], hp, seed)
     own, *others = [f if isinstance(f, SimulationError) else _scored(kind, s, hp, costs, f)
                     for s, f in zip(splits, fits)]
     own = _raised(own)
@@ -636,10 +659,15 @@ class Trial:
 
 @dataclass
 class SearchResult:
+    """The trials of a search in candidate order, and its winner: its
+    hyperparameters, its index and its TrainResult, which is the result a
+    :func:`train` call of the winning hyperparameters returns bit for bit."""
+
     best: HyperParams
     best_index: int
     trials: list[Trial]
     total_train_ticks: int
+    best_result: TrainResult
 
 
 def enumerate_grid(spec: HyperSearchSpec) -> list[dict[str, Any]]:
@@ -672,21 +700,31 @@ def sample_random(spec: HyperSearchSpec) -> list[dict[str, Any]]:
 def search(kind: ModelKind, split: SplitDataset, spec: HyperSearchSpec,
            base: HyperParams, seed: int,
            costs: CostTable | None = None) -> SearchResult:
-    """Evaluate every candidate; best by validation metric, ties by order."""
+    """Evaluate every candidate; best by validation metric, ties by order.
+
+    Each trial's result equals a :func:`train` call of its own bit for bit,
+    though SGD trials whose hyperparameters differ only in learning rate fit
+    together (see :func:`_trial_results`). A trial whose fit raises
+    NonFiniteUpdate fails alone; any other error raises, the one the first
+    trial in candidate order to raise it raised. An empty validation
+    partition raises EmptyEvalSet before any fit, as no trial could be scored.
+    """
     combos = enumerate_grid(spec) if spec.mode == "grid" else sample_random(spec)
     if not combos:
         raise EmptySearchSpace("no hyperparameter combinations to try")
+    if not len(split.val):
+        raise EmptyEvalSet("validation partition is empty, so no trial can be scored")
+    hps = [base.replace(**combo) for combo in combos]
+    results = _trial_results(kind, split, hps, seed, costs)
     trials: list[Trial] = []
     total_ticks = 0
     best_value = float("inf")
     best_index = -1
-    for i, combo in enumerate(combos):
-        hp = base.replace(**combo)
-        try:
-            result = train(kind, split, hp, seed, costs=costs)
-        except NonFiniteUpdate as exc:
-            trials.append(Trial(i, hp, None, failed=True, error=str(exc)))
+    for i, (hp, result) in enumerate(zip(hps, results)):
+        if isinstance(result, NonFiniteUpdate):
+            trials.append(Trial(i, hp, None, failed=True, error=str(result)))
             continue
+        result = _raised(result)
         total_ticks += result.metrics.train_ticks
         trials.append(Trial(i, hp, result.metrics))
         value = primary_metric(kind, result.metrics)
@@ -696,7 +734,45 @@ def search(kind: ModelKind, split: SplitDataset, spec: HyperSearchSpec,
     if best_index < 0:
         raise NonFiniteUpdate("every search trial diverged")
     return SearchResult(best=trials[best_index].hyperparams, best_index=best_index,
-                        trials=trials, total_train_ticks=total_ticks)
+                        trials=trials, total_train_ticks=total_ticks,
+                        best_result=results[best_index])  # type: ignore[arg-type]
+
+
+def _trial_results(kind: ModelKind, split: SplitDataset, hps: Sequence[HyperParams],
+                   seed: int, costs: CostTable | None) -> list[TrainResult | SimulationError]:
+    """Per hyperparameter set, the result of training on ``split`` with it,
+    or the SimulationError its fit raised.
+
+    SGD sets that differ only in learning rate share their train data, batch
+    size and epoch orders, so up to _STACK_FITS of them fit in one
+    :func:`train` call, one kernel call stacked with a learning rate per fit.
+    The call's own fit takes the smallest rate, the one least likely to
+    diverge: an own fit that raises takes its peers' results with it, and
+    they fit again. Other kinds fit one set per call.
+    """
+    groups: dict[Any, list[int]] = {}
+    for i, hp in enumerate(hps):
+        key = hp.replace(learning_rate=hps[0].learning_rate) if kind.is_sgd else i
+        groups.setdefault(key, []).append(i)
+    out: list[TrainResult | SimulationError | None] = [None] * len(hps)
+    for members in groups.values():
+        for first in range(0, len(members), _STACK_FITS):
+            left = sorted(members[first:first + _STACK_FITS],
+                          key=lambda i: hps[i].learning_rate)
+            while left:
+                own, *rest = left
+                try:
+                    result = train(kind, split, hps[own], seed, costs=costs,
+                                   peers=[(split, None)] * len(rest),
+                                   peer_rates=[hps[i].learning_rate for i in rest])
+                except SimulationError as exc:
+                    out[own], left = exc, rest
+                    continue
+                for i, r in zip(left, [result, *result.peers]):
+                    out[i] = r
+                result.peers = []
+                break
+    return out  # type: ignore[return-value]
 
 
 def trials_to_csv(result: SearchResult) -> str:

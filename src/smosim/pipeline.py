@@ -344,23 +344,32 @@ def reapply_transform(records: RecordBatch, canonical: list[FeatureSpec],
 # -- exploration -------------------------------------------------------------------
 
 
-def _safe_corr(a: np.ndarray, b: np.ndarray) -> float:
-    sa, sb = float(np.std(a)), float(np.std(b))
-    if sa == 0.0 or sb == 0.0:
-        return 0.0
-    cov = float(np.mean((a - np.mean(a)) * (b - np.mean(b))))
-    return cov / (sa * sb)
-
-
 def explore(td: TransformedDataset) -> ExplorationReport:
-    """Summary statistics and Pearson correlations of a transformed dataset."""
+    """Summary statistics and Pearson correlations of a transformed dataset.
+
+    A correlation with a constant column is 0. Each column's mean and
+    standard deviation, the target's included, are taken once, on its 1-D
+    view, and each unordered pair's covariance once: the centred product
+    commutes exactly, so (j, i) reuses (i, j).
+    """
     if len(td) < 2:
         raise InsufficientData("exploration needs at least 2 records")
     X, y = td.X, td.y
     d = X.shape[1]
-    corr = [[1.0 if i == j else _safe_corr(X[:, i], X[:, j]) for j in range(d)]
-            for i in range(d)]
-    target_corr = [_safe_corr(X[:, j], y) for j in range(d)]
+    cols = [X[:, j] for j in range(d)] + [y]  # the target is column d
+    mean = [np.mean(c) for c in cols]
+    std = [float(np.std(c)) for c in cols]
+    r = [[1.0 if i == j else 0.0 for j in range(d + 1)] for i in range(d + 1)]
+    for i in range(d):
+        if std[i] == 0.0:
+            continue
+        ci = cols[i] - mean[i]
+        for j in range(i + 1, d + 1):
+            if std[j] != 0.0:
+                cov = float(np.mean(ci * (cols[j] - mean[j])))
+                r[i][j] = r[j][i] = cov / (std[i] * std[j])
+    corr = [row[:d] for row in r[:d]]
+    target_corr = [r[j][d] for j in range(d)]
     order = sorted(range(d), key=lambda j: (-abs(target_corr[j]), j))
     return ExplorationReport(
         feature_names=list(td.feature_names),

@@ -898,7 +898,11 @@ class Driver:
                                               seed=cfg.seed, costs=self.costs)
             hp = self.search_result.best
             ticks += self.search_result.total_train_ticks
-        result = self._fit(split, hp)
+        if cfg.search is not None and not self._trains_online():
+            # the winning trial was this very fit; the job still charges it
+            result = self.search_result.best_result
+        else:
+            result = self._fit(split, hp)
         ticks += result.metrics.train_ticks
         self._chosen_hp = hp
         duration = self._job_duration(ticks)
@@ -909,9 +913,13 @@ class Driver:
         self.schedule_owned(done, self.active_aiml,
                             lambda: self._on_trained(result, origin))
 
+    def _trains_online(self) -> bool:
+        """Whether :meth:`_fit` trains by one per-sample SGD pass, not as :func:`learn.train`."""
+        return self.config.online_training and self.config.model.kind.is_sgd
+
     def _fit(self, split: pipeline.SplitDataset, hp) -> learn.TrainResult:
         cfg = self.config
-        if not (cfg.online_training and cfg.model.kind.is_sgd):
+        if not self._trains_online():
             return learn.train(cfg.model.kind, split, hp, seed=cfg.seed, costs=self.costs)
         params = learn.incremental_update(learn.zero_params(split.train.X.shape[1]),
                                           split.train.X, split.train.y,

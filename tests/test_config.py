@@ -21,6 +21,8 @@ from smosim.config import (
     EmissionSpec,
     HarnessSpec,
     MAX_RECORDS,
+    MAX_ROUNDS,
+    MAX_SEARCH_TRIALS,
     ModelSpec,
     MonitorSpec,
     PipelineSpec,
@@ -119,6 +121,18 @@ MALFORMED = [
                                   "interval": 1}, ConfigError, "sources[1].emission.size"),
     (("monitor",), {"rounds": MAX_RECORDS // 20 + 1, "batch": 20}, ConfigError,
      "monitor.rounds"),
+    (("search",), {"mode": "random", "budget": 10**9, "ranges": {"learning_rate": [0.01, 0.1]}},
+     ConfigError, "search.budget"),
+    (("search",), {"mode": "random", "budget": MAX_SEARCH_TRIALS + 1,
+                   "ranges": {"learning_rate": [0.01, 0.1]}}, ConfigError, "search.budget"),
+    (("search",), {"grid": {"learning_rate": [0.01 * (i + 1) for i in range(300)],
+                            "batch_size": list(range(1, 301))}}, ConfigError, "search.grid"),
+    (("search",), {"grid": {"learning_rate": [0.01, 0.02],
+                            "batch_size": list(range(1, MAX_SEARCH_TRIALS // 2 + 2))}},
+     ConfigError, "search.grid"),
+    # checked before the sources, so this scenario B config fails at its rounds alone
+    (("scenario",), {"kind": "C", "mode": "share-models", "rounds": MAX_ROUNDS + 1},
+     ConfigError, "scenario.rounds"),
 ]
 
 
@@ -429,6 +443,23 @@ class TestCrossFieldRules:
         config = config_from_dict(data)
         assert (config.sources[0].emission.size, config.monitor.rounds) == (
             MAX_RECORDS, MAX_RECORDS // 20)
+
+    def test_search_trials_up_to_the_bound_are_accepted(self):
+        ranges = {"learning_rate": [0.01, 0.1]}
+        random = {"mode": "random", "budget": MAX_SEARCH_TRIALS, "ranges": ranges}
+        assert config_from_dict(scenario_b_dict(search=random)).search.budget == \
+            MAX_SEARCH_TRIALS
+        grid = {"learning_rate": [0.01, 0.02],
+                "batch_size": list(range(1, MAX_SEARCH_TRIALS // 2 + 1))}
+        spec = config_from_dict(scenario_b_dict(search={"grid": grid})).search
+        assert len(learn.enumerate_grid(spec)) == MAX_SEARCH_TRIALS
+
+    def test_scenario_c_rounds_up_to_the_bound_are_accepted(self):
+        data = scenario_b_dict(scenario={"kind": "C", "mode": "share-models",
+                                         "rounds": MAX_ROUNDS})
+        for src, owner in zip(data["sources"], ("MdaSystem3GPP#0", "MdaSystemNFV#0")):
+            src["owner"] = owner
+        assert config_from_dict(data).rounds == MAX_ROUNDS
 
     def test_valid_scheduler_classes_schedule_each_job_no_sooner_than_its_ideal(self):
         scheduler = {"budget": 3, "classes": [

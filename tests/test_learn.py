@@ -7,7 +7,10 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+from smosim import learn
 from smosim.config import (
     CostTable,
     FeatureSpec,
@@ -21,12 +24,16 @@ from smosim.errors import (
     EmptySearchSpace,
     EmptyTrainSet,
     NonFiniteUpdate,
+    SimulationError,
     SingularSystem,
     UnsupportedKind,
 )
 from smosim.learn import (
     LinearParams,
     StumpParams,
+    TrainResult,
+    _trial_results,
+    enumerate_grid,
     epoch_orders,
     evaluate,
     fit,
@@ -35,7 +42,9 @@ from smosim.learn import (
     loss_gradient,
     loss_value,
     predict_score,
+    primary_metric,
     ridge_closed_form,
+    sample_random,
     search,
     train,
     zero_params,
@@ -695,6 +704,179 @@ class TestSearch:
         spec = HyperSearchSpec(mode="grid", grid={"l2_lambda": (0.0, 0.0)})
         result = search(ModelKind.RIDGE_CLOSED_FORM, sd, spec, HyperParams(), seed=0)
         assert result.best_index == 0
+
+
+def _loop_trials(kind, split, spec, base, seed):
+    """Reference search outcomes: one train call per trial, in candidate order,
+    each its TrainResult or the SimulationError it raised."""
+    combos = enumerate_grid(spec) if spec.mode == "grid" else sample_random(spec)
+    hps = [base.replace(**combo) for combo in combos]
+    outcomes = []
+    for hp in hps:
+        try:
+            outcomes.append(train(kind, split, hp, seed))
+        except SimulationError as exc:
+            outcomes.append(exc)
+    return hps, outcomes
+
+
+def _same_params(a, b) -> bool:
+    if isinstance(a, LinearParams):
+        return np.array_equal(a.weights, b.weights) and a.bias == b.bias
+    return a == b
+
+
+def _same_outcome(got, want) -> bool:
+    if isinstance(want, SimulationError):
+        return type(got) is type(want) and str(got) == str(want)
+    return (isinstance(got, TrainResult) and _same_params(got.params, want.params)
+            and got.metrics == want.metrics
+            and got.records_processed == want.records_processed)
+
+
+def _assert_search_equals_loop(kind, split, spec, base, seed=3):
+    hps, want = _loop_trials(kind, split, spec, base, seed)
+    got = _trial_results(kind, split, hps, seed, None)
+    assert all(_same_outcome(g, w) for g, w in zip(got, want, strict=True))
+    raised = [w for w in want if isinstance(w, SimulationError)
+              and not isinstance(w, NonFiniteUpdate)]
+    ok = [(primary_metric(kind, w.metrics), i) for i, w in enumerate(want)
+          if isinstance(w, TrainResult)]
+    if raised or not ok:
+        with pytest.raises(type(raised[0]) if raised else NonFiniteUpdate) as info:
+            search(kind, split, spec, base, seed)
+        if raised:
+            assert str(info.value) == str(raised[0])
+        return
+    result = search(kind, split, spec, base, seed)
+    best_index = -1
+    best_value = float("inf")
+    for value, i in ok:
+        if value < best_value:
+            best_value, best_index = value, i
+    assert result.best_index == best_index and result.best == hps[best_index]
+    assert [t.failed for t in result.trials] == [isinstance(w, NonFiniteUpdate) for w in want]
+    assert [t.metrics for t in result.trials] == \
+        [None if isinstance(w, NonFiniteUpdate) else w.metrics for w in want]
+    assert _same_outcome(result.best_result, want[best_index])
+    assert result.total_train_ticks == sum(w.metrics.train_ticks for w in want
+                                           if isinstance(w, TrainResult))
+
+
+@st.composite
+def _search_cases(draw):
+    kind = draw(st.sampled_from(list(ModelKind)))
+    if draw(st.booleans()):
+        grid = {"learning_rate": tuple(draw(st.lists(
+                    st.sampled_from([0.005, 0.02, 0.05, 0.2, 1e9]), min_size=1, max_size=4))),
+                "batch_size": tuple(draw(st.lists(st.integers(1, 24), min_size=1,
+                                                  max_size=2)))}
+        if draw(st.booleans()):
+            grid["l2_lambda"] = (0.0, 0.1)
+        spec = HyperSearchSpec(mode="grid", grid=grid)
+    else:
+        ranges = {"learning_rate": (0.01, draw(st.sampled_from([0.3, 1e9])))}
+        if draw(st.booleans()):
+            ranges["batch_size"] = (3, 5)
+        spec = HyperSearchSpec(mode="random", ranges=ranges, budget=draw(st.integers(1, 12)),
+                               seed=draw(st.integers(0, 50)))
+    n, d = draw(st.integers(1, 50)), draw(st.integers(1, 4))
+    rng = np.random.default_rng(draw(st.integers(0, 2**16)))
+    X, y = _random_problem(rng, ModelKind.LOGISTIC_SGD if not kind.is_regression
+                           else ModelKind.LINEAR_SGD, n + 10, d)
+    base = HyperParams(epochs=draw(st.integers(1, 4)))
+    return kind, _split(X[:n], y[:n], X[n:], y[n:]), spec, base
+
+
+class TestGroupedSearch:
+    """A search fits the trials that differ only in learning rate together,
+    and each trial's result equals a train call of its own bit for bit."""
+
+    @settings(max_examples=150, deadline=None)
+    @given(_search_cases())
+    def test_search_equals_a_train_call_per_trial(self, case):
+        kind, split, spec, base = case
+        _assert_search_equals_loop(kind, split, spec, base)
+
+    @pytest.mark.parametrize("kind", [ModelKind.LINEAR_SGD, ModelKind.LOGISTIC_SGD])
+    def test_a_diverging_rate_fails_only_its_own_trial(self, kind):
+        rng = np.random.default_rng(12)
+        X, y = _random_problem(rng, kind, 90, 3)
+        split = _split(X[:70], y[:70], X[70:], y[70:])
+        spec = HyperSearchSpec(mode="grid", grid={"learning_rate": (0.05, 1e9, 0.02),
+                                                  "batch_size": (4, 7)})
+        base = HyperParams(epochs=3)
+        _, want = _loop_trials(kind, split, spec, base, 3)
+        assert sum(isinstance(w, NonFiniteUpdate) for w in want) == 2
+        _assert_search_equals_loop(kind, split, spec, base)
+
+    def test_a_raising_own_fit_leaves_its_peers_results(self, monkeypatch):
+        """The own fit of a grouped call takes the smallest rate; when it raises,
+        the rest of the group fits again and each trial keeps its result."""
+        rng = np.random.default_rng(13)
+        X, y = _random_problem(rng, ModelKind.LINEAR_SGD, 60, 2)
+        split = _split(X[:45], y[:45], X[45:], y[45:])
+        spec = HyperSearchSpec(mode="grid", grid={"learning_rate": (0.05, 0.01, 0.1)})
+        base = HyperParams(epochs=2, batch_size=8)
+        _, want = _loop_trials(ModelKind.LINEAR_SGD, split, spec, base, 3)
+        real_train, calls = learn.train, []
+
+        def own_diverges_at_001(kind, split, hp, seed, **kwargs):
+            calls.append((hp.learning_rate, kwargs["peer_rates"]))
+            if hp.learning_rate == 0.01:
+                raise NonFiniteUpdate("stand-in divergence")
+            return real_train(kind, split, hp, seed, **kwargs)
+
+        monkeypatch.setattr(learn, "train", own_diverges_at_001)
+        result = search(ModelKind.LINEAR_SGD, split, spec, base, 3)
+        assert calls == [(0.01, [0.05, 0.1]), (0.05, [0.1])]
+        assert [t.failed for t in result.trials] == [False, True, False]
+        for i in (0, 2):
+            assert result.trials[i].metrics == want[i].metrics
+        assert _same_outcome(result.best_result, want[result.best_index])
+
+    def test_a_call_stacks_at_most_stack_fits_trials(self, monkeypatch):
+        rng = np.random.default_rng(14)
+        X, y = _random_problem(rng, ModelKind.LINEAR_SGD, 80, 3)
+        split = _split(X[:60], y[:60], X[60:], y[60:])
+        spec = HyperSearchSpec(mode="random", ranges={"learning_rate": (0.01, 0.1)},
+                               budget=7, seed=2)
+        monkeypatch.setattr(learn, "_STACK_FITS", 3)
+        stacked, real_lockstep = [], learn._lockstep
+
+        def counting(kind, fits, *args):
+            stacked.append(len(fits))
+            return real_lockstep(kind, fits, *args)
+
+        monkeypatch.setattr(learn, "_lockstep", counting)
+        _assert_search_equals_loop(ModelKind.LINEAR_SGD, split, spec, HyperParams(epochs=2))
+        # 7 trials: 3 + 3 stacked and the last alone, in _trial_results, then in search
+        assert stacked == [3, 3] * 2
+
+    def test_an_empty_validation_partition_raises_before_any_fit(self, monkeypatch):
+        X = np.random.default_rng(15).normal(size=(20, 2))
+        split = _split(X, X[:, 0], np.empty((0, 2)), np.empty(0))
+        monkeypatch.setattr(learn, "train", None)  # no trial may be fitted
+        spec = HyperSearchSpec(mode="grid", grid={"learning_rate": (0.05, 0.1)})
+        with pytest.raises(EmptyEvalSet):
+            search(ModelKind.LINEAR_SGD, split, spec, HyperParams(), 0)
+
+    @pytest.mark.parametrize("kind", [ModelKind.LINEAR_SGD, ModelKind.LOGISTIC_SGD])
+    @pytest.mark.parametrize("lam", [0.0, 0.2])
+    def test_lockstep_with_a_rate_per_fit_equals_each_fit_alone(self, kind, lam):
+        splits, inits = TestLockstep._problems(kind, 430 + int(10 * lam), TestLockstep.SIZES)
+        rates = [0.01, 0.05, 0.2, 0.05]
+        fits = [(s.train.X, s.train.y, list(epoch_orders(len(s.train.X), 7, 3)), init, rate)
+                for s, init, rate in zip(splits, inits, rates)]
+        got = learn._lockstep(kind, fits, 16, lam)
+        for fit_, params in zip(fits, got):
+            (alone,) = learn._alone(kind, [fit_], 16, lam)
+            X, y, orders, init, rate = fit_
+            want, first_bad = _loop_sgd(kind, X, y, orders, 16, rate, lam, init)
+            assert first_bad is None
+            for other in (alone, want):
+                assert np.array_equal(params.weights, other.weights)
+                assert params.bias == other.bias
 
 
 class TestDeterminism:

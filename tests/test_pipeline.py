@@ -258,6 +258,55 @@ class TestExplore:
         assert np.allclose(np.diag(m), 1.0)
         assert (np.abs(m) <= 1.0 + 1e-12).all()
 
+    @staticmethod
+    def _dataset(X, y) -> pipeline.TransformedDataset:
+        names = [f"f{j}" for j in range(X.shape[1])]
+        return pipeline.TransformedDataset(
+            feature_names=names, X=X, y=y,
+            scaler=pipeline.ScalingParams("none", names, np.zeros(X.shape[1]),
+                                          np.ones(X.shape[1])),
+            provenance=PROV, record_ids=list(range(len(y))))
+
+    @staticmethod
+    def _reference_explore(td):
+        """Each correlation from its pair of columns alone, as a pairwise loop."""
+        def corr(a, b):
+            sa, sb = float(np.std(a)), float(np.std(b))
+            if sa == 0.0 or sb == 0.0:
+                return 0.0
+            return float(np.mean((a - np.mean(a)) * (b - np.mean(b)))) / (sa * sb)
+
+        X, y = td.X, td.y
+        d = X.shape[1]
+        return ([[1.0 if i == j else corr(X[:, i], X[:, j]) for j in range(d)]
+                 for i in range(d)], [corr(X[:, j], y) for j in range(d)])
+
+    def _assert_equals_reference(self, X, y):
+        td = self._dataset(X, y)
+        report = explore(td)
+        corr, target_corr = self._reference_explore(td)
+        assert report.correlation == corr
+        assert report.target_correlation == target_corr
+
+    @settings(max_examples=150, deadline=None)
+    @given(st.data())
+    def test_correlations_equal_the_pairwise_loop(self, data):
+        n, d = data.draw(st.integers(2, 40)), data.draw(st.integers(1, 6))
+        rng = np.random.default_rng(data.draw(st.integers(0, 2**16)))
+        X = rng.normal(size=(n, d)) * rng.uniform(0.1, 100.0, size=d)
+        for j in data.draw(st.sets(st.integers(0, d - 1), max_size=2)):
+            X[:, j] = float(rng.normal())  # a constant column
+        if data.draw(st.booleans()):
+            X[:, -1] = X[:, 0] * 2.0 + 1.0  # exactly correlated columns
+        y = np.full(n, 3.0) if data.draw(st.booleans()) else rng.normal(size=n)
+        self._assert_equals_reference(X, y)
+
+    def test_two_records_and_constant_columns_equal_the_pairwise_loop(self):
+        X = np.array([[1.0, 5.0, 0.25, -3.0], [4.0, 5.0, 0.5, 7.0]])
+        self._assert_equals_reference(X, np.array([2.0, -1.0]))
+        self._assert_equals_reference(X, np.array([2.0, 2.0]))
+        self._assert_equals_reference(X[:, 1:2], np.array([2.0, -1.0]))
+
 
 class TestSplit:
     def _td(self, n: int):

@@ -12,11 +12,12 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smosim import aggregate, config_from_dict
-from smosim import datagen
+from smosim import datagen, learn
 from smosim.config import LinkSpec, ModelKind, ScenarioConfig, ScenarioKind, TopologyCounts
 from smosim.errors import (
     CollectionTimeout,
     ConfigError,
+    EmptyEvalSet,
     InsufficientDomains,
     NoDataSources,
     SchemaMismatch,
@@ -301,6 +302,42 @@ class TestScenarioB:
                    if e.type == "deliver" and e.payload_kind == "Report"
                    and e.dst == "AimlFunction#0"]
         assert len(reports) == 2
+
+    @pytest.mark.parametrize("kind", ["LinearSgd", "RidgeClosedForm"])
+    def test_a_searched_run_deploys_the_winning_trial_as_fitted(self, kind, monkeypatch):
+        data = scenario_b_dict(n_per_source=80, monitor={"rounds": 0}, search={
+            "mode": "grid", "grid": {"learning_rate": [0.02, 0.1], "batch_size": [8, 16]}})
+        data["model"]["kind"] = kind
+        data["model"]["hyperparams"]["l2_lambda"] = 0.1  # one-hot columns sum to the bias
+        config = build(data)
+        calls = []
+        monkeypatch.setattr(learn, "train", partial(_counted, calls, learn.train))
+        result = checked_run(config)
+        assert result.report.status == "completed"
+        driver = result.driver
+        searched = driver.search_result
+        # the search's own train calls, and no refit of the winner after them
+        assert len(calls) == (2 if kind == "LinearSgd" else 4)
+        deployed = result.registry.entries["m0"].artifact
+        assert deployed.parameters is searched.best_result.params
+        fresh = learn.train(config.model.kind, driver.split, searched.best, seed=config.seed,
+                            costs=driver.costs)
+        assert np.array_equal(deployed.parameters.weights, fresh.params.weights)
+        assert deployed.parameters.bias == fresh.params.bias
+        assert deployed.metrics == fresh.metrics
+
+    def test_a_search_on_an_empty_validation_partition_fails_as_empty_eval_set(self):
+        data = scenario_b_dict(n_per_source=40, search={
+            "mode": "grid", "grid": {"learning_rate": [0.05, 0.1]}})
+        data["pipeline"]["split"] = {"train": 0.6, "val": 0.0, "test": 0.4, "seed": 7}
+        report = checked_run(build(data)).report
+        assert report.status == "failed"
+        assert report.failure.startswith(f"{EmptyEvalSet.__name__}: ")
+
+
+def _counted(calls, fn, *args, **kwargs):
+    calls.append(args)
+    return fn(*args, **kwargs)
 
 
 # -- routing -------------------------------------------------------------------------------
