@@ -83,11 +83,16 @@ class RecordBatch:
 
     @staticmethod
     def concat(batches: list["RecordBatch"]) -> "RecordBatch":
-        """Rows of every batch in order; sources and fields are merged by name."""
+        """Rows of every batch in order; sources and fields are merged by name.
+
+        Parts of one draw share their ``schemas`` map, so each distinct map
+        is checked, and its source codes renumbered, once.
+        """
+        maps = {id(b.schemas): b.schemas for b in batches}
         schemas: dict[ComponentId, tuple[FeatureSpec, ...]] = {}
         specs: dict[str, FeatureSpec] = {}
-        for b in batches:
-            for owner, schema in b.schemas.items():
+        for m in maps.values():
+            for owner, schema in m.items():
                 if schemas.setdefault(owner, schema) != schema:
                     raise SchemaMismatch(f"{owner} sends two different schemas")
                 for spec in schema:
@@ -95,13 +100,13 @@ class RecordBatch:
                     if (known.type, known.vocab) != (spec.type, spec.vocab):
                         raise SchemaMismatch(f"field {spec.name!r} has two types")
         codes = list(schemas)
+        renumber = {key: np.array([codes.index(o) for o in m]) for key, m in maps.items()}
         return RecordBatch(
             schemas,
             {name: np.concatenate([b.columns[name] if name in b.columns
                                    else missing_column(spec, len(b)) for b in batches])
              for name, spec in specs.items()},
-            source=np.concatenate([np.array([codes.index(o) for o in b.schemas])[b.source]
-                                   for b in batches]),
+            source=np.concatenate([renumber[id(b.schemas)][b.source] for b in batches]),
             **{k: np.concatenate([getattr(b, k) for b in batches])
                for k in ("record_id", "tick", "target", "poisoned")})
 

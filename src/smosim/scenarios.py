@@ -23,7 +23,10 @@ goes: :func:`timeline` folds them from the event log at the end, as
 Every message travels hop by hop over the declared links. The only routing
 rule is :meth:`Driver.next_hop`: the neighbour with the fewest hops to the
 final destination, the first in :meth:`Topology.neighbors` order on a tie,
-from one breadth-first pass per destination.
+from one breadth-first pass per destination. Component ids are interned, so
+a relay tells a message in transit from one that has arrived by identity
+(``final is not cid``), and each hop is one :meth:`Simulation.send` over the
+link's wire record.
 """
 
 from __future__ import annotations
@@ -364,10 +367,12 @@ def _sent_part(drawn: datagen.RecordBatch, part: int, ids: range,
     """One of a bulk draw's parts of len(ids) rows, with the ids and tick it is sent with."""
     m = len(ids)
     rows = slice(part * m, (part + 1) * m)
+    ticks = np.empty(m, dtype=np.int64)
+    ticks.fill(tick)
     return datagen.RecordBatch(drawn.schemas, {k: v[rows] for k, v in drawn.columns.items()},
                                drawn.record_id[rows] + (ids.start - part * m),
-                               drawn.source[rows], np.full(m, tick, dtype=np.int64),
-                               drawn.target[rows], drawn.poisoned[rows])
+                               drawn.source[rows], ticks, drawn.target[rows],
+                               drawn.poisoned[rows])
 
 
 class _TargetBehavior:
@@ -538,9 +543,8 @@ class _ReplicaBehavior:
 
     def start_watching(self, interval: int) -> None:
         # armed before any beat arrives, so a primary dying before its first is caught
-        topo = self.driver.topology
-        latency = topo.interfaces[topo.interface_between(self.watched, self.cid)].latency
-        self._schedule_check(interval + latency)
+        self._schedule_check(
+            interval + self.driver.topology.wire(self.watched, self.cid).latency)
 
     def handle(self, sim: Simulation, msg: InterfaceMessage) -> None:
         if msg.payload_kind is PayloadKind.HEARTBEAT:
@@ -663,13 +667,13 @@ class Driver:
 
     def _make_dispatcher(self, cid: ComponentId, role_handler):
         def dispatch(sim: Simulation, msg: InterfaceMessage) -> None:
-            if msg.final_dst is not None and msg.final_dst != cid:
-                nxt = self.next_hop(cid, msg.final_dst)
-                sim.send(cid, nxt, msg.payload_kind, msg.payload_bytes,
-                         payload=msg.payload, final_dst=msg.final_dst, meta=msg.meta)
+            final = msg.final_dst
+            if final is not None and final is not cid:
+                sim.send(cid, self.next_hop(cid, final), msg.payload_kind, msg.payload_bytes,
+                         msg.payload, final, msg.meta)
                 return
             handler = role_handler
-            if cid.kind is ComponentKind.AIML_FUNCTION and cid == self.active_aiml:
+            if cid is self.active_aiml:
                 handler = self._aiml_handle
             if handler is not None:
                 handler(sim, msg)
@@ -717,10 +721,10 @@ class Driver:
                    meta: dict[str, Any] | None = None) -> None:
         """Send toward ``final`` through :meth:`next_hop`; each component on the
         way forwards the message by the same rule until it arrives."""
-        if src == final:
+        if src is final:
             return
-        self.sim.send(src, self.next_hop(src, final), payload_kind, payload_bytes,
-                      payload=payload, final_dst=final, meta=meta or {})
+        self.sim.send(src, self.next_hop(src, final), payload_kind, payload_bytes, payload,
+                      final, meta)
 
     def schedule_owned(self, tick: int, owner: ComponentId, action) -> None:
         """Scheduled work that dies with its owner (e.g. a training job)."""

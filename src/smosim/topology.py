@@ -6,15 +6,30 @@ resolve by the global sequence number assigned at scheduling time, so a run
 is a pure function of (config, seed). The event log is the only record of
 traffic: :meth:`Simulation.signaling_table` folds the per-interface byte and
 message totals from its ``deliver`` events.
+
+A hop is kept cheap by doing its lookups once, ahead of the run:
+
+- :class:`ComponentId` objects are interned, one per ``(kind, index)``, so
+  ids compare and hash by identity.
+- :meth:`Topology.link` stores one :class:`Wire` per link, with the
+  interface, its latency and overhead and the interface's event text; a
+  send and its delivery read only that record.
+- Every event is built by one method from texts already rendered, and
+  :meth:`Event.to_json` memoises the JSON text of an event's five
+  vocabulary fields per combination.
+
+Nothing here depends on id hashes for order: containers of ids that are
+iterated are dicts in insertion order, or are sorted by ``(kind, index)``.
 """
 
 # annotations stay objects: the config parser reads ComponentId's field types
-import heapq
 import json
+import operator
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
-from typing import Any, Callable, TYPE_CHECKING
+from heapq import heappop, heappush
+from typing import Any, Callable, NamedTuple, TYPE_CHECKING
 
 from .errors import DuplicateComponent, TickLimitExceeded, UndeclaredRoute, UnknownInterface
 
@@ -43,25 +58,44 @@ class ComponentKind(str, Enum):
     RAPP = "RApp"
 
 
-@dataclass(frozen=True, order=True)
+# the one ComponentId of each (kind, index): ids are few, bounded by the configs read
+_INTERNED: dict[tuple[ComponentKind, int], "ComponentId"] = {}
+
+
+@dataclass(frozen=True, order=True, init=False)
 class ComponentId:
-    """A single component instance: kind plus a small disambiguating index."""
+    """A single component instance: kind plus a small disambiguating index.
+
+    Ids are interned: ``ComponentId(kind, index)``, :meth:`parse`,
+    ``dataclasses.replace``, ``copy``, ``deepcopy`` and unpickling all return
+    the one object held for ``(kind, index)``. Equality and hashing are
+    therefore ``object``'s, by identity, and a dict lookup or ``!=`` on the
+    message path runs no Python code. Ordering stays by ``(kind, index)``.
+    """
 
     kind: ComponentKind
     index: int = 0
 
-    def __post_init__(self) -> None:
-        # every event formats ids and every hop hashes them, so both are computed
-        # once; they are not fields, so equality, ordering and dataclasses.fields
-        # ignore them, and the hash is the one the dataclass would compute
-        object.__setattr__(self, "_text", f"{self.kind.value}#{self.index}")
-        object.__setattr__(self, "_hash", hash((self.kind, self.index)))
+    __eq__ = object.__eq__
+    __hash__ = object.__hash__
+
+    def __new__(cls, kind: ComponentKind, index: int = 0) -> "ComponentId":
+        cid = _INTERNED.get((kind, index))
+        if cid is None:
+            index = operator.index(index)  # True would otherwise intern the text "...#True"
+            cid = object.__new__(cls)
+            object.__setattr__(cid, "kind", kind)
+            object.__setattr__(cid, "index", index)
+            # every event formats ids, so the text is built once
+            object.__setattr__(cid, "_text", f"{kind.value}#{index}")
+            _INTERNED[kind, index] = cid
+        return cid
+
+    def __reduce__(self) -> tuple[type, tuple[ComponentKind, int]]:
+        return ComponentId, (self.kind, self.index)
 
     def __str__(self) -> str:
         return self._text
-
-    def __hash__(self) -> int:
-        return self._hash
 
     @staticmethod
     def parse(text: str) -> "ComponentId":
@@ -145,6 +179,15 @@ class InterfaceSpec:
             raise ValueError("interface latency/overhead must be >= 0")
 
 
+class Wire(NamedTuple):
+    """What a message needs of the link it crosses, read once per hop."""
+
+    interface: InterfaceName
+    latency: int
+    overhead_bytes: int
+    text: str  # the interface name as events store it
+
+
 @dataclass(slots=True)
 class InterfaceMessage:
     msg_id: int
@@ -169,21 +212,24 @@ _ENUM_TEXT: dict[Enum | None, str | None] = {
     None: None, **{m: m.value for enum in (InterfaceName, PayloadKind) for m in enum}}
 
 
-class _JsonText(dict):
-    """Memo of the JSON text of an event's str-or-None fields.
+class _FieldsText(dict):
+    """Memo of the JSON text of an event's five str-or-None fields, per combination.
 
     Those hold event types, component ids, interface and payload kind names,
     so the memo is bounded by the topology and the event vocabulary.
     """
 
-    def __missing__(self, value: str | None) -> str:
-        text = self[value] = _COMPACT_JSON.encode(value)
+    def __missing__(self, key: tuple[str | None, ...]) -> str:
+        text = self[key] = _FIELDS % tuple(map(_COMPACT_JSON.encode, key))
         return text
 
 
-_JSON_TEXT = _JsonText()
-_LINE = ('{"tick":%d,"seq":%d,"event_type":%s,"src":%s,"dst":%s,"interface":%s,'
-         '"payload_kind":%s,"bytes":%d,"detail":%s}')
+_FIELDS_TEXT = _FieldsText()
+_FIELDS = '"event_type":%s,"src":%s,"dst":%s,"interface":%s,"payload_kind":%s'
+_KEYS = ["tick", "seq", "event_type", "src", "dst", "interface", "payload_kind", "bytes",
+         "detail"]
+_LINE = '{"tick":%d,"seq":%d,%s,"bytes":%d,"detail":%s}'
+_MSG_LINE = '{"tick":%d,"seq":%d,%s,"bytes":%d,"detail":{"msg_id":%d}}'
 
 
 @dataclass(slots=True)
@@ -208,16 +254,20 @@ class Event:
     detail: dict[str, Any] = field(default_factory=dict)
 
     def to_json(self) -> str:
+        fields = _FIELDS_TEXT[self.type, self.src, self.dst, self.interface, self.payload_kind]
         detail = self.detail
         msg_id = detail.get("msg_id")
         if type(msg_id) is int and len(detail) == 1:
-            detail_text = '{"msg_id":%d}' % msg_id
-        else:
-            detail_text = _COMPACT_JSON.encode(detail)
-        text = _JSON_TEXT
-        return _LINE % (self.tick, self.seq, text[self.type], text[self.src], text[self.dst],
-                        text[self.interface], text[self.payload_kind], self.bytes,
-                        detail_text)
+            return _MSG_LINE % (self.tick, self.seq, fields, self.bytes, msg_id)
+        return _LINE % (self.tick, self.seq, fields, self.bytes, _COMPACT_JSON.encode(detail))
+
+    @staticmethod
+    def from_json(line: str) -> "Event":
+        """The event whose :meth:`to_json` is ``line``."""
+        entry = json.loads(line)
+        if type(entry) is not dict or list(entry) != _KEYS:
+            raise ValueError(f"not an event line: {line[:80]!r}")
+        return Event(*entry.values())
 
 
 class EventLog:
@@ -250,14 +300,14 @@ class Topology:
 
     ``components`` is the census of the built graph and holds each
     component's liveness; ``_links`` is the only record of the links, one
-    ``neighbour -> interface`` map per component, filled both ways by
-    :meth:`link`.
+    ``neighbour -> wire`` map per component, filled both ways by
+    :meth:`link` with one :class:`Wire` per link.
     """
 
     def __init__(self, interfaces: dict[InterfaceName, InterfaceSpec]):
         self.components: dict[ComponentId, _ComponentState] = {}
         self.interfaces = interfaces
-        self._links: dict[ComponentId, dict[ComponentId, InterfaceName]] = {}
+        self._links: dict[ComponentId, dict[ComponentId, Wire]] = {}
 
     def add_component(self, cid: ComponentId) -> None:
         if cid in self.components:
@@ -273,14 +323,19 @@ class Topology:
             raise UndeclaredRoute(
                 f"{interface.value} may not connect {a.kind.value} and {b.kind.value}"
             )
-        self._links.setdefault(a, {})[b] = interface
-        self._links.setdefault(b, {})[a] = interface
+        spec = self.interfaces[interface]
+        wire = Wire(interface, spec.latency, spec.overhead_bytes, interface.value)
+        self._links.setdefault(a, {})[b] = wire
+        self._links.setdefault(b, {})[a] = wire
 
-    def interface_between(self, src: ComponentId, dst: ComponentId) -> InterfaceName:
+    def wire(self, src: ComponentId, dst: ComponentId) -> Wire:
         try:
             return self._links[src][dst]
         except KeyError:
             raise UndeclaredRoute(f"no declared interface between {src} and {dst}") from None
+
+    def interface_between(self, src: ComponentId, dst: ComponentId) -> InterfaceName:
+        return self.wire(src, dst).interface
 
     def neighbors(self, cid: ComponentId) -> list[ComponentId]:
         return sorted(self._links.get(cid, ()))
@@ -391,24 +446,26 @@ class Simulation:
 
     # -- scheduling ----------------------------------------------------------
 
-    def _next_seq(self) -> int:
-        self._seq += 1
-        return self._seq
-
     def schedule(self, tick: int, action: Callable[[], None]) -> None:
         if tick < self.clock:
             raise ValueError(f"cannot schedule event in the past ({tick} < {self.clock})")
-        heapq.heappush(self._heap, (tick, self._next_seq(), action))
+        self._seq += 1
+        heappush(self._heap, (tick, self._seq, action))
 
     def log_event(self, type: str, *, src: ComponentId | None = None,
                   dst: ComponentId | None = None, interface: InterfaceName | None = None,
                   payload_kind: PayloadKind | None = None, bytes: int = 0,
                   detail: dict[str, Any] | None = None) -> Event:
-        self._seq += 1
-        event = Event(self.clock, self._seq, type, None if src is None else src._text,
-                      None if dst is None else dst._text, _ENUM_TEXT[interface],
-                      _ENUM_TEXT[payload_kind], bytes, detail or {})
-        self.log.append(event)
+        return self._event(type, None if src is None else src._text,
+                           None if dst is None else dst._text, _ENUM_TEXT[interface],
+                           _ENUM_TEXT[payload_kind], bytes, detail or {})
+
+    def _event(self, type: str, src: str | None, dst: str | None, interface: str | None,
+               payload_kind: str | None, bytes: int, detail: dict[str, Any]) -> Event:
+        """Log an event at the clock from its texts; every event is made here."""
+        self._seq = seq = self._seq + 1
+        event = Event(self.clock, seq, type, src, dst, interface, payload_kind, bytes, detail)
+        self.log.entries.append(event)
         return event
 
     def next_record_ids(self, n: int) -> range:
@@ -437,53 +494,38 @@ class Simulation:
              payload_bytes: int, payload: Any = None,
              final_dst: ComponentId | None = None,
              meta: dict[str, Any] | None = None) -> InterfaceMessage:
-        """Emit a message on the declared interface between src and dst.
+        """Emit a message over the link between src and dst.
 
-        Delivery is scheduled at send tick + interface latency; the ``deliver``
-        event and handler dispatch happen then. A failed destination silently
-        drops everything but heartbeats (logged as a component_down event).
+        The link's :class:`Wire` gives the interface, the latency and the
+        per-message overhead, and the same record goes with the message to
+        its delivery. Delivery is scheduled at send tick + latency; the
+        ``deliver`` event and handler dispatch happen then. A failed
+        destination silently drops everything but heartbeats (logged as a
+        component_down event).
         """
-        interface = self.topology.interface_between(src, dst)
-        spec = self.topology.interfaces[interface]
-        self._msg_counter += 1
-        msg = InterfaceMessage(
-            msg_id=self._msg_counter,
-            src=src,
-            dst=dst,
-            interface=interface,
-            payload_kind=payload_kind,
-            payload_bytes=int(payload_bytes),
-            send_tick=self.clock,
-            deliver_tick=self.clock + spec.latency,
-            payload=payload,
-            final_dst=final_dst,
-            meta=meta or {},
-        )
-        self.log_event(
-            "send", src=src, dst=dst, interface=interface,
-            payload_kind=payload_kind, bytes=msg.payload_bytes + spec.overhead_bytes,
-            detail={"msg_id": msg.msg_id},
-        )
-        self.schedule(msg.deliver_tick, partial(self._deliver, msg))
+        wire = self.topology.wire(src, dst)
+        self._msg_counter = msg_id = self._msg_counter + 1
+        clock = self.clock
+        msg = InterfaceMessage(msg_id, src, dst, wire.interface, payload_kind,
+                               int(payload_bytes), clock, clock + wire.latency, payload,
+                               final_dst, meta or {})
+        self._event("send", src._text, dst._text, wire.text, _ENUM_TEXT[payload_kind],
+                    msg.payload_bytes + wire.overhead_bytes, {"msg_id": msg_id})
+        self._seq += 1  # schedule() without its check: latency >= 0, so never in the past
+        heappush(self._heap, (msg.deliver_tick, self._seq, partial(self._deliver, msg, wire)))
         return msg
 
-    def _deliver(self, msg: InterfaceMessage) -> None:
-        spec = self.topology.interfaces[msg.interface]
-        total = msg.payload_bytes + spec.overhead_bytes
-        alive = self.alive(msg.dst)
-        if not alive and msg.payload_kind is not PayloadKind.HEARTBEAT:
-            self.log_event(
-                "component_down", src=msg.src, dst=msg.dst, interface=msg.interface,
-                payload_kind=msg.payload_kind, bytes=total, detail={"msg_id": msg.msg_id},
-            )
-            return
-        self.log_event(
-            "deliver", src=msg.src, dst=msg.dst, interface=msg.interface,
-            payload_kind=msg.payload_kind, bytes=total, detail={"msg_id": msg.msg_id},
-        )
-        handler = self.handlers.get(msg.dst)
-        if handler is not None and alive:
-            handler(self, msg)
+    def _deliver(self, msg: InterfaceMessage, wire: Wire) -> None:
+        dst = msg.dst
+        alive = self.topology.components[dst].alive_at(self.clock)  # linked, so declared
+        kind = msg.payload_kind
+        self._event("deliver" if alive or kind is PayloadKind.HEARTBEAT else "component_down",
+                    msg.src._text, dst._text, wire.text, _ENUM_TEXT[kind],
+                    msg.payload_bytes + wire.overhead_bytes, {"msg_id": msg.msg_id})
+        if alive:
+            handler = self.handlers.get(dst)
+            if handler is not None:
+                handler(self, msg)
 
     def signaling_table(self) -> dict[str, Any]:
         """Delivered traffic per interface, folded from the log's ``deliver`` events.
@@ -524,7 +566,7 @@ class Simulation:
             raise ValueError(f"run_until({t}) is in the past (clock={self.clock})")
         start = len(self.log.entries)
         while self._heap and self._heap[0][0] <= t:
-            tick, _seq, action = heapq.heappop(self._heap)
+            tick, _seq, action = heappop(self._heap)
             self.clock = tick
             action()
         self.clock = t
@@ -539,11 +581,12 @@ class Simulation:
         self.stopped = True
 
     def run_to_completion(self, max_tick: int = 10_000_000) -> None:
-        while self._heap and not self.stopped:
-            tick = self._heap[0][0]
+        heap = self._heap
+        while heap and not self.stopped:
+            tick = heap[0][0]
             if tick > max_tick:
                 raise TickLimitExceeded(f"simulation exceeded max_tick={max_tick}")
-            _t, _seq, action = heapq.heappop(self._heap)
+            action = heappop(heap)[2]
             self.clock = tick
             action()
 

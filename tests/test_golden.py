@@ -6,8 +6,16 @@ report value, and any change to the event log, fails the test.
 
 from __future__ import annotations
 
+import hashlib
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import pytest
 
+import smosim
 from golden.cases import CASES, dumps, golden_path, pinned, run_case
 from invariants import check_invariants
 
@@ -17,3 +25,31 @@ def test_golden_run_matches_pin(name, tmp_path):
     result = run_case(name, tmp_path)
     check_invariants(result)
     assert dumps(pinned(result)) == golden_path(name).read_text()
+
+
+@pytest.mark.parametrize("name", ["b_stream_incremental", "c_share_models"])
+def test_outputs_do_not_depend_on_the_hash_seed(name, tmp_path):
+    """Ids hash by identity and strings by a per-process seed, so two
+    processes with different hash seeds must still write the same bytes."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CASES[name](tmp_path)))
+    src = str(Path(smosim.__file__).resolve().parents[1])
+    runs = {}
+    for hash_seed in ("1", "4242"):
+        env = dict(os.environ, PYTHONHASHSEED=hash_seed, PYTHONPATH=src)
+        out = tmp_path / f"out-{hash_seed}"
+        runs[out] = subprocess.Popen(
+            [sys.executable, "-m", "smosim.cli", "run", "--config", str(config),
+             "--out", str(out)], env=env, cwd=tmp_path,
+            stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True)
+    for proc in runs.values():
+        _, err = proc.communicate(timeout=120)
+        assert proc.returncode == 0, err
+    first, second = runs
+    for output in ("report.json", "events.jsonl"):
+        assert (first / output).read_bytes() == (second / output).read_bytes(), output
+    # and both equal the pin, which one process's id addresses could match by chance
+    report = json.loads((first / "report.json").read_text())
+    events = (first / "events.jsonl").read_bytes()
+    assert dumps({"report": report, "events_sha256": hashlib.sha256(events).hexdigest(),
+                  "event_count": report["event_count"]}) == golden_path(name).read_text()

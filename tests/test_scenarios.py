@@ -459,6 +459,30 @@ class TestRouting:
         assert driver.next_hop(nssmf, term) == term
         assert driver.sim.log.entries == []
 
+    def test_a_failed_relay_drops_data_and_swallows_heartbeats(self):
+        data = scenario_b_dict(n_per_source=10, deploy={"targets": []})
+        data["topology"] = {"nssmf": 1, "nfmf_per_nssmf": 1, "nfvo": 1}
+        driver = Driver(build(data))
+        nfmf, nssmf = ComponentId(ComponentKind.NFMF, 0), ComponentId(ComponentKind.NSSMF, 0)
+        term = ComponentId(ComponentKind.NSSMF_TERMINATION, 0)
+        aiml = ComponentId(ComponentKind.AIML_FUNCTION, 0)
+        assert _chain(driver.next_hop, nfmf, aiml, 4) == [nfmf, nssmf, term, aiml]
+        sim = driver.sim
+        overhead = driver.topology.interfaces[InterfaceName.SMO_INTERNAL].overhead_bytes
+        sim.fail_component(nssmf, -1)
+        driver.route_send(nfmf, aiml, PayloadKind.RAW_DATA, 100, meta={"source": "NFMF#0"})
+        driver.route_send(nfmf, aiml, PayloadKind.HEARTBEAT, 8)
+        sim.run_until(1_000)
+        assert not sim.pending()
+        hop = ("NFMF#0", "NSSMF#0", "SmoInternal")
+        assert [(e.type, e.src, e.dst, e.interface, e.payload_kind, e.bytes, e.detail)
+                for e in sim.log.entries] == [
+            ("send", *hop, "RawData", 100 + overhead, {"msg_id": 1}),
+            ("send", *hop, "Heartbeat", 8 + overhead, {"msg_id": 2}),
+            ("component_down", *hop, "RawData", 100 + overhead, {"msg_id": 1}),
+            ("deliver", *hop, "Heartbeat", 8 + overhead, {"msg_id": 2}),
+        ]
+
 
 class TestScenarioAImportModel:
     def _config(self, tmp_path, weights, bias, threshold=0.05, **overrides):

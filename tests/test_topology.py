@@ -2,9 +2,11 @@
 
 from __future__ import annotations
 
+import copy
 import dataclasses
 import json
 import math
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -31,6 +33,7 @@ from smosim.topology import (
 )
 
 from conftest import scenario_b_dict
+from golden.cases import CASES, run_case
 from invariants import checked_run
 
 
@@ -324,14 +327,15 @@ class TestAdjacency:
 
 
 class TestComponentId:
-    def test_text_equality_hash_order_and_fields_are_those_of_the_dataclass(self):
+    def test_text_order_and_fields_are_those_of_the_dataclass_and_equality_is_identity(self):
         a = ComponentId(ComponentKind.NFMF, 3)
         same = ComponentId.parse("NFMF#3")
         assert str(a) == f"{a}" == "NFMF#3"
-        assert a == same and a is not same and not (a != same)
+        # interned: one object per (kind, index), compared and hashed as that object
+        assert a is same and a == same and not (a != same)
+        assert hash(a) == hash(same) == object.__hash__(a)
         assert a != ComponentId(ComponentKind.NFMF, 4)
         assert a != ComponentId(ComponentKind.NSSMF, 3)
-        assert hash(a) == hash(same) == hash((ComponentKind.NFMF, 3))
         assert len({a, same, ComponentId(ComponentKind.NFMF, 4)}) == 2
         ids = [ComponentId(ComponentKind.NSSMF, 1), ComponentId(ComponentKind.NFMF, 2),
                ComponentId(ComponentKind.NSSMF, 0), a]
@@ -340,12 +344,33 @@ class TestComponentId:
         assert dataclasses.asdict(a) == {"kind": ComponentKind.NFMF, "index": 3}
         assert repr(a) == "ComponentId(kind=<ComponentKind.NFMF: 'NFMF'>, index=3)"
 
-    def test_replace_recomputes_the_text_and_the_id_stays_frozen(self):
+    def test_every_way_of_making_an_id_returns_the_interned_one_and_it_stays_frozen(self):
         a = ComponentId(ComponentKind.NFMF, 3)
         b = dataclasses.replace(a, index=4)
-        assert str(b) == "NFMF#4" and hash(b) == hash((ComponentKind.NFMF, 4))
+        assert str(b) == "NFMF#4" and b is ComponentId(ComponentKind.NFMF, 4)
+        assert b is ComponentId.parse("NFMF#4") is ComponentId(kind=ComponentKind.NFMF, index=4)
+        assert dataclasses.replace(b, index=3) is a
+        assert ComponentId(ComponentKind.NFMF, 3) is a is ComponentId.parse("NFMF#3")
+        assert copy.copy(a) is a and copy.deepcopy(a) is a
+        assert copy.deepcopy({"ids": [a, b]})["ids"][1] is b
+        for protocol in range(pickle.HIGHEST_PROTOCOL + 1):
+            assert pickle.loads(pickle.dumps(a, protocol)) is a
+        assert ComponentId(ComponentKind.NSSMF) is ComponentId.parse("NSSMF") \
+            is ComponentId(ComponentKind.NSSMF, 0)
         with pytest.raises(dataclasses.FrozenInstanceError):
             a.index = 5  # type: ignore[misc]
+        assert a.index == 3 and str(a) == "NFMF#3"
+
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_a_run_holds_only_interned_ids(self, name, tmp_path):
+        result = run_case(name, tmp_path)
+        config, topo = result.driver.config, result.driver.topology
+        placed = [s.owner for s in config.sources] + list(config.deploy.targets)
+        linked = [n for c in topo.components for n in topo.neighbors(c)]
+        ids = placed + list(topo.components) + linked + list(result.sim.handlers)
+        assert len(ids) > len(topo.components)
+        for c in ids:
+            assert c is ComponentId(c.kind, c.index), c
 
 
 def _reference_line(e: Event) -> str:
@@ -380,6 +405,16 @@ _events = st.builds(Event, tick=_ints, seq=_ints, type=st.text(max_size=12), src
                     detail=_details)
 
 
+@st.composite
+def _events_sharing_keys(draw) -> list[Event]:
+    """Events that reuse a few (type, src, dst, interface, payload_kind) keys,
+    each with its own tick, seq, bytes and detail."""
+    keys = draw(st.lists(st.tuples(st.text(max_size=12), _texts, _texts, _texts, _texts),
+                         min_size=1, max_size=3))
+    return [Event(draw(_ints), draw(_ints), *draw(st.sampled_from(keys)), draw(_ints),
+                  draw(_details)) for _ in range(draw(st.integers(1, 8)))]
+
+
 class TestEventRendering:
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_events, max_size=4))
@@ -390,6 +425,27 @@ class TestEventRendering:
         for e in events:
             log.append(e)
         assert log.to_jsonl() == "".join(line + "\n" for line in lines)
+
+    @settings(max_examples=200, deadline=None)
+    @given(_events_sharing_keys())
+    def test_from_json_inverts_to_json_on_repeated_keys(self, events):
+        for e in events:
+            line = e.to_json()
+            assert line == _reference_line(e)
+            back = Event.from_json(line)
+            assert back.to_json() == line
+            assert (back.tick, back.seq, back.type, back.src, back.dst, back.interface,
+                    back.payload_kind, back.bytes) == (e.tick, e.seq, e.type, e.src, e.dst,
+                                                       e.interface, e.payload_kind, e.bytes)
+            if "NaN" not in line:  # NaN != NaN, so only the text can match then
+                assert back == e
+
+    def test_from_json_rejects_a_line_that_is_not_an_event(self):
+        line = Event(1, 2, "send", "NSSMF#0").to_json()
+        assert Event.from_json(line) == Event(1, 2, "send", "NSSMF#0")
+        for bad in ('{"tick":1}', line.replace('"seq"', '"sequence"'), "[1, 2]", "5"):
+            with pytest.raises(ValueError):
+                Event.from_json(bad)
 
     def test_simulation_events_render_like_json_dumps(self):
         sim = _bare_sim(latency=2, overhead=24)
