@@ -16,7 +16,6 @@ import numpy as np
 from .config import FeatureSpec, FilterSpec, PoisonSpec, PrivacySpec, SchedulerSpec
 from .datagen import RecordBatch, is_missing
 from .errors import MissingKey, ZeroCapacity
-from .topology import Simulation
 
 
 # -- data poisoning ---------------------------------------------------------------
@@ -224,9 +223,8 @@ def schedule(spec: SchedulerSpec, horizon: int | None = None) -> ScheduleResult:
 # -- signaling accounting -----------------------------------------------------------------
 
 
-def signaling_report(sim: Simulation) -> dict:
-    """Per-interface byte/message table plus the raw-vs-model traffic ratio."""
-    table = sim.signaling_table()
+def signaling_report(table: dict) -> dict:
+    """A ``topology.signaling_table`` plus the raw-vs-model traffic ratio."""
     raw = sum(entry["by_kind"].get("RawData", {"bytes": 0})["bytes"]
               for entry in table.values())
     model = sum(entry["by_kind"].get("ModelArtifact", {"bytes": 0})["bytes"]

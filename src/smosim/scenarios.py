@@ -13,12 +13,13 @@ takes its own at its own tick only if its init is the kept one bit for bit
 (``Driver.fit_round``). Training ticks, evaluation and a domain's own
 divergence stay with that domain, so simulated time is unchanged. A replica
 promoted after a failover resumes the failed primary's phase through one
-table, ``Driver.RESUME``. A failing step raises a named
-:class:`SimulationError`, and ``Driver.run`` writes it into the final
-RunReport. The report's fault fields (``faults``, ``downtime_ticks``,
-``time_to_detection`` and ``time_to_resolution``) are not kept while the run
-goes: :func:`timeline` folds them from the event log at the end, as
-:meth:`Simulation.signaling_table` folds ``report.signaling``.
+table, ``Driver.RESUME``. ``Driver._enter`` is the only writer of the phase,
+and logs each entry as a ``phase`` event. A failing step raises a named
+:class:`SimulationError`, and ``Driver.run`` logs it on ``run_complete``.
+
+The Driver keeps no report while the run goes. It logs each fact where it
+happens, and :func:`report_from` folds the RunReport from the config and the
+event log alone, so a report can be rebuilt from a run's ``events.jsonl``.
 
 Every message travels hop by hop over the declared links. The only routing
 rule is :meth:`Driver.next_hop`: the neighbour with the fewest hops to the
@@ -34,11 +35,11 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import asdict, dataclass, field, replace
+from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple
+from typing import Any, Callable, Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -79,6 +80,7 @@ from .topology import (
     Simulation,
     Topology,
     build_topology,
+    signaling_table,
 )
 
 MODEL_ID = "m0"
@@ -239,37 +241,97 @@ def _since(record: FaultRecord | None, attr: str) -> int | None:
 
 @dataclass
 class RunReport:
-    """The outcome of one run. ``Driver._finalize`` writes its fault fields,
-    ``faults``, ``downtime_ticks``, ``time_to_detection`` and
-    ``time_to_resolution``, from :func:`timeline` over the run's event log."""
+    """The outcome of one run, as :func:`report_from` folds it from the log.
+
+    The config gives ``scenario``, ``mode``, ``seed``, ``config_hash`` and
+    ``rounds``. The last event, ``run_complete``, gives ``status``, ``failure``
+    (failed runs only), ``model`` (the model the run ends with) and
+    ``final_tick``; ``event_count`` counts the log. Of the other events:
+
+    - ``job_scheduled``, one per training job (the initial fit, each
+      refinement, each scenario C domain round): ``training_ticks`` sums their
+      ``work`` and ``cost_ticks`` their ``cost``. The cost is the scheduler's
+      allocation when a scheduler is configured, else the training ticks; under
+      a scheduler, scenario C's domain rounds pass through none and charge
+      nothing. ``scheduler`` and ``peak_demand`` are those of the last job that
+      passed through the scheduler, None and 1 if none did.
+    - ``inference``, one per evaluation: ``inference_ticks`` is their
+      ``records`` times ``inference_tick_per_record``; ``forgetting_mse`` is
+      the last refinement's on the initial test split.
+    - the last ``Refining`` ``transition``: ``refinements``, its entry's count.
+    - the last ``poison_detection``: ``poison``; any ``artifact_rejected``:
+      ``artifact_rejected``.
+    - :func:`timeline`: ``faults``, ``downtime_ticks``, ``time_to_detection``
+      and ``time_to_resolution``; ``topology.signaling_table`` over the
+      ``deliver`` events: ``signaling``.
+    """
 
     scenario: str
     mode: str | None
     seed: int
     config_hash: str
-    status: str = "completed"
-    failure: str | None = None
-    model: dict[str, Any] | None = None
-    training_ticks: int = 0
-    inference_ticks: int = 0
-    cost_ticks: int = 0
-    peak_demand: int = 1
-    refinements: int = 0
-    rounds: int = 1
-    time_to_detection: int | None = None
-    time_to_resolution: int | None = None
-    downtime_ticks: int | None = None
-    faults: list[FaultRecord] = field(default_factory=list)
-    signaling: dict[str, Any] = field(default_factory=dict)
-    poison: dict[str, Any] | None = None
-    scheduler: dict[str, Any] | None = None
-    forgetting_mse: float | None = None
-    artifact_rejected: bool = False
-    final_tick: int = 0
-    event_count: int = 0
+    status: str
+    failure: str | None
+    model: dict[str, Any] | None
+    training_ticks: int
+    inference_ticks: int
+    cost_ticks: int
+    peak_demand: int
+    refinements: int
+    rounds: int
+    time_to_detection: int | None
+    time_to_resolution: int | None
+    downtime_ticks: int | None
+    faults: list[FaultRecord]
+    signaling: dict[str, Any]
+    poison: dict[str, Any] | None
+    scheduler: dict[str, Any] | None
+    forgetting_mse: float | None
+    artifact_rejected: bool
+    final_tick: int
+    event_count: int
 
     def to_dict(self) -> dict[str, Any]:
         return asdict(self)
+
+
+def report_from(config: ScenarioConfig, events: Sequence[Event]) -> RunReport:
+    """The report of the run of ``config`` that logged ``events``, which end with
+    ``run_complete``; the only code that builds a RunReport. A log re-read
+    from ``events.jsonl`` gives the same report as the run's own."""
+    training = cost = inference = refinements = 0
+    peak_demand, scheduler, poison, forgetting, rejected = 1, None, None, None, False
+    end = events[-1]
+    for e in events:
+        t, d = e.type, e.detail
+        if t == "job_scheduled":
+            training += d["work"]
+            cost += d["cost"]
+            if "scheduler" in d:
+                scheduler, peak_demand = d["scheduler"], d["peak_demand"]
+        elif t == "inference":
+            inference += d["records"]
+            forgetting = d.get("forgetting_mse", forgetting)
+        elif t == "transition" and d["state"] == "Refining":
+            refinements = d["refinements"]
+        elif t == "poison_detection":
+            poison = d
+        elif t == "artifact_rejected":
+            rejected = True
+    faults, downtime, detection, resolution = timeline(events)
+    interfaces = [spec.name for spec in config.interface_specs()]
+    return RunReport(
+        scenario=config.kind.value, mode=config.mode, seed=config.seed,
+        config_hash=config.config_hash(), status=end.detail["status"],
+        failure=end.detail.get("failure"), model=end.detail["model"],
+        training_ticks=training,
+        inference_ticks=inference * config.costs.inference_tick_per_record,
+        cost_ticks=cost, peak_demand=peak_demand, refinements=refinements,
+        rounds=config.rounds, time_to_detection=detection, time_to_resolution=resolution,
+        downtime_ticks=downtime, faults=faults,
+        signaling=harness.signaling_report(signaling_table(interfaces, events)),
+        poison=poison, scheduler=scheduler, forgetting_mse=forgetting,
+        artifact_rejected=rejected, final_tick=end.tick, event_count=len(events))
 
 
 # -- component behaviors ---------------------------------------------------------------------
@@ -431,7 +493,7 @@ class _TargetBehavior:
                                        self.artifact.scaler)
         preds = self.artifact.predict(X)
         cost = mon.batch * driver.costs.inference_tick_per_record
-        driver.count_inference(mon.batch)
+        driver.sim.log_event("inference", src=self.cid, detail={"records": mon.batch})
         shift = driver.config.harness.drift_shift
         if shift is not None and round_index == shift.at_round:
             driver.sim.log_event("fault", src=self.cid, detail={"kind": "drift_shift"})
@@ -495,8 +557,9 @@ class _DomainBehavior:
         driver = self.driver
         self._ensure_data()
         result = driver.fit_round(self, round_index)
-        driver.count_training(result.metrics.train_ticks)
-        done_tick = driver.sim.clock + result.metrics.train_ticks
+        ticks = driver.log_job("domain_round", result.metrics.train_ticks, self.cid,
+                               via_scheduler=False)
+        done_tick = driver.sim.clock + ticks
         driver.sim.schedule(done_tick, lambda: self._send_local_model(result, round_index))
 
     def _send_local_model(self, result: learn.TrainResult, round_index: int) -> None:
@@ -518,7 +581,8 @@ class _DomainBehavior:
                              driver.config.model.hyperparams.threshold)
         test = learn.evaluate(artifact.parameters, artifact.kind, split.test.X, split.test.y,
                               driver.config.model.hyperparams.threshold)
-        driver.count_inference(len(split.val) + len(split.test))
+        driver.sim.log_event("inference", src=self.cid,
+                             detail={"records": len(split.val) + len(split.test)})
         payload = {
             "domain": str(self.cid),
             "val_mse": val.mse, "val_accuracy": val.accuracy,
@@ -591,16 +655,12 @@ class Driver:
             self.topology = Topology({spec.name: spec for spec in config.interface_specs()})
         self.sim = Simulation(self.topology)
         self.registry = Registry()
-        self.report = RunReport(
-            scenario=config.kind.value, mode=config.mode, seed=config.seed,
-            config_hash=config.config_hash(), rounds=config.rounds,
-        )
+        self.config_hash = config.config_hash()
         self.canonical = config.canonical_schema()
         self.derived = tuple(config.pipeline.derived)
         self.active_aiml = ComponentId(ComponentKind.AIML_FUNCTION, 0)
         # final -> (component -> its next hop toward final), see next_hop
         self._hops: dict[ComponentId, dict[ComponentId, ComponentId]] = {}
-        self.phase = Phase.IDLE
         self.plan = config.harness.failure
 
         # run products, exposed for tests and reporting
@@ -613,7 +673,6 @@ class Driver:
         self.last_checkpoint_at_promotion: dict[str, Any] | None = None
 
         self._inbox: dict[str, list[datagen.RecordBatch]] = {}
-        self._filter_stats: dict[str, Any] | None = None
         self._expected_artifacts: dict[int, set[str]] = {}
         self._domain_models: dict[int, dict[str, DomainModel]] = {}
         self._domain_evals: dict[str, dict[str, Any]] = {}
@@ -738,6 +797,7 @@ class Driver:
     # -- run entry -------------------------------------------------------------------------
 
     def run(self) -> "RunResult":
+        failure = None
         try:
             if self._setup_error is not None:
                 raise self._setup_error
@@ -745,11 +805,10 @@ class Driver:
             self.sim.run_to_completion(self.config.max_ticks)
         except SimulationError as exc:
             # the only writer of a failure: every failing step raises a named error
-            self.report.status = "failed"
             name = type(exc).__name__
-            self.report.failure = f"{name}: {exc}" if str(exc) else name
-        self._finalize()
-        return RunResult(report=self.report, driver=self)
+            failure = f"{name}: {exc}" if str(exc) else name
+        self._finish(failure)  # a no-op if the workflow completed
+        return RunResult(report_from(self.config, self.sim.log.entries), self)
 
     def _start(self) -> None:
         cfg = self.config
@@ -764,7 +823,7 @@ class Driver:
         elif cfg.mode == "import-data":
             self._train_external()
         elif cfg.mode == "share-models":
-            self.phase = Phase.FEDERATED
+            self._enter(Phase.FEDERATED)
             self._request_round(1)
         else:
             self._start_collection(Phase.COLLECT)
@@ -790,9 +849,9 @@ class Driver:
         except (OSError, ValueError) as exc:  # unreadable or not UTF-8
             raise NoDataSources(f"cannot read the external data {path!r}: {exc}") from None
         td = pipeline.transformed_from_csv(
-            text, pipeline.Provenance(("external",), (0, 0), self.report.config_hash))
+            text, pipeline.Provenance(("external",), (0, 0), self.config_hash))
         self.transformed = td
-        self.phase = Phase.TRAIN
+        self._enter(Phase.TRAIN)
         self._train_on(td, origin="internal")
 
     def _retrain(self) -> None:
@@ -805,7 +864,7 @@ class Driver:
     # -- collection --------------------------------------------------------------------------------
 
     def _start_collection(self, phase: Phase) -> None:
-        self.phase = phase
+        self._enter(phase)
         self.collection_round += 1
         self._inbox = {}
         start = self.sim.clock
@@ -853,8 +912,7 @@ class Driver:
         if not records:
             raise CollectionTimeout(f"no source delivered any data in [{start}, {deadline}]")
         provenance = pipeline.Provenance(
-            tuple(sorted(str(o) for o in expected)), (start, deadline),
-            self.report.config_hash)
+            tuple(sorted(str(o) for o in expected)), (start, deadline), self.config_hash)
         raw = pipeline.Dataset(pipeline.Stage.RAW, records, provenance, partial=incomplete)
         if phase is Phase.COLLECT_VALIDATION:
             self._validate_import(raw)
@@ -866,17 +924,18 @@ class Driver:
     def _preprocess_and_train(self, raw: pipeline.Dataset) -> None:
         cfg = self.config
         share_data = cfg.kind is ScenarioKind.C and cfg.mode == "share-data"
-        if cfg.harness.filter is not None:
-            kept, rejected = harness.validation_filter(raw.records, cfg.harness.filter)
-            self._filter_stats = harness.poison_detection_report(kept, rejected)
+        flt = cfg.harness.filter
+        if flt is not None or cfg.harness.poison is not None:
+            # a poisoned run with the mitigation disabled keeps every record
+            kept, rejected = harness.validation_filter(raw.records, flt) if flt is not None \
+                else (raw.records, raw.records.take(slice(0)))
+            self.sim.log_event("poison_detection", src=self.active_aiml,
+                               detail=harness.poison_detection_report(kept, rejected))
+        if flt is not None:
             self.sim.log_event("mitigation", src=self.active_aiml, detail={
                 "mechanism": "validation_filter",
                 "rejected": len(rejected), "kept": len(kept)})
             raw = pipeline.Dataset(raw.stage, kept, raw.provenance, partial=raw.partial)
-        elif cfg.harness.poison is not None:
-            # poisoned run with the mitigation disabled: note it for reporting
-            self._filter_stats = harness.poison_detection_report(
-                raw.records, raw.records.take(slice(0)))
         if share_data:
             # domain-side cleansing already ran; records enter as Cleansed
             cleansed = pipeline.Dataset(pipeline.Stage.CLEANSED, raw.records,
@@ -888,7 +947,7 @@ class Driver:
         td = pipeline.transform(formatted, cfg.pipeline.scaling, self.derived)
         self.transformed = td
         self.exploration = pipeline.explore(td) if len(td) >= 2 else None
-        self.phase = Phase.TRAIN
+        self._enter(Phase.TRAIN)
         self._train_on(td, origin="internal")
 
     def _train_on(self, td: pipeline.TransformedDataset, origin: str) -> None:
@@ -909,11 +968,7 @@ class Driver:
             result = self._fit(split, hp)
         ticks += result.metrics.train_ticks
         self._chosen_hp = hp
-        duration = self._job_duration(ticks)
-        self.count_training(ticks)
-        self.sim.log_event("job_scheduled", src=self.active_aiml,
-                           detail={"job": "training", "ticks": duration})
-        done = self.sim.clock + duration
+        done = self.sim.clock + self.log_job("training", ticks, self.active_aiml)
         self.schedule_owned(done, self.active_aiml,
                             lambda: self._on_trained(result, origin))
 
@@ -934,33 +989,36 @@ class Driver:
         metrics.inference_ticks = len(split.val) * self.costs.inference_tick_per_record
         return learn.TrainResult(params, metrics, len(split.train))
 
-    def _job_duration(self, ticks: int) -> int:
-        """Simulated duration of a training job, through the scheduler if present.
+    def log_job(self, job: str, work: int, src: ComponentId, via_scheduler: bool = True) -> int:
+        """Log a training job of ``work`` raw ticks as ``job_scheduled``; return its duration.
 
-        The job class with no preset work total stands for this training job;
-        its work is the job's raw tick demand and its completion tick under
-        contention becomes the simulated duration.
+        A job's ``cost`` is its work, unless a scheduler is configured. Then a
+        job of some work passes through the scheduler ``via_scheduler``: the
+        job class with no preset work total stands for it, with the job's work,
+        and its completion tick under contention becomes the duration and its
+        allocation the cost. The event then carries the scheduler outcome and
+        the peak demand. A job that does not pass through it charges nothing.
         """
         sched = self.config.harness.scheduler
-        if sched is None or ticks == 0:
-            return ticks
-        spec = replace(sched, classes=tuple(
-            jc if jc.work is not None else replace(jc, work=ticks)
-            for jc in sched.classes))
-        result = harness.schedule(spec)
-        open_jobs = [jc.name for jc in sched.classes if jc.work is None]
-        job_name = open_jobs[0] if open_jobs else sched.classes[-1].name
-        job = result.jobs[job_name]
-        self.report.cost_ticks += result.total_allocated[job_name]
-        self.report.scheduler = {
-            "budget": spec.budget,
-            "jobs": {n: {"completion_tick": j.completion_tick, "ideal_tick": j.ideal_tick,
-                         "delay": j.delay, "priority": j.priority, "demand": j.demand,
-                         "work": j.work}
-                     for n, j in sorted(result.jobs.items())},
-        }
-        self.report.peak_demand = max(jc.demand for jc in spec.classes)
-        return job.completion_tick
+        detail = {"job": job, "ticks": work, "work": work, "cost": work if sched is None else 0}
+        if sched is not None and work and via_scheduler:
+            spec = replace(sched, classes=tuple(
+                jc if jc.work is not None else replace(jc, work=work)
+                for jc in sched.classes))
+            result = harness.schedule(spec)
+            open_jobs = [jc.name for jc in sched.classes if jc.work is None]
+            job_name = open_jobs[0] if open_jobs else sched.classes[-1].name
+            detail.update(
+                ticks=result.jobs[job_name].completion_tick,
+                cost=result.total_allocated[job_name],
+                scheduler={"budget": spec.budget, "jobs": {
+                    n: {"completion_tick": j.completion_tick, "ideal_tick": j.ideal_tick,
+                        "delay": j.delay, "priority": j.priority, "demand": j.demand,
+                        "work": j.work}
+                    for n, j in sorted(result.jobs.items())}},
+                peak_demand=max(jc.demand for jc in spec.classes))
+        self.sim.log_event("job_scheduled", src=src, detail=detail)
+        return detail["ticks"]
 
     def _on_trained(self, result: learn.TrainResult, origin: str) -> None:
         cfg = self.config
@@ -977,7 +1035,7 @@ class Driver:
         )
         provenance = {
             "scenario": cfg.kind.value,
-            "dataset_config_hash": self.report.config_hash,
+            "dataset_config_hash": self.config_hash,
             "search_spec_hash": _search_hash(cfg),
         }
         if MODEL_ID in self.registry.entries:
@@ -991,7 +1049,8 @@ class Driver:
                                    "state": entry.state.value})
         test = learn.evaluate(result.params, cfg.model.kind, self.split.test.X,
                               self.split.test.y, cfg.model.hyperparams.threshold)
-        self.count_inference(len(self.split.test))
+        self.sim.log_event("inference", src=self.active_aiml,
+                           detail={"records": len(self.split.test)})
         self._test_metrics = test
         self.registry.transition(entry, LifecycleState.VALIDATED, self.sim.clock)
         self.sim.log_event("transition", src=self.active_aiml,
@@ -1003,7 +1062,7 @@ class Driver:
 
     def _deploy(self, entry) -> None:
         cfg = self.config
-        self.phase = Phase.DEPLOY
+        self._enter(Phase.DEPLOY)
         targets = cfg.deploy.targets
         version = entry.version
         self._expected_artifacts.setdefault(version, set())
@@ -1061,7 +1120,7 @@ class Driver:
                 drift_factor=self.config.monitor.drift_factor,
                 min_samples=self.config.monitor.min_samples,
             )
-        self.phase = Phase.MONITOR
+        self._enter(Phase.MONITOR)
 
     # -- monitoring + refinement ---------------------------------------------------------------------
 
@@ -1100,12 +1159,11 @@ class Driver:
             self.registry.transition(entry, LifecycleState.RETIRED, tick)
             raise RefinementBudgetExhausted()
         entry.refinements += 1
-        self.report.refinements = entry.refinements
         self.registry.transition(entry, LifecycleState.REFINING, tick)
         self.sim.log_event("transition", src=self.active_aiml,
                            detail={"model": MODEL_ID, "version": entry.version,
-                                   "state": "Refining"})
-        self.phase = Phase.REFINE
+                                   "state": "Refining", "refinements": entry.refinements})
+        self._enter(Phase.REFINE)
         self._run_refinement(entry)
 
     def _run_refinement(self, entry) -> None:
@@ -1129,13 +1187,12 @@ class Driver:
         else:
             params, processed = learn.fit_standardized(cfg.model.kind, X_train, y_train, hp,
                                                        cfg.seed, entry.artifact.parameters)
-        ticks = self._job_duration(processed * self.costs.train_tick_per_record)
-        self.count_training(processed * self.costs.train_tick_per_record)
+        work = processed * self.costs.train_tick_per_record
+        done = self.sim.clock + self.log_job("refinement", work, self.active_aiml)
         metrics = learn.evaluate(params, cfg.model.kind, X_hold, y_hold,
                                  hp.threshold)
-        self.count_inference(len(X_hold))
-        metrics.train_ticks = processed * self.costs.train_tick_per_record
-        done = self.sim.clock + ticks
+        self.sim.log_event("inference", src=self.active_aiml, detail={"records": len(X_hold)})
+        metrics.train_ticks = work
         self.schedule_owned(done, self.active_aiml,
                             lambda: self._complete_refinement(entry, params, metrics))
 
@@ -1150,10 +1207,11 @@ class Driver:
         )
         entry = self.registry.reregister(MODEL_ID, artifact, self.sim.clock)
         if self.split is not None:
-            self.report.forgetting_mse = learn.evaluate(
-                params, cfg.model.kind, self.split.test.X, self.split.test.y,
-                cfg.model.hyperparams.threshold).mse
-            self.count_inference(len(self.split.test))
+            # forgetting: the refined model on the initial test split
+            forgetting = learn.evaluate(params, cfg.model.kind, self.split.test.X,
+                                        self.split.test.y, cfg.model.hyperparams.threshold)
+            self.sim.log_event("inference", src=self.active_aiml, detail={
+                "records": len(self.split.test), "forgetting_mse": forgetting.mse})
         self.registry.transition(entry, LifecycleState.VALIDATED, self.sim.clock)
         if self.monitor is not None:
             self.monitor.clear(new_baseline=metrics.mse)
@@ -1221,7 +1279,7 @@ class Driver:
         artifact.metrics = learn.EvalMetrics(mse=val_mse, rmse=math.sqrt(val_mse),
                                              accuracy=val_acc)
         entry = self.registry.register(artifact, MODEL_ID, self.sim.clock, provenance={
-            "scenario": "C", "dataset_config_hash": self.report.config_hash,
+            "scenario": "C", "dataset_config_hash": self.config_hash,
             "search_spec_hash": _search_hash(self.config)})
         self.registry.transition(entry, LifecycleState.VALIDATED, self.sim.clock)
         self._test_metrics = learn.EvalMetrics(mse=test_mse, rmse=math.sqrt(test_mse),
@@ -1263,7 +1321,7 @@ class Driver:
 
     def build_local_split(self, spec: SourceSpec) -> pipeline.SplitDataset:
         records = self.local_cleansed_records(spec)
-        provenance = pipeline.Provenance((str(spec.owner),), (0, 0), self.report.config_hash)
+        provenance = pipeline.Provenance((str(spec.owner),), (0, 0), self.config_hash)
         ds = pipeline.Dataset(pipeline.Stage.CLEANSED, records, provenance)
         formatted = pipeline.format_dataset(ds, spec.canonical_schema(),
                                             {spec.owner: spec.rename})
@@ -1284,7 +1342,7 @@ class Driver:
 
     def local_cleanse(self, spec: SourceSpec,
                       records: datagen.RecordBatch) -> datagen.RecordBatch:
-        provenance = pipeline.Provenance((str(spec.owner),), (0, 0), self.report.config_hash)
+        provenance = pipeline.Provenance((str(spec.owner),), (0, 0), self.config_hash)
         ds = pipeline.Dataset(pipeline.Stage.RAW, records, provenance)
         return pipeline.cleanse(ds).records
 
@@ -1307,17 +1365,16 @@ class Driver:
                     f"local width {base.shape[1]}")
             entry = self.registry.register(
                 artifact, MODEL_ID, self.sim.clock,
-                provenance={"scenario": "A", "dataset_config_hash": self.report.config_hash,
+                provenance={"scenario": "A", "dataset_config_hash": self.config_hash,
                             "search_spec_hash": _search_hash(cfg)},
                 validation=(base, y),
                 mse_threshold=cfg.external.validation_mse_threshold)
         except InvalidArtifact as exc:
             self.sim.log_event("artifact_rejected", src=self.active_aiml,
                                detail={"reason": str(exc)})
-            self.report.artifact_rejected = True
             self._finish()
             return
-        self.count_inference(n_val)
+        self.sim.log_event("inference", src=self.active_aiml, detail={"records": n_val})
         Xs = artifact.scaler.apply(base)
         self._test_metrics = learn.evaluate(artifact.parameters, artifact.kind, Xs, y,
                                             cfg.model.hyperparams.threshold)
@@ -1428,50 +1485,41 @@ class Driver:
         Phase.FEDERATED: _resume_rounds,
     }
 
-    # -- bookkeeping ---------------------------------------------------------------------------------------------
+    # -- phase and completion ------------------------------------------------------------------------------------
 
-    def count_training(self, ticks: int) -> None:
-        self.report.training_ticks += ticks
-        if self.config.harness.scheduler is None:
-            self.report.cost_ticks += ticks
+    phase = Phase.IDLE  # until the first _enter, the only writer of a Driver's phase
 
-    def count_inference(self, records: int) -> None:
-        self.report.inference_ticks += records * self.costs.inference_tick_per_record
+    def _enter(self, phase: Phase) -> None:
+        self.phase = phase
+        self.sim.log_event("phase", src=self.active_aiml, detail={"phase": phase.value})
 
-    def _finish(self) -> None:
-        if not self.sim.stopped:
-            self.phase = Phase.DONE
-            self.sim.log_event("run_complete", detail={"status": self.report.status})
-            self.sim.stop()
-
-    def _finalize(self) -> None:
-        # no-op unless the event heap drained without a completion milestone
-        self._finish()
-        report = self.report
-        report.final_tick = self.sim.clock
-        report.event_count = len(self.sim.log.entries)
-        report.signaling = harness.signaling_report(self.sim)
-        report.poison = self._filter_stats
+    def _finish(self, failure: str | None = None) -> None:
+        """End the run unless it has ended: enter ``done`` if it completed, and
+        log ``run_complete`` with its failure and the model it ends with."""
+        if self.sim.stopped:
+            return
+        detail: dict[str, Any] = {"status": "completed" if failure is None else "failed"}
+        if failure is None:
+            self._enter(Phase.DONE)
+        else:
+            detail["failure"] = failure
         entry = self.registry.entries.get(MODEL_ID)
-        if entry is not None:
-            test = self._test_metrics
-            baseline = self._mean_predictor_mse()
-            report.model = {
-                "model_id": entry.model_id,
-                "version": entry.version,
-                "kind": entry.artifact.kind.value,
-                "origin": entry.artifact.origin,
-                "state": entry.state.value,
-                "val_metrics": entry.artifact.metrics.to_dict(),
-                "test_mse": test.mse if test else None,
-                "test_rmse": test.rmse if test else None,
-                "test_accuracy": test.accuracy if test else None,
-                "baseline_test_mse": baseline,
-                "deployments": self.registry.active_deployments(MODEL_ID),
-            }
-        # the only writer of the fault fields
-        (report.faults, report.downtime_ticks, report.time_to_detection,
-         report.time_to_resolution) = timeline(self.sim.log.entries)
+        test = self._test_metrics
+        detail["model"] = None if entry is None else {
+            "model_id": entry.model_id,
+            "version": entry.version,
+            "kind": entry.artifact.kind.value,
+            "origin": entry.artifact.origin,
+            "state": entry.state.value,
+            "val_metrics": entry.artifact.metrics.to_dict(),
+            "test_mse": test.mse if test else None,
+            "test_rmse": test.rmse if test else None,
+            "test_accuracy": test.accuracy if test else None,
+            "baseline_test_mse": self._mean_predictor_mse(),
+            "deployments": self.registry.active_deployments(MODEL_ID),
+        }
+        self.sim.log_event("run_complete", detail=detail)
+        self.sim.stop()
 
     def _mean_predictor_mse(self) -> float | None:
         if self.split is None or not len(self.split.test):

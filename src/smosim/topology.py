@@ -4,8 +4,9 @@ Every exchange between management components is an :class:`InterfaceMessage`
 pushed through :class:`Simulation`. Time is integer ticks; ties at one tick
 resolve by the global sequence number assigned at scheduling time, so a run
 is a pure function of (config, seed). The event log is the only record of
-traffic: :meth:`Simulation.signaling_table` folds the per-interface byte and
-message totals from its ``deliver`` events.
+traffic: :func:`signaling_table` folds the per-interface byte and message
+totals from its ``deliver`` events, for ``scenarios.report_from`` on a run's
+log and for :meth:`Simulation.signaling_table` on a live one.
 
 A hop is kept cheap by doing its lookups once, ahead of the run:
 
@@ -29,7 +30,7 @@ from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Callable, NamedTuple, TYPE_CHECKING
+from typing import Any, Callable, Iterable, NamedTuple, TYPE_CHECKING
 
 from .errors import DuplicateComponent, TickLimitExceeded, UndeclaredRoute, UnknownInterface
 
@@ -276,9 +277,6 @@ class EventLog:
     def __init__(self) -> None:
         self.entries: list[Event] = []
 
-    def append(self, event: Event) -> None:
-        self.entries.append(event)
-
     def to_jsonl(self) -> str:
         return "".join([e.to_json() + "\n" for e in self.entries])
 
@@ -333,9 +331,6 @@ class Topology:
             return self._links[src][dst]
         except KeyError:
             raise UndeclaredRoute(f"no declared interface between {src} and {dst}") from None
-
-    def interface_between(self, src: ComponentId, dst: ComponentId) -> InterfaceName:
-        return self.wire(src, dst).interface
 
     def neighbors(self, cid: ComponentId) -> list[ComponentId]:
         return sorted(self._links.get(cid, ()))
@@ -528,35 +523,8 @@ class Simulation:
                 handler(self, msg)
 
     def signaling_table(self) -> dict[str, Any]:
-        """Delivered traffic per interface, folded from the log's ``deliver`` events.
-
-        Every interface of the topology appears, in its order, with its
-        ``bytes`` (payload plus overhead) and ``messages``, and the same two per
-        ``"<src kind>-><dst kind>"`` direction and per payload kind, each map
-        sorted. A ``component_down`` drop was never delivered, so it is not
-        counted; a heartbeat delivered into a failed component is.
-        """
-        # one cell per (interface, src, dst, payload kind) first: few distinct keys
-        cells: dict[tuple[str, str, str, str], list[int]] = {}
-        for e in self.log.entries:
-            if e.type == "deliver":
-                cell = cells.setdefault((e.interface, e.src, e.dst, e.payload_kind), [0, 0])
-                cell[0] += e.bytes
-                cell[1] += 1
-        table = {name.value: {"bytes": 0, "messages": 0, "directions": {}, "by_kind": {}}
-                 for name in self.topology.interfaces}
-        for (interface, src, dst, payload_kind), (total, count) in cells.items():
-            entry = table[interface]
-            directions, kinds = entry["directions"], entry["by_kind"]
-            direction = f"{src.partition('#')[0]}->{dst.partition('#')[0]}"
-            for sums in (entry, directions.setdefault(direction, {"bytes": 0, "messages": 0}),
-                         kinds.setdefault(payload_kind, {"bytes": 0, "messages": 0})):
-                sums["bytes"] += total
-                sums["messages"] += count
-        for entry in table.values():
-            entry["directions"] = dict(sorted(entry["directions"].items()))
-            entry["by_kind"] = dict(sorted(entry["by_kind"].items()))
-        return table
+        """:func:`signaling_table` of this simulation's interfaces and log."""
+        return signaling_table(self.topology.interfaces, self.log.entries)
 
     # -- time ---------------------------------------------------------------------
 
@@ -592,3 +560,36 @@ class Simulation:
 
     def pending(self) -> bool:
         return bool(self._heap)
+
+
+def signaling_table(interfaces: Iterable[InterfaceName],
+                    events: Iterable[Event]) -> dict[str, Any]:
+    """Delivered traffic per interface, folded from the ``deliver`` events.
+
+    Every interface named appears, in the order given, with its ``bytes``
+    (payload plus overhead) and ``messages``, and the same two per
+    ``"<src kind>-><dst kind>"`` direction and per payload kind, each map
+    sorted. A ``component_down`` drop was never delivered, so it is not
+    counted; a heartbeat delivered into a failed component is.
+    """
+    # one cell per (interface, src, dst, payload kind) first: few distinct keys
+    cells: dict[tuple[str, str, str, str], list[int]] = {}
+    for e in events:
+        if e.type == "deliver":
+            cell = cells.setdefault((e.interface, e.src, e.dst, e.payload_kind), [0, 0])
+            cell[0] += e.bytes
+            cell[1] += 1
+    table = {name.value: {"bytes": 0, "messages": 0, "directions": {}, "by_kind": {}}
+             for name in interfaces}
+    for (interface, src, dst, payload_kind), (total, count) in cells.items():
+        entry = table[interface]
+        directions, kinds = entry["directions"], entry["by_kind"]
+        direction = f"{src.partition('#')[0]}->{dst.partition('#')[0]}"
+        for sums in (entry, directions.setdefault(direction, {"bytes": 0, "messages": 0}),
+                     kinds.setdefault(payload_kind, {"bytes": 0, "messages": 0})):
+            sums["bytes"] += total
+            sums["messages"] += count
+    for entry in table.values():
+        entry["directions"] = dict(sorted(entry["directions"].items()))
+        entry["by_kind"] = dict(sorted(entry["by_kind"].items()))
+    return table

@@ -6,13 +6,14 @@
 
 from __future__ import annotations
 
+import json
 import math
 
 from smosim import run_scenario
 from smosim.config import ScenarioConfig, ScenarioKind
 from smosim.errors import SimulationError
 from smosim.lifecycle import LEGAL_TRANSITIONS, LifecycleState
-from smosim.scenarios import RunResult
+from smosim.scenarios import RunResult, report_from
 from smosim.topology import Event
 
 # the origin of a model that was never refined; a refined version is "internal"
@@ -88,6 +89,19 @@ def check_invariants(result: RunResult) -> None:
                 if e.type == "fault" and e.detail["kind"] == "component_failure"]
     for e in result.sim.log.of_type("promotion"):
         assert failures and failures[0].seq < e.seq, f"promotion at {e.tick} precedes its fault"
+    # a promoted replica resumes the phase the log last entered
+    phase = "idle"
+    for e in entries:
+        if e.type == "phase":
+            phase = e.detail["phase"]
+        elif e.type == "mitigation" and e.detail["mechanism"] == "failover_restore":
+            assert e.detail["resumed_phase"] == phase, \
+                f"restore at {e.tick} resumes {e.detail['resumed_phase']}, the log is in {phase}"
+
+    # the report is a fold of the log: a re-read log gives the same report text
+    reread = [Event.from_json(e.to_json()) for e in entries]
+    assert json.dumps(report_from(result.driver.config, reread).to_dict()) == \
+        json.dumps(report.to_dict()), "the report differs from the fold of its re-read log"
 
     if report.status == "failed":
         named = (report.failure or "").split(":")[0]

@@ -16,6 +16,10 @@ from pathlib import Path
 import pytest
 
 import smosim
+from smosim import cli
+from smosim.config import load_config
+from smosim.scenarios import report_from
+from smosim.topology import Event
 from golden.cases import CASES, dumps, golden_path, pinned, run_case
 from invariants import check_invariants
 
@@ -25,6 +29,21 @@ def test_golden_run_matches_pin(name, tmp_path):
     result = run_case(name, tmp_path)
     check_invariants(result)
     assert dumps(pinned(result)) == golden_path(name).read_text()
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
+def test_report_rebuilds_from_the_out_dir(name, tmp_path, monkeypatch):
+    """``report.json`` is a fold of ``events.jsonl``: the config and the log
+    that ``smosim run --out`` writes rebuild its text exactly."""
+    monkeypatch.chdir(tmp_path)  # the import case names its artifact relative to it
+    monkeypatch.delenv("SMO_SIM_SEED", raising=False)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps(CASES[name](tmp_path)))
+    out = tmp_path / "out"
+    assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
+    events = [Event.from_json(line) for line in (out / "events.jsonl").read_text().splitlines()]
+    report = report_from(load_config(str(config)), events)
+    assert json.dumps(report.to_dict(), indent=2) + "\n" == (out / "report.json").read_text()
 
 
 @pytest.mark.parametrize("name", ["b_stream_incremental", "c_share_models"])

@@ -262,6 +262,6 @@ class TestSignalingReport:
         from conftest import build, scenario_b_dict
 
         result = checked_run(build(scenario_b_dict(n_per_source=50)))
-        report = signaling_report(result.sim)
+        report = signaling_report(result.sim.signaling_table())
         assert report["raw_to_artifact_ratio"] == pytest.approx(
             report["raw_data_bytes"] / report["model_artifact_bytes"])

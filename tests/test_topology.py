@@ -311,13 +311,13 @@ class TestAdjacency:
         for a in topo.components:
             for b in topo.components:
                 try:
-                    interface = topo.interface_between(a, b)
+                    interface = topo.wire(a, b).interface
                 except UndeclaredRoute:
                     assert b not in topo.neighbors(a) and a not in topo.neighbors(b)
                     continue
                 linked += 1
                 assert b in topo.neighbors(a) and a in topo.neighbors(b)
-                assert topo.interface_between(b, a) is interface
+                assert topo.wire(b, a).interface is interface
         assert linked > 0
 
     def test_neighbours_are_sorted(self):
@@ -423,7 +423,7 @@ class TestEventRendering:
         assert lines == [_reference_line(e) for e in events]
         log = EventLog()
         for e in events:
-            log.append(e)
+            log.entries.append(e)
         assert log.to_jsonl() == "".join(line + "\n" for line in lines)
 
     @settings(max_examples=200, deadline=None)
