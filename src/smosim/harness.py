@@ -14,7 +14,7 @@ from dataclasses import dataclass, field, replace
 import numpy as np
 
 from .config import FeatureSpec, FilterSpec, PoisonSpec, PrivacySpec, SchedulerSpec
-from .datagen import RecordBatch, is_missing
+from .datagen import RecordBatch, is_missing, median
 from .errors import MissingKey, ZeroCapacity
 
 
@@ -51,10 +51,12 @@ def poison_inject(records: RecordBatch, spec: PoisonSpec) -> RecordBatch:
 
 
 def mad_statistics(targets: np.ndarray) -> tuple[float, float]:
-    """Median and median absolute deviation of the targets."""
-    med = float(np.median(targets))
-    mad = float(np.median(np.abs(np.asarray(targets) - med)))
-    return med, mad
+    """Median and median absolute deviation of the targets.
+
+    Both are :func:`datagen.median`, which equals ``np.median`` bit for bit.
+    """
+    med = median(targets)
+    return med, median(np.abs(np.asarray(targets) - med))
 
 
 def validation_filter(records: RecordBatch,

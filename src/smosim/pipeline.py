@@ -15,7 +15,7 @@ from enum import Enum
 import numpy as np
 
 from .config import DerivedFeature, FeatureSpec, SplitSpec, model_feature_names
-from .datagen import RecordBatch, encode, is_missing, missing_column
+from .datagen import RecordBatch, encode, is_missing, median, missing_column
 from .errors import (
     ConfigError,
     EmptyDataset,
@@ -148,6 +148,11 @@ class ExplorationReport:
 # -- cleansing --------------------------------------------------------------------
 
 
+def _same(a: np.ndarray, b: np.ndarray) -> np.ndarray:
+    """Elementwise equality under which NaN equals NaN."""
+    return (a == b) | ((a != a) & (b != b))
+
+
 def _first_rows(keys: list[np.ndarray]) -> np.ndarray:
     """Mask of the rows that come first among the rows with equal keys.
 
@@ -157,11 +162,23 @@ def _first_rows(keys: list[np.ndarray]) -> np.ndarray:
     order = np.lexsort(keys[::-1])  # stable: equal rows stay in row order
     same = np.ones(max(n - 1, 0), dtype=bool)
     for k in keys:
-        a, b = k[order[1:]], k[order[:-1]]
-        same &= (a == b) | ((a != a) & (b != b))
+        same &= _same(k[order[1:]], k[order[:-1]])
     keep = np.zeros(n, dtype=bool)
     keep[order[np.concatenate([[True], ~same])[:n]]] = True
     return keep
+
+
+def _tied(values: np.ndarray) -> np.ndarray:
+    """Mask of the values that equal another value; NaN equals NaN.
+
+    Equal values are neighbours in any sorted order, so the sort need not be
+    stable.
+    """
+    order = np.argsort(values)
+    same = _same(values[order[1:]], values[order[:-1]])
+    tied = np.zeros(len(values), dtype=bool)
+    tied[order[1:][same]] = tied[order[:-1][same]] = True
+    return tied
 
 
 def _value_keys(b: RecordBatch) -> list[np.ndarray]:
@@ -183,7 +200,7 @@ def _impute_value(spec: FeatureSpec, col: np.ndarray):
     if not len(present) or spec.type == "identifier":
         return None
     if spec.type == "numeric":
-        return float(np.median(present))
+        return median(present)
     counts = np.bincount(present, minlength=len(spec.vocab))
     return spec.vocab.index(min(v for v, c in zip(spec.vocab, counts) if c == counts.max()))
 
@@ -196,6 +213,9 @@ def cleanse(d: Dataset) -> Dataset:
     the target, where a missing value equals a missing value. So when an id
     repeats with different values, only its first row competes on values,
     and later rows with that id are dropped even if the first one was.
+    The target is part of the tuple, so a first row of an id whose target
+    ties no other first row's is first in its tuple: only the rows with
+    tied targets are sorted by every key, and the rule above holds as stated.
     Missing numerics take the column median of present values, missing
     categoricals the most frequent value (ties: lexicographic), missing
     identifiers "". Out-of-range numerics clamp to the nearest bound their
@@ -203,8 +223,12 @@ def cleanse(d: Dataset) -> Dataset:
     """
     d._require_stage(Stage.RAW)
     b = d.records
-    first_of_id = np.flatnonzero(_first_rows([b.record_id]))
-    kept = first_of_id[_first_rows([k[first_of_id] for k in _value_keys(b)])]
+    keep = np.zeros(len(b), dtype=bool)
+    keep[np.unique(b.record_id, return_index=True)[1]] = True
+    first_of_id = np.flatnonzero(keep)
+    tied = first_of_id[_tied(b.target[first_of_id])]
+    keep[tied[~_first_rows(_value_keys(b.take(tied)))]] = False
+    kept = np.flatnonzero(keep)
     if not len(kept):
         raise EmptyDataset("no records left after deduplication")
     b = b.take(kept)

@@ -74,7 +74,7 @@ def reference(parts, renames, derived, scaling):
 @st.composite
 def sources(draw):
     """One to three sources; each may rename fields and narrow its numeric
-    ranges. Values repeat, go missing and leave range."""
+    ranges. Values repeat, go missing and leave range; targets tie or not."""
     parts, renames = [], {}
     for owner in OWNERS[:draw(st.integers(1, 3))]:
         schema, table = [], {}
@@ -92,7 +92,8 @@ def sources(draw):
         rows = draw(st.lists(st.tuples(
             st.integers(0, 8),
             st.fixed_dictionaries({s.name: values[s.type] for s in schema}),
-            st.sampled_from([0.0, 1.0, 2.5])), max_size=6))
+            st.one_of(st.sampled_from([0.0, 1.0, 2.5]),
+                      st.floats(-5.0, 5.0, allow_nan=False))), max_size=6))
         parts.append((owner, schema, rows))
         renames[owner] = table
     return parts, renames

@@ -11,7 +11,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smosim.config import FeatureSpec, SourceSpec, EmissionSpec
-from smosim.datagen import encode, generate_batch, is_missing, streaming_emission_ticks
+from smosim.datagen import (encode, generate_batch, is_missing, median,
+                            streaming_emission_ticks)
 from smosim.errors import SchemaMismatch
 from smosim.topology import ComponentId, ComponentKind
 
@@ -213,3 +214,24 @@ class TestEmission:
         records = generate_batch(spec, 4000, seed=13)
         targets = records.target
         assert np.std(targets) == pytest.approx(2.0, rel=0.1)
+
+
+@st.composite
+def median_inputs(draw):
+    """Odd and even lengths from 1 up, with repeats, both zeros, both
+    infinities and, sometimes, a NaN anywhere."""
+    special = st.sampled_from([0.0, -0.0, 1.5, -1.5, math.inf, -math.inf])
+    values = draw(st.lists(st.one_of(special, st.floats(allow_nan=False)),
+                           min_size=1, max_size=12))
+    if draw(st.booleans()):
+        values.insert(draw(st.integers(0, len(values))), math.nan)
+    return np.array(values)
+
+
+@settings(max_examples=500, deadline=None)
+@given(median_inputs())
+def test_median_equals_numpy_bit_for_bit(a):
+    with np.errstate(invalid="ignore"):  # inf + -inf in the mean of two
+        got, want = median(a), float(np.median(a))
+    # repr tells -0.0 from 0.0; NaN has one repr
+    assert repr(got) == repr(want)

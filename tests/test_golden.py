@@ -32,6 +32,24 @@ def test_golden_run_matches_pin(name, tmp_path):
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
+def test_golden_run_does_not_import_numpy_ma(name, tmp_path):
+    """A run uses nothing from ``numpy.ma``, but ``np.median`` and
+    ``np.percentile`` import it on their first call, a cost paid by every
+    run. A fresh process runs the case and builds its outputs, then reports."""
+    script = ("import sys; from pathlib import Path; "
+              "from golden.cases import pinned, run_case; "
+              f"pinned(run_case({name!r}, Path(sys.argv[1]))); "
+              "print('numpy.ma' in sys.modules)")
+    tests = Path(__file__).resolve().parent
+    src = Path(smosim.__file__).resolve().parents[1]
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join([str(src), str(tests)]))
+    proc = subprocess.run([sys.executable, "-c", script, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == ["False"]
+
+
+@pytest.mark.parametrize("name", sorted(CASES))
 def test_report_rebuilds_from_the_out_dir(name, tmp_path, monkeypatch):
     """``report.json`` is a fold of ``events.jsonl``: the config and the log
     that ``smosim run --out`` writes rebuild its text exactly."""

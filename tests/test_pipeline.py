@@ -106,6 +106,47 @@ class TestCleanse:
             cleanse(cleansed)
 
 
+def _full_sort_dedup(b: RecordBatch) -> np.ndarray:
+    """The dedup as one sort over every key of every row: the first row of
+    each id, then the first row of each field tuple among those."""
+    first_of_id = np.flatnonzero(pipeline._first_rows([b.record_id]))
+    keys = [k[first_of_id] for k in pipeline._value_keys(b)]
+    return first_of_id[pipeline._first_rows(keys)]
+
+
+DEDUP_SCHEMA = [FeatureSpec("x", "numeric", valid_range=(0.0, 10.0)),
+                FeatureSpec("c", "categorical", vocab=("a", "b")),
+                FeatureSpec("ue", "identifier")]
+
+
+@st.composite
+def dedup_batches(draw):
+    """One or two sources, the second with its own field names or not; ids
+    repeat, values go missing as NaN, -1 or None, rows may differ only in an
+    identifier, and targets are a mix of tied (NaN included) and unique."""
+    values = {"numeric": st.sampled_from([None, 0.0, -0.0, 1.0]),
+              "categorical": st.sampled_from([None, "a", "b"]),
+              "identifier": st.sampled_from([None, "u1", "u2"])}
+    targets = st.one_of(st.sampled_from([0.0, 1.0, math.nan]),
+                        st.floats(-1e3, 1e3, allow_nan=False))
+    parts = []
+    for owner in (SRC, SRC2)[:draw(st.integers(1, 2))]:
+        schema = [FeatureSpec(f"{f.name}2", f.type, f.vocab, f.valid_range)
+                  if owner is SRC2 and draw(st.booleans()) else f for f in DEDUP_SCHEMA]
+        rows = draw(st.lists(st.tuples(
+            st.integers(0, 12), st.fixed_dictionaries({f.name: values[f.type] for f in schema}),
+            targets), min_size=1, max_size=20))
+        parts.append(_batch(rows, schema, owner))
+    return RecordBatch.concat(parts)
+
+
+@settings(max_examples=300, deadline=None)
+@given(dedup_batches())
+def test_cleanse_keeps_the_rows_of_a_full_sort_dedup(b):
+    kept = cleanse(Dataset(Stage.RAW, b, PROV)).records.record_id
+    assert list(kept) == list(b.record_id[_full_sort_dedup(b)])
+
+
 class TestFormat:
     def test_renaming_merges_columns(self):
         canonical = [FeatureSpec("cpu", "numeric", valid_range=(0.0, 1.0))]
