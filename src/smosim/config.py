@@ -223,6 +223,11 @@ MAX_ROUNDS = 10_000
 # records one source draws in a collection, or one deploy target over its monitor
 # rounds: each is drawn at once, so a config may not ask for an unbounded number
 MAX_RECORDS = 1_000_000
+# the topology links every pair of AI/ML instances and each rApp to each instance,
+# so a config may not ask for an unbounded number of any component kind
+MAX_COMPONENTS = 128
+# ticks are stored in int64 columns, so the loop may process no later tick
+MAX_TICK = 2 ** 63 - 1
 
 
 @dataclass(frozen=True)
@@ -377,21 +382,26 @@ class LinkSpec:
     interface: InterfaceName
 
 
+def _count(lo: int, **kw: Any) -> Any:
+    return _rule(lambda v: lo <= v <= MAX_COMPONENTS,
+                 f"must lie in [{lo}, {MAX_COMPONENTS}], got {{v}}", **kw)
+
+
 @dataclass(frozen=True)
 class TopologyCounts:
-    nssmf: int = _min(0, default=0)
-    nfmf_per_nssmf: int = _min(0, default=0)
-    nfvo: int = _min(0, default=0)
-    vnfm: int = _min(0, default=0)
-    vim: int = _min(0, default=0)
-    wim: int = _min(0, default=0)
-    cism: int = _min(0, default=0)
-    cir: int = _min(0, default=0)
-    ccm: int = _min(0, default=0)
-    mda_3gpp: int = _min(0, default=0)
-    mda_nfv: int = _min(0, default=0)
-    rapps: int = _min(0, default=0)
-    aiml_instances: int = _min(1, default=1)
+    nssmf: int = _count(0, default=0)
+    nfmf_per_nssmf: int = _count(0, default=0)
+    nfvo: int = _count(0, default=0)
+    vnfm: int = _count(0, default=0)
+    vim: int = _count(0, default=0)
+    wim: int = _count(0, default=0)
+    cism: int = _count(0, default=0)
+    cir: int = _count(0, default=0)
+    ccm: int = _count(0, default=0)
+    mda_3gpp: int = _count(0, default=0)
+    mda_nfv: int = _count(0, default=0)
+    rapps: int = _count(0, default=0)
+    aiml_instances: int = _count(1, default=1)
     external_provider: bool = False
     extra_links: tuple[LinkSpec, ...] = ()
 
@@ -428,7 +438,8 @@ class ScenarioConfig:
     monitor: MonitorSpec = field(default_factory=MonitorSpec)
     harness: HarnessSpec = field(default_factory=HarnessSpec)
     external: ExternalSpec | None = None
-    max_ticks: int = 10_000_000
+    max_ticks: int = _rule(lambda v: v <= MAX_TICK, f"must be <= {MAX_TICK}, got {{v}}",
+                           default=10_000_000)
     raw: dict[str, Any] = field(default_factory=dict, repr=False)
 
     def interface_specs(self) -> list[InterfaceSpec]:
@@ -626,6 +637,9 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
     _expect(1 <= cfg.rounds <= MAX_ROUNDS if kind is ScenarioKind.C else cfg.rounds == 1,
             "scenario.rounds", f"rounds must lie in [1, {MAX_ROUNDS}], and be 1 for scenarios "
             "A and B")
+    _expect(counts.nssmf * counts.nfmf_per_nssmf <= MAX_COMPONENTS, "topology.nfmf_per_nssmf",
+            f"{counts.nssmf} NSSMFs of {counts.nfmf_per_nssmf} NFMFs exceed "
+            f"{MAX_COMPONENTS} NFMFs")
     nfv_kinds = ("vnfm", "vim", "wim", "cism", "cir", "ccm")
     _expect(counts.nfvo > 0 or not any(getattr(counts, k) for k in nfv_kinds), "topology.nfvo",
             f"{', '.join(nfv_kinds)} attach to an NFVO, so they need nfvo >= 1")

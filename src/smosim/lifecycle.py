@@ -1,9 +1,11 @@
 """Model registry, lifecycle state machine, monitoring window and drift rule.
 
 The registry is the single authority on model versions and legal state
-transitions; its JSON snapshot doubles as the failover checkpoint format and
-the external import format. The :class:`MonitorWindow` is the single record
-of the reported samples a deployed model is monitored on.
+transitions. It holds each model's current state only: every state an entry
+enters, its registration included, is reported to the registry's ``on_step``
+callable, which keeps the one record of how the model got there. Its JSON
+snapshot doubles as the failover checkpoint format. The :class:`MonitorWindow`
+is the single record of the reported samples a deployed model is monitored on.
 """
 
 from __future__ import annotations
@@ -13,7 +15,7 @@ from collections import deque
 from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
-from typing import Any
+from typing import Any, Callable
 
 import numpy as np
 
@@ -73,6 +75,9 @@ class ModelArtifact:
         else:
             if self.parameters.feature >= width:
                 raise InvalidArtifact("stump split feature outside the schema")
+        if not len(self.scaler.offset) == len(self.scaler.scale) == width:
+            raise InvalidArtifact(f"scaler widths {len(self.scaler.offset)} and "
+                                  f"{len(self.scaler.scale)} != schema width {width}")
 
     @property
     def param_count(self) -> int:
@@ -135,7 +140,6 @@ class RegistryEntry:
     artifact: ModelArtifact
     state: LifecycleState
     provenance: dict[str, Any] = field(default_factory=dict)
-    history: list[tuple[int, str, str]] = field(default_factory=list)
     refinements: int = 0
 
     def to_dict(self) -> dict[str, Any]:
@@ -145,7 +149,6 @@ class RegistryEntry:
             "artifact": self.artifact.to_dict(),
             "state": self.state.value,
             "provenance": self.provenance,
-            "history": [list(h) for h in self.history],
             "refinements": self.refinements,
         }
 
@@ -157,29 +160,39 @@ class RegistryEntry:
             artifact=ModelArtifact.from_dict(d["artifact"]),
             state=LifecycleState(d["state"]),
             provenance=dict(d.get("provenance", {})),
-            history=[(int(t), a, b) for t, a, b in d.get("history", [])],
             refinements=int(d.get("refinements", 0)),
         )
 
 
-class Registry:
-    """Versioned model store; every mutation honors the legal-transition digraph."""
+# called after each state an entry enters, with the state it left (None if registered)
+OnStep = Callable[[RegistryEntry, LifecycleState | None], None]
 
-    def __init__(self) -> None:
+
+class Registry:
+    """Versioned model store; every mutation honors the legal-transition digraph.
+
+    The registry holds each model's current state and, per (model, target),
+    the version active there; it keeps no history. Each step it makes is
+    reported to ``on_step`` once the entry is in its new state.
+    """
+
+    def __init__(self, on_step: OnStep) -> None:
+        self.on_step = on_step
         self.entries: dict[str, RegistryEntry] = {}
-        # (model_id, target) -> list of (version, tick, active)
-        self.deployments: dict[tuple[str, str], list[list[Any]]] = {}
+        # (model_id, target) -> the version active there
+        self.deployments: dict[tuple[str, str], int] = {}
 
     # -- registration ------------------------------------------------------------
 
-    def register(self, artifact: ModelArtifact, model_id: str, tick: int,
+    def register(self, artifact: ModelArtifact, model_id: str,
                  provenance: dict[str, Any] | None = None,
                  validation: tuple[np.ndarray, np.ndarray] | None = None,
                  mse_threshold: float | None = None) -> RegistryEntry:
         """New entry in Trained (internal) or Validated (external) state.
 
         External artifacts must additionally pass evaluation on a local
-        validation partition before they are accepted.
+        validation partition, scaled by their own scaler as inference scales
+        it, before they are accepted.
         """
         if model_id in self.entries:
             raise InvalidArtifact(f"model id {model_id!r} already registered; "
@@ -195,8 +208,7 @@ class Registry:
                 raise InvalidArtifact(
                     f"validation width {Xv.shape[1]} != artifact schema "
                     f"{len(artifact.feature_names)}")
-            Xs = artifact.scaler.apply(Xv) if artifact.scaler.mode != "none" else Xv
-            metrics = evaluate(artifact.parameters, artifact.kind, Xs, yv)
+            metrics = evaluate(artifact.parameters, artifact.kind, artifact.scaler.apply(Xv), yv)
             if metrics.mse > mse_threshold:
                 raise InvalidArtifact(
                     f"external artifact failed validation: mse {metrics.mse:.6g} "
@@ -207,75 +219,59 @@ class Registry:
         entry = RegistryEntry(model_id=model_id, version=1, artifact=artifact,
                               state=state, provenance=provenance or {})
         self.entries[model_id] = entry
+        self.on_step(entry, None)
         return entry
 
-    def reregister(self, model_id: str, artifact: ModelArtifact, tick: int) -> RegistryEntry:
-        """Install a refined artifact as the next version (Refining -> Trained).
-
-        An entry already sitting in Trained (a restored in-flight training
-        job) is replaced in place without a transition record.
-        """
+    def reregister(self, model_id: str, artifact: ModelArtifact) -> RegistryEntry:
+        """Install a refined artifact as the next version (Refining -> Trained)."""
         entry = self.entries[model_id]
-        if entry.state is not LifecycleState.TRAINED:
-            self.transition(entry, LifecycleState.TRAINED, tick)
-        entry.version += 1
+        if (entry.state, LifecycleState.TRAINED) not in LEGAL_TRANSITIONS:
+            raise IllegalTransition(f"{entry.state.value} -> {LifecycleState.TRAINED.value}")
+        entry.version += 1  # first, so that the step carries the new version
         artifact.version = entry.version
         entry.artifact = artifact
-        return entry
+        return self.transition(entry, LifecycleState.TRAINED)
 
     # -- state machine ------------------------------------------------------------
 
-    def transition(self, entry: RegistryEntry, to: LifecycleState, tick: int) -> RegistryEntry:
-        if (entry.state, to) not in LEGAL_TRANSITIONS:
-            raise IllegalTransition(f"{entry.state.value} -> {to.value}")
-        entry.history.append((tick, entry.state.value, to.value))
+    def transition(self, entry: RegistryEntry, to: LifecycleState) -> RegistryEntry:
+        before = entry.state
+        if (before, to) not in LEGAL_TRANSITIONS:
+            raise IllegalTransition(f"{before.value} -> {to.value}")
         entry.state = to
+        self.on_step(entry, before)
         return entry
 
-    def deploy(self, entry: RegistryEntry, target: str, tick: int) -> None:
-        """Mark entry active at target; only Validated (or already Deployed
-        for additional targets) entries may be placed."""
+    def deploy(self, entry: RegistryEntry, target: str) -> None:
+        """Make the entry's version the one active at target; only Validated (or
+        already Deployed for additional targets) entries may be placed."""
         if entry.state is LifecycleState.VALIDATED:
-            self.transition(entry, LifecycleState.DEPLOYED, tick)
+            self.transition(entry, LifecycleState.DEPLOYED)
         elif entry.state is not LifecycleState.DEPLOYED:
             raise IllegalTransition(f"deploy from {entry.state.value}")
-        history = self.deployments.setdefault((entry.model_id, target), [])
-        for rec in history:
-            rec[2] = False
-        history.append([entry.version, tick, True])
+        self.deployments[(entry.model_id, target)] = entry.version
 
     def active_deployments(self, model_id: str) -> dict[str, int]:
-        out = {}
-        for (mid, target), history in self.deployments.items():
-            if mid != model_id:
-                continue
-            active = [rec[0] for rec in history if rec[2]]
-            if len(active) > 1:
-                raise IllegalTransition(
-                    f"{len(active)} versions active at {target} for {mid}")
-            if active:
-                out[target] = active[0]
-        return out
+        return {target: version for (mid, target), version in self.deployments.items()
+                if mid == model_id}
 
     # -- checkpointing --------------------------------------------------------------
 
     def snapshot(self) -> dict[str, Any]:
         return {
             "entries": {mid: e.to_dict() for mid, e in sorted(self.entries.items())},
-            "deployments": {
-                f"{mid}@{target}": [list(rec) for rec in history]
-                for (mid, target), history in sorted(self.deployments.items())
-            },
+            "deployments": {f"{mid}@{target}": version
+                            for (mid, target), version in sorted(self.deployments.items())},
         }
 
     @staticmethod
-    def restore(snapshot: dict[str, Any]) -> "Registry":
-        reg = Registry()
+    def restore(snapshot: dict[str, Any], on_step: OnStep) -> "Registry":
+        reg = Registry(on_step)
         for mid, entry_d in snapshot.get("entries", {}).items():
             reg.entries[mid] = RegistryEntry.from_dict(entry_d)
-        for key, history in snapshot.get("deployments", {}).items():
+        for key, version in snapshot.get("deployments", {}).items():
             mid, _, target = key.partition("@")
-            reg.deployments[(mid, target)] = [list(rec) for rec in history]
+            reg.deployments[(mid, target)] = int(version)
         return reg
 
     def total_params(self) -> int:

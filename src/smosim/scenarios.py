@@ -20,6 +20,10 @@ and logs each entry as a ``phase`` event. A failing step raises a named
 The Driver keeps no report while the run goes. It logs each fact where it
 happens, and :func:`report_from` folds the RunReport from the config and the
 event log alone, so a report can be rebuilt from a run's ``events.jsonl``.
+The model lifecycle is one such fact: the registry holds each model's current
+state only and reports every step it makes, a registration included, to
+``Driver._log_step``, the only writer of ``transition`` events. A failover
+restore rolls the registry back to a checkpoint, never the log.
 
 Every message travels hop by hop over the declared links. The only routing
 rule is :meth:`Driver.next_hop`: the neighbour with the fewest hops to the
@@ -258,7 +262,9 @@ class RunReport:
     - ``inference``, one per evaluation: ``inference_ticks`` is their
       ``records`` times ``inference_tick_per_record``; ``forgetting_mse`` is
       the last refinement's on the initial test split.
-    - the last ``Refining`` ``transition``: ``refinements``, its entry's count.
+    - ``transition``, one per state a model entry enters, with the state it
+      left as ``from`` (None for a registration): the last ``Refining`` one
+      gives ``refinements``, its entry's count.
     - the last ``poison_detection``: ``poison``; any ``artifact_rejected``:
       ``artifact_rejected``.
     - :func:`timeline`: ``faults``, ``downtime_ticks``, ``time_to_detection``
@@ -461,7 +467,7 @@ class _TargetBehavior:
         if msg.payload_kind is not PayloadKind.MODEL_ARTIFACT:
             return
         self.artifact = msg.payload
-        self.driver.on_artifact_delivered(self.cid, self.artifact.version, sim.clock)
+        self.driver.on_artifact_delivered(self.cid, self.artifact.version)
         mon = self.driver.config.monitor
         if mon.rounds > 0 and self.spec is not None and self.drawn is None:
             self.drawn = self._draw_rounds()
@@ -654,7 +660,7 @@ class Driver:
             self._setup_error = exc
             self.topology = Topology({spec.name: spec for spec in config.interface_specs()})
         self.sim = Simulation(self.topology)
-        self.registry = Registry()
+        self.registry = Registry(self._log_step)
         self.config_hash = config.config_hash()
         self.canonical = config.canonical_schema()
         self.derived = tuple(config.pipeline.derived)
@@ -686,7 +692,6 @@ class Driver:
         self._global_artifact: ModelArtifact | None = None
         self._test_metrics: learn.EvalMetrics | None = None
         self._chosen_hp = config.model.hyperparams
-        self._local_data_cache: dict[str, datagen.RecordBatch] = {}
 
         self.sources = {s.owner: _SourceBehavior(self, s) for s in config.sources}
         self.domains: dict[ComponentId, _DomainBehavior] = {}
@@ -1040,22 +1045,15 @@ class Driver:
         }
         if MODEL_ID in self.registry.entries:
             # refinement, or a rerun on a registry restored from checkpoint
-            entry = self.registry.reregister(MODEL_ID, artifact, self.sim.clock)
+            entry = self.registry.reregister(MODEL_ID, artifact)
         else:
-            entry = self.registry.register(artifact, MODEL_ID, self.sim.clock,
-                                           provenance=provenance)
-        self.sim.log_event("transition", src=self.active_aiml,
-                           detail={"model": MODEL_ID, "version": entry.version,
-                                   "state": entry.state.value})
+            entry = self.registry.register(artifact, MODEL_ID, provenance=provenance)
         test = learn.evaluate(result.params, cfg.model.kind, self.split.test.X,
                               self.split.test.y, cfg.model.hyperparams.threshold)
         self.sim.log_event("inference", src=self.active_aiml,
                            detail={"records": len(self.split.test)})
         self._test_metrics = test
-        self.registry.transition(entry, LifecycleState.VALIDATED, self.sim.clock)
-        self.sim.log_event("transition", src=self.active_aiml,
-                           detail={"model": MODEL_ID, "version": entry.version,
-                                   "state": "Validated"})
+        self.registry.transition(entry, LifecycleState.VALIDATED)
         self._deploy(entry)
 
     # -- deployment ----------------------------------------------------------------------------------
@@ -1070,7 +1068,7 @@ class Driver:
         payload_bytes = self.sizes.artifact_bytes(entry.artifact.param_count, inflation)
         any_remote = False
         for target in targets:
-            self.registry.deploy(entry, str(target), self.sim.clock)
+            self.registry.deploy(entry, str(target))
             if target.kind is ComponentKind.AIML_FUNCTION:
                 continue
             any_remote = True
@@ -1080,14 +1078,11 @@ class Driver:
                             meta={"deploy": True, "version": version})
         if entry.state is LifecycleState.VALIDATED and not targets:
             # no placement requested: the model stays hosted at the AI/ML function
-            self.registry.deploy(entry, str(self.active_aiml), self.sim.clock)
-        self.sim.log_event("transition", src=self.active_aiml,
-                           detail={"model": MODEL_ID, "version": version,
-                                   "state": "Deployed"})
+            self.registry.deploy(entry, str(self.active_aiml))
         if not any_remote:
             self._deployment_complete(version)
 
-    def on_artifact_delivered(self, target: ComponentId, version: int, tick: int) -> None:
+    def on_artifact_delivered(self, target: ComponentId, version: int) -> None:
         pending = self._expected_artifacts.get(version)
         if pending is None:
             return
@@ -1109,10 +1104,7 @@ class Driver:
     def _start_monitoring(self, entry) -> None:
         """Enter monitoring, opening a window on the entry's baseline unless one is open."""
         if entry.state is LifecycleState.DEPLOYED:
-            self.registry.transition(entry, LifecycleState.MONITORED, self.sim.clock)
-            self.sim.log_event("transition", src=self.active_aiml,
-                               detail={"model": MODEL_ID, "version": entry.version,
-                                       "state": "Monitored"})
+            self.registry.transition(entry, LifecycleState.MONITORED)
         if self.monitor is None:
             self.monitor = MonitorWindow(
                 capacity=self.config.monitor.window,
@@ -1148,7 +1140,6 @@ class Driver:
         entry = self.registry.entries.get(MODEL_ID)
         if entry is None or entry.state is not LifecycleState.MONITORED:
             return
-        tick = self.sim.clock
         assert self.monitor is not None
         self.sim.log_event("drift_detected", src=self.active_aiml, detail={
             "window_mse": window_mse, "baseline_mse": self.monitor.baseline_mse})
@@ -1156,13 +1147,10 @@ class Driver:
             self.sim.log_event("refinement_budget_exhausted", src=self.active_aiml,
                                detail={"model": MODEL_ID,
                                        "refinements": entry.refinements})
-            self.registry.transition(entry, LifecycleState.RETIRED, tick)
+            self.registry.transition(entry, LifecycleState.RETIRED)
             raise RefinementBudgetExhausted()
         entry.refinements += 1
-        self.registry.transition(entry, LifecycleState.REFINING, tick)
-        self.sim.log_event("transition", src=self.active_aiml,
-                           detail={"model": MODEL_ID, "version": entry.version,
-                                   "state": "Refining", "refinements": entry.refinements})
+        self.registry.transition(entry, LifecycleState.REFINING)
         self._enter(Phase.REFINE)
         self._run_refinement(entry)
 
@@ -1205,14 +1193,14 @@ class Driver:
             origin="internal", created_tick=self.sim.clock,
             packaged=cfg.deploy.packaged,
         )
-        entry = self.registry.reregister(MODEL_ID, artifact, self.sim.clock)
+        entry = self.registry.reregister(MODEL_ID, artifact)
         if self.split is not None:
             # forgetting: the refined model on the initial test split
             forgetting = learn.evaluate(params, cfg.model.kind, self.split.test.X,
                                         self.split.test.y, cfg.model.hyperparams.threshold)
             self.sim.log_event("inference", src=self.active_aiml, detail={
                 "records": len(self.split.test), "forgetting_mse": forgetting.mse})
-        self.registry.transition(entry, LifecycleState.VALIDATED, self.sim.clock)
+        self.registry.transition(entry, LifecycleState.VALIDATED)
         if self.monitor is not None:
             self.monitor.clear(new_baseline=metrics.mse)
         self._deploy(entry)
@@ -1278,17 +1266,14 @@ class Driver:
         artifact = self._global_artifact
         artifact.metrics = learn.EvalMetrics(mse=val_mse, rmse=math.sqrt(val_mse),
                                              accuracy=val_acc)
-        entry = self.registry.register(artifact, MODEL_ID, self.sim.clock, provenance={
+        entry = self.registry.register(artifact, MODEL_ID, provenance={
             "scenario": "C", "dataset_config_hash": self.config_hash,
             "search_spec_hash": _search_hash(self.config)})
-        self.registry.transition(entry, LifecycleState.VALIDATED, self.sim.clock)
+        self.registry.transition(entry, LifecycleState.VALIDATED)
         self._test_metrics = learn.EvalMetrics(mse=test_mse, rmse=math.sqrt(test_mse),
                                                accuracy=test_acc)
         for owner in sorted(self.domains):
-            self.registry.deploy(entry, str(owner), self.sim.clock)
-        self.sim.log_event("transition", src=self.active_aiml,
-                           detail={"model": MODEL_ID, "version": entry.version,
-                                   "state": "Deployed"})
+            self.registry.deploy(entry, str(owner))
         self._finish()
 
     # -- scenario C helpers shared with domain behaviors ---------------------------------------------------
@@ -1320,25 +1305,20 @@ class Driver:
         return result
 
     def build_local_split(self, spec: SourceSpec) -> pipeline.SplitDataset:
-        records = self.local_cleansed_records(spec)
+        """A domain's split of its own cleansed records, drawn from the substream
+        tagged (config seed, "datagen", owner kind, owner index, 0)."""
+        rng = datagen.derive_rng(self.config.seed, "datagen", spec.owner.kind.value,
+                                 spec.owner.index, 0)
+        ids = self.sim.next_record_ids(_batch_total(spec, spec.emission.size))
+        records = datagen.generate_batch(spec, spec.emission.size, rng,
+                                         id_start=ids.start, tick=self.sim.clock)
         provenance = pipeline.Provenance((str(spec.owner),), (0, 0), self.config_hash)
-        ds = pipeline.Dataset(pipeline.Stage.CLEANSED, records, provenance)
+        ds = pipeline.Dataset(pipeline.Stage.CLEANSED, self.local_cleanse(spec, records),
+                              provenance)
         formatted = pipeline.format_dataset(ds, spec.canonical_schema(),
                                             {spec.owner: spec.rename})
         td = pipeline.transform(formatted, self.config.pipeline.scaling, self.derived)
         return pipeline.split(td, self.config.pipeline.split)
-
-    def local_cleansed_records(self, spec: SourceSpec) -> datagen.RecordBatch:
-        key = str(spec.owner)
-        cache = self._local_data_cache
-        if key not in cache:
-            rng = datagen.derive_rng(self.config.seed, "datagen", spec.owner.kind.value,
-                                     spec.owner.index, 0)
-            ids = self.sim.next_record_ids(_batch_total(spec, spec.emission.size))
-            records = datagen.generate_batch(spec, spec.emission.size, rng,
-                                             id_start=ids.start, tick=self.sim.clock)
-            cache[key] = self.local_cleanse(spec, records)
-        return cache[key]
 
     def local_cleanse(self, spec: SourceSpec,
                       records: datagen.RecordBatch) -> datagen.RecordBatch:
@@ -1359,12 +1339,8 @@ class Driver:
         base = pipeline.base_design_matrix(records, self.canonical, self.derived)
         y = records.target
         try:
-            if base.shape[1] != len(artifact.feature_names):
-                raise InvalidArtifact(
-                    f"artifact schema width {len(artifact.feature_names)} != "
-                    f"local width {base.shape[1]}")
             entry = self.registry.register(
-                artifact, MODEL_ID, self.sim.clock,
+                artifact, MODEL_ID,
                 provenance={"scenario": "A", "dataset_config_hash": self.config_hash,
                             "search_spec_hash": _search_hash(cfg)},
                 validation=(base, y),
@@ -1433,7 +1409,8 @@ class Driver:
         self.sim.log_event("promotion", src=replica, detail={"failed": str(plan.target)})
         self.active_aiml = replica
         self.last_checkpoint_at_promotion = checkpoint
-        self.registry = Registry.restore(checkpoint["registry"]) if checkpoint else Registry()
+        self.registry = Registry.restore(checkpoint["registry"], self._log_step) \
+            if checkpoint else Registry(self._log_step)
         self.restored_registry_snapshot = self.registry.snapshot()
         entry = self.registry.entries.get(MODEL_ID)
         self.sim.log_event("mitigation", src=replica, detail={
@@ -1485,7 +1462,15 @@ class Driver:
         Phase.FEDERATED: _resume_rounds,
     }
 
-    # -- phase and completion ------------------------------------------------------------------------------------
+    # -- lifecycle, phase and completion -------------------------------------------------------------------------
+
+    def _log_step(self, entry, before: LifecycleState | None) -> None:
+        """The registry's ``on_step``: log each state a model entry enters as ``transition``."""
+        detail = {"model": entry.model_id, "version": entry.version,
+                  "from": None if before is None else before.value, "state": entry.state.value}
+        if entry.state is LifecycleState.REFINING:
+            detail["refinements"] = entry.refinements
+        self.sim.log_event("transition", src=self.active_aiml, detail=detail)
 
     phase = Phase.IDLE  # until the first _enter, the only writer of a Driver's phase
 

@@ -36,9 +36,11 @@ def check_invariants(result: RunResult) -> None:
     assert completes == [len(entries) - 1], \
         f"run_complete at {completes} of {len(entries)} events"
 
-    for entry in result.registry.entries.values():
-        for step in entry.history:
-            assert tuple(step[1:]) in _LEGAL, f"{entry.model_id}: illegal step {step}"
+    # the log is the one record of the model lifecycle: each step is a
+    # registration (from None) or a legal transition
+    steps = [(e.detail["from"], e.detail["state"]) for e in entries if e.type == "transition"]
+    for step in steps:
+        assert step[0] is None or step in _LEGAL, f"illegal lifecycle step {step}"
 
     # message conservation: each delivery or drop ends exactly one earlier send
     # of the same message, unchanged, after its interface's latency
@@ -116,8 +118,7 @@ def check_invariants(result: RunResult) -> None:
         f"completed run leaves detected faults unresolved: {unresolved}"
     config: ScenarioConfig = result.driver.config
     scenario_origin = _SCENARIO_ORIGIN.get((config.kind, config.mode), "internal")
-    refined = any(tuple(step[1:]) == _REFINED
-                  for entry in result.registry.entries.values() for step in entry.history)
+    refined = _REFINED in steps
     origins = {scenario_origin} | ({"internal"} if refined else set())
     artifacts = [(f"registry {e.model_id}", e.artifact)
                  for e in result.registry.entries.values()]

@@ -20,9 +20,11 @@ from smosim.config import (
     DeploySpec,
     EmissionSpec,
     HarnessSpec,
+    MAX_COMPONENTS,
     MAX_RECORDS,
     MAX_ROUNDS,
     MAX_SEARCH_TRIALS,
+    MAX_TICK,
     ModelSpec,
     MonitorSpec,
     PipelineSpec,
@@ -443,6 +445,49 @@ class TestCrossFieldRules:
         config = config_from_dict(data)
         assert (config.sources[0].emission.size, config.monitor.rounds) == (
             MAX_RECORDS, MAX_RECORDS // 20)
+
+    @pytest.mark.parametrize("counts, field", [
+        ({"aiml_instances": 50_000}, "topology.aiml_instances"),
+        ({"rapps": 50_000}, "topology.rapps"),
+        ({"mda_3gpp": MAX_COMPONENTS + 1}, "topology.mda_3gpp"),
+        ({"nssmf": MAX_COMPONENTS, "nfmf_per_nssmf": 2}, "topology.nfmf_per_nssmf"),
+    ], ids=lambda v: json.dumps(v) if isinstance(v, dict) else v)
+    def test_topology_counts_past_the_bound_fail_before_anything_is_built(self, counts, field,
+                                                                          monkeypatch):
+        # the topology grows with the square of the AI/ML instance count
+        def build_topology(config):
+            raise AssertionError("the topology was built")
+
+        monkeypatch.setattr("smosim.config.build_topology", build_topology)
+        data = scenario_b_dict()
+        data["topology"].update(counts)
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert info.value.field == field
+
+    def test_topology_counts_up_to_the_bound_are_accepted(self):
+        data = scenario_b_dict()
+        data["topology"].update(aiml_instances=MAX_COMPONENTS, rapps=MAX_COMPONENTS,
+                                nssmf=MAX_COMPONENTS // 2, nfmf_per_nssmf=2)
+        counts = config_from_dict(data).topology
+        assert (counts.aiml_instances, counts.rapps, counts.nssmf * counts.nfmf_per_nssmf) == \
+            (MAX_COMPONENTS,) * 3
+
+    def test_max_ticks_past_the_int64_tick_columns_is_rejected(self):
+        # accepted, this run let an OverflowError escape from a monitor round's tick column
+        data = scenario_b_dict(max_ticks=2 ** 70)
+        data["monitor"] = {"interval": 2 ** 63}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert info.value.field == "max_ticks"
+
+    @pytest.mark.parametrize("interval", [2 ** 62, 2 ** 63])
+    def test_a_run_up_to_the_largest_max_ticks_ends_in_a_checked_report(self, interval):
+        data = scenario_b_dict(max_ticks=MAX_TICK)
+        data["deploy"] = {"targets": ["MdaSystem3GPP#0"]}
+        data["monitor"] = {"interval": interval, "rounds": 3, "batch": 5}
+        report = checked_run(config_from_dict(data)).report
+        assert report.failure.startswith("TickLimitExceeded")
 
     def test_search_trials_up_to_the_bound_are_accepted(self):
         ranges = {"learning_rate": [0.01, 0.1]}

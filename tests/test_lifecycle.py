@@ -37,12 +37,21 @@ def _artifact(width: int = 2, origin: str = "internal", mse: float = 0.01) -> Mo
     )
 
 
+def _registry() -> tuple[Registry, list[tuple[int, str | None, str]]]:
+    """A registry and the (version, from, state) of each step it reports, in order."""
+    steps: list[tuple[int, str | None, str]] = []
+    reg = Registry(lambda entry, before: steps.append(
+        (entry.version, None if before is None else before.value, entry.state.value)))
+    return reg, steps
+
+
 class TestRegister:
     def test_internal_artifact_enters_trained_v1(self):
-        reg = Registry()
-        entry = reg.register(_artifact(), "m0", tick=3)
+        reg, steps = _registry()
+        entry = reg.register(_artifact(), "m0")
         assert entry.version == 1
         assert entry.state is LifecycleState.TRAINED
+        assert steps == [(1, None, "Trained")]
 
     def test_width_mismatch_rejected(self):
         with pytest.raises(InvalidArtifact):
@@ -54,123 +63,181 @@ class TestRegister:
                 metrics=EvalMetrics(0.0, 0.0, 1.0),
             )
 
+    @pytest.mark.parametrize("offset, scale", [(3, 2), (2, 3), (3, 3)])
+    def test_scaler_width_mismatch_rejected(self, offset, scale):
+        with pytest.raises(InvalidArtifact):
+            ModelArtifact(
+                kind=ModelKind.LINEAR_SGD,
+                parameters=LinearParams(np.ones(2), 0.0),
+                feature_names=["a", "b"],
+                scaler=ScalingParams("none", ["a", "b"], np.zeros(offset), np.ones(scale)),
+                metrics=EvalMetrics(0.0, 0.0, 1.0),
+            )
+
     def test_external_needs_validation_and_threshold(self):
-        reg = Registry()
+        reg, steps = _registry()
         art = _artifact(origin="external")
         X = np.random.default_rng(0).uniform(size=(50, 2))
         y = X @ np.ones(2) + 0.5
-        entry = reg.register(art, "ext", tick=0, validation=(X, y), mse_threshold=0.01)
+        entry = reg.register(art, "ext", validation=(X, y), mse_threshold=0.01)
         assert entry.state is LifecycleState.VALIDATED
+        assert steps == [(1, None, "Validated")]
 
     def test_external_failing_threshold_rejected(self):
-        reg = Registry()
+        reg, steps = _registry()
         art = _artifact(origin="external")
         X = np.random.default_rng(0).uniform(size=(50, 2))
         y = X @ np.ones(2) + 5.0  # bias far off
         with pytest.raises(InvalidArtifact):
-            reg.register(art, "ext", tick=0, validation=(X, y), mse_threshold=0.01)
+            reg.register(art, "ext", validation=(X, y), mse_threshold=0.01)
+        assert not reg.entries and not steps
+
+    def test_external_artifact_is_validated_through_its_scaler(self):
+        # a "none" scaler may still carry an offset, and inference applies it
+        names = ["f0"]
+        art = ModelArtifact(
+            kind=ModelKind.LINEAR_SGD, parameters=LinearParams(np.array([2.0]), 0.0),
+            feature_names=names, scaler=ScalingParams("none", names, np.array([0.5]),
+                                                      np.ones(1)),
+            metrics=EvalMetrics(0.0, 0.0, 1.0), origin="external")
+        X = np.random.default_rng(0).uniform(size=(50, 1))
+        reg, _ = _registry()
+        entry = reg.register(art, "ext", validation=(X, 2.0 * X[:, 0] - 1.0),
+                             mse_threshold=1e-12)
+        assert entry.artifact.metrics.mse == 0.0
+        with pytest.raises(InvalidArtifact):
+            _registry()[0].register(art, "ext", validation=(X, 2.0 * X[:, 0]),
+                                    mse_threshold=0.05)
 
     def test_external_schema_width_checked_against_validation(self):
-        reg = Registry()
+        reg = Registry(lambda entry, before: None)
         art = _artifact(width=2, origin="external")
         X = np.zeros((5, 3))
         with pytest.raises(InvalidArtifact):
-            reg.register(art, "ext", tick=0, validation=(X, np.zeros(5)),
-                         mse_threshold=1.0)
+            reg.register(art, "ext", validation=(X, np.zeros(5)), mse_threshold=1.0)
 
-    def test_reregistration_bumps_version_and_keeps_history(self):
-        reg = Registry()
-        entry = reg.register(_artifact(), "m0", tick=0)
-        reg.transition(entry, LifecycleState.VALIDATED, 1)
-        reg.deploy(entry, "MdaSystem3GPP#0", 2)
-        reg.transition(entry, LifecycleState.MONITORED, 3)
-        reg.transition(entry, LifecycleState.REFINING, 4)
-        entry = reg.reregister("m0", _artifact(), tick=5)
-        assert entry.version == 2
+    def test_reregistration_bumps_version_and_reports_each_step(self):
+        reg, steps = _registry()
+        entry = reg.register(_artifact(), "m0")
+        reg.transition(entry, LifecycleState.VALIDATED)
+        reg.deploy(entry, "MdaSystem3GPP#0")
+        reg.transition(entry, LifecycleState.MONITORED)
+        reg.transition(entry, LifecycleState.REFINING)
+        refined = _artifact()
+        entry = reg.reregister("m0", refined)
+        assert entry.version == refined.version == 2 and entry.artifact is refined
         assert entry.state is LifecycleState.TRAINED
-        assert [h[1:] for h in entry.history] == [
-            ("Trained", "Validated"), ("Validated", "Deployed"),
-            ("Deployed", "Monitored"), ("Monitored", "Refining"),
-            ("Refining", "Trained")]
+        # the reregistration's step carries the new version
+        assert steps == [
+            (1, None, "Trained"), (1, "Trained", "Validated"), (1, "Validated", "Deployed"),
+            (1, "Deployed", "Monitored"), (1, "Monitored", "Refining"),
+            (2, "Refining", "Trained")]
+
+    def test_illegal_reregistration_leaves_the_entry_unchanged(self):
+        reg, steps = _registry()
+        entry = reg.register(_artifact(), "m0")
+        reg.transition(entry, LifecycleState.VALIDATED)
+        reg.deploy(entry, "MdaSystem3GPP#0")
+        artifact, refined = entry.artifact, _artifact()
+        with pytest.raises(IllegalTransition):
+            reg.reregister("m0", refined)
+        assert (entry.version, entry.state, refined.version) == (1, LifecycleState.DEPLOYED, 1)
+        assert entry.artifact is artifact
+        assert steps[-1] == (1, "Validated", "Deployed")
 
 
 class TestTransitions:
     def test_trained_to_validated_allowed(self):
-        reg = Registry()
-        entry = reg.register(_artifact(), "m0", tick=0)
-        reg.transition(entry, LifecycleState.VALIDATED, 1)
+        reg, steps = _registry()
+        entry = reg.register(_artifact(), "m0")
+        reg.transition(entry, LifecycleState.VALIDATED)
         assert entry.state is LifecycleState.VALIDATED
+        assert steps[-1] == (1, "Trained", "Validated")
 
     def test_collected_to_deployed_rejected(self):
-        reg = Registry()
-        entry = reg.register(_artifact(), "m0", tick=0)
+        reg, steps = _registry()
+        entry = reg.register(_artifact(), "m0")
         entry.state = LifecycleState.COLLECTED
         with pytest.raises(IllegalTransition):
-            reg.transition(entry, LifecycleState.DEPLOYED, 1)
+            reg.transition(entry, LifecycleState.DEPLOYED)
+        assert entry.state is LifecycleState.COLLECTED and len(steps) == 1
 
-    def test_refinement_cycle_records_three_transitions(self):
-        reg = Registry()
-        entry = reg.register(_artifact(), "m0", tick=0)
+    def test_refinement_cycle_reports_three_transitions(self):
+        reg, steps = _registry()
+        entry = reg.register(_artifact(), "m0")
         entry.state = LifecycleState.MONITORED
-        entry.history = []
+        steps.clear()
         for to in (LifecycleState.REFINING, LifecycleState.TRAINED,
                    LifecycleState.VALIDATED):
-            reg.transition(entry, to, 1)
-        assert len(entry.history) == 3
+            reg.transition(entry, to)
+        assert steps == [(1, "Monitored", "Refining"), (1, "Refining", "Trained"),
+                         (1, "Trained", "Validated")]
 
     def test_deploy_requires_validated(self):
-        reg = Registry()
-        entry = reg.register(_artifact(), "m0", tick=0)
+        reg, steps = _registry()
+        entry = reg.register(_artifact(), "m0")
         with pytest.raises(IllegalTransition):
-            reg.deploy(entry, "MdaSystem3GPP#0", 1)
+            reg.deploy(entry, "MdaSystem3GPP#0")
+        assert not reg.deployments and len(steps) == 1
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(st.sampled_from(list(LifecycleState)), min_size=1, max_size=12),
            st.sampled_from([LifecycleState.COLLECTED, LifecycleState.TRAINED]))
     def test_fuzzed_histories_stay_inside_legal_digraph(self, targets, start):
-        reg = Registry()
-        entry = reg.register(_artifact(), "m0", tick=0)
+        reg, steps = _registry()
+        entry = reg.register(_artifact(), "m0")
         entry.state = start
-        entry.history = []
-        for i, to in enumerate(targets):
-            legal = (entry.state, to) in LEGAL_TRANSITIONS
-            if legal:
-                reg.transition(entry, to, i)
+        steps.clear()
+        taken = []
+        for to in targets:
+            before = entry.state
+            if (before, to) in LEGAL_TRANSITIONS:
+                reg.transition(entry, to)
+                taken.append((1, before.value, to.value))
             else:
-                before = entry.state
                 with pytest.raises(IllegalTransition):
-                    reg.transition(entry, to, i)
+                    reg.transition(entry, to)
                 assert entry.state is before
-        for tick, frm, to in entry.history:
+        # every legal step is reported, once and in order, and nothing else is
+        assert steps == taken
+        for _, frm, to in steps:
             assert (LifecycleState(frm), LifecycleState(to)) in LEGAL_TRANSITIONS
 
 
 class TestDeployments:
     def test_single_active_version_per_target(self):
-        reg = Registry()
-        entry = reg.register(_artifact(), "m0", tick=0)
-        reg.transition(entry, LifecycleState.VALIDATED, 1)
-        reg.deploy(entry, "NFMF#0", 2)
-        reg.transition(entry, LifecycleState.MONITORED, 3)
-        reg.transition(entry, LifecycleState.REFINING, 4)
-        entry = reg.reregister("m0", _artifact(), tick=5)
-        reg.transition(entry, LifecycleState.VALIDATED, 6)
-        reg.deploy(entry, "NFMF#0", 7)
-        assert reg.active_deployments("m0") == {"NFMF#0": 2}
-        history = reg.deployments[("m0", "NFMF#0")]
-        assert [rec[0] for rec in history] == [1, 2]
-        assert [rec[2] for rec in history] == [False, True]
+        reg, steps = _registry()
+        entry = reg.register(_artifact(), "m0")
+        reg.transition(entry, LifecycleState.VALIDATED)
+        reg.deploy(entry, "NFMF#0")
+        reg.deploy(entry, "MdaSystem3GPP#0")  # already Deployed: no second step
+        reg.transition(entry, LifecycleState.MONITORED)
+        reg.transition(entry, LifecycleState.REFINING)
+        entry = reg.reregister("m0", _artifact())
+        reg.transition(entry, LifecycleState.VALIDATED)
+        reg.deploy(entry, "NFMF#0")
+        assert reg.deployments == {("m0", "NFMF#0"): 2, ("m0", "MdaSystem3GPP#0"): 1}
+        assert reg.active_deployments("m0") == {"NFMF#0": 2, "MdaSystem3GPP#0": 1}
+        assert reg.active_deployments("m1") == {}
+        assert [s for s in steps if s[2] == "Deployed"] == [(1, "Validated", "Deployed"),
+                                                            (2, "Validated", "Deployed")]
 
 
 class TestCheckpoints:
     def test_snapshot_restore_roundtrip_exact(self):
-        reg = Registry()
-        entry = reg.register(_artifact(), "m0", tick=0)
-        reg.transition(entry, LifecycleState.VALIDATED, 1)
-        reg.deploy(entry, "MdaSystemNFV#0", 2)
+        reg, _ = _registry()
+        entry = reg.register(_artifact(), "m0")
+        reg.transition(entry, LifecycleState.VALIDATED)
+        reg.deploy(entry, "MdaSystemNFV#0")
         snap = reg.snapshot()
-        restored = Registry.restore(snap)
+        restored_steps: list = []
+        restored = Registry.restore(snap, lambda e, before: restored_steps.append(
+            (before.value, e.state.value)))
         assert restored.snapshot() == snap
+        assert restored.active_deployments("m0") == {"MdaSystemNFV#0": 1}
+        # the restored registry reports its steps to the callable it was given
+        restored.transition(restored.entries["m0"], LifecycleState.MONITORED)
+        assert restored_steps == [("Deployed", "Monitored")]
 
     def test_artifact_file_roundtrip(self, tmp_path):
         art = _artifact()

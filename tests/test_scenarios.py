@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import json
 from functools import partial
 
 import numpy as np
@@ -485,17 +486,19 @@ class TestRouting:
 
 
 class TestScenarioAImportModel:
-    def _config(self, tmp_path, weights, bias, threshold=0.05, **overrides):
+    def _config(self, tmp_path, weights, bias, threshold=0.05, offset=0.0, **overrides):
         from smosim.lifecycle import ModelArtifact, save_artifact
         from smosim.learn import EvalMetrics
         from smosim.pipeline import ScalingParams
 
         schema = [numeric_feature("cpu")]
+        names = ["cpu", "mem"][:len(weights)]
         artifact = ModelArtifact(
             kind=ModelKind.LINEAR_SGD,
             parameters=LinearParams(np.array(weights), bias),
-            feature_names=["cpu"],
-            scaler=ScalingParams("none", ["cpu"], np.zeros(1), np.ones(1)),
+            feature_names=names,
+            scaler=ScalingParams("none", names, np.full(len(names), offset),
+                                 np.ones(len(names))),
             metrics=EvalMetrics(0.0, 0.0, 1.0),
             origin="external",
         )
@@ -557,12 +560,42 @@ class TestScenarioAImportModel:
         assert result.registry.entries == {}
         assert len(result.sim.log.of_type("artifact_rejected")) == 1
 
+    def test_artifact_is_validated_through_the_scaler_it_serves_with(self, tmp_path):
+        # inference applies a "none" scaler's offset too: served, this artifact
+        # predicts 2 * (cpu - 0.5), one below the ground truth 2 * cpu
+        monitor = {"rounds": 3, "interval": 10, "batch": 20}
+        result = checked_run(self._config(tmp_path, [2.0], 0.0, offset=0.5, monitor=monitor))
+        report = result.report
+        assert report.status == "completed" and report.artifact_rejected
+        assert report.model is None and report.refinements == 0
+        [rejected] = result.sim.log.of_type("artifact_rejected")
+        assert rejected.detail["reason"].startswith("external artifact failed validation")
+        assert not result.sim.log.of_type("transition")
+
+    def test_artifact_of_another_width_is_rejected_once(self, tmp_path):
+        result = checked_run(self._config(tmp_path, [2.0, 0.0], 0.0))
+        report = result.report
+        assert report.status == "completed" and report.artifact_rejected
+        assert report.model is None and result.registry.entries == {}
+        [rejected] = result.sim.log.of_type("artifact_rejected")
+        assert rejected.detail["reason"] == "validation width 1 != artifact schema 2"
+
     def test_artifact_file_that_is_not_json_fails_run(self, tmp_path):
         config = self._config(tmp_path, [2.0], 0.0)
         (tmp_path / "artifact.json").write_text("{not json")
         report = checked_run(config).report
         assert report.status == "failed"
         assert report.failure.startswith("InvalidArtifact: ")
+
+    def test_artifact_file_with_a_wider_scaler_fails_run(self, tmp_path):
+        config = self._config(tmp_path, [2.0], 0.0)
+        path = tmp_path / "artifact.json"
+        artifact = json.loads(path.read_text())
+        artifact["scaling_parameters"].update(offset=[0.0, 0.0], scale=[1.0, 1.0])
+        path.write_text(json.dumps(artifact))
+        report = checked_run(config).report
+        assert report.status == "failed"
+        assert report.failure.startswith("InvalidArtifact: scaler widths 2 and 2")
 
     def test_missing_artifact_file_fails_run(self, tmp_path):
         config = self._config(tmp_path, [2.0], 0.0)
@@ -986,6 +1019,12 @@ class TestFailover:
                             "checkpoint_interval": cp_interval}}
 
     @staticmethod
+    def _steps(result, src=None):
+        """(tick, src, version, from, state) of each logged lifecycle step, or of src's."""
+        return [(e.tick, e.src, e.detail["version"], e.detail["from"], e.detail["state"])
+                for e in result.sim.log.of_type("transition") if src in (None, e.src)]
+
+    @staticmethod
     def _restores(result):
         """(resumed phase, restored entry count) of each promotion."""
         return [(e.detail["resumed_phase"], e.detail["restored_entries"])
@@ -1192,11 +1231,14 @@ class TestFailover:
                               monitor={"rounds": 5, "interval": 10, "batch": 20}, **self._SLOW)
         result = checked_run(config)
         checkpoint = result.driver.last_checkpoint_at_promotion
+        assert checkpoint["tick"] == 352
         assert checkpoint["registry"]["entries"]["m0"]["state"] == "Deployed"
         assert self._restores(result) == [("monitor", 1)]
         promotion = result.sim.log.of_type("promotion")[0].tick
-        history = result.registry.entries["m0"].history
-        assert history[-1] == (promotion, "Deployed", "Monitored")
+        # the log keeps the primary's step that the restore rolled back, and the replica's
+        assert self._steps(result)[-2:] == [
+            (353, "AimlFunction#0", 1, "Deployed", "Monitored"),
+            (promotion, "AimlFunction#1", 1, "Deployed", "Monitored")]
         assert result.report.model["state"] == "Monitored"
 
     @pytest.mark.parametrize("monitor", [None, {"rounds": 5, "interval": 10, "batch": 20}])
@@ -1210,7 +1252,12 @@ class TestFailover:
         assert self._restores(result) == [("deploy", 0)]
         assert report.status == "completed"
         assert report.model is not None and report.model["origin"] == "internal"
-        assert result.registry.entries["m0"].history[0][0] > 341
+        # the primary registered its model at 340; the replica trains its own
+        registrations = [(tick, src) for tick, src, _, before, _ in self._steps(result)
+                         if before is None]
+        assert registrations[0] == (340, "AimlFunction#0")
+        assert [src for _, src in registrations[1:]] == ["AimlFunction#1"]
+        assert registrations[1][0] > 341
 
     @pytest.mark.parametrize("fail_tick, phase, state", [
         (4330, "refine", "Monitored"), (4500, "refine", "Refining"),
@@ -1230,8 +1277,13 @@ class TestFailover:
         assert report.status == "completed"
         entry = result.registry.entries["m0"]
         assert entry.version == 2 and entry.state.value == "Monitored"
-        steps = [step[1:] for step in entry.history]
-        assert steps.index(("Refining", "Trained")) == steps.index(("Monitored", "Refining")) + 1
+        # the replica steps on from the restored state, through a refinement of
+        # version 1 to version 2 monitored
+        steps = [step[2:] for step in self._steps(result, "AimlFunction#1")]
+        assert [before for _, before, _ in steps] == [state] + [to for _, _, to in steps[:-1]]
+        refined = [(2, "Refining", "Trained"), (2, "Trained", "Validated"),
+                   (2, "Validated", "Deployed"), (2, "Deployed", "Monitored")]
+        assert steps == ([(1, "Monitored", "Refining")] if state == "Monitored" else []) + refined
         assert report.model["origin"] == "internal"
 
     @pytest.mark.parametrize("fail_tick, rounds", [
