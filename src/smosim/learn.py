@@ -5,27 +5,27 @@ Everything is deterministic given (data, hyperparams, seed); ties anywhere
 break by enumeration order. Training cost is simulated: records processed
 times a configured per-record tick cost, never wall clock.
 
-Every SGD fit runs through one kernel, :func:`_sgd`, whose steps equal a loop
-over :func:`loss_gradient` bit for bit. One :func:`train` call can fit several
-models of one kind and hyperparameters (its ``peers``), each with a learning
-rate of its own if asked, and the kernel picks its step by the fit count: one
-fit keeps the 2-D step, several step in lockstep, stacked on a leading fit
-axis over the full minibatches that all of them have in an epoch, then each
-fit's ragged tail alone. Stacked ``np.matmul`` and ``np.add.reduce(., 1)``
-equal the per-fit ``xb @ w`` and ``np.add.reduce(., 0)`` bit for bit (numpy
-2.4.6 with its bundled OpenBLAS), and a per-fit rate is the same multiply per
-element as a shared one, so each stacked fit equals the fit of a call of its
-own. :func:`search` uses this to fit the trials that differ only in learning
-rate together, and keeps the winning trial's result, so a searched model
-deploys as its trial fitted it.
+The linear models live on A = [X | 1] with parameters p = [w, b], so that a
+minibatch's scores are one product ``A @ p`` and its gradient another,
+``(z - y) @ A``. Every SGD fit runs through one kernel, :func:`_lockstep`,
+whose steps equal a loop over :func:`loss_gradient` bit for bit. One
+:func:`train` call can fit several models of one kind and hyperparameters
+(its ``peers``), each with a learning rate of its own if asked; the kernel
+stacks them on a leading fit axis over the full minibatches that all of them
+have in an epoch, then steps each fit's ragged rest on its own slice, and a
+lone fit is a stack of one. Stacked ``np.matmul`` runs the BLAS call per fit
+that the 2-D product runs (numpy 2.4.6 with its bundled OpenBLAS), and a
+per-fit rate is the same multiply per element as a shared one, so each
+stacked fit equals the fit of a call of its own. :func:`search` uses this to
+fit the trials that differ only in learning rate together, and keeps the
+winning trial's result, so a searched model deploys as its trial fitted it.
 """
 
 from __future__ import annotations
 
 import itertools
-import math
 from dataclasses import dataclass, field
-from typing import Any, Callable, Iterable, Iterator, Sequence
+from typing import Any, Iterable, Iterator, Sequence
 
 import numpy as np
 
@@ -81,12 +81,15 @@ def zero_params(width: int) -> LinearParams:
     return LinearParams(np.zeros(width), 0.0)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=float)
+def _sigmoid(z: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """The logistic function of ``z``, into ``out`` if given (``z`` itself may
+    be ``out``: each element is read before it is written)."""
+    out = np.empty_like(z, dtype=float) if out is None else out
     pos = z >= 0
     out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
+    neg = ~pos
+    ez = np.exp(z[neg])
+    out[neg] = ez / (1.0 + ez)
     return out
 
 
@@ -118,19 +121,23 @@ def loss_value(kind: ModelKind, params: LinearParams, X: np.ndarray, y: np.ndarr
 
 def loss_gradient(kind: ModelKind, params: LinearParams, X: np.ndarray, y: np.ndarray,
                   l2_lambda: float) -> tuple[np.ndarray, float]:
-    """Batch-averaged gradient of loss_value; bias never regularized."""
-    n = X.shape[0]
-    z = X @ params.weights + params.bias
+    """Batch-averaged gradient of loss_value; bias never regularized.
+
+    On A = [X | 1] and p = [w, b]: ``z = A @ p``, and the gradient is
+    ``((z - y) @ A) * (2 / n)``, or ``((sigmoid(z) - y) @ A) / n`` for the
+    logistic loss, with ``2 * l2_lambda * w`` added to its weight part. A is
+    C-ordered, as the kernel's buffers are, so both products run the BLAS
+    call the kernel runs.
+    """
+    n, d = X.shape
+    A = np.ones((n, d + 1), X.dtype)
+    A[:, :d] = X
+    z = A @ np.append(params.weights, params.bias)
     if kind is ModelKind.LOGISTIC_SGD:
-        diff = _sigmoid(z) - y
-        gw = np.sum(diff[:, None] * X, axis=0) / n
-        gb = float(np.sum(diff)) / n
+        g = ((_sigmoid(z) - y) @ A) / n
     else:
-        err = z - y
-        gw = (2.0 / n) * np.sum(err[:, None] * X, axis=0)
-        gb = (2.0 / n) * float(np.sum(err))
-    gw = gw + 2.0 * l2_lambda * params.weights
-    return gw, gb
+        g = ((z - y) @ A) * (2.0 / n)
+    return g[:d] + 2.0 * l2_lambda * params.weights, float(g[d])
 
 
 def incremental_update(params: LinearParams, X: np.ndarray, y: np.ndarray,
@@ -174,25 +181,13 @@ def _sgd(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int,
     per ``batch_size`` rows of each of its orders; per fit, its parameters or
     the error it raised.
 
-    Every SGD path runs through here. A step does :func:`loss_gradient`'s
-    arithmetic in its order, so results equal a loop over it bit for bit
-    (``X.T @ err`` would sum in another order). The in-place ufuncs are the
-    same IEEE operations on the same layouts: a scalar product commutes
-    exactly and ``ndarray.sum`` is ``np.add.reduce``.
-
-    The step is picked by the fit count. One fit, or fits of different widths
-    or dtypes, step alone: the 2-D step of :func:`_stepper`. Several fits step
-    in lockstep (:func:`_lockstep`), _STACK_FITS at a time: stacked on a
-    leading fit axis over the full minibatches every fit has in an epoch,
-    then each fit's ragged tail alone. Stacked ``np.matmul`` runs the same
-    BLAS call per fit as ``xb @ w``, ``np.add.reduce(., 1)`` over the fit
-    axis sums each fit's rows in the order ``np.add.reduce(., 0)`` does, and
-    an array of the fits' learning rates multiplies each gradient element by
-    its fit's rate as a scalar rate would. So each fit's parameters equal
-    those of a call of its own bit for bit (checked on numpy 2.4.6 with its
-    bundled OpenBLAS).
-    The 3-D step costs more than the 2-D one at one fit, so a one-fit call
-    keeps the 2-D step.
+    Every SGD path runs through here, and every fit through one kernel,
+    :func:`_lockstep`, whose steps equal a loop over :func:`loss_gradient`
+    bit for bit. Fits are grouped by width and dtypes, in order of first
+    appearance, and stepped _STACK_FITS of a group at a time; a lone fit is
+    a group of one. Fits may share one orders object: a kernel call iterates
+    it once for all of its fits, so it must be re-iterable (a list, an
+    :class:`_EpochOrders`) if they can fall in several calls.
 
     A fit's error is a SchemaMismatch for an init of the wrong width, or a
     NonFiniteUpdate when an order leaves a parameter non-finite or the run
@@ -202,33 +197,26 @@ def _sgd(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int,
     NaN propagates).
     """
     out: list[LinearParams | SimulationError | None] = [None] * len(fits)
-    live = []
-    for i, (X, _, _, init, _) in enumerate(fits):
+    groups: dict[tuple, list[int]] = {}
+    for i, (X, y, _, init, _) in enumerate(fits):
         if len(init.weights) != X.shape[1]:
             out[i] = SchemaMismatch("warm-start width differs from data width")
         else:
-            live.append(i)
-    stack = len(live) > 1 and len(
-        {(fits[i][0].shape[1], fits[i][0].dtype, fits[i][1].dtype) for i in live}) == 1
-    groups = [live[i:i + _STACK_FITS] for i in range(0, len(live), _STACK_FITS)] if stack \
-        else [[i] for i in live]
+            groups.setdefault((X.shape[1], X.dtype, y.dtype), []).append(i)
     with np.errstate(over="ignore", invalid="ignore"):
-        for group in groups:
-            run = _lockstep if len(group) > 1 else _alone
-            for i, params in zip(group, run(kind, [fits[i] for i in group], batch_size,
-                                            l2_lambda)):
-                X, y, _, init, _ = fits[i]
-                out[i] = params if isinstance(params, SimulationError) \
-                    else _checked(kind, X, y, init, params, l2_lambda)
+        for members in groups.values():
+            for first in range(0, len(members), _STACK_FITS):
+                group = members[first:first + _STACK_FITS]
+                for i, params in zip(group, _lockstep(kind, [fits[i] for i in group],
+                                                      batch_size, l2_lambda)):
+                    X, y, _, init, _ = fits[i]
+                    out[i] = params if isinstance(params, SimulationError) \
+                        else _checked(kind, X, y, init, params, l2_lambda)
     return out  # type: ignore[return-value]
 
 
 def _diverged_error() -> NonFiniteUpdate:
     return NonFiniteUpdate("parameters diverged; lower the learning rate")
-
-
-def _finite(w: np.ndarray, b: float) -> bool:
-    return bool(np.isfinite(w).all()) and math.isfinite(b)
 
 
 def _checked(kind: ModelKind, X: np.ndarray, y: np.ndarray, init: LinearParams,
@@ -243,161 +231,114 @@ def _checked(kind: ModelKind, X: np.ndarray, y: np.ndarray, init: LinearParams,
     return out
 
 
-def _stepper(kind: ModelKind, X: np.ndarray, y: np.ndarray, w: np.ndarray, Xo: np.ndarray,
-             yo: np.ndarray, batch_size: int, learning_rate: float,
-             l2_lambda: float) -> Callable[[np.ndarray, float], float]:
-    """The 2-D step of one fit: ``run(order, b)`` steps through the rows of
-    ``order`` from bias ``b``, updating ``w`` in place, and returns the new
-    bias. Each take gathers the rows of _GATHER_STEPS minibatches of an order
-    into ``Xo`` (which has that many rows, or all of the order's), and every
-    step works on views of it and of preallocated buffers."""
-    d = X.shape[1]
-    logistic = kind is ModelKind.LOGISTIC_SGD
-    block = _GATHER_STEPS * batch_size
-    prod, gw, wd = np.empty((min(batch_size, len(Xo)), d)), np.empty(d), np.empty(d)
-    # scalar operands as 0-d arrays: a ufunc takes them faster than Python
-    # floats, and the float64 arithmetic is the same
-    bias, lr, decay = np.array(0.0), np.array(learning_rate, float), np.array(2.0 * l2_lambda)
-    steps: dict[int, list[tuple]] = {}  # gathered row count -> its minibatches
-
-    def minibatches(rows: int) -> list[tuple]:
-        """(rows, targets, product buffer, row count, 2/count) per minibatch."""
-        out = []
-        for start in range(0, rows, batch_size):
-            n = min(batch_size, rows - start)
-            out.append((Xo[start:start + n], yo[start:start + n], prod[:n], n,
-                        np.array(2.0 / n)))
-        return out
-
-    def run(order: np.ndarray, b: float) -> float:
-        add, multiply, subtract, divide = np.add, np.multiply, np.subtract, np.true_divide
-        add_reduce = np.add.reduce
-        bias[()] = b
-        for first in range(0, len(order), block):
-            idx = order[first:first + block]
-            rows = len(idx)
-            # indices from a permutation never wrap, and "wrap" skips the
-            # copy that "raise" makes when it writes to ``out``
-            X.take(idx, 0, Xo[:rows], "wrap")
-            y.take(idx, 0, yo[:rows], "wrap")
-            if rows not in steps:
-                steps[rows] = minibatches(rows)
-            for xb, yb, p, n, c in steps[rows]:
-                z = xb @ w
-                add(z, bias, z)
-                if logistic:
-                    diff = _sigmoid(z)
-                    subtract(diff, yb, diff)
-                    multiply(diff[:, None], xb, p)
-                    add_reduce(p, 0, None, gw)
-                    divide(gw, n, gw)
-                    gb = float(add_reduce(diff)) / n
-                else:
-                    subtract(z, yb, z)
-                    multiply(z[:, None], xb, p)
-                    add_reduce(p, 0, None, gw)
-                    multiply(gw, c, gw)
-                    gb = 2.0 / n * float(add_reduce(z))
-                if l2_lambda:
-                    multiply(w, decay, wd)
-                    add(gw, wd, gw)
-                multiply(gw, lr, gw)
-                subtract(w, gw, w)
-                b = b - learning_rate * gb
-                bias[()] = b
-        return b
-
-    return run
-
-
-def _alone(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int,
-           l2_lambda: float) -> list[LinearParams | SimulationError]:
-    """One fit, stepped alone."""
-    ((X, y, orders, init, learning_rate),) = fits
-    w, b = init.weights.astype(float), float(init.bias)
-    Xo = np.empty((min(_GATHER_STEPS * batch_size, len(X)), X.shape[1]), X.dtype)
-    run = _stepper(kind, X, y, w, Xo, np.empty(len(Xo), y.dtype), batch_size, learning_rate,
-                   l2_lambda)
-    for order in orders:
-        b = run(order, b)
-        if not _finite(w, b):
-            return [_diverged_error()]
-    return [LinearParams(w, b)]
-
-
 def _lockstep(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int,
               l2_lambda: float) -> list[LinearParams | SimulationError]:
-    """Several fits of one width and dtype in lockstep, one epoch at a time.
+    """The SGD kernel: F >= 1 fits of one width and dtypes in lockstep, one
+    epoch at a time.
+
+    Each fit's rows are gathered into its slice of a buffer of (F, rows,
+    d + 1) whose last column holds ones, filled once, so that the buffer is
+    [X | 1], and its parameters are a row of P (F, d + 1). A step on the
+    fits' minibatches ``Ab`` is ``z = Ab @ P`` (one stacked ``np.matmul``),
+    the logistic function for the logistic loss, ``z -= y``, ``G = z @ Ab``
+    (a second), the scale of :func:`loss_gradient`, the L2 term on the
+    weight slice, then ``P -= rate * G``. Stacked ``np.matmul`` runs the
+    BLAS call per fit that :func:`loss_gradient`'s 2-D products run, on the
+    same strides, so each fit's parameters equal a loop over it bit for bit
+    (checked on numpy 2.4.6 with its bundled OpenBLAS).
 
     An epoch steps every fit's first ``min(n) // batch_size`` minibatches
-    stacked, then each fit's remaining rows alone (its :func:`_stepper` works
-    on the fit's rows of the stacked buffers and parameters). A fit whose
-    parameters go non-finite takes no further tail steps; its stacked rows go
-    on being computed, and the other fits never read them.
+    stacked (all of them when the fits are of one length), then each fit's
+    remaining rows through the same step on its own (1, rows, d + 1) slices. A fit whose parameters go non-finite takes
+    no further steps of its own; its stacked rows go on being computed, and
+    the other fits never read them.
     """
     count, d = len(fits), fits[0][0].shape[1]
-    common = min(len(X) for X, _, _, _, _ in fits) // batch_size * batch_size
+    sizes = [len(X) for X, _, _, _, _ in fits]
+    # the rows whose minibatches every fit has: all of them when the fits
+    # are of one length, whose last minibatches are then of one size
+    common = sizes[0] if len(set(sizes)) == 1 else min(sizes) // batch_size * batch_size
     block = _GATHER_STEPS * batch_size
-    Xs = np.empty((count, min(block, max(len(X) for X, _, _, _, _ in fits)), d),
-                  fits[0][0].dtype)
-    ys = np.empty(Xs.shape[:2], fits[0][1].dtype)
-    W = np.array([init.weights for _, _, _, init, _ in fits], float)
-    bias = np.array([init.bias for _, _, _, init, _ in fits], float)
-    tails = [_stepper(kind, X, y, W[f], Xs[f], ys[f], batch_size, rate, l2_lambda)
-             for f, (X, y, _, _, rate) in enumerate(fits)]
-    failed: list[NonFiniteUpdate | None] = [None] * count
-    logistic = kind is ModelKind.LOGISTIC_SGD
-    W3, bias2 = W[:, :, None], bias[:, None]
-    z3, prod = np.empty((count, batch_size, 1)), np.empty((count, batch_size, d))
-    z = z3[:, :, 0]
-    gw, wd, gb = np.empty((count, d)), np.empty((count, d)), np.empty(count)
-    # each fit's rate in its row: an (F, d) operand multiplies as fast as a
-    # 0-d one, where broadcasting an (F, 1) one costs about 1 us more a step
-    lr_b = np.array([rate for _, _, _, _, rate in fits], float)
-    lr_w = np.repeat(lr_b, d).reshape(count, d)
+    A = np.ones((count, min(block, max(sizes)), d + 1), fits[0][0].dtype)
+    Y = np.empty(A.shape[:2], fits[0][1].dtype)
+    P = np.array([np.append(init.weights, init.bias) for _, _, _, init, _ in fits], float)
+    # each fit's rate in its row: an (F, d + 1) operand multiplies as fast as
+    # a 0-d one, where broadcasting an (F, 1) one costs about 1 us more a step
+    lr = np.repeat(np.array([rate for _, _, _, _, rate in fits], float), d + 1).reshape(P.shape)
+    Z = np.empty((count, batch_size, 1))  # scores
+    G = np.empty((count, 1, d + 1))  # gradients
+    decayed = np.empty((count, d))
+    # scalar operands as 0-d arrays: a ufunc takes them faster than Python
+    # floats, and the float64 arithmetic is the same
     decay = np.array(2.0 * l2_lambda)
-    c = np.array(2.0 / batch_size)
-    views = [(Xs[:, s:s + batch_size], ys[:, s:s + batch_size])
-             for s in range(0, min(block, common), batch_size)]
-    matmul, add, multiply, subtract, add_reduce = (np.matmul, np.add, np.multiply, np.subtract,
-                                                  np.add.reduce)
-    for orders in zip(*(orders for _, _, orders, _, _ in fits), strict=True):
+    logistic = kind is ModelKind.LOGISTIC_SGD
+    scale = np.true_divide if logistic else np.multiply
+    matmul, add, multiply, subtract = np.matmul, np.add, np.multiply, np.subtract
+    views: dict[tuple[int, int, int], list[tuple]] = {}
+
+    def minibatches(fs: slice, rows: int) -> list[tuple]:
+        """(rows, targets, scores as (F, n, 1), (F, n) and (F, 1, n), scale) of
+        each minibatch in the first ``rows`` gathered rows of the fits in ``fs``."""
+        key = (fs.start, fs.stop, rows)
+        if key not in views:
+            views[key] = []
+            for s in range(0, rows, batch_size):
+                n = min(batch_size, rows - s)
+                z3 = Z[fs, :n]
+                views[key].append((A[fs, s:s + n], Y[fs, s:s + n], z3, z3[:, :, 0],
+                                   z3.transpose(0, 2, 1),
+                                   np.array(float(n) if logistic else 2.0 / n)))
+        return views[key]
+
+    def run(fs: slice, rows: int) -> None:
+        """Step the fits in ``fs`` through their first ``rows`` gathered rows."""
+        Pf, Gf, rate, wd = P[fs], G[fs, 0], lr[fs], decayed[fs]
+        P3, G3, Pw, Gw = Pf[:, :, None], G[fs], Pf[:, :d], Gf[:, :d]
+        for Ab, yb, z3, z, zT, c in minibatches(fs, rows):
+            matmul(Ab, P3, z3)
+            if logistic:
+                _sigmoid(z, z)
+            subtract(z, yb, z)
+            matmul(zT, Ab, G3)
+            scale(Gf, c, Gf)
+            if l2_lambda:
+                multiply(Pw, decay, wd)
+                add(Gw, wd, Gw)
+            multiply(Gf, rate, Gf)
+            subtract(Pf, Gf, Pf)
+
+    def gather(f: int, idx: np.ndarray) -> int:
+        """Take fit ``f``'s rows ``idx`` into its slice of the buffers."""
+        X, y, _, _, _ = fits[f]
+        # a take into the strided A[f, :, :d] would fill a contiguous copy of
+        # it and write that back; taking first and assigning is faster
+        A[f, :len(idx), :d] = X.take(idx, 0)
+        # indices from a permutation never wrap, and "wrap" skips the copy
+        # that "raise" makes when it writes to ``out``
+        y.take(idx, 0, Y[f, :len(idx)], "wrap")
+        return len(idx)
+
+    # fits that share one orders iterable share its draws
+    keys = [id(orders) for _, _, orders, _, _ in fits]
+    sources = dict(zip(keys, (orders for _, _, orders, _, _ in fits)))
+    failed: list[NonFiniteUpdate | None] = [None] * count
+    for drawn in zip(*map(iter, sources.values()), strict=True):
+        epoch = dict(zip(sources, drawn))
+        orders = [epoch[k] for k in keys]
         for first in range(0, common, block):
-            rows = min(block, common - first)
-            for f, ((X, y, _, _, _), order) in enumerate(zip(fits, orders)):
-                X.take(order[first:first + rows], 0, Xs[f, :rows], "wrap")
-                y.take(order[first:first + rows], 0, ys[f, :rows], "wrap")
-            for xb, yb in views[:rows // batch_size]:
-                matmul(xb, W3, z3)
-                add(z, bias2, z)
-                if logistic:
-                    diff = _sigmoid(z)
-                    subtract(diff, yb, diff)
-                    multiply(diff[:, :, None], xb, prod)
-                    add_reduce(prod, 1, None, gw)
-                    gw /= batch_size
-                    add_reduce(diff, 1, None, gb)
-                    gb /= batch_size
-                else:
-                    subtract(z, yb, z)
-                    multiply(z3, xb, prod)
-                    add_reduce(prod, 1, None, gw)
-                    multiply(gw, c, gw)
-                    add_reduce(z, 1, None, gb)
-                    multiply(gb, c, gb)
-                if l2_lambda:
-                    multiply(W, decay, wd)
-                    add(gw, wd, gw)
-                multiply(gw, lr_w, gw)
-                subtract(W, gw, W)
-                multiply(gb, lr_b, gb)
-                subtract(bias, gb, bias)
+            stop = min(first + block, common)
+            for f, order in enumerate(orders):
+                gather(f, order[first:stop])
+            run(slice(0, count), stop - first)
         for f, order in enumerate(orders):
             if failed[f] is None:
-                bias[f] = tails[f](order[common:], float(bias[f]))
-                if not _finite(W[f], float(bias[f])):
+                for first in range(common, len(order), block):
+                    run(slice(f, f + 1), gather(f, order[first:first + block]))
+                if not np.isfinite(P[f]).all():
                     failed[f] = _diverged_error()
-    return [LinearParams(W[f].copy(), float(bias[f])) if failed[f] is None else failed[f]
+        if all(failed):
+            break
+    return [LinearParams(P[f, :d].copy(), float(P[f, d])) if failed[f] is None else failed[f]
             for f in range(count)]
 
 
@@ -407,6 +348,18 @@ def epoch_orders(n: int, seed: int, epochs: int) -> Iterator[np.ndarray]:
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         yield rng.permutation(n)
+
+
+class _EpochOrders:
+    """The orders of :func:`epoch_orders` as an iterable: each iteration draws
+    them anew, so that the fits of one length can share one object whichever
+    kernel calls step them."""
+
+    def __init__(self, n: int, seed: int, epochs: int):
+        self.args = (n, seed, epochs)
+
+    def __iter__(self) -> Iterator[np.ndarray]:
+        return epoch_orders(*self.args)
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -578,8 +531,10 @@ def _fit_each(kind: ModelKind,
             out[i] = _fit_stump(X, y, classification=not kind.is_regression), n
         else:
             sgd.append(i)
-    fits = [(X, y, epoch_orders(len(X), seed, hp.epochs),
-             init if init is not None else zero_params(X.shape[1]), rate)
+    # one orders iterable per length, which a kernel call draws once for all
+    # of its fits of that length
+    orders = {n: _EpochOrders(n, seed, hp.epochs) for n in {len(data[i][0]) for i in sgd}}
+    fits = [(X, y, orders[len(X)], init if init is not None else zero_params(X.shape[1]), rate)
             for X, y, init, rate in (data[i] for i in sgd)]
     for i, params in zip(sgd, _sgd(kind, fits, hp.batch_size, hp.l2_lambda)):
         out[i] = params if isinstance(params, SimulationError) \

@@ -453,7 +453,7 @@ class _TargetBehavior:
     ground truth, for the rounds from it on, one part per round. Each round
     takes its part, with record ids and tick given at the round, predicts
     with the stored scaling parameters and sends the (sample, prediction)
-    report upstream.
+    report upstream, with the version of the artifact that predicted it.
     """
 
     def __init__(self, driver: "Driver", cid: ComponentId, spec: SourceSpec | None):
@@ -508,6 +508,7 @@ class _TargetBehavior:
             "predictions": preds,
             "round": round_index,
             "target": str(self.cid),
+            "version": self.artifact.version,
         }
         send_tick = driver.sim.clock + cost
         driver.sim.schedule(send_tick, lambda: driver.route_send(
@@ -1117,17 +1118,27 @@ class Driver:
     # -- monitoring + refinement ---------------------------------------------------------------------
 
     def _on_monitor_report(self, payload: dict[str, Any]) -> None:
+        """Ingest a report predicted by the monitored version; drop, and log,
+        one predicted by a version the registry has since replaced, which says
+        nothing about the monitored one. Either way the report counts as seen."""
         if self.monitor is None:
             return
-        self.monitor.ingest(payload["records"], payload["predictions"])
-        window_mse = self.monitor.mse()
-        self.sim.log_event("report_ingested", src=self.active_aiml, detail={
-            "round": payload.get("round"), "target": payload.get("target"),
-            "window_mse": window_mse})
         self._reports_seen += 1
-        if self.monitor.detect_drift(window_mse):
-            self._on_drift_detected(window_mse)
-        elif self._all_reports_done():
+        entry = self.registry.entries.get(MODEL_ID)
+        if entry is None or payload["version"] != entry.version:
+            self.sim.log_event("report_dropped", src=self.active_aiml, detail={
+                "round": payload["round"], "target": payload["target"],
+                "version": payload["version"]})
+        else:
+            self.monitor.ingest(payload["records"], payload["predictions"])
+            window_mse = self.monitor.mse()
+            self.sim.log_event("report_ingested", src=self.active_aiml, detail={
+                "round": payload["round"], "target": payload["target"],
+                "window_mse": window_mse})
+            if self.monitor.detect_drift(window_mse):
+                self._on_drift_detected(window_mse)
+                return
+        if self._all_reports_done():
             self._finish()
 
     def _all_reports_done(self) -> bool:
@@ -1416,6 +1427,9 @@ class Driver:
         self.sim.log_event("mitigation", src=replica, detail={
             "mechanism": "failover_restore",
             "restored_entries": len(self.registry.entries),
+            "model": MODEL_ID,
+            "version": None if entry is None else entry.version,
+            "state": None if entry is None else entry.state.value,
             "resumed_phase": self.phase.value,
             "resumes_monitoring": self._monitors_as_is(entry)})
         # in-flight deployment and monitor state died with the node

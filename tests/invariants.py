@@ -41,6 +41,19 @@ def check_invariants(result: RunResult) -> None:
     steps = [(e.detail["from"], e.detail["state"]) for e in entries if e.type == "transition"]
     for step in steps:
         assert step[0] is None or step in _LEGAL, f"illegal lifecycle step {step}"
+    # and a chain: each step starts from the state the model's last step
+    # entered, or from one a failover restored since (None if it lost the model)
+    states: dict[str, set[str | None]] = {}
+    for e in entries:
+        if e.type == "transition":
+            model, start = e.detail["model"], e.detail["from"]
+            known = states.get(model, {None})
+            assert start in known, \
+                f"step of {model} at {e.tick} starts from {start}, the log has {known}"
+            states[model] = {e.detail["state"]}
+        elif e.type == "mitigation" and e.detail["mechanism"] == "failover_restore":
+            model = e.detail["model"]
+            states[model] = states.get(model, {None}) | {e.detail["state"]}
 
     # message conservation: each delivery or drop ends exactly one earlier send
     # of the same message, unchanged, after its interface's latency

@@ -568,6 +568,52 @@ class TestLockstep:
         with pytest.raises(NonFiniteUpdate):  # a call's own fit raises its error
             self._train_all(kind, [splits[f], splits[0]], [inits[f], inits[0]], hp)
 
+    def test_a_call_draws_the_orders_of_each_length_once(self, monkeypatch):
+        """Fits of one length share their epoch orders: a kernel call draws
+        them once, and a fit of another width, stepped in a call of its own,
+        draws them again. Each fit equals its own train call."""
+        kind = ModelKind.LINEAR_SGD
+        sizes = (37, 64, 37, 65, 37)
+        splits, inits = self._problems(kind, 440, sizes)
+        wide, wide_inits = self._problems(kind, 441, (37,), d=5)
+        hp = HyperParams(learning_rate=0.05, epochs=3, batch_size=16)
+        draws, real = [], learn.epoch_orders
+
+        def counting(n, seed, epochs):
+            for order in real(n, seed, epochs):
+                draws.append(n)
+                yield order
+
+        monkeypatch.setattr(learn, "epoch_orders", counting)
+        results = self._train_all(kind, [*splits, *wide], [*inits, *wide_inits], hp)
+        assert sorted(draws) == sorted([37, 64, 65, 37] * hp.epochs)
+        monkeypatch.undo()
+        for split, init, got in zip([*splits, *wide], [*inits, *wide_inits], results):
+            alone = train(kind, split, hp, 7, init=init)
+            assert np.array_equal(got.params.weights, alone.params.weights)
+            assert got.params.bias == alone.params.bias
+
+    @settings(max_examples=120, deadline=None)
+    @given(kind=st.sampled_from(KINDS), lam=st.sampled_from([0.0, 0.2]),
+           sizes=st.lists(st.integers(1, 80), min_size=1, max_size=5),
+           batch_size=st.integers(1, 20), epochs=st.integers(1, 3),
+           seed=st.integers(0, 2**16))
+    def test_every_fit_of_a_call_equals_the_loss_gradient_loop(self, kind, lam, sizes,
+                                                                batch_size, epochs, seed):
+        splits, inits = self._problems(kind, seed, sizes)
+        rates = np.random.default_rng(seed).uniform(0.005, 0.05, len(sizes)).tolist()
+        hp = HyperParams(learning_rate=rates[0], epochs=epochs, batch_size=batch_size,
+                         l2_lambda=lam)
+        result = train(kind, splits[0], hp, seed, init=inits[0],
+                       peers=list(zip(splits[1:], inits[1:])), peer_rates=rates[1:])
+        for split, init, rate, got in zip(splits, inits, rates, [result, *result.peers]):
+            X, y = split.train.X, split.train.y
+            want, first_bad = _loop_sgd(kind, X, y, epoch_orders(len(X), seed, epochs),
+                                        batch_size, rate, lam, init)
+            assert first_bad is None
+            assert np.array_equal(got.params.weights, want.weights)
+            assert got.params.bias == want.bias
+
 
 class TestFitStandardized:
     HP = HyperParams(learning_rate=0.2, epochs=30, batch_size=8)
@@ -850,8 +896,9 @@ class TestGroupedSearch:
 
         monkeypatch.setattr(learn, "_lockstep", counting)
         _assert_search_equals_loop(ModelKind.LINEAR_SGD, split, spec, HyperParams(epochs=2))
-        # 7 trials: 3 + 3 stacked and the last alone, in _trial_results, then in search
-        assert stacked == [3, 3] * 2
+        # the reference loop's 7 lone fits, each a kernel call of one; then 7
+        # trials: 3 + 3 stacked and the last alone, in _trial_results, then in search
+        assert stacked == [1] * 7 + [3, 3, 1] * 2
 
     def test_an_empty_validation_partition_raises_before_any_fit(self, monkeypatch):
         X = np.random.default_rng(15).normal(size=(20, 2))
@@ -870,7 +917,7 @@ class TestGroupedSearch:
                 for s, init, rate in zip(splits, inits, rates)]
         got = learn._lockstep(kind, fits, 16, lam)
         for fit_, params in zip(fits, got):
-            (alone,) = learn._alone(kind, [fit_], 16, lam)
+            (alone,) = learn._lockstep(kind, [fit_], 16, lam)
             X, y, orders, init, rate = fit_
             want, first_bad = _loop_sgd(kind, X, y, orders, 16, rate, lam, init)
             assert first_bad is None

@@ -43,7 +43,7 @@ from smosim.topology import (
 
 from conftest import build, numeric_feature, scenario_b_dict, source, transformed_to_csv
 from golden.cases import a_import_model, b_drift_full, c_share_models, run_case
-from invariants import checked_run
+from invariants import check_invariants, checked_run
 
 TERMINATION_IFACES = ("NSSMF_NonRTRIC", "NFVO_NonRTRIC")
 
@@ -835,7 +835,7 @@ class TestFederatedLockstep:
             FaultRecord("component_failure", fail_tick, detection, 13216)]
         final = result.registry.entries["m0"].artifact.parameters
         assert [w.hex() for w in final.weights] == ["0x1.050d1b72624ecp+1",
-                                                    "-0x1.04eed0c65cae6p+0"]
+                                                    "-0x1.04eed0c65cae7p+0"]
         assert final.bias.hex() == "0x1.f635beee2b304p-2"
 
     # lr 0.8 diverges in MdaSystemNFV#0's first round, which it fits alone;
@@ -904,6 +904,28 @@ class TestMonitoringAndRefinement:
         assert report.time_to_detection is not None and report.time_to_detection >= 0
         assert report.time_to_resolution is not None
         assert report.time_to_resolution >= report.time_to_detection
+
+    # (kind, refit) -> (refinements, reports dropped): four monitor rounds of
+    # one target; each report predicted by a version the registry has since
+    # replaced is dropped, so its error never trips a spurious refinement
+    STALE = {("LinearSgd", "full"): (1, 0), ("LinearSgd", "incremental"): (1, 1),
+             ("RidgeClosedForm", "full"): (2, 2), ("RidgeClosedForm", "incremental"): (2, 2),
+             ("DecisionStump", "full"): (1, 1), ("DecisionStump", "incremental"): (1, 1)}
+
+    @pytest.mark.parametrize("kind, refit", list(STALE))
+    def test_reports_of_a_replaced_version_are_dropped(self, kind, refit):
+        result = checked_run(self._drift_config(refit=refit, kind=kind))
+        report, log = result.report, result.sim.log
+        dropped = log.of_type("report_dropped")
+        assert report.status == "completed" and report.failure is None
+        assert (report.refinements, len(dropped)) == self.STALE[kind, refit]
+        assert len(dropped) + len(log.of_type("report_ingested")) == 4
+        version = None
+        for e in log.entries:
+            if e.type == "transition":
+                version = e.detail["version"]
+            elif e.type == "report_dropped":
+                assert e.detail["version"] < version
 
     def test_refinement_budget_exhaustion_retires_model(self):
         result = checked_run(self._drift_config(max_refinements=0))
@@ -1240,6 +1262,15 @@ class TestFailover:
             (353, "AimlFunction#0", 1, "Deployed", "Monitored"),
             (promotion, "AimlFunction#1", 1, "Deployed", "Monitored")]
         assert result.report.model["state"] == "Monitored"
+        # the restore names the state the replica's step starts from, which
+        # keeps the logged chain whole; without it the chain breaks there
+        (restore,) = [e for e in result.sim.log.of_type("mitigation")
+                      if e.detail["mechanism"] == "failover_restore"]
+        assert (restore.detail["model"], restore.detail["version"],
+                restore.detail["state"]) == ("m0", 1, "Deployed")
+        restore.detail["state"] = "Monitored"
+        with pytest.raises(AssertionError, match="m0 at .* starts from Deployed"):
+            check_invariants(result)
 
     @pytest.mark.parametrize("monitor", [None, {"rounds": 5, "interval": 10, "batch": 20}])
     def test_resume_in_deploy_without_a_model_trains_one(self, monitor):
@@ -1250,6 +1281,9 @@ class TestFailover:
         result = checked_run(config)
         report = result.report
         assert self._restores(result) == [("deploy", 0)]
+        restore = [e.detail for e in result.sim.log.of_type("mitigation")
+                   if e.detail["mechanism"] == "failover_restore"]
+        assert [(d["version"], d["state"]) for d in restore] == [(None, None)]
         assert report.status == "completed"
         assert report.model is not None and report.model["origin"] == "internal"
         # the primary registered its model at 340; the replica trains its own
