@@ -20,7 +20,7 @@ import numpy as np
 from smosim import config_from_dict, run_scenario
 from smosim.scenarios import RunResult
 
-from conftest import numeric_feature, scenario_b_dict, source
+from conftest import categorical_feature, numeric_feature, scenario_b_dict, source
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
@@ -96,6 +96,34 @@ def c_share_models(workdir: Path) -> dict[str, Any]:
     }
 
 
+def c_share_data(workdir: Path) -> dict[str, Any]:
+    """Each domain cleanses its own dirty records; the NFV domain names its
+    fields apart, and the MAD filter and formatting run centrally."""
+    schema = [numeric_feature("cpu", 10.0, 50.0), numeric_feature("mem"),
+              categorical_feature("slice", ["embb", "urllc"])]
+    nfv_schema = [dict(f, name=f"nfv_{f['name']}") for f in schema]
+    dirty = {"duplicate_rate": 0.05, "missing_rate": 0.05, "error_rate": 0.05}
+    return {
+        "scenario": {"kind": "C", "mode": "share-data"},
+        "seed": 29,
+        "topology": {"nssmf": 1, "nfmf_per_nssmf": 1, "nfvo": 1, "mda_3gpp": 1, "mda_nfv": 1},
+        "sources": [
+            source("MdaSystem3GPP#0", 160, schema, [0.05, -1.0, 0.3, -0.3], bias=0.5,
+                   sigma=0.1, **dirty),
+            source("MdaSystemNFV#0", 140, nfv_schema, [0.05, -1.0, 0.3, -0.3], bias=0.5,
+                   sigma=0.1, rename={f"nfv_{f['name']}": f["name"] for f in schema},
+                   **dirty),
+        ],
+        "pipeline": {"scaling": "zscore",
+                     "split": {"train": 0.7, "val": 0.15, "test": 0.15, "seed": 5}},
+        "model": {"kind": "LinearSgd",
+                  "hyperparams": {"learning_rate": 0.1, "epochs": 20, "batch_size": 16}},
+        "deploy": {"targets": ["NFMF#0"]},
+        "monitor": {"rounds": 2, "interval": 10, "batch": 20},
+        "harness": {"filter": {"k": 3.0}},
+    }
+
+
 def a_import_model(workdir: Path) -> dict[str, Any]:
     """The artifact is written into ``workdir`` and named by a relative path,
     so the config hash does not depend on where the test runs."""
@@ -131,6 +159,7 @@ CASES: dict[str, Callable[[Path], dict[str, Any]]] = {
     "b_drift_full": b_drift_full,
     "b_stream_incremental": b_stream_incremental,
     "c_share_models": c_share_models,
+    "c_share_data": c_share_data,
     "a_import_model": a_import_model,
 }
 
