@@ -25,7 +25,7 @@ from typing import Any, Callable, Iterable
 
 from .errors import ConfigError, MissingKey, SimulationError, ZeroCapacity
 from .topology import (ComponentId, ComponentKind, InterfaceName, InterfaceSpec, allowed_on,
-                       build_topology)
+                       census)
 
 _MDA_KINDS = (ComponentKind.MDA_SYSTEM_3GPP, ComponentKind.MDA_SYSTEM_NFV)
 _SOURCE_KINDS = {ComponentKind.NSSMF, ComponentKind.NFVO, ComponentKind.NFMF,
@@ -692,7 +692,7 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
     placed += [(f"topology.extra_links[{i}]", end)
                for i, link in enumerate(counts.extra_links) for end in (link.src, link.dst)]
     # the components the topology section builds; the extra links are checked below
-    built = build_topology(replace(cfg, topology=replace(counts, extra_links=()))).components
+    built = {cid for ids in census(counts).values() for cid in ids}
     for path, cid in placed:
         _expect(cid in built, path, f"{cid} is not instantiated by the topology section")
     for i, link in enumerate(counts.extra_links):

@@ -49,7 +49,6 @@ class Dataset:
     records: RecordBatch
     provenance: Provenance
     canonical: list[FeatureSpec] | None = None
-    partial: bool = False
 
     def _require_stage(self, expected: Stage) -> None:
         if self.stage is not expected:
@@ -299,13 +298,14 @@ def fit_scaler(matrix: np.ndarray, names: list[str], canonical: list[FeatureSpec
     """Scaling for numeric + derived columns; one-hot columns pass through.
 
     Z-scores use the population standard deviation; constant columns map to
-    all-zeros instead of dividing by zero.
+    all-zeros instead of dividing by zero. ``schema_range`` needs no rows; the
+    modes fitted to rows give the identity, labelled ``none``, at zero rows.
     """
     n_scaled = sum(1 for f in canonical if f.type == "numeric") + len(derived)
     offset = np.zeros(matrix.shape[1])
     scale = np.ones(matrix.shape[1])
-    if mode == "none" or matrix.shape[0] == 0:
-        return ScalingParams(mode, names, offset, scale)
+    if mode == "none" or (matrix.shape[0] == 0 and mode != "schema_range"):
+        return ScalingParams("none", names, offset, scale)
     for j in range(n_scaled):
         col = matrix[:, j]
         if mode == "zscore":

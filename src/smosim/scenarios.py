@@ -17,6 +17,10 @@ table, ``Driver.RESUME``. ``Driver._enter`` is the only writer of the phase,
 and logs each entry as a ``phase`` event. A failing step raises a named
 :class:`SimulationError`, and ``Driver.run`` logs it on ``run_complete``.
 
+Collected records take one data path, :meth:`Driver._prepare`: cleansed
+unless they arrive Cleansed (a share-data domain cleanses its own), then
+formatted onto the canonical schema under every source's renames.
+
 The Driver keeps no report while the run goes. It logs each fact where it
 happens, and :func:`report_from` folds the RunReport from the config and the
 event log alone, so a report can be rebuilt from a run's ``events.jsonl``.
@@ -397,7 +401,10 @@ class _SourceBehavior:
         records = self._make_records(self.spec.emission.size, sim.clock)
         kind = PayloadKind.RAW_DATA
         if action == "collect_cleansed":
-            records = self.driver.local_cleanse(self.spec, records)
+            provenance = pipeline.Provenance((str(self.spec.owner),), (0, 0),
+                                             self.driver.config_hash)
+            records = pipeline.cleanse(
+                pipeline.Dataset(pipeline.Stage.RAW, records, provenance)).records
             kind = PayloadKind.CLEANSED_DATA
         self.driver.route_send(self.spec.owner, msg.meta["reply_to"], kind,
                                self.payload_bytes(len(records)), payload=records,
@@ -676,8 +683,6 @@ class Driver:
         self.exploration: pipeline.ExplorationReport | None = None
         self.search_result: learn.SearchResult | None = None
         self.monitor: MonitorWindow | None = None
-        self.restored_registry_snapshot: dict[str, Any] | None = None
-        self.last_checkpoint_at_promotion: dict[str, Any] | None = None
 
         self._inbox: dict[str, list[datagen.RecordBatch]] = {}
         self._expected_artifacts: dict[int, set[str]] = {}
@@ -875,8 +880,7 @@ class Driver:
         self._inbox = {}
         start = self.sim.clock
         window = self.config.collection.window
-        share_data = self.config.kind is ScenarioKind.C and self.config.mode == "share-data"
-        action = "collect_cleansed" if share_data else "collect"
+        action = "collect_cleansed" if self.config.mode == "share-data" else "collect"
         for spec in self.config.sources:
             if spec.emission.mode == "batch":
                 requests = self.config.collection.requests if phase is Phase.COLLECT else 1
@@ -906,51 +910,52 @@ class Driver:
                 self._on_monitor_report(msg.payload)
 
     def _end_collection(self, start: int, deadline: int, phase: Phase) -> None:
-        incomplete = False
         expected = [s.owner for s in self.config.sources]
         for owner in expected:
             if not sum(map(len, self._inbox.get(str(owner), []))):
-                incomplete = True
                 self.sim.log_event("collection_timeout", src=owner,
                                    detail={"window": [start, deadline]})
         parts = [b for owner in expected for b in self._inbox.get(str(owner), [])]
         records = datagen.RecordBatch.concat(parts) if parts else None
+        self._inbox = {}  # the parts live on only in the concatenation
         if not records:
             raise CollectionTimeout(f"no source delivered any data in [{start}, {deadline}]")
         provenance = pipeline.Provenance(
             tuple(sorted(str(o) for o in expected)), (start, deadline), self.config_hash)
-        raw = pipeline.Dataset(pipeline.Stage.RAW, records, provenance, partial=incomplete)
+        # share-data domains cleanse their own records before they send them
+        stage = pipeline.Stage.CLEANSED if self.config.mode == "share-data" else pipeline.Stage.RAW
+        collected = pipeline.Dataset(stage, records, provenance)
         if phase is Phase.COLLECT_VALIDATION:
-            self._validate_import(raw)
+            self._validate_import(collected)
         else:
-            self._preprocess_and_train(raw)
+            self._preprocess_and_train(collected)
+
+    def _prepare(self, ds: pipeline.Dataset) -> pipeline.Dataset:
+        """The one data path: cleanse ``ds`` unless it arrives Cleansed, then
+        format it onto the canonical schema under every source's renames."""
+        if ds.stage is not pipeline.Stage.CLEANSED:
+            ds = pipeline.cleanse(ds)
+        return pipeline.format_dataset(ds, self.canonical,
+                                       {s.owner: s.rename for s in self.config.sources})
 
     # -- preprocessing + training (scenarios B, A import-data, C share-data) ------------------------
 
-    def _preprocess_and_train(self, raw: pipeline.Dataset) -> None:
+    def _preprocess_and_train(self, collected: pipeline.Dataset) -> None:
         cfg = self.config
-        share_data = cfg.kind is ScenarioKind.C and cfg.mode == "share-data"
         flt = cfg.harness.filter
         if flt is not None or cfg.harness.poison is not None:
             # a poisoned run with the mitigation disabled keeps every record
-            kept, rejected = harness.validation_filter(raw.records, flt) if flt is not None \
-                else (raw.records, raw.records.take(slice(0)))
+            records = collected.records
+            kept, rejected = harness.validation_filter(records, flt) if flt is not None \
+                else (records, records.take(slice(0)))
             self.sim.log_event("poison_detection", src=self.active_aiml,
                                detail=harness.poison_detection_report(kept, rejected))
         if flt is not None:
             self.sim.log_event("mitigation", src=self.active_aiml, detail={
                 "mechanism": "validation_filter",
                 "rejected": len(rejected), "kept": len(kept)})
-            raw = pipeline.Dataset(raw.stage, kept, raw.provenance, partial=raw.partial)
-        if share_data:
-            # domain-side cleansing already ran; records enter as Cleansed
-            cleansed = pipeline.Dataset(pipeline.Stage.CLEANSED, raw.records,
-                                        raw.provenance, partial=raw.partial)
-        else:
-            cleansed = pipeline.cleanse(raw)
-        renames = {s.owner: s.rename for s in cfg.sources}
-        formatted = pipeline.format_dataset(cleansed, self.canonical, renames)
-        td = pipeline.transform(formatted, cfg.pipeline.scaling, self.derived)
+            collected = replace(collected, records=kept)
+        td = pipeline.transform(self._prepare(collected), cfg.pipeline.scaling, self.derived)
         self.transformed = td
         self.exploration = pipeline.explore(td) if len(td) >= 2 else None
         self._enter(Phase.TRAIN)
@@ -1239,10 +1244,14 @@ class Driver:
             "round": model.round_index, "domains": sorted(round_models),
             "weighting": self.config.aggregation})
         final = model.round_index >= self.config.rounds
+        names = model_feature_names(self.canonical, list(self.derived))
+        # the aggregate has no rows of its own: schema_range needs none, and zscore
+        # and minmax, fitted to each domain's own rows, give the identity labelled none
+        scaler = pipeline.fit_scaler(np.zeros((0, len(names))), names, self.canonical,
+                                     self.derived, self.config.pipeline.scaling)
         artifact = ModelArtifact(
             kind=self.config.model.kind, parameters=global_params,
-            feature_names=self._c_feature_names(),
-            scaler=self._c_scaler(),
+            feature_names=names, scaler=scaler,
             metrics=learn.EvalMetrics(float("nan"), float("nan"), float("nan")),
             origin="aggregated", created_tick=self.sim.clock,
         )
@@ -1252,18 +1261,6 @@ class Driver:
                             self.sizes.artifact_bytes(global_params.param_count),
                             payload=artifact,
                             meta={"round": model.round_index + 1, "final": final})
-
-    def _c_feature_names(self) -> list[str]:
-        return model_feature_names(self.canonical, list(self.derived))
-
-    def _c_scaler(self) -> pipeline.ScalingParams:
-        names = self._c_feature_names()
-        matrix = np.zeros((0, len(names)))
-        return pipeline.fit_scaler(matrix, names, self.canonical, self.derived,
-                                   self.config.pipeline.scaling) \
-            if self.config.pipeline.scaling in ("schema_range", "none") \
-            else pipeline.ScalingParams("none", names, np.zeros(len(names)),
-                                        np.ones(len(names)))
 
     def _on_domain_eval(self, payload: dict[str, Any]) -> None:
         self._domain_evals[payload["domain"]] = payload
@@ -1316,35 +1313,24 @@ class Driver:
         return result
 
     def build_local_split(self, spec: SourceSpec) -> pipeline.SplitDataset:
-        """A domain's split of its own cleansed records, drawn from the substream
-        tagged (config seed, "datagen", owner kind, owner index, 0)."""
+        """A domain's split of its own records, drawn from the substream tagged
+        (config seed, "datagen", owner kind, owner index, 0), through the data path."""
         rng = datagen.derive_rng(self.config.seed, "datagen", spec.owner.kind.value,
                                  spec.owner.index, 0)
         ids = self.sim.next_record_ids(_batch_total(spec, spec.emission.size))
         records = datagen.generate_batch(spec, spec.emission.size, rng,
                                          id_start=ids.start, tick=self.sim.clock)
         provenance = pipeline.Provenance((str(spec.owner),), (0, 0), self.config_hash)
-        ds = pipeline.Dataset(pipeline.Stage.CLEANSED, self.local_cleanse(spec, records),
-                              provenance)
-        formatted = pipeline.format_dataset(ds, spec.canonical_schema(),
-                                            {spec.owner: spec.rename})
-        td = pipeline.transform(formatted, self.config.pipeline.scaling, self.derived)
+        raw = pipeline.Dataset(pipeline.Stage.RAW, records, provenance)
+        td = pipeline.transform(self._prepare(raw), self.config.pipeline.scaling, self.derived)
         return pipeline.split(td, self.config.pipeline.split)
-
-    def local_cleanse(self, spec: SourceSpec,
-                      records: datagen.RecordBatch) -> datagen.RecordBatch:
-        provenance = pipeline.Provenance((str(spec.owner),), (0, 0), self.config_hash)
-        ds = pipeline.Dataset(pipeline.Stage.RAW, records, provenance)
-        return pipeline.cleanse(ds).records
 
     # -- scenario A validation ------------------------------------------------------------------------------
 
     def _validate_import(self, raw: pipeline.Dataset) -> None:
         cfg = self.config
         artifact: ModelArtifact = self._pending_import
-        cleansed = pipeline.cleanse(raw)
-        renames = {s.owner: s.rename for s in cfg.sources}
-        formatted = pipeline.format_dataset(cleansed, self.canonical, renames)
+        formatted = self._prepare(raw)
         n_val = min(len(formatted.records), cfg.external.validation_batch)
         records = formatted.records.take(slice(n_val))
         base = pipeline.base_design_matrix(records, self.canonical, self.derived)
@@ -1419,10 +1405,8 @@ class Driver:
         assert plan is not None
         self.sim.log_event("promotion", src=replica, detail={"failed": str(plan.target)})
         self.active_aiml = replica
-        self.last_checkpoint_at_promotion = checkpoint
         self.registry = Registry.restore(checkpoint["registry"], self._log_step) \
             if checkpoint else Registry(self._log_step)
-        self.restored_registry_snapshot = self.registry.snapshot()
         entry = self.registry.entries.get(MODEL_ID)
         self.sim.log_event("mitigation", src=replica, detail={
             "mechanism": "failover_restore",

@@ -35,7 +35,7 @@ from typing import Any, Callable, Iterable, NamedTuple, TYPE_CHECKING
 from .errors import DuplicateComponent, TickLimitExceeded, UndeclaredRoute, UnknownInterface
 
 if TYPE_CHECKING:
-    from .config import ScenarioConfig
+    from .config import ScenarioConfig, TopologyCounts
 
 
 class ComponentKind(str, Enum):
@@ -296,10 +296,10 @@ class _ComponentState:
 class Topology:
     """Validated component graph plus undirected links labeled by interface.
 
-    ``components`` is the census of the built graph and holds each
-    component's liveness; ``_links`` is the only record of the links, one
-    ``neighbour -> wire`` map per component, filled both ways by
-    :meth:`link` with one :class:`Wire` per link.
+    ``components`` holds each component's liveness in the order added, in a
+    built graph that of its section's :func:`census`, which is the census.
+    ``_links`` is the only record of the links, one ``neighbour -> wire`` map
+    per component, filled both ways by :meth:`link` with one :class:`Wire` each.
     """
 
     def __init__(self, interfaces: dict[InterfaceName, InterfaceSpec]):
@@ -336,72 +336,67 @@ class Topology:
         return sorted(self._links.get(cid, ()))
 
 
-def build_topology(config: "ScenarioConfig") -> Topology:
-    """Instantiate the component graph a scenario config declares.
+# attached to the first NFVO
+_NFVO_ATTACHED = (ComponentKind.VNFM, ComponentKind.VIM, ComponentKind.WIM, ComponentKind.CISM,
+                  ComponentKind.CIR, ComponentKind.CCM)
 
-    Terminations are created automatically for every declared far-side
-    management system and linked to every AI/ML instance. The built graph is
-    the census of the topology section: ``config_from_dict`` checks every
-    component a config places against it.
+
+def census(counts: "TopologyCounts") -> dict[ComponentKind, list[ComponentId]]:
+    """The census of a topology section: the components of each kind that
+    :func:`build_topology` adds, in the order it adds them, with no link made.
+
+    It counts one termination for the declared far-side management systems
+    of each side, and the external provider with its termination.
+    ``config_from_dict`` checks every component a config places against it.
     """
-    interfaces = {spec.name: spec for spec in config.interface_specs()}
-    topo = Topology(interfaces)
+    k = ComponentKind
+    sizes = {k.NON_RT_RIC: 1, k.AIML_FUNCTION: counts.aiml_instances, k.NSSMF: counts.nssmf,
+             k.NFVO: counts.nfvo, k.MDA_SYSTEM_3GPP: counts.mda_3gpp,
+             k.MDA_SYSTEM_NFV: counts.mda_nfv, k.RAPP: counts.rapps,
+             k.NFMF: counts.nssmf * counts.nfmf_per_nssmf,
+             k.VNFM: counts.vnfm, k.VIM: counts.vim, k.WIM: counts.wim, k.CISM: counts.cism,
+             k.CIR: counts.cir, k.CCM: counts.ccm,
+             k.NSSMF_TERMINATION: int(bool(counts.nssmf or counts.mda_3gpp)),
+             k.NFVO_TERMINATION: int(bool(counts.nfvo or counts.mda_nfv)),
+             k.EXTERNAL_AIML_TERMINATION: int(counts.external_provider),
+             k.EXTERNAL_PROVIDER: int(counts.external_provider)}
+    return {kind: [ComponentId(kind, i) for i in range(n)] for kind, n in sizes.items()}
+
+
+def build_topology(config: "ScenarioConfig") -> Topology:
+    """Instantiate the component graph a scenario config declares: add the
+    :func:`census` of its topology section, in census order, then link it.
+
+    A termination links the far-side management systems of its side to
+    every AI/ML instance. The census, not this built graph, is what
+    ``config_from_dict`` checks placed components against.
+    """
+    topo = Topology({spec.name: spec for spec in config.interface_specs()})
     counts = config.topology
-
-    def _add_many(kind: ComponentKind, n: int) -> list[ComponentId]:
-        ids = [ComponentId(kind, i) for i in range(n)]
-        for c in ids:
+    ids = census(counts)
+    for kind_ids in ids.values():
+        for c in kind_ids:
             topo.add_component(c)
-        return ids
-
-    [ric] = _add_many(ComponentKind.NON_RT_RIC, 1)
-    aimls = _add_many(ComponentKind.AIML_FUNCTION, counts.aiml_instances)
-    nssmfs = _add_many(ComponentKind.NSSMF, counts.nssmf)
-    nfvos = _add_many(ComponentKind.NFVO, counts.nfvo)
-    mda3 = _add_many(ComponentKind.MDA_SYSTEM_3GPP, counts.mda_3gpp)
-    mdan = _add_many(ComponentKind.MDA_SYSTEM_NFV, counts.mda_nfv)
-    rapps = _add_many(ComponentKind.RAPP, counts.rapps)
-    nfmfs: list[ComponentId] = []
-    for s_idx, nssmf in enumerate(nssmfs):
-        for j in range(counts.nfmf_per_nssmf):
-            nfmf = ComponentId(ComponentKind.NFMF, s_idx * counts.nfmf_per_nssmf + j)
-            topo.add_component(nfmf)
-            nfmfs.append(nfmf)
-            topo.link(nfmf, nssmf, InterfaceName.SMO_INTERNAL)
-    for kind, n in (
-        (ComponentKind.VNFM, counts.vnfm),
-        (ComponentKind.VIM, counts.vim),
-        (ComponentKind.WIM, counts.wim),
-        (ComponentKind.CISM, counts.cism),
-        (ComponentKind.CIR, counts.cir),
-        (ComponentKind.CCM, counts.ccm),
-    ):
-        for c in _add_many(kind, n):
+    k = ComponentKind
+    [ric] = ids[k.NON_RT_RIC]
+    aimls, nssmfs, nfvos = ids[k.AIML_FUNCTION], ids[k.NSSMF], ids[k.NFVO]
+    mda3, mdan, rapps = ids[k.MDA_SYSTEM_3GPP], ids[k.MDA_SYSTEM_NFV], ids[k.RAPP]
+    for nfmf in ids[k.NFMF]:
+        topo.link(nfmf, nssmfs[nfmf.index // counts.nfmf_per_nssmf], InterfaceName.SMO_INTERNAL)
+    for kind in _NFVO_ATTACHED:
+        for c in ids[kind]:
             if not nfvos:
                 raise UndeclaredRoute(f"{kind.value} declared without an NFVO")
             topo.link(c, nfvos[0], InterfaceName.SMO_INTERNAL)
-
-    need_nssmf_term = bool(nssmfs or mda3)
-    need_nfvo_term = bool(nfvos or mdan)
-    if need_nssmf_term:
-        term = ComponentId(ComponentKind.NSSMF_TERMINATION, 0)
-        topo.add_component(term)
-        for c in nssmfs + mda3:
-            topo.link(c, term, InterfaceName.NSSMF_NONRTRIC)
-        for a in aimls:
-            topo.link(term, a, InterfaceName.SMO_INTERNAL)
-    if need_nfvo_term:
-        term = ComponentId(ComponentKind.NFVO_TERMINATION, 0)
-        topo.add_component(term)
-        for c in nfvos + mdan:
-            topo.link(c, term, InterfaceName.NFVO_NONRTRIC)
-        for a in aimls:
-            topo.link(term, a, InterfaceName.SMO_INTERNAL)
-    if counts.external_provider:
-        term = ComponentId(ComponentKind.EXTERNAL_AIML_TERMINATION, 0)
-        provider = ComponentId(ComponentKind.EXTERNAL_PROVIDER, 0)
-        topo.add_component(term)
-        topo.add_component(provider)
+    for kind, side, interface in (
+            (k.NSSMF_TERMINATION, nssmfs + mda3, InterfaceName.NSSMF_NONRTRIC),
+            (k.NFVO_TERMINATION, nfvos + mdan, InterfaceName.NFVO_NONRTRIC)):
+        for term in ids[kind]:
+            for c in side:
+                topo.link(c, term, interface)
+            for a in aimls:
+                topo.link(term, a, InterfaceName.SMO_INTERNAL)
+    for term, provider in zip(ids[k.EXTERNAL_AIML_TERMINATION], ids[k.EXTERNAL_PROVIDER]):
         topo.link(provider, term, InterfaceName.EXTERNAL_AIML)
         for a in aimls:
             topo.link(term, a, InterfaceName.NONRTRIC_INTERNAL)

@@ -455,10 +455,10 @@ class TestCrossFieldRules:
     def test_topology_counts_past_the_bound_fail_before_anything_is_built(self, counts, field,
                                                                           monkeypatch):
         # the topology grows with the square of the AI/ML instance count
-        def build_topology(config):
-            raise AssertionError("the topology was built")
+        def census(counts):
+            raise AssertionError("the census was taken")
 
-        monkeypatch.setattr("smosim.config.build_topology", build_topology)
+        monkeypatch.setattr("smosim.config.census", census)
         data = scenario_b_dict()
         data["topology"].update(counts)
         with pytest.raises(ConfigError) as info:

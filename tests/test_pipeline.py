@@ -236,6 +236,18 @@ class TestTransform:
         assert td.feature_names == ["a", "b", "a*b", "a/b"]
         assert list(td.X[0]) == [6.0, 3.0, 18.0, 2.0]
 
+    @pytest.mark.parametrize("mode, offset, scale", [
+        ("schema_range", [10.0, 0.0], [40.0, 1.0]), ("zscore", [0.0, 0.0], [1.0, 1.0]),
+        ("minmax", [0.0, 0.0], [1.0, 1.0]), ("none", [0.0, 0.0], [1.0, 1.0])])
+    def test_scaler_at_zero_rows(self, mode, offset, scale):
+        # schema_range reads the schema alone; the modes fitted to rows have
+        # nothing to fit and give the identity, which says so in its mode
+        canonical = [FeatureSpec("x", "numeric", valid_range=(10.0, 50.0)),
+                     FeatureSpec("c", "categorical", vocab=("u",))]
+        scaler = pipeline.fit_scaler(np.zeros((0, 2)), ["x", "c=u"], canonical, (), mode)
+        assert scaler.mode == (mode if mode == "schema_range" else "none")
+        assert (list(scaler.offset), list(scaler.scale)) == (offset, scale)
+
     def test_stored_scaler_reproduces_training_matrix(self):
         canonical = [FeatureSpec("x", "numeric", valid_range=(0.0, 10.0))]
         ds = _formatted([{"x": 1.0}, {"x": 5.0}, {"x": 9.0}], canonical)

@@ -27,6 +27,7 @@ from smosim.errors import (
     UnsupportedKind,
 )
 from smosim.learn import LinearParams, ridge_closed_form, evaluate
+from smosim.lifecycle import Registry
 from smosim.scenarios import DomainModel, Driver, FaultRecord, Phase, Timeline, timeline
 from smosim.topology import (
     ComponentId,
@@ -171,12 +172,26 @@ class TestScenarioB:
         return data
 
     @staticmethod
-    def _streamed(result, owner: str) -> datagen.RecordBatch:
-        return datagen.RecordBatch.concat(result.driver._inbox[owner])
+    def _streamed(config: ScenarioConfig, owner: str) -> datagen.RecordBatch:
+        """The raw records ``owner`` delivers to the AI/ML function in a checked
+        run of ``config``, in delivery order."""
+        driver = Driver(config)
+        aiml = ComponentId(ComponentKind.AIML_FUNCTION, 0)
+        parts, dispatch = [], driver.sim.handlers[aiml]
+
+        def record_data(sim, msg):
+            if msg.payload_kind is PayloadKind.RAW_DATA and msg.final_dst == aiml \
+                    and msg.meta["source"] == owner:
+                parts.append(msg.payload)
+            dispatch(sim, msg)
+
+        driver.sim.handlers[aiml] = record_data
+        check_invariants(driver.run())
+        return datagen.RecordBatch.concat(parts)
 
     def test_streams_of_different_sources_are_independent(self):
-        ours = self._streamed(checked_run(build(self._two_streams(4))), "NFMF#0")
-        other = self._streamed(checked_run(build(self._two_streams(9))), "NFMF#0")
+        ours = self._streamed(build(self._two_streams(4)), "NFMF#0")
+        other = self._streamed(build(self._two_streams(9)), "NFMF#0")
         assert len(ours) == len(other) == 15 * 5
         for name, col in ours.columns.items():
             np.testing.assert_array_equal(col, other.columns[name])
@@ -185,8 +200,7 @@ class TestScenarioB:
 
     def test_a_streaming_collection_draws_from_one_generator(self):
         config = build(self._two_streams(4))
-        result = checked_run(config)
-        streamed = self._streamed(result, "NFMF#0")
+        streamed = self._streamed(config, "NFMF#0")
         spec = config.sources[0]
         rng = datagen.derive_rng(config.seed, "stream", "NFMF", 0, 1)
         expected = datagen.generate_batch(spec, 5, rng, parts=15)
@@ -715,6 +729,21 @@ class TestScenarioC:
         global_mse = evaluate(global_params, ModelKind.LINEAR_SGD, Xt, yt).mse
         assert global_mse <= 2.0 * oracle_mse
 
+    def test_share_models_artifact_carries_the_schema_range_scaler_of_its_domains(self):
+        # the aggregate has no rows of its own; schema_range scaling needs none
+        data = _scenario_c_dict("share-models", rounds=1)
+        for s in data["sources"]:
+            s["schema"] = [numeric_feature("cpu", 10.0, 50.0),
+                           numeric_feature("mem", 10.0, 50.0)]
+            s["coefficients"] = [0.05, -0.025]
+        result = checked_run(build(data))
+        scaler = result.registry.entries["m0"].artifact.scaler
+        assert (scaler.mode, scaler.feature_names) == ("schema_range", ["cpu", "mem"])
+        np.testing.assert_array_equal(scaler.offset, [10.0, 10.0])
+        np.testing.assert_array_equal(scaler.scale, [40.0, 40.0])
+        for domain in result.driver.domains.values():
+            assert domain.split.train.scaler.to_dict() == scaler.to_dict()
+
     def test_share_data_trains_centrally_on_cleansed_union(self):
         result = checked_run(build(_scenario_c_dict("share-data", rounds=1, size=100)))
         assert result.report.status == "completed"
@@ -1047,6 +1076,32 @@ class TestFailover:
                 for e in result.sim.log.of_type("transition") if src in (None, e.src)]
 
     @staticmethod
+    def _checkpoint_at_promotion(result) -> dict:
+        """The checkpoint the promoted replica restored, checked against the log:
+        the last ``checkpoint`` event before the ``promotion`` gives its tick and
+        entry count, the ``phase`` event before that its phase, and the
+        ``failover_restore`` mitigation names its entry count, version and state."""
+        phase = logged = None
+        for e in result.sim.log.entries:
+            if e.type == "promotion":
+                break
+            if e.type == "phase":
+                phase = e.detail["phase"]
+            elif e.type == "checkpoint":
+                logged = dict(e.detail, phase=phase)
+        checkpoint = result.driver.replicas[result.driver.active_aiml].checkpoint
+        assert checkpoint is not None
+        entries = checkpoint["registry"]["entries"]
+        assert logged == {"tick": checkpoint["tick"], "entries": len(entries),
+                          "phase": checkpoint["phase"]}
+        (restore,) = [e.detail for e in result.sim.log.of_type("mitigation")
+                      if e.detail["mechanism"] == "failover_restore"]
+        entry = entries.get("m0", {"version": None, "state": None})
+        assert (restore["restored_entries"], restore["version"], restore["state"]) == \
+            (len(entries), entry["version"], entry["state"])
+        return checkpoint
+
+    @staticmethod
     def _restores(result):
         """(resumed phase, restored entry count) of each promotion."""
         return [(e.detail["resumed_phase"], e.detail["restored_entries"])
@@ -1159,10 +1214,8 @@ class TestFailover:
 
     def test_restored_registry_equals_last_checkpoint(self):
         result = checked_run(self._config(["AimlFunction#1"]))
-        driver = result.driver
-        assert driver.last_checkpoint_at_promotion is not None
-        assert driver.restored_registry_snapshot == \
-            driver.last_checkpoint_at_promotion["registry"]
+        snapshot = self._checkpoint_at_promotion(result)["registry"]
+        assert Registry.restore(snapshot, lambda entry, before: None).snapshot() == snapshot
 
     def test_no_replica_is_single_point_failure(self):
         result = checked_run(self._config([]))
@@ -1199,11 +1252,10 @@ class TestFailover:
         result = checked_run(late)
         report = result.report
         assert report.status == "completed"
-        driver = result.driver
-        assert driver.last_checkpoint_at_promotion is not None
-        assert driver.last_checkpoint_at_promotion["phase"] == "monitor"
-        restored = driver.restored_registry_snapshot
-        assert restored == driver.last_checkpoint_at_promotion["registry"]
+        checkpoint = self._checkpoint_at_promotion(result)
+        assert checkpoint["phase"] == "monitor"
+        restored = checkpoint["registry"]
+        assert Registry.restore(restored, lambda entry, before: None).snapshot() == restored
         assert restored["entries"], "registry should carry the deployed model"
 
     def test_resume_table_covers_exactly_the_phases_live_at_a_promotion(self):
@@ -1252,7 +1304,7 @@ class TestFailover:
         config = self._config(["AimlFunction#1"], fail_tick=354,
                               monitor={"rounds": 5, "interval": 10, "batch": 20}, **self._SLOW)
         result = checked_run(config)
-        checkpoint = result.driver.last_checkpoint_at_promotion
+        checkpoint = self._checkpoint_at_promotion(result)
         assert checkpoint["tick"] == 352
         assert checkpoint["registry"]["entries"]["m0"]["state"] == "Deployed"
         assert self._restores(result) == [("monitor", 1)]
@@ -1305,7 +1357,7 @@ class TestFailover:
         data["harness"] = self._failure(fail_tick)
         result = checked_run(build(data))
         report = result.report
-        checkpoint = result.driver.last_checkpoint_at_promotion
+        checkpoint = self._checkpoint_at_promotion(result)
         assert checkpoint["registry"]["entries"]["m0"]["state"] == state
         assert self._restores(result) == [(phase, 1)]
         assert report.status == "completed"

@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smosim.config import LinkSpec, config_from_dict
+from smosim.config import (MAX_COMPONENTS, LinkSpec, ScenarioConfig, ScenarioKind,
+                           TopologyCounts, config_from_dict)
 from smosim.errors import (
     DuplicateComponent,
     TickLimitExceeded,
@@ -30,6 +31,7 @@ from smosim.topology import (
     Simulation,
     Topology,
     build_topology,
+    census,
 )
 
 from conftest import scenario_b_dict
@@ -70,7 +72,45 @@ def _rich_topology() -> Topology:
         aiml_instances=3, external_provider=True))
 
 
+_COUNT = st.integers(0, MAX_COMPONENTS)
+_NFV_ATTACHED = ("vnfm", "vim", "wim", "cism", "cir", "ccm")
+
+
+@st.composite
+def _topology_counts(draw) -> TopologyCounts:
+    """Counts within the bounds that ``config_from_dict`` enforces."""
+    counts = {name: draw(_COUNT) for name in ("nfvo", "mda_3gpp", "mda_nfv", "rapps",
+                                              *_NFV_ATTACHED)}
+    if any(counts[name] for name in _NFV_ATTACHED):  # they attach to an NFVO
+        counts["nfvo"] = max(counts["nfvo"], 1)
+    nssmf = draw(_COUNT)
+    return TopologyCounts(
+        nssmf=nssmf, nfmf_per_nssmf=draw(st.integers(0, MAX_COMPONENTS // max(nssmf, 1))),
+        aiml_instances=draw(st.integers(1, MAX_COMPONENTS)),
+        external_provider=draw(st.booleans()), **counts)
+
+
 class TestBuildTopology:
+    @settings(max_examples=60, deadline=None)
+    @given(_topology_counts())
+    def test_the_built_graph_adds_exactly_the_census_in_order(self, counts):
+        topo = build_topology(ScenarioConfig(ScenarioKind.B, topology=counts))
+        assert list(topo.components) == [cid for ids in census(counts).values() for cid in ids]
+
+    @pytest.mark.parametrize("counts, expected", [
+        (TopologyCounts(nssmf=2, nfmf_per_nssmf=2, nfvo=1, vnfm=1, ccm=1, mda_3gpp=1, rapps=1,
+                        aiml_instances=2, external_provider=True),
+         ["NonRtRic#0", "AimlFunction#0", "AimlFunction#1", "NSSMF#0", "NSSMF#1", "NFVO#0",
+          "MdaSystem3GPP#0", "RApp#0", "NFMF#0", "NFMF#1", "NFMF#2", "NFMF#3", "VNFM#0", "CCM#0",
+          "NssmfTermination#0", "NfvoTermination#0", "ExternalAimlTermination#0",
+          "ExternalProvider#0"]),
+        # an MDA system alone still gets its side's termination
+        (TopologyCounts(mda_nfv=1), ["NonRtRic#0", "AimlFunction#0", "MdaSystemNFV#0",
+                                     "NfvoTermination#0"]),
+    ])
+    def test_the_census_lists_each_kind_in_add_order(self, counts, expected):
+        assert [str(cid) for ids in census(counts).values() for cid in ids] == expected
+
     def test_minimal_instantiation_auto_attaches_terminations(self):
         config = _minimal_config(nssmf=1, nfvo=1)
         topo = build_topology(config)
