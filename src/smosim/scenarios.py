@@ -945,9 +945,8 @@ class Driver:
         flt = cfg.harness.filter
         if flt is not None or cfg.harness.poison is not None:
             # a poisoned run with the mitigation disabled keeps every record
-            records = collected.records
-            kept, rejected = harness.validation_filter(records, flt) if flt is not None \
-                else (records, records.take(slice(0)))
+            kept, rejected = harness.validation_filter(collected.records, flt) if flt is not None \
+                else (collected.records, collected.records.take(slice(0)))
             self.sim.log_event("poison_detection", src=self.active_aiml,
                                detail=harness.poison_detection_report(kept, rejected))
         if flt is not None:
