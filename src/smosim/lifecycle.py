@@ -286,37 +286,42 @@ class MonitorWindow:
     """The monitor's record of the last ``capacity`` reported samples and the drift rule.
 
     The window owns the reported samples: it keeps the fewest recent reports
-    that hold the last ``capacity`` samples, each as its record batch (the
-    refinement's training data, :meth:`samples`) beside the squared error of
-    each of its predictions (the drift rule's evidence, :meth:`mse`).
+    that hold the last ``capacity`` samples, each as its record batch and its
+    sample count (the refinement's training data, :meth:`samples`). Beside
+    them it keeps, as it ingests, the count those reports hold and the squared
+    errors of the last ``capacity`` predictions (the drift rule's evidence,
+    :meth:`mse`), so no report is walked again.
     """
 
     capacity: int
     baseline_mse: float
     drift_factor: float
     min_samples: int
-    reports: deque[tuple[RecordBatch, list[float]]] = field(default_factory=deque)
+    reports: deque[tuple[RecordBatch, int]] = field(default_factory=deque, init=False)
+    _held: int = field(default=0, init=False, repr=False)  # samples the reports hold
+    _errors: deque[float] = field(init=False, repr=False)  # the last capacity, oldest first
+
+    def __post_init__(self) -> None:
+        self._errors = deque(maxlen=self.capacity)
 
     def ingest(self, records: RecordBatch, predictions: np.ndarray) -> None:
         """Take one whole report: its samples and the prediction made for each."""
         errors = [(p - a) ** 2 for p, a in zip(np.asarray(predictions, dtype=float).tolist(),
                                                 records.target.tolist())]
+        self._errors.extend(errors)
         reports = self.reports
-        reports.append((records, errors))
-        held = sum(len(e) for _, e in reports)
-        while held - len(reports[0][1]) >= self.capacity:
-            held -= len(reports.popleft()[1])
+        reports.append((records, len(errors)))
+        self._held += len(errors)
+        while self._held - reports[0][1] >= self.capacity:
+            self._held -= reports.popleft()[1]
 
     def __len__(self) -> int:
-        return min(self.capacity, sum(len(e) for _, e in self.reports))
+        return len(self._errors)
 
     def mse(self) -> float:
         """Mean squared error of the last ``capacity`` samples, summed oldest first."""
-        n = len(self)
-        if not n:
-            return 0.0
-        errors = [e for _, errs in self.reports for e in errs]
-        return sum(errors[-n:]) / n
+        n = len(self._errors)
+        return sum(self._errors) / n if n else 0.0
 
     def samples(self) -> RecordBatch:
         """The records of the last ``capacity`` samples, oldest first; the window is not empty."""
@@ -330,5 +335,7 @@ class MonitorWindow:
 
     def clear(self, new_baseline: float | None = None) -> None:
         self.reports.clear()
+        self._held = 0
+        self._errors.clear()
         if new_baseline is not None:
             self.baseline_mse = new_baseline

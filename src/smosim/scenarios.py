@@ -313,19 +313,21 @@ def report_from(config: ScenarioConfig, events: Sequence[Event]) -> RunReport:
     peak_demand, scheduler, poison, forgetting, rejected = 1, None, None, None, False
     end = events[-1]
     for e in events:
-        t, d = e.type, e.detail
+        t = e.type  # the detail is read only where needed: a message event builds it
         if t == "job_scheduled":
+            d = e.detail
             training += d["work"]
             cost += d["cost"]
             if "scheduler" in d:
                 scheduler, peak_demand = d["scheduler"], d["peak_demand"]
         elif t == "inference":
+            d = e.detail
             inference += d["records"]
             forgetting = d.get("forgetting_mse", forgetting)
-        elif t == "transition" and d["state"] == "Refining":
-            refinements = d["refinements"]
+        elif t == "transition" and e.detail["state"] == "Refining":
+            refinements = e.detail["refinements"]
         elif t == "poison_detection":
-            poison = d
+            poison = e.detail
         elif t == "artifact_rejected":
             rejected = True
     faults, downtime, detection, resolution = timeline(events)
@@ -461,6 +463,12 @@ class _TargetBehavior:
     takes its part, with record ids and tick given at the round, predicts
     with the stored scaling parameters and sends the (sample, prediction)
     report upstream, with the version of the artifact that predicted it.
+
+    The drawn block is encoded once, on the first round that reports, into
+    its unscaled design matrix; each round scales its part's rows of it with
+    the scaler of the artifact it holds then. Encoding and scaling act row by
+    row, so a round's matrix is bit for bit ``pipeline.reapply_transform`` of
+    its own records.
     """
 
     def __init__(self, driver: "Driver", cid: ComponentId, spec: SourceSpec | None):
@@ -469,9 +477,11 @@ class _TargetBehavior:
         self.spec = None if spec is None else _clean_copy(spec)
         self.artifact: ModelArtifact | None = None
         self.drawn: datagen.RecordBatch | None = None
+        self._base: np.ndarray | None = None  # the drawn block, encoded unscaled
 
     def handle(self, sim: Simulation, msg: InterfaceMessage) -> None:
-        if msg.payload_kind is not PayloadKind.MODEL_ARTIFACT:
+        # a deployment only: a share-models domain's global model is not one
+        if msg.payload_kind is not PayloadKind.MODEL_ARTIFACT or not msg.meta.get("deploy"):
             return
         self.artifact = msg.payload
         self.driver.on_artifact_delivered(self.cid, self.artifact.version)
@@ -502,9 +512,11 @@ class _TargetBehavior:
         mon = driver.config.monitor
         ids = driver.sim.next_record_ids(mon.batch)
         records = _sent_part(self.drawn, round_index - 1, ids, driver.sim.clock)
-        X = pipeline.reapply_transform(records, driver.canonical, driver.derived,
-                                       self.artifact.scaler)
-        preds = self.artifact.predict(X)
+        if self._base is None:
+            self._base = pipeline.base_design_matrix(self.drawn, driver.canonical,
+                                                     driver.derived)
+        rows = self._base[(round_index - 1) * mon.batch:round_index * mon.batch]
+        preds = self.artifact.predict(self.artifact.scaler.apply(rows))
         cost = mon.batch * driver.costs.inference_tick_per_record
         driver.sim.log_event("inference", src=self.cid, detail={"records": mon.batch})
         shift = driver.config.harness.drift_shift
@@ -709,44 +721,48 @@ class Driver:
 
     def _wire(self) -> None:
         """Install one dispatcher per component: forward in-transit messages,
-        hand terminal deliveries to the component's role behavior."""
-        inner: dict[ComponentId, Any] = {}
+        hand terminal deliveries to the component's role behaviors.
+
+        A component can hold two roles, a data source that is also a deploy
+        target: each role's handler ignores the other's messages, so the
+        dispatcher hands every delivery to both, the source first.
+        """
+        roles: dict[ComponentId, list[Callable[[Simulation, InterfaceMessage], None]]] = {}
         if self.config.kind is ScenarioKind.C and self.config.mode == "share-models":
             for spec in self.config.sources:
                 behavior = _DomainBehavior(self, spec)
                 self.domains[spec.owner] = behavior
-                inner[spec.owner] = behavior.handle
+                roles[spec.owner] = [behavior.handle]
         else:
             for owner, behavior in self.sources.items():
-                inner[owner] = behavior.handle
+                roles[owner] = [behavior.handle]
         for target in self.config.deploy.targets:
             if target.kind is ComponentKind.AIML_FUNCTION:
                 continue
             spec = self._domain_spec_for(target)
             behavior = _TargetBehavior(self, target, spec)
             self.targets[target] = behavior
-            inner[target] = behavior.handle
-        inner[self.active_aiml] = self._aiml_handle
+            roles.setdefault(target, []).append(behavior.handle)
+        roles[self.active_aiml] = [self._aiml_handle]
         if self.plan is not None:
             for replica in self.plan.replicas:
                 rb = _ReplicaBehavior(self, replica, self.plan.target)
                 self.replicas[replica] = rb
-                inner[replica] = rb.handle
+                roles[replica] = [rb.handle]
         for cid in self.topology.components:
-            self.sim.handlers[cid] = self._make_dispatcher(cid, inner.get(cid))
+            self.sim.handlers[cid] = self._make_dispatcher(cid, tuple(roles.get(cid, ())))
 
-    def _make_dispatcher(self, cid: ComponentId, role_handler):
+    def _make_dispatcher(self, cid: ComponentId, role_handlers: tuple):
         def dispatch(sim: Simulation, msg: InterfaceMessage) -> None:
             final = msg.final_dst
             if final is not None and final is not cid:
                 sim.send(cid, self.next_hop(cid, final), msg.payload_kind, msg.payload_bytes,
                          msg.payload, final, msg.meta)
-                return
-            handler = role_handler
-            if cid is self.active_aiml:
-                handler = self._aiml_handle
-            if handler is not None:
-                handler(sim, msg)
+            elif cid is self.active_aiml:
+                self._aiml_handle(sim, msg)
+            else:
+                for handle in role_handlers:
+                    handle(sim, msg)
         return dispatch
 
     def _domain_spec_for(self, target: ComponentId) -> SourceSpec | None:

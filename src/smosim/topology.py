@@ -18,6 +18,9 @@ A hop is kept cheap by doing its lookups once, ahead of the run:
 - Every event is built by one method from texts already rendered, and
   :meth:`Event.to_json` memoises the JSON text of an event's five
   vocabulary fields per combination.
+- A ``send``, ``deliver`` or ``component_down`` event keeps its message id
+  in :attr:`Event.msg_id` and no detail dict of its own; its ``detail`` is
+  built only when read.
 
 Nothing here depends on id hashes for order: containers of ids that are
 iterated are dicts in insertion order, or are sorted by ``(kind, index)``.
@@ -233,7 +236,16 @@ _LINE = '{"tick":%d,"seq":%d,%s,"bytes":%d,"detail":%s}'
 _MSG_LINE = '{"tick":%d,"seq":%d,%s,"bytes":%d,"detail":{"msg_id":%d}}'
 
 
-@dataclass(slots=True)
+def _sole_msg_id(detail: dict[str, Any]) -> int | None:
+    """``n`` if ``detail`` is exactly ``{"msg_id": n}`` with ``n`` an int, else None."""
+    if len(detail) == 1:
+        msg_id = detail.get("msg_id")
+        if type(msg_id) is int:
+            return msg_id
+    return None
+
+
+@dataclass(slots=True, init=False)
 class Event:
     """One structured event-log entry.
 
@@ -242,24 +254,55 @@ class Event:
     ``dst``, ``interface``, ``payload_kind``, ``bytes`` and ``detail``, in that
     order: compact separators, non-ASCII text escaped, NaN and infinities
     written as ``NaN``/``Infinity``. ``tick``, ``seq`` and ``bytes`` are ints.
+
+    A detail that is exactly ``{"msg_id": n}``, with ``n`` an int, is kept as
+    ``msg_id`` alone, whether it is given as ``msg_id=n`` or as that dict:
+    ``detail`` then builds a new ``{"msg_id": n}`` on each read. So the two
+    forms render and compare alike, and a message event owns no dict.
     """
 
     tick: int
     seq: int
     type: str
-    src: str | None = None
-    dst: str | None = None
-    interface: str | None = None
-    payload_kind: str | None = None
-    bytes: int = 0
-    detail: dict[str, Any] = field(default_factory=dict)
+    src: str | None
+    dst: str | None
+    interface: str | None
+    payload_kind: str | None
+    bytes: int
+    msg_id: int | None
+    _detail: dict[str, Any] | None  # None when msg_id stands for the detail
+
+    def __init__(self, tick: int, seq: int, type: str, src: str | None = None,
+                 dst: str | None = None, interface: str | None = None,
+                 payload_kind: str | None = None, bytes: int = 0,
+                 detail: dict[str, Any] | None = None, *, msg_id: int | None = None):
+        self.tick = tick
+        self.seq = seq
+        self.type = type
+        self.src = src
+        self.dst = dst
+        self.interface = interface
+        self.payload_kind = payload_kind
+        self.bytes = bytes
+        if detail is not None:
+            if msg_id is not None:
+                raise TypeError("an event takes a detail or a msg_id, not both")
+            msg_id = _sole_msg_id(detail)
+        elif msg_id is None:
+            detail = {}
+        self.msg_id = msg_id
+        self._detail = None if msg_id is not None else detail
+
+    @property
+    def detail(self) -> dict[str, Any]:
+        detail = self._detail
+        return {"msg_id": self.msg_id} if detail is None else detail
 
     def to_json(self) -> str:
         fields = _FIELDS_TEXT[self.type, self.src, self.dst, self.interface, self.payload_kind]
-        detail = self.detail
-        msg_id = detail.get("msg_id")
-        if type(msg_id) is int and len(detail) == 1:
-            return _MSG_LINE % (self.tick, self.seq, fields, self.bytes, msg_id)
+        detail = self._detail
+        if detail is None:
+            return _MSG_LINE % (self.tick, self.seq, fields, self.bytes, self.msg_id)
         return _LINE % (self.tick, self.seq, fields, self.bytes, _COMPACT_JSON.encode(detail))
 
     @staticmethod
@@ -448,13 +491,16 @@ class Simulation:
                   detail: dict[str, Any] | None = None) -> Event:
         return self._event(type, None if src is None else src._text,
                            None if dst is None else dst._text, _ENUM_TEXT[interface],
-                           _ENUM_TEXT[payload_kind], bytes, detail or {})
+                           _ENUM_TEXT[payload_kind], bytes, detail)
 
     def _event(self, type: str, src: str | None, dst: str | None, interface: str | None,
-               payload_kind: str | None, bytes: int, detail: dict[str, Any]) -> Event:
-        """Log an event at the clock from its texts; every event is made here."""
+               payload_kind: str | None, bytes: int, detail: dict[str, Any] | None,
+               msg_id: int | None = None) -> Event:
+        """Log an event at the clock from its texts, with a detail or a message
+        id; every event is made here."""
         self._seq = seq = self._seq + 1
-        event = Event(self.clock, seq, type, src, dst, interface, payload_kind, bytes, detail)
+        event = Event(self.clock, seq, type, src, dst, interface, payload_kind, bytes, detail,
+                      msg_id=msg_id)
         self.log.entries.append(event)
         return event
 
@@ -500,7 +546,7 @@ class Simulation:
                                int(payload_bytes), clock, clock + wire.latency, payload,
                                final_dst, meta or {})
         self._event("send", src._text, dst._text, wire.text, _ENUM_TEXT[payload_kind],
-                    msg.payload_bytes + wire.overhead_bytes, {"msg_id": msg_id})
+                    msg.payload_bytes + wire.overhead_bytes, None, msg_id)
         self._seq += 1  # schedule() without its check: latency >= 0, so never in the past
         heappush(self._heap, (msg.deliver_tick, self._seq, partial(self._deliver, msg, wire)))
         return msg
@@ -511,7 +557,7 @@ class Simulation:
         kind = msg.payload_kind
         self._event("deliver" if alive or kind is PayloadKind.HEARTBEAT else "component_down",
                     msg.src._text, dst._text, wire.text, _ENUM_TEXT[kind],
-                    msg.payload_bytes + wire.overhead_bytes, {"msg_id": msg.msg_id})
+                    msg.payload_bytes + wire.overhead_bytes, None, msg.msg_id)
         if alive:
             handler = self.handlers.get(dst)
             if handler is not None:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+from collections import deque
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -330,6 +332,20 @@ class TestMonitorWindow:
             assert held.columns["x"].tolist() == expected.columns["x"].tolist()
             # the oldest kept report holds samples of the window
             assert sum(len(records) for records, _ in list(w.reports)[1:]) < len(w)
+
+
+    def test_ingest_len_mse_and_drift_walk_no_report(self):
+        class Unwalkable(deque):
+            def __iter__(self):
+                raise AssertionError("the window walked its reports")
+
+        w = MonitorWindow(capacity=4, baseline_mse=1.0, drift_factor=1.5, min_samples=1)
+        w.reports = Unwalkable()
+        for r in range(5):
+            w.ingest(_report([0.0, 0.0], start_id=2 * r), np.array([1.0, 3.0]))
+            assert len(w) == min(4, 2 * (r + 1))
+            assert w.mse() == 5.0 and w.detect_drift() is True
+            assert len(w.reports) == min(r + 1, 2)
 
 
 class TestDriftRule:

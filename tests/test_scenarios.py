@@ -13,7 +13,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smosim import aggregate, config_from_dict
-from smosim import datagen, learn
+from smosim import datagen, learn, pipeline, scenarios
 from smosim.config import LinkSpec, ModelKind, ScenarioConfig, ScenarioKind, TopologyCounts
 from smosim.errors import (
     CollectionTimeout,
@@ -27,7 +27,7 @@ from smosim.errors import (
     UnsupportedKind,
 )
 from smosim.learn import LinearParams, ridge_closed_form, evaluate
-from smosim.lifecycle import Registry
+from smosim.lifecycle import ModelArtifact, Registry
 from smosim.scenarios import DomainModel, Driver, FaultRecord, Phase, Timeline, timeline
 from smosim.topology import (
     ComponentId,
@@ -43,7 +43,8 @@ from smosim.topology import (
 )
 
 from conftest import build, numeric_feature, scenario_b_dict, source, transformed_to_csv
-from golden.cases import a_import_model, b_drift_full, c_share_models, run_case
+from golden.cases import (a_import_model, b_drift_full, b_stream_incremental,
+                          c_share_data, c_share_models, run_case)
 from invariants import check_invariants, checked_run
 
 TERMINATION_IFACES = ("NSSMF_NonRTRIC", "NFVO_NonRTRIC")
@@ -317,6 +318,44 @@ class TestScenarioB:
                    if e.type == "deliver" and e.payload_kind == "Report"
                    and e.dst == "AimlFunction#0"]
         assert len(reports) == 2
+
+    @staticmethod
+    def _source_as_target(mode: str, tmp_path) -> dict:
+        """A config whose one deploy target, MdaSystem3GPP#0, is also a batch source."""
+        if mode == "share-data":
+            data = c_share_data(tmp_path)
+        else:
+            data = scenario_b_dict(n_per_source=40)
+            data["sources"][0]["owner"] = "MdaSystem3GPP#0"
+        data["deploy"] = {"targets": ["MdaSystem3GPP#0"]}
+        data["monitor"] = {"rounds": 2, "interval": 10, "batch": 5}
+        return data
+
+    @pytest.mark.parametrize("mode", ["B", "share-data"])
+    def test_a_batch_source_that_is_a_deploy_target_serves_both_roles(self, mode, tmp_path,
+                                                                      monkeypatch):
+        prepared = []
+        prepare = Driver._prepare
+
+        def spy(driver, ds):
+            prepared.append(ds.records)
+            return prepare(driver, ds)
+
+        monkeypatch.setattr(Driver, "_prepare", spy)
+        result = checked_run(build(self._source_as_target(mode, tmp_path)))
+        log = result.sim.log
+        assert result.report.status == "completed"
+        assert log.of_type("collection_timeout") == []
+        # the source answers its collection request, and its records are trained on
+        answers = [e for e in log.entries if e.type == "send" and e.src == "MdaSystem3GPP#0"
+                   and e.payload_kind in ("RawData", "CleansedData")]
+        assert len(answers) == 1
+        (records,) = prepared
+        mda = list(records.schemas).index(ComponentId(ComponentKind.MDA_SYSTEM_3GPP, 0))
+        assert 0 < np.count_nonzero(records.source == mda) < len(records)
+        # and the target monitors the model deployed to it
+        assert [e.detail["target"] for e in log.of_type("report_ingested")] == [
+            "MdaSystem3GPP#0"] * 2
 
     @pytest.mark.parametrize("kind", ["LinearSgd", "RidgeClosedForm"])
     def test_a_searched_run_deploys_the_winning_trial_as_fitted(self, kind, monkeypatch):
@@ -729,6 +768,18 @@ class TestScenarioC:
         global_mse = evaluate(global_params, ModelKind.LINEAR_SGD, Xt, yt).mse
         assert global_mse <= 2.0 * oracle_mse
 
+    def test_a_share_models_domain_named_as_a_deploy_target_still_trains(self, tmp_path):
+        # share-models deploys to its domains, so a deploy target changes nothing,
+        # and a global model sent to a domain is no deployment to monitor
+        plain = checked_run(build(c_share_models(tmp_path)))
+        data = c_share_models(tmp_path)
+        data["deploy"] = {"targets": ["MdaSystem3GPP#0"]}
+        data["monitor"] = {"rounds": 2, "interval": 10, "batch": 5}
+        targeted = checked_run(build(data))
+        assert targeted.report.status == "completed"
+        assert len(targeted.sim.log.of_type("aggregation")) == 3
+        assert targeted.sim.log.to_jsonl() == plain.sim.log.to_jsonl()
+
     def test_share_models_artifact_carries_the_schema_range_scaler_of_its_domains(self):
         # the aggregate has no rows of its own; schema_range scaling needs none
         data = _scenario_c_dict("share-models", rounds=1)
@@ -1027,6 +1078,72 @@ class TestMonitoringAndRefinement:
         assert params.bias == oracle.bias
         assert processed == len(X)
         assert entry.artifact.metrics.train_ticks == len(X)
+
+
+    @staticmethod
+    def _round_matrices(config, monkeypatch):
+        """A checked run of ``config``, and the (target, records, X, scaler) of
+        each monitor round: the records it sent, the matrix its artifact
+        predicted from, and that artifact's scaler."""
+        rounds, inside, parts = [], [], []
+        report_round, sent_part = scenarios._TargetBehavior._report_round, scenarios._sent_part
+        predict = ModelArtifact.predict
+
+        def spy_round(target, round_index):
+            inside.append(target)
+            try:
+                report_round(target, round_index)
+            finally:
+                inside.pop()
+
+        def spy_part(*args):
+            part = sent_part(*args)
+            if inside:
+                parts.append(part)
+            return part
+
+        def spy_predict(artifact, X):
+            if inside:
+                rounds.append((str(inside[-1].cid), parts[-1], X, artifact.scaler))
+            return predict(artifact, X)
+
+        monkeypatch.setattr(scenarios._TargetBehavior, "_report_round", spy_round)
+        monkeypatch.setattr(scenarios, "_sent_part", spy_part)
+        monkeypatch.setattr(ModelArtifact, "predict", spy_predict)
+        return checked_run(config), rounds
+
+    @staticmethod
+    def _retrained_drift(tmp_path) -> dict:
+        """``b_drift_full`` under z-scores, with 160 rounds and a primary that dies
+        while it refines: its replica trains afresh on a new collection, so the
+        rounds after that deployment scale with another scaler."""
+        data = b_drift_full(tmp_path)
+        data["pipeline"]["scaling"] = "zscore"
+        data["topology"]["aiml_instances"] = 2
+        data["monitor"]["rounds"] = 160
+        data["harness"]["failure"] = TestFailover._failure(4400)["failure"]
+        return data
+
+    @pytest.mark.parametrize("case", ["drift_config", "b_stream_incremental", "retrained"])
+    def test_each_round_scales_its_rows_of_one_encoding_bit_for_bit(self, case, tmp_path,
+                                                                    monkeypatch):
+        config = {"drift_config": lambda: self._drift_config(),
+                  "b_stream_incremental": lambda: build(b_stream_incremental(tmp_path)),
+                  "retrained": lambda: build(self._retrained_drift(tmp_path))}[case]()
+        result, rounds = self._round_matrices(config, monkeypatch)
+        assert result.report.status == "completed" and result.report.refinements >= 1
+        driver = result.driver
+        per_target: dict[str, set[bytes]] = {}
+        for target, records, X, scaler in rounds:
+            expected = pipeline.reapply_transform(records, driver.canonical, driver.derived,
+                                                  scaler)
+            assert X.shape == expected.shape and X.tobytes() == expected.tobytes()
+            per_target.setdefault(target, set()).add(scaler.offset.tobytes())
+        targets = [str(t) for t in config.deploy.targets]
+        assert sorted(per_target) == sorted(targets)
+        assert len(rounds) == config.monitor.rounds * len(targets)
+        if case == "retrained":
+            assert [len(scalers) for scalers in per_target.values()] == [2]
 
 
 class TestTickLimit:

@@ -504,3 +504,64 @@ class TestEventRendering:
         first = sim.log.entries[0]
         assert (first.src, first.dst, first.interface, first.payload_kind, first.bytes) == (
             "NSSMF#0", "NssmfTermination#0", "NSSMF_NonRTRIC", "RawData", 34)
+
+
+_MESSAGE_EVENTS = ("send", "deliver", "component_down")
+
+
+class TestMessageIdSlot:
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_every_event_of_a_run_round_trips_and_message_events_own_no_dict(self, name,
+                                                                             tmp_path):
+        entries = run_case(name, tmp_path).sim.log.entries
+        messages = [e for e in entries if e.type in _MESSAGE_EVENTS]
+        assert messages
+        for e in entries:
+            assert Event.from_json(e.to_json()) == e
+        for e in messages:
+            assert type(e.msg_id) is int and e._detail is None
+            assert e.detail == {"msg_id": e.msg_id}
+        assert all(e.msg_id is None and e._detail is not None
+                   for e in entries if e.type not in _MESSAGE_EVENTS)
+
+    def test_a_simulation_fills_the_slot_of_each_message_event(self):
+        sim = _bare_sim(latency=1)
+        a = ComponentId(ComponentKind.NSSMF, 0)
+        b = ComponentId(ComponentKind.NSSMF_TERMINATION, 0)
+        sim.send(a, b, PayloadKind.RAW_DATA, 10)
+        sim.run_until(1)
+        sim.fail_component(b, 1)
+        sim.send(a, b, PayloadKind.REPORT, 2)
+        sim.run_until(3)
+        assert [(e.type, e.msg_id, e._detail) for e in sim.log.entries] == [
+            ("send", 1, None), ("deliver", 1, None), ("send", 2, None),
+            ("component_down", 2, None)]
+        # each read builds its own dict, so a change to one reaches no event
+        first = sim.log.entries[0]
+        first.detail["msg_id"] = 9
+        assert first.detail == {"msg_id": 1} and first.detail is not first.detail
+
+    @pytest.mark.parametrize("msg_id", [0, 5, -3, 2 ** 70])
+    def test_a_msg_id_detail_and_the_slot_are_one_event(self, msg_id):
+        fields = (3, 7, "send", "NSSMF#0", "NssmfTermination#0", "NSSMF_NonRTRIC", "RawData",
+                  34)
+        given_dict = Event(*fields, {"msg_id": msg_id})
+        slot = Event(*fields, msg_id=msg_id)
+        assert given_dict == slot and repr(given_dict) == repr(slot)
+        assert given_dict.to_json() == slot.to_json() == _reference_line(slot)
+        assert (given_dict.msg_id, given_dict._detail) == (msg_id, None)
+        assert Event.from_json(slot.to_json()) == slot
+
+    @pytest.mark.parametrize("detail", [{}, {"msg_id": True}, {"msg_id": 5.0},
+                                        {"msg_id": None}, {"msg_id": 5, "extra": 1},
+                                        {"status": "completed"}])
+    def test_any_other_detail_keeps_its_dict(self, detail):
+        e = Event(1, 2, "send", detail=detail)
+        assert e.msg_id is None and e.detail is detail
+        assert e != Event(1, 2, "send", msg_id=5)
+        assert e.to_json() == _reference_line(e)
+
+    def test_an_event_takes_a_detail_or_a_msg_id_not_both(self):
+        assert Event(1, 2, "x").detail == {}
+        with pytest.raises(TypeError):
+            Event(1, 2, "send", detail={"msg_id": 1}, msg_id=1)
