@@ -19,6 +19,13 @@ per-fit rate is the same multiply per element as a shared one, so each
 stacked fit equals the fit of a call of its own. :func:`search` uses this to
 fit the trials that differ only in learning rate together, and keeps the
 winning trial's result, so a searched model deploys as its trial fitted it.
+
+A LinearSgd fit is an affine map of its init, p -> M p + v, since every
+squared-loss step is. :func:`affine_fit` builds M and v of one train
+partition in one :func:`train` call, from the zero init and each unit
+vector, and :class:`AffineFit` applies it: a refit of the same rows, seed
+and hyperparameters from another init, as in each scenario C share-models
+round, is then a matrix-vector product, not SGD's sequential steps.
 """
 
 from __future__ import annotations
@@ -598,6 +605,62 @@ def _scored(kind: ModelKind, split: SplitDataset, hp: HyperParams, costs: CostTa
     metrics.train_ticks = processed * costs.train_tick_per_record
     metrics.inference_ticks = len(split.val) * costs.inference_tick_per_record
     return TrainResult(params=params, metrics=metrics, records_processed=processed)
+
+
+# -- affine fits ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True, eq=False)
+class AffineFit:
+    """A LinearSgd fit on one train partition as the affine map of its init
+    that it is: on p = [w, b], the fit from p is ``matrix @ p + offset``.
+
+    A squared-loss step ``p - rate * (2/n * (A @ p - y) @ A + 2 lambda w)``
+    is affine in p, and so is any run of them over fixed rows, orders and
+    hyperparameters. ``offset`` is the fit from the zero init, and column j
+    of ``matrix`` the fit from the unit vector e_j less ``offset``, so the
+    map applied at zero gives ``offset``, the stepped fit, bit for bit, and
+    elsewhere equals stepping up to rounding. ``X`` and ``y`` are the train
+    partition, on which :meth:`apply` checks its result for divergence.
+    """
+
+    matrix: np.ndarray
+    offset: np.ndarray
+    X: np.ndarray = field(repr=False)
+    y: np.ndarray = field(repr=False)
+    l2_lambda: float
+
+    def apply(self, init: LinearParams) -> LinearParams | None:
+        """The fit from ``init``, or None where stepping must stand in: an init
+        of another width, or a result that is non-finite or fails
+        :func:`_checked`'s divergence test."""
+        if len(init.weights) + 1 != len(self.offset):
+            return None
+        with np.errstate(over="ignore", invalid="ignore"):
+            p = self.matrix @ np.append(init.weights, init.bias) + self.offset
+            out = LinearParams(p[:-1], float(p[-1]))
+            if not np.isfinite(p).all() or isinstance(
+                    _checked(ModelKind.LINEAR_SGD, self.X, self.y, init, out, self.l2_lambda),
+                    SimulationError):
+                return None
+        return out
+
+
+def affine_fit(split: SplitDataset, hp: HyperParams, seed: int) -> AffineFit:
+    """The :class:`AffineFit` of a LinearSgd :func:`train` on ``split`` with
+    ``hp`` and ``seed``, built of one train call: its own fit from the zero
+    init and a peer from each unit vector, all of one length and so stacked
+    whole. Raises the error any of those fits raised, and NonFiniteUpdate
+    for a map with a non-finite entry."""
+    d = split.train.X.shape[1]
+    result = train(ModelKind.LINEAR_SGD, split, hp, seed,
+                   peers=[(split, LinearParams(e[:d].copy(), float(e[d]))) for e in np.eye(d + 1)])
+    offset, *columns = [np.append(r.params.weights, r.params.bias)
+                        for r in (result, *map(_raised, result.peers))]
+    matrix = np.column_stack(columns) - offset[:, None]
+    if not np.isfinite(matrix).all():
+        raise NonFiniteUpdate("the fit's affine map is not finite")
+    return AffineFit(matrix, offset, split.train.X, split.train.y, hp.l2_lambda)
 
 
 # -- hyperparameter search -----------------------------------------------------------------

@@ -34,20 +34,12 @@ class Stage(str, Enum):
     SPLIT = "Split"
 
 
-@dataclass(frozen=True)
-class Provenance:
-    sources: tuple[str, ...]
-    window: tuple[int, int]
-    config_hash: str
-
-
 @dataclass
 class Dataset:
     """Record batch for the pre-encoding stages."""
 
     stage: Stage
     records: RecordBatch
-    provenance: Provenance
     canonical: list[FeatureSpec] | None = None
 
     def _require_stage(self, expected: Stage) -> None:
@@ -94,7 +86,6 @@ class TransformedDataset:
     X: np.ndarray
     y: np.ndarray
     scaler: ScalingParams
-    provenance: Provenance
     record_ids: np.ndarray
     poisoned: np.ndarray | None = None  # ground truth, reporting only
     stage: Stage = Stage.TRANSFORMED
@@ -108,7 +99,6 @@ class TransformedDataset:
             X=self.X[idx],
             y=self.y[idx],
             scaler=self.scaler,
-            provenance=self.provenance,
             record_ids=self.record_ids[idx],
             poisoned=self.poisoned[idx] if self.poisoned is not None else None,
         )
@@ -352,7 +342,7 @@ def transform(d: Dataset, scaling: str = "zscore",
     scaler = fit_scaler(base, names, d.canonical, derived, scaling)
     return TransformedDataset(
         feature_names=names, X=scaler.apply(base), y=d.records.target.copy(),
-        scaler=scaler, provenance=d.provenance, record_ids=d.records.record_id,
+        scaler=scaler, record_ids=d.records.record_id,
         poisoned=d.records.poisoned,
     )
 
@@ -437,8 +427,7 @@ def split(td: TransformedDataset, spec: SplitSpec) -> SplitDataset:
 # -- CSV / JSONL interchange ----------------------------------------------------------
 
 
-def transformed_from_csv(text: str, provenance: Provenance,
-                         scaler: ScalingParams | None = None) -> TransformedDataset:
+def transformed_from_csv(text: str, scaler: ScalingParams | None = None) -> TransformedDataset:
     lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines:
         raise EmptyDataset("CSV file has no rows")
@@ -457,7 +446,7 @@ def transformed_from_csv(text: str, provenance: Provenance,
         scaler = ScalingParams("none", names, np.zeros(len(names)), np.ones(len(names)))
     return TransformedDataset(
         feature_names=names, X=data[:, :-1], y=data[:, -1], scaler=scaler,
-        provenance=provenance, record_ids=np.arange(len(data)),
+        record_ids=np.arange(len(data)),
         poisoned=np.zeros(len(data), dtype=bool),
     )
 

@@ -5,13 +5,12 @@ into the event loop and walks the workflow :class:`Phase` by phase, from
 ``idle`` through ``collect`` (and preprocessing) or ``collect_validation`` of an
 imported model, ``train``, ``deploy``, ``monitor`` and ``refine`` to ``done``.
 Scenario C share-models runs ``federated`` rounds of local training and
-weighted parameter aggregation instead. The first domain to train a round
-fits every other domain that has its data and has not trained the round in
-the same ``learn.train`` call, from its own init, which in a normal round is
-the broadcast global model; the Driver keeps those results, and each domain
-takes its own at its own tick only if its init is the kept one bit for bit
-(``Driver.fit_round``). Training ticks, evaluation and a domain's own
-divergence stay with that domain, so simulated time is unchanged. A replica
+weighted parameter aggregation instead. Each round refits a domain's split
+with the same seed and hyperparameters from a new init, so a LinearSgd
+domain builds its fit's affine map of the init once, in one ``learn.train``
+call, and applies it every round (``_DomainBehavior.fit_round``); other
+rounds step. A round's training ticks are those of a stepped fit, and a
+diverging domain fails the run at its own round, by stepping. A replica
 promoted after a failover resumes the failed primary's phase through one
 table, ``Driver.RESUME``. ``Driver._enter`` is the only writer of the phase,
 and logs each entry as a ``phase`` event. A failing step raises a named
@@ -403,10 +402,7 @@ class _SourceBehavior:
         records = self._make_records(self.spec.emission.size, sim.clock)
         kind = PayloadKind.RAW_DATA
         if action == "collect_cleansed":
-            provenance = pipeline.Provenance((str(self.spec.owner),), (0, 0),
-                                             self.driver.config_hash)
-            records = pipeline.cleanse(
-                pipeline.Dataset(pipeline.Stage.RAW, records, provenance)).records
+            records = pipeline.cleanse(pipeline.Dataset(pipeline.Stage.RAW, records)).records
             kind = PayloadKind.CLEANSED_DATA
         self.driver.route_send(self.spec.owner, msg.meta["reply_to"], kind,
                                self.payload_bytes(len(records)), payload=records,
@@ -544,14 +540,6 @@ def _clean_copy(spec: SourceSpec) -> SourceSpec:
                    duplicate_rate=0.0, missing_rate=0.0, error_rate=0.0)
 
 
-def _same_bits(a: learn.LinearParams | None, b: learn.LinearParams | None) -> bool:
-    """Whether two inits are equal bit for bit, so that -0.0 differs from 0.0
-    (None is the zero start)."""
-    if a is None or b is None:
-        return a is b
-    return np.array([*a.weights, a.bias]).tobytes() == np.array([*b.weights, b.bias]).tobytes()
-
-
 class _DomainBehavior:
     """Scenario C domain: trains locally, shares parameters, adopts the global."""
 
@@ -561,7 +549,8 @@ class _DomainBehavior:
         self.spec = spec
         self.split: pipeline.SplitDataset | None = None
         self.params: learn.LinearParams | None = None
-        self.last_round = 0  # the last round this domain fitted
+        # the local fit as a map of its init, or the error its build raised
+        self.fit_map: learn.AffineFit | SimulationError | None = None
 
     def _ensure_data(self) -> pipeline.SplitDataset:
         if self.split is None:
@@ -581,22 +570,51 @@ class _DomainBehavior:
 
     def _train_round(self, round_index: int) -> None:
         driver = self.driver
-        self._ensure_data()
-        result = driver.fit_round(self, round_index)
-        ticks = driver.log_job("domain_round", result.metrics.train_ticks, self.cid,
-                               via_scheduler=False)
+        params, work = self.fit_round()
+        ticks = driver.log_job("domain_round", work, self.cid, via_scheduler=False)
         done_tick = driver.sim.clock + ticks
-        driver.sim.schedule(done_tick, lambda: self._send_local_model(result, round_index))
+        driver.sim.schedule(done_tick, lambda: self._send_local_model(params, round_index))
 
-    def _send_local_model(self, result: learn.TrainResult, round_index: int) -> None:
+    def fit_round(self) -> tuple[learn.LinearParams, int]:
+        """The local fit of a round from the current parameters (zero in the
+        first round), and its training ticks, a stepped fit's either way.
+
+        Every round refits the same split with the same seed and
+        hyperparameters, so a LinearSgd round is one affine map of its init,
+        a :class:`learn.AffineFit` that the domain's first round builds and
+        every round applies; from zero it gives the stepped fit bit for bit.
+        Other rounds step alone through ``learn.train``, and so raise what a
+        diverging domain raises: a LogisticSgd round, which has no map, and a
+        round whose map failed to build or refuses its init or result.
+        """
+        cfg = self.driver.config
+        hp = cfg.model.hyperparams
+        split = self._ensure_data()
+        if cfg.model.kind is ModelKind.LINEAR_SGD:
+            if self.fit_map is None:
+                try:
+                    self.fit_map = learn.affine_fit(split, hp, cfg.seed)
+                except SimulationError as exc:
+                    self.fit_map = exc
+            if not isinstance(self.fit_map, SimulationError):
+                params = self.fit_map.apply(learn.zero_params(split.train.X.shape[1])
+                                            if self.params is None else self.params)
+                if params is not None:
+                    return params, hp.epochs * len(split.train) \
+                        * self.driver.costs.train_tick_per_record
+        result = learn.train(cfg.model.kind, split, hp, seed=cfg.seed, init=self.params,
+                             costs=self.driver.costs)
+        return result.params, result.metrics.train_ticks
+
+    def _send_local_model(self, params: learn.LinearParams, round_index: int) -> None:
         driver = self.driver
-        self.params = result.params.copy()
+        self.params = params.copy()
         model = DomainModel(owner=self.cid, kind=driver.config.model.kind,
-                            params=result.params, sample_count=len(self._ensure_data().train),
+                            params=params, sample_count=len(self._ensure_data().train),
                             round_index=round_index)
         driver.route_send(
             self.cid, driver.active_aiml, PayloadKind.MODEL_ARTIFACT,
-            driver.sizes.artifact_bytes(result.params.param_count),
+            driver.sizes.artifact_bytes(params.param_count),
             payload=model, meta={"round": round_index, "domain": str(self.cid)},
         )
 
@@ -700,10 +718,6 @@ class Driver:
         self._expected_artifacts: dict[int, set[str]] = {}
         self._domain_models: dict[int, dict[str, DomainModel]] = {}
         self._domain_evals: dict[str, dict[str, Any]] = {}
-        # (owner, round) -> (init, result) of a domain's fit made by another's call
-        self._kept_fits: dict[tuple[ComponentId, int],
-                              tuple[learn.LinearParams | None,
-                                    learn.TrainResult | SimulationError]] = {}
         self.collection_round = 0
         self._reports_seen = 0
         self._pending_import: ModelArtifact | None = None
@@ -875,8 +889,7 @@ class Driver:
             text = Path(path).read_text()
         except (OSError, ValueError) as exc:  # unreadable or not UTF-8
             raise NoDataSources(f"cannot read the external data {path!r}: {exc}") from None
-        td = pipeline.transformed_from_csv(
-            text, pipeline.Provenance(("external",), (0, 0), self.config_hash))
+        td = pipeline.transformed_from_csv(text)
         self.transformed = td
         self._enter(Phase.TRAIN)
         self._train_on(td, origin="internal")
@@ -936,11 +949,9 @@ class Driver:
         self._inbox = {}  # the parts live on only in the concatenation
         if not records:
             raise CollectionTimeout(f"no source delivered any data in [{start}, {deadline}]")
-        provenance = pipeline.Provenance(
-            tuple(sorted(str(o) for o in expected)), (start, deadline), self.config_hash)
         # share-data domains cleanse their own records before they send them
         stage = pipeline.Stage.CLEANSED if self.config.mode == "share-data" else pipeline.Stage.RAW
-        collected = pipeline.Dataset(stage, records, provenance)
+        collected = pipeline.Dataset(stage, records)
         if phase is Phase.COLLECT_VALIDATION:
             self._validate_import(collected)
         else:
@@ -1301,32 +1312,6 @@ class Driver:
 
     # -- scenario C helpers shared with domain behaviors ---------------------------------------------------
 
-    def fit_round(self, domain: _DomainBehavior, round_index: int) -> learn.TrainResult:
-        """The domain's local fit of the round, from its current parameters.
-
-        The first domain to fit a round fits every other domain that has its
-        data and has not fitted the round yet in the same ``learn.train`` call,
-        from its own init, and their results are kept by (owner, round). A
-        domain takes its kept result, or raises its kept error, only if its
-        init equals the kept one bit for bit; a fit is a pure function of its
-        split and init, so that result is the one its own call would give.
-        Otherwise, as after a failover resume, it fits afresh.
-        """
-        kept = self._kept_fits.pop((domain.cid, round_index), None)
-        domain.last_round = round_index
-        if kept is not None and _same_bits(kept[0], domain.params):
-            if isinstance(kept[1], SimulationError):
-                raise kept[1]
-            return kept[1]
-        peers = [d for d in self.domains.values()
-                 if d is not domain and d.split is not None and d.last_round < round_index]
-        result = learn.train(self.config.model.kind, domain.split, self.config.model.hyperparams,
-                             seed=self.config.seed, init=domain.params, costs=self.costs,
-                             peers=[(d.split, domain.params) for d in peers])
-        self._kept_fits = {(d.cid, round_index): (domain.params, r)
-                           for d, r in zip(peers, result.peers)}
-        return result
-
     def build_local_split(self, spec: SourceSpec) -> pipeline.SplitDataset:
         """A domain's split of its own records, drawn from the substream tagged
         (config seed, "datagen", owner kind, owner index, 0), through the data path."""
@@ -1335,8 +1320,7 @@ class Driver:
         ids = self.sim.next_record_ids(_batch_total(spec, spec.emission.size))
         records = datagen.generate_batch(spec, spec.emission.size, rng,
                                          id_start=ids.start, tick=self.sim.clock)
-        provenance = pipeline.Provenance((str(spec.owner),), (0, 0), self.config_hash)
-        raw = pipeline.Dataset(pipeline.Stage.RAW, records, provenance)
+        raw = pipeline.Dataset(pipeline.Stage.RAW, records)
         td = pipeline.transform(self._prepare(raw), self.config.pipeline.scaling, self.derived)
         return pipeline.split(td, self.config.pipeline.split)
 
@@ -1345,9 +1329,9 @@ class Driver:
     def _validate_import(self, raw: pipeline.Dataset) -> None:
         cfg = self.config
         artifact: ModelArtifact = self._pending_import
-        formatted = self._prepare(raw)
-        n_val = min(len(formatted.records), cfg.external.validation_batch)
-        records = formatted.records.take(slice(n_val))
+        records = self._prepare(raw).records
+        n_val = min(len(records), cfg.external.validation_batch)
+        # encoding acts row by row, so the validation rows' matrix is the first n_val rows
         base = pipeline.base_design_matrix(records, self.canonical, self.derived)
         y = records.target
         try:
@@ -1355,7 +1339,7 @@ class Driver:
                 artifact, MODEL_ID,
                 provenance={"scenario": "A", "dataset_config_hash": self.config_hash,
                             "search_spec_hash": _search_hash(cfg)},
-                validation=(base, y),
+                validation=(base[:n_val], y[:n_val]),
                 mse_threshold=cfg.external.validation_mse_threshold)
         except InvalidArtifact as exc:
             self.sim.log_event("artifact_rejected", src=self.active_aiml,
@@ -1363,9 +1347,15 @@ class Driver:
             self._finish()
             return
         self.sim.log_event("inference", src=self.active_aiml, detail={"records": n_val})
-        Xs = artifact.scaler.apply(base)
-        self._test_metrics = learn.evaluate(artifact.parameters, artifact.kind, Xs, y,
-                                            cfg.model.hyperparams.threshold)
+        # the test metrics come from the collected rows past the validation
+        # batch, which the registry never saw, and are None if there are none
+        self._test_metrics = None
+        if n_val < len(records):
+            self._test_metrics = learn.evaluate(
+                artifact.parameters, artifact.kind, artifact.scaler.apply(base[n_val:]),
+                y[n_val:], cfg.model.hyperparams.threshold)
+            self.sim.log_event("inference", src=self.active_aiml,
+                               detail={"records": len(records) - n_val})
         self._deploy(entry)
 
     # -- failover ---------------------------------------------------------------------------------------------

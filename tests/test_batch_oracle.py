@@ -10,13 +10,11 @@ from hypothesis import strategies as st
 
 from smosim.config import DerivedFeature, FeatureSpec, model_feature_names
 from smosim.datagen import RecordBatch
-from smosim.pipeline import (Dataset, Provenance, Stage, cleanse, fit_scaler, format_dataset,
-                             transform)
+from smosim.pipeline import Dataset, Stage, cleanse, fit_scaler, format_dataset, transform
 from smosim.topology import ComponentId, ComponentKind
 
 from conftest import record_batch
 
-PROV = Provenance(("test",), (0, 0), "test")
 CANONICAL = [FeatureSpec("x", "numeric", valid_range=(0.0, 10.0)),
              FeatureSpec("y", "numeric", valid_range=(-1.0, 1.0)),
              FeatureSpec("c", "categorical", vocab=("a", "b", "c")),
@@ -109,7 +107,7 @@ def test_columnar_path_equals_row_reference(drawn, scaling, derived):
     batch = RecordBatch.concat([
         record_batch(schema, [f for _, f, _ in rows], [t for *_, t in rows],
                      [rid for rid, *_ in rows], owner) for owner, schema, rows in parts])
-    formatted = format_dataset(cleanse(Dataset(Stage.RAW, batch, PROV)), CANONICAL, renames)
+    formatted = format_dataset(cleanse(Dataset(Stage.RAW, batch)), CANONICAL, renames)
     td = transform(formatted, scaling, derived)
     X, y, ids = reference(parts, renames, derived, scaling)
     assert np.array_equal(td.X, X)
@@ -123,7 +121,7 @@ SCHEMA = [FeatureSpec("x", "numeric", valid_range=(0.0, 10.0))]
 def _cleansed_ids(rows) -> list[int]:
     batch = record_batch(SCHEMA, [{"x": x} for _, x, _ in rows], [t for *_, t in rows],
                          [rid for rid, *_ in rows])
-    return list(cleanse(Dataset(Stage.RAW, batch, PROV)).records.record_id)
+    return list(cleanse(Dataset(Stage.RAW, batch)).records.record_id)
 
 
 def test_repeated_id_competes_on_values_with_its_first_row_only():

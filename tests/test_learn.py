@@ -49,7 +49,7 @@ from smosim.learn import (
     train,
     zero_params,
 )
-from smosim.pipeline import ScalingParams, SplitDataset, TransformedDataset, Provenance
+from smosim.pipeline import ScalingParams, SplitDataset, TransformedDataset
 
 
 def _td(X, y) -> TransformedDataset:
@@ -59,7 +59,6 @@ def _td(X, y) -> TransformedDataset:
     return TransformedDataset(
         feature_names=names, X=X, y=y,
         scaler=ScalingParams("none", names, np.zeros(X.shape[1]), np.ones(X.shape[1])),
-        provenance=Provenance(("test",), (0, 0), "h"),
         record_ids=list(range(len(y))),
     )
 
@@ -613,6 +612,66 @@ class TestLockstep:
             assert first_bad is None
             assert np.array_equal(got.params.weights, want.weights)
             assert got.params.bias == want.bias
+
+
+def _vector(params: LinearParams) -> np.ndarray:
+    return np.append(params.weights, params.bias)
+
+
+class TestAffineFit:
+    """A LinearSgd fit's map of its init equals stepping from that init: to
+    rounding in general, and bit for bit from the zero init."""
+
+    LINEAR = ModelKind.LINEAR_SGD
+
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 80), min_size=1, max_size=4),
+           batch_size=st.integers(1, 20), epochs=st.integers(1, 3),
+           lam=st.sampled_from([0.0, 0.2]), d=st.integers(1, 4),
+           scale=st.sampled_from([1.0, 1e3]), seed=st.integers(0, 2**16))
+    def test_the_map_of_an_init_equals_stepping_from_it(self, sizes, batch_size, epochs, lam,
+                                                         d, scale, seed):
+        # ragged sizes, most of them not a multiple of the batch size
+        rng = np.random.default_rng(seed)
+        hp = HyperParams(learning_rate=float(rng.uniform(0.005, 0.05)), epochs=epochs,
+                         batch_size=batch_size, l2_lambda=lam)
+        for n in sizes:
+            split = _split(*_random_problem(rng, self.LINEAR, n, d))
+            fitted = learn.affine_fit(split, hp, seed)
+            stepped = train(self.LINEAR, split, hp, seed).params
+            assert _vector(fitted.apply(zero_params(d))).tobytes() \
+                == _vector(stepped).tobytes() == fitted.offset.tobytes()
+            for _ in range(3):
+                init = LinearParams(rng.normal(scale=scale, size=d),
+                                    float(rng.normal(scale=scale)))
+                got = _vector(fitted.apply(init))
+                want = _vector(train(self.LINEAR, split, hp, seed, init=init).params)
+                assert np.abs(got - want).max() <= 1e-12 * (1 + np.abs(_vector(init)).max())
+
+    def test_the_map_is_built_in_one_train_call(self, monkeypatch):
+        split = _split(*_random_problem(np.random.default_rng(5), self.LINEAR, 50, 3))
+        calls, real = [], learn.train
+
+        def spy(*args, **kwargs):
+            calls.append(len(kwargs.get("peers", ())))
+            return real(*args, **kwargs)
+
+        monkeypatch.setattr(learn, "train", spy)
+        fitted = learn.affine_fit(split, HyperParams(epochs=2), 3)
+        assert calls == [4]  # the zero init's own fit, and a peer per unit vector
+        assert fitted.matrix.shape == (4, 4)
+
+    def test_a_map_refuses_what_stepping_must_decide(self):
+        X, y = _random_problem(np.random.default_rng(6), self.LINEAR, 60, 2)
+        split = _split(X, y)
+        hp = HyperParams(learning_rate=0.05, epochs=2, batch_size=8)
+        fitted = learn.affine_fit(split, hp, 3)
+        assert fitted.apply(zero_params(3)) is None  # another width
+        assert fitted.apply(LinearParams(np.array([1e200, 0.0]), 0.0)) is None  # diverged
+        assert fitted.apply(LinearParams(np.array([np.inf, 0.0]), 0.0)) is None
+        X[0] = 1e200  # every fit diverges, so the build raises
+        with pytest.raises(NonFiniteUpdate):
+            learn.affine_fit(split, hp, 3)
 
 
 class TestFitStandardized:

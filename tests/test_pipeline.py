@@ -21,7 +21,6 @@ from smosim.errors import (
 )
 from smosim.pipeline import (
     Dataset,
-    Provenance,
     Stage,
     cleanse,
     explore,
@@ -36,7 +35,6 @@ from conftest import batch_rows, record_batch, transformed_to_csv
 
 SRC = ComponentId(ComponentKind.NSSMF, 0)
 SRC2 = ComponentId(ComponentKind.NFVO, 0)
-PROV = Provenance((str(SRC),), (0, 10), "test")
 MISSING = None
 
 
@@ -50,7 +48,7 @@ def _batch(records, schema, source=SRC) -> RecordBatch:
 
 
 def _raw(records, schema, source=SRC) -> Dataset:
-    return Dataset(Stage.RAW, _batch(records, schema, source), PROV)
+    return Dataset(Stage.RAW, _batch(records, schema, source))
 
 
 NUM_SCHEMA = [FeatureSpec("x", "numeric", valid_range=(0.0, 100.0))]
@@ -92,7 +90,7 @@ class TestCleanse:
         records = [_record(i, {"x": float(i)}, float(i)) for i in range(4)]
         records.append(_record(9, {"x": MISSING}, 0.0))
         once = cleanse(_raw(records, NUM_SCHEMA))
-        again = cleanse(Dataset(Stage.RAW, once.records, PROV))
+        again = cleanse(Dataset(Stage.RAW, once.records))
         assert batch_rows(again.records) == batch_rows(once.records)
 
     def test_empty_after_dedup(self):
@@ -143,7 +141,7 @@ def dedup_batches(draw):
 @settings(max_examples=300, deadline=None)
 @given(dedup_batches())
 def test_cleanse_keeps_the_rows_of_a_full_sort_dedup(b):
-    kept = cleanse(Dataset(Stage.RAW, b, PROV)).records.record_id
+    kept = cleanse(Dataset(Stage.RAW, b)).records.record_id
     assert list(kept) == list(b.record_id[_full_sort_dedup(b)])
 
 
@@ -156,7 +154,7 @@ class TestFormat:
             _batch([_record(1, {"cpuLoad": 0.7}, 2.0)],
                    [FeatureSpec("cpuLoad", "numeric", valid_range=(0.0, 1.0))], SRC2),
         ])
-        ds = Dataset(Stage.CLEANSED, records, PROV)
+        ds = Dataset(Stage.CLEANSED, records)
         out = format_dataset(ds, canonical, {
             SRC: {"cpu_util": "cpu"}, SRC2: {"cpuLoad": "cpu"}})
         assert all(list(r) == ["cpu"] for r in batch_rows(out.records))
@@ -181,8 +179,7 @@ class TestFormat:
     def test_unmapped_field_rejected(self):
         canonical = [FeatureSpec("cpu", "numeric", valid_range=(0.0, 1.0))]
         mystery = [FeatureSpec("mystery", "numeric", valid_range=(0.0, 1.0))]
-        ds = Dataset(Stage.CLEANSED, _batch([_record(0, {"mystery": 1.0}, 0.0)], mystery),
-                     PROV)
+        ds = Dataset(Stage.CLEANSED, _batch([_record(0, {"mystery": 1.0}, 0.0)], mystery))
         with pytest.raises(UnmappableField):
             format_dataset(ds, canonical, {})
 
@@ -193,7 +190,7 @@ class TestFormat:
         rec2 = _record(1, {"a": 0.3, "b": 0.4}, 1.0)
         for order in ([rec1, rec2], [rec2, rec1]):
             arrival = [canonical[1], canonical[0]] if order[0] is rec1 else canonical
-            ds = Dataset(Stage.CLEANSED, _batch(order, arrival), PROV)
+            ds = Dataset(Stage.CLEANSED, _batch(order, arrival))
             out = format_dataset(ds, canonical, {})
             assert all(list(r) == ["a", "b"] for r in batch_rows(out.records))
 
@@ -201,7 +198,7 @@ class TestFormat:
 def _formatted(values: list[dict], canonical, targets=None) -> Dataset:
     targets = targets or [0.0] * len(values)
     records = [_record(i, v, t) for i, (v, t) in enumerate(zip(values, targets))]
-    return Dataset(Stage.FORMATTED, _batch(records, canonical), PROV, canonical=canonical)
+    return Dataset(Stage.FORMATTED, _batch(records, canonical), canonical=canonical)
 
 
 class TestTransform:
@@ -318,7 +315,7 @@ class TestExplore:
             feature_names=names, X=X, y=y,
             scaler=pipeline.ScalingParams("none", names, np.zeros(X.shape[1]),
                                           np.ones(X.shape[1])),
-            provenance=PROV, record_ids=list(range(len(y))))
+            record_ids=list(range(len(y))))
 
     @staticmethod
     def _reference_explore(td):
@@ -403,7 +400,7 @@ class TestCsv:
         values = [{"x": float(v)} for v in rng.uniform(0, 10, 17)]
         td = transform(_formatted(values, canonical,
                                   targets=list(rng.normal(size=17))), "zscore")
-        back = transformed_from_csv(transformed_to_csv(td), td.provenance)
+        back = transformed_from_csv(transformed_to_csv(td))
         assert np.array_equal(back.X, td.X)
         assert np.array_equal(back.y, td.y)
         assert back.feature_names == td.feature_names
@@ -412,8 +409,8 @@ class TestCsv:
                                       "x,target\n1.0,2.0\n3.0\n", "x,target\n"])
     def test_rows_must_be_numbers_under_the_header(self, text):
         with pytest.raises(SchemaMismatch):
-            transformed_from_csv(text, PROV)
+            transformed_from_csv(text)
 
     def test_header_must_end_with_target(self):
         with pytest.raises(SchemaMismatch):
-            transformed_from_csv("x,y\n1.0,2.0\n", PROV)
+            transformed_from_csv("x,y\n1.0,2.0\n")

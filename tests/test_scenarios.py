@@ -21,6 +21,7 @@ from smosim.errors import (
     EmptyEvalSet,
     InsufficientDomains,
     NoDataSources,
+    NonFiniteUpdate,
     SchemaMismatch,
     SimulationError,
     UndeclaredRoute,
@@ -539,7 +540,8 @@ class TestRouting:
 
 
 class TestScenarioAImportModel:
-    def _config(self, tmp_path, weights, bias, threshold=0.05, offset=0.0, **overrides):
+    def _config(self, tmp_path, weights, bias, threshold=0.05, offset=0.0,
+                validation_batch=200, **overrides):
         from smosim.lifecycle import ModelArtifact, save_artifact
         from smosim.learn import EvalMetrics
         from smosim.pipeline import ScalingParams
@@ -565,7 +567,8 @@ class TestScenarioAImportModel:
             "model": {"kind": "LinearSgd"},
             "deploy": {"targets": ["MdaSystem3GPP#0"]},
             "external": {"artifact_path": str(path),
-                         "validation_mse_threshold": threshold},
+                         "validation_mse_threshold": threshold,
+                         "validation_batch": validation_batch},
             **overrides,
         })
 
@@ -578,6 +581,34 @@ class TestScenarioAImportModel:
         assert report.model["state"] == "Deployed"
         ext = report.signaling["interfaces"]["ExternalAiml"]
         assert ext["messages"] == 1
+
+    @pytest.mark.parametrize("validation_batch", [50, 120])
+    def test_test_metrics_come_from_the_rows_past_the_validation_batch(self, tmp_path,
+                                                                       validation_batch):
+        # 120 collected rows: 50 validate and 70 test; at 120 none are left to test
+        result = checked_run(self._config(tmp_path, [2.0], 0.0,
+                                          validation_batch=validation_batch))
+        model = result.report.model
+        entry = result.registry.entries["m0"]
+        [source] = result.driver.config.sources
+        records = result.driver._prepare(pipeline.Dataset(
+            pipeline.Stage.RAW, datagen.generate_batch(source, 120, datagen.derive_rng(
+                5, "datagen", source.owner.kind.value, source.owner.index, 0)))).records
+        assert len(records) == 120
+        X = records.columns["cpu"][:, None]
+        val = evaluate(entry.artifact.parameters, ModelKind.LINEAR_SGD, X[:validation_batch],
+                       records.target[:validation_batch])
+        assert entry.artifact.metrics.mse == val.mse
+        inferences = [e.detail["records"] for e in result.sim.log.of_type("inference")]
+        if validation_batch == 120:
+            assert (model["test_mse"], model["test_accuracy"]) == (None, None)
+            assert inferences == [120]
+        else:
+            test = evaluate(entry.artifact.parameters, ModelKind.LINEAR_SGD, X[50:],
+                            records.target[50:])
+            assert (model["test_mse"], model["test_accuracy"]) == (test.mse, test.accuracy)
+            assert model["test_mse"] != val.mse
+            assert inferences == [50, 70]
 
     def test_failover_during_validation_collection_still_validates_import(self, tmp_path):
         config = self._config(
@@ -834,92 +865,126 @@ def _ragged_c_dict(sizes=(250, 190, 311), learning_rate=0.1, rounds=3, epochs=25
     return data
 
 
-class TestFederatedLockstep:
-    """The first domain to fit a round fits the others in the same call; each
-    takes that result only when its own init is the one it was fitted from."""
+def _vector(params: LinearParams) -> np.ndarray:
+    return np.append(params.weights, params.bias)
+
+
+def _assert_bits_equal(a: LinearParams, b: LinearParams) -> None:
+    assert _vector(a).tobytes() == _vector(b).tobytes()
+
+
+class TestFederatedRounds:
+    """A LinearSgd domain takes every round from the affine map of its fit,
+    which one learn.train call builds in its first round; every other fit
+    steps alone."""
 
     @staticmethod
-    def _spy_train(monkeypatch):
-        from smosim import learn
+    def _spy(monkeypatch):
+        """The peer count of each learn.train call, and each round's aggregate."""
+        calls, rounds = [], []
+        real_train, real_aggregate = learn.train, scenarios.aggregate
 
-        peer_counts = []
-        real_train = learn.train
-
-        def spy(*args, **kwargs):
-            peer_counts.append(len(kwargs.get("peers", ())))
+        def train(*args, **kwargs):
+            calls.append(len(kwargs.get("peers", ())))
             return real_train(*args, **kwargs)
 
-        monkeypatch.setattr(learn, "train", spy)
-        return peer_counts
+        def aggregate(*args, **kwargs):
+            rounds.append(real_aggregate(*args, **kwargs))
+            return rounds[-1]
 
-    def test_ragged_rounds_equal_per_domain_fits_and_aggregate(self, monkeypatch):
-        from smosim import learn
+        monkeypatch.setattr(learn, "train", train)
+        monkeypatch.setattr(scenarios, "aggregate", aggregate)
+        return calls, rounds
 
-        peer_counts = self._spy_train(monkeypatch)
-        result = checked_run(build(_ragged_c_dict()))
-        assert result.report.status == "completed"
-        # the first round fits each domain alone: the others have no data yet
-        assert peer_counts == [0, 0, 0, 2, 2]
+    @staticmethod
+    def _oracle(result) -> list[LinearParams]:
+        """Each round's aggregate of per-domain ``learn.fit`` calls."""
         cfg = result.driver.config
         hp = cfg.model.hyperparams
         domains = [result.driver.domains[s.owner] for s in cfg.sources]
-        assert sorted(len(d.split.train) for d in domains) == [134, 176, 219]
-        global_params = None
+        out, global_params = [], None
         for round_index in range(1, cfg.rounds + 1):
             models = [DomainModel(d.cid, cfg.model.kind,
                                   learn.fit(cfg.model.kind, d.split.train.X, d.split.train.y,
                                             hp, cfg.seed, global_params)[0],
                                   len(d.split.train), round_index) for d in domains]
             global_params = aggregate(models, cfg.aggregation)
-        final = result.registry.entries["m0"].artifact.parameters
-        assert np.array_equal(final.weights, global_params.weights)
-        assert final.bias == global_params.bias
+            out.append(global_params)
+        return out
 
-    def test_a_domain_takes_its_kept_fit_only_from_the_same_init(self, monkeypatch):
-        from smosim import learn
+    def test_ragged_rounds_equal_per_domain_fits_and_aggregate(self, monkeypatch):
+        calls, rounds = self._spy(monkeypatch)
+        data = _ragged_c_dict()
+        data["costs"] = {"train_tick_per_record": 3}
+        result = checked_run(build(data))
+        assert result.report.status == "completed"
+        # each domain's first round builds its map in one call, of its zero
+        # fit and a peer per unit vector of [w, b]; no round steps
+        assert calls == [3, 3, 3]
+        domains = result.driver.domains.values()
+        assert sorted(len(d.split.train) for d in domains) == [134, 176, 219]
+        assert all(isinstance(d.fit_map, learn.AffineFit) for d in domains)
+        # a mapped round charges the ticks of the 25 epochs it stands for
+        works = [e.detail["work"] for e in result.sim.log.of_type("job_scheduled")]
+        assert sorted(works) == sorted([25 * n * 3 for n in (134, 176, 219)] * 3)
+        oracle = self._oracle(result)
+        assert len(rounds) == len(oracle) == 3
+        _assert_bits_equal(rounds[0], oracle[0])
+        for got, want, init in zip(rounds[1:], oracle[1:], oracle):
+            tolerance = 1e-12 * (1 + np.abs(_vector(init)).max())
+            np.testing.assert_allclose(_vector(got), _vector(want), rtol=0, atol=tolerance)
+        _assert_bits_equal(result.registry.entries["m0"].artifact.parameters, rounds[-1])
 
+    def test_logistic_rounds_step_each_domain_alone(self, monkeypatch):
+        data = _ragged_c_dict()
+        data["model"]["kind"] = "LogisticSgd"
+        calls, rounds = self._spy(monkeypatch)
+        result = checked_run(build(data))
+        assert result.report.status == "completed"
+        assert calls == [0] * 9  # three rounds of three domains, and no map
+        assert all(d.fit_map is None for d in result.driver.domains.values())
+        for got, want in zip(rounds, self._oracle(result), strict=True):
+            _assert_bits_equal(got, want)
+
+    @pytest.mark.parametrize("broken", ["build raised", "result diverged"])
+    def test_a_round_steps_where_its_map_cannot_stand_in(self, monkeypatch, broken):
         driver = Driver(build(_ragged_c_dict()))
         cfg = driver.config
-        first, same, other = driver.domains.values()
+        domain = next(iter(driver.domains.values()))
+        split = domain._ensure_data()
         start = LinearParams(np.array([0.5, -0.25]), 0.125)
-        off = LinearParams(start.weights.copy(), start.bias + 2**-20)
-        for domain in (first, same, other):
-            domain._ensure_data()
+        want = learn.train(cfg.model.kind, split, cfg.model.hyperparams, seed=cfg.seed,
+                           init=start, costs=driver.costs)
+        if broken == "build raised":
+            def affine_fit(*args):
+                raise NonFiniteUpdate("the build diverged")
+
+            monkeypatch.setattr(learn, "affine_fit", affine_fit)
+        else:
+            fitted = learn.affine_fit(split, cfg.model.hyperparams, cfg.seed)
+            domain.fit_map = dataclasses.replace(fitted, matrix=fitted.matrix * 1e200)
+        for _ in range(2):
             domain.params = start.copy()
-
-        def alone(domain, init):
-            return learn.train(cfg.model.kind, domain.split, cfg.model.hyperparams,
-                               seed=cfg.seed, init=init, costs=driver.costs)
-
-        want = {first: alone(first, start), same: alone(same, start), other: alone(other, off)}
-        assert alone(other, start).params.bias != want[other].params.bias
-        peer_counts = self._spy_train(monkeypatch)
-        got = {first: driver.fit_round(first, 2)}  # fits the others from ``start`` too
-        other.params = off
-        got[same] = driver.fit_round(same, 2)  # takes its kept fit
-        got[other] = driver.fit_round(other, 2)  # not from its kept init: fits afresh
-        assert peer_counts == [2, 0]
-        for domain, result in got.items():
-            assert np.array_equal(result.params.weights, want[domain].params.weights)
-            assert result.params.bias == want[domain].params.bias
-            assert result.metrics == want[domain].metrics
+            params, ticks = domain.fit_round()
+            _assert_bits_equal(params, want.params)
+            assert ticks == want.metrics.train_ticks
+        assert isinstance(domain.fit_map, SimulationError if broken == "build raised"
+                          else learn.AffineFit)
 
     @pytest.mark.parametrize("fail_tick, detection", [(100, 104), (4420, 4424)])
     def test_resumed_rounds_keep_the_parameters(self, tmp_path, fail_tick, detection):
-        # 100 redoes round 1, 4420 round 2, which its first attempt fitted in one call
+        # 100 redoes round 1 and 4420 round 2, which ends as in a run without the failure
         data = c_share_models(tmp_path)
+        plain = checked_run(build(data)).registry.entries["m0"].artifact.parameters
         data["topology"]["aiml_instances"] = 2
         data["harness"] = TestFailover._failure(fail_tick)
         result = checked_run(build(data))
         assert result.report.faults == [
             FaultRecord("component_failure", fail_tick, detection, 13216)]
-        final = result.registry.entries["m0"].artifact.parameters
-        assert [w.hex() for w in final.weights] == ["0x1.050d1b72624ecp+1",
-                                                    "-0x1.04eed0c65cae7p+0"]
-        assert final.bias.hex() == "0x1.f635beee2b304p-2"
+        _assert_bits_equal(result.registry.entries["m0"].artifact.parameters, plain)
 
-    # lr 0.8 diverges in MdaSystemNFV#0's first round, which it fits alone;
-    # 0.74 in its 59th, whose fit the first domain's call made and kept
+    # lr 0.8 diverges in MdaSystemNFV#0's first round, whose map build raises,
+    # so it steps; 0.74 in its 59th, whose map result fails the divergence test
     @pytest.mark.parametrize("learning_rate, final_tick, aggregations",
                              [(0.8, 2, 0), (0.74, 32714, 58)])
     def test_a_diverging_domain_fails_the_run_at_its_own_round(self, learning_rate,
@@ -1540,7 +1605,7 @@ class TestFailover:
         result = checked_run(build(data))
         assert self._restores(result) == [("train", 0)]
         assert result.report.status == "completed"
-        assert result.driver.transformed.provenance.sources == ("external",)
+        assert np.array_equal(result.driver.transformed.X, transformed.X)
         assert len(result.driver.split.train) == len(plain.driver.split.train)
         assert result.report.model["test_mse"] == plain.report.model["test_mse"]
         raw = [e for e in result.sim.log.entries
