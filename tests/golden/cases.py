@@ -78,6 +78,41 @@ def b_stream_incremental(workdir: Path) -> dict[str, Any]:
     return data
 
 
+def b_stream_failover(workdir: Path) -> dict[str, Any]:
+    """Two streaming sources, one of them poisoned, both pseudonymising an
+    identifier; the primary AI/ML instance dies inside the collection window,
+    so its replica collects afresh while the first draws' emissions are still
+    arriving, and two targets report until a drift refit."""
+    schema = [numeric_feature("cpu"), numeric_feature("mem"),
+              {"name": "ue", "type": "identifier", "sensitive": True}]
+    stream = {"mode": "streaming", "size": 4, "interval": 1}
+    data = b_stream_incremental(workdir)
+    data.update({
+        "seed": 31,
+        "topology": {"nssmf": 1, "nfmf_per_nssmf": 1, "nfvo": 1, "mda_3gpp": 1,
+                     "aiml_instances": 2},
+        "sources": [source("NFMF#0", 0, schema, [1.5, -0.5], bias=0.2, sigma=0.05,
+                           duplicate_rate=0.25, emission=dict(stream)),
+                    source("NFVO#0", 0, schema, [1.5, -0.5], bias=0.2, sigma=0.05,
+                           emission=dict(stream, size=3))],
+        "collection": {"window": 30},
+        "monitor": {"rounds": 10, "interval": 5, "batch": 4, "window": 20,
+                    "min_samples": 8, "drift_factor": 2.0, "refit": "full",
+                    "max_refinements": 2},
+        "harness": {
+            "poison": {"fraction": 0.25, "attack": "target_offset", "delta": 4.0,
+                       "seed": 3, "sources": ["NFMF#0"]},
+            "filter": {"k": 3.0},
+            "privacy": {"key": "golden", "inflation": 1.2},
+            "failure": {"target": "AimlFunction#0", "replicas": ["AimlFunction#1"],
+                        "fail_tick": 12, "heartbeat_interval": 2, "missed_to_declare": 2,
+                        "checkpoint_interval": 4},
+            "drift_shift": {"at_round": 4, "bias": 2.0},
+        },
+    })
+    return data
+
+
 def c_share_models(workdir: Path) -> dict[str, Any]:
     schema = [numeric_feature("cpu"), numeric_feature("mem")]
     return {
@@ -158,6 +193,7 @@ CASES: dict[str, Callable[[Path], dict[str, Any]]] = {
     "b_online_search": b_online_search,
     "b_drift_full": b_drift_full,
     "b_stream_incremental": b_stream_incremental,
+    "b_stream_failover": b_stream_failover,
     "c_share_models": c_share_models,
     "c_share_data": c_share_data,
     "a_import_model": a_import_model,

@@ -64,7 +64,8 @@ def test_report_rebuilds_from_the_out_dir(name, tmp_path, monkeypatch):
     assert json.dumps(report.to_dict(), indent=2) + "\n" == (out / "report.json").read_text()
 
 
-@pytest.mark.parametrize("name", ["b_stream_incremental", "c_share_models", "c_share_data"])
+@pytest.mark.parametrize("name", ["b_stream_incremental", "b_stream_failover", "c_share_models",
+                                  "c_share_data"])
 def test_outputs_do_not_depend_on_the_hash_seed(name, tmp_path):
     """Ids hash by identity and strings by a per-process seed, so two
     processes with different hash seeds must still write the same bytes."""
