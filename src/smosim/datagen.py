@@ -5,6 +5,12 @@ encoded features plus Gaussian noise, so model quality is analytically
 checkable (irreducible error = sigma^2). Duplicates, missing values and
 out-of-range errors are injected in exact floor(n*rate) counts, all
 selections seeded.
+
+A streaming emission or a monitor round sends one part of a bulk draw. It
+travels as a :class:`Part`, the part's row range of the draw with the ids and
+tick it was sent with, and makes no rows of its own. :func:`gather` makes the
+rows of a list of parts and batches at once: each run of consecutive parts of
+one draw is one ``take`` of the draw.
 """
 
 from __future__ import annotations
@@ -13,6 +19,7 @@ import hashlib
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from itertools import groupby
 
 import numpy as np
 
@@ -78,6 +85,8 @@ class RecordBatch:
     rows carry; its key order numbers the sources in ``source``. A column
     that a source does not carry is missing on that source's rows. Batches
     are never mutated: stages build new ones and share unchanged arrays.
+    Parts of a bulk draw travel as :class:`Part` row ranges of it until
+    :func:`gather` or :meth:`Part.batch` makes their rows.
     """
 
     schemas: dict[ComponentId, tuple[FeatureSpec, ...]]
@@ -105,8 +114,12 @@ class RecordBatch:
         """Rows of every batch in order; sources and fields are merged by name.
 
         Parts of one draw share their ``schemas`` map, so each distinct map
-        is checked, and its source codes renumbered, once.
+        is checked, and its source codes renumbered, once. No batches make an
+        empty batch of no sources.
         """
+        if not batches:
+            return RecordBatch({}, {}, *(np.empty(0, dtype=t) for t in
+                                         (np.int64, np.int64, np.int64, float, bool)))
         maps = {id(b.schemas): b.schemas for b in batches}
         schemas: dict[ComponentId, tuple[FeatureSpec, ...]] = {}
         specs: dict[str, FeatureSpec] = {}
@@ -128,6 +141,59 @@ class RecordBatch:
             source=np.concatenate([renumber[id(b.schemas)][b.source] for b in batches]),
             **{k: np.concatenate([getattr(b, k) for b in batches])
                for k in ("record_id", "tick", "target", "poisoned")})
+
+
+@dataclass(slots=True, eq=False)
+class Part:
+    """Part ``index`` of a bulk draw of ``size`` rows per part, as it is sent:
+    rows [index * size, (index + 1) * size) of ``draw``, with ids counting on
+    from ``id_start`` in place of the draw's own and every row at ``tick``.
+
+    It holds no rows of its own; :meth:`batch` and :func:`gather` make them.
+    """
+
+    draw: RecordBatch
+    index: int
+    size: int
+    id_start: int
+    tick: int
+
+    def __len__(self) -> int:
+        return self.size
+
+    @property
+    def target(self) -> np.ndarray:
+        start = self.index * self.size
+        return self.draw.target[start:start + self.size]
+
+    def batch(self) -> RecordBatch:
+        """The part's rows."""
+        return gather([self])
+
+
+def gather(parts: list[Part | RecordBatch]) -> RecordBatch:
+    """Rows of every part and batch in order: ``RecordBatch.concat`` of their
+    batches, bit for bit.
+
+    Each run of consecutive parts of one draw is one ``take`` of the draw's
+    rows, with the run's ids and ticks set; the batches join as they are.
+    """
+    batches = []
+    for key, run in groupby(parts, key=lambda p: id(p.draw) if isinstance(p, Part) else None):
+        if key is None:
+            batches.extend(run)
+            continue
+        run = list(run)
+        draw, m = run[0].draw, run[0].size
+        index = np.array([p.index for p in run])
+        rows = (index[:, None] * m + np.arange(m)).ravel()
+        ids = np.array([p.id_start for p in run], dtype=np.int64) - index * m
+        batches.append(RecordBatch(
+            draw.schemas, {k: v[rows] for k, v in draw.columns.items()},
+            draw.record_id[rows] + np.repeat(ids, m), draw.source[rows],
+            np.repeat(np.array([p.tick for p in run], dtype=np.int64), m),
+            draw.target[rows], draw.poisoned[rows]))
+    return batches[0] if len(batches) == 1 else RecordBatch.concat(batches)
 
 
 def encode(schema: list[FeatureSpec], columns: dict[str, np.ndarray],

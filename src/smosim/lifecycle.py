@@ -20,7 +20,7 @@ from typing import Any, Callable
 import numpy as np
 
 from .config import ModelKind
-from .datagen import RecordBatch
+from .datagen import Part, RecordBatch, gather
 from .errors import IllegalTransition, InvalidArtifact
 from .learn import EvalMetrics, LinearParams, ModelParameters, params_from_list
 from .pipeline import ScalingParams
@@ -286,8 +286,9 @@ class MonitorWindow:
     """The monitor's record of the last ``capacity`` reported samples and the drift rule.
 
     The window owns the reported samples: it keeps the fewest recent reports
-    that hold the last ``capacity`` samples, each as its record batch and its
-    sample count (the refinement's training data, :meth:`samples`). Beside
+    that hold the last ``capacity`` samples, each as its records, a batch or a
+    :class:`Part` of a draw, and its sample count (the refinement's training
+    data, :meth:`samples`, which gathers their rows). Beside
     them it keeps, as it ingests, the count those reports hold and the squared
     errors of the last ``capacity`` predictions (the drift rule's evidence,
     :meth:`mse`), so no report is walked again.
@@ -297,14 +298,14 @@ class MonitorWindow:
     baseline_mse: float
     drift_factor: float
     min_samples: int
-    reports: deque[tuple[RecordBatch, int]] = field(default_factory=deque, init=False)
+    reports: deque[tuple[RecordBatch | Part, int]] = field(default_factory=deque, init=False)
     _held: int = field(default=0, init=False, repr=False)  # samples the reports hold
     _errors: deque[float] = field(init=False, repr=False)  # the last capacity, oldest first
 
     def __post_init__(self) -> None:
         self._errors = deque(maxlen=self.capacity)
 
-    def ingest(self, records: RecordBatch, predictions: np.ndarray) -> None:
+    def ingest(self, records: RecordBatch | Part, predictions: np.ndarray) -> None:
         """Take one whole report: its samples and the prediction made for each."""
         errors = [(p - a) ** 2 for p, a in zip(np.asarray(predictions, dtype=float).tolist(),
                                                 records.target.tolist())]
@@ -325,7 +326,7 @@ class MonitorWindow:
 
     def samples(self) -> RecordBatch:
         """The records of the last ``capacity`` samples, oldest first; the window is not empty."""
-        return RecordBatch.concat([r for r, _ in self.reports]).take(slice(-self.capacity, None))
+        return gather([r for r, _ in self.reports]).take(slice(-self.capacity, None))
 
     def detect_drift(self, mse: float | None = None) -> bool:
         """Whether the window's MSE (``mse`` when the caller already has it) drifted."""

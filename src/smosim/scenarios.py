@@ -357,36 +357,47 @@ class _SourceBehavior:
     ``generate_batch`` call, one part per emission, from a substream tagged
     (config seed, "stream", owner kind, owner index, collection round), so
     streams of different sources stay independent. Each emission sends its
-    part, with record ids and tick given when it is sent. Poisoning draws
-    from (poison seed, "poison", owner kind, owner index, emission index) in
-    both modes.
+    part, with record ids and tick given when it is sent, as a
+    :class:`datagen.Part`, a row range of the draw that the collector gathers
+    with the rest of the inbox. Only a part that a poison or privacy
+    transform applies to makes its rows at the source, so that both
+    transforms run per emission. Poisoning draws from (poison seed,
+    "poison", owner kind, owner index, emission index) in both modes.
     """
 
     def __init__(self, driver: "Driver", spec: SourceSpec):
         self.driver = driver
         self.spec = spec
         self.emission_index = 0
+        harness_spec = driver.config.harness
+        poison = harness_spec.poison
+        self.poison = poison if poison is not None and (
+            poison.sources is None or spec.owner in poison.sources) else None
+        self.privacy = harness_spec.privacy
 
     def _make_records(self, n: int, tick: int, drawn: datagen.RecordBatch | None = None,
-                      part: int = 0) -> datagen.RecordBatch:
-        cfg = self.driver.config
+                      part: int = 0) -> datagen.RecordBatch | datagen.Part:
         owner = self.spec.owner
         ids = self.driver.sim.next_record_ids(_batch_total(self.spec, n))
+        records: datagen.RecordBatch | datagen.Part
         if drawn is None:
-            rng = datagen.derive_rng(cfg.seed, "datagen", owner.kind.value, owner.index,
-                                     self.emission_index)
+            rng = datagen.derive_rng(self.driver.config.seed, "datagen", owner.kind.value,
+                                     owner.index, self.emission_index)
             records = datagen.generate_batch(self.spec, n, rng, id_start=ids.start, tick=tick)
         else:
-            records = _sent_part(drawn, part, ids, tick)
+            records = datagen.Part(drawn, part, len(ids), ids.start, tick)
         self.emission_index += 1
-        poison = cfg.harness.poison
-        if poison is not None and (poison.sources is None or owner in poison.sources):
-            rng_p = datagen.derive_rng(poison.seed, "poison", owner.kind.value, owner.index,
-                                       self.emission_index)
+        if self.poison is None and self.privacy is None:
+            return records
+        if isinstance(records, datagen.Part):
+            records = records.batch()
+        if self.poison is not None:
+            rng_p = datagen.derive_rng(self.poison.seed, "poison", owner.kind.value,
+                                       owner.index, self.emission_index)
             records = harness.poison_inject(
-                records, replace(poison, seed=int(rng_p.integers(1 << 31))))
-        if cfg.harness.privacy is not None:
-            records = harness.privacy_transform(records, self.spec.schema, cfg.harness.privacy)
+                records, replace(self.poison, seed=int(rng_p.integers(1 << 31))))
+        if self.privacy is not None:
+            records = harness.privacy_transform(records, self.spec.schema, self.privacy)
         return records
 
     def payload_bytes(self, n_records: int) -> int:
@@ -435,19 +446,6 @@ def _batch_total(spec: SourceSpec, n: int) -> int:
     return n + math.floor(n * spec.duplicate_rate)
 
 
-def _sent_part(drawn: datagen.RecordBatch, part: int, ids: range,
-               tick: int) -> datagen.RecordBatch:
-    """One of a bulk draw's parts of len(ids) rows, with the ids and tick it is sent with."""
-    m = len(ids)
-    rows = slice(part * m, (part + 1) * m)
-    ticks = np.empty(m, dtype=np.int64)
-    ticks.fill(tick)
-    return datagen.RecordBatch(drawn.schemas, {k: v[rows] for k, v in drawn.columns.items()},
-                               drawn.record_id[rows] + (ids.start - part * m),
-                               drawn.source[rows], ticks, drawn.target[rows],
-                               drawn.poisoned[rows])
-
-
 class _TargetBehavior:
     """Production placement: hosts the deployed artifact and serves inference.
 
@@ -458,7 +456,10 @@ class _TargetBehavior:
     ground truth, for the rounds from it on, one part per round. Each round
     takes its part, with record ids and tick given at the round, predicts
     with the stored scaling parameters and sends the (sample, prediction)
-    report upstream, with the version of the artifact that predicted it.
+    report upstream, with the version of the artifact that predicted it. The
+    report's records are the round's :class:`datagen.Part` of the drawn
+    block; the monitor window reads their targets off the block and gathers
+    their rows only when a refinement takes its samples.
 
     The drawn block is encoded once, on the first round that reports, into
     its unscaled design matrix; each round scales its part's rows of it with
@@ -507,7 +508,8 @@ class _TargetBehavior:
         driver = self.driver
         mon = driver.config.monitor
         ids = driver.sim.next_record_ids(mon.batch)
-        records = _sent_part(self.drawn, round_index - 1, ids, driver.sim.clock)
+        records = datagen.Part(self.drawn, round_index - 1, mon.batch, ids.start,
+                               driver.sim.clock)
         if self._base is None:
             self._base = pipeline.base_design_matrix(self.drawn, driver.canonical,
                                                      driver.derived)
@@ -714,7 +716,7 @@ class Driver:
         self.search_result: learn.SearchResult | None = None
         self.monitor: MonitorWindow | None = None
 
-        self._inbox: dict[str, list[datagen.RecordBatch]] = {}
+        self._inbox: dict[str, list[datagen.RecordBatch | datagen.Part]] = {}
         self._expected_artifacts: dict[int, set[str]] = {}
         self._domain_models: dict[int, dict[str, DomainModel]] = {}
         self._domain_evals: dict[str, dict[str, Any]] = {}
@@ -944,9 +946,9 @@ class Driver:
             if not sum(map(len, self._inbox.get(str(owner), []))):
                 self.sim.log_event("collection_timeout", src=owner,
                                    detail={"window": [start, deadline]})
-        parts = [b for owner in expected for b in self._inbox.get(str(owner), [])]
-        records = datagen.RecordBatch.concat(parts) if parts else None
-        self._inbox = {}  # the parts live on only in the concatenation
+        records = datagen.gather([b for owner in expected
+                                  for b in self._inbox.get(str(owner), [])])
+        self._inbox = {}  # the parts live on only in the gathered batch
         if not records:
             raise CollectionTimeout(f"no source delivered any data in [{start}, {deadline}]")
         # share-data domains cleanse their own records before they send them

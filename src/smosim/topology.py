@@ -321,7 +321,15 @@ class EventLog:
         self.entries: list[Event] = []
 
     def to_jsonl(self) -> str:
-        return "".join([e.to_json() + "\n" for e in self.entries])
+        """Each event's :meth:`Event.to_json` line, newline-terminated, rendered inline."""
+        fields, msg_line, line = _FIELDS_TEXT, _MSG_LINE + "\n", _LINE + "\n"
+        encode = _COMPACT_JSON.encode
+        return "".join([
+            msg_line % (e.tick, e.seq, fields[e.type, e.src, e.dst, e.interface, e.payload_kind],
+                        e.bytes, e.msg_id) if e._detail is None else
+            line % (e.tick, e.seq, fields[e.type, e.src, e.dst, e.interface, e.payload_kind],
+                    e.bytes, encode(e._detail))
+            for e in self.entries])
 
     def of_type(self, *types: str) -> list[Event]:
         wanted = set(types)

@@ -189,7 +189,7 @@ class TestScenarioB:
 
         driver.sim.handlers[aiml] = record_data
         check_invariants(driver.run())
-        return datagen.RecordBatch.concat(parts)
+        return datagen.gather(parts)
 
     def test_streams_of_different_sources_are_independent(self):
         ours = self._streamed(build(self._two_streams(4)), "NFMF#0")
@@ -233,7 +233,7 @@ class TestScenarioB:
 
         def record_reports(sim, msg):
             if msg.payload_kind is PayloadKind.REPORT and msg.final_dst == aiml:
-                reports[msg.payload["round"]] = msg.payload["records"]
+                reports[msg.payload["round"]] = msg.payload["records"].batch()
             dispatch(sim, msg)
 
         driver.sim.handlers[aiml] = record_reports
@@ -1151,7 +1151,7 @@ class TestMonitoringAndRefinement:
         each monitor round: the records it sent, the matrix its artifact
         predicted from, and that artifact's scaler."""
         rounds, inside, parts = [], [], []
-        report_round, sent_part = scenarios._TargetBehavior._report_round, scenarios._sent_part
+        report_round, part_init = scenarios._TargetBehavior._report_round, datagen.Part.__init__
         predict = ModelArtifact.predict
 
         def spy_round(target, round_index):
@@ -1161,19 +1161,18 @@ class TestMonitoringAndRefinement:
             finally:
                 inside.pop()
 
-        def spy_part(*args):
-            part = sent_part(*args)
+        def spy_part(part, *args):
+            part_init(part, *args)
             if inside:
                 parts.append(part)
-            return part
 
         def spy_predict(artifact, X):
             if inside:
-                rounds.append((str(inside[-1].cid), parts[-1], X, artifact.scaler))
+                rounds.append((str(inside[-1].cid), parts[-1].batch(), X, artifact.scaler))
             return predict(artifact, X)
 
         monkeypatch.setattr(scenarios._TargetBehavior, "_report_round", spy_round)
-        monkeypatch.setattr(scenarios, "_sent_part", spy_part)
+        monkeypatch.setattr(datagen.Part, "__init__", spy_part)
         monkeypatch.setattr(ModelArtifact, "predict", spy_predict)
         return checked_run(config), rounds
 

@@ -487,6 +487,11 @@ class TestEventRendering:
             with pytest.raises(ValueError):
                 Event.from_json(bad)
 
+    @pytest.mark.parametrize("name", sorted(CASES))
+    def test_a_golden_log_renders_as_its_events_lines(self, name, tmp_path):
+        log = run_case(name, tmp_path).sim.log
+        assert log.to_jsonl() == "".join(e.to_json() + "\n" for e in log.entries)
+
     def test_simulation_events_render_like_json_dumps(self):
         sim = _bare_sim(latency=2, overhead=24)
         a = ComponentId(ComponentKind.NSSMF, 0)
