@@ -56,6 +56,10 @@ def _above(lo: float, **kw: Any) -> Any:
     return _rule(lambda v: v > lo, f"must be > {lo}, got {{v}}", **kw)
 
 
+def _within(lo: int, hi: int, **kw: Any) -> Any:
+    return _rule(lambda v: lo <= v <= hi, f"must lie in [{lo}, {hi}], got {{v}}", **kw)
+
+
 def _rate(**kw: Any) -> Any:
     return _rule(lambda v: 0.0 <= v <= 1.0, "rate must lie in [0, 1], got {v}", **kw)
 
@@ -221,7 +225,8 @@ MAX_SEARCH_TRIALS = 1_000
 # unbounded number
 MAX_ROUNDS = 10_000
 # records one source draws in a collection, or one deploy target over its monitor
-# rounds: each is drawn at once, so a config may not ask for an unbounded number
+# rounds: each is drawn at once, so a config may not ask for an unbounded number;
+# nor may a minibatch or the monitor window ask to hold more
 MAX_RECORDS = 1_000_000
 # the topology links every pair of AI/ML instances and each rApp to each instance,
 # so a config may not ask for an unbounded number of any component kind
@@ -233,9 +238,8 @@ MAX_TICK = 2 ** 63 - 1
 @dataclass(frozen=True)
 class HyperParams:
     learning_rate: float = _above(0.0, default=0.01)
-    epochs: int = _rule(lambda v: 1 <= v <= MAX_EPOCHS,
-                        f"must lie in [1, {MAX_EPOCHS}], got {{v}}", default=10)
-    batch_size: int = _min(1, default=32)
+    epochs: int = _within(1, MAX_EPOCHS, default=10)
+    batch_size: int = _within(1, MAX_RECORDS, default=32)
     l2_lambda: float = _min(0.0, default=0.0)
     threshold: float = 0.5
 
@@ -272,7 +276,7 @@ class DeploySpec:
 
 @dataclass(frozen=True)
 class MonitorSpec:
-    window: int = _min(1, default=50)
+    window: int = _within(1, MAX_RECORDS, default=50)
     min_samples: int = _min(1, default=10)
     drift_factor: float = _above(1.0, default=1.5)
     rounds: int = _min(0, default=0)
@@ -383,8 +387,7 @@ class LinkSpec:
 
 
 def _count(lo: int, **kw: Any) -> Any:
-    return _rule(lambda v: lo <= v <= MAX_COMPONENTS,
-                 f"must lie in [{lo}, {MAX_COMPONENTS}], got {{v}}", **kw)
+    return _within(lo, MAX_COMPONENTS, **kw)
 
 
 @dataclass(frozen=True)

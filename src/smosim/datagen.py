@@ -146,10 +146,13 @@ class RecordBatch:
 @dataclass(slots=True, eq=False)
 class Part:
     """Part ``index`` of a bulk draw of ``size`` rows per part, as it is sent:
-    rows [index * size, (index + 1) * size) of ``draw``, with ids counting on
-    from ``id_start`` in place of the draw's own and every row at ``tick``.
+    rows [index * size, (index + 1) * size) of ``draw``, every row at ``tick``
+    and every id moved by ``id_start - index * size``. The draw's ids count
+    from 0, so the part's count on from ``id_start``, and a copy keeps the id
+    of the row it copies.
 
-    It holds no rows of its own; :meth:`batch` and :func:`gather` make them.
+    It holds no rows of its own; :meth:`batch` makes them, and :func:`gather`
+    makes those of many parts at once.
     """
 
     draw: RecordBatch
@@ -167,8 +170,12 @@ class Part:
         return self.draw.target[start:start + self.size]
 
     def batch(self) -> RecordBatch:
-        """The part's rows."""
-        return gather([self])
+        """The part's rows: views of the draw's, but for their ids and ticks."""
+        start = self.index * self.size
+        rows = slice(start, start + self.size)
+        return replace(self.draw.take(rows),
+                       record_id=self.draw.record_id[rows] + (self.id_start - start),
+                       tick=np.full(self.size, self.tick, dtype=np.int64))
 
 
 def gather(parts: list[Part | RecordBatch]) -> RecordBatch:

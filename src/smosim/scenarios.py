@@ -1147,6 +1147,8 @@ class Driver:
                 min_samples=self.config.monitor.min_samples,
             )
         self._enter(Phase.MONITOR)
+        if self._all_reports_done():  # the last one came in while the model was redeployed
+            self._finish()
 
     # -- monitoring + refinement ---------------------------------------------------------------------
 

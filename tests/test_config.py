@@ -123,6 +123,13 @@ MALFORMED = [
                                   "interval": 1}, ConfigError, "sources[1].emission.size"),
     (("monitor",), {"rounds": MAX_RECORDS // 20 + 1, "batch": 20}, ConfigError,
      "monitor.rounds"),
+    (("monitor", "window"), MAX_RECORDS + 1, ConfigError, "monitor.window"),
+    (("model", "hyperparams", "batch_size"), MAX_RECORDS + 1, ConfigError,
+     "model.hyperparams.batch_size"),
+    (("search",), {"grid": {"batch_size": [8, 10**30]}}, ConfigError,
+     "search.grid.batch_size[1]"),
+    (("search",), {"mode": "random", "budget": 2, "ranges": {"batch_size": [8, 10**30]}},
+     ConfigError, "search.ranges.batch_size[1]"),
     (("search",), {"mode": "random", "budget": 10**9, "ranges": {"learning_rate": [0.01, 0.1]}},
      ConfigError, "search.budget"),
     (("search",), {"mode": "random", "budget": MAX_SEARCH_TRIALS + 1,
@@ -313,6 +320,34 @@ def test_one_mutated_leaf_raises_only_simulation_errors(data):
         pass
 
 
+# -- every integer of a golden config at 10**30 ---------------------------------------------
+
+
+def _huge_integer_configs() -> list[tuple[str, tuple]]:
+    """(golden case, path) of each integer leaf of each golden config."""
+    leaves = []
+    with tempfile.TemporaryDirectory() as tmp:
+        for name, case in CASES.items():
+            config = case(Path(tmp))
+            leaves += [(name, path) for path in _nodes(config) if type(_at(config, path)) is int]
+    return leaves
+
+
+@pytest.mark.parametrize("name, path", _huge_integer_configs(),
+                         ids=lambda v: ".".join(map(str, v)) if isinstance(v, tuple) else v)
+def test_an_integer_of_10_to_the_30_is_rejected_or_runs_to_a_checked_report(name, path,
+                                                                             tmp_path,
+                                                                             monkeypatch):
+    config = CASES[name](tmp_path)
+    _at(config, path[:-1])[path[-1]] = 10**30
+    try:
+        parsed = config_from_dict(config)
+    except SimulationError:
+        return
+    monkeypatch.chdir(tmp_path)  # the import case names its artifact relative to it
+    checked_run(parsed)
+
+
 # -- runs of mutated configs ---------------------------------------------------------------
 
 # Numbers up to 40 keep every run short: a mutated record count, round count or
@@ -441,10 +476,12 @@ class TestCrossFieldRules:
         data["sources"][0]["emission"]["size"] = MAX_RECORDS
         data["sources"][1]["emission"] = {"mode": "streaming", "size": MAX_RECORDS // 10,
                                           "interval": 1}
-        data["monitor"] = {"rounds": MAX_RECORDS // 20, "batch": 20}
+        data["monitor"] = {"rounds": MAX_RECORDS // 20, "batch": 20, "window": MAX_RECORDS}
+        data["model"]["hyperparams"]["batch_size"] = MAX_RECORDS
         config = config_from_dict(data)
         assert (config.sources[0].emission.size, config.monitor.rounds) == (
             MAX_RECORDS, MAX_RECORDS // 20)
+        assert config.monitor.window == config.model.hyperparams.batch_size == MAX_RECORDS
 
     @pytest.mark.parametrize("counts, field", [
         ({"aiml_instances": 50_000}, "topology.aiml_instances"),

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import hashlib
 import math
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -11,8 +12,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smosim.config import FeatureSpec, SourceSpec, EmissionSpec
-from smosim.datagen import (encode, generate_batch, is_missing, median,
-                            streaming_emission_ticks)
+from smosim.datagen import (Part, RecordBatch, encode, gather, generate_batch, is_missing,
+                            median, streaming_emission_ticks)
 from smosim.errors import SchemaMismatch
 from smosim.topology import ComponentId, ComponentKind
 
@@ -184,6 +185,86 @@ class TestBulkDraw:
     def test_parts_must_be_positive(self):
         with pytest.raises(ValueError):
             generate_batch(_dirty_spec(), 5, seed=1, parts=0)
+
+
+# -- parts of bulk draws, and their gather ----------------------------------------------
+
+# sources that differ in their fields, so that a gather of their parts fills the
+# columns a source does not carry
+GATHER_SPECS = [
+    _dirty_spec(),
+    SourceSpec(owner=ComponentId(ComponentKind.NFVO, 0),
+               schema=[DIRTY_SCHEMA[1], FeatureSpec("z", "numeric", valid_range=(0.0, 1.0))],
+               coefficients=[1.0, -1.0], noise_sigma=0.1, missing_rate=0.3),
+    SourceSpec(owner=ComponentId(ComponentKind.NFMF, 1), schema=DIRTY_SCHEMA[2:],
+               coefficients=[0.5, 0.0, -0.5], error_rate=0.0, duplicate_rate=0.3),
+]
+
+
+def _assert_same_array(got: np.ndarray, expected: np.ndarray) -> None:
+    assert got.dtype == expected.dtype and got.shape == expected.shape
+    if expected.dtype == object:
+        assert got.tolist() == expected.tolist()
+    else:
+        assert got.tobytes() == expected.tobytes()
+
+
+def _assert_same_batch(got: RecordBatch, expected: RecordBatch) -> None:
+    assert list(got.schemas.items()) == list(expected.schemas.items())
+    assert list(got.columns) == list(expected.columns)
+    for name, col in expected.columns.items():
+        _assert_same_array(got.columns[name], col)
+    for k in ("record_id", "tick", "source", "target", "poisoned"):
+        _assert_same_array(getattr(got, k), getattr(expected, k))
+
+
+@st.composite
+def gather_inputs(draw) -> list[Part | RecordBatch]:
+    """Parts of one to three bulk draws, each of one of the sources, with whole
+    batches among them, in any order: parts dropped, repeated and interleaved,
+    and some made into their batches at the source."""
+    items: list[Part | RecordBatch] = []
+    for _ in range(draw(st.integers(1, 3))):
+        spec = replace(draw(st.sampled_from(GATHER_SPECS)),
+                       duplicate_rate=draw(st.sampled_from([0.0, 0.25, 0.5])))
+        n, parts = draw(st.integers(1, 5)), draw(st.integers(1, 4))
+        seed = draw(st.integers(0, 2**16))
+        drawn = generate_batch(spec, n, seed, id_start=draw(st.integers(0, 99)), parts=parts)
+        m = len(drawn) // parts
+        items += [Part(drawn, i, m, draw(st.integers(0, 10**6)), draw(st.integers(0, 10**4)))
+                  for i in range(parts)]
+        if draw(st.booleans()):  # a batch-mode request's records
+            items.append(generate_batch(spec, n, seed + 1, id_start=draw(st.integers(0, 99)),
+                                        tick=draw(st.integers(0, 10**4))))
+    picked = draw(st.lists(st.integers(0, len(items) - 1), max_size=12))
+    return [items[i].batch() if isinstance(items[i], Part) and draw(st.booleans())
+            else items[i] for i in picked]
+
+
+class TestParts:
+    def test_a_part_is_its_rows_of_the_draw_with_the_ids_and_tick_it_is_sent_with(self):
+        drawn = generate_batch(_dirty_spec(), 10, seed=5, parts=3)
+        m = 12  # 10 base records and 2 copies
+        part = Part(drawn, 1, m, 500, 9)
+        rows = drawn.take(slice(m, 2 * m))
+        batch = part.batch()
+        assert len(part) == len(batch) == m
+        _assert_same_array(part.target, rows.target)
+        # ids count on from 500, and a copy keeps the id of the row it copies
+        np.testing.assert_array_equal(batch.record_id[:10], np.arange(500, 510))
+        _assert_same_batch(batch, replace(rows, record_id=rows.record_id - m + 500,
+                                          tick=np.full(m, 9)))
+
+    @settings(max_examples=300, deadline=None)
+    @given(gather_inputs())
+    def test_gather_equals_the_concat_of_the_parts_batches_bit_for_bit(self, items):
+        expected = RecordBatch.concat([p.batch() if isinstance(p, Part) else p for p in items])
+        _assert_same_batch(gather(items), expected)
+
+    def test_gathering_nothing_is_an_empty_batch(self):
+        batch = gather([])
+        assert len(batch) == 0 and batch.schemas == {} and batch.columns == {}
+        _assert_same_batch(batch, RecordBatch.concat([]))
 
 
 class TestEmission:
