@@ -186,11 +186,11 @@ def gather(parts: list[Part | RecordBatch]) -> RecordBatch:
     rows, with the run's ids and ticks set; the batches join as they are.
     """
     batches = []
-    for key, run in groupby(parts, key=lambda p: id(p.draw) if isinstance(p, Part) else None):
+    for key, group in groupby(parts, key=lambda p: id(p.draw) if isinstance(p, Part) else None):
         if key is None:
-            batches.extend(run)
+            batches.extend(group)
             continue
-        run = list(run)
+        run = list(group)
         draw, m = run[0].draw, run[0].size
         index = np.array([p.index for p in run])
         rows = (index[:, None] * m + np.arange(m)).ravel()

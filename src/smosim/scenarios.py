@@ -507,9 +507,8 @@ class _TargetBehavior:
             return
         driver = self.driver
         mon = driver.config.monitor
-        ids = driver.sim.next_record_ids(mon.batch)
-        records = datagen.Part(self.drawn, round_index - 1, mon.batch, ids.start,
-                               driver.sim.clock)
+        records = datagen.Part(self.drawn, round_index - 1, mon.batch,
+                               driver.sim.next_record_ids(mon.batch).start, driver.sim.clock)
         if self._base is None:
             self._base = pipeline.base_design_matrix(self.drawn, driver.canonical,
                                                      driver.derived)
@@ -1147,7 +1146,9 @@ class Driver:
                 min_samples=self.config.monitor.min_samples,
             )
         self._enter(Phase.MONITOR)
-        if self._all_reports_done():  # the last one came in while the model was redeployed
+        # every report came in while the model was redeployed, so none is left to wait
+        # for; but a dead primary's replica still takes over once it notices
+        if self._all_reports_done() and self.sim.alive(self.active_aiml):
             self._finish()
 
     # -- monitoring + refinement ---------------------------------------------------------------------
