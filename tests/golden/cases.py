@@ -82,7 +82,7 @@ def b_stream_failover(workdir: Path) -> dict[str, Any]:
     """Two streaming sources, one of them poisoned, both pseudonymising an
     identifier; the primary AI/ML instance dies inside the collection window,
     so its replica collects afresh while the first draws' emissions are still
-    arriving, and two targets report until a drift refit."""
+    arriving, and two targets report through two drift refits."""
     schema = [numeric_feature("cpu"), numeric_feature("mem"),
               {"name": "ue", "type": "identifier", "sensitive": True}]
     stream = {"mode": "streaming", "size": 4, "interval": 1}
