@@ -233,6 +233,9 @@ MAX_RECORDS = 1_000_000
 MAX_COMPONENTS = 128
 # ticks are stored in int64 columns, so the loop may process no later tick
 MAX_TICK = 2 ** 63 - 1
+# after a failure a replica checks once per missed heartbeat until it declares,
+# so a config may not ask it to wait for an unbounded number
+MAX_MISSED_BEATS = 10_000
 
 
 @dataclass(frozen=True)
@@ -329,7 +332,7 @@ class FailurePlan:
                                 "only AimlFunction instances can be failed over")
     fail_tick: int = _min(0, default=0)
     heartbeat_interval: int = _min(1, default=2)
-    missed_to_declare: int = _min(1, default=2)
+    missed_to_declare: int = _within(1, MAX_MISSED_BEATS, default=2)
     replicas: tuple[ComponentId, ...] = _rule(
         lambda rs: all(r.kind == ComponentKind.AIML_FUNCTION for r in rs),
         "only AimlFunction instances can be replicas", default=())

@@ -83,8 +83,11 @@ class RecordBatch:
     codes into the feature's vocab (-1 = missing) and identifier columns are
     object arrays (None = missing). ``schemas`` lists the fields each source's
     rows carry; its key order numbers the sources in ``source``. A column
-    that a source does not carry is missing on that source's rows. Batches
-    are never mutated: stages build new ones and share unchanged arrays.
+    that a source does not carry is missing on that source's rows. A batch
+    is never mutated once a stage has returned it: stages build new ones and
+    share unchanged arrays. Along the data path each stage is the only owner
+    of its input: once a stage's successor exists, no name refers to its
+    input, so the input is freed then (see ``Driver._prepare``).
     Parts of a bulk draw travel as :class:`Part` row ranges of it until
     :func:`gather` or :meth:`Part.batch` makes their rows.
     """

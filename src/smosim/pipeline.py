@@ -57,8 +57,12 @@ class ScalingParams:
     offset: np.ndarray
     scale: np.ndarray
 
-    def apply(self, matrix: np.ndarray) -> np.ndarray:
-        return (matrix - self.offset) / self.scale
+    def apply(self, matrix: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """``(matrix - offset) / scale`` bit for bit, in one new array or in
+        ``out``, which may be ``matrix`` itself when the caller owns it."""
+        out = np.subtract(matrix, self.offset, out=out)
+        out /= self.scale
+        return out
 
     def to_dict(self) -> dict:
         return {
@@ -220,9 +224,9 @@ def cleanse(d: Dataset) -> Dataset:
     kept = np.flatnonzero(keep)
     if not len(kept):
         raise EmptyDataset("no records left after deduplication")
-    b = b.take(kept)
+    b = b.take(kept)  # fresh columns, owned here alone, so they are filled in place
     fill = {name: _impute_value(b.spec_of(name), col) for name, col in b.columns.items()}
-    columns = {name: col.copy() for name, col in b.columns.items()}
+    columns = b.columns
     for code, schema in enumerate(b.schemas.values()):
         rows = b.source == code
         for spec in schema:
@@ -236,7 +240,7 @@ def cleanse(d: Dataset) -> Dataset:
                 value = 0 if spec.type == "categorical" else ""
             part[is_missing(part)] = value
             columns[spec.name][rows] = part
-    return replace(d, stage=Stage.CLEANSED, records=replace(b, columns=columns))
+    return replace(d, stage=Stage.CLEANSED, records=b)
 
 
 # -- formatting -------------------------------------------------------------------
@@ -341,7 +345,7 @@ def transform(d: Dataset, scaling: str = "zscore",
     base = base_design_matrix(d.records, d.canonical, derived)
     scaler = fit_scaler(base, names, d.canonical, derived, scaling)
     return TransformedDataset(
-        feature_names=names, X=scaler.apply(base), y=d.records.target.copy(),
+        feature_names=names, X=scaler.apply(base, out=base), y=d.records.target.copy(),
         scaler=scaler, record_ids=d.records.record_id,
         poisoned=d.records.poisoned,
     )
@@ -352,7 +356,7 @@ def reapply_transform(records: RecordBatch, canonical: list[FeatureSpec],
                       scaler: ScalingParams) -> np.ndarray:
     """Inference-time path: encode fresh records with stored scaling parameters."""
     base = base_design_matrix(records, canonical, derived)
-    return scaler.apply(base)
+    return scaler.apply(base, out=base)
 
 
 # -- exploration -------------------------------------------------------------------

@@ -940,6 +940,17 @@ class Driver:
                 self._on_monitor_report(msg.payload)
 
     def _end_collection(self, start: int, deadline: int, phase: Phase) -> None:
+        # each stage is a temporary, so it dies once its successor is built (see _prepare)
+        if phase is Phase.COLLECT_VALIDATION:
+            self._validate_import(self._prepare(self._collected(start, deadline)).records)
+        else:
+            self._explore_and_train(pipeline.transform(
+                self._prepare(self._filtered(self._collected(start, deadline))),
+                self.config.pipeline.scaling, self.derived))
+
+    def _collected(self, start: int, deadline: int) -> pipeline.Dataset:
+        """The rows every source delivered in [start, deadline], in source order;
+        logs each source that delivered none."""
         expected = [s.owner for s in self.config.sources]
         for owner in expected:
             if not sum(map(len, self._inbox.get(str(owner), []))):
@@ -952,15 +963,18 @@ class Driver:
             raise CollectionTimeout(f"no source delivered any data in [{start}, {deadline}]")
         # share-data domains cleanse their own records before they send them
         stage = pipeline.Stage.CLEANSED if self.config.mode == "share-data" else pipeline.Stage.RAW
-        collected = pipeline.Dataset(stage, records)
-        if phase is Phase.COLLECT_VALIDATION:
-            self._validate_import(collected)
-        else:
-            self._preprocess_and_train(collected)
+        return pipeline.Dataset(stage, records)
 
     def _prepare(self, ds: pipeline.Dataset) -> pipeline.Dataset:
         """The one data path: cleanse ``ds`` unless it arrives Cleansed, then
-        format it onto the canonical schema under every source's renames."""
+        format it onto the canonical schema under every source's renames.
+
+        Each stage is the only owner of its input: once a stage's successor
+        exists, no name refers to its input, so a caller passes ``ds`` as a
+        temporary and ``ds`` is rebound here. The collected rows then die once
+        cleanse has run (from CPython 3.11; before, the caller's stack holds
+        ``ds`` until this returns), and the cleansed rows once format has run.
+        """
         if ds.stage is not pipeline.Stage.CLEANSED:
             ds = pipeline.cleanse(ds)
         return pipeline.format_dataset(ds, self.canonical,
@@ -968,21 +982,26 @@ class Driver:
 
     # -- preprocessing + training (scenarios B, A import-data, C share-data) ------------------------
 
-    def _preprocess_and_train(self, collected: pipeline.Dataset) -> None:
+    def _filtered(self, collected: pipeline.Dataset) -> pipeline.Dataset:
+        """``collected`` with the rows the validation filter keeps, if one is
+        configured; logs the poison detection of a filtered or poisoned run."""
         cfg = self.config
         flt = cfg.harness.filter
-        if flt is not None or cfg.harness.poison is not None:
-            # a poisoned run with the mitigation disabled keeps every record
-            kept, rejected = harness.validation_filter(collected.records, flt) if flt is not None \
-                else (collected.records, collected.records.take(slice(0)))
-            self.sim.log_event("poison_detection", src=self.active_aiml,
-                               detail=harness.poison_detection_report(kept, rejected))
-        if flt is not None:
-            self.sim.log_event("mitigation", src=self.active_aiml, detail={
-                "mechanism": "validation_filter",
-                "rejected": len(rejected), "kept": len(kept)})
-            collected = replace(collected, records=kept)
-        td = pipeline.transform(self._prepare(collected), cfg.pipeline.scaling, self.derived)
+        if flt is None and cfg.harness.poison is None:
+            return collected
+        # a poisoned run with the mitigation disabled keeps every record
+        kept, rejected = harness.validation_filter(collected.records, flt) if flt is not None \
+            else (collected.records, collected.records.take(slice(0)))
+        self.sim.log_event("poison_detection", src=self.active_aiml,
+                           detail=harness.poison_detection_report(kept, rejected))
+        if flt is None:
+            return collected
+        self.sim.log_event("mitigation", src=self.active_aiml, detail={
+            "mechanism": "validation_filter",
+            "rejected": len(rejected), "kept": len(kept)})
+        return replace(collected, records=kept)
+
+    def _explore_and_train(self, td: pipeline.TransformedDataset) -> None:
         self.transformed = td
         self.exploration = pipeline.explore(td) if len(td) >= 2 else None
         self._enter(Phase.TRAIN)
@@ -1323,18 +1342,19 @@ class Driver:
         rng = datagen.derive_rng(self.config.seed, "datagen", spec.owner.kind.value,
                                  spec.owner.index, 0)
         ids = self.sim.next_record_ids(_batch_total(spec, spec.emission.size))
-        records = datagen.generate_batch(spec, spec.emission.size, rng,
-                                         id_start=ids.start, tick=self.sim.clock)
-        raw = pipeline.Dataset(pipeline.Stage.RAW, records)
-        td = pipeline.transform(self._prepare(raw), self.config.pipeline.scaling, self.derived)
+        td = pipeline.transform(self._prepare(pipeline.Dataset(
+            pipeline.Stage.RAW, datagen.generate_batch(spec, spec.emission.size, rng,
+                                                      id_start=ids.start, tick=self.sim.clock))),
+            self.config.pipeline.scaling, self.derived)
         return pipeline.split(td, self.config.pipeline.split)
 
     # -- scenario A validation ------------------------------------------------------------------------------
 
-    def _validate_import(self, raw: pipeline.Dataset) -> None:
+    def _validate_import(self, records: datagen.RecordBatch) -> None:
+        """Validate the pending import on the first ``validation_batch`` of the
+        prepared collected ``records`` and test it on the rest."""
         cfg = self.config
         artifact: ModelArtifact = self._pending_import
-        records = self._prepare(raw).records
         n_val = min(len(records), cfg.external.validation_batch)
         # encoding acts row by row, so the validation rows' matrix is the first n_val rows
         base = pipeline.base_design_matrix(records, self.canonical, self.derived)

@@ -10,7 +10,8 @@ from hypothesis import strategies as st
 
 from smosim.config import DerivedFeature, FeatureSpec, model_feature_names
 from smosim.datagen import RecordBatch
-from smosim.pipeline import Dataset, Stage, cleanse, fit_scaler, format_dataset, transform
+from smosim.pipeline import (Dataset, Stage, base_design_matrix, cleanse, fit_scaler,
+                             format_dataset, transform)
 from smosim.topology import ComponentId, ComponentKind
 
 from conftest import record_batch
@@ -107,12 +108,49 @@ def test_columnar_path_equals_row_reference(drawn, scaling, derived):
     batch = RecordBatch.concat([
         record_batch(schema, [f for _, f, _ in rows], [t for *_, t in rows],
                      [rid for rid, *_ in rows], owner) for owner, schema, rows in parts])
-    formatted = format_dataset(cleanse(Dataset(Stage.RAW, batch)), CANONICAL, renames)
+    raw = _copies(batch)
+    cleansed = cleanse(Dataset(Stage.RAW, batch))
+    assert _equal(raw, batch)
+    # cleanse fills the columns of its own take, never its input's
+    assert not any(np.shares_memory(a, b) for a in cleansed.records.columns.values()
+                   for b in batch.columns.values())
+    before = _copies(cleansed.records)
+    formatted = format_dataset(cleansed, CANONICAL, renames)
+    assert _equal(before, cleansed.records)
+    before = _copies(formatted.records)
     td = transform(formatted, scaling, derived)
+    assert _equal(before, formatted.records)
     X, y, ids = reference(parts, renames, derived, scaling)
     assert np.array_equal(td.X, X)
     assert list(td.y) == y
     assert list(td.record_ids) == ids
+    base = base_design_matrix(formatted.records, CANONICAL, derived)
+    for m in (base, base[:0], base[:1]):
+        kept = m.copy()
+        scaled = td.scaler.apply(m)
+        assert m.tobytes() == kept.tobytes()
+        expected = (m - td.scaler.offset) / td.scaler.scale
+        assert scaled.shape == expected.shape and scaled.tobytes() == expected.tobytes()
+        own = m.copy()  # scaled in place, as transform scales its own matrix
+        assert td.scaler.apply(own, out=own) is own and own.tobytes() == expected.tobytes()
+
+
+def _arrays(b: RecordBatch) -> dict[str, np.ndarray]:
+    return {**{f"columns.{k}": v for k, v in b.columns.items()},
+            **{k: getattr(b, k) for k in ("record_id", "source", "tick", "target", "poisoned")}}
+
+
+def _copies(b: RecordBatch) -> dict[str, np.ndarray]:
+    return {k: v.copy() for k, v in _arrays(b).items()}
+
+
+def _equal(copies: dict[str, np.ndarray], b: RecordBatch) -> bool:
+    """Whether every array of ``b`` equals its copy, bit for bit (by value for objects)."""
+    arrays = _arrays(b)
+    return arrays.keys() == copies.keys() and all(
+        a.dtype == c.dtype and a.shape == c.shape
+        and (a.tolist() == c.tolist() if a.dtype == object else a.tobytes() == c.tobytes())
+        for a, c in ((arrays[k], copies[k]) for k in copies))
 
 
 SCHEMA = [FeatureSpec("x", "numeric", valid_range=(0.0, 10.0))]

@@ -21,6 +21,7 @@ from smosim.config import (
     EmissionSpec,
     HarnessSpec,
     MAX_COMPONENTS,
+    MAX_MISSED_BEATS,
     MAX_RECORDS,
     MAX_ROUNDS,
     MAX_SEARCH_TRIALS,
@@ -91,6 +92,9 @@ MALFORMED = [
     (("harness", "privacy"), {"inflation": 1.1}, MissingKey, "harness.privacy.key"),
     (("harness", "failure"), {"target": "AimlFunction#0", "fail_tick": -1}, ConfigError,
      "harness.failure.fail_tick"),
+    (("harness", "failure"), {"target": "AimlFunction#0",
+                              "missed_to_declare": MAX_MISSED_BEATS + 1}, ConfigError,
+     "harness.failure.missed_to_declare"),
     (("harness", "failure"), {"target": "AimlFunction#0", "replicas": ["AimlFunction#-1"]},
      ConfigError, "harness.failure.replicas[0]"),
     (("harness", "failure"), {"target": "AimlFunction#0", "replicas": ["AimlFunction#0"]},

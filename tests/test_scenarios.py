@@ -5,6 +5,8 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import sys
+import weakref
 from functools import partial
 
 import numpy as np
@@ -13,7 +15,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from smosim import aggregate, config_from_dict
-from smosim import datagen, learn, pipeline, scenarios
+from smosim import datagen, harness, learn, pipeline, scenarios
 from smosim.config import LinkSpec, ModelKind, ScenarioConfig, ScenarioKind, TopologyCounts
 from smosim.errors import (
     CollectionTimeout,
@@ -357,6 +359,54 @@ class TestScenarioB:
         # and the target monitors the model deployed to it
         assert [e.detail["target"] for e in log.of_type("report_ingested")] == [
             "MdaSystem3GPP#0"] * 2
+
+    def test_each_batch_stage_is_freed_once_its_successor_is_built(self, monkeypatch):
+        data = scenario_b_dict(n_per_source=2000)
+        for spec in data["sources"]:
+            spec["schema"] = spec["schema"] + [
+                {"name": "ue", "type": "identifier", "sensitive": True}]
+        data["harness"] = {"filter": {"k": 4.0}, "privacy": {"key": "k"}, "poison": {
+            "fraction": 0.05, "attack": "target_offset", "delta": 8.0, "seed": 3}}
+        # weak references only: a list or an argument tuple of batches keeps them alive
+        batches: dict[str, list[weakref.ref]] = {"gathered": [], "kept": [], "cleansed": []}
+        alive = []
+        gather, validation_filter = datagen.gather, harness.validation_filter
+        cleanse = pipeline.cleanse
+
+        def gather_spy(parts):
+            batch = gather(parts)
+            batches["gathered"].append(weakref.ref(batch))
+            return batch
+
+        def filter_spy(records, spec):
+            kept, rejected = validation_filter(records, spec)
+            batches["kept"].append(weakref.ref(kept))
+            return kept, rejected
+
+        def cleanse_spy(d):
+            cleansed = cleanse(d)
+            batches["cleansed"].append(weakref.ref(cleansed.records))
+            return cleansed
+
+        def liveness_spy(real):
+            def spy(d, *args):
+                alive.append({stage: [ref() is not None for ref in refs]
+                              for stage, refs in batches.items()})
+                return real(d, *args)
+            return spy
+
+        monkeypatch.setattr(datagen, "gather", gather_spy)
+        monkeypatch.setattr(harness, "validation_filter", filter_spy)
+        monkeypatch.setattr(pipeline, "cleanse", cleanse_spy)
+        for name in ("format_dataset", "transform"):
+            monkeypatch.setattr(pipeline, name, liveness_spy(getattr(pipeline, name)))
+        result = checked_run(build(data))
+        assert result.report.status == "completed"
+        assert [e.detail["rejected"] > 0 for e in result.sim.log.of_type("mitigation")] == [True]
+        # before CPython 3.11 the caller's stack holds _prepare's argument until it returns
+        kept_at_format = sys.version_info < (3, 11)
+        assert alive == [{"gathered": [False], "kept": [kept_at_format], "cleansed": [True]},
+                         {"gathered": [False], "kept": [False], "cleansed": [False]}]
 
     @pytest.mark.parametrize("kind", ["LinearSgd", "RidgeClosedForm"])
     def test_a_searched_run_deploys_the_winning_trial_as_fitted(self, kind, monkeypatch):
