@@ -21,11 +21,14 @@ fit the trials that differ only in learning rate together, and keeps the
 winning trial's result, so a searched model deploys as its trial fitted it.
 
 A LinearSgd fit is an affine map of its init, p -> M p + v, since every
-squared-loss step is. :func:`affine_fit` builds M and v of one train
-partition in one :func:`train` call, from the zero init and each unit
-vector, and :class:`AffineFit` applies it: a refit of the same rows, seed
-and hyperparameters from another init, as in each scenario C share-models
-round, is then a matrix-vector product, not SGD's sequential steps.
+squared-loss step is. :func:`affine_fit` builds it for one train partition:
+v is one :func:`train` call's fit from the zero init, and M the product of
+the fit's step matrices, one per minibatch, which are not stepped but
+multiplied pairwise in log depth (:func:`_chain`), a batched matmul a level.
+:class:`AffineFit` applies the map: a refit of the same rows, seed and
+hyperparameters from another init, as in each scenario C share-models
+round, is then a matrix-vector product, not SGD's sequential steps, and its
+divergence check a quadratic form on a stored Gram matrix.
 """
 
 from __future__ import annotations
@@ -615,20 +618,36 @@ class AffineFit:
     """A LinearSgd fit on one train partition as the affine map of its init
     that it is: on p = [w, b], the fit from p is ``matrix @ p + offset``.
 
-    A squared-loss step ``p - rate * (2/n * (A @ p - y) @ A + 2 lambda w)``
-    is affine in p, and so is any run of them over fixed rows, orders and
-    hyperparameters. ``offset`` is the fit from the zero init, and column j
-    of ``matrix`` the fit from the unit vector e_j less ``offset``, so the
-    map applied at zero gives ``offset``, the stepped fit, bit for bit, and
-    elsewhere equals stepping up to rounding. ``X`` and ``y`` are the train
-    partition, on which :meth:`apply` checks its result for divergence.
+    A squared-loss step on a minibatch Ab of n rows of A = [X | 1] is
+    ``p - rate * (2/n * (Ab @ p - y) @ Ab + 2 lambda D p)``, with D the
+    identity on the weights, so it is ``S @ p + c`` with the step matrix
+    ``S = I - rate * (2/n * Ab^T Ab + 2 lambda D)``. A run of such steps over
+    fixed rows, orders and hyperparameters is affine in p too, and its linear
+    part is the product of its step matrices, later on the left: that is
+    ``matrix``. In exact arithmetic ``matrix @ p + offset`` is then the fit
+    from p; in floating point the two differ only by the roundings of the
+    steps and of the products, which stay small wherever stepping converges,
+    since the step matrices then do not expand them. ``offset`` is the
+    stepped fit from the zero init, so the map applied at zero gives it bit
+    for bit.
+
+    ``gram`` is the Gram matrix of [A | -y] over the first _CHECK_ROWS train
+    rows, divided by their count, and ``zero_loss`` the zero init's
+    :func:`loss_value` there: :meth:`apply` takes the losses of its init and
+    result as quadratic forms on it, so it checks for divergence as
+    :func:`_checked` does without keeping or reading the rows.
     """
 
     matrix: np.ndarray
     offset: np.ndarray
-    X: np.ndarray = field(repr=False)
-    y: np.ndarray = field(repr=False)
+    gram: np.ndarray = field(repr=False)
     l2_lambda: float
+    zero_loss: float
+
+    def _loss(self, p: np.ndarray) -> float:
+        """:func:`loss_value` of p = [w, b] on the check rows."""
+        q = np.append(p, 1.0)
+        return float(q @ self.gram @ q) + self.l2_lambda * float(p[:-1] @ p[:-1])
 
     def apply(self, init: LinearParams) -> LinearParams | None:
         """The fit from ``init``, or None where stepping must stand in: an init
@@ -637,30 +656,73 @@ class AffineFit:
         if len(init.weights) + 1 != len(self.offset):
             return None
         with np.errstate(over="ignore", invalid="ignore"):
-            p = self.matrix @ np.append(init.weights, init.bias) + self.offset
-            out = LinearParams(p[:-1], float(p[-1]))
-            if not np.isfinite(p).all() or isinstance(
-                    _checked(ModelKind.LINEAR_SGD, self.X, self.y, init, out, self.l2_lambda),
-                    SimulationError):
+            start = np.append(init.weights, init.bias)
+            p = self.matrix @ start + self.offset
+            start_loss = max(self._loss(start), self.zero_loss)
+            if not (np.isfinite(p).all() and self._loss(p) <= _DIVERGED_LOSS_RATIO * start_loss):
                 return None
-        return out
+        return LinearParams(p[:-1], float(p[-1]))
+
+
+def _step_matrices(A: np.ndarray, hp: HyperParams) -> np.ndarray:
+    """The step matrices of one epoch over the rows of A = [X | 1] in their
+    order, one per minibatch of ``hp.batch_size`` rows (see
+    :class:`AffineFit`): the full minibatches' Gram matrices in one batched
+    matmul, and the ragged last one's on its own."""
+    n, m = A.shape
+    b = hp.batch_size
+    full = n // b
+    S = np.empty((-(-n // b), m, m))
+    blocks = A[:full * b].reshape(full, b, m)
+    np.matmul(blocks.transpose(0, 2, 1), blocks, S[:full])
+    S[:full] *= -hp.learning_rate * 2.0 / b
+    if full < len(S):
+        rest = A[full * b:]
+        np.matmul(rest.T, rest, S[full])
+        S[full] *= -hp.learning_rate * 2.0 / len(rest)
+    diagonals = S.reshape(len(S), m * m)[:, ::m + 1]
+    diagonals[:, :-1] -= hp.learning_rate * 2.0 * hp.l2_lambda
+    diagonals += 1.0
+    return S
+
+
+def _chain(S: np.ndarray) -> np.ndarray:
+    """The product ``S[-1] @ ... @ S[0]`` of a stack of K >= 1 square
+    matrices, pairwise in ceil(log2 K) levels: each level multiplies the later
+    matrix of each pair onto the earlier in one batched matmul, and an odd
+    last matrix waits for the next level."""
+    while len(S) > 1:
+        even = len(S) // 2 * 2
+        paired = np.matmul(S[1:even:2], S[0:even:2])
+        S = paired if even == len(S) else np.concatenate([paired, S[even:]])
+    return S[0]
 
 
 def affine_fit(split: SplitDataset, hp: HyperParams, seed: int) -> AffineFit:
     """The :class:`AffineFit` of a LinearSgd :func:`train` on ``split`` with
-    ``hp`` and ``seed``, built of one train call: its own fit from the zero
-    init and a peer from each unit vector, all of one length and so stacked
-    whole. Raises the error any of those fits raised, and NonFiniteUpdate
-    for a map with a non-finite entry."""
-    d = split.train.X.shape[1]
-    result = train(ModelKind.LINEAR_SGD, split, hp, seed,
-                   peers=[(split, LinearParams(e[:d].copy(), float(e[d]))) for e in np.eye(d + 1)])
-    offset, *columns = [np.append(r.params.weights, r.params.bias)
-                        for r in (result, *map(_raised, result.peers))]
-    matrix = np.column_stack(columns) - offset[:, None]
+    ``hp`` and ``seed``. Its offset is one peerless train call's fit from the
+    zero init. Its matrix is composed, not stepped: per epoch order, the step
+    matrices of the rows in that order chained into the epoch's map, and the
+    epochs' maps chained in turn. That is the product of the same step
+    matrices that stepping applies one by one, in the same order, so it
+    equals stepping to rounding (see :class:`AffineFit`), and it takes about
+    log2 of the step count in batched products, not one step after another.
+    Raises the error the zero init's fit raised, and NonFiniteUpdate for a
+    map with a non-finite entry."""
+    X, y = split.train.X, split.train.y
+    own = train(ModelKind.LINEAR_SGD, split, hp, seed).params
+    n, d = X.shape
+    A = np.ones((n, d + 1))
+    A[:, :d] = X
+    with np.errstate(over="ignore", invalid="ignore"):
+        matrix = _chain(np.array([_chain(_step_matrices(A.take(order, 0), hp))
+                                  for order in epoch_orders(n, seed, hp.epochs)]))
     if not np.isfinite(matrix).all():
         raise NonFiniteUpdate("the fit's affine map is not finite")
-    return AffineFit(matrix, offset, split.train.X, split.train.y, hp.l2_lambda)
+    B = np.column_stack([A[:_CHECK_ROWS], -y[:_CHECK_ROWS]])
+    return AffineFit(matrix, np.append(own.weights, own.bias), B.T @ B / len(B), hp.l2_lambda,
+                     loss_value(ModelKind.LINEAR_SGD, zero_params(d), X[:_CHECK_ROWS],
+                                y[:_CHECK_ROWS], hp.l2_lambda))
 
 
 # -- hyperparameter search -----------------------------------------------------------------

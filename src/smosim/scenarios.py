@@ -7,10 +7,11 @@ imported model, ``train``, ``deploy``, ``monitor`` and ``refine`` to ``done``.
 Scenario C share-models runs ``federated`` rounds of local training and
 weighted parameter aggregation instead. Each round refits a domain's split
 with the same seed and hyperparameters from a new init, so a LinearSgd
-domain builds its fit's affine map of the init once, in one ``learn.train``
-call, and applies it every round (``_DomainBehavior.fit_round``); other
-rounds step. A round's training ticks are those of a stepped fit, and a
-diverging domain fails the run at its own round, by stepping. A replica
+domain builds its fit's affine map of the init once, of one ``learn.train``
+call and a composed matrix, and applies it every round
+(``_DomainBehavior.fit_round``); other rounds step. A round's training ticks
+are those of a stepped fit, and a diverging domain fails the run at its own
+round, by stepping. A replica
 promoted after a failover resumes the failed primary's phase through one
 table, ``Driver.RESUME``. ``Driver._enter`` is the only writer of the phase,
 and logs each entry as a ``phase`` event. A failing step raises a named
@@ -583,10 +584,13 @@ class _DomainBehavior:
         Every round refits the same split with the same seed and
         hyperparameters, so a LinearSgd round is one affine map of its init,
         a :class:`learn.AffineFit` that the domain's first round builds and
-        every round applies; from zero it gives the stepped fit bit for bit.
-        Other rounds step alone through ``learn.train``, and so raise what a
-        diverging domain raises: a LogisticSgd round, which has no map, and a
-        round whose map failed to build or refuses its init or result.
+        every round applies. The build steps once, from zero, and composes
+        the matrix from the fit's step matrices; from zero the map gives the
+        stepped fit bit for bit, and from any other init equals stepping to
+        rounding. Other rounds step alone through ``learn.train``, and so
+        raise what a diverging domain raises: a LogisticSgd round, which has
+        no map, and a round whose map failed to build or refuses its init or
+        result (the map checks a result for divergence as stepping does).
         """
         cfg = self.driver.config
         hp = cfg.model.hyperparams

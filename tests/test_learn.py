@@ -658,8 +658,69 @@ class TestAffineFit:
 
         monkeypatch.setattr(learn, "train", spy)
         fitted = learn.affine_fit(split, HyperParams(epochs=2), 3)
-        assert calls == [4]  # the zero init's own fit, and a peer per unit vector
+        assert calls == [0]  # the zero init's own fit; the matrix is composed
         assert fitted.matrix.shape == (4, 4)
+
+    @staticmethod
+    def _peer_built(split, hp, seed) -> np.ndarray:
+        """The map's matrix as stepped: column j the fit from the unit vector
+        e_j less the fit from zero."""
+        d = split.train.X.shape[1]
+        result = train(ModelKind.LINEAR_SGD, split, hp, seed,
+                       peers=[(split, LinearParams(e[:d].copy(), float(e[d])))
+                              for e in np.eye(d + 1)])
+        return np.column_stack([_vector(r.params) for r in result.peers]) \
+            - _vector(result.params)[:, None]
+
+    @settings(max_examples=100, deadline=None)
+    @given(sizes=st.lists(st.integers(1, 80), min_size=1, max_size=4),
+           batch_size=st.integers(1, 20), epochs=st.integers(1, 3),
+           lam=st.sampled_from([0.0, 0.2]), d=st.integers(1, 4), seed=st.integers(0, 2**16))
+    def test_the_composed_matrix_equals_the_stepped_one(self, sizes, batch_size, epochs, lam,
+                                                        d, seed):
+        rng = np.random.default_rng(seed)
+        hp = HyperParams(learning_rate=float(rng.uniform(0.005, 0.05)), epochs=epochs,
+                         batch_size=batch_size, l2_lambda=lam)
+        for n in sizes:
+            split = _split(*_random_problem(rng, self.LINEAR, n, d))
+            got = learn.affine_fit(split, hp, seed).matrix
+            # each column is the map of a unit vector, an init of size 1
+            assert np.abs(got - self._peer_built(split, hp, seed)).max() <= 1e-12 * (1 + 1)
+
+    @pytest.mark.parametrize("count", [1, 2, 3, 74, 75])
+    def test_the_pairwise_chain_equals_a_left_fold(self, count):
+        rng = np.random.default_rng(count)
+        steps = np.eye(5) - 0.05 * rng.normal(size=(count, 5, 5))
+        want = steps[0]
+        for step in steps[1:]:
+            want = step @ want
+        np.testing.assert_allclose(learn._chain(steps), want, rtol=0, atol=1e-13)
+
+    @pytest.mark.parametrize("rate, lam", [(0.05, 0.0), (0.05, 0.2), (0.9, 0.0)])
+    def test_a_map_refuses_exactly_what_the_stepped_check_refuses(self, rate, lam):
+        # more rows than the check reads, so both read only the first _CHECK_ROWS
+        X, y = _random_problem(np.random.default_rng(7), self.LINEAR, learn._CHECK_ROWS + 100, 2)
+        hp = HyperParams(learning_rate=rate, epochs=1, batch_size=64, l2_lambda=lam)
+        fitted = learn.affine_fit(_split(X, y), hp, 3)
+        rng = np.random.default_rng(8)
+        inits = [rng.normal(scale=scale, size=3) for scale in 10.0 ** np.arange(-3, 201, 7)]
+        for value, k in itertools.product([np.inf, -np.inf, np.nan], range(3)):
+            inits.append(np.array([0.5, -0.5, 0.25]))
+            inits[-1][k] = value
+        outcomes = []
+        for start in inits:
+            init = LinearParams(start[:2], float(start[2]))
+            with np.errstate(over="ignore", invalid="ignore"):
+                p = fitted.matrix @ start + fitted.offset
+                refused = not np.isfinite(p).all() or isinstance(
+                    learn._checked(self.LINEAR, X, y, init, LinearParams(p[:2], float(p[2])),
+                                   lam), SimulationError)
+            got = fitted.apply(init)
+            assert (got is None) == refused, start
+            if got is not None:
+                assert _vector(got).tobytes() == p.tobytes()
+            outcomes.append(refused)
+        assert any(outcomes) and not all(outcomes)
 
     def test_a_map_refuses_what_stepping_must_decide(self):
         X, y = _random_problem(np.random.default_rng(6), self.LINEAR, 60, 2)

@@ -5,7 +5,6 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
-import sys
 import weakref
 from functools import partial
 
@@ -403,9 +402,7 @@ class TestScenarioB:
         result = checked_run(build(data))
         assert result.report.status == "completed"
         assert [e.detail["rejected"] > 0 for e in result.sim.log.of_type("mitigation")] == [True]
-        # before CPython 3.11 the caller's stack holds _prepare's argument until it returns
-        kept_at_format = sys.version_info < (3, 11)
-        assert alive == [{"gathered": [False], "kept": [kept_at_format], "cleansed": [True]},
+        assert alive == [{"gathered": [False], "kept": [False], "cleansed": [True]},
                          {"gathered": [False], "kept": [False], "cleansed": [False]}]
 
     @pytest.mark.parametrize("kind", ["LinearSgd", "RidgeClosedForm"])
@@ -968,9 +965,9 @@ class TestFederatedRounds:
         data["costs"] = {"train_tick_per_record": 3}
         result = checked_run(build(data))
         assert result.report.status == "completed"
-        # each domain's first round builds its map in one call, of its zero
-        # fit and a peer per unit vector of [w, b]; no round steps
-        assert calls == [3, 3, 3]
+        # each domain's first round builds its map of one peerless call, its
+        # fit from zero, and composes the matrix; no round steps
+        assert calls == [0, 0, 0]
         domains = result.driver.domains.values()
         assert sorted(len(d.split.train) for d in domains) == [134, 176, 219]
         assert all(isinstance(d.fit_map, learn.AffineFit) for d in domains)
@@ -1047,6 +1044,22 @@ class TestFederatedRounds:
         assert report.failure == "NonFiniteUpdate: parameters diverged; lower the learning rate"
         assert report.final_tick == final_tick
         assert len(result.sim.log.of_type("aggregation")) == aggregations
+
+    @pytest.mark.parametrize("learning_rate", [0.8, 0.76, 0.74])
+    def test_a_diverging_run_ends_as_it_does_when_every_round_steps(self, monkeypatch,
+                                                                     learning_rate):
+        data = _ragged_c_dict(sizes=(40, 400, 40), learning_rate=learning_rate, rounds=60,
+                              epochs=2)
+        mapped = checked_run(build(data))
+
+        def affine_fit(*args):
+            raise NonFiniteUpdate("no map")
+
+        monkeypatch.setattr(learn, "affine_fit", affine_fit)
+        stepped = checked_run(build(data))
+        assert mapped.report.status == stepped.report.status == "failed"
+        assert mapped.report.failure == stepped.report.failure
+        assert mapped.sim.log.to_jsonl() == stepped.sim.log.to_jsonl()
 
 
 class TestMonitoringAndRefinement:
