@@ -714,6 +714,14 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
                 "sources", "scenario C sources must be owned by MDA systems")
         _expect(len({s.owner for s in cfg.sources}) >= 2, "sources",
                 "scenario C needs at least two management domains")
+    if cfg.mode == "share-models":  # it deploys the global model to its domains, unmonitored
+        _expect(cfg.monitor.rounds == 0, "monitor.rounds",
+                "share-models does not monitor, so it takes no monitor rounds",
+                cfg.monitor.rounds)
+        domains = {s.owner for s in cfg.sources}
+        for i, target in enumerate(cfg.deploy.targets):
+            _expect(target in domains, f"deploy.targets[{i}]",
+                    "share-models deploys only to its domains, the sources' owners", str(target))
     if kind is ScenarioKind.A:
         _expect(cfg.external is not None, "external", "scenario A needs the external section")
         key = "artifact_path" if cfg.mode == "import-model" else "data_path"

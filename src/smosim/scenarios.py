@@ -47,7 +47,7 @@ from dataclasses import asdict, dataclass, replace
 from enum import Enum
 from functools import partial
 from pathlib import Path
-from typing import Any, Callable, Iterable, NamedTuple, Sequence
+from typing import Any, Callable, Iterable, NamedTuple
 
 import numpy as np
 
@@ -83,6 +83,7 @@ from .topology import (
     ComponentId,
     ComponentKind,
     Event,
+    EventLog,
     InterfaceMessage,
     PayloadKind,
     Simulation,
@@ -185,7 +186,8 @@ _DETECTS = {"promotion": "component_failure", "drift_detected": "drift_shift"}
 
 
 def timeline(events: Iterable[Event]) -> Timeline:
-    """Fold a run's event log into its fault records and fault times.
+    """Fold a run's events into its fault records and fault times. It reads no
+    message event, so :func:`report_from` passes it the non-message ones.
 
     A ``fault`` event opens a record of its ``kind``, unless the log has opened
     one of that kind already. Nothing is resolved before it is detected.
@@ -254,7 +256,9 @@ class RunReport:
     The config gives ``scenario``, ``mode``, ``seed``, ``config_hash`` and
     ``rounds``. The last event, ``run_complete``, gives ``status``, ``failure``
     (failed runs only), ``model`` (the model the run ends with) and
-    ``final_tick``; ``event_count`` counts the log. Of the other events:
+    ``final_tick``; ``event_count`` is the log's row count. The message
+    events (``send``, ``deliver``, ``component_down``) feed only
+    ``signaling``. Of the other events, read from their detail dicts:
 
     - ``job_scheduled``, one per training job (the initial fit, each
       refinement, each scenario C domain round): ``training_ticks`` sums their
@@ -272,8 +276,10 @@ class RunReport:
     - the last ``poison_detection``: ``poison``; any ``artifact_rejected``:
       ``artifact_rejected``.
     - :func:`timeline`: ``faults``, ``downtime_ticks``, ``time_to_detection``
-      and ``time_to_resolution``; ``topology.signaling_table`` over the
-      ``deliver`` events: ``signaling``.
+      and ``time_to_resolution``.
+
+    ``signaling`` is ``topology.signaling_table``, the ``deliver`` rows' bytes
+    and counts summed per head code of the log; it builds no event.
     """
 
     scenario: str
@@ -305,15 +311,20 @@ class RunReport:
         return asdict(self)
 
 
-def report_from(config: ScenarioConfig, events: Sequence[Event]) -> RunReport:
-    """The report of the run of ``config`` that logged ``events``, which end with
-    ``run_complete``; the only code that builds a RunReport. A log re-read
-    from ``events.jsonl`` gives the same report as the run's own."""
+def report_from(config: ScenarioConfig, log: EventLog) -> RunReport:
+    """The report of the run of ``config`` that logged ``log``, which ends with
+    ``run_complete``; the only code that builds a RunReport. A log rebuilt
+    from ``events.jsonl`` gives the same report as the run's own.
+
+    Its own fold and :func:`timeline` walk only the non-message events
+    (:meth:`EventLog.non_messages`), ``signaling_table`` reads the ``deliver``
+    rows' columns, and ``run_complete`` is read as the last row.
+    """
     training = cost = inference = refinements = 0
     peak_demand, scheduler, poison, forgetting, rejected = 1, None, None, None, False
-    end = events[-1]
+    events = log.non_messages()  # no fold reads a message's hops but signaling_table
     for e in events:
-        t = e.type  # the detail is read only where needed: a message event builds it
+        t = e.type
         if t == "job_scheduled":
             d = e.detail
             training += d["work"]
@@ -332,6 +343,7 @@ def report_from(config: ScenarioConfig, events: Sequence[Event]) -> RunReport:
             rejected = True
     faults, downtime, detection, resolution = timeline(events)
     interfaces = [spec.name for spec in config.interface_specs()]
+    end = log.entries[-1]
     return RunReport(
         scenario=config.kind.value, mode=config.mode, seed=config.seed,
         config_hash=config.config_hash(), status=end.detail["status"],
@@ -341,9 +353,9 @@ def report_from(config: ScenarioConfig, events: Sequence[Event]) -> RunReport:
         cost_ticks=cost, peak_demand=peak_demand, refinements=refinements,
         rounds=config.rounds, time_to_detection=detection, time_to_resolution=resolution,
         downtime_ticks=downtime, faults=faults,
-        signaling=harness.signaling_report(signaling_table(interfaces, events)),
+        signaling=harness.signaling_report(signaling_table(interfaces, log)),
         poison=poison, scheduler=scheduler, forgetting_mse=forgetting,
-        artifact_rejected=rejected, final_tick=end.tick, event_count=len(events))
+        artifact_rejected=rejected, final_tick=end.tick, event_count=len(log.entries))
 
 
 # -- component behaviors ---------------------------------------------------------------------
@@ -854,7 +866,7 @@ class Driver:
             name = type(exc).__name__
             failure = f"{name}: {exc}" if str(exc) else name
         self._finish(failure)  # a no-op if the workflow completed
-        return RunResult(report_from(self.config, self.sim.log.entries), self)
+        return RunResult(report_from(self.config, self.sim.log), self)
 
     def _start(self) -> None:
         cfg = self.config

@@ -5,7 +5,7 @@ pushed through :class:`Simulation`. Time is integer ticks; ties at one tick
 resolve by the global sequence number assigned at scheduling time, so a run
 is a pure function of (config, seed). The event log is the only record of
 traffic: :func:`signaling_table` folds the per-interface byte and message
-totals from its ``deliver`` events, for ``scenarios.report_from`` on a run's
+totals from its ``deliver`` rows, for ``scenarios.report_from`` on a run's
 log and for :meth:`Simulation.signaling_table` on a live one.
 
 A hop is kept cheap by doing its lookups once, ahead of the run:
@@ -15,12 +15,11 @@ A hop is kept cheap by doing its lookups once, ahead of the run:
 - :meth:`Topology.link` stores one :class:`Wire` per link, with the
   interface, its latency and overhead and the interface's event text; a
   send and its delivery read only that record.
-- Every event is built by one method from texts already rendered, and
-  :meth:`Event.to_json` memoises the JSON text of an event's five
-  vocabulary fields per combination.
-- A ``send``, ``deliver`` or ``component_down`` event keeps its message id
-  in :attr:`Event.msg_id` and no detail dict of its own; its ``detail`` is
-  built only when read.
+- :class:`EventLog` keeps one row of typed columns per event, and builds no
+  :class:`Event` while the run goes. A row's ``(type, src, dst, interface,
+  payload_kind)`` is a code into the log's head table, which renders each
+  head's JSON text once. A ``send``, ``deliver`` or ``component_down`` row
+  keeps its message id in a column; only the other events keep a detail dict.
 
 Nothing here depends on id hashes for order: containers of ids that are
 iterated are dicts in insertion order, or are sorted by ``(kind, index)``.
@@ -29,11 +28,13 @@ iterated are dicts in insertion order, or are sorted by ``(kind, index)``.
 # annotations stay objects: the config parser reads ComponentId's field types
 import json
 import operator
+from array import array
+from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
 from functools import partial
 from heapq import heappop, heappush
-from typing import Any, Callable, Iterable, NamedTuple, TYPE_CHECKING
+from typing import Any, Callable, Iterable, Iterator, NamedTuple, TYPE_CHECKING
 
 from .errors import DuplicateComponent, TickLimitExceeded, UndeclaredRoute, UnknownInterface
 
@@ -215,25 +216,20 @@ _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 _ENUM_TEXT: dict[Enum | None, str | None] = {
     None: None, **{m: m.value for enum in (InterfaceName, PayloadKind) for m in enum}}
 
-
-class _FieldsText(dict):
-    """Memo of the JSON text of an event's five str-or-None fields, per combination.
-
-    Those hold event types, component ids, interface and payload kind names,
-    so the memo is bounded by the topology and the event vocabulary.
-    """
-
-    def __missing__(self, key: tuple[str | None, ...]) -> str:
-        text = self[key] = _FIELDS % tuple(map(_COMPACT_JSON.encode, key))
-        return text
-
-
-_FIELDS_TEXT = _FieldsText()
 _FIELDS = '"event_type":%s,"src":%s,"dst":%s,"interface":%s,"payload_kind":%s'
 _KEYS = ["tick", "seq", "event_type", "src", "dst", "interface", "payload_kind", "bytes",
          "detail"]
 _LINE = '{"tick":%d,"seq":%d,%s,"bytes":%d,"detail":%s}'
 _MSG_LINE = '{"tick":%d,"seq":%d,%s,"bytes":%d,"detail":{"msg_id":%d}}'
+# the events of a message's hops, whose detail is its msg_id alone
+_MESSAGE_TYPES = frozenset({"send", "deliver", "component_down"})
+
+_Head = tuple[str, str | None, str | None, str | None, str | None]
+
+
+def _fields_text(head: _Head) -> str:
+    """The JSON text of an event's type, src, dst, interface and payload kind."""
+    return _FIELDS % tuple(map(_COMPACT_JSON.encode, head))
 
 
 def _sole_msg_id(detail: dict[str, Any]) -> int | None:
@@ -247,7 +243,7 @@ def _sole_msg_id(detail: dict[str, Any]) -> int | None:
 
 @dataclass(slots=True, init=False)
 class Event:
-    """One structured event-log entry.
+    """One structured event-log entry, as :attr:`EventLog.entries` builds it.
 
     :meth:`to_json` writes exactly ``json.dumps(entry, separators=(",", ":"))``
     of the dict with the nine keys ``tick``, ``seq``, ``event_type``, ``src``,
@@ -258,7 +254,7 @@ class Event:
     A detail that is exactly ``{"msg_id": n}``, with ``n`` an int, is kept as
     ``msg_id`` alone, whether it is given as ``msg_id=n`` or as that dict:
     ``detail`` then builds a new ``{"msg_id": n}`` on each read. So the two
-    forms render and compare alike, and a message event owns no dict.
+    forms render and compare alike.
     """
 
     tick: int
@@ -299,7 +295,7 @@ class Event:
         return {"msg_id": self.msg_id} if detail is None else detail
 
     def to_json(self) -> str:
-        fields = _FIELDS_TEXT[self.type, self.src, self.dst, self.interface, self.payload_kind]
+        fields = _fields_text((self.type, self.src, self.dst, self.interface, self.payload_kind))
         detail = self._detail
         if detail is None:
             return _MSG_LINE % (self.tick, self.seq, fields, self.bytes, self.msg_id)
@@ -315,25 +311,126 @@ class Event:
 
 
 class EventLog:
-    """Append-only, totally ordered by (tick, seq)."""
+    """Append-only, totally ordered by (tick, seq): one row per event.
 
-    def __init__(self) -> None:
-        self.entries: list[Event] = []
+    A row is five columns, ``tick``, ``seq``, a head code, ``bytes`` and
+    ``msg_id``, each an int64 ``array`` until a value it cannot hold widens
+    every column to a list (only a log rebuilt from odd lines holds one). The
+    head code indexes the head table, one entry per distinct ``(type, src,
+    dst, interface, payload_kind)`` with its JSON text rendered once. A row
+    added without a ``msg_id`` keeps its detail dict in a sparse ``{row:
+    detail}`` map; any other row is a message's hop, whose detail is
+    ``{"msg_id": msg_id}``. :attr:`entries` reads the rows as :class:`Event`
+    objects, built only when read.
+    """
 
-    def to_jsonl(self) -> str:
-        """Each event's :meth:`Event.to_json` line, newline-terminated, rendered inline."""
-        fields, msg_line, line = _FIELDS_TEXT, _MSG_LINE + "\n", _LINE + "\n"
-        encode = _COMPACT_JSON.encode
-        return "".join([
-            msg_line % (e.tick, e.seq, fields[e.type, e.src, e.dst, e.interface, e.payload_kind],
-                        e.bytes, e.msg_id) if e._detail is None else
-            line % (e.tick, e.seq, fields[e.type, e.src, e.dst, e.interface, e.payload_kind],
-                    e.bytes, encode(e._detail))
-            for e in self.entries])
+    def __init__(self, events: Iterable[Event] = ()) -> None:
+        self._cols = (array("q"), array("q"), array("q"), array("q"), array("q"))
+        self._heads: list[_Head] = []
+        self._texts: list[str] = []  # the JSON text of each head
+        self._code_of: dict[_Head, int] = {}
+        self._details: dict[int, dict[str, Any]] = {}
+        self.entries = _Entries(self)
+        for e in events:
+            self.append(e)
+
+    def add(self, tick: int, seq: int, type: str, src: str | None, dst: str | None,
+            interface: str | None, payload_kind: str | None, bytes: int,
+            detail: dict[str, Any] | None, msg_id: int | None) -> None:
+        """Append a row, with a detail (``{}`` for None) or a message id; every row
+        is made here."""
+        head = (type, src, dst, interface, payload_kind)
+        code = self._code_of.get(head)
+        if code is None:
+            code = self._code_of[head] = len(self._heads)
+            self._heads.append(head)
+            self._texts.append(_fields_text(head))
+        ticks, seqs, codes, sizes, ids = self._cols
+        if msg_id is None:
+            self._details[len(ticks)] = {} if detail is None else detail
+            msg_id = 0
+        try:
+            ticks.append(tick)
+            seqs.append(seq)
+            codes.append(code)
+            sizes.append(bytes)
+            ids.append(msg_id)
+        except (OverflowError, TypeError):  # a value no int64 holds
+            rows = min(map(len, self._cols))
+            self._cols = tuple(list(col[:rows]) + [value] for col, value in
+                               zip(self._cols, (tick, seq, code, bytes, msg_id)))
+
+    def append(self, event: Event) -> None:
+        """Append ``event``'s row, as a log rebuilt from ``events.jsonl`` does."""
+        self.add(event.tick, event.seq, event.type, event.src, event.dst, event.interface,
+                 event.payload_kind, event.bytes, event._detail, event.msg_id)
+
+    def _event(self, row: int) -> Event:
+        detail = self._details.get(row)
+        ticks, seqs, codes, sizes, ids = self._cols
+        return Event(ticks[row], seqs[row], *self._heads[codes[row]], sizes[row], detail,
+                     msg_id=None if detail is not None else ids[row])
+
+    def _where(self, keep: Callable[[str], bool]) -> list[Event]:
+        """The events whose type ``keep`` accepts, built from their rows only."""
+        wanted = {code for code, head in enumerate(self._heads) if keep(head[0])}
+        return [self._event(row) for row, code in enumerate(self._cols[2]) if code in wanted]
 
     def of_type(self, *types: str) -> list[Event]:
-        wanted = set(types)
-        return [e for e in self.entries if e.type in wanted]
+        return self._where(set(types).__contains__)
+
+    def non_messages(self) -> list[Event]:
+        """Every event but a message's ``send``, ``deliver`` or ``component_down``."""
+        return self._where(lambda type: type not in _MESSAGE_TYPES)
+
+    def totals(self, type: str) -> dict[_Head, list[int]]:
+        """``[bytes summed, events]`` of the events of ``type``, per head."""
+        cells = {code: [0, 0] for code, head in enumerate(self._heads) if head[0] == type}
+        for code, size in zip(self._cols[2], self._cols[3]):
+            cell = cells.get(code)
+            if cell is not None:
+                cell[0] += size
+                cell[1] += 1
+        return {self._heads[code]: cell for code, cell in cells.items()}
+
+    def to_jsonl(self) -> str:
+        """Each event's :meth:`Event.to_json` line, newline-terminated, rendered from
+        the columns."""
+        texts, details, encode = self._texts, self._details, _COMPACT_JSON.encode
+        msg_line, line = _MSG_LINE + "\n", _LINE + "\n"
+        return "".join([
+            msg_line % (tick, seq, texts[code], size, msg_id) if row not in details else
+            line % (tick, seq, texts[code], size, encode(details[row]))
+            for row, (tick, seq, code, size, msg_id) in enumerate(zip(*self._cols))])
+
+
+class _Entries(Sequence):
+    """A read-only view of a log's rows as :class:`Event` objects: ``len``, an
+    index (negative too), a slice (a list), iteration and ``==`` with a list.
+    Each read builds new events."""
+
+    __slots__ = ("_log",)
+
+    def __init__(self, log: EventLog) -> None:
+        self._log = log
+
+    def __len__(self) -> int:
+        return len(self._log._cols[0])
+
+    def __getitem__(self, index: int | slice) -> Event | list[Event]:
+        rows = range(len(self))[index]
+        if isinstance(rows, int):
+            return self._log._event(rows)
+        return [self._log._event(row) for row in rows]
+
+    def __iter__(self) -> Iterator[Event]:
+        return map(self._log._event, range(len(self)))
+
+    def __eq__(self, other: object) -> bool:
+        if isinstance(other, (list, _Entries)):
+            return list(self) == list(other)
+        return NotImplemented
+
 
 
 @dataclass
@@ -496,21 +593,17 @@ class Simulation:
     def log_event(self, type: str, *, src: ComponentId | None = None,
                   dst: ComponentId | None = None, interface: InterfaceName | None = None,
                   payload_kind: PayloadKind | None = None, bytes: int = 0,
-                  detail: dict[str, Any] | None = None) -> Event:
-        return self._event(type, None if src is None else src._text,
-                           None if dst is None else dst._text, _ENUM_TEXT[interface],
-                           _ENUM_TEXT[payload_kind], bytes, detail)
+                  detail: dict[str, Any] | None = None) -> None:
+        self._event(type, None if src is None else src._text, None if dst is None else dst._text,
+                    _ENUM_TEXT[interface], _ENUM_TEXT[payload_kind], bytes, detail)
 
     def _event(self, type: str, src: str | None, dst: str | None, interface: str | None,
                payload_kind: str | None, bytes: int, detail: dict[str, Any] | None,
-               msg_id: int | None = None) -> Event:
-        """Log an event at the clock from its texts, with a detail or a message
-        id; every event is made here."""
+               msg_id: int | None = None) -> None:
+        """Log an event at the clock from its texts, with a detail or a message id."""
         self._seq = seq = self._seq + 1
-        event = Event(self.clock, seq, type, src, dst, interface, payload_kind, bytes, detail,
-                      msg_id=msg_id)
-        self.log.entries.append(event)
-        return event
+        self.log.add(self.clock, seq, type, src, dst, interface, payload_kind, bytes, detail,
+                     msg_id)
 
     def next_record_ids(self, n: int) -> range:
         start = self._record_counter
@@ -573,7 +666,7 @@ class Simulation:
 
     def signaling_table(self) -> dict[str, Any]:
         """:func:`signaling_table` of this simulation's interfaces and log."""
-        return signaling_table(self.topology.interfaces, self.log.entries)
+        return signaling_table(self.topology.interfaces, self.log)
 
     # -- time ---------------------------------------------------------------------
 
@@ -611,9 +704,8 @@ class Simulation:
         return bool(self._heap)
 
 
-def signaling_table(interfaces: Iterable[InterfaceName],
-                    events: Iterable[Event]) -> dict[str, Any]:
-    """Delivered traffic per interface, folded from the ``deliver`` events.
+def signaling_table(interfaces: Iterable[InterfaceName], log: EventLog) -> dict[str, Any]:
+    """Delivered traffic per interface, folded from the ``deliver`` rows of ``log``.
 
     Every interface named appears, in the order given, with its ``bytes``
     (payload plus overhead) and ``messages``, and the same two per
@@ -621,16 +713,9 @@ def signaling_table(interfaces: Iterable[InterfaceName],
     sorted. A ``component_down`` drop was never delivered, so it is not
     counted; a heartbeat delivered into a failed component is.
     """
-    # one cell per (interface, src, dst, payload kind) first: few distinct keys
-    cells: dict[tuple[str, str, str, str], list[int]] = {}
-    for e in events:
-        if e.type == "deliver":
-            cell = cells.setdefault((e.interface, e.src, e.dst, e.payload_kind), [0, 0])
-            cell[0] += e.bytes
-            cell[1] += 1
     table = {name.value: {"bytes": 0, "messages": 0, "directions": {}, "by_kind": {}}
              for name in interfaces}
-    for (interface, src, dst, payload_kind), (total, count) in cells.items():
+    for (_, src, dst, interface, payload_kind), (total, count) in log.totals("deliver").items():
         entry = table[interface]
         directions, kinds = entry["directions"], entry["by_kind"]
         direction = f"{src.partition('#')[0]}->{dst.partition('#')[0]}"

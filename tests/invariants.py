@@ -14,7 +14,7 @@ from smosim.config import ScenarioConfig, ScenarioKind
 from smosim.errors import SimulationError
 from smosim.lifecycle import LEGAL_TRANSITIONS, LifecycleState
 from smosim.scenarios import RunResult, report_from
-from smosim.topology import Event
+from smosim.topology import Event, EventLog
 
 # the origin of a model that was never refined; a refined version is "internal"
 _SCENARIO_ORIGIN = {(ScenarioKind.A, "import-model"): "external",
@@ -29,7 +29,7 @@ def _error_names(cls: type = SimulationError) -> set[str]:
 
 
 def check_invariants(result: RunResult) -> None:
-    entries = result.sim.log.entries
+    entries = list(result.sim.log.entries)  # each read of the log builds its events anew
     keys = [(e.tick, e.seq) for e in entries]
     assert keys == sorted(keys), "events are not sorted by (tick, seq)"
     completes = [i for i, e in enumerate(entries) if e.type == "run_complete"]
@@ -102,8 +102,10 @@ def check_invariants(result: RunResult) -> None:
         f"negative downtime {report.downtime_ticks}"
     failures = [e for e in entries
                 if e.type == "fault" and e.detail["kind"] == "component_failure"]
-    for e in result.sim.log.of_type("promotion"):
-        assert failures and failures[0].seq < e.seq, f"promotion at {e.tick} precedes its fault"
+    for e in entries:
+        if e.type == "promotion":
+            assert failures and failures[0].seq < e.seq, \
+                f"promotion at {e.tick} precedes its fault"
     # a promoted replica resumes the phase the log last entered
     phase = "idle"
     for e in entries:
@@ -114,7 +116,7 @@ def check_invariants(result: RunResult) -> None:
                 f"restore at {e.tick} resumes {e.detail['resumed_phase']}, the log is in {phase}"
 
     # the report is a fold of the log: a re-read log gives the same report text
-    reread = [Event.from_json(e.to_json()) for e in entries]
+    reread = EventLog(Event.from_json(e.to_json()) for e in entries)
     assert json.dumps(report_from(result.driver.config, reread).to_dict()) == \
         json.dumps(report.to_dict()), "the report differs from the fold of its re-read log"
 

@@ -19,7 +19,7 @@ import smosim
 from smosim import cli
 from smosim.config import load_config
 from smosim.scenarios import report_from
-from smosim.topology import Event
+from smosim.topology import Event, EventLog
 from golden.cases import CASES, dumps, golden_path, pinned, run_case
 from invariants import check_invariants
 
@@ -59,8 +59,8 @@ def test_report_rebuilds_from_the_out_dir(name, tmp_path, monkeypatch):
     config.write_text(json.dumps(CASES[name](tmp_path)))
     out = tmp_path / "out"
     assert cli.main(["run", "--config", str(config), "--out", str(out)]) == 0
-    events = [Event.from_json(line) for line in (out / "events.jsonl").read_text().splitlines()]
-    report = report_from(load_config(str(config)), events)
+    log = EventLog(map(Event.from_json, (out / "events.jsonl").read_text().splitlines()))
+    report = report_from(load_config(str(config)), log)
     assert json.dumps(report.to_dict(), indent=2) + "\n" == (out / "report.json").read_text()
 
 

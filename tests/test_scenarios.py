@@ -847,16 +847,33 @@ class TestScenarioC:
         assert global_mse <= 2.0 * oracle_mse
 
     def test_a_share_models_domain_named_as_a_deploy_target_still_trains(self, tmp_path):
-        # share-models deploys to its domains, so a deploy target changes nothing,
-        # and a global model sent to a domain is no deployment to monitor
+        # share-models deploys to its domains, so naming them as targets changes nothing
         plain = checked_run(build(c_share_models(tmp_path)))
         data = c_share_models(tmp_path)
-        data["deploy"] = {"targets": ["MdaSystem3GPP#0"]}
-        data["monitor"] = {"rounds": 2, "interval": 10, "batch": 5}
+        data["deploy"] = {"targets": ["MdaSystem3GPP#0", "MdaSystemNFV#0"]}
         targeted = checked_run(build(data))
         assert targeted.report.status == "completed"
         assert len(targeted.sim.log.of_type("aggregation")) == 3
         assert targeted.sim.log.to_jsonl() == plain.sim.log.to_jsonl()
+
+    def test_share_models_rejects_monitor_rounds_it_would_ignore(self, tmp_path):
+        # a global model sent to a domain is no deployment to monitor
+        data = c_share_models(tmp_path)
+        data["deploy"] = {"targets": ["MdaSystem3GPP#0"]}
+        data["monitor"] = {"rounds": 2, "interval": 10, "batch": 5}
+        with pytest.raises(ConfigError) as info:
+            build(data)
+        assert info.value.field == "monitor.rounds"
+        data["monitor"]["rounds"] = 0
+        assert build(data).monitor.rounds == 0
+
+    def test_share_models_rejects_a_deploy_target_that_is_no_domain(self, tmp_path):
+        data = c_share_models(tmp_path)
+        data["topology"]["nfmf_per_nssmf"] = 1
+        data["deploy"] = {"targets": ["MdaSystemNFV#0", "NFMF#0"]}
+        with pytest.raises(ConfigError) as info:
+            build(data)
+        assert info.value.field == "deploy.targets[1]"
 
     def test_share_models_artifact_carries_the_schema_range_scaler_of_its_domains(self):
         # the aggregate has no rows of its own; schema_range scaling needs none

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import copy
 import dataclasses
+import gc
 import json
 import math
 import pickle
+import tracemalloc
 
 import pytest
 from hypothesis import given, settings
@@ -455,7 +457,40 @@ def _events_sharing_keys(draw) -> list[Event]:
                   draw(_details)) for _ in range(draw(st.integers(1, 8)))]
 
 
+@st.composite
+def _log_events(draw) -> list[Event]:
+    """Events over a few shared heads, each with a detail or a message id; the
+    ids include 0 and negative ones, and the details ``{"msg_id": n}`` and ``{}``."""
+    heads = draw(st.lists(st.tuples(st.text(max_size=12), _texts, _texts, _texts, _texts),
+                          min_size=1, max_size=3))
+    events = []
+    for _ in range(draw(st.integers(0, 10))):
+        fields = (draw(_ints), draw(_ints), *draw(st.sampled_from(heads)), draw(_ints))
+        if draw(st.booleans()):
+            events.append(Event(*fields, msg_id=draw(st.sampled_from([0, -1]) | _ints)))
+        else:
+            events.append(Event(*fields, draw(st.sampled_from([{}, {"msg_id": 0}]) | _details)))
+    return events
+
+
 class TestEventRendering:
+    @settings(max_examples=200, deadline=None)
+    @given(_log_events())
+    def test_a_log_reads_back_and_renders_the_events_appended_to_it(self, events):
+        log = EventLog()
+        for e in events:
+            log.append(e)
+        entries, n = log.entries, len(events)
+        assert len(entries) == n
+        assert [entries[i] for i in range(n)] == events
+        assert [entries[i] for i in range(-n, 0)] == events
+        assert entries[1:-1] == events[1:-1] and entries[::-2] == events[::-2]
+        assert list(entries) == events and entries == events and entries == EventLog(events).entries
+        for bad in (n, -n - 1):
+            with pytest.raises(IndexError):
+                entries[bad]
+        assert log.to_jsonl() == "".join(e.to_json() + "\n" for e in events)
+
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_events, max_size=4))
     def test_lines_equal_json_dumps_of_the_nine_keys(self, events):
@@ -463,7 +498,7 @@ class TestEventRendering:
         assert lines == [_reference_line(e) for e in events]
         log = EventLog()
         for e in events:
-            log.entries.append(e)
+            log.append(e)
         assert log.to_jsonl() == "".join(line + "\n" for line in lines)
 
     @settings(max_examples=200, deadline=None)
@@ -509,6 +544,29 @@ class TestEventRendering:
         first = sim.log.entries[0]
         assert (first.src, first.dst, first.interface, first.payload_kind, first.bytes) == (
             "NSSMF#0", "NssmfTermination#0", "NSSMF_NonRTRIC", "RawData", 34)
+
+
+class TestLogMemory:
+    def test_a_message_event_costs_a_row_not_an_object(self):
+        sim = _bare_sim(latency=1, overhead=24)
+        a = ComponentId(ComponentKind.NSSMF, 0)
+        b = ComponentId(ComponentKind.NSSMF_TERMINATION, 0)
+        sim.send(a, b, PayloadKind.RAW_DATA, 1)  # the heads of both hops are in the log
+        sim.run_until(1)
+        gc.collect()
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            for _ in range(50):
+                for size in range(120):
+                    sim.send(a, b, PayloadKind.RAW_DATA, size)
+                sim.run_until(sim.clock + 1)
+            grown = tracemalloc.get_traced_memory()[0] - before
+        finally:
+            tracemalloc.stop()
+        events = len(sim.log.entries) - 2
+        assert events == 12_000
+        assert grown < 64 * events, f"{grown / events:.0f} bytes per event"
 
 
 _MESSAGE_EVENTS = ("send", "deliver", "component_down")
