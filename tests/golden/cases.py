@@ -37,6 +37,23 @@ def b_online_search(workdir: Path) -> dict[str, Any]:
     return data
 
 
+def b_logistic_search(workdir: Path) -> dict[str, Any]:
+    """A LogisticSgd random search over the learning rate alone, on targets
+    in [0, 1]: its 20 trials fit in two SGD kernel calls of 16 and 4, and the
+    rates past 1 / l2_lambda diverge, trials 2 and 5 of the first call and
+    trial 16 of the second."""
+    schema = [numeric_feature("cpu"), numeric_feature("mem")]
+    data = scenario_b_dict(seed=13)
+    data["sources"] = [source(owner, 120, schema, [0.6, -0.4], bias=0.4, sigma=0.05)
+                       for owner in ("NSSMF#0", "NFVO#0")]
+    data["model"] = {"kind": "LogisticSgd",
+                     "hyperparams": {"learning_rate": 0.5, "epochs": 8, "batch_size": 8,
+                                     "l2_lambda": 0.1}}
+    data["search"] = {"mode": "random", "ranges": {"learning_rate": [0.05, 14.0]},
+                      "budget": 20, "seed": 2}
+    return data
+
+
 def b_drift_full(workdir: Path) -> dict[str, Any]:
     schema = [numeric_feature("cpu")]
     return {
@@ -191,6 +208,7 @@ def a_import_model(workdir: Path) -> dict[str, Any]:
 CASES: dict[str, Callable[[Path], dict[str, Any]]] = {
     "b_small": b_small,
     "b_online_search": b_online_search,
+    "b_logistic_search": b_logistic_search,
     "b_drift_full": b_drift_full,
     "b_stream_incremental": b_stream_incremental,
     "b_stream_failover": b_stream_failover,
