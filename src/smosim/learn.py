@@ -8,17 +8,16 @@ times a configured per-record tick cost, never wall clock.
 The linear models live on A = [X | 1] with parameters p = [w, b], so that a
 minibatch's scores are one product ``A @ p`` and its gradient another,
 ``(z - y) @ A``. Every SGD fit runs through one kernel, :func:`_lockstep`,
-whose steps equal a loop over :func:`loss_gradient` bit for bit. One
-:func:`train` call can fit several models of one kind and hyperparameters
-(its ``peers``), each with a learning rate of its own if asked; the kernel
-stacks them on a leading fit axis over the full minibatches that all of them
-have in an epoch, then steps each fit's ragged rest on its own slice, and a
-lone fit is a stack of one. Stacked ``np.matmul`` runs the BLAS call per fit
-that the 2-D product runs (numpy 2.4.6 with its bundled OpenBLAS), and a
-per-fit rate is the same multiply per element as a shared one, so each
-stacked fit equals the fit of a call of its own. :func:`search` uses this to
-fit the trials that differ only in learning rate together, and keeps the
-winning trial's result, so a searched model deploys as its trial fitted it.
+whose steps equal a loop over :func:`loss_gradient` bit for bit. A kernel
+call fits F >= 1 models on one train partition and one set of epoch orders,
+each from its init at its learning rate: it stacks them on a leading fit
+axis and steps every fit on every minibatch, and a lone fit is a stack of
+one. Stacked ``np.matmul`` runs the BLAS call per fit that the 2-D product
+runs (numpy 2.4.6 with its bundled OpenBLAS), and a per-fit rate is the same
+multiply per element as a shared one, so each stacked fit equals a fit of
+its own. :func:`train` is one fit; :func:`search` fits the trials that
+differ only in learning rate together, and keeps the winning trial's result,
+so a searched model deploys as its trial fitted it.
 
 A LinearSgd fit is an affine map of its init, p -> M p + v, since every
 squared-loss step is. :func:`affine_fit` builds it for one train partition:
@@ -156,7 +155,7 @@ def incremental_update(params: LinearParams, X: np.ndarray, y: np.ndarray,
     """Per-sample SGD over new samples in arrival order."""
     if not kind.is_sgd:
         raise UnsupportedKind(f"{kind.value} cannot be updated incrementally")
-    return _raised(_sgd(kind, [(X, y, [np.arange(X.shape[0])], params, learning_rate)], 1,
+    return _raised(_sgd(kind, X, y, [np.arange(X.shape[0])], [(params, learning_rate)], 1,
                         l2_lambda)[0])
 
 
@@ -177,52 +176,37 @@ _CHECK_ROWS = 1024
 # steps, and the buffers stay small however large the train set.
 _GATHER_STEPS = 64
 # Fits that one kernel call stacks at most: its buffers hold up to
-# _GATHER_STEPS minibatches of rows per fit, so a call of many fits (a random
-# search of many trials) steps them in lockstep this many at a time.
+# _GATHER_STEPS minibatches of rows per fit, so a search of many trials
+# steps them in lockstep this many at a time.
 _STACK_FITS = 16
 
-# (X, y, its per-epoch orders, init, learning rate) of one fit
-_SgdFit = tuple[np.ndarray, np.ndarray, Iterable[np.ndarray], LinearParams, float]
 
-
-def _sgd(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int,
+def _sgd(kind: ModelKind, X: np.ndarray, y: np.ndarray, orders: Iterable[np.ndarray],
+         starts: Sequence[tuple[LinearParams, float]], batch_size: int,
          l2_lambda: float) -> list[LinearParams | SimulationError]:
-    """Minibatch SGD of each fit from its init at its learning rate, one step
-    per ``batch_size`` rows of each of its orders; per fit, its parameters or
-    the error it raised.
+    """Minibatch SGD on (X, y) of each fit in ``starts``, from its init at its
+    learning rate, one step per ``batch_size`` rows of each order; per fit,
+    its parameters or the error it raised.
 
-    Every SGD path runs through here, and every fit through one kernel,
-    :func:`_lockstep`, whose steps equal a loop over :func:`loss_gradient`
-    bit for bit. Fits are grouped by width and dtypes, in order of first
-    appearance, and stepped _STACK_FITS of a group at a time; a lone fit is
-    a group of one. Fits may share one orders object: a kernel call iterates
-    it once for all of its fits, so it must be re-iterable (a list, an
-    :class:`_EpochOrders`) if they can fall in several calls.
+    Every SGD path runs through here, and all the fits of a call through one
+    call of the kernel, :func:`_lockstep`, whose steps equal a loop over
+    :func:`loss_gradient` bit for bit: the fits share their train partition
+    and orders, and differ only in init and learning rate. An init of another
+    width than X raises SchemaMismatch.
 
-    A fit's error is a SchemaMismatch for an init of the wrong width, or a
-    NonFiniteUpdate when an order leaves a parameter non-finite or the run
-    ends diverged; it stops that fit alone. Checking once per order finds
-    exactly the fits a per-step check would: a non-finite parameter stays
-    non-finite under every later step (inf minus anything is inf or NaN, and
-    NaN propagates).
+    A fit's error is a NonFiniteUpdate when an order leaves a parameter
+    non-finite or the run ends diverged; it stops that fit alone. Checking
+    once per order finds exactly the fits a per-step check would: a
+    non-finite parameter stays non-finite under every later step (inf minus
+    anything is inf or NaN, and NaN propagates).
     """
-    out: list[LinearParams | SimulationError | None] = [None] * len(fits)
-    groups: dict[tuple, list[int]] = {}
-    for i, (X, y, _, init, _) in enumerate(fits):
-        if len(init.weights) != X.shape[1]:
-            out[i] = SchemaMismatch("warm-start width differs from data width")
-        else:
-            groups.setdefault((X.shape[1], X.dtype, y.dtype), []).append(i)
+    if any(len(init.weights) != X.shape[1] for init, _ in starts):
+        raise SchemaMismatch("warm-start width differs from data width")
     with np.errstate(over="ignore", invalid="ignore"):
-        for members in groups.values():
-            for first in range(0, len(members), _STACK_FITS):
-                group = members[first:first + _STACK_FITS]
-                for i, params in zip(group, _lockstep(kind, [fits[i] for i in group],
-                                                      batch_size, l2_lambda)):
-                    X, y, _, init, _ = fits[i]
-                    out[i] = params if isinstance(params, SimulationError) \
-                        else _checked(kind, X, y, init, params, l2_lambda)
-    return out  # type: ignore[return-value]
+        return [params if isinstance(params, SimulationError)
+                else _checked(kind, X, y, init, params, l2_lambda)
+                for (init, _), params in zip(starts, _lockstep(kind, X, y, orders, starts,
+                                                               batch_size, l2_lambda))]
 
 
 def _diverged_error() -> NonFiniteUpdate:
@@ -241,40 +225,38 @@ def _checked(kind: ModelKind, X: np.ndarray, y: np.ndarray, init: LinearParams,
     return out
 
 
-def _lockstep(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int,
-              l2_lambda: float) -> list[LinearParams | SimulationError]:
-    """The SGD kernel: F >= 1 fits of one width and dtypes in lockstep, one
-    epoch at a time.
+def _lockstep(kind: ModelKind, X: np.ndarray, y: np.ndarray, orders: Iterable[np.ndarray],
+              starts: Sequence[tuple[LinearParams, float]], batch_size: int,
+              l2_lambda: float) -> list[LinearParams | NonFiniteUpdate]:
+    """The SGD kernel: F >= 1 fits on (X, y) in lockstep, one epoch order at a
+    time, each from its init at its learning rate.
 
-    Each fit's rows are gathered into its slice of a buffer of (F, rows,
-    d + 1) whose last column holds ones, filled once, so that the buffer is
-    [X | 1], and its parameters are a row of P (F, d + 1). A step on the
-    fits' minibatches ``Ab`` is ``z = Ab @ P`` (one stacked ``np.matmul``),
-    the logistic function for the logistic loss, ``z -= y``, ``G = z @ Ab``
-    (a second), the scale of :func:`loss_gradient`, the L2 term on the
-    weight slice, then ``P -= rate * G``. Stacked ``np.matmul`` runs the
-    BLAS call per fit that :func:`loss_gradient`'s 2-D products run, on the
-    same strides, so each fit's parameters equal a loop over it bit for bit
-    (checked on numpy 2.4.6 with its bundled OpenBLAS).
+    Each block of _GATHER_STEPS minibatches of an order is gathered once
+    into fit 0's slice of a buffer of (F, rows, d + 1) whose last column
+    holds ones, filled once, so that the buffer is [X | 1], and copied to the
+    other fits' slices; the fits' parameters are the rows of P (F, d + 1). A
+    step on the fits' minibatches ``Ab`` is ``z = Ab @ P`` (one stacked
+    ``np.matmul``), the logistic function for the logistic loss, ``z -= y``,
+    ``G = z @ Ab`` (a second), the scale of :func:`loss_gradient`, the L2
+    term on the weight slice, then ``P -= rate * G``. Stacked ``np.matmul``
+    runs the BLAS call per fit that :func:`loss_gradient`'s 2-D products
+    run, on the same strides, so each fit's parameters equal a loop over it
+    bit for bit (checked on numpy 2.4.6 with its bundled OpenBLAS). Each fit
+    has a copy of the rows, not a broadcast view of fit 0's: a stride-0
+    operand takes another, slower BLAS path.
 
-    An epoch steps every fit's first ``min(n) // batch_size`` minibatches
-    stacked (all of them when the fits are of one length), then each fit's
-    remaining rows through the same step on its own (1, rows, d + 1) slices. A fit whose parameters go non-finite takes
-    no further steps of its own; its stacked rows go on being computed, and
-    the other fits never read them.
+    A fit whose parameters go non-finite is a NonFiniteUpdate. Its rows go
+    on being stepped until every fit has failed, and the other fits never
+    read them.
     """
-    count, d = len(fits), fits[0][0].shape[1]
-    sizes = [len(X) for X, _, _, _, _ in fits]
-    # the rows whose minibatches every fit has: all of them when the fits
-    # are of one length, whose last minibatches are then of one size
-    common = sizes[0] if len(set(sizes)) == 1 else min(sizes) // batch_size * batch_size
+    count, (n, d) = len(starts), X.shape
     block = _GATHER_STEPS * batch_size
-    A = np.ones((count, min(block, max(sizes)), d + 1), fits[0][0].dtype)
-    Y = np.empty(A.shape[:2], fits[0][1].dtype)
-    P = np.array([np.append(init.weights, init.bias) for _, _, _, init, _ in fits], float)
+    A = np.ones((count, min(block, n), d + 1), X.dtype)
+    Y = np.empty(A.shape[:2], y.dtype)
+    P = np.array([np.append(init.weights, init.bias) for init, _ in starts], float)
     # each fit's rate in its row: an (F, d + 1) operand multiplies as fast as
     # a 0-d one, where broadcasting an (F, 1) one costs about 1 us more a step
-    lr = np.repeat(np.array([rate for _, _, _, _, rate in fits], float), d + 1).reshape(P.shape)
+    lr = np.repeat(np.array([rate for _, rate in starts], float), d + 1).reshape(P.shape)
     Z = np.empty((count, batch_size, 1))  # scores
     G = np.empty((count, 1, d + 1))  # gradients
     decayed = np.empty((count, d))
@@ -284,71 +266,51 @@ def _lockstep(kind: ModelKind, fits: Sequence[_SgdFit], batch_size: int,
     logistic = kind is ModelKind.LOGISTIC_SGD
     scale = np.true_divide if logistic else np.multiply
     matmul, add, multiply, subtract = np.matmul, np.add, np.multiply, np.subtract
-    views: dict[tuple[int, int, int], list[tuple]] = {}
+    P3, G3, Gf, Pw, Gw = P[:, :, None], G, G[:, 0], P[:, :d], G[:, 0, :d]
+    views: dict[int, list[tuple]] = {}
 
-    def minibatches(fs: slice, rows: int) -> list[tuple]:
+    def minibatches(rows: int) -> list[tuple]:
         """(rows, targets, scores as (F, n, 1), (F, n) and (F, 1, n), scale) of
-        each minibatch in the first ``rows`` gathered rows of the fits in ``fs``."""
-        key = (fs.start, fs.stop, rows)
-        if key not in views:
-            views[key] = []
+        each minibatch in the first ``rows`` gathered rows."""
+        if rows not in views:
+            views[rows] = []
             for s in range(0, rows, batch_size):
-                n = min(batch_size, rows - s)
-                z3 = Z[fs, :n]
-                views[key].append((A[fs, s:s + n], Y[fs, s:s + n], z3, z3[:, :, 0],
-                                   z3.transpose(0, 2, 1),
-                                   np.array(float(n) if logistic else 2.0 / n)))
-        return views[key]
+                m = min(batch_size, rows - s)
+                z3 = Z[:, :m]
+                views[rows].append((A[:, s:s + m], Y[:, s:s + m], z3, z3[:, :, 0],
+                                    z3.transpose(0, 2, 1),
+                                    np.array(float(m) if logistic else 2.0 / m)))
+        return views[rows]
 
-    def run(fs: slice, rows: int) -> None:
-        """Step the fits in ``fs`` through their first ``rows`` gathered rows."""
-        Pf, Gf, rate, wd = P[fs], G[fs, 0], lr[fs], decayed[fs]
-        P3, G3, Pw, Gw = Pf[:, :, None], G[fs], Pf[:, :d], Gf[:, :d]
-        for Ab, yb, z3, z, zT, c in minibatches(fs, rows):
-            matmul(Ab, P3, z3)
-            if logistic:
-                _sigmoid(z, z)
-            subtract(z, yb, z)
-            matmul(zT, Ab, G3)
-            scale(Gf, c, Gf)
-            if l2_lambda:
-                multiply(Pw, decay, wd)
-                add(Gw, wd, Gw)
-            multiply(Gf, rate, Gf)
-            subtract(Pf, Gf, Pf)
-
-    def gather(f: int, idx: np.ndarray) -> int:
-        """Take fit ``f``'s rows ``idx`` into its slice of the buffers."""
-        X, y, _, _, _ = fits[f]
-        # a take into the strided A[f, :, :d] would fill a contiguous copy of
-        # it and write that back; taking first and assigning is faster
-        A[f, :len(idx), :d] = X.take(idx, 0)
-        # indices from a permutation never wrap, and "wrap" skips the copy
-        # that "raise" makes when it writes to ``out``
-        y.take(idx, 0, Y[f, :len(idx)], "wrap")
-        return len(idx)
-
-    # fits that share one orders iterable share its draws
-    keys = [id(orders) for _, _, orders, _, _ in fits]
-    sources = dict(zip(keys, (orders for _, _, orders, _, _ in fits)))
-    failed: list[NonFiniteUpdate | None] = [None] * count
-    for drawn in zip(*map(iter, sources.values()), strict=True):
-        epoch = dict(zip(sources, drawn))
-        orders = [epoch[k] for k in keys]
-        for first in range(0, common, block):
-            stop = min(first + block, common)
-            for f, order in enumerate(orders):
-                gather(f, order[first:stop])
-            run(slice(0, count), stop - first)
-        for f, order in enumerate(orders):
-            if failed[f] is None:
-                for first in range(common, len(order), block):
-                    run(slice(f, f + 1), gather(f, order[first:first + block]))
-                if not np.isfinite(P[f]).all():
-                    failed[f] = _diverged_error()
-        if all(failed):
+    finite = np.ones(count, bool)
+    for order in orders:
+        for first in range(0, n, block):
+            idx = order[first:first + block]
+            rows = len(idx)
+            # a take into the strided A[0, :, :d] would fill a contiguous copy
+            # of it and write that back; taking first and assigning is faster
+            A[0, :rows, :d] = X.take(idx, 0)
+            # indices from a permutation never wrap, and "wrap" skips the copy
+            # that "raise" makes when it writes to ``out``
+            y.take(idx, 0, Y[0, :rows], "wrap")
+            A[1:, :rows] = A[0, :rows]
+            Y[1:, :rows] = Y[0, :rows]
+            for Ab, yb, z3, z, zT, c in minibatches(rows):
+                matmul(Ab, P3, z3)
+                if logistic:
+                    _sigmoid(z, z)
+                subtract(z, yb, z)
+                matmul(zT, Ab, G3)
+                scale(Gf, c, Gf)
+                if l2_lambda:
+                    multiply(Pw, decay, decayed)
+                    add(Gw, decayed, Gw)
+                multiply(Gf, lr, Gf)
+                subtract(P, Gf, P)
+        finite &= np.isfinite(P).all(axis=1)
+        if not finite.any():
             break
-    return [LinearParams(P[f, :d].copy(), float(P[f, d])) if failed[f] is None else failed[f]
+    return [LinearParams(P[f, :d].copy(), float(P[f, d])) if finite[f] else _diverged_error()
             for f in range(count)]
 
 
@@ -358,18 +320,6 @@ def epoch_orders(n: int, seed: int, epochs: int) -> Iterator[np.ndarray]:
     rng = np.random.default_rng(seed)
     for _ in range(epochs):
         yield rng.permutation(n)
-
-
-class _EpochOrders:
-    """The orders of :func:`epoch_orders` as an iterable: each iteration draws
-    them anew, so that the fits of one length can share one object whichever
-    kernel calls step them."""
-
-    def __init__(self, n: int, seed: int, epochs: int):
-        self.args = (n, seed, epochs)
-
-    def __iter__(self) -> Iterator[np.ndarray]:
-        return epoch_orders(*self.args)
 
 
 # -- evaluation --------------------------------------------------------------------
@@ -430,8 +380,6 @@ class TrainResult:
     params: ModelParameters
     metrics: EvalMetrics
     records_processed: int
-    # the results of :func:`train`'s peers, or the errors their fits raised
-    peers: list["TrainResult | SimulationError"] = field(default_factory=list)
 
 
 def ridge_closed_form(X: np.ndarray, y: np.ndarray, l2_lambda: float) -> LinearParams:
@@ -514,42 +462,20 @@ def fit(kind: ModelKind, X: np.ndarray, y: np.ndarray, hp: HyperParams, seed: in
         init: LinearParams | None = None) -> tuple[ModelParameters, int]:
     """Fit one model on (X, y); returns it and the number of records processed.
 
-    SGD kinds run ``hp.epochs`` seeded shuffles from ``init`` (zeros if None);
-    the closed form and the stump ignore ``init`` and fit afresh.
+    SGD kinds run ``hp.epochs`` seeded shuffles from ``init`` (zeros if None),
+    one :func:`_sgd` fit; the closed form and the stump ignore ``init`` and
+    fit afresh.
     """
-    return _raised(_fit_each(kind, [(X, y, init, hp.learning_rate)], hp, seed)[0])
-
-
-def _fit_each(kind: ModelKind,
-              data: Sequence[tuple[np.ndarray, np.ndarray, LinearParams | None, float]],
-              hp: HyperParams, seed: int) -> list[tuple[ModelParameters, int] | SimulationError]:
-    """:func:`fit` on each (X, y, init, learning rate), its SGD fits in one
-    :func:`_sgd` call; per fit, its (model, records processed) or the error it
-    raised."""
-    out: list[tuple[ModelParameters, int] | SimulationError | None] = [None] * len(data)
-    sgd = []
-    for i, (X, y, _, _) in enumerate(data):
-        n = X.shape[0]
-        if n == 0:
-            out[i] = EmptyTrainSet("train split is empty")
-        elif kind is ModelKind.RIDGE_CLOSED_FORM:
-            try:
-                out[i] = ridge_closed_form(X, y, hp.l2_lambda), n
-            except SingularSystem as exc:
-                out[i] = exc
-        elif not kind.is_sgd:
-            out[i] = _fit_stump(X, y, classification=not kind.is_regression), n
-        else:
-            sgd.append(i)
-    # one orders iterable per length, which a kernel call draws once for all
-    # of its fits of that length
-    orders = {n: _EpochOrders(n, seed, hp.epochs) for n in {len(data[i][0]) for i in sgd}}
-    fits = [(X, y, orders[len(X)], init if init is not None else zero_params(X.shape[1]), rate)
-            for X, y, init, rate in (data[i] for i in sgd)]
-    for i, params in zip(sgd, _sgd(kind, fits, hp.batch_size, hp.l2_lambda)):
-        out[i] = params if isinstance(params, SimulationError) \
-            else (params, hp.epochs * data[i][0].shape[0])
-    return out  # type: ignore[return-value]
+    n = X.shape[0]
+    if n == 0:
+        raise EmptyTrainSet("train split is empty")
+    if kind is ModelKind.RIDGE_CLOSED_FORM:
+        return ridge_closed_form(X, y, hp.l2_lambda), n
+    if not kind.is_sgd:
+        return _fit_stump(X, y, classification=not kind.is_regression), n
+    start = init if init is not None else zero_params(X.shape[1])
+    return _raised(_sgd(kind, X, y, epoch_orders(n, seed, hp.epochs), [(start, hp.learning_rate)],
+                        hp.batch_size, hp.l2_lambda)[0]), hp.epochs * n
 
 
 def fit_standardized(kind: ModelKind, X: np.ndarray, y: np.ndarray, hp: HyperParams,
@@ -573,31 +499,11 @@ def fit_standardized(kind: ModelKind, X: np.ndarray, y: np.ndarray, hp: HyperPar
 
 def train(kind: ModelKind, split: SplitDataset, hp: HyperParams, seed: int,
           init: LinearParams | None = None,
-          costs: CostTable | None = None,
-          peers: Sequence[tuple[SplitDataset, LinearParams | None]] = (),
-          peer_rates: Sequence[float] | None = None) -> TrainResult:
-    """Fit one model on the train partition and score it on validation.
-
-    ``peers`` are more (split, init) pairs fitted in the same call with the
-    same kind, hyperparameters and seed, each at its learning rate in
-    ``peer_rates`` when that is given; the result's ``peers`` holds each
-    one's TrainResult, or the SimulationError its fit raised, in order. Their
-    SGD fits run with this one's in one :func:`_sgd` call, stacked when there
-    are several (see there why each stacked fit equals its own call bit for
-    bit). A call without peers is one fit, stepped alone, as in :func:`fit`.
-    This fit's own error is raised.
-    """
-    costs = costs or CostTable()
-    splits = [split, *(s for s, _ in peers)]
-    rates = [hp.learning_rate] * len(peers) if peer_rates is None else peer_rates
-    fits = _fit_each(kind, [(split.train.X, split.train.y, init, hp.learning_rate),
-                            *((s.train.X, s.train.y, i, rate)
-                              for (s, i), rate in zip(peers, rates, strict=True))], hp, seed)
-    own, *others = [f if isinstance(f, SimulationError) else _scored(kind, s, hp, costs, f)
-                    for s, f in zip(splits, fits)]
-    own = _raised(own)
-    own.peers = others
-    return own
+          costs: CostTable | None = None) -> TrainResult:
+    """Fit one model on the train partition, as :func:`fit`, and score it on
+    validation."""
+    return _scored(kind, split, hp, costs or CostTable(),
+                   fit(kind, split.train.X, split.train.y, hp, seed, init))
 
 
 def _scored(kind: ModelKind, split: SplitDataset, hp: HyperParams, costs: CostTable,
@@ -700,8 +606,8 @@ def _chain(S: np.ndarray) -> np.ndarray:
 
 def affine_fit(split: SplitDataset, hp: HyperParams, seed: int) -> AffineFit:
     """The :class:`AffineFit` of a LinearSgd :func:`train` on ``split`` with
-    ``hp`` and ``seed``. Its offset is one peerless train call's fit from the
-    zero init. Its matrix is composed, not stepped: per epoch order, the step
+    ``hp`` and ``seed``. Its offset is one train call's fit from the zero
+    init. Its matrix is composed, not stepped: per epoch order, the step
     matrices of the rows in that order chained into the epoch's map, and the
     epochs' maps chained in turn. That is the product of the same step
     matrices that stepping applies one by one, in the same order, so it
@@ -823,12 +729,9 @@ def _trial_results(kind: ModelKind, split: SplitDataset, hps: Sequence[HyperPara
     """Per hyperparameter set, the result of training on ``split`` with it,
     or the SimulationError its fit raised.
 
-    SGD sets that differ only in learning rate share their train data, batch
-    size and epoch orders, so up to _STACK_FITS of them fit in one
-    :func:`train` call, one kernel call stacked with a learning rate per fit.
-    The call's own fit takes the smallest rate, the one least likely to
-    diverge: an own fit that raises takes its peers' results with it, and
-    they fit again. Other kinds fit one set per call.
+    SGD sets that differ only in learning rate share their train partition,
+    batch size and epoch orders, so each such group fits in one
+    :func:`_fit_rates` call. Other kinds fit one set per call.
     """
     groups: dict[Any, list[int]] = {}
     for i, hp in enumerate(hps):
@@ -836,23 +739,40 @@ def _trial_results(kind: ModelKind, split: SplitDataset, hps: Sequence[HyperPara
         groups.setdefault(key, []).append(i)
     out: list[TrainResult | SimulationError | None] = [None] * len(hps)
     for members in groups.values():
-        for first in range(0, len(members), _STACK_FITS):
-            left = sorted(members[first:first + _STACK_FITS],
-                          key=lambda i: hps[i].learning_rate)
-            while left:
-                own, *rest = left
-                try:
-                    result = train(kind, split, hps[own], seed, costs=costs,
-                                   peers=[(split, None)] * len(rest),
-                                   peer_rates=[hps[i].learning_rate for i in rest])
-                except SimulationError as exc:
-                    out[own], left = exc, rest
-                    continue
-                for i, r in zip(left, [result, *result.peers]):
-                    out[i] = r
-                result.peers = []
-                break
+        results = _fit_rates(kind, split, hps[members[0]], seed,
+                             [hps[i].learning_rate for i in members], costs or CostTable())
+        for i, result in zip(members, results):
+            out[i] = result
     return out  # type: ignore[return-value]
+
+
+def _fit_rates(kind: ModelKind, split: SplitDataset, hp: HyperParams, seed: int,
+               rates: Sequence[float], costs: CostTable) -> list[TrainResult | SimulationError]:
+    """Per learning rate, the result of a :func:`train` call on ``split`` with
+    ``hp`` at that rate, or the SimulationError its fit raised.
+
+    An SGD kind's fits from the zero init share the partition and its epoch
+    orders, so up to _STACK_FITS of them step in one :func:`_sgd` call, a
+    kernel call with a learning rate per fit, and each equals its own call
+    bit for bit. An empty partition, or another kind, fits once per rate.
+    """
+    X, y = split.train.X, split.train.y
+    if not (kind.is_sgd and len(X)):
+        out: list[TrainResult | SimulationError] = []
+        for rate in rates:
+            try:
+                out.append(train(kind, split, hp.replace(learning_rate=rate), seed, costs=costs))
+            except SimulationError as exc:
+                out.append(exc)
+        return out
+    n, zero = len(X), zero_params(X.shape[1])
+    fitted: list[LinearParams | SimulationError] = []
+    for first in range(0, len(rates), _STACK_FITS):
+        fitted += _sgd(kind, X, y, epoch_orders(n, seed, hp.epochs),
+                       [(zero, rate) for rate in rates[first:first + _STACK_FITS]],
+                       hp.batch_size, hp.l2_lambda)
+    return [params if isinstance(params, SimulationError)
+            else _scored(kind, split, hp, costs, (params, hp.epochs * n)) for params in fitted]
 
 
 def trials_to_csv(result: SearchResult) -> str:
@@ -876,6 +796,8 @@ def params_from_list(kind: ModelKind, values: Iterable[float]) -> ModelParameter
     if kind is ModelKind.DECISION_STUMP:
         if len(vals) != 4:
             raise SchemaMismatch("stump parameters must have 4 entries")
+        if not vals[0].is_integer():
+            raise SchemaMismatch(f"stump split feature {vals[0]!r} is not a whole number")
         return StumpParams(int(vals[0]), vals[1], vals[2], vals[3])
     if not vals:
         raise SchemaMismatch("parameter list is empty")

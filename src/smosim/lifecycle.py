@@ -21,7 +21,7 @@ import numpy as np
 
 from .config import ModelKind
 from .datagen import Part, RecordBatch, gather
-from .errors import IllegalTransition, InvalidArtifact
+from .errors import IllegalTransition, InvalidArtifact, SchemaMismatch
 from .learn import EvalMetrics, LinearParams, ModelParameters, params_from_list
 from .pipeline import ScalingParams
 
@@ -73,7 +73,7 @@ class ModelArtifact:
                 raise InvalidArtifact(
                     f"parameter width {len(self.parameters.weights)} != schema width {width}")
         else:
-            if self.parameters.feature >= width:
+            if not 0 <= self.parameters.feature < width:
                 raise InvalidArtifact("stump split feature outside the schema")
         if not len(self.scaler.offset) == len(self.scaler.scale) == width:
             raise InvalidArtifact(f"scaler widths {len(self.scaler.offset)} and "
@@ -117,7 +117,7 @@ class ModelArtifact:
                 created_tick=int(d.get("created_tick", 0)),
                 packaged=bool(d.get("packaged", False)),
             )
-        except (KeyError, ValueError, TypeError) as exc:
+        except (KeyError, ValueError, TypeError, OverflowError, SchemaMismatch) as exc:
             raise InvalidArtifact(f"malformed artifact: {exc}") from None
 
 

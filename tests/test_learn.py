@@ -384,6 +384,19 @@ class TestSgdKernel:
             assert np.array_equal(got.weights, want.weights)
             assert got.bias == want.bias
 
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_incremental_update_past_one_gathered_block_equals_the_loop(self, kind):
+        # at batch 1: two full gathered blocks of _GATHER_STEPS samples, and 5 more
+        n = 2 * learn._GATHER_STEPS + 5
+        rng = np.random.default_rng(210)
+        X, y = _random_problem(rng, kind, n, 3)
+        init = LinearParams(rng.normal(size=3), float(rng.normal()))
+        got = incremental_update(init, X, y, 0.02, 0.1, kind)
+        want, first_bad = _loop_sgd(kind, X, y, [np.arange(n)], 1, 0.02, 0.1, init)
+        assert first_bad is None
+        assert np.array_equal(got.weights, want.weights)
+        assert got.bias == want.bias
+
     # (n, d, batch_size, epochs, l2_lambda, layout of X)
     SHAPES = {
         "federated_rounds": (1200, 6, 16, 5, 0.0, "C"),
@@ -489,129 +502,115 @@ class TestEpochOrders:
 
 
 class TestLockstep:
-    """Fits stacked in one train call equal a loop over loss_gradient, and their
-    own calls, bit for bit."""
+    """Fits stacked in one kernel call on one train partition, each from its
+    init at its learning rate, equal a loop over loss_gradient, and their own
+    train calls, bit for bit."""
 
     KINDS = [ModelKind.LINEAR_SGD, ModelKind.LOGISTIC_SGD]
     SIZES = (37, 64, 65, 200)  # at batch 16: 2, 4, 4 and 12 full minibatches
+    RATES = (0.05, 0.01, 0.03, 0.05)
 
     @staticmethod
-    def _problems(kind, seed, sizes, d=3):
+    def _problem(kind, seed, n, count, d=3):
+        """A split of n rows and ``count`` inits."""
         rng = np.random.default_rng(seed)
-        splits, inits = [], []
-        for n in sizes:
-            X, y = _random_problem(rng, kind, n, d)
-            splits.append(_split(X, y))
-            inits.append(LinearParams(rng.normal(size=d), float(rng.normal())))
-        return splits, inits
+        split = _split(*_random_problem(rng, kind, n, d))
+        return split, [LinearParams(rng.normal(size=d), float(rng.normal()))
+                       for _ in range(count)]
 
     @staticmethod
-    def _train_all(kind, splits, inits, hp, seed=7):
-        result = train(kind, splits[0], hp, seed, init=inits[0],
-                       peers=list(zip(splits[1:], inits[1:])))
-        return [result, *result.peers]
+    def _fit_all(kind, split, inits, rates, hp, seed=7):
+        """Each (init, rate) fitted on ``split`` in one stacked call."""
+        X, y = split.train.X, split.train.y
+        return learn._sgd(kind, X, y, epoch_orders(len(X), seed, hp.epochs),
+                          list(zip(inits, rates)), hp.batch_size, hp.l2_lambda)
 
     @pytest.mark.parametrize("kind", KINDS)
     @pytest.mark.parametrize("lam", [0.0, 0.2])
     def test_each_stacked_fit_equals_the_loss_gradient_loop(self, kind, lam):
-        splits, inits = self._problems(kind, 400 + int(10 * lam), self.SIZES)
-        before = [init.copy() for init in inits]
-        hp = HyperParams(learning_rate=0.05, epochs=3, batch_size=16, l2_lambda=lam)
-        results = self._train_all(kind, splits, inits, hp)
-        assert len(results) == len(self.SIZES)
-        for split, init, got in zip(splits, inits, results):
+        hp = HyperParams(epochs=3, batch_size=16, l2_lambda=lam)
+        for n in self.SIZES:
+            split, inits = self._problem(kind, 400 + int(10 * lam) + n, n, len(self.RATES))
+            before = [init.copy() for init in inits]
+            results = self._fit_all(kind, split, inits, self.RATES, hp)
+            assert len(results) == len(self.RATES)
             X, y = split.train.X, split.train.y
-            want, first_bad = _loop_sgd(kind, X, y, epoch_orders(len(X), 7, hp.epochs),
-                                        hp.batch_size, hp.learning_rate, lam, init)
-            assert first_bad is None
-            assert np.array_equal(got.params.weights, want.weights)
-            assert got.params.bias == want.bias
-            alone = train(kind, split, hp, 7, init=init)
-            assert got.metrics == alone.metrics
-            assert got.records_processed == alone.records_processed == hp.epochs * len(X)
-        for init, kept in zip(inits, before):
-            assert np.array_equal(init.weights, kept.weights) and init.bias == kept.bias
+            for init, rate, got in zip(inits, self.RATES, results):
+                want, first_bad = _loop_sgd(kind, X, y, epoch_orders(n, 7, hp.epochs),
+                                            hp.batch_size, rate, lam, init)
+                assert first_bad is None
+                alone = train(kind, split, hp.replace(learning_rate=rate), 7, init=init)
+                for other in (want, alone.params):
+                    assert np.array_equal(got.weights, other.weights)
+                    assert got.bias == other.bias
+                assert alone.records_processed == hp.epochs * n
+            for init, kept in zip(inits, before):
+                assert np.array_equal(init.weights, kept.weights) and init.bias == kept.bias
 
-    @pytest.mark.parametrize("kind", KINDS)
-    def test_fits_of_another_width_or_below_one_batch_step_alone(self, kind):
-        wide, wide_inits = self._problems(kind, 410, (50,), d=5)
-        splits, inits = self._problems(kind, 411, (9, 40, 3))
-        hp = HyperParams(learning_rate=0.05, epochs=2, batch_size=16)
-        results = self._train_all(kind, [*splits, *wide], [*inits, *wide_inits], hp)
-        for split, init, got in zip([*splits, *wide], [*inits, *wide_inits], results):
-            alone = train(kind, split, hp, 7, init=init)
-            assert np.array_equal(got.params.weights, alone.params.weights)
-            assert got.params.bias == alone.params.bias
-
-    # the first order's position of the diverging row in fits 1 and 3: in the
-    # stacked minibatches (rows 0-31 of every order) and in 200's tail
-    @pytest.mark.parametrize("bad", [{1: 5}, {3: 150}, {1: 5, 3: 150}])
+    # fit 1's rate overflows its parameters within the first epoch; fit 3's
+    # keeps them finite, and its loss ends past _DIVERGED_LOSS_RATIO
+    @pytest.mark.parametrize("bad", [{1: 1e200}, {3: 1e9}, {1: 1e200, 3: 1e9}])
     def test_a_diverging_fit_fails_alone(self, bad):
         kind = ModelKind.LINEAR_SGD
-        splits, inits = self._problems(kind, 420, self.SIZES)
-        hp = HyperParams(learning_rate=0.05, epochs=2, batch_size=16)
-        for f, position in bad.items():
-            X = splits[f].train.X
-            X[next(epoch_orders(len(X), 7, 1))[position]] = 1e200
-        results = self._train_all(kind, splits, inits, hp)
-        for f, (split, init, got) in enumerate(zip(splits, inits, results)):
+        hp = HyperParams(epochs=2, batch_size=16)
+        split, inits = self._problem(kind, 420, 200, len(self.RATES))
+        rates = [bad.get(f, rate) for f, rate in enumerate(self.RATES)]
+        results = self._fit_all(kind, split, inits, rates, hp)
+        for f, (init, rate, got) in enumerate(zip(inits, rates, results)):
+            own = hp.replace(learning_rate=rate)
             if f in bad:
                 assert isinstance(got, NonFiniteUpdate)
-                with pytest.raises(NonFiniteUpdate):
-                    train(kind, split, hp, 7, init=init)
+                _, first_bad = _loop_sgd(kind, split.train.X, split.train.y,
+                                         epoch_orders(200, 7, hp.epochs), hp.batch_size,
+                                         rate, 0.0, init)
+                assert (first_bad is None) == (rate == 1e9)
+                with pytest.raises(NonFiniteUpdate):  # its own call raises its error
+                    train(kind, split, own, 7, init=init)
             else:
-                alone = train(kind, split, hp, 7, init=init)
-                assert np.array_equal(got.params.weights, alone.params.weights)
-                assert got.params.bias == alone.params.bias
-        f = min(bad)
-        with pytest.raises(NonFiniteUpdate):  # a call's own fit raises its error
-            self._train_all(kind, [splits[f], splits[0]], [inits[f], inits[0]], hp)
-
-    def test_a_call_draws_the_orders_of_each_length_once(self, monkeypatch):
-        """Fits of one length share their epoch orders: a kernel call draws
-        them once, and a fit of another width, stepped in a call of its own,
-        draws them again. Each fit equals its own train call."""
-        kind = ModelKind.LINEAR_SGD
-        sizes = (37, 64, 37, 65, 37)
-        splits, inits = self._problems(kind, 440, sizes)
-        wide, wide_inits = self._problems(kind, 441, (37,), d=5)
-        hp = HyperParams(learning_rate=0.05, epochs=3, batch_size=16)
-        draws, real = [], learn.epoch_orders
-
-        def counting(n, seed, epochs):
-            for order in real(n, seed, epochs):
-                draws.append(n)
-                yield order
-
-        monkeypatch.setattr(learn, "epoch_orders", counting)
-        results = self._train_all(kind, [*splits, *wide], [*inits, *wide_inits], hp)
-        assert sorted(draws) == sorted([37, 64, 65, 37] * hp.epochs)
-        monkeypatch.undo()
-        for split, init, got in zip([*splits, *wide], [*inits, *wide_inits], results):
-            alone = train(kind, split, hp, 7, init=init)
-            assert np.array_equal(got.params.weights, alone.params.weights)
-            assert got.params.bias == alone.params.bias
+                alone = train(kind, split, own, 7, init=init)
+                assert np.array_equal(got.weights, alone.params.weights)
+                assert got.bias == alone.params.bias
 
     @settings(max_examples=120, deadline=None)
     @given(kind=st.sampled_from(KINDS), lam=st.sampled_from([0.0, 0.2]),
-           sizes=st.lists(st.integers(1, 80), min_size=1, max_size=5),
+           n=st.integers(1, 80), count=st.integers(1, 5),
            batch_size=st.integers(1, 20), epochs=st.integers(1, 3),
            seed=st.integers(0, 2**16))
-    def test_every_fit_of_a_call_equals_the_loss_gradient_loop(self, kind, lam, sizes,
+    def test_every_fit_of_a_call_equals_the_loss_gradient_loop(self, kind, lam, n, count,
                                                                 batch_size, epochs, seed):
-        splits, inits = self._problems(kind, seed, sizes)
-        rates = np.random.default_rng(seed).uniform(0.005, 0.05, len(sizes)).tolist()
-        hp = HyperParams(learning_rate=rates[0], epochs=epochs, batch_size=batch_size,
-                         l2_lambda=lam)
-        result = train(kind, splits[0], hp, seed, init=inits[0],
-                       peers=list(zip(splits[1:], inits[1:])), peer_rates=rates[1:])
-        for split, init, rate, got in zip(splits, inits, rates, [result, *result.peers]):
-            X, y = split.train.X, split.train.y
-            want, first_bad = _loop_sgd(kind, X, y, epoch_orders(len(X), seed, epochs),
+        split, inits = self._problem(kind, seed, n, count)
+        rates = np.random.default_rng(seed).uniform(0.005, 0.05, count).tolist()
+        hp = HyperParams(epochs=epochs, batch_size=batch_size, l2_lambda=lam)
+        X, y = split.train.X, split.train.y
+        for init, rate, got in zip(inits, rates, self._fit_all(kind, split, inits, rates, hp,
+                                                               seed)):
+            want, first_bad = _loop_sgd(kind, X, y, epoch_orders(n, seed, epochs),
                                         batch_size, rate, lam, init)
             assert first_bad is None
-            assert np.array_equal(got.params.weights, want.weights)
-            assert got.params.bias == want.bias
+            assert np.array_equal(got.weights, want.weights)
+            assert got.bias == want.bias
+
+    @pytest.mark.parametrize("kind", KINDS)
+    def test_rows_past_one_gathered_block_equal_each_rate_alone(self, kind):
+        """Three rates stacked on rows that span two full gathered blocks of
+        _GATHER_STEPS minibatches and a third of one ragged minibatch."""
+        batch_size = 8
+        n = 2 * learn._GATHER_STEPS * batch_size + 5
+        rng = np.random.default_rng(450)
+        X, y = _random_problem(rng, kind, n + 40, 3)
+        split = _split(X[:n], y[:n], X[n:], y[n:])
+        hp = HyperParams(epochs=2, batch_size=batch_size, l2_lambda=0.1)
+        rates = [0.002, 0.01, 0.005]
+        got = learn._fit_rates(kind, split, hp, 7, rates, CostTable())
+        for rate, result in zip(rates, got, strict=True):
+            alone = train(kind, split, hp.replace(learning_rate=rate), 7)
+            assert _same_outcome(result, alone)
+            want, first_bad = _loop_sgd(kind, split.train.X, split.train.y,
+                                        epoch_orders(n, 7, hp.epochs), batch_size, rate,
+                                        hp.l2_lambda, zero_params(3))
+            assert first_bad is None
+            assert np.array_equal(result.params.weights, want.weights)
+            assert result.params.bias == want.bias
 
 
 def _vector(params: LinearParams) -> np.ndarray:
@@ -653,24 +652,24 @@ class TestAffineFit:
         calls, real = [], learn.train
 
         def spy(*args, **kwargs):
-            calls.append(len(kwargs.get("peers", ())))
+            calls.append(kwargs.get("init"))
             return real(*args, **kwargs)
 
         monkeypatch.setattr(learn, "train", spy)
         fitted = learn.affine_fit(split, HyperParams(epochs=2), 3)
-        assert calls == [0]  # the zero init's own fit; the matrix is composed
+        assert calls == [None]  # the zero init's fit; the matrix is composed
         assert fitted.matrix.shape == (4, 4)
 
     @staticmethod
     def _peer_built(split, hp, seed) -> np.ndarray:
         """The map's matrix as stepped: column j the fit from the unit vector
-        e_j less the fit from zero."""
+        e_j less the fit from zero, each of its own train call."""
         d = split.train.X.shape[1]
-        result = train(ModelKind.LINEAR_SGD, split, hp, seed,
-                       peers=[(split, LinearParams(e[:d].copy(), float(e[d])))
-                              for e in np.eye(d + 1)])
-        return np.column_stack([_vector(r.params) for r in result.peers]) \
-            - _vector(result.params)[:, None]
+        zero = _vector(train(ModelKind.LINEAR_SGD, split, hp, seed).params)
+        return np.column_stack([
+            _vector(train(ModelKind.LINEAR_SGD, split, hp, seed,
+                          init=LinearParams(e[:d].copy(), float(e[d]))).params)
+            for e in np.eye(d + 1)]) - zero[:, None]
 
     @settings(max_examples=100, deadline=None)
     @given(sizes=st.lists(st.integers(1, 80), min_size=1, max_size=4),
@@ -976,31 +975,6 @@ class TestGroupedSearch:
         assert sum(isinstance(w, NonFiniteUpdate) for w in want) == 2
         _assert_search_equals_loop(kind, split, spec, base)
 
-    def test_a_raising_own_fit_leaves_its_peers_results(self, monkeypatch):
-        """The own fit of a grouped call takes the smallest rate; when it raises,
-        the rest of the group fits again and each trial keeps its result."""
-        rng = np.random.default_rng(13)
-        X, y = _random_problem(rng, ModelKind.LINEAR_SGD, 60, 2)
-        split = _split(X[:45], y[:45], X[45:], y[45:])
-        spec = HyperSearchSpec(mode="grid", grid={"learning_rate": (0.05, 0.01, 0.1)})
-        base = HyperParams(epochs=2, batch_size=8)
-        _, want = _loop_trials(ModelKind.LINEAR_SGD, split, spec, base, 3)
-        real_train, calls = learn.train, []
-
-        def own_diverges_at_001(kind, split, hp, seed, **kwargs):
-            calls.append((hp.learning_rate, kwargs["peer_rates"]))
-            if hp.learning_rate == 0.01:
-                raise NonFiniteUpdate("stand-in divergence")
-            return real_train(kind, split, hp, seed, **kwargs)
-
-        monkeypatch.setattr(learn, "train", own_diverges_at_001)
-        result = search(ModelKind.LINEAR_SGD, split, spec, base, 3)
-        assert calls == [(0.01, [0.05, 0.1]), (0.05, [0.1])]
-        assert [t.failed for t in result.trials] == [False, True, False]
-        for i in (0, 2):
-            assert result.trials[i].metrics == want[i].metrics
-        assert _same_outcome(result.best_result, want[result.best_index])
-
     def test_a_call_stacks_at_most_stack_fits_trials(self, monkeypatch):
         rng = np.random.default_rng(14)
         X, y = _random_problem(rng, ModelKind.LINEAR_SGD, 80, 3)
@@ -1010,14 +984,15 @@ class TestGroupedSearch:
         monkeypatch.setattr(learn, "_STACK_FITS", 3)
         stacked, real_lockstep = [], learn._lockstep
 
-        def counting(kind, fits, *args):
-            stacked.append(len(fits))
-            return real_lockstep(kind, fits, *args)
+        def counting(kind, X, y, orders, starts, *args):
+            stacked.append(len(starts))
+            return real_lockstep(kind, X, y, orders, starts, *args)
 
         monkeypatch.setattr(learn, "_lockstep", counting)
         _assert_search_equals_loop(ModelKind.LINEAR_SGD, split, spec, HyperParams(epochs=2))
         # the reference loop's 7 lone fits, each a kernel call of one; then 7
-        # trials: 3 + 3 stacked and the last alone, in _trial_results, then in search
+        # trials of one group: 3 + 3 stacked and the last alone, in
+        # _trial_results, then in search
         assert stacked == [1] * 7 + [3, 3, 1] * 2
 
     def test_an_empty_validation_partition_raises_before_any_fit(self, monkeypatch):
@@ -1031,19 +1006,20 @@ class TestGroupedSearch:
     @pytest.mark.parametrize("kind", [ModelKind.LINEAR_SGD, ModelKind.LOGISTIC_SGD])
     @pytest.mark.parametrize("lam", [0.0, 0.2])
     def test_lockstep_with_a_rate_per_fit_equals_each_fit_alone(self, kind, lam):
-        splits, inits = TestLockstep._problems(kind, 430 + int(10 * lam), TestLockstep.SIZES)
         rates = [0.01, 0.05, 0.2, 0.05]
-        fits = [(s.train.X, s.train.y, list(epoch_orders(len(s.train.X), 7, 3)), init, rate)
-                for s, init, rate in zip(splits, inits, rates)]
-        got = learn._lockstep(kind, fits, 16, lam)
-        for fit_, params in zip(fits, got):
-            (alone,) = learn._lockstep(kind, [fit_], 16, lam)
-            X, y, orders, init, rate = fit_
-            want, first_bad = _loop_sgd(kind, X, y, orders, 16, rate, lam, init)
-            assert first_bad is None
-            for other in (alone, want):
-                assert np.array_equal(params.weights, other.weights)
-                assert params.bias == other.bias
+        for n in TestLockstep.SIZES:
+            split, inits = TestLockstep._problem(kind, 430 + int(10 * lam) + n, n, len(rates))
+            X, y = split.train.X, split.train.y
+            orders = list(epoch_orders(n, 7, 3))
+            starts = list(zip(inits, rates))
+            got = learn._lockstep(kind, X, y, orders, starts, 16, lam)
+            for (init, rate), params in zip(starts, got, strict=True):
+                (alone,) = learn._lockstep(kind, X, y, orders, [(init, rate)], 16, lam)
+                want, first_bad = _loop_sgd(kind, X, y, orders, 16, rate, lam, init)
+                assert first_bad is None
+                for other in (alone, want):
+                    assert np.array_equal(params.weights, other.weights)
+                    assert params.bias == other.bias
 
 
 class TestDeterminism:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 from collections import deque
 
 import numpy as np
@@ -12,7 +13,7 @@ from hypothesis import strategies as st
 from smosim.config import FeatureSpec, ModelKind
 from smosim.datagen import RecordBatch
 from smosim.errors import IllegalTransition, InvalidArtifact
-from smosim.learn import EvalMetrics, LinearParams
+from smosim.learn import EvalMetrics, LinearParams, StumpParams
 from smosim.lifecycle import (
     LEGAL_TRANSITIONS,
     LifecycleState,
@@ -259,6 +260,37 @@ class TestCheckpoints:
     def test_malformed_artifact_rejected(self, tmp_path):
         path = tmp_path / "broken.json"
         path.write_text('{"kind": "LinearSgd"}')
+        with pytest.raises(InvalidArtifact):
+            load_artifact(path)
+
+    # (kind, the payload's key path, a JSON number written in its place)
+    @pytest.mark.parametrize("kind, where, number", [
+        ("LinearSgd", ("version",), "1e999"),
+        ("LinearSgd", ("created_tick",), "1e999"),
+        ("LinearSgd", ("metrics", "train_ticks"), "1e999"),
+        ("LinearSgd", ("metrics", "inference_ticks"), "-1e999"),
+        ("DecisionStump", ("parameters", 0), "1e999"),
+        ("DecisionStump", ("parameters", 0), "-1"),
+        ("DecisionStump", ("parameters", 0), "1.7"),
+    ])
+    def test_an_out_of_range_number_is_an_invalid_artifact(self, tmp_path, kind, where, number):
+        """Numbers that an int of them would overflow on, or would read as
+        another stump feature than they name (-1 as the last column, 1.7
+        as column 1)."""
+        artifact = _artifact()
+        if kind == "DecisionStump":
+            artifact = ModelArtifact(kind=ModelKind.DECISION_STUMP,
+                                     parameters=StumpParams(1, 0.5, 0.0, 1.0),
+                                     feature_names=artifact.feature_names,
+                                     scaler=artifact.scaler, metrics=artifact.metrics)
+        payload = artifact.to_dict()
+        *parents, last = where
+        target = payload
+        for key in parents:
+            target = target[key]
+        target[last] = "NUMBER"
+        path = tmp_path / "artifact.json"
+        path.write_text(json.dumps(payload).replace('"NUMBER"', number))
         with pytest.raises(InvalidArtifact):
             load_artifact(path)
 

@@ -412,14 +412,17 @@ class TestScenarioB:
         data["model"]["kind"] = kind
         data["model"]["hyperparams"]["l2_lambda"] = 0.1  # one-hot columns sum to the bias
         config = build(data)
-        calls = []
+        calls, sgd_calls = [], []
         monkeypatch.setattr(learn, "train", partial(_counted, calls, learn.train))
+        monkeypatch.setattr(learn, "_sgd", partial(_counted, sgd_calls, learn._sgd))
         result = checked_run(config)
         assert result.report.status == "completed"
         driver = result.driver
         searched = driver.search_result
-        # the search's own train calls, and no refit of the winner after them
-        assert len(calls) == (2 if kind == "LinearSgd" else 4)
+        # the search's own fits, and no refit of the winner after them: a
+        # ridge trial is a train call, and the LinearSgd trials of each batch
+        # size fit together in one SGD call, not through train
+        assert (len(calls), len(sgd_calls)) == ((0, 2) if kind == "LinearSgd" else (4, 0))
         deployed = result.registry.entries["m0"].artifact
         assert deployed.parameters is searched.best_result.params
         fresh = learn.train(config.model.kind, driver.split, searched.best, seed=config.seed,
@@ -728,6 +731,16 @@ class TestScenarioAImportModel:
         assert report.status == "failed"
         assert report.failure.startswith("InvalidArtifact: scaler widths 2 and 2")
 
+    def test_artifact_file_with_an_overflowing_version_fails_run(self, tmp_path):
+        config = self._config(tmp_path, [2.0], 0.0)
+        path = tmp_path / "artifact.json"
+        artifact = json.loads(path.read_text())
+        artifact["version"] = "VERSION"
+        path.write_text(json.dumps(artifact).replace('"VERSION"', "1e999"))
+        report = checked_run(config).report
+        assert report.status == "failed"
+        assert report.failure.startswith("InvalidArtifact: ")
+
     def test_missing_artifact_file_fails_run(self, tmp_path):
         config = self._config(tmp_path, [2.0], 0.0)
         (tmp_path / "artifact.json").unlink()
@@ -944,12 +957,13 @@ class TestFederatedRounds:
 
     @staticmethod
     def _spy(monkeypatch):
-        """The peer count of each learn.train call, and each round's aggregate."""
+        """Whether each learn.train call fits from the zero init, and each
+        round's aggregate."""
         calls, rounds = [], []
         real_train, real_aggregate = learn.train, scenarios.aggregate
 
         def train(*args, **kwargs):
-            calls.append(len(kwargs.get("peers", ())))
+            calls.append(kwargs.get("init") is None)
             return real_train(*args, **kwargs)
 
         def aggregate(*args, **kwargs):
@@ -982,9 +996,9 @@ class TestFederatedRounds:
         data["costs"] = {"train_tick_per_record": 3}
         result = checked_run(build(data))
         assert result.report.status == "completed"
-        # each domain's first round builds its map of one peerless call, its
+        # each domain's first round builds its map of one train call, its
         # fit from zero, and composes the matrix; no round steps
-        assert calls == [0, 0, 0]
+        assert calls == [True] * 3
         domains = result.driver.domains.values()
         assert sorted(len(d.split.train) for d in domains) == [134, 176, 219]
         assert all(isinstance(d.fit_map, learn.AffineFit) for d in domains)
@@ -1005,7 +1019,9 @@ class TestFederatedRounds:
         calls, rounds = self._spy(monkeypatch)
         result = checked_run(build(data))
         assert result.report.status == "completed"
-        assert calls == [0] * 9  # three rounds of three domains, and no map
+        # three rounds of three domains, and no map: the first round fits
+        # from zero, the later two from the global model
+        assert calls == [True] * 3 + [False] * 6
         assert all(d.fit_map is None for d in result.driver.domains.values())
         for got, want in zip(rounds, self._oracle(result), strict=True):
             _assert_bits_equal(got, want)
@@ -1202,15 +1218,15 @@ class TestMonitoringAndRefinement:
         from smosim import learn
 
         calls = []
-        real_fit_each = learn._fit_each
+        real_fit = learn.fit
 
-        def spy(kind, data, hp, seed):
-            # learn.train and learn.fit both fit through _fit_each
-            (out,) = real_fit_each(kind, data, hp, seed)
-            calls.append((*data[0][:2], hp, out))
-            return [out]
+        def spy(kind, X, y, hp, seed, init=None):
+            # learn.train and learn.fit_standardized both fit through learn.fit
+            out = real_fit(kind, X, y, hp, seed, init)
+            calls.append((X, y, hp, out))
+            return out
 
-        monkeypatch.setattr(learn, "_fit_each", spy)
+        monkeypatch.setattr(learn, "fit", spy)
         result = checked_run(self._drift_config(refit=refit, kind="RidgeClosedForm",
                                                  max_refinements=1))
         assert result.report.refinements == 1
