@@ -183,7 +183,7 @@ _STACK_FITS = 16
 
 def _sgd(kind: ModelKind, X: np.ndarray, y: np.ndarray, orders: Iterable[np.ndarray],
          starts: Sequence[tuple[LinearParams, float]], batch_size: int,
-         l2_lambda: float) -> list[LinearParams | SimulationError]:
+         l2_lambda: float) -> list[LinearParams | NonFiniteUpdate]:
     """Minibatch SGD on (X, y) of each fit in ``starts``, from its init at its
     learning rate, one step per ``batch_size`` rows of each order; per fit,
     its parameters or the error it raised.
@@ -203,7 +203,7 @@ def _sgd(kind: ModelKind, X: np.ndarray, y: np.ndarray, orders: Iterable[np.ndar
     if any(len(init.weights) != X.shape[1] for init, _ in starts):
         raise SchemaMismatch("warm-start width differs from data width")
     with np.errstate(over="ignore", invalid="ignore"):
-        return [params if isinstance(params, SimulationError)
+        return [params if isinstance(params, NonFiniteUpdate)
                 else _checked(kind, X, y, init, params, l2_lambda)
                 for (init, _), params in zip(starts, _lockstep(kind, X, y, orders, starts,
                                                                batch_size, l2_lambda))]
@@ -242,8 +242,8 @@ def _lockstep(kind: ModelKind, X: np.ndarray, y: np.ndarray, orders: Iterable[np
     runs the BLAS call per fit that :func:`loss_gradient`'s 2-D products
     run, on the same strides, so each fit's parameters equal a loop over it
     bit for bit (checked on numpy 2.4.6 with its bundled OpenBLAS). Each fit
-    has a copy of the rows, not a broadcast view of fit 0's: a stride-0
-    operand takes another, slower BLAS path.
+    has a copy of the rows, not a broadcast view of fit 0's, so that its
+    operands have the strides of a lone fit's.
 
     A fit whose parameters go non-finite is a NonFiniteUpdate. Its rows go
     on being stepped until every fit has failed, and the other fits never
@@ -690,7 +690,8 @@ def search(kind: ModelKind, split: SplitDataset, spec: HyperSearchSpec,
 
     Each trial's result equals a :func:`train` call of its own bit for bit,
     though SGD trials whose hyperparameters differ only in learning rate fit
-    together (see :func:`_trial_results`). A trial whose fit raises
+    together on ``split``'s one train partition, not through :func:`train`
+    (see :func:`_trial_results`). A trial whose fit raises
     NonFiniteUpdate fails alone; any other error raises, the one the first
     trial in candidate order to raise it raised. An empty validation
     partition raises EmptyEvalSet before any fit, as no trial could be scored.
@@ -766,12 +767,12 @@ def _fit_rates(kind: ModelKind, split: SplitDataset, hp: HyperParams, seed: int,
                 out.append(exc)
         return out
     n, zero = len(X), zero_params(X.shape[1])
-    fitted: list[LinearParams | SimulationError] = []
+    fitted: list[LinearParams | NonFiniteUpdate] = []
     for first in range(0, len(rates), _STACK_FITS):
         fitted += _sgd(kind, X, y, epoch_orders(n, seed, hp.epochs),
                        [(zero, rate) for rate in rates[first:first + _STACK_FITS]],
                        hp.batch_size, hp.l2_lambda)
-    return [params if isinstance(params, SimulationError)
+    return [params if isinstance(params, NonFiniteUpdate)
             else _scored(kind, split, hp, costs, (params, hp.epochs * n)) for params in fitted]
 
 

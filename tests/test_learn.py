@@ -547,8 +547,8 @@ class TestLockstep:
             for init, kept in zip(inits, before):
                 assert np.array_equal(init.weights, kept.weights) and init.bias == kept.bias
 
-    # fit 1's rate overflows its parameters within the first epoch; fit 3's
-    # keeps them finite, and its loss ends past _DIVERGED_LOSS_RATIO
+    # fit 1's rate overflows its parameters; fit 3's keeps them finite, and
+    # its loss ends past _DIVERGED_LOSS_RATIO
     @pytest.mark.parametrize("bad", [{1: 1e200}, {3: 1e9}, {1: 1e200, 3: 1e9}])
     def test_a_diverging_fit_fails_alone(self, bad):
         kind = ModelKind.LINEAR_SGD
@@ -998,7 +998,9 @@ class TestGroupedSearch:
     def test_an_empty_validation_partition_raises_before_any_fit(self, monkeypatch):
         X = np.random.default_rng(15).normal(size=(20, 2))
         split = _split(X, X[:, 0], np.empty((0, 2)), np.empty(0))
-        monkeypatch.setattr(learn, "train", None)  # no trial may be fitted
+        # no trial may be fitted: SGD trials fit through _sgd, not train
+        monkeypatch.setattr(learn, "train", None)
+        monkeypatch.setattr(learn, "_sgd", None)
         spec = HyperSearchSpec(mode="grid", grid={"learning_rate": (0.05, 0.1)})
         with pytest.raises(EmptyEvalSet):
             search(ModelKind.LINEAR_SGD, split, spec, HyperParams(), 0)
