@@ -346,8 +346,15 @@ class EvalMetrics:
     def from_dict(d: dict[str, Any]) -> "EvalMetrics":
         return EvalMetrics(mse=float(d["mse"]), rmse=float(d["rmse"]),
                            accuracy=float(d["accuracy"]),
-                           train_ticks=int(d.get("train_ticks", 0)),
-                           inference_ticks=int(d.get("inference_ticks", 0)))
+                           train_ticks=whole(d.get("train_ticks", 0)),
+                           inference_ticks=whole(d.get("inference_ticks", 0)))
+
+
+def whole(value: Any) -> int:
+    """``value``, an int or an integral float, as an int >= 0; else ValueError."""
+    if type(value) not in (int, float) or value < 0 or value != int(value):
+        raise ValueError(f"{value!r} is not a whole number >= 0")
+    return int(value)
 
 
 def evaluate(params: ModelParameters, kind: ModelKind, X: np.ndarray, y: np.ndarray,
@@ -502,12 +509,13 @@ def train(kind: ModelKind, split: SplitDataset, hp: HyperParams, seed: int,
           costs: CostTable | None = None) -> TrainResult:
     """Fit one model on the train partition, as :func:`fit`, and score it on
     validation."""
-    return _scored(kind, split, hp, costs or CostTable(),
-                   fit(kind, split.train.X, split.train.y, hp, seed, init))
+    return scored(kind, split, hp, costs or CostTable(),
+                  fit(kind, split.train.X, split.train.y, hp, seed, init))
 
 
-def _scored(kind: ModelKind, split: SplitDataset, hp: HyperParams, costs: CostTable,
-            fitted: tuple[ModelParameters, int]) -> TrainResult:
+def scored(kind: ModelKind, split: SplitDataset, hp: HyperParams, costs: CostTable,
+           fitted: tuple[ModelParameters, int]) -> TrainResult:
+    """A fit's (parameters, records processed), scored on validation (NaN if empty)."""
     params, processed = fitted
     metrics = evaluate(params, kind, split.val.X, split.val.y, hp.threshold) \
         if len(split.val) else EvalMetrics(float("nan"), float("nan"), float("nan"))
@@ -773,7 +781,7 @@ def _fit_rates(kind: ModelKind, split: SplitDataset, hp: HyperParams, seed: int,
                        [(zero, rate) for rate in rates[first:first + _STACK_FITS]],
                        hp.batch_size, hp.l2_lambda)
     return [params if isinstance(params, NonFiniteUpdate)
-            else _scored(kind, split, hp, costs, (params, hp.epochs * n)) for params in fitted]
+            else scored(kind, split, hp, costs, (params, hp.epochs * n)) for params in fitted]
 
 
 def trials_to_csv(result: SearchResult) -> str:

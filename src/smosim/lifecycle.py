@@ -22,7 +22,7 @@ import numpy as np
 from .config import ModelKind
 from .datagen import Part, RecordBatch, gather
 from .errors import IllegalTransition, InvalidArtifact, SchemaMismatch
-from .learn import EvalMetrics, LinearParams, ModelParameters, params_from_list
+from .learn import EvalMetrics, LinearParams, ModelParameters, params_from_list, whole
 from .pipeline import ScalingParams
 
 
@@ -113,8 +113,8 @@ class ModelArtifact:
                 scaler=ScalingParams.from_dict(d["scaling_parameters"]),
                 metrics=EvalMetrics.from_dict(d["metrics"]),
                 origin=d.get("origin", "external"),
-                version=int(d.get("version", 1)),
-                created_tick=int(d.get("created_tick", 0)),
+                version=whole(d.get("version", 1)),
+                created_tick=whole(d.get("created_tick", 0)),
                 packaged=bool(d.get("packaged", False)),
             )
         except (KeyError, ValueError, TypeError, OverflowError, SchemaMismatch) as exc:

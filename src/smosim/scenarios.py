@@ -11,11 +11,13 @@ domain builds its fit's affine map of the init once, of one ``learn.train``
 call and a composed matrix, and applies it every round
 (``_DomainBehavior.fit_round``); other rounds step. A round's training ticks
 are those of a stepped fit, and a diverging domain fails the run at its own
-round, by stepping. A replica
-promoted after a failover resumes the failed primary's phase through one
-table, ``Driver.RESUME``. ``Driver._enter`` is the only writer of the phase,
-and logs each entry as a ``phase`` event. A failing step raises a named
-:class:`SimulationError`, and ``Driver.run`` logs it on ``run_complete``.
+round, by stepping. Its aggregated model, once deployed to the domains, logs
+``deployment_complete`` and ends the run as every scenario's deployment does,
+through ``Driver._deployment_complete``. A replica promoted after a failover
+resumes the failed primary's phase through one table, ``Driver.RESUME``.
+``Driver._enter`` is the only writer of the phase, and logs each entry as a
+``phase`` event. A failing step raises a named :class:`SimulationError`, and
+``Driver.run`` logs it on ``run_complete``.
 
 Collected records take one data path, :meth:`Driver._prepare`: cleansed
 unless they arrive Cleansed (a share-data domain cleanses its own), then
@@ -196,9 +198,8 @@ def timeline(events: Iterable[Event]) -> Timeline:
       detects it. The promoted replica resolves it by putting a model back in
       service: at once if it goes on monitoring the restored model as it stands
       (``resumes_monitoring`` in its ``failover_restore`` mitigation), else at
-      the next ``deployment_complete``. Scenario C share-models logs
-      ``aggregation`` events and no deployment, so there the aggregated
-      model's ``transition`` to ``Deployed`` resolves it.
+      the next ``deployment_complete``, which every scenario logs once its
+      model is in service.
     - ``drift_shift``: a monitored target's ground truth shifted, and the first
       target to log it opens the one record. The first ``drift_detected``
       detects it, and the next ``deployment_complete``, the refined model's,
@@ -216,20 +217,16 @@ def timeline(events: Iterable[Event]) -> Timeline:
     tick is.
     """
     records: dict[str, FaultRecord] = {}
-    federated = False
     for e in events:
         t = e.type
         if t == "fault":
             records.setdefault(e.detail["kind"], FaultRecord(e.detail["kind"], e.tick))
-        elif t == "aggregation":
-            federated = True
         elif t in _DETECTS:
             _mark(records.get(_DETECTS[t]), "detection_tick", e.tick)
         elif t == "deployment_complete":
             for record in records.values():
                 _mark(record, "resolution_tick", e.tick)
-        elif (t == "mitigation" and e.detail.get("resumes_monitoring")) or \
-                (t == "transition" and federated and e.detail["state"] == "Deployed"):
+        elif t == "mitigation" and e.detail.get("resumes_monitoring"):
             _mark(records.get("component_failure"), "resolution_tick", e.tick)
     faults = list(records.values())
     first = faults[0] if faults else None
@@ -1056,11 +1053,7 @@ class Driver:
         params = learn.incremental_update(learn.zero_params(split.train.X.shape[1]),
                                           split.train.X, split.train.y,
                                           hp.learning_rate, hp.l2_lambda, cfg.model.kind)
-        metrics = learn.evaluate(params, cfg.model.kind, split.val.X, split.val.y,
-                                 hp.threshold)
-        metrics.train_ticks = len(split.train) * self.costs.train_tick_per_record
-        metrics.inference_ticks = len(split.val) * self.costs.inference_tick_per_record
-        return learn.TrainResult(params, metrics, len(split.train))
+        return learn.scored(cfg.model.kind, split, hp, self.costs, (params, len(split.train)))
 
     def log_job(self, job: str, work: int, src: ComponentId, via_scheduler: bool = True) -> int:
         """Log a training job of ``work`` raw ticks as ``job_scheduled``; return its duration.
@@ -1348,7 +1341,7 @@ class Driver:
                                                accuracy=test_acc)
         for owner in sorted(self.domains):
             self.registry.deploy(entry, str(owner))
-        self._finish()
+        self._deployment_complete(entry.version)
 
     # -- scenario C helpers shared with domain behaviors ---------------------------------------------------
 

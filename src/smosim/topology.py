@@ -18,8 +18,8 @@ A hop is kept cheap by doing its lookups once, ahead of the run:
 - :class:`EventLog` keeps one row of typed columns per event, and builds no
   :class:`Event` while the run goes. A row's ``(type, src, dst, interface,
   payload_kind)`` is a code into the log's head table, which renders each
-  head's JSON text once. A ``send``, ``deliver`` or ``component_down`` row
-  keeps its message id in a column; only the other events keep a detail dict.
+  head's JSON text once. A run's ``send``, ``deliver`` and ``component_down``
+  rows keep only their message id, and read back as ``{"msg_id": n}``.
 
 Nothing here depends on id hashes for order: containers of ids that are
 iterated are dicts in insertion order, or are sorted by ``(kind, index)``.
@@ -232,80 +232,28 @@ def _fields_text(head: _Head) -> str:
     return _FIELDS % tuple(map(_COMPACT_JSON.encode, head))
 
 
-def _sole_msg_id(detail: dict[str, Any]) -> int | None:
-    """``n`` if ``detail`` is exactly ``{"msg_id": n}`` with ``n`` an int, else None."""
-    if len(detail) == 1:
-        msg_id = detail.get("msg_id")
-        if type(msg_id) is int:
-            return msg_id
-    return None
-
-
-@dataclass(slots=True, init=False)
+@dataclass(slots=True)
 class Event:
-    """One structured event-log entry, as :attr:`EventLog.entries` builds it.
-
-    :meth:`to_json` writes exactly ``json.dumps(entry, separators=(",", ":"))``
-    of the dict with the nine keys ``tick``, ``seq``, ``event_type``, ``src``,
-    ``dst``, ``interface``, ``payload_kind``, ``bytes`` and ``detail``, in that
-    order: compact separators, non-ASCII text escaped, NaN and infinities
-    written as ``NaN``/``Infinity``. ``tick``, ``seq`` and ``bytes`` are ints.
-
-    A detail that is exactly ``{"msg_id": n}``, with ``n`` an int, is kept as
-    ``msg_id`` alone, whether it is given as ``msg_id=n`` or as that dict:
-    ``detail`` then builds a new ``{"msg_id": n}`` on each read. So the two
-    forms render and compare alike.
-    """
+    """One event-log entry: the nine keys of its ``events.jsonl`` line, in order,
+    ``type`` standing for ``event_type``. :meth:`EventLog.to_jsonl` writes it as
+    ``json.dumps(entry, separators=(",", ":"))`` of them: non-ASCII text escaped,
+    NaN and infinities as ``NaN``/``Infinity``. ``detail`` is always a dict."""
 
     tick: int
     seq: int
     type: str
-    src: str | None
-    dst: str | None
-    interface: str | None
-    payload_kind: str | None
-    bytes: int
-    msg_id: int | None
-    _detail: dict[str, Any] | None  # None when msg_id stands for the detail
-
-    def __init__(self, tick: int, seq: int, type: str, src: str | None = None,
-                 dst: str | None = None, interface: str | None = None,
-                 payload_kind: str | None = None, bytes: int = 0,
-                 detail: dict[str, Any] | None = None, *, msg_id: int | None = None):
-        self.tick = tick
-        self.seq = seq
-        self.type = type
-        self.src = src
-        self.dst = dst
-        self.interface = interface
-        self.payload_kind = payload_kind
-        self.bytes = bytes
-        if detail is not None:
-            if msg_id is not None:
-                raise TypeError("an event takes a detail or a msg_id, not both")
-            msg_id = _sole_msg_id(detail)
-        elif msg_id is None:
-            detail = {}
-        self.msg_id = msg_id
-        self._detail = None if msg_id is not None else detail
-
-    @property
-    def detail(self) -> dict[str, Any]:
-        detail = self._detail
-        return {"msg_id": self.msg_id} if detail is None else detail
-
-    def to_json(self) -> str:
-        fields = _fields_text((self.type, self.src, self.dst, self.interface, self.payload_kind))
-        detail = self._detail
-        if detail is None:
-            return _MSG_LINE % (self.tick, self.seq, fields, self.bytes, self.msg_id)
-        return _LINE % (self.tick, self.seq, fields, self.bytes, _COMPACT_JSON.encode(detail))
+    src: str | None = None
+    dst: str | None = None
+    interface: str | None = None
+    payload_kind: str | None = None
+    bytes: int = 0
+    detail: dict[str, Any] = field(default_factory=dict)
 
     @staticmethod
     def from_json(line: str) -> "Event":
-        """The event whose :meth:`to_json` is ``line``."""
+        """The event whose ``events.jsonl`` line is ``line``."""
         entry = json.loads(line)
-        if type(entry) is not dict or list(entry) != _KEYS:
+        if type(entry) is not dict or list(entry) != _KEYS or type(entry["detail"]) is not dict:
             raise ValueError(f"not an event line: {line[:80]!r}")
         return Event(*entry.values())
 
@@ -318,10 +266,10 @@ class EventLog:
     every column to a list (only a log rebuilt from odd lines holds one). The
     head code indexes the head table, one entry per distinct ``(type, src,
     dst, interface, payload_kind)`` with its JSON text rendered once. A row
-    added without a ``msg_id`` keeps its detail dict in a sparse ``{row:
-    detail}`` map; any other row is a message's hop, whose detail is
-    ``{"msg_id": msg_id}``. :attr:`entries` reads the rows as :class:`Event`
-    objects, built only when read.
+    added without a ``msg_id`` (every row of a rebuilt log) keeps its detail
+    dict in a sparse ``{row: detail}`` map; any other row is a message's hop,
+    whose detail is ``{"msg_id": msg_id}``. :attr:`entries` reads the rows as
+    :class:`Event` objects, built only when read.
     """
 
     def __init__(self, events: Iterable[Event] = ()) -> None:
@@ -361,15 +309,15 @@ class EventLog:
                                zip(self._cols, (tick, seq, code, bytes, msg_id)))
 
     def append(self, event: Event) -> None:
-        """Append ``event``'s row, as a log rebuilt from ``events.jsonl`` does."""
+        """Append ``event``'s row with its detail, as a rebuilt log does."""
         self.add(event.tick, event.seq, event.type, event.src, event.dst, event.interface,
-                 event.payload_kind, event.bytes, event._detail, event.msg_id)
+                 event.payload_kind, event.bytes, event.detail, None)
 
     def _event(self, row: int) -> Event:
         detail = self._details.get(row)
         ticks, seqs, codes, sizes, ids = self._cols
-        return Event(ticks[row], seqs[row], *self._heads[codes[row]], sizes[row], detail,
-                     msg_id=None if detail is not None else ids[row])
+        return Event(ticks[row], seqs[row], *self._heads[codes[row]], sizes[row],
+                     {"msg_id": ids[row]} if detail is None else detail)
 
     def _where(self, keep: Callable[[str], bool]) -> list[Event]:
         """The events whose type ``keep`` accepts, built from their rows only."""
@@ -394,8 +342,8 @@ class EventLog:
         return {self._heads[code]: cell for code, cell in cells.items()}
 
     def to_jsonl(self) -> str:
-        """Each event's :meth:`Event.to_json` line, newline-terminated, rendered from
-        the columns."""
+        """Each event's ``events.jsonl`` line, newline-terminated, rendered from the
+        columns: the JSON of its nine keys, as :class:`Event` gives them."""
         texts, details, encode = self._texts, self._details, _COMPACT_JSON.encode
         msg_line, line = _MSG_LINE + "\n", _LINE + "\n"
         return "".join([

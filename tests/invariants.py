@@ -115,8 +115,9 @@ def check_invariants(result: RunResult) -> None:
             assert e.detail["resumed_phase"] == phase, \
                 f"restore at {e.tick} resumes {e.detail['resumed_phase']}, the log is in {phase}"
 
-    # the report is a fold of the log: a re-read log gives the same report text
-    reread = EventLog(Event.from_json(e.to_json()) for e in entries)
+    # the report is a fold of the log: the log re-read from the lines a run
+    # writes to events.jsonl gives the same report text
+    reread = EventLog(map(Event.from_json, result.sim.log.to_jsonl().splitlines()))
     assert json.dumps(report_from(result.driver.config, reread).to_dict()) == \
         json.dumps(report.to_dict()), "the report differs from the fold of its re-read log"
 

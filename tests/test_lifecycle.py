@@ -272,11 +272,22 @@ class TestCheckpoints:
         ("DecisionStump", ("parameters", 0), "1e999"),
         ("DecisionStump", ("parameters", 0), "-1"),
         ("DecisionStump", ("parameters", 0), "1.7"),
+        ("LinearSgd", ("version",), "1.7"),
+        ("LinearSgd", ("version",), '"3"'),
+        ("LinearSgd", ("version",), "true"),
+        ("LinearSgd", ("version",), "-1"),
+        ("LinearSgd", ("created_tick",), "-5"),
+        ("LinearSgd", ("created_tick",), "null"),
+        ("LinearSgd", ("metrics", "train_ticks"), "2.9"),
+        ("LinearSgd", ("metrics", "train_ticks"), "false"),
+        ("LinearSgd", ("metrics", "inference_ticks"), '"4"'),
+        ("LinearSgd", ("metrics", "inference_ticks"), "-2.0"),
     ])
     def test_an_out_of_range_number_is_an_invalid_artifact(self, tmp_path, kind, where, number):
         """Numbers that an int of them would overflow on, or would read as
         another stump feature than they name (-1 as the last column, 1.7
-        as column 1)."""
+        as column 1), and counts that are not whole numbers >= 0 (1.7 would
+        read as version 1, "3" as 3 and true as 1)."""
         artifact = _artifact()
         if kind == "DecisionStump":
             artifact = ModelArtifact(kind=ModelKind.DECISION_STUMP,

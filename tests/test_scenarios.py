@@ -5,6 +5,7 @@ from __future__ import annotations
 import copy
 import dataclasses
 import json
+import math
 import weakref
 from functools import partial
 
@@ -129,6 +130,18 @@ class TestScenarioB:
         report = result.report
         assert report.status == "completed"
         assert report.model["test_mse"] < report.model["baseline_test_mse"]
+
+    @pytest.mark.parametrize("online", [False, True])
+    def test_an_empty_validation_split_scores_nan_in_either_training_mode(self, online):
+        data = scenario_b_dict(200)
+        data["pipeline"]["split"] = {"train": 0.8, "val": 0.0, "test": 0.2, "seed": 7}
+        data["scenario"]["online_training"] = online
+        report = checked_run(build(data)).report
+        assert (report.status, report.failure) == ("completed", None)
+        val = report.model["val_metrics"]
+        assert all(math.isnan(val[key]) for key in ("mse", "rmse", "accuracy"))
+        assert val["inference_ticks"] == 0 and val["train_ticks"] > 0
+        assert math.isfinite(report.model["test_mse"])
 
     def test_rawdata_message_count_is_sources_times_batches(self):
         data = scenario_b_dict(n_per_source=20)
@@ -1468,8 +1481,7 @@ class TestFailover:
         data["topology"]["aiml_instances"] = 2
         data["harness"] = self._failure(100)
         result = checked_run(build(data))
-        deployed = [e.tick for e in result.sim.log.of_type("transition")
-                    if e.detail["state"] == "Deployed"]
+        deployed = [e.tick for e in result.sim.log.of_type("deployment_complete")]
         assert deployed == [13216]
         assert result.report.faults == [FaultRecord("component_failure", 100, 104, 13216)]
         assert result.report.time_to_resolution == 13116
@@ -1724,13 +1736,14 @@ class TestTimeline:
         assert timeline(events) == Timeline(
             [FaultRecord("component_failure", 7, 11, 15)], 4, 4, 8)
 
-    def test_a_deployed_transition_resolves_only_after_an_aggregation(self):
+    def test_a_deployed_transition_resolves_nothing_with_or_without_an_aggregation(self):
         deployed = (30, "transition", {"state": "Deployed"})
         head = [(10, "fault", {"kind": "component_failure"}), (14, "promotion", None)]
-        assert timeline(self._events(*head, deployed)).faults == [
-            FaultRecord("component_failure", 10, 14)]
-        assert timeline(self._events(*head, (20, "aggregation", None), deployed)).faults == [
-            FaultRecord("component_failure", 10, 14, 30)]
+        for events in (self._events(*head, deployed),
+                       self._events(*head, (20, "aggregation", None), deployed)):
+            assert timeline(events).faults == [FaultRecord("component_failure", 10, 14)]
+        assert timeline(self._events(*head, deployed, (31, "deployment_complete", None))) \
+            .faults == [FaultRecord("component_failure", 10, 14, 31)]
 
     def test_every_target_logs_the_shift_but_the_model_drifts_once(self, tmp_path):
         result = run_case("b_stream_incremental", tmp_path)

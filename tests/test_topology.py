@@ -459,18 +459,23 @@ def _events_sharing_keys(draw) -> list[Event]:
 
 @st.composite
 def _log_events(draw) -> list[Event]:
-    """Events over a few shared heads, each with a detail or a message id; the
-    ids include 0 and negative ones, and the details ``{"msg_id": n}`` and ``{}``."""
+    """Events over a few shared heads, each with a message's ``{"msg_id": n}``
+    detail or another one; the ids include 0 and negative ones, and the other
+    details ``{}``."""
     heads = draw(st.lists(st.tuples(st.text(max_size=12), _texts, _texts, _texts, _texts),
                           min_size=1, max_size=3))
     events = []
     for _ in range(draw(st.integers(0, 10))):
         fields = (draw(_ints), draw(_ints), *draw(st.sampled_from(heads)), draw(_ints))
         if draw(st.booleans()):
-            events.append(Event(*fields, msg_id=draw(st.sampled_from([0, -1]) | _ints)))
+            events.append(Event(*fields, {"msg_id": draw(st.sampled_from([0, -1]) | _ints)}))
         else:
             events.append(Event(*fields, draw(st.sampled_from([{}, {"msg_id": 0}]) | _details)))
     return events
+
+
+def _jsonl(events) -> str:
+    return "".join(_reference_line(e) + "\n" for e in events)
 
 
 class TestEventRendering:
@@ -489,43 +494,45 @@ class TestEventRendering:
         for bad in (n, -n - 1):
             with pytest.raises(IndexError):
                 entries[bad]
-        assert log.to_jsonl() == "".join(e.to_json() + "\n" for e in events)
+        assert log.to_jsonl() == _jsonl(events)
 
     @settings(max_examples=200, deadline=None)
     @given(st.lists(_events, max_size=4))
     def test_lines_equal_json_dumps_of_the_nine_keys(self, events):
-        lines = [e.to_json() for e in events]
-        assert lines == [_reference_line(e) for e in events]
         log = EventLog()
         for e in events:
             log.append(e)
-        assert log.to_jsonl() == "".join(line + "\n" for line in lines)
+        assert log.to_jsonl() == _jsonl(events)
 
     @settings(max_examples=200, deadline=None)
     @given(_events_sharing_keys())
-    def test_from_json_inverts_to_json_on_repeated_keys(self, events):
-        for e in events:
-            line = e.to_json()
-            assert line == _reference_line(e)
+    def test_from_json_inverts_the_line_on_repeated_keys(self, events):
+        lines = _jsonl(events)
+        for e, line in zip(events, lines.splitlines()):
             back = Event.from_json(line)
-            assert back.to_json() == line
+            assert _reference_line(back) == line
             assert (back.tick, back.seq, back.type, back.src, back.dst, back.interface,
                     back.payload_kind, back.bytes) == (e.tick, e.seq, e.type, e.src, e.dst,
                                                        e.interface, e.payload_kind, e.bytes)
             if "NaN" not in line:  # NaN != NaN, so only the text can match then
                 assert back == e
+        assert EventLog(map(Event.from_json, lines.splitlines())).to_jsonl() == lines
 
     def test_from_json_rejects_a_line_that_is_not_an_event(self):
-        line = Event(1, 2, "send", "NSSMF#0").to_json()
+        line = _reference_line(Event(1, 2, "send", "NSSMF#0"))
         assert Event.from_json(line) == Event(1, 2, "send", "NSSMF#0")
-        for bad in ('{"tick":1}', line.replace('"seq"', '"sequence"'), "[1, 2]", "5"):
+        for bad in ('{"tick":1}', line.replace('"seq"', '"sequence"'), "[1, 2]", "5",
+                    line.replace('"detail":{}', '"detail":null'),
+                    line.replace('"detail":{}', '"detail":[7]')):
             with pytest.raises(ValueError):
                 Event.from_json(bad)
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_a_golden_log_renders_as_its_events_lines(self, name, tmp_path):
         log = run_case(name, tmp_path).sim.log
-        assert log.to_jsonl() == "".join(e.to_json() + "\n" for e in log.entries)
+        text = log.to_jsonl()
+        rebuilt = EventLog(map(Event.from_json, text.splitlines()))
+        assert _jsonl(log.entries) == _jsonl(rebuilt.entries) == rebuilt.to_jsonl() == text
 
     def test_simulation_events_render_like_json_dumps(self):
         sim = _bare_sim(latency=2, overhead=24)
@@ -539,8 +546,7 @@ class TestEventRendering:
         sim.run_until(10)
         assert [e.type for e in sim.log.entries] == [
             "send", "custom", "deliver", "send", "component_down"]
-        assert sim.log.to_jsonl() == "".join(
-            _reference_line(e) + "\n" for e in sim.log.entries)
+        assert sim.log.to_jsonl() == _jsonl(sim.log.entries)
         first = sim.log.entries[0]
         assert (first.src, first.dst, first.interface, first.payload_kind, first.bytes) == (
             "NSSMF#0", "NssmfTermination#0", "NSSMF_NonRTRIC", "RawData", 34)
@@ -576,16 +582,17 @@ class TestMessageIdSlot:
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_every_event_of_a_run_round_trips_and_message_events_own_no_dict(self, name,
                                                                              tmp_path):
-        entries = run_case(name, tmp_path).sim.log.entries
+        log = run_case(name, tmp_path).sim.log
+        entries = list(log.entries)
         messages = [e for e in entries if e.type in _MESSAGE_EVENTS]
         assert messages
         for e in entries:
-            assert Event.from_json(e.to_json()) == e
+            assert Event.from_json(_reference_line(e)) == e
         for e in messages:
-            assert type(e.msg_id) is int and e._detail is None
-            assert e.detail == {"msg_id": e.msg_id}
-        assert all(e.msg_id is None and e._detail is not None
-                   for e in entries if e.type not in _MESSAGE_EVENTS)
+            assert list(e.detail) == ["msg_id"] and type(e.detail["msg_id"]) is int
+        # a message's row keeps its id in a column; only the other rows keep a dict
+        assert sorted(log._details) == [row for row, e in enumerate(entries)
+                                        if e.type not in _MESSAGE_EVENTS]
 
     def test_a_simulation_fills_the_slot_of_each_message_event(self):
         sim = _bare_sim(latency=1)
@@ -596,35 +603,11 @@ class TestMessageIdSlot:
         sim.fail_component(b, 1)
         sim.send(a, b, PayloadKind.REPORT, 2)
         sim.run_until(3)
-        assert [(e.type, e.msg_id, e._detail) for e in sim.log.entries] == [
-            ("send", 1, None), ("deliver", 1, None), ("send", 2, None),
-            ("component_down", 2, None)]
-        # each read builds its own dict, so a change to one reaches no event
-        first = sim.log.entries[0]
-        first.detail["msg_id"] = 9
-        assert first.detail == {"msg_id": 1} and first.detail is not first.detail
-
-    @pytest.mark.parametrize("msg_id", [0, 5, -3, 2 ** 70])
-    def test_a_msg_id_detail_and_the_slot_are_one_event(self, msg_id):
-        fields = (3, 7, "send", "NSSMF#0", "NssmfTermination#0", "NSSMF_NonRTRIC", "RawData",
-                  34)
-        given_dict = Event(*fields, {"msg_id": msg_id})
-        slot = Event(*fields, msg_id=msg_id)
-        assert given_dict == slot and repr(given_dict) == repr(slot)
-        assert given_dict.to_json() == slot.to_json() == _reference_line(slot)
-        assert (given_dict.msg_id, given_dict._detail) == (msg_id, None)
-        assert Event.from_json(slot.to_json()) == slot
-
-    @pytest.mark.parametrize("detail", [{}, {"msg_id": True}, {"msg_id": 5.0},
-                                        {"msg_id": None}, {"msg_id": 5, "extra": 1},
-                                        {"status": "completed"}])
-    def test_any_other_detail_keeps_its_dict(self, detail):
-        e = Event(1, 2, "send", detail=detail)
-        assert e.msg_id is None and e.detail is detail
-        assert e != Event(1, 2, "send", msg_id=5)
-        assert e.to_json() == _reference_line(e)
-
-    def test_an_event_takes_a_detail_or_a_msg_id_not_both(self):
-        assert Event(1, 2, "x").detail == {}
-        with pytest.raises(TypeError):
-            Event(1, 2, "send", detail={"msg_id": 1}, msg_id=1)
+        assert [(e.type, e.detail) for e in sim.log.entries] == [
+            ("send", {"msg_id": 1}), ("deliver", {"msg_id": 1}), ("send", {"msg_id": 2}),
+            ("component_down", {"msg_id": 2})]
+        assert not sim.log._details
+        # each read builds its own event and dict, so a change to one reaches no other
+        entries = sim.log.entries
+        entries[0].detail["msg_id"] = 9
+        assert entries[0].detail == {"msg_id": 1} and entries[0].detail is not entries[0].detail
