@@ -236,6 +236,9 @@ MAX_TICK = 2 ** 63 - 1
 # after a failure a replica checks once per missed heartbeat until it declares,
 # so a config may not ask it to wait for an unbounded number
 MAX_MISSED_BEATS = 10_000
+# the scheduler steps tick by tick until every job class has its work, so a config
+# may not preset an unbounded total
+MAX_JOB_WORK = 100_000
 
 
 @dataclass(frozen=True)
@@ -345,7 +348,8 @@ class JobClass:
     priority: int = 0  # larger = scheduled first
     demand: int = _min(1, default=1)  # requested capacity per tick
     # total capacity-ticks; None = filled at runtime
-    work: int | None = _rule(lambda v: v is None or v >= 1, "must be >= 1 or null, got {v}",
+    work: int | None = _rule(lambda v: v is None or 1 <= v <= MAX_JOB_WORK,
+                             f"must lie in [1, {MAX_JOB_WORK}] or be null, got {{v}}",
                              default=None)
 
 

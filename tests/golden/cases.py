@@ -130,6 +130,60 @@ def b_stream_failover(workdir: Path) -> dict[str, Any]:
     return data
 
 
+def b_ridge_scheduler(workdir: Path) -> dict[str, Any]:
+    """RidgeClosedForm under the priority scheduler: the training job and the
+    drift refinement each run as the open ``training`` class beside a
+    higher-priority NF workload, and take its completion tick under contention."""
+    data = scenario_b_dict(n_per_source=120, seed=19)
+    data["model"] = {"kind": "RidgeClosedForm", "hyperparams": {"l2_lambda": 0.5}}
+    data["deploy"] = {"targets": ["MdaSystem3GPP#0"]}
+    data["monitor"] = {"rounds": 4, "interval": 10, "batch": 10, "window": 20,
+                       "min_samples": 10, "drift_factor": 2.0, "max_refinements": 1}
+    data["harness"] = {
+        "scheduler": {"budget": 4, "classes": [
+            {"name": "training", "priority": 1, "demand": 3},
+            {"name": "NfWorkload", "priority": 2, "demand": 2, "work": 60}]},
+        "drift_shift": {"at_round": 2, "bias": 3.0}}
+    return data
+
+
+def b_stump_full_refit(workdir: Path) -> dict[str, Any]:
+    """A DecisionStump whose drift refinement refits a stump afresh on the window."""
+    schema = [numeric_feature("cpu"), numeric_feature("mem")]
+    data = scenario_b_dict(seed=37)
+    data.update({
+        "topology": {"nssmf": 1, "mda_3gpp": 1},
+        "sources": [source("NSSMF#0", 150, schema, [2.0, -1.0], bias=0.3, sigma=0.05)],
+        "model": {"kind": "DecisionStump"},
+        "deploy": {"targets": ["MdaSystem3GPP#0"]},
+        "monitor": {"rounds": 5, "interval": 10, "batch": 15, "window": 30,
+                    "min_samples": 15, "drift_factor": 2.0, "refit": "full",
+                    "max_refinements": 2},
+        "harness": {"drift_shift": {"at_round": 2, "coefficients": [-2.0, 1.0]}},
+    })
+    return data
+
+
+def b_monitor_failover(workdir: Path) -> dict[str, Any]:
+    """The primary AI/ML instance dies while it monitors the deployed model; the
+    replica restores the Monitored entry from its checkpoint and goes on
+    monitoring it as it stands."""
+    schema = [numeric_feature("cpu"), numeric_feature("mem")]
+    data = scenario_b_dict(seed=47)
+    data.update({
+        "topology": {"nssmf": 1, "mda_3gpp": 1, "aiml_instances": 2},
+        "sources": [source("NSSMF#0", 120, schema, [1.5, -0.5], bias=0.2, sigma=0.05)],
+        "model": {"kind": "LinearSgd",
+                  "hyperparams": {"learning_rate": 0.1, "epochs": 5, "batch_size": 16}},
+        "deploy": {"targets": ["MdaSystem3GPP#0"]},
+        "monitor": {"rounds": 6, "interval": 20, "batch": 10, "drift_factor": 10.0},
+        "harness": {"failure": {"target": "AimlFunction#0", "replicas": ["AimlFunction#1"],
+                                "fail_tick": 430, "heartbeat_interval": 10,
+                                "missed_to_declare": 2, "checkpoint_interval": 20}},
+    })
+    return data
+
+
 def c_share_models(workdir: Path) -> dict[str, Any]:
     schema = [numeric_feature("cpu"), numeric_feature("mem")]
     return {
@@ -145,6 +199,28 @@ def c_share_models(workdir: Path) -> dict[str, Any]:
                      "split": {"train": 0.7, "val": 0.15, "test": 0.15, "seed": 3}},
         "model": {"kind": "LinearSgd",
                   "hyperparams": {"learning_rate": 0.1, "epochs": 25, "batch_size": 16}},
+    }
+
+
+def c_share_models_failover(workdir: Path) -> dict[str, Any]:
+    """The primary dies in the second share-models round; the replica, which
+    holds no model, requests that round again from both domains."""
+    schema = [numeric_feature("cpu"), numeric_feature("mem")]
+    return {
+        "scenario": {"kind": "C", "mode": "share-models", "rounds": 3},
+        "seed": 53,
+        "topology": {"nssmf": 1, "nfvo": 1, "mda_3gpp": 1, "mda_nfv": 1, "aiml_instances": 2},
+        "sources": [
+            source("MdaSystem3GPP#0", 60, schema, [2.0, -1.0], bias=0.5, sigma=0.1),
+            source("MdaSystemNFV#0", 60, schema, [2.0, -1.0], bias=0.5, sigma=0.1),
+        ],
+        "pipeline": {"scaling": "schema_range",
+                     "split": {"train": 0.7, "val": 0.15, "test": 0.15, "seed": 3}},
+        "model": {"kind": "LinearSgd",
+                  "hyperparams": {"learning_rate": 0.1, "epochs": 3, "batch_size": 16}},
+        "harness": {"failure": {"target": "AimlFunction#0", "replicas": ["AimlFunction#1"],
+                                "fail_tick": 180, "heartbeat_interval": 20,
+                                "missed_to_declare": 2, "checkpoint_interval": 40}},
     }
 
 
@@ -205,6 +281,26 @@ def a_import_model(workdir: Path) -> dict[str, Any]:
     }
 
 
+def a_import_data(workdir: Path) -> dict[str, Any]:
+    """A CSV of transformed rows is written into ``workdir`` and named by a
+    relative path; the Non-RT RIC trains on it and deploys the model."""
+    rng = np.random.default_rng(41)
+    X = rng.uniform(0.0, 1.0, size=(120, 2))
+    y = X @ np.array([1.5, -0.5]) + 0.2 + rng.normal(0.0, 0.05, size=120)
+    rows = [",".join(repr(float(v)) for v in (*row, target)) for row, target in zip(X, y)]
+    (workdir / "data.csv").write_text("\n".join(["cpu,mem,target", *rows]) + "\n")
+    return {
+        "scenario": {"kind": "A", "mode": "import-data"},
+        "seed": 43,
+        "topology": {"nssmf": 1, "mda_3gpp": 1, "external_provider": True},
+        "pipeline": {"split": {"train": 0.7, "val": 0.15, "test": 0.15, "seed": 4}},
+        "model": {"kind": "LinearSgd",
+                  "hyperparams": {"learning_rate": 0.1, "epochs": 10, "batch_size": 16}},
+        "deploy": {"targets": ["MdaSystem3GPP#0"]},
+        "external": {"data_path": "data.csv"},
+    }
+
+
 CASES: dict[str, Callable[[Path], dict[str, Any]]] = {
     "b_small": b_small,
     "b_online_search": b_online_search,
@@ -212,9 +308,14 @@ CASES: dict[str, Callable[[Path], dict[str, Any]]] = {
     "b_drift_full": b_drift_full,
     "b_stream_incremental": b_stream_incremental,
     "b_stream_failover": b_stream_failover,
+    "b_ridge_scheduler": b_ridge_scheduler,
+    "b_stump_full_refit": b_stump_full_refit,
+    "b_monitor_failover": b_monitor_failover,
     "c_share_models": c_share_models,
+    "c_share_models_failover": c_share_models_failover,
     "c_share_data": c_share_data,
     "a_import_model": a_import_model,
+    "a_import_data": a_import_data,
 }
 
 

@@ -21,6 +21,7 @@ from smosim.config import (
     EmissionSpec,
     HarnessSpec,
     MAX_COMPONENTS,
+    MAX_JOB_WORK,
     MAX_MISSED_BEATS,
     MAX_RECORDS,
     MAX_ROUNDS,
@@ -100,6 +101,9 @@ MALFORMED = [
     (("harness", "failure"), {"target": "AimlFunction#0", "replicas": ["AimlFunction#0"]},
      ConfigError, "harness.failure.replicas[0]"),
     (("harness", "scheduler"), {"budget": 4, "classes": [{"name": "a", "work": -3}]},
+     ConfigError, "harness.scheduler.classes[0].work"),
+    (("harness", "scheduler"), {"budget": 4, "classes": [{"name": "a",
+                                                          "work": MAX_JOB_WORK + 1}]},
      ConfigError, "harness.scheduler.classes[0].work"),
     (("harness", "scheduler"), {"budget": 4, "classes": [{"name": "a"}, {"name": "a"}]},
      ConfigError, "harness.scheduler.classes[1].name"),
