@@ -749,7 +749,8 @@ class Driver:
 
     def _wire(self) -> None:
         """Install one dispatcher per component: forward in-transit messages,
-        hand terminal deliveries to the component's role behaviors.
+        hand terminal deliveries to the active AI/ML function's handler there,
+        and to the component's role behaviors anywhere else.
 
         A component can hold two roles, a data source that is also a deploy
         target: each role's handler ignores the other's messages, so the
@@ -771,7 +772,6 @@ class Driver:
             behavior = _TargetBehavior(self, target, spec)
             self.targets[target] = behavior
             roles.setdefault(target, []).append(behavior.handle)
-        roles[self.active_aiml] = [self._aiml_handle]
         if self.plan is not None:
             for replica in self.plan.replicas:
                 rb = _ReplicaBehavior(self, replica, self.plan.target)
@@ -906,7 +906,7 @@ class Driver:
         td = pipeline.transformed_from_csv(text)
         self.transformed = td
         self._enter(Phase.TRAIN)
-        self._train_on(td, origin="internal")
+        self._train_on(td)
 
     def _retrain(self) -> None:
         """Train afresh: on the external CSV in import-data, on a new collection otherwise."""
@@ -1018,9 +1018,9 @@ class Driver:
         self.transformed = td
         self.exploration = pipeline.explore(td) if len(td) >= 2 else None
         self._enter(Phase.TRAIN)
-        self._train_on(td, origin="internal")
+        self._train_on(td)
 
-    def _train_on(self, td: pipeline.TransformedDataset, origin: str) -> None:
+    def _train_on(self, td: pipeline.TransformedDataset) -> None:
         cfg = self.config
         split = pipeline.split(td, cfg.pipeline.split)
         self.split = split
@@ -1039,8 +1039,8 @@ class Driver:
         ticks += result.metrics.train_ticks
         self._chosen_hp = hp
         done = self.sim.clock + self.log_job("training", ticks, self.active_aiml)
-        self.schedule_owned(done, self.active_aiml,
-                            lambda: self._on_trained(result, origin))
+        self.schedule_owned(done, self.active_aiml, lambda: self._install(
+            result.params, result.metrics, td.feature_names, td.scaler, refined=False))
 
     def _trains_online(self) -> bool:
         """Whether :meth:`_fit` trains by one per-sample SGD pass, not as :func:`learn.train`."""
@@ -1086,36 +1086,52 @@ class Driver:
         self.sim.log_event("job_scheduled", src=src, detail=detail)
         return detail["ticks"]
 
-    def _on_trained(self, result: learn.TrainResult, origin: str) -> None:
+    def _install(self, params, metrics: learn.EvalMetrics, feature_names: list[str],
+                 scaler: pipeline.ScalingParams, refined: bool) -> None:
+        """Put a trained or refined model in service: build its artifact, register
+        it (or a new version of it), score it on the initial test split, validate
+        it, restart the monitor window on a refinement's baseline, and deploy it.
+
+        The test split's score is the run's test metrics for a trained model,
+        and a refinement's ``forgetting_mse``. A registry restored from a
+        checkpoint already holds the entry, so a rerun after a failover also
+        registers a new version."""
         cfg = self.config
-        assert self.split is not None and self.transformed is not None
         artifact = ModelArtifact(
-            kind=cfg.model.kind,
-            parameters=result.params,
-            feature_names=list(self.transformed.feature_names),
-            scaler=self.transformed.scaler,
-            metrics=result.metrics,
-            origin=origin,
-            created_tick=self.sim.clock,
-            packaged=cfg.deploy.packaged,
-        )
-        provenance = {
-            "scenario": cfg.kind.value,
-            "dataset_config_hash": self.config_hash,
-            "search_spec_hash": _search_hash(cfg),
-        }
+            kind=cfg.model.kind, parameters=params, feature_names=list(feature_names),
+            scaler=scaler, metrics=metrics, origin="internal", created_tick=self.sim.clock,
+            packaged=cfg.deploy.packaged)
         if MODEL_ID in self.registry.entries:
-            # refinement, or a rerun on a registry restored from checkpoint
             entry = self.registry.reregister(MODEL_ID, artifact)
         else:
-            entry = self.registry.register(artifact, MODEL_ID, provenance=provenance)
-        test = learn.evaluate(result.params, cfg.model.kind, self.split.test.X,
-                              self.split.test.y, cfg.model.hyperparams.threshold)
-        self.sim.log_event("inference", src=self.active_aiml,
-                           detail={"records": len(self.split.test)})
-        self._test_metrics = test
+            entry = self.registry.register(artifact, MODEL_ID, provenance=self._provenance())
+        split = self.split
+        if split is not None:  # import-model has none
+            test = learn.evaluate(params, cfg.model.kind, split.test.X, split.test.y,
+                                  cfg.model.hyperparams.threshold)
+            detail = {"records": len(split.test)}
+            if refined:
+                detail["forgetting_mse"] = test.mse
+            else:
+                self._test_metrics = test
+            self.sim.log_event("inference", src=self.active_aiml, detail=detail)
         self.registry.transition(entry, LifecycleState.VALIDATED)
+        if refined and self.monitor is not None:
+            self.monitor.clear(new_baseline=metrics.mse)
         self._deploy(entry)
+
+    def _provenance(self) -> dict[str, str]:
+        """The provenance a registration records: the scenario and the hashes of
+        the config and of the search spec (``"none"`` without a search)."""
+        cfg = self.config
+        search = "none" if cfg.search is None else hashlib.sha256(json.dumps({
+            "mode": cfg.search.mode,
+            "grid": {k: list(v) for k, v in cfg.search.grid.items()},
+            "ranges": {k: list(v) for k, v in cfg.search.ranges.items()},
+            "budget": cfg.search.budget, "seed": cfg.search.seed,
+        }, sort_keys=True).encode()).hexdigest()[:12]
+        return {"scenario": cfg.kind.value, "dataset_config_hash": self.config_hash,
+                "search_spec_hash": search}
 
     # -- deployment ----------------------------------------------------------------------------------
 
@@ -1256,29 +1272,8 @@ class Driver:
                                  hp.threshold)
         self.sim.log_event("inference", src=self.active_aiml, detail={"records": len(X_hold)})
         metrics.train_ticks = work
-        self.schedule_owned(done, self.active_aiml,
-                            lambda: self._complete_refinement(entry, params, metrics))
-
-    def _complete_refinement(self, entry, params, metrics) -> None:
-        cfg = self.config
-        artifact = ModelArtifact(
-            kind=cfg.model.kind, parameters=params,
-            feature_names=list(entry.artifact.feature_names),
-            scaler=entry.artifact.scaler, metrics=metrics,
-            origin="internal", created_tick=self.sim.clock,
-            packaged=cfg.deploy.packaged,
-        )
-        entry = self.registry.reregister(MODEL_ID, artifact)
-        if self.split is not None:
-            # forgetting: the refined model on the initial test split
-            forgetting = learn.evaluate(params, cfg.model.kind, self.split.test.X,
-                                        self.split.test.y, cfg.model.hyperparams.threshold)
-            self.sim.log_event("inference", src=self.active_aiml, detail={
-                "records": len(self.split.test), "forgetting_mse": forgetting.mse})
-        self.registry.transition(entry, LifecycleState.VALIDATED)
-        if self.monitor is not None:
-            self.monitor.clear(new_baseline=metrics.mse)
-        self._deploy(entry)
+        self.schedule_owned(done, self.active_aiml, lambda: self._install(
+            params, metrics, entry.artifact.feature_names, entry.artifact.scaler, refined=True))
 
     # -- scenario C (share-models) -----------------------------------------------------------------------
 
@@ -1333,9 +1328,7 @@ class Driver:
         artifact = self._global_artifact
         artifact.metrics = learn.EvalMetrics(mse=val_mse, rmse=math.sqrt(val_mse),
                                              accuracy=val_acc)
-        entry = self.registry.register(artifact, MODEL_ID, provenance={
-            "scenario": "C", "dataset_config_hash": self.config_hash,
-            "search_spec_hash": _search_hash(self.config)})
+        entry = self.registry.register(artifact, MODEL_ID, provenance=self._provenance())
         self.registry.transition(entry, LifecycleState.VALIDATED)
         self._test_metrics = learn.EvalMetrics(mse=test_mse, rmse=math.sqrt(test_mse),
                                                accuracy=test_acc)
@@ -1370,9 +1363,7 @@ class Driver:
         y = records.target
         try:
             entry = self.registry.register(
-                artifact, MODEL_ID,
-                provenance={"scenario": "A", "dataset_config_hash": self.config_hash,
-                            "search_spec_hash": _search_hash(cfg)},
+                artifact, MODEL_ID, provenance=self._provenance(),
                 validation=(base[:n_val], y[:n_val]),
                 mse_threshold=cfg.external.validation_mse_threshold)
         except InvalidArtifact as exc:
@@ -1562,18 +1553,6 @@ class RunResult:
     @property
     def registry(self) -> Registry:
         return self.driver.registry
-
-
-def _search_hash(config: ScenarioConfig) -> str:
-    if config.search is None:
-        return "none"
-    blob = json.dumps({
-        "mode": config.search.mode,
-        "grid": {k: list(v) for k, v in config.search.grid.items()},
-        "ranges": {k: list(v) for k, v in config.search.ranges.items()},
-        "budget": config.search.budget, "seed": config.search.seed,
-    }, sort_keys=True)
-    return hashlib.sha256(blob.encode()).hexdigest()[:12]
 
 
 def run_scenario(config: ScenarioConfig) -> RunResult:
