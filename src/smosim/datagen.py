@@ -238,8 +238,7 @@ def encode(schema: list[FeatureSpec], columns: dict[str, np.ndarray],
 
 
 def generate_batch(spec: SourceSpec, n: int, seed: int | np.random.Generator,
-                   id_start: int = 0, tick: int = 0,
-                   owner: ComponentId | None = None, parts: int = 1) -> RecordBatch:
+                   id_start: int = 0, tick: int = 0, parts: int = 1) -> RecordBatch:
     """Draw ``parts`` batches of n records each from the source's generative process.
 
     The base records of all parts are drawn at once: each field as one column
@@ -306,7 +305,7 @@ def generate_batch(spec: SourceSpec, n: int, seed: int | np.random.Generator,
             lo, hi = f.valid_range  # type: ignore[misc]
             columns[f.name][hit[victim == j]] = hi + spec.error_factor * (hi - lo)
     size = len(target)
-    return RecordBatch({owner or spec.owner: tuple(spec.schema)}, columns,
+    return RecordBatch({spec.owner: tuple(spec.schema)}, columns,
                        id_start + (rows + m * np.arange(parts)[:, None]).ravel(),
                        np.zeros(size, dtype=np.int64), np.full(size, tick, dtype=np.int64),
                        target, np.zeros(size, dtype=bool))

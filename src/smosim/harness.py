@@ -164,7 +164,7 @@ class ScheduleResult:
     total_allocated: dict[str, int] = field(default_factory=dict)
 
 
-def schedule(spec: SchedulerSpec, horizon: int | None = None) -> ScheduleResult:
+def schedule(spec: SchedulerSpec) -> ScheduleResult:
     """Strict-priority allocation with round-robin inside equal priority.
 
     Each tick hands out at most `budget` units: higher priority classes
@@ -189,8 +189,6 @@ def schedule(spec: SchedulerSpec, horizon: int | None = None) -> ScheduleResult:
     tick = 0
     while any(remaining[j.name] > 0 for j in jobs):
         tick += 1
-        if horizon is not None and tick > horizon:
-            break
         budget_left = spec.budget
         row: dict[str, int] = {j.name: 0 for j in jobs}
         for prio in priorities:

@@ -121,10 +121,6 @@ class ModelArtifact:
             raise InvalidArtifact(f"malformed artifact: {exc}") from None
 
 
-def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(artifact.to_dict(), indent=2) + "\n")
-
-
 def load_artifact(path: str | Path) -> ModelArtifact:
     try:
         d = json.loads(Path(path).read_text())

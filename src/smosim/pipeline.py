@@ -431,7 +431,7 @@ def split(td: TransformedDataset, spec: SplitSpec) -> SplitDataset:
 # -- CSV / JSONL interchange ----------------------------------------------------------
 
 
-def transformed_from_csv(text: str, scaler: ScalingParams | None = None) -> TransformedDataset:
+def transformed_from_csv(text: str) -> TransformedDataset:
     lines = [ln for ln in text.strip().splitlines() if ln]
     if not lines:
         raise EmptyDataset("CSV file has no rows")
@@ -446,10 +446,9 @@ def transformed_from_csv(text: str, scaler: ScalingParams | None = None) -> Tran
         data = np.array(rows, dtype=float)
     except ValueError as exc:
         raise SchemaMismatch(f"CSV holds a non-numeric value: {exc}") from None
-    if scaler is None:
-        scaler = ScalingParams("none", names, np.zeros(len(names)), np.ones(len(names)))
     return TransformedDataset(
-        feature_names=names, X=data[:, :-1], y=data[:, -1], scaler=scaler,
+        feature_names=names, X=data[:, :-1], y=data[:, -1],
+        scaler=ScalingParams("none", names, np.zeros(len(names)), np.ones(len(names))),
         record_ids=np.arange(len(data)),
         poisoned=np.zeros(len(data), dtype=bool),
     )

@@ -212,9 +212,8 @@ class InterfaceMessage:
 # json.dumps(entry, separators=(",", ":")) without building an encoder per event
 _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 
-# the text an event stores for each interface and payload kind, and for None
-_ENUM_TEXT: dict[Enum | None, str | None] = {
-    None: None, **{m: m.value for enum in (InterfaceName, PayloadKind) for m in enum}}
+# the text an event stores for each payload kind
+_KIND_TEXT: dict[PayloadKind, str] = {kind: kind.value for kind in PayloadKind}
 
 _FIELDS = '"event_type":%s,"src":%s,"dst":%s,"interface":%s,"payload_kind":%s'
 _KEYS = ["tick", "seq", "event_type", "src", "dst", "interface", "payload_kind", "bytes",
@@ -539,11 +538,9 @@ class Simulation:
         heappush(self._heap, (tick, self._seq, action))
 
     def log_event(self, type: str, *, src: ComponentId | None = None,
-                  dst: ComponentId | None = None, interface: InterfaceName | None = None,
-                  payload_kind: PayloadKind | None = None, bytes: int = 0,
                   detail: dict[str, Any] | None = None) -> None:
-        self._event(type, None if src is None else src._text, None if dst is None else dst._text,
-                    _ENUM_TEXT[interface], _ENUM_TEXT[payload_kind], bytes, detail)
+        """Log a fact that is no message's hop, at the clock."""
+        self._event(type, None if src is None else src._text, None, None, None, 0, detail)
 
     def _event(self, type: str, src: str | None, dst: str | None, interface: str | None,
                payload_kind: str | None, bytes: int, detail: dict[str, Any] | None,
@@ -594,7 +591,7 @@ class Simulation:
         msg = InterfaceMessage(msg_id, src, dst, wire.interface, payload_kind,
                                int(payload_bytes), clock, clock + wire.latency, payload,
                                final_dst, meta or {})
-        self._event("send", src._text, dst._text, wire.text, _ENUM_TEXT[payload_kind],
+        self._event("send", src._text, dst._text, wire.text, _KIND_TEXT[payload_kind],
                     msg.payload_bytes + wire.overhead_bytes, None, msg_id)
         self._seq += 1  # schedule() without its check: latency >= 0, so never in the past
         heappush(self._heap, (msg.deliver_tick, self._seq, partial(self._deliver, msg, wire)))
@@ -605,7 +602,7 @@ class Simulation:
         alive = self.topology.components[dst].alive_at(self.clock)  # linked, so declared
         kind = msg.payload_kind
         self._event("deliver" if alive or kind is PayloadKind.HEARTBEAT else "component_down",
-                    msg.src._text, dst._text, wire.text, _ENUM_TEXT[kind],
+                    msg.src._text, dst._text, wire.text, _KIND_TEXT[kind],
                     msg.payload_bytes + wire.overhead_bytes, None, msg.msg_id)
         if alive:
             handler = self.handlers.get(dst)
@@ -617,18 +614,6 @@ class Simulation:
         return signaling_table(self.topology.interfaces, self.log)
 
     # -- time ---------------------------------------------------------------------
-
-    def run_until(self, t: int) -> list[Event]:
-        """Process all events with tick <= t in (tick, seq) order; clock = t."""
-        if t < self.clock:
-            raise ValueError(f"run_until({t}) is in the past (clock={self.clock})")
-        start = len(self.log.entries)
-        while self._heap and self._heap[0][0] <= t:
-            tick, _seq, action = heappop(self._heap)
-            self.clock = tick
-            action()
-        self.clock = t
-        return self.log.entries[start:]
 
     def stop(self) -> None:
         """Make :meth:`run_to_completion` return once the running action returns.
@@ -647,9 +632,6 @@ class Simulation:
             action = heappop(heap)[2]
             self.clock = tick
             action()
-
-    def pending(self) -> bool:
-        return bool(self._heap)
 
 
 def signaling_table(interfaces: Iterable[InterfaceName], log: EventLog) -> dict[str, Any]:

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import json
+from pathlib import Path
 from typing import Any
 
 import numpy as np
@@ -10,8 +12,10 @@ import pytest
 from smosim import config_from_dict
 from smosim.config import FeatureSpec, ScenarioConfig
 from smosim.datagen import RecordBatch
+from smosim.errors import TickLimitExceeded
+from smosim.lifecycle import ModelArtifact
 from smosim.pipeline import TransformedDataset
-from smosim.topology import ComponentId, ComponentKind
+from smosim.topology import ComponentId, ComponentKind, Event, Simulation
 
 
 def numeric_feature(name: str, lo: float = 0.0, hi: float = 1.0,
@@ -66,6 +70,23 @@ def build(data: dict[str, Any]) -> ScenarioConfig:
 @pytest.fixture
 def scenario_b_config() -> ScenarioConfig:
     return build(scenario_b_dict())
+
+
+def run_until(sim: Simulation, t: int) -> list[Event]:
+    """Run every action due by tick ``t`` in (tick, seq) order, then move the
+    clock on to ``t``; the events logged meanwhile."""
+    start = len(sim.log.entries)
+    try:
+        sim.run_to_completion(t)
+    except TickLimitExceeded:  # the next action is due after t
+        pass
+    sim.clock = max(sim.clock, t)
+    return sim.log.entries[start:]
+
+
+def save_artifact(artifact: ModelArtifact, path: str | Path) -> None:
+    """Write ``artifact`` as the JSON file that ``lifecycle.load_artifact`` reads."""
+    Path(path).write_text(json.dumps(artifact.to_dict(), indent=2) + "\n")
 
 
 def transformed_to_csv(td: TransformedDataset) -> str:

@@ -20,7 +20,8 @@ import numpy as np
 from smosim import config_from_dict, run_scenario
 from smosim.scenarios import RunResult
 
-from conftest import categorical_feature, numeric_feature, scenario_b_dict, source
+from conftest import (categorical_feature, numeric_feature, save_artifact, scenario_b_dict,
+                      source)
 
 GOLDEN_DIR = Path(__file__).resolve().parent
 
@@ -257,7 +258,7 @@ def a_import_model(workdir: Path) -> dict[str, Any]:
     so the config hash does not depend on where the test runs."""
     from smosim.learn import EvalMetrics, LinearParams
     from smosim.config import ModelKind
-    from smosim.lifecycle import ModelArtifact, save_artifact
+    from smosim.lifecycle import ModelArtifact
     from smosim.pipeline import ScalingParams
 
     artifact = ModelArtifact(

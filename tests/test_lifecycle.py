@@ -21,11 +21,10 @@ from smosim.lifecycle import (
     MonitorWindow,
     Registry,
     load_artifact,
-    save_artifact,
 )
 from smosim.pipeline import ScalingParams
 
-from conftest import record_batch
+from conftest import record_batch, save_artifact
 
 
 def _artifact(width: int = 2, origin: str = "internal", mse: float = 0.01) -> ModelArtifact:

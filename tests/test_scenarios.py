@@ -45,7 +45,8 @@ from smosim.topology import (
     build_topology,
 )
 
-from conftest import build, numeric_feature, scenario_b_dict, source, transformed_to_csv
+from conftest import (build, numeric_feature, save_artifact, scenario_b_dict, source,
+                      transformed_to_csv)
 from golden.cases import (a_import_model, b_drift_full, b_stream_incremental,
                           c_share_data, c_share_models, run_case)
 from invariants import check_invariants, checked_run
@@ -590,8 +591,7 @@ class TestRouting:
         sim.fail_component(nssmf, -1)
         driver.route_send(nfmf, aiml, PayloadKind.RAW_DATA, 100, meta={"source": "NFMF#0"})
         driver.route_send(nfmf, aiml, PayloadKind.HEARTBEAT, 8)
-        sim.run_until(1_000)
-        assert not sim.pending()
+        sim.run_to_completion(1_000)  # returns: nothing is left queued past tick 1,000
         hop = ("NFMF#0", "NSSMF#0", "SmoInternal")
         assert [(e.type, e.src, e.dst, e.interface, e.payload_kind, e.bytes, e.detail)
                 for e in sim.log.entries] == [
@@ -605,7 +605,7 @@ class TestRouting:
 class TestScenarioAImportModel:
     def _config(self, tmp_path, weights, bias, threshold=0.05, offset=0.0,
                 validation_batch=200, **overrides):
-        from smosim.lifecycle import ModelArtifact, save_artifact
+        from smosim.lifecycle import ModelArtifact
         from smosim.learn import EvalMetrics
         from smosim.pipeline import ScalingParams
 

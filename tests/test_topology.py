@@ -36,7 +36,7 @@ from smosim.topology import (
     census,
 )
 
-from conftest import scenario_b_dict
+from conftest import run_until, scenario_b_dict
 from golden.cases import CASES, run_case
 from invariants import checked_run
 
@@ -155,13 +155,13 @@ class TestBuildTopology:
 class TestSend:
     def test_latency_is_additive(self):
         sim = _bare_sim(latency=2)
-        sim.run_until(5)
+        run_until(sim, 5)
         msg = sim.send(ComponentId(ComponentKind.NSSMF, 0),
                        ComponentId(ComponentKind.NSSMF_TERMINATION, 0),
                        PayloadKind.RAW_DATA, 100)
         assert msg.send_tick == 5
         assert msg.deliver_tick == 7
-        sim.run_until(7)
+        run_until(sim, 7)
         delivers = sim.log.of_type("deliver")
         assert len(delivers) == 1 and delivers[0].tick == 7
 
@@ -170,7 +170,7 @@ class TestSend:
         dst = ComponentId(ComponentKind.NSSMF_TERMINATION, 0)
         sim.fail_component(dst, -1)
         sim.send(ComponentId(ComponentKind.NSSMF, 0), dst, PayloadKind.RAW_DATA, 10)
-        sim.run_until(10)
+        run_until(sim, 10)
         assert len(sim.log.of_type("component_down")) == 1
         assert len(sim.log.of_type("deliver")) == 0
 
@@ -179,7 +179,7 @@ class TestSend:
         dst = ComponentId(ComponentKind.NSSMF_TERMINATION, 0)
         sim.fail_component(dst, -1)
         sim.send(ComponentId(ComponentKind.NSSMF, 0), dst, PayloadKind.HEARTBEAT, 8)
-        sim.run_until(10)
+        run_until(sim, 10)
         assert len(sim.log.of_type("deliver")) == 1
 
     def test_undeclared_route_raises(self):
@@ -200,7 +200,7 @@ class TestSend:
 class TestRunUntil:
     def test_runs_nothing_for_current_tick(self):
         sim = _bare_sim()
-        events = sim.run_until(0)
+        events = run_until(sim, 0)
         assert events == []
 
     def test_processes_only_due_events(self):
@@ -208,17 +208,11 @@ class TestRunUntil:
         fired = []
         sim.schedule(3, lambda: fired.append(3))
         sim.schedule(7, lambda: fired.append(7))
-        sim.run_until(5)
+        run_until(sim, 5)
         assert fired == [3]
         assert sim.clock == 5
-        sim.run_until(7)
+        run_until(sim, 7)
         assert fired == [3, 7]
-
-    def test_past_target_rejected(self):
-        sim = _bare_sim()
-        sim.run_until(4)
-        with pytest.raises(ValueError):
-            sim.run_until(3)
 
 
 class TestRunToCompletion:
@@ -241,7 +235,8 @@ class TestRunToCompletion:
             sim.run_to_completion(max_tick=10)
         assert fired == [5]
         assert sim.clock == 5
-        assert sim.pending()
+        sim.run_to_completion(max_tick=20)  # the tick-12 action is still queued
+        assert fired == [5, 12]
 
 
 def _cell(bytes: int, messages: int) -> dict[str, int]:
@@ -260,7 +255,7 @@ class TestSignalingTable:
         sim.send(self.B, self.A, PayloadKind.RAW_DATA, 10)
         for size in (100, 250):
             sim.send(self.A, self.B, PayloadKind.CONTROL, size)
-        sim.run_until(5)
+        run_until(sim, 5)
         entry = sim.signaling_table()["NSSMF_NonRTRIC"]
         assert entry == {
             "bytes": 432, "messages": 3,
@@ -281,7 +276,7 @@ class TestSignalingTable:
         empty = {"bytes": 0, "messages": 0, "directions": {}, "by_kind": {}}
         assert sim.signaling_table() == {"R1": empty, "NSSMF_NonRTRIC": empty}
         sim.send(self.A, self.B, PayloadKind.REPORT, 7)
-        sim.run_until(0)
+        run_until(sim, 0)
         table = sim.signaling_table()
         assert list(table) == ["R1", "NSSMF_NonRTRIC"]
         assert table["R1"] == empty
@@ -294,7 +289,7 @@ class TestSignalingTable:
         sim.fail_component(self.B, -1)
         sim.send(self.A, self.B, PayloadKind.RAW_DATA, 1000)
         sim.send(self.A, self.B, PayloadKind.HEARTBEAT, 8)
-        sim.run_until(1)
+        run_until(sim, 1)
         sim.send(self.A, self.B, PayloadKind.RAW_DATA, 500)  # still in flight
         assert [e.type for e in sim.log.entries if e.type != "send"] == [
             "component_down", "deliver"]
@@ -540,10 +535,10 @@ class TestEventRendering:
         b = ComponentId(ComponentKind.NSSMF_TERMINATION, 0)
         sim.send(a, b, PayloadKind.RAW_DATA, 10)
         sim.log_event("custom", src=a, detail={"note": "héllo", "x": [1.5, math.nan]})
-        sim.run_until(5)
+        run_until(sim, 5)
         sim.fail_component(b, 5)
         sim.send(a, b, PayloadKind.REPORT, 2)
-        sim.run_until(10)
+        run_until(sim, 10)
         assert [e.type for e in sim.log.entries] == [
             "send", "custom", "deliver", "send", "component_down"]
         assert sim.log.to_jsonl() == _jsonl(sim.log.entries)
@@ -558,7 +553,7 @@ class TestLogMemory:
         a = ComponentId(ComponentKind.NSSMF, 0)
         b = ComponentId(ComponentKind.NSSMF_TERMINATION, 0)
         sim.send(a, b, PayloadKind.RAW_DATA, 1)  # the heads of both hops are in the log
-        sim.run_until(1)
+        run_until(sim, 1)
         gc.collect()
         tracemalloc.start()
         try:
@@ -566,7 +561,7 @@ class TestLogMemory:
             for _ in range(50):
                 for size in range(120):
                     sim.send(a, b, PayloadKind.RAW_DATA, size)
-                sim.run_until(sim.clock + 1)
+                run_until(sim, sim.clock + 1)
             grown = tracemalloc.get_traced_memory()[0] - before
         finally:
             tracemalloc.stop()
@@ -599,10 +594,10 @@ class TestMessageIdSlot:
         a = ComponentId(ComponentKind.NSSMF, 0)
         b = ComponentId(ComponentKind.NSSMF_TERMINATION, 0)
         sim.send(a, b, PayloadKind.RAW_DATA, 10)
-        sim.run_until(1)
+        run_until(sim, 1)
         sim.fail_component(b, 1)
         sim.send(a, b, PayloadKind.REPORT, 2)
-        sim.run_until(3)
+        run_until(sim, 3)
         assert [(e.type, e.detail) for e in sim.log.entries] == [
             ("send", {"msg_id": 1}), ("deliver", {"msg_id": 1}), ("send", {"msg_id": 2}),
             ("component_down", {"msg_id": 2})]
