@@ -153,17 +153,25 @@ class SourceSpec:
 
 # -- byte and tick accounting ----------------------------------------------------
 
+# the event log keeps a message's bytes in an int64 column: with every size and
+# interface overhead at most MAX_BYTES and every inflation at most MAX_INFLATION, a
+# message of 2 * MAX_RECORDS records, or of a model below 2**23 parameters, fits
+MAX_BYTES = 2 ** 30
+MAX_INFLATION = 1_000.0
+
+
 @dataclass(frozen=True)
 class SizeTable:
     """Fixed payload-size model; all signaling arithmetic derives from it."""
 
-    record_bytes: int = _min(0, default=64)
-    param_bytes: int = _min(0, default=8)
-    control_bytes: int = _min(0, default=16)
-    heartbeat_bytes: int = _min(0, default=8)
-    prediction_bytes: int = _min(0, default=8)
-    report_base_bytes: int = _min(0, default=32)
-    artifact_entry_bytes: int = _min(0, default=64)  # per registry entry inside a checkpoint
+    record_bytes: int = _within(0, MAX_BYTES, default=64)
+    param_bytes: int = _within(0, MAX_BYTES, default=8)
+    control_bytes: int = _within(0, MAX_BYTES, default=16)
+    heartbeat_bytes: int = _within(0, MAX_BYTES, default=8)
+    prediction_bytes: int = _within(0, MAX_BYTES, default=8)
+    report_base_bytes: int = _within(0, MAX_BYTES, default=32)
+    # per registry entry inside a checkpoint
+    artifact_entry_bytes: int = _within(0, MAX_BYTES, default=64)
 
     def data_bytes(self, n_records: int) -> int:
         return n_records * self.record_bytes
@@ -277,7 +285,7 @@ class DeploySpec:
     targets: tuple[ComponentId, ...] = _rule(lambda ts: all(t.kind in _HOST_KINDS for t in ts),
                                              "a target cannot host a model", default=())
     packaged: bool = False
-    package_inflation: float = _min(1.0, default=1.25)
+    package_inflation: float = _within(1.0, MAX_INFLATION, default=1.25)
 
 
 @dataclass(frozen=True)
@@ -326,7 +334,7 @@ class FilterSpec:
 @dataclass(frozen=True)
 class PrivacySpec:
     key: str = _rule(bool, "pseudonymization key is empty", MissingKey, default="")
-    inflation: float = _min(1.0, default=1.0)
+    inflation: float = _within(1.0, MAX_INFLATION, default=1.0)
 
 
 @dataclass(frozen=True)
@@ -619,6 +627,8 @@ def _interfaces(d: Any, path: str) -> Interfaces:
             _expect(k in given, f"{p}.{k}", "unknown key")
             given[k] = _value(int, v, f"{p}.{k}")
             _expect(given[k] >= 0, f"{p}.{k}", f"{k} must be >= 0")
+            _expect(k != "overhead_bytes" or given[k] <= MAX_BYTES, f"{p}.{k}",
+                    f"overhead_bytes must be <= {MAX_BYTES}")
         out[name] = (given["latency"], given["overhead_bytes"])
     return out
 

@@ -216,6 +216,9 @@ _COMPACT_JSON = json.JSONEncoder(separators=(",", ":"))
 _KIND_TEXT: dict[PayloadKind, str] = {kind: kind.value for kind in PayloadKind}
 
 _FIELDS = '"event_type":%s,"src":%s,"dst":%s,"interface":%s,"payload_kind":%s'
+_NUMBERS = ("tick", "seq", "bytes")
+_HEAD_TEXTS = ("src", "dst", "interface", "payload_kind")
+_INT64 = range(-2 ** 63, 2 ** 63)
 _KEYS = ["tick", "seq", "event_type", "src", "dst", "interface", "payload_kind", "bytes",
          "detail"]
 _LINE = '{"tick":%d,"seq":%d,%s,"bytes":%d,"detail":%s}'
@@ -250,9 +253,14 @@ class Event:
 
     @staticmethod
     def from_json(line: str) -> "Event":
-        """The event whose ``events.jsonl`` line is ``line``."""
+        """The event whose ``events.jsonl`` line is ``line``: its nine keys in order,
+        ``tick``, ``seq`` and ``bytes`` ints (not bools) that an int64 holds, the
+        type a text, the other four texts or null, and ``detail`` an object."""
         entry = json.loads(line)
-        if type(entry) is not dict or list(entry) != _KEYS or type(entry["detail"]) is not dict:
+        if type(entry) is not dict or list(entry) != _KEYS or type(entry["detail"]) is not dict \
+                or any(type(entry[k]) is not int or entry[k] not in _INT64 for k in _NUMBERS) \
+                or type(entry["event_type"]) is not str \
+                or any(type(entry[k]) not in (str, type(None)) for k in _HEAD_TEXTS):
             raise ValueError(f"not an event line: {line[:80]!r}")
         return Event(*entry.values())
 
@@ -260,15 +268,16 @@ class Event:
 class EventLog:
     """Append-only, totally ordered by (tick, seq): one row per event.
 
-    A row is five columns, ``tick``, ``seq``, a head code, ``bytes`` and
-    ``msg_id``, each an int64 ``array`` until a value it cannot hold widens
-    every column to a list (only a log rebuilt from odd lines holds one). The
-    head code indexes the head table, one entry per distinct ``(type, src,
-    dst, interface, payload_kind)`` with its JSON text rendered once. A row
-    added without a ``msg_id`` (every row of a rebuilt log) keeps its detail
-    dict in a sparse ``{row: detail}`` map; any other row is a message's hop,
-    whose detail is ``{"msg_id": msg_id}``. :attr:`entries` reads the rows as
-    :class:`Event` objects, built only when read.
+    A row is five int64 ``array`` columns, ``tick``, ``seq``, a head code,
+    ``bytes`` and ``msg_id``: a run's clock stops at ``max_ticks``, its sizes
+    are bounded by ``config.MAX_BYTES``, and :meth:`Event.from_json` loads no
+    line whose numbers an int64 cannot hold. The head code indexes the head
+    table, one entry per distinct ``(type, src, dst, interface,
+    payload_kind)`` with its JSON text rendered once. A row added without a
+    ``msg_id`` (every row of a rebuilt log) keeps its detail dict in a sparse
+    ``{row: detail}`` map; any other row is a message's hop, whose detail is
+    ``{"msg_id": msg_id}``. :attr:`entries` reads the rows as :class:`Event`
+    objects, built only when read.
     """
 
     def __init__(self, events: Iterable[Event] = ()) -> None:
@@ -296,16 +305,11 @@ class EventLog:
         if msg_id is None:
             self._details[len(ticks)] = {} if detail is None else detail
             msg_id = 0
-        try:
-            ticks.append(tick)
-            seqs.append(seq)
-            codes.append(code)
-            sizes.append(bytes)
-            ids.append(msg_id)
-        except (OverflowError, TypeError):  # a value no int64 holds
-            rows = min(map(len, self._cols))
-            self._cols = tuple(list(col[:rows]) + [value] for col, value in
-                               zip(self._cols, (tick, seq, code, bytes, msg_id)))
+        ticks.append(tick)
+        seqs.append(seq)
+        codes.append(code)
+        sizes.append(bytes)
+        ids.append(msg_id)
 
     def append(self, event: Event) -> None:
         """Append ``event``'s row with its detail, as a rebuilt log does."""

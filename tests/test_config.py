@@ -20,7 +20,9 @@ from smosim.config import (
     DeploySpec,
     EmissionSpec,
     HarnessSpec,
+    MAX_BYTES,
     MAX_COMPONENTS,
+    MAX_INFLATION,
     MAX_JOB_WORK,
     MAX_MISSED_BEATS,
     MAX_RECORDS,
@@ -88,6 +90,13 @@ MALFORMED = [
     (("sources", 0, "coefficients", 0), float("nan"), ConfigError, "sources[0].coefficients[0]"),
     (("costs", "train_tick_per_record"), -1, ConfigError, "costs.train_tick_per_record"),
     (("sizes", "record_bytes"), -5, ConfigError, "sizes.record_bytes"),
+    (("sizes", "record_bytes"), MAX_BYTES + 1, ConfigError, "sizes.record_bytes"),
+    (("sizes", "artifact_entry_bytes"), 10**30, ConfigError, "sizes.artifact_entry_bytes"),
+    (("interfaces",), {"R1": {"overhead_bytes": MAX_BYTES + 1}}, ConfigError,
+     "interfaces.R1.overhead_bytes"),
+    (("deploy", "package_inflation"), 1e308, ConfigError, "deploy.package_inflation"),
+    (("harness", "privacy"), {"key": "k", "inflation": MAX_INFLATION * 2}, ConfigError,
+     "harness.privacy.inflation"),
     (("harness", "scheduler"), {"budget": 0}, ZeroCapacity, "harness.scheduler.budget"),
     (("harness", "privacy"), {"key": ""}, MissingKey, "harness.privacy.key"),
     (("harness", "privacy"), {"inflation": 1.1}, MissingKey, "harness.privacy.key"),
@@ -533,6 +542,25 @@ class TestCrossFieldRules:
         data["monitor"] = {"interval": interval, "rounds": 3, "batch": 5}
         report = checked_run(config_from_dict(data)).report
         assert report.failure.startswith("TickLimitExceeded")
+
+    def test_a_run_at_the_byte_bounds_keeps_int64_columns_and_ends_in_a_checked_report(self):
+        # above them, a 10**30 record size used to widen the log's columns to lists, and
+        # an inflation of 1e308 to let an OverflowError escape from the payload size
+        data = scenario_b_dict(n_per_source=30, sizes={
+            key: MAX_BYTES for key in ("record_bytes", "param_bytes", "control_bytes",
+                                       "heartbeat_bytes", "prediction_bytes",
+                                       "report_base_bytes", "artifact_entry_bytes")})
+        data["interfaces"] = {name: {"overhead_bytes": MAX_BYTES}
+                              for name in ("NSSMF_NonRTRIC", "NFVO_NonRTRIC", "SmoInternal")}
+        data["deploy"] = {"targets": ["MdaSystem3GPP#0"], "packaged": True,
+                          "package_inflation": MAX_INFLATION}
+        data["monitor"] = {"rounds": 2, "interval": 10, "batch": 5}
+        data["harness"] = {"privacy": {"key": "k", "inflation": MAX_INFLATION}}
+        result = checked_run(config_from_dict(data))
+        assert result.report.status == "completed"
+        sizes = [e.bytes for e in result.sim.log.entries if e.type == "send"]
+        assert max(sizes) > MAX_BYTES * MAX_INFLATION
+        assert all(col.typecode == "q" for col in result.sim.log._cols)
 
     def test_search_trials_up_to_the_bound_are_accepted(self):
         ranges = {"learning_rate": [0.01, 0.1]}

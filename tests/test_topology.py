@@ -420,6 +420,11 @@ def _reference_line(e: Event) -> str:
 _ints = st.one_of(st.integers(min_value=0, max_value=1 << 40),
                   st.integers(min_value=(1 << 63) - 2, max_value=1 << 80),
                   st.integers(max_value=-1))
+# an event's tick, seq and bytes: what the log's int64 columns hold, both ends included
+_int64s = st.one_of(st.integers(min_value=0, max_value=1 << 40),
+                    st.integers(min_value=(1 << 63) - 2, max_value=(1 << 63) - 1),
+                    st.integers(min_value=-(1 << 63), max_value=-1),
+                    st.sampled_from([-(1 << 63), (1 << 63) - 1]))
 _texts = st.one_of(
     st.none(), st.text(max_size=12),
     st.sampled_from(['say "hi"', "back\\slash\\", "ctl\x00\x1f\x7f\n\t", "ünï©ødé ☃ 𝄞",
@@ -437,8 +442,8 @@ _details = st.one_of(
     st.builds(lambda v: {"msg_id": v}, _ints),
     st.dictionaries(st.text(max_size=8), _json_values, max_size=4),
 )
-_events = st.builds(Event, tick=_ints, seq=_ints, type=st.text(max_size=12), src=_texts,
-                    dst=_texts, interface=_texts, payload_kind=_texts, bytes=_ints,
+_events = st.builds(Event, tick=_int64s, seq=_int64s, type=st.text(max_size=12), src=_texts,
+                    dst=_texts, interface=_texts, payload_kind=_texts, bytes=_int64s,
                     detail=_details)
 
 
@@ -448,7 +453,7 @@ def _events_sharing_keys(draw) -> list[Event]:
     each with its own tick, seq, bytes and detail."""
     keys = draw(st.lists(st.tuples(st.text(max_size=12), _texts, _texts, _texts, _texts),
                          min_size=1, max_size=3))
-    return [Event(draw(_ints), draw(_ints), *draw(st.sampled_from(keys)), draw(_ints),
+    return [Event(draw(_int64s), draw(_int64s), *draw(st.sampled_from(keys)), draw(_int64s),
                   draw(_details)) for _ in range(draw(st.integers(1, 8)))]
 
 
@@ -461,7 +466,7 @@ def _log_events(draw) -> list[Event]:
                           min_size=1, max_size=3))
     events = []
     for _ in range(draw(st.integers(0, 10))):
-        fields = (draw(_ints), draw(_ints), *draw(st.sampled_from(heads)), draw(_ints))
+        fields = (draw(_int64s), draw(_int64s), *draw(st.sampled_from(heads)), draw(_int64s))
         if draw(st.booleans()):
             events.append(Event(*fields, {"msg_id": draw(st.sampled_from([0, -1]) | _ints)}))
         else:
@@ -516,11 +521,23 @@ class TestEventRendering:
     def test_from_json_rejects_a_line_that_is_not_an_event(self):
         line = _reference_line(Event(1, 2, "send", "NSSMF#0"))
         assert Event.from_json(line) == Event(1, 2, "send", "NSSMF#0")
+        # numbers an int64 column cannot hold, or that are no int
+        odd_numbers = [line.replace(f'"{key}":{value}', f'"{key}":{odd}')
+                       for key, value in (("tick", 1), ("seq", 2), ("bytes", 0))
+                       for odd in ("1.5", '"5"', "true", "null", 2 ** 63, -2 ** 63 - 1)]
         for bad in ('{"tick":1}', line.replace('"seq"', '"sequence"'), "[1, 2]", "5",
                     line.replace('"detail":{}', '"detail":null'),
-                    line.replace('"detail":{}', '"detail":[7]')):
+                    line.replace('"detail":{}', '"detail":[7]'),
+                    line.replace('"event_type":"send"', '"event_type":5'),
+                    line.replace('"src":"NSSMF#0"', '"src":[1]'),
+                    line.replace('"dst":null', '"dst":{}'), *odd_numbers):
             with pytest.raises(ValueError):
                 Event.from_json(bad)
+        for edge in (2 ** 63 - 1, -2 ** 63):
+            for key, value in (("tick", 1), ("seq", 2), ("bytes", 0)):
+                event = Event.from_json(line.replace(f'"{key}":{value}', f'"{key}":{edge}'))
+                assert getattr(event, key) == edge
+                assert EventLog([event]).to_jsonl() == _reference_line(event) + "\n"
 
     @pytest.mark.parametrize("name", sorted(CASES))
     def test_a_golden_log_renders_as_its_events_lines(self, name, tmp_path):
