@@ -118,10 +118,6 @@ class SplitDataset:
     val_idx: np.ndarray
     test_idx: np.ndarray
 
-    @property
-    def feature_names(self) -> list[str]:
-        return self.train.feature_names
-
 
 @dataclass
 class ExplorationReport:
