@@ -736,6 +736,19 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
         for i, target in enumerate(cfg.deploy.targets):
             _expect(target in domains, f"deploy.targets[{i}]",
                     "share-models deploys only to its domains, the sources' owners", str(target))
+    # a section the run would accept and never read is an error, not a silent no-op
+    _expect(kind is ScenarioKind.A or cfg.external is None, "external",
+            "only scenario A reads the external section")
+    _expect(cfg.harness.drift_shift is None or cfg.monitor.rounds > 0, "harness.drift_shift",
+            "a drift shift acts on monitor rounds, so it needs monitor.rounds > 0")
+    if cfg.mode in ("share-models", "import-model"):  # neither trains on collected data
+        unread = {"search": cfg.search, "scenario.online_training": cfg.online_training,
+                  "harness.filter": cfg.harness.filter}
+        if cfg.mode == "share-models":  # each domain draws and prepares its own data
+            unread |= {"collection": data.get("collection"), "harness.poison": cfg.harness.poison,
+                       "harness.privacy": cfg.harness.privacy}
+        for path, section in unread.items():
+            _expect(not section, path, f"{cfg.mode} does not read it")
     if kind is ScenarioKind.A:
         _expect(cfg.external is not None, "external", "scenario A needs the external section")
         key = "artifact_path" if cfg.mode == "import-model" else "data_path"

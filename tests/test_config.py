@@ -579,6 +579,47 @@ class TestCrossFieldRules:
             src["owner"] = owner
         assert config_from_dict(data).rounds == MAX_ROUNDS
 
+    _SEARCH = {"grid": {"learning_rate": [0.05, 0.1]}}
+
+    @pytest.mark.parametrize("base, sections, field", [
+        ("b_small", {"external": {"data_path": "data.csv"}}, "external"),
+        ("c_share_data", {"external": {"artifact_path": "artifact.json"}}, "external"),
+        ("b_small", {"harness": {"drift_shift": {"at_round": 1, "bias": 1.0}}},
+         "harness.drift_shift"),
+        ("a_import_model", {"monitor": {"rounds": 0},
+                            "harness": {"drift_shift": {"at_round": 1}}}, "harness.drift_shift"),
+        ("c_share_models", {"harness": {"drift_shift": {"at_round": 1}}}, "harness.drift_shift"),
+        ("c_share_models", {"search": _SEARCH}, "search"),
+        ("c_share_models", {"scenario": {"online_training": True}}, "scenario.online_training"),
+        ("c_share_models", {"collection": {"window": 50}}, "collection"),
+        ("c_share_models", {"harness": {"poison": {"fraction": 0.1}}}, "harness.poison"),
+        ("c_share_models", {"harness": {"filter": {"k": 3.0}}}, "harness.filter"),
+        ("c_share_models", {"harness": {"privacy": {"key": "k"}}}, "harness.privacy"),
+        ("a_import_model", {"search": _SEARCH}, "search"),
+        ("a_import_model", {"scenario": {"online_training": True}}, "scenario.online_training"),
+        ("a_import_model", {"harness": {"filter": {"k": 3.0}}}, "harness.filter"),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_a_section_the_run_never_reads_is_rejected_at_its_path(self, base, sections, field,
+                                                                  tmp_path):
+        data = CASES[base](tmp_path)
+        for key, section in sections.items():
+            data[key] = {**data.get(key, {}), **section}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert info.value.field == field
+
+    @pytest.mark.parametrize("base, sections", [
+        ("c_share_models", {"collection": {}, "external": {}, "search": None}),
+        ("c_share_models", {"scenario": {"online_training": False}, "harness": {}}),
+        ("a_import_model", {"scenario": {"online_training": False}, "search": {}}),
+        ("b_small", {"harness": {"drift_shift": None}}),
+    ], ids=lambda v: v if isinstance(v, str) else None)
+    def test_an_absent_or_empty_unread_section_is_accepted(self, base, sections, tmp_path):
+        data = CASES[base](tmp_path)
+        for key, section in sections.items():
+            data[key] = section if section is None else {**data.get(key, {}), **section}
+        config_from_dict(data)
+
     def test_valid_scheduler_classes_schedule_each_job_no_sooner_than_its_ideal(self):
         scheduler = {"budget": 3, "classes": [
             {"name": "a", "priority": 1, "demand": 2, "work": 6},
