@@ -1092,10 +1092,11 @@ class Driver:
         it (or a new version of it), score it on the initial test split, validate
         it, restart the monitor window on a refinement's baseline, and deploy it.
 
-        The test split's score is the run's test metrics for a trained model,
-        and a refinement's ``forgetting_mse``. A registry restored from a
-        checkpoint already holds the entry, so a rerun after a failover also
-        registers a new version."""
+        The test split's score becomes the run's test metrics, so that they
+        describe the version the run ends with, and is also a refinement's
+        ``forgetting_mse``; with no split (import-model) the metrics are None.
+        A registry restored from a checkpoint already holds the entry, so a
+        rerun after a failover also registers a new version."""
         cfg = self.config
         artifact = ModelArtifact(
             kind=cfg.model.kind, parameters=params, feature_names=list(feature_names),
@@ -1105,15 +1106,14 @@ class Driver:
             entry = self.registry.reregister(MODEL_ID, artifact)
         else:
             entry = self.registry.register(artifact, MODEL_ID, provenance=self._provenance())
-        split = self.split
+        split, self._test_metrics = self.split, None
         if split is not None:  # import-model has none
-            test = learn.evaluate(params, cfg.model.kind, split.test.X, split.test.y,
-                                  cfg.model.hyperparams.threshold)
+            self._test_metrics = test = learn.evaluate(
+                params, cfg.model.kind, split.test.X, split.test.y,
+                cfg.model.hyperparams.threshold)
             detail = {"records": len(split.test)}
             if refined:
                 detail["forgetting_mse"] = test.mse
-            else:
-                self._test_metrics = test
             self.sim.log_event("inference", src=self.active_aiml, detail=detail)
         self.registry.transition(entry, LifecycleState.VALIDATED)
         if refined and self.monitor is not None:

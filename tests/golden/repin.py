@@ -4,8 +4,9 @@
 
 Re-pin only when a change alters the simulator's outputs on purpose, and
 say in CHANGES.md which cases moved and why. With no arguments every case
-is re-pinned. For a changed case it prints each report key whose value
-moved, and ``event_count`` and ``events_sha256`` if they did, old -> new.
+is re-pinned. For a changed case it prints each report value that moved,
+by its dotted key (``report.model.test_mse``), and ``event_count`` and
+``events_sha256`` if they did, old -> new.
 """
 
 from __future__ import annotations
@@ -26,10 +27,18 @@ def _text(value: object) -> str:
     return text if len(text) <= 70 else text[:67] + "..."
 
 
+def _pairs(key: str, a: object, b: object) -> list[tuple[str, object, object]]:
+    """(dotted key, old, new) of ``key``, descending into the keys of two objects."""
+    if isinstance(a, dict) and isinstance(b, dict):
+        return [pair for k in sorted(a.keys() | b.keys())
+                for pair in _pairs(f"{key}.{k}", a.get(k), b.get(k))]
+    return [(key, a, b)]
+
+
 def moved(old: dict, new: dict) -> list[str]:
-    """One ``key: old -> new`` line per report key, then per log pin, that moved."""
-    pairs = [(f"report.{key}", old["report"].get(key), new["report"].get(key))
-             for key in sorted(old["report"].keys() | new["report"].keys())]
+    """One ``key: old -> new`` line per report value, then per log pin, that moved;
+    a nested object's values are named by their dotted keys."""
+    pairs = _pairs("report", old["report"], new["report"])
     pairs += [(key, old.get(key), new.get(key)) for key in ("event_count", "events_sha256")]
     return [f"  {key}: {_text(a)} -> {_text(b)}" for key, a, b in pairs
             if json.dumps(a, sort_keys=True) != json.dumps(b, sort_keys=True)]

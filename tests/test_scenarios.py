@@ -635,6 +635,22 @@ class TestScenarioAImportModel:
             **overrides,
         })
 
+    def test_a_refined_import_reports_no_test_metrics(self, tmp_path):
+        # the imported version's come from the rows past the validation batch, with
+        # no split that a refined version could be scored on
+        monitor = {"rounds": 4, "batch": 25, "interval": 30, "min_samples": 20,
+                   "drift_factor": 2.0, "window": 25}
+        shift = {"drift_shift": {"at_round": 1, "coefficients": [5.0], "bias": 2.0}}
+        plain = checked_run(self._config(tmp_path, [2.0], 0.0, validation_batch=60,
+                                         monitor=monitor)).report
+        refined = checked_run(self._config(tmp_path, [2.0], 0.0, validation_batch=60,
+                                           monitor=monitor, harness=shift)).report
+        assert (plain.refinements, plain.model["version"]) == (0, 1)
+        assert plain.model["test_mse"] is not None
+        assert refined.refinements >= 1 and refined.model["version"] >= 2
+        assert refined.model["test_mse"] is refined.model["test_rmse"] is None
+        assert refined.model["test_accuracy"] is None and refined.forgetting_mse is None
+
     def test_valid_artifact_deployed_with_external_origin(self, tmp_path):
         result = checked_run(self._config(tmp_path, [2.0], 0.0))
         report = result.report
@@ -1130,6 +1146,18 @@ class TestMonitoringAndRefinement:
                                         "bias": 2.0}},
         }
         return build(data)
+
+    @pytest.mark.parametrize("refit", ["full", "incremental"])
+    def test_the_reported_test_metrics_are_the_refined_versions(self, refit):
+        result = checked_run(self._drift_config(refit=refit))
+        model, driver = result.report.model, result.driver
+        entry = result.registry.entries["m0"]
+        assert model["version"] == entry.version >= 2
+        test = evaluate(entry.artifact.parameters, ModelKind.LINEAR_SGD, driver.split.test.X,
+                        driver.split.test.y)
+        assert (model["test_mse"], model["test_rmse"], model["test_accuracy"]) == (
+            test.mse, test.rmse, test.accuracy)
+        assert model["test_mse"] == result.report.forgetting_mse
 
     def test_drift_triggers_refinement_and_recovers(self):
         result = checked_run(self._drift_config())
