@@ -712,3 +712,51 @@ class TestCli:
         assert cli.main(["run", "--config", self._config(tmp_path), "--out", str(plain)]) == 0
         assert (plain / "exploration.json").exists()
         assert not (plain / "search_trials.csv").exists()
+
+    def _write(self, tmp_path, name: str, data: dict) -> str:
+        path = tmp_path / name
+        path.write_text(json.dumps(data))
+        return str(path)
+
+    def test_compare_writes_one_row_and_one_output_directory_per_config(self, tmp_path,
+                                                                         monkeypatch):
+        monkeypatch.delenv("SMO_SIM_SEED", raising=False)
+        configs = [self._write(tmp_path, "zeta.json", scenario_b_dict(n_per_source=40)),
+                   self._write(tmp_path, "alpha.json",
+                               scenario_b_dict(n_per_source=30, seed=7))]
+        out = tmp_path / "out"
+        assert cli.main(["compare", "--configs", *configs, "--out", str(out)]) == 0
+        rows = json.loads((out / "comparison.json").read_text())
+        assert [row["config"] for row in rows] == ["zeta.json", "alpha.json"]  # as given
+        assert [row["seed"] for row in rows] == [42, 7]
+        assert all(row["status"] == "completed" for row in rows)
+        csv = (out / "comparison.csv").read_text().splitlines()
+        assert csv[0].split(",") == list(rows[0])
+        assert [line.split(",")[0] for line in csv[1:]] == ["zeta.json", "alpha.json"]
+        assert sorted(p.name for p in out.iterdir()) == [
+            "alpha", "comparison.csv", "comparison.json", "zeta"]
+        for row, name in zip(rows, ("zeta", "alpha")):
+            report = json.loads((out / name / "report.json").read_text())
+            assert (report["seed"], report["status"]) == (row["seed"], row["status"])
+            assert (out / name / "events.jsonl").read_text().count("\n") == \
+                report["event_count"]
+            assert (out / name / "metrics.csv").read_text().splitlines()[1] == \
+                csv[1 + ("zeta", "alpha").index(name)]
+
+    def test_compare_exits_1_when_a_run_fails_and_2_for_one_config(self, tmp_path, capsys,
+                                                                    monkeypatch):
+        monkeypatch.delenv("SMO_SIM_SEED", raising=False)
+        ok = self._write(tmp_path, "ok.json", scenario_b_dict(n_per_source=40))
+        lone = scenario_b_dict(n_per_source=40)
+        lone["harness"] = {"failure": {"target": "AimlFunction#0", "fail_tick": 1}}
+        failing = self._write(tmp_path, "lone.json", lone)
+        out = tmp_path / "out"
+        assert cli.main(["compare", "--configs", ok, failing, "--out", str(out)]) == 1
+        rows = json.loads((out / "comparison.json").read_text())
+        assert [(row["config"], row["status"]) for row in rows] == [
+            ("ok.json", "completed"), ("lone.json", "failed")]
+        capsys.readouterr()
+        single = tmp_path / "single"
+        assert cli.main(["compare", "--configs", ok, "--out", str(single)]) == 2
+        assert capsys.readouterr().err == "error: compare needs at least two configs\n"
+        assert not single.exists()

@@ -778,6 +778,57 @@ class TestScenarioAImportModel:
         assert report.failure.startswith("InvalidArtifact: ")
 
 
+class TestPackaging:
+    """``deploy.packaged`` inflates each ModelArtifact hop of a deployment by
+    ``package_inflation``, and so does an imported artifact marked packaged,
+    from the external provider on."""
+
+    @staticmethod
+    def _artifact_sends(result) -> list[tuple[str, int]]:
+        return [(e.interface, e.bytes) for e in result.sim.log.entries
+                if e.type == "send" and e.payload_kind == "ModelArtifact"]
+
+    @staticmethod
+    def _overhead(config: ScenarioConfig) -> dict[str, int]:
+        return {spec.name.value: spec.overhead_bytes for spec in config.interface_specs()}
+
+    @pytest.mark.parametrize("packaged, inflation", [(False, 1.7), (True, 1.0), (True, 1.7)])
+    def test_a_packaged_deployment_sends_the_inflated_parameter_bytes(self, packaged,
+                                                                     inflation):
+        data = scenario_b_dict(n_per_source=40, sizes={"param_bytes": 12})
+        data["deploy"]["packaged"] = packaged
+        data["deploy"]["package_inflation"] = inflation
+        data["interfaces"] = {"NSSMF_NonRTRIC": {"overhead_bytes": 40}}
+        config = build(data)
+        result = checked_run(config)
+        param_count = result.registry.entries["m0"].artifact.param_count
+        assert param_count == 5  # cpu, mem, the two slices and the bias
+        payload = round(param_count * 12 * (inflation if packaged else 1.0))
+        sends = self._artifact_sends(result)
+        overhead = self._overhead(config)
+        assert len(sends) >= 4  # two targets, each over two hops or more
+        assert {"NSSMF_NonRTRIC", "NFVO_NonRTRIC"} <= {interface for interface, _ in sends}
+        assert sends == [(interface, payload + overhead[interface]) for interface, _ in sends]
+
+    @pytest.mark.parametrize("packaged", [False, True])
+    def test_an_imported_packaged_artifact_inflates_its_external_hop(self, packaged, tmp_path,
+                                                                    monkeypatch):
+        monkeypatch.chdir(tmp_path)  # the case names its artifact relative to it
+        data = a_import_model(tmp_path)
+        artifact = tmp_path / "artifact.json"
+        artifact.write_text(json.dumps({**json.loads(artifact.read_text()),
+                                        "packaged": packaged}))
+        data["deploy"]["package_inflation"] = 2.5
+        config = build(data)
+        result = checked_run(config)
+        assert result.report.status == "completed"
+        payload = round(2 * 8 * (2.5 if packaged else 1.0))  # one weight and the bias
+        overhead = self._overhead(config)
+        sends = self._artifact_sends(result)
+        assert ("ExternalAiml", payload + overhead["ExternalAiml"]) in sends
+        assert sends == [(interface, payload + overhead[interface]) for interface, _ in sends]
+
+
 class TestScenarioAImportData:
     @staticmethod
     def _config(csv_path):
