@@ -1086,8 +1086,8 @@ class Driver:
         self.sim.log_event("job_scheduled", src=src, detail=detail)
         return detail["ticks"]
 
-    def _install(self, params, metrics: learn.EvalMetrics, feature_names: list[str],
-                 scaler: pipeline.ScalingParams, refined: bool) -> None:
+    def _install(self, params: learn.ModelParameters, metrics: learn.EvalMetrics,
+                 feature_names: list[str], scaler: pipeline.ScalingParams, refined: bool) -> None:
         """Put a trained or refined model in service: build its artifact, register
         it (or a new version of it), score it on the initial test split, validate
         it, restart the monitor window on a refinement's baseline, and deploy it.
