@@ -414,9 +414,8 @@ def ridge_closed_form(X: np.ndarray, y: np.ndarray, l2_lambda: float) -> LinearP
     return LinearParams(theta[:-1], float(theta[-1]))
 
 
-def _fit_stump(X: np.ndarray, y: np.ndarray) -> StumpParams:
-    """Exhaustive best single split of binary labels, each leaf their majority; ties
-    break by (feature, candidate) order."""
+def _fit_stump(X: np.ndarray, y: np.ndarray, classification: bool) -> StumpParams:
+    """Exhaustive best single split; ties break by (feature, candidate) order."""
     n, d = X.shape
     best: tuple[float, int, int] | None = None  # (error, feature, candidate index)
     best_stump: StumpParams | None = None
@@ -427,22 +426,41 @@ def _fit_stump(X: np.ndarray, y: np.ndarray) -> StumpParams:
         distinct = np.nonzero(xs[:-1] < xs[1:])[0]
         if len(distinct) == 0:
             continue
-        ones = np.cumsum(ys)
-        total_ones = ones[-1]
-        for c_idx, k in enumerate(distinct):
-            left_n, left_ones = k + 1, ones[k]
-            right_n, right_ones = n - left_n, total_ones - ones[k]
-            err = (min(left_ones, left_n - left_ones)
-                   + min(right_ones, right_n - right_ones))
-            if best is None or (err, j, c_idx) < best:
-                thr = (xs[k] + xs[k + 1]) / 2.0
-                left = 1.0 if left_ones * 2 > left_n else 0.0
-                right = 1.0 if right_ones * 2 > right_n else 0.0
-                best = (float(err), j, c_idx)
-                best_stump = StumpParams(j, float(thr), left, right)
+        if classification:
+            ones = np.cumsum(ys)
+            total_ones = ones[-1]
+            for c_idx, k in enumerate(distinct):
+                left_n, left_ones = k + 1, ones[k]
+                right_n, right_ones = n - left_n, total_ones - ones[k]
+                err = (min(left_ones, left_n - left_ones)
+                       + min(right_ones, right_n - right_ones))
+                if best is None or (err, j, c_idx) < best:
+                    thr = (xs[k] + xs[k + 1]) / 2.0
+                    left = 1.0 if left_ones * 2 > left_n else 0.0
+                    right = 1.0 if right_ones * 2 > right_n else 0.0
+                    best = (float(err), j, c_idx)
+                    best_stump = StumpParams(j, float(thr), left, right)
+        else:
+            s = np.cumsum(ys)
+            s2 = np.cumsum(ys ** 2)
+            total_s, total_s2 = s[-1], s2[-1]
+            for c_idx, k in enumerate(distinct):
+                ln = k + 1
+                rn = n - ln
+                sse_l = s2[k] - s[k] ** 2 / ln
+                sse_r = (total_s2 - s2[k]) - (total_s - s[k]) ** 2 / rn
+                err = sse_l + sse_r
+                if best is None or (err, j, c_idx) < best:
+                    thr = (xs[k] + xs[k + 1]) / 2.0
+                    best = (float(err), j, c_idx)
+                    best_stump = StumpParams(j, float(thr), float(s[k] / ln),
+                                             float((total_s - s[k]) / rn))
     if best_stump is None:
-        # every feature constant: predict the pooled majority everywhere
-        out = 1.0 if float(np.sum(y)) * 2 > n else 0.0
+        # every feature constant: predict the pooled output everywhere
+        if classification:
+            out = 1.0 if float(np.sum(y)) * 2 > n else 0.0
+        else:
+            out = float(np.mean(y))
         best_stump = StumpParams(0, float(X[0, 0]) if d else 0.0, out, out)
     return best_stump
 
@@ -461,7 +479,7 @@ def fit(kind: ModelKind, X: np.ndarray, y: np.ndarray, hp: HyperParams, seed: in
     if kind is ModelKind.RIDGE_CLOSED_FORM:
         return ridge_closed_form(X, y, hp.l2_lambda), n
     if not kind.is_sgd:
-        return _fit_stump(X, y), n
+        return _fit_stump(X, y, classification=not kind.is_regression), n
     start = init if init is not None else zero_params(X.shape[1])
     return _raised(_sgd(kind, X, y, epoch_orders(n, seed, hp.epochs), [(start, hp.learning_rate)],
                         hp.batch_size, hp.l2_lambda)[0]), hp.epochs * n

@@ -239,6 +239,31 @@ class TestTrain:
 
 
 class TestStump:
+    def test_matches_brute_force_on_small_regression(self):
+        rng = np.random.default_rng(5)
+        X = rng.uniform(0, 1, size=(24, 3))
+        y = np.where(X[:, 1] > 0.6, 4.0, 1.0) + rng.normal(scale=0.05, size=24)
+        from smosim.learn import _fit_stump
+
+        stump = _fit_stump(X, y, classification=False)
+
+        def sse_of(j, thr):
+            left, right = y[X[:, j] <= thr], y[X[:, j] > thr]
+            out = 0.0
+            for part in (left, right):
+                if len(part):
+                    out += float(np.sum((part - part.mean()) ** 2))
+            return out
+
+        best = min(
+            (sse_of(j, (xs[k] + xs[k + 1]) / 2), j)
+            for j in range(3)
+            for xs in [np.sort(X[:, j])]
+            for k in range(23) if xs[k] < xs[k + 1]
+        )
+        assert sse_of(stump.feature, stump.threshold) == pytest.approx(best[0], abs=1e-9)
+        assert stump.feature == 1
+
     def test_classification_majority_leaves(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
         y = np.array([0.0, 0.0, 1.0, 1.0])
