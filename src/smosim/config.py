@@ -244,9 +244,10 @@ MAX_TICK = 2 ** 63 - 1
 # after a failure a replica checks once per missed heartbeat until it declares,
 # so a config may not ask it to wait for an unbounded number
 MAX_MISSED_BEATS = 10_000
-# the scheduler steps tick by tick until every job class has its work, so a config
-# may not preset an unbounded total
-MAX_JOB_WORK = 100_000
+# the scheduler steps through one round-robin period of its job classes between
+# completions, and that period grows faster than any power of their number, so a
+# config may not ask for an unbounded number
+MAX_JOB_CLASSES = 16
 
 
 @dataclass(frozen=True)
@@ -356,8 +357,7 @@ class JobClass:
     priority: int = 0  # larger = scheduled first
     demand: int = _min(1, default=1)  # requested capacity per tick
     # total capacity-ticks; None = filled at runtime
-    work: int | None = _rule(lambda v: v is None or 1 <= v <= MAX_JOB_WORK,
-                             f"must lie in [1, {MAX_JOB_WORK}] or be null, got {{v}}",
+    work: int | None = _rule(lambda v: v is None or v >= 1, "must be >= 1 or null, got {v}",
                              default=None)
 
 
@@ -365,8 +365,9 @@ class JobClass:
 class SchedulerSpec:
     budget: int = _min(1, error=ZeroCapacity, default=0)  # capacity per tick
     # the training job runs as one of the classes, so there must be one
-    classes: tuple[JobClass, ...] = _rule(bool, "a scheduler needs at least one job class",
-                                          default=())
+    classes: tuple[JobClass, ...] = _rule(lambda cs: 1 <= len(cs) <= MAX_JOB_CLASSES,
+                                          f"a scheduler needs 1 to {MAX_JOB_CLASSES} job "
+                                          "classes", default=())
 
 
 @dataclass(frozen=True)

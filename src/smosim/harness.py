@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import hashlib
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -159,9 +159,10 @@ class JobOutcome:
 
 @dataclass
 class ScheduleResult:
-    allocations: list[dict[str, int]]  # index 0 = tick 1
+    # runs of ticks from tick 1 on: each (repeat, rows) is ``rows``, one grant row
+    # per tick, ``repeat`` times over
+    allocations: list[tuple[int, list[dict[str, int]]]]
     jobs: dict[str, JobOutcome]
-    total_allocated: dict[str, int] = field(default_factory=dict)
 
 
 def schedule(spec: SchedulerSpec) -> ScheduleResult:
@@ -171,6 +172,13 @@ def schedule(spec: SchedulerSpec) -> ScheduleResult:
     first, each capped by its per-tick demand and remaining work. A job
     completes on the first tick its cumulative allocation covers its work;
     delay is measured against the contention-free completion ceil(work/demand).
+
+    While no job completes, the grants repeat every ``period`` ticks, the least
+    common multiple of the sizes of the priority groups with work left (the
+    round-robin turns). So after stepping one period with no completion, the
+    schedule repeats it as often as every job keeps at least one unit of work,
+    and steps on from there: the cost grows with the number of jobs, not with
+    their work.
     """
     if spec.budget < 1:
         raise ZeroCapacity("scheduler budget must be >= 1")
@@ -179,35 +187,42 @@ def schedule(spec: SchedulerSpec) -> ScheduleResult:
         raise ValueError("every job class needs a concrete work total")
     remaining = {j.name: int(j.work) for j in jobs}  # type: ignore[arg-type]
     completion: dict[str, int] = {j.name: 0 for j in jobs}
-    totals: dict[str, int] = {j.name: 0 for j in jobs}
-    allocations: list[dict[str, int]] = []
-    by_priority: dict[int, list] = {}
-    for j in jobs:
-        by_priority.setdefault(j.priority, []).append(j)
-    priorities = sorted(by_priority, reverse=True)
+    allocations: list[tuple[int, list[dict[str, int]]]] = []
+    priorities = sorted({j.priority for j in jobs}, reverse=True)
 
     tick = 0
-    while any(remaining[j.name] > 0 for j in jobs):
-        tick += 1
-        budget_left = spec.budget
-        row: dict[str, int] = {j.name: 0 for j in jobs}
-        for prio in priorities:
-            group = [j for j in by_priority[prio] if remaining[j.name] > 0]
-            if not group:
-                continue
-            offset = (tick - 1) % len(group)
-            for j in group[offset:] + group[:offset]:
-                if budget_left <= 0:
-                    break
-                grant = min(j.demand, remaining[j.name], budget_left)
-                if grant > 0:
+    while any(remaining.values()):
+        groups = [g for g in ([j for j in jobs if j.priority == p and remaining[j.name] > 0]
+                              for p in priorities) if g]
+        period = math.lcm(*map(len, groups))
+        start = dict(remaining)
+        rows: list[dict[str, int]] = []
+        completed = False
+        while len(rows) < period and not completed:
+            tick += 1
+            budget_left = spec.budget
+            row: dict[str, int] = {j.name: 0 for j in jobs}
+            for group in groups:
+                offset = (tick - 1) % len(group)
+                for j in group[offset:] + group[:offset]:
+                    if budget_left <= 0:
+                        break
+                    grant = min(j.demand, remaining[j.name], budget_left)
                     row[j.name] += grant
                     remaining[j.name] -= grant
-                    totals[j.name] += grant
                     budget_left -= grant
                     if remaining[j.name] == 0:
                         completion[j.name] = tick
-        allocations.append(row)
+                        completed = True
+            rows.append(row)
+        repeat = 1
+        if not completed:  # no grant met a job's remaining work, so none will while it lasts
+            per_period = {name: start[name] - left for name, left in remaining.items()}
+            repeat += min((remaining[n] - 1) // p for n, p in per_period.items() if p)
+            for name, p in per_period.items():
+                remaining[name] -= (repeat - 1) * p
+            tick += (repeat - 1) * period
+        allocations.append((repeat, rows))
 
     outcomes = {}
     for j in jobs:
@@ -217,7 +232,7 @@ def schedule(spec: SchedulerSpec) -> ScheduleResult:
             completion_tick=completion[j.name],
             ideal_tick=math.ceil(work / j.demand),
         )
-    return ScheduleResult(allocations=allocations, jobs=outcomes, total_allocated=totals)
+    return ScheduleResult(allocations=allocations, jobs=outcomes)
 
 
 # -- signaling accounting -----------------------------------------------------------------

@@ -1076,7 +1076,7 @@ class Driver:
             job_name = open_jobs[0] if open_jobs else sched.classes[-1].name
             detail.update(
                 ticks=result.jobs[job_name].completion_tick,
-                cost=result.total_allocated[job_name],
+                cost=result.jobs[job_name].work,  # all of it is allocated
                 scheduler={"budget": spec.budget, "jobs": {
                     n: {"completion_tick": j.completion_tick, "ideal_tick": j.ideal_tick,
                         "delay": j.delay, "priority": j.priority, "demand": j.demand,

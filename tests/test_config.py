@@ -23,7 +23,7 @@ from smosim.config import (
     MAX_BYTES,
     MAX_COMPONENTS,
     MAX_INFLATION,
-    MAX_JOB_WORK,
+    MAX_JOB_CLASSES,
     MAX_MISSED_BEATS,
     MAX_RECORDS,
     MAX_ROUNDS,
@@ -111,9 +111,6 @@ MALFORMED = [
      ConfigError, "harness.failure.replicas[0]"),
     (("harness", "scheduler"), {"budget": 4, "classes": [{"name": "a", "work": -3}]},
      ConfigError, "harness.scheduler.classes[0].work"),
-    (("harness", "scheduler"), {"budget": 4, "classes": [{"name": "a",
-                                                          "work": MAX_JOB_WORK + 1}]},
-     ConfigError, "harness.scheduler.classes[0].work"),
     (("harness", "scheduler"), {"budget": 4, "classes": [{"name": "a"}, {"name": "a"}]},
      ConfigError, "harness.scheduler.classes[1].name"),
     (("harness", "scheduler"), {"budget": 4, "classes": [{"name": "job1"}, {"work": 3}]},
@@ -122,6 +119,8 @@ MALFORMED = [
      "topology.nfvo"),
     (("harness", "scheduler"), {"budget": 4, "classes": []}, ConfigError,
      "harness.scheduler.classes"),
+    (("harness", "scheduler"), {"budget": 4, "classes": [{}] * (MAX_JOB_CLASSES + 1)},
+     ConfigError, "harness.scheduler.classes"),
     (("harness", "drift_shift"), {"at_round": 1, "coefficients": [1.0, 0.0]}, ConfigError,
      "harness.drift_shift.coefficients"),
     (("pipeline", "derived"), [{"op": "product", "a": "x", "b": "cpu"}], ConfigError,

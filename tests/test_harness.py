@@ -12,7 +12,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smosim.config import FeatureSpec, FilterSpec, JobClass, PoisonSpec, PrivacySpec, SchedulerSpec
+from smosim.config import (MAX_JOB_CLASSES, FeatureSpec, FilterSpec, JobClass, PoisonSpec,
+                           PrivacySpec, SchedulerSpec)
 from smosim.datagen import RecordBatch
 from smosim.errors import MissingKey, ZeroCapacity
 from smosim.harness import (
@@ -171,6 +172,32 @@ class TestPrivacy:
         assert inflate_bytes(7, 1.0) == 7
 
 
+def per_tick(result) -> list[dict[str, int]]:
+    """The grant rows of a schedule, one per tick from tick 1."""
+    return [row for repeat, rows in result.allocations for _ in range(repeat) for row in rows]
+
+
+def stepped(spec: SchedulerSpec) -> tuple[list[dict[str, int]], dict[str, int]]:
+    """Reference schedule: each tick's grant row, and each job's completion tick,
+    stepped one tick at a time as the :func:`schedule` docstring states it."""
+    remaining = {j.name: j.work for j in spec.classes}
+    done = dict.fromkeys(remaining, 0)
+    rows: list[dict[str, int]] = []
+    while any(remaining.values()):
+        budget, row = spec.budget, dict.fromkeys(remaining, 0)
+        for priority in sorted({j.priority for j in spec.classes}, reverse=True):
+            group = [j for j in spec.classes if j.priority == priority and remaining[j.name]]
+            turn = len(rows) % len(group) if group else 0
+            for j in group[turn:] + group[:turn]:
+                grant = min(j.demand, remaining[j.name], budget)
+                row[j.name], budget = grant, budget - grant
+                remaining[j.name] -= grant
+                if grant and not remaining[j.name]:
+                    done[j.name] = len(rows) + 1
+        rows.append(row)
+    return rows, done
+
+
 class TestScheduler:
     def test_uncontended_nf_workload_has_zero_delay(self):
         spec = SchedulerSpec(budget=4, classes=(
@@ -187,7 +214,7 @@ class TestScheduler:
         result = schedule(spec)
         assert result.jobs["Retraining"].completion_tick == 12
         assert result.jobs["NfWorkload"].delay == 0
-        for row in result.allocations[:12]:
+        for row in per_tick(result)[:12]:
             assert row["NfWorkload"] == 3 and row["Retraining"] == 1
 
     def test_swapped_priorities_delay_nf_workload(self):
@@ -209,7 +236,7 @@ class TestScheduler:
             JobClass("b", priority=0, demand=1, work=3),
         ))
         result = schedule(spec)
-        grants = [(row["a"], row["b"]) for row in result.allocations]
+        grants = [(row["a"], row["b"]) for row in per_tick(result)]
         assert grants == [(1, 0), (0, 1), (1, 0), (0, 1), (1, 0), (0, 1)]
 
     @settings(max_examples=40, deadline=None)
@@ -224,20 +251,60 @@ class TestScheduler:
             JobClass(f"j{i}", priority=priorities[i], demand=demands[i], work=works[i])
             for i in range(n)))
         result = schedule(spec)
+        rows = per_tick(result)
         done: dict[str, int] = {}
-        for t, row in enumerate(result.allocations, start=1):
+        for t, row in enumerate(rows, start=1):
             assert sum(row.values()) <= budget
             for name, grant in row.items():
                 assert grant <= result.jobs[name].demand
                 if name in done:
                     assert grant == 0
-                done_total = sum(r[name] for r in result.allocations[:t])
+                done_total = sum(r[name] for r in rows[:t])
                 if done_total >= result.jobs[name].work and name not in done:
                     done[name] = t
         for name, job in result.jobs.items():
-            total = sum(r[name] for r in result.allocations)
+            total = sum(r[name] for r in rows)
             assert total == job.work
             assert job.completion_tick == done[name]
+
+    @settings(max_examples=60, deadline=None)
+    @given(budget=st.integers(1, 8),
+           classes=st.lists(st.tuples(st.integers(0, 2), st.integers(1, 5),
+                                      st.integers(1, 300)), min_size=1, max_size=6))
+    def test_repeated_periods_grant_what_stepping_each_tick_grants(self, budget, classes):
+        spec = SchedulerSpec(budget=budget, classes=tuple(
+            JobClass(f"j{i}", priority=p, demand=d, work=w)
+            for i, (p, d, w) in enumerate(classes)))
+        result = schedule(spec)
+        rows, done = stepped(spec)
+        assert per_tick(result) == rows
+        assert {name: job.completion_tick for name, job in result.jobs.items()} == done
+
+    def test_a_huge_work_is_scheduled_in_a_few_periods(self):
+        # stepped tick by tick, this schedule would take 3 * 10**14 ticks
+        spec = SchedulerSpec(budget=4, classes=(
+            JobClass("NfWorkload", priority=1, demand=3, work=36),
+            JobClass("Retraining", priority=0, demand=3, work=10**15)))
+        result = schedule(spec)
+        assert result.jobs["NfWorkload"].completion_tick == 12
+        assert result.jobs["Retraining"].completion_tick == 12 + -(-(10**15 - 12) // 3)
+        assert sum(len(rows) for _, rows in result.allocations) <= 16
+
+    def test_the_most_job_classes_with_the_longest_period_are_scheduled(self):
+        # groups of 4, 5 and 7 classes turn round-robin with period lcm(4, 5, 7) = 140,
+        # the longest that MAX_JOB_CLASSES classes can have
+        sizes = (4, 5, 7)
+        assert sum(sizes) == MAX_JOB_CLASSES
+        spec = SchedulerSpec(budget=2, classes=tuple(
+            JobClass(f"p{p}c{c}", priority=p, demand=1, work=10**12 + c)
+            for p, size in enumerate(sizes) for c in range(size)))
+        result = schedule(spec)
+        for job in result.jobs.values():
+            assert sum(repeat * sum(row[job.name] for row in rows)
+                       for repeat, rows in result.allocations) == job.work
+        # the budget is spent in full on every tick but the last
+        assert max(job.completion_tick for job in result.jobs.values()) == \
+            -(-sum(job.work for job in result.jobs.values()) // 2)
 
     @settings(max_examples=30, deadline=None)
     @given(budget=st.integers(1, 6), nf_work=st.integers(1, 24),

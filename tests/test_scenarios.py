@@ -47,7 +47,7 @@ from smosim.topology import (
 
 from conftest import (build, numeric_feature, save_artifact, scenario_b_dict, source,
                       transformed_to_csv)
-from golden.cases import (a_import_model, b_drift_full, b_stream_incremental,
+from golden.cases import (CASES, a_import_model, b_drift_full, b_stream_incremental,
                           c_share_data, c_share_models, run_case)
 from invariants import check_invariants, checked_run
 
@@ -452,6 +452,19 @@ class TestScenarioB:
         report = checked_run(build(data)).report
         assert report.status == "failed"
         assert report.failure.startswith(f"{EmptyEvalSet.__name__}: ")
+
+    def test_a_long_scheduled_training_job_costs_no_step_per_tick(self, tmp_path):
+        # stepped tick by tick, the training job's 4.8 million ticks each kept an
+        # allocation row, so time and memory grew with the cost
+        data = CASES["b_ridge_scheduler"](tmp_path)
+        data["costs"] = {"train_tick_per_record": 100_000}
+        result = checked_run(build(data))
+        assert result.report.status == "completed"
+        training = [e.detail for e in result.sim.log.of_type("job_scheduled")
+                    if e.detail["job"] == "training"][0]
+        # the NF workload takes 2 of the budget of 4 for 30 ticks, the job 2 and then 3
+        assert training["work"] == 144 * 100_000  # 144 training records
+        assert training["ticks"] == 30 + -(-(training["work"] - 60) // 3)
 
 
 def _counted(calls, fn, *args, **kwargs):
