@@ -154,10 +154,12 @@ class SourceSpec:
 # -- byte and tick accounting ----------------------------------------------------
 
 # the event log keeps a message's bytes in an int64 column: with every size and
-# interface overhead at most MAX_BYTES and every inflation at most MAX_INFLATION, a
-# message of 2 * MAX_RECORDS records, or of a model below 2**23 parameters, fits
+# interface overhead at most MAX_BYTES, every inflation at most MAX_INFLATION and
+# every model at most MAX_WIDTH weights wide, a message of 2 * MAX_RECORDS records
+# or of a model fits
 MAX_BYTES = 2 ** 30
 MAX_INFLATION = 1_000.0
+MAX_WIDTH = 2 ** 16
 
 
 @dataclass(frozen=True)
@@ -669,6 +671,8 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
     for i, src in enumerate(cfg.sources):
         path = f"sources[{i}]"
         width = encoded_width(src.schema)
+        _expect(width <= MAX_WIDTH, f"{path}.schema",
+                f"encoded schema of {width} columns exceeds {MAX_WIDTH} model weights")
         _expect(len(src.coefficients) == width, f"{path}.coefficients",
                 f"expected {width} coefficients for encoded schema, got {len(src.coefficients)}")
         _expect(src.emission.mode == "batch" or src.emission.interval >= 1,
@@ -694,6 +698,9 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
         for side, name in (("a", d.a), ("b", d.b)):
             _expect(name in numeric, f"pipeline.derived[{i}].{side}",
                     "derived features take numeric columns of the canonical schema", name)
+    width = encoded_width(canonical or []) + len(cfg.pipeline.derived)
+    _expect(not canonical or width <= MAX_WIDTH, "pipeline.derived",
+            f"{width} model columns with the derived features exceed {MAX_WIDTH} model weights")
     _expect(cfg.monitor.rounds * cfg.monitor.batch <= MAX_RECORDS, "monitor.rounds",
             f"{cfg.monitor.rounds} rounds of {cfg.monitor.batch} samples exceed "
             f"{MAX_RECORDS} samples")

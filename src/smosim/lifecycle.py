@@ -19,7 +19,7 @@ from typing import Any, Callable
 
 import numpy as np
 
-from .config import ModelKind
+from .config import MAX_WIDTH, ModelKind
 from .datagen import Part, RecordBatch, gather
 from .errors import IllegalTransition, InvalidArtifact, SchemaMismatch
 from .learn import EvalMetrics, LinearParams, ModelParameters, params_from_list, whole
@@ -68,6 +68,8 @@ class ModelArtifact:
         if self.origin not in ("internal", "external", "aggregated"):
             raise InvalidArtifact(f"unknown origin {self.origin!r}")
         width = len(self.feature_names)
+        if width > MAX_WIDTH:  # its bytes on the wire would overflow the event log's column
+            raise InvalidArtifact(f"schema width {width} exceeds {MAX_WIDTH}")
         if isinstance(self.parameters, LinearParams):
             if len(self.parameters.weights) != width:
                 raise InvalidArtifact(

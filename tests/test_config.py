@@ -29,6 +29,7 @@ from smosim.config import (
     MAX_ROUNDS,
     MAX_SEARCH_TRIALS,
     MAX_TICK,
+    MAX_WIDTH,
     ModelSpec,
     MonitorSpec,
     PipelineSpec,
@@ -91,6 +92,11 @@ MALFORMED = [
     (("costs", "train_tick_per_record"), -1, ConfigError, "costs.train_tick_per_record"),
     (("sizes", "record_bytes"), -5, ConfigError, "sizes.record_bytes"),
     (("sizes", "record_bytes"), MAX_BYTES + 1, ConfigError, "sizes.record_bytes"),
+    (("sources", 0, "schema"), [{"name": "cell", "type": "categorical",
+                                 "vocab": [str(i) for i in range(MAX_WIDTH + 1)]}],
+     ConfigError, "sources[0].schema"),
+    (("pipeline", "derived"), [{"op": "product", "a": "cpu", "b": "mem"}] * (MAX_WIDTH - 3),
+     ConfigError, "pipeline.derived"),
     (("sizes", "artifact_entry_bytes"), 10**30, ConfigError, "sizes.artifact_entry_bytes"),
     (("interfaces",), {"R1": {"overhead_bytes": MAX_BYTES + 1}}, ConfigError,
      "interfaces.R1.overhead_bytes"),
@@ -162,8 +168,10 @@ MALFORMED = [
 
 
 def _case_id(case) -> str:
-    path, value = case[0], case[1]
-    return ".".join(map(str, path)) + "=" + json.dumps(value)
+    path, text = case[0], json.dumps(case[1])
+    if len(text) > 4096:  # a value past a size bound: cut its id at the head
+        text = f"{text[:60]}...({len(text)} chars)"
+    return ".".join(map(str, path)) + "=" + text
 
 
 class TestMalformed:
@@ -560,6 +568,18 @@ class TestCrossFieldRules:
         sizes = [e.bytes for e in result.sim.log.entries if e.type == "send"]
         assert max(sizes) > MAX_BYTES * MAX_INFLATION
         assert all(col.typecode == "q" for col in result.sim.log._cols)
+
+    def test_a_model_message_at_the_bounds_fits_the_int64_bytes_column(self):
+        # the widest model is MAX_WIDTH weights and a bias, each of MAX_BYTES, inflated
+        # MAX_INFLATION-fold, plus the largest interface overhead
+        sizes = SizeTable(param_bytes=MAX_BYTES)
+        assert sizes.artifact_bytes(MAX_WIDTH + 1, MAX_INFLATION) + MAX_BYTES < 2 ** 63
+
+    def test_model_columns_up_to_the_bound_are_accepted(self):
+        data = scenario_b_dict()
+        data["pipeline"]["derived"] = [{"op": "product", "a": "cpu", "b": "mem"}] * \
+            (MAX_WIDTH - 4)  # beside the encoded schema's 4 columns
+        assert len(config_from_dict(data).pipeline.derived) == MAX_WIDTH - 4
 
     def test_search_trials_up_to_the_bound_are_accepted(self):
         ranges = {"learning_rate": [0.01, 0.1]}

@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from smosim.config import FeatureSpec, ModelKind
+from smosim.config import MAX_WIDTH, FeatureSpec, ModelKind
 from smosim.datagen import RecordBatch
 from smosim.errors import IllegalTransition, InvalidArtifact
 from smosim.learn import EvalMetrics, LinearParams, StumpParams
@@ -64,6 +64,12 @@ class TestRegister:
                 scaler=ScalingParams("none", ["a", "b"], np.zeros(2), np.ones(2)),
                 metrics=EvalMetrics(0.0, 0.0, 1.0),
             )
+
+    def test_an_artifact_wider_than_the_bound_is_rejected(self):
+        # its bytes on the wire would overflow the event log's int64 column
+        assert _artifact(width=MAX_WIDTH).param_count == MAX_WIDTH + 1
+        with pytest.raises(InvalidArtifact, match="exceeds"):
+            _artifact(width=MAX_WIDTH + 1)
 
     @pytest.mark.parametrize("offset, scale", [(3, 2), (2, 3), (3, 3)])
     def test_scaler_width_mismatch_rejected(self, offset, scale):
