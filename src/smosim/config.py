@@ -749,14 +749,20 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
             "only scenario A reads the external section")
     _expect(cfg.harness.drift_shift is None or cfg.monitor.rounds > 0, "harness.drift_shift",
             "a drift shift acts on monitor rounds, so it needs monitor.rounds > 0")
-    if cfg.mode in ("share-models", "import-model"):  # neither trains on collected data
+    # share-models never trains on collected data, and import-model only when a
+    # failover interrupts a refinement and the promoted replica trains afresh
+    # (Driver._resume_model); the rule makes that training run without these sections
+    if cfg.mode in ("share-models", "import-model"):
         unread = {"search": cfg.search, "scenario.online_training": cfg.online_training,
                   "harness.filter": cfg.harness.filter}
+        reason = "import-model reads it only to train afresh when a failover interrupts a " \
+            "refinement, and that training takes none"
         if cfg.mode == "share-models":  # each domain draws and prepares its own data
             unread |= {"collection": data.get("collection"), "harness.poison": cfg.harness.poison,
                        "harness.privacy": cfg.harness.privacy}
+            reason = "share-models does not read it"
         for path, section in unread.items():
-            _expect(not section, path, f"{cfg.mode} does not read it")
+            _expect(not section, path, reason)
     if kind is ScenarioKind.A:
         _expect(cfg.external is not None, "external", "scenario A needs the external section")
         key = "artifact_path" if cfg.mode == "import-model" else "data_path"

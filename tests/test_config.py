@@ -626,6 +626,9 @@ class TestCrossFieldRules:
         with pytest.raises(ConfigError) as info:
             config_from_dict(data)
         assert info.value.field == field
+        if base == "a_import_model" and field != "harness.drift_shift":
+            # its one reader is the fresh training of a failover mid-refinement
+            assert "failover interrupts a refinement" in str(info.value)
 
     @pytest.mark.parametrize("base, sections", [
         ("c_share_models", {"collection": {}, "external": {}, "search": None}),
