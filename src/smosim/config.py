@@ -71,6 +71,8 @@ class ScenarioKind(str, Enum):
 
 
 class ModelKind(str, Enum):
+    """LinearSgd, RidgeClosedForm fit raw targets; LogisticSgd, DecisionStump their labels."""
+
     LINEAR_SGD = "LinearSgd"
     RIDGE_CLOSED_FORM = "RidgeClosedForm"
     LOGISTIC_SGD = "LogisticSgd"
@@ -303,7 +305,7 @@ class MonitorSpec:
     # refinement fit on the window minus its holdout: "incremental" is one per-sample SGD
     # pass from the deployed weights, "full" is hp.epochs minibatch epochs from them on the
     # window's standardised columns (learn.fit_standardized); ridge and stump refit afresh
-    # in both modes (ridge by its closed form, never by SGD)
+    # in both modes (ridge by its closed form); classifiers fit the window's labels
     refit: str = _one_of("incremental", "full", default="incremental")
     holdout_fraction: float = _rule(lambda v: 0.0 < v < 1.0,
                                     "holdout fraction must lie in (0, 1)", default=0.2)
@@ -737,6 +739,8 @@ def config_from_dict(data: dict[str, Any]) -> ScenarioConfig:
         _expect(len({s.owner for s in cfg.sources}) >= 2, "sources",
                 "scenario C needs at least two management domains")
     if cfg.mode == "share-models":  # it deploys the global model to its domains, unmonitored
+        _expect(cfg.model.kind.is_sgd, "model.kind", "share-models averages its domains' "
+                "parameters, so it needs an SGD kind", cfg.model.kind.value)
         _expect(cfg.monitor.rounds == 0, "monitor.rounds",
                 "share-models does not monitor, so it takes no monitor rounds",
                 cfg.monitor.rounds)

@@ -1,6 +1,12 @@
 """Model zoo and training: SGD linear/logistic models, closed-form ridge,
 depth-1 decision stumps, hyperparameter search and evaluation.
 
+:func:`labels` decides what a class is: a target at or above the threshold is
+a 1. The classifier kinds (LogisticSgd, DecisionStump) fit the labels at
+``hp.threshold``, labelled once at the fit entry points (:func:`fit`,
+:func:`_fit_rates`, :func:`incremental_update`), and the regression kinds fit
+raw targets. :func:`evaluate` scores predicted classes against the labels.
+
 Everything is deterministic given (data, hyperparams, seed); ties anywhere
 break by enumeration order. Training cost is simulated: records processed
 times a configured per-record tick cost, never wall clock.
@@ -149,14 +155,24 @@ def loss_gradient(kind: ModelKind, params: LinearParams, X: np.ndarray, y: np.nd
     return g[:d] + 2.0 * l2_lambda * params.weights, float(g[d])
 
 
-def incremental_update(params: LinearParams, X: np.ndarray, y: np.ndarray,
-                       learning_rate: float, l2_lambda: float,
+def labels(y: np.ndarray, threshold: float) -> np.ndarray:
+    """The classes of ``y`` at ``threshold``: 1.0 where y >= threshold, else 0.0."""
+    return (y >= threshold).astype(float)
+
+
+def _targets(kind: ModelKind, y: np.ndarray, hp: HyperParams) -> np.ndarray:
+    """What ``kind`` fits: a classifier the labels at ``hp.threshold``, else ``y``."""
+    return y if kind.is_regression else labels(y, hp.threshold)
+
+
+def incremental_update(params: LinearParams, X: np.ndarray, y: np.ndarray, hp: HyperParams,
                        kind: ModelKind = ModelKind.LINEAR_SGD) -> LinearParams:
-    """Per-sample SGD over new samples in arrival order."""
+    """Per-sample SGD over new samples in arrival order, at ``hp``'s learning
+    rate and L2 weight; LogisticSgd steps on the labels of ``y``."""
     if not kind.is_sgd:
         raise UnsupportedKind(f"{kind.value} cannot be updated incrementally")
-    return _raised(_sgd(kind, X, y, [np.arange(X.shape[0])], [(params, learning_rate)], 1,
-                        l2_lambda)[0])
+    return _raised(_sgd(kind, X, _targets(kind, y, hp), [np.arange(X.shape[0])],
+                        [(params, hp.learning_rate)], 1, hp.l2_lambda)[0])
 
 
 def _raised(outcome):
@@ -359,18 +375,16 @@ def whole(value: Any) -> int:
 
 def evaluate(params: ModelParameters, kind: ModelKind, X: np.ndarray, y: np.ndarray,
              threshold: float = 0.5) -> EvalMetrics:
-    """MSE/RMSE on raw scores plus accuracy of thresholded scores vs labels.
-
-    Actuals are thresholded too, so 0/1 targets compare as classes and the
-    accuracy of a perfect predictor is 1 regardless of task type.
-    """
+    """MSE/RMSE of the raw scores against ``y``, and accuracy of the predicted
+    classes against ``y``'s :func:`labels` at ``threshold``: a regression
+    score's label at ``threshold``, a classifier's (a class or P(class 1)) at
+    0.5. A perfect predictor's accuracy is 1 regardless of task type."""
     if X.shape[0] == 0:
         raise EmptyEvalSet("evaluation partition is empty")
     scores = predict_score(params, kind, X)
     mse = float(np.mean((scores - y) ** 2))
-    labels = (scores >= threshold)
-    actual_labels = (y >= threshold)
-    accuracy = float(np.mean(labels == actual_labels))
+    cut = threshold if kind.is_regression else 0.5
+    accuracy = float(np.mean(labels(scores, cut) == labels(y, threshold)))
     return EvalMetrics(mse=mse, rmse=float(np.sqrt(mse)), accuracy=accuracy)
 
 
@@ -414,8 +428,9 @@ def ridge_closed_form(X: np.ndarray, y: np.ndarray, l2_lambda: float) -> LinearP
     return LinearParams(theta[:-1], float(theta[-1]))
 
 
-def _fit_stump(X: np.ndarray, y: np.ndarray, classification: bool) -> StumpParams:
-    """Exhaustive best single split; ties break by (feature, candidate) order."""
+def _fit_stump(X: np.ndarray, y: np.ndarray) -> StumpParams:
+    """The split of (X, 0/1 labels y) with the fewest misclassified rows and
+    majority leaves (0 on a tie); ties break by (feature, candidate) order."""
     n, d = X.shape
     best: tuple[float, int, int] | None = None  # (error, feature, candidate index)
     best_stump: StumpParams | None = None
@@ -426,41 +441,22 @@ def _fit_stump(X: np.ndarray, y: np.ndarray, classification: bool) -> StumpParam
         distinct = np.nonzero(xs[:-1] < xs[1:])[0]
         if len(distinct) == 0:
             continue
-        if classification:
-            ones = np.cumsum(ys)
-            total_ones = ones[-1]
-            for c_idx, k in enumerate(distinct):
-                left_n, left_ones = k + 1, ones[k]
-                right_n, right_ones = n - left_n, total_ones - ones[k]
-                err = (min(left_ones, left_n - left_ones)
-                       + min(right_ones, right_n - right_ones))
-                if best is None or (err, j, c_idx) < best:
-                    thr = (xs[k] + xs[k + 1]) / 2.0
-                    left = 1.0 if left_ones * 2 > left_n else 0.0
-                    right = 1.0 if right_ones * 2 > right_n else 0.0
-                    best = (float(err), j, c_idx)
-                    best_stump = StumpParams(j, float(thr), left, right)
-        else:
-            s = np.cumsum(ys)
-            s2 = np.cumsum(ys ** 2)
-            total_s, total_s2 = s[-1], s2[-1]
-            for c_idx, k in enumerate(distinct):
-                ln = k + 1
-                rn = n - ln
-                sse_l = s2[k] - s[k] ** 2 / ln
-                sse_r = (total_s2 - s2[k]) - (total_s - s[k]) ** 2 / rn
-                err = sse_l + sse_r
-                if best is None or (err, j, c_idx) < best:
-                    thr = (xs[k] + xs[k + 1]) / 2.0
-                    best = (float(err), j, c_idx)
-                    best_stump = StumpParams(j, float(thr), float(s[k] / ln),
-                                             float((total_s - s[k]) / rn))
+        ones = np.cumsum(ys)
+        total_ones = ones[-1]
+        for c_idx, k in enumerate(distinct):
+            left_n, left_ones = k + 1, ones[k]
+            right_n, right_ones = n - left_n, total_ones - ones[k]
+            err = (min(left_ones, left_n - left_ones)
+                   + min(right_ones, right_n - right_ones))
+            if best is None or (err, j, c_idx) < best:
+                thr = (xs[k] + xs[k + 1]) / 2.0
+                left = 1.0 if left_ones * 2 > left_n else 0.0
+                right = 1.0 if right_ones * 2 > right_n else 0.0
+                best = (float(err), j, c_idx)
+                best_stump = StumpParams(j, float(thr), left, right)
     if best_stump is None:
-        # every feature constant: predict the pooled output everywhere
-        if classification:
-            out = 1.0 if float(np.sum(y)) * 2 > n else 0.0
-        else:
-            out = float(np.mean(y))
+        # every feature constant: predict the majority label everywhere
+        out = 1.0 if float(np.sum(y)) * 2 > n else 0.0
         best_stump = StumpParams(0, float(X[0, 0]) if d else 0.0, out, out)
     return best_stump
 
@@ -471,15 +467,16 @@ def fit(kind: ModelKind, X: np.ndarray, y: np.ndarray, hp: HyperParams, seed: in
 
     SGD kinds run ``hp.epochs`` seeded shuffles from ``init`` (zeros if None),
     one :func:`_sgd` fit; the closed form and the stump ignore ``init`` and
-    fit afresh.
+    fit afresh. Classifiers fit the :func:`labels` of ``y`` at ``hp.threshold``.
     """
     n = X.shape[0]
     if n == 0:
         raise EmptyTrainSet("train split is empty")
+    y = _targets(kind, y, hp)
     if kind is ModelKind.RIDGE_CLOSED_FORM:
         return ridge_closed_form(X, y, hp.l2_lambda), n
     if not kind.is_sgd:
-        return _fit_stump(X, y, classification=not kind.is_regression), n
+        return _fit_stump(X, y), n
     start = init if init is not None else zero_params(X.shape[1])
     return _raised(_sgd(kind, X, y, epoch_orders(n, seed, hp.epochs), [(start, hp.learning_rate)],
                         hp.batch_size, hp.l2_lambda)[0]), hp.epochs * n
@@ -765,7 +762,7 @@ def _fit_rates(kind: ModelKind, split: SplitDataset, hp: HyperParams, seed: int,
     kernel call with a learning rate per fit, and each equals its own call
     bit for bit. An empty partition, or another kind, fits once per rate.
     """
-    X, y = split.train.X, split.train.y
+    X = split.train.X
     if not (kind.is_sgd and len(X)):
         out: list[TrainResult | SimulationError] = []
         for rate in rates:
@@ -774,7 +771,7 @@ def _fit_rates(kind: ModelKind, split: SplitDataset, hp: HyperParams, seed: int,
             except SimulationError as exc:
                 out.append(exc)
         return out
-    n, zero = len(X), zero_params(X.shape[1])
+    n, zero, y = len(X), zero_params(X.shape[1]), _targets(kind, split.train.y, hp)
     fitted: list[LinearParams | NonFiniteUpdate] = []
     for first in range(0, len(rates), _STACK_FITS):
         fitted += _sgd(kind, X, y, epoch_orders(n, seed, hp.epochs),

@@ -185,19 +185,20 @@ class Registry:
     def register(self, artifact: ModelArtifact, model_id: str,
                  provenance: dict[str, Any] | None = None,
                  validation: tuple[np.ndarray, np.ndarray] | None = None,
-                 mse_threshold: float | None = None) -> RegistryEntry:
+                 mse_threshold: float | None = None,
+                 threshold: float | None = None) -> RegistryEntry:
         """New entry in Trained (internal) or Validated (external) state.
 
         External artifacts must additionally pass evaluation on a local
         validation partition, scaled by their own scaler as inference scales
-        it, before they are accepted.
+        it, before they are accepted; accuracy there is at ``threshold``.
         """
         if model_id in self.entries:
             raise InvalidArtifact(f"model id {model_id!r} already registered; "
                                   "use reregister for new versions")
         state = LifecycleState.TRAINED
         if artifact.origin == "external":
-            if validation is None or mse_threshold is None:
+            if validation is None or mse_threshold is None or threshold is None:
                 raise InvalidArtifact("external artifacts need local validation")
             from .learn import evaluate
 
@@ -206,7 +207,8 @@ class Registry:
                 raise InvalidArtifact(
                     f"validation width {Xv.shape[1]} != artifact schema "
                     f"{len(artifact.feature_names)}")
-            metrics = evaluate(artifact.parameters, artifact.kind, artifact.scaler.apply(Xv), yv)
+            metrics = evaluate(artifact.parameters, artifact.kind, artifact.scaler.apply(Xv), yv,
+                               threshold)
             if metrics.mse > mse_threshold:
                 raise InvalidArtifact(
                     f"external artifact failed validation: mse {metrics.mse:.6g} "

@@ -389,8 +389,8 @@ def explore(td: TransformedDataset) -> ExplorationReport:
         feature_names=list(td.feature_names),
         mean=[float(v) for v in X.mean(axis=0)],
         variance=[float(v) for v in X.var(axis=0)],
-        minimum=[float(v) for v in X.min(axis=0)] if len(td) else [],
-        maximum=[float(v) for v in X.max(axis=0)] if len(td) else [],
+        minimum=[float(v) for v in X.min(axis=0)],
+        maximum=[float(v) for v in X.max(axis=0)],
         correlation=corr,
         target_correlation=target_corr,
         ranking=[td.feature_names[j] for j in order],

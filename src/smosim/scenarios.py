@@ -1051,8 +1051,7 @@ class Driver:
         if not self._trains_online():
             return learn.train(cfg.model.kind, split, hp, seed=cfg.seed, costs=self.costs)
         params = learn.incremental_update(learn.zero_params(split.train.X.shape[1]),
-                                          split.train.X, split.train.y,
-                                          hp.learning_rate, hp.l2_lambda, cfg.model.kind)
+                                          split.train.X, split.train.y, hp, cfg.model.kind)
         return learn.scored(cfg.model.kind, split, hp, self.costs, (params, len(split.train)))
 
     def log_job(self, job: str, work: int, src: ComponentId, via_scheduler: bool = True) -> int:
@@ -1109,8 +1108,7 @@ class Driver:
         split, self._test_metrics = self.split, None
         if split is not None:  # import-model has none
             self._test_metrics = test = learn.evaluate(
-                params, cfg.model.kind, split.test.X, split.test.y,
-                cfg.model.hyperparams.threshold)
+                params, cfg.model.kind, split.test.X, split.test.y, self._chosen_hp.threshold)
             detail = {"records": len(split.test)}
             if refined:
                 detail["forgetting_mse"] = test.mse
@@ -1259,8 +1257,7 @@ class Driver:
         X_hold, y_hold = X[-k:], y[-k:]
         hp = self._chosen_hp
         if cfg.monitor.refit == "incremental" and cfg.model.kind.is_sgd:
-            params = learn.incremental_update(entry.artifact.parameters, X_train, y_train,
-                                              hp.learning_rate, hp.l2_lambda,
+            params = learn.incremental_update(entry.artifact.parameters, X_train, y_train, hp,
                                               cfg.model.kind)
             processed = len(X_train)
         else:
@@ -1364,7 +1361,7 @@ class Driver:
         try:
             entry = self.registry.register(
                 artifact, MODEL_ID, provenance=self._provenance(),
-                validation=(base[:n_val], y[:n_val]),
+                validation=(base[:n_val], y[:n_val]), threshold=cfg.model.hyperparams.threshold,
                 mse_threshold=cfg.external.validation_mse_threshold)
         except InvalidArtifact as exc:
             self.sim.log_event("artifact_rejected", src=self.active_aiml,

@@ -40,9 +40,10 @@ def b_online_search(workdir: Path) -> dict[str, Any]:
 
 def b_logistic_search(workdir: Path) -> dict[str, Any]:
     """A LogisticSgd random search over the learning rate alone, on targets
-    in [0, 1]: its 20 trials fit in two SGD kernel calls of 16 and 4, and the
-    rates past 1 / l2_lambda diverge, trials 2 and 5 of the first call and
-    trial 16 of the second."""
+    near [0, 1] that are thresholded at 0.5 into the classes it fits: its 20
+    trials fit in two SGD kernel calls of 16 and 4, and the rates past
+    1 / l2_lambda diverge, trials 2 and 5 of the first call and trial 16 of
+    the second."""
     schema = [numeric_feature("cpu"), numeric_feature("mem")]
     data = scenario_b_dict(seed=13)
     data["sources"] = [source(owner, 120, schema, [0.6, -0.4], bias=0.4, sigma=0.05)
@@ -149,7 +150,8 @@ def b_ridge_scheduler(workdir: Path) -> dict[str, Any]:
 
 
 def b_stump_full_refit(workdir: Path) -> dict[str, Any]:
-    """A DecisionStump whose drift refinement refits a stump afresh on the window."""
+    """A DecisionStump whose drift refinement refits a stump afresh on the
+    labels of the window's targets."""
     schema = [numeric_feature("cpu"), numeric_feature("mem")]
     data = scenario_b_dict(seed=37)
     data.update({

@@ -630,6 +630,15 @@ class TestCrossFieldRules:
             # its one reader is the fresh training of a failover mid-refinement
             assert "failover interrupts a refinement" in str(info.value)
 
+    @pytest.mark.parametrize("kind", ["RidgeClosedForm", "DecisionStump"])
+    def test_share_models_rejects_a_kind_it_cannot_average(self, kind, tmp_path):
+        # a stump round raised AttributeError, and a ridge run failed at its first aggregate
+        data = CASES["c_share_models"](tmp_path)
+        data["model"] = {"kind": kind}
+        with pytest.raises(ConfigError) as info:
+            config_from_dict(data)
+        assert info.value.field == "model.kind"
+
     @pytest.mark.parametrize("base, sections", [
         ("c_share_models", {"collection": {}, "external": {}, "search": None}),
         ("c_share_models", {"scenario": {"online_training": False}, "harness": {}}),

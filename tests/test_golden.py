@@ -13,15 +13,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import smosim
-from smosim import cli
+from smosim import cli, config_from_dict, learn
 from smosim.config import load_config
+from smosim.errors import ConfigError
 from smosim.scenarios import report_from
 from smosim.topology import Event, EventLog
 from golden.cases import CASES, dumps, golden_path, pinned, run_case
-from invariants import check_invariants
+from golden.reach import UNREACHED
+from invariants import check_invariants, checked_run
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -29,6 +32,46 @@ def test_golden_run_matches_pin(name, tmp_path):
     result = run_case(name, tmp_path)
     check_invariants(result)
     assert dumps(pinned(result)) == golden_path(name).read_text()
+
+
+@pytest.mark.parametrize("kind", ["LogisticSgd", "DecisionStump"])
+def test_classifier_fits_on_the_golden_bases_see_only_labels(kind, tmp_path, monkeypatch):
+    """Each golden config run with a classifier ``model.kind``, wherever the
+    config accepts it, fits only 0/1 targets: every SGD kernel call of a
+    classifier and every stump fit, by whichever path reaches it (train,
+    search, online training, refinement, share-models rounds)."""
+    fits: list[np.ndarray] = []
+    sgd, stump = learn._sgd, learn._fit_stump
+
+    def spied_sgd(fit_kind, X, y, *args, **kwargs):
+        if not fit_kind.is_regression:
+            fits.append(y)
+        return sgd(fit_kind, X, y, *args, **kwargs)
+
+    def spied_stump(X, y):
+        fits.append(y)
+        return stump(X, y)
+
+    monkeypatch.setattr(learn, "_sgd", spied_sgd)
+    monkeypatch.setattr(learn, "_fit_stump", spied_stump)
+    monkeypatch.chdir(tmp_path)  # the import cases name their files relative to it
+    accepted, fitted = set(), set()
+    for name, case in CASES.items():
+        data = case(tmp_path)
+        data["model"]["kind"] = kind
+        try:
+            config = config_from_dict(data)
+        except ConfigError as exc:
+            assert "needs an SGD kind" in str(exc)  # share-models averages parameters
+            continue
+        accepted.add(name)
+        fits.clear()
+        checked_run(config)
+        assert all(np.isin(y, (0.0, 1.0)).all() for y in fits), name
+        fitted |= {name} if fits else set()
+    # every accepted base fits a classifier, but import-model, which imports one
+    assert accepted - fitted == {"a_import_model"}
+    assert len(accepted) == len(CASES) - (2 if kind == "DecisionStump" else 0)
 
 
 @pytest.mark.parametrize("name", sorted(CASES))
@@ -47,6 +90,21 @@ def test_golden_run_does_not_import_numpy_ma(name, tmp_path):
                           capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split() == ["False"]
+
+
+def test_the_functions_no_run_enters_are_the_listed_ones():
+    """``reach.py``, in a fresh process, finds unentered exactly the functions
+    that ``UNREACHED`` lists with a reason, so that code no run enters is either
+    reached by a golden case or says why it stays."""
+    reach = Path(__file__).resolve().parent / "golden" / "reach.py"  # it sets its own path
+    proc = subprocess.run([sys.executable, str(reach)], capture_output=True, text=True,
+                          timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    *lines, count = proc.stdout.splitlines()
+    unreached = {(path.rsplit(":", 1)[0], qualname)
+                 for path, qualname in (line.split(" ", 1) for line in lines)}
+    assert unreached == set(UNREACHED)
+    assert count == f"{len(UNREACHED)} functions not entered"
 
 
 @pytest.mark.parametrize("name", sorted(CASES))

@@ -103,7 +103,7 @@ class TestSgdStep:
         params = zero_params(1)
         x, y = np.array([1.0]), 1.0
         out = incremental_update(params, x[None, :], np.array([y]),
-                                 learning_rate=0.1, l2_lambda=0.0)
+                                 HyperParams(learning_rate=0.1, l2_lambda=0.0))
         assert out.weights[0] == pytest.approx(0.2)
         assert out.bias == pytest.approx(0.2)
         gw, gb = _finite_difference(ModelKind.LINEAR_SGD, params,
@@ -113,21 +113,23 @@ class TestSgdStep:
 
     def test_perfect_fit_is_fixed_point(self):
         params = LinearParams(np.array([2.0]), 1.0)
-        out = incremental_update(params, np.array([[3.0]]), np.array([7.0]), 0.1, 0.0)
+        out = incremental_update(params, np.array([[3.0]]), np.array([7.0]),
+                                 HyperParams(learning_rate=0.1))
         assert out.weights[0] == params.weights[0]
         assert out.bias == params.bias
 
     def test_l2_decay_term(self):
         params = LinearParams(np.array([1.0]), 0.0)
         # perfect fit for the sample, so only the 2*lambda*w decay acts
-        out = incremental_update(params, np.array([[1.0]]), np.array([1.0]), 0.1,
-                                 l2_lambda=1.0)
+        out = incremental_update(params, np.array([[1.0]]), np.array([1.0]),
+                                 HyperParams(learning_rate=0.1, l2_lambda=1.0))
         assert out.weights[0] == pytest.approx(0.8)
 
     def test_divergence_raises_non_finite(self):
         params = LinearParams(np.array([1e308]), 0.0)
         with pytest.raises(NonFiniteUpdate):
-            incremental_update(params, np.array([[1e308]]), np.array([0.0]), 1e300, 0.0)
+            incremental_update(params, np.array([[1e308]]), np.array([0.0]),
+                               HyperParams(learning_rate=1e300))
 
 
 class TestGradientCheck:
@@ -191,7 +193,8 @@ class TestRidge:
             params = zero_params(2)
             for i in range(200):
                 row = slice(i % 50, i % 50 + 1)
-                params = incremental_update(params, X[row], y[row], 0.05, lam)
+                params = incremental_update(params, X[row], y[row],
+                                            HyperParams(learning_rate=0.05, l2_lambda=lam))
                 assert _ridge_objective(params, X, y, lam) >= best - 1e-9
 
 
@@ -239,30 +242,35 @@ class TestTrain:
 
 
 class TestStump:
-    def test_matches_brute_force_on_small_regression(self):
-        rng = np.random.default_rng(5)
-        X = rng.uniform(0, 1, size=(24, 3))
-        y = np.where(X[:, 1] > 0.6, 4.0, 1.0) + rng.normal(scale=0.05, size=24)
-        from smosim.learn import _fit_stump
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 3).flatmap(lambda d: st.lists(
+        st.tuples(st.lists(st.integers(0, 4), min_size=d, max_size=d), st.integers(0, 1)),
+        min_size=1, max_size=12)))
+    def test_split_minimises_misclassifications_over_every_candidate(self, rows):
+        """The split is the first (feature, midpoint between distinct values)
+        in that order to misclassify the fewest labels, with majority leaves."""
+        X = np.array([x for x, _ in rows], float)
+        y = np.array([label for _, label in rows], float)
+        stump = learn._fit_stump(X, y)
 
-        stump = _fit_stump(X, y, classification=False)
+        def majority(labels):
+            return 1.0 if 2 * labels.sum() > len(labels) else 0.0
 
-        def sse_of(j, thr):
-            left, right = y[X[:, j] <= thr], y[X[:, j] > thr]
-            out = 0.0
-            for part in (left, right):
-                if len(part):
-                    out += float(np.sum((part - part.mean()) ** 2))
-            return out
+        def errors(j, thr):
+            sides = (y[X[:, j] <= thr], y[X[:, j] > thr])
+            return sum(int(np.sum(side != majority(side))) for side in sides)
 
-        best = min(
-            (sse_of(j, (xs[k] + xs[k + 1]) / 2), j)
-            for j in range(3)
-            for xs in [np.sort(X[:, j])]
-            for k in range(23) if xs[k] < xs[k + 1]
-        )
-        assert sse_of(stump.feature, stump.threshold) == pytest.approx(best[0], abs=1e-9)
-        assert stump.feature == 1
+        candidates = [(j, (a + b) / 2) for j in range(X.shape[1])
+                      for values in [np.unique(X[:, j])]
+                      for a, b in zip(values[:-1], values[1:])]
+        if not candidates:
+            assert stump.left == stump.right == majority(y)
+            return
+        counts = [errors(j, thr) for j, thr in candidates]
+        feature, threshold = candidates[counts.index(min(counts))]
+        assert (stump.feature, stump.threshold) == (feature, threshold)
+        left = X[:, feature] <= threshold
+        assert (stump.left, stump.right) == (majority(y[left]), majority(y[~left]))
 
     def test_classification_majority_leaves(self):
         X = np.array([[0.0], [1.0], [2.0], [3.0]])
@@ -281,16 +289,51 @@ class TestStump:
         assert result.params.left == result.params.right == 1.0
 
 
+class TestLabels:
+    """A classifier kind fits the labels of its targets at ``hp.threshold``,
+    labelled once, at each fit entry point."""
+
+    @pytest.mark.parametrize("kind", [ModelKind.LOGISTIC_SGD, ModelKind.DECISION_STUMP])
+    def test_each_entry_point_fits_the_labels_at_its_threshold(self, kind):
+        rng = np.random.default_rng(12)
+        X = rng.uniform(0, 1, size=(40, 2))
+        y = 3.0 * X[:, 0] + rng.normal(scale=0.3, size=40)
+        hp = HyperParams(learning_rate=0.5, epochs=5, batch_size=8, threshold=1.5)
+        ones = learn.labels(y, 1.5)
+        assert 0 < ones.sum() < len(ones)  # labelling them again at 1.5 would give none
+        on_labels = hp.replace(threshold=0.5)  # at which the labels are their own labels
+        spec = HyperSearchSpec(mode="grid", grid={"learning_rate": (0.5,)})
+        entries = {"fit": lambda y, hp: fit(kind, X, y, hp, 3)[0],
+                   "search": lambda y, hp: search(kind, _split(X, y), spec, hp, 3)
+                   .best_result.params}
+        if kind.is_sgd:
+            entries["incremental_update"] = lambda y, hp: incremental_update(
+                zero_params(2), X, y, hp, kind)
+        for entry, call in entries.items():
+            assert np.array_equal(call(y, hp).to_list(), call(ones, on_labels).to_list()), entry
+
+    @pytest.mark.parametrize("kind", [ModelKind.LOGISTIC_SGD, ModelKind.DECISION_STUMP])
+    def test_a_separating_fit_scores_full_accuracy_above_a_threshold_of_one(self, kind):
+        # its scores are classes or P(class 1), so they are cut at 0.5, not at 1.5
+        X = np.concatenate([np.linspace(0.0, 0.4, 20), np.linspace(0.6, 1.0, 20)])[:, None]
+        y = 3.0 * X[:, 0]  # its labels at 1.5 are 1 exactly where x > 0.5
+        hp = HyperParams(learning_rate=0.5, epochs=200, batch_size=8, threshold=1.5)
+        params, _ = fit(kind, X, y, hp, 3)
+        assert evaluate(params, kind, X, y, 1.5).accuracy == 1.0
+
+
 class TestIncrementalUpdate:
     def test_empty_sample_set_is_identity(self):
         params = LinearParams(np.array([1.0, 2.0]), 3.0)
-        out = incremental_update(params, np.empty((0, 2)), np.empty(0), 0.1, 0.0)
+        out = incremental_update(params, np.empty((0, 2)), np.empty(0),
+                                 HyperParams(learning_rate=0.1))
         assert np.array_equal(out.weights, params.weights) and out.bias == params.bias
 
     def test_single_sample_equals_one_gradient_step(self):
         params = LinearParams(np.array([0.5, -0.5]), 0.1)
         x = np.array([1.0, 2.0])
-        a = incremental_update(params, x[None, :], np.array([3.0]), 0.05, 0.01)
+        a = incremental_update(params, x[None, :], np.array([3.0]),
+                               HyperParams(learning_rate=0.05, l2_lambda=0.01))
         gw, gb = loss_gradient(ModelKind.LINEAR_SGD, params, x[None, :], np.array([3.0]), 0.01)
         assert np.array_equal(a.weights, params.weights - 0.05 * gw)
         assert a.bias == params.bias - 0.05 * gb
@@ -302,15 +345,15 @@ class TestIncrementalUpdate:
         hp = HyperParams(learning_rate=0.05, epochs=1, batch_size=1, l2_lambda=0.01)
         batch = train(ModelKind.LINEAR_SGD, _split(X, y), hp, seed=17)
         order = next(epoch_orders(40, seed=17, epochs=1))
-        streamed = incremental_update(zero_params(3), X[order], y[order],
-                                      hp.learning_rate, hp.l2_lambda)
+        streamed = incremental_update(zero_params(3), X[order], y[order], hp)
         assert np.array_equal(batch.params.weights, streamed.weights)
         assert batch.params.bias == streamed.bias
 
     def test_stump_rejected(self):
         with pytest.raises(UnsupportedKind):
             incremental_update(LinearParams(np.zeros(1), 0.0), np.ones((1, 1)),
-                               np.ones(1), 0.1, 0.0, ModelKind.DECISION_STUMP)
+                               np.ones(1), HyperParams(learning_rate=0.1),
+                               ModelKind.DECISION_STUMP)
 
 
 def _loop_sgd(kind, X, y, orders, batch_size, lr, lam, init):
@@ -379,7 +422,8 @@ class TestSgdKernel:
             X, y = _random_problem(rng, kind, n, d)
             init = LinearParams(rng.normal(size=d), float(rng.normal()))
             lr = float(rng.uniform(0.01, 0.05))
-            got = incremental_update(init, X, y, lr, lam, kind)
+            got = incremental_update(init, X, y, HyperParams(learning_rate=lr, l2_lambda=lam),
+                                     kind)
             want, _ = _loop_sgd(kind, X, y, [np.arange(n)], 1, lr, lam, init)
             assert np.array_equal(got.weights, want.weights)
             assert got.bias == want.bias
@@ -391,7 +435,8 @@ class TestSgdKernel:
         rng = np.random.default_rng(210)
         X, y = _random_problem(rng, kind, n, 3)
         init = LinearParams(rng.normal(size=3), float(rng.normal()))
-        got = incremental_update(init, X, y, 0.02, 0.1, kind)
+        got = incremental_update(init, X, y, HyperParams(learning_rate=0.02, l2_lambda=0.1),
+                                 kind)
         want, first_bad = _loop_sgd(kind, X, y, [np.arange(n)], 1, 0.02, 0.1, init)
         assert first_bad is None
         assert np.array_equal(got.weights, want.weights)
@@ -448,7 +493,7 @@ class TestSgdKernel:
         X = np.random.default_rng(3).normal(size=(10, 2))
         hp = HyperParams(learning_rate=0.1, epochs=2, batch_size=3)
         train(ModelKind.LINEAR_SGD, _split(X, X[:, 0]), hp, seed=0, init=init)
-        incremental_update(init, X, X[:, 0], 0.1, 0.0)
+        incremental_update(init, X, X[:, 0], HyperParams(learning_rate=0.1))
         assert np.array_equal(init.weights, [0.5, -0.5]) and init.bias == 0.25
 
     def test_divergence_partway_through_an_epoch_raises(self):

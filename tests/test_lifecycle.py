@@ -87,7 +87,9 @@ class TestRegister:
         art = _artifact(origin="external")
         X = np.random.default_rng(0).uniform(size=(50, 2))
         y = X @ np.ones(2) + 0.5
-        entry = reg.register(art, "ext", validation=(X, y), mse_threshold=0.01)
+        with pytest.raises(InvalidArtifact):  # no class threshold to score accuracy at
+            reg.register(art, "ext", validation=(X, y), mse_threshold=0.01)
+        entry = reg.register(art, "ext", validation=(X, y), mse_threshold=0.01, threshold=0.5)
         assert entry.state is LifecycleState.VALIDATED
         assert steps == [(1, None, "Validated")]
 
@@ -97,7 +99,7 @@ class TestRegister:
         X = np.random.default_rng(0).uniform(size=(50, 2))
         y = X @ np.ones(2) + 5.0  # bias far off
         with pytest.raises(InvalidArtifact):
-            reg.register(art, "ext", validation=(X, y), mse_threshold=0.01)
+            reg.register(art, "ext", validation=(X, y), mse_threshold=0.01, threshold=0.5)
         assert not reg.entries and not steps
 
     def test_external_artifact_is_validated_through_its_scaler(self):
@@ -111,18 +113,19 @@ class TestRegister:
         X = np.random.default_rng(0).uniform(size=(50, 1))
         reg, _ = _registry()
         entry = reg.register(art, "ext", validation=(X, 2.0 * X[:, 0] - 1.0),
-                             mse_threshold=1e-12)
+                             mse_threshold=1e-12, threshold=0.5)
         assert entry.artifact.metrics.mse == 0.0
         with pytest.raises(InvalidArtifact):
             _registry()[0].register(art, "ext", validation=(X, 2.0 * X[:, 0]),
-                                    mse_threshold=0.05)
+                                    mse_threshold=0.05, threshold=0.5)
 
     def test_external_schema_width_checked_against_validation(self):
         reg = Registry(lambda entry, before: None)
         art = _artifact(width=2, origin="external")
         X = np.zeros((5, 3))
         with pytest.raises(InvalidArtifact):
-            reg.register(art, "ext", validation=(X, np.zeros(5)), mse_threshold=1.0)
+            reg.register(art, "ext", validation=(X, np.zeros(5)), mse_threshold=1.0,
+                         threshold=0.5)
 
     def test_reregistration_bumps_version_and_reports_each_step(self):
         reg, steps = _registry()

@@ -445,6 +445,22 @@ class TestScenarioB:
         assert deployed.parameters.bias == fresh.params.bias
         assert deployed.metrics == fresh.metrics
 
+    def test_the_test_split_is_scored_at_the_searched_threshold(self):
+        # it was scored at the configured threshold, not the winning trial's
+        data = scenario_b_dict(n_per_source=80, monitor={"rounds": 0}, search={
+            "mode": "grid", "grid": {"threshold": [0.3, 0.7]}})
+        data["model"]["kind"] = "LogisticSgd"
+        result = checked_run(build(data))
+        driver = result.driver
+        chosen = driver.search_result.best.threshold
+        params = result.registry.entries["m0"].artifact.parameters
+        test = driver.split.test
+        # a P(class 1) of at least 0.5 predicts class 1, whatever the threshold
+        predicted = learn.predict_score(params, ModelKind.LOGISTIC_SGD, test.X) >= 0.5
+        accuracy = {t: float(np.mean(predicted == (test.y >= t))) for t in (0.5, chosen)}
+        assert chosen != 0.5 and accuracy[0.5] != accuracy[chosen]
+        assert result.report.model["test_accuracy"] == accuracy[chosen]
+
     def test_a_search_on_an_empty_validation_partition_fails_as_empty_eval_set(self):
         data = scenario_b_dict(n_per_source=40, search={
             "mode": "grid", "grid": {"learning_rate": [0.05, 0.1]}})
@@ -682,11 +698,7 @@ class TestScenarioAImportModel:
                                           validation_batch=validation_batch))
         model = result.report.model
         entry = result.registry.entries["m0"]
-        [source] = result.driver.config.sources
-        records = result.driver._prepare(pipeline.Dataset(
-            pipeline.Stage.RAW, datagen.generate_batch(source, 120, datagen.derive_rng(
-                5, "datagen", source.owner.kind.value, source.owner.index, 0)))).records
-        assert len(records) == 120
+        records = self._collected(result)
         X = records.columns["cpu"][:, None]
         val = evaluate(entry.artifact.parameters, ModelKind.LINEAR_SGD, X[:validation_batch],
                        records.target[:validation_batch])
@@ -701,6 +713,29 @@ class TestScenarioAImportModel:
             assert (model["test_mse"], model["test_accuracy"]) == (test.mse, test.accuracy)
             assert model["test_mse"] != val.mse
             assert inferences == [50, 70]
+
+    @staticmethod
+    def _collected(result):
+        """The 120 records that the run's one source delivered, prepared."""
+        [source] = result.driver.config.sources
+        records = result.driver._prepare(pipeline.Dataset(
+            pipeline.Stage.RAW, datagen.generate_batch(source, 120, datagen.derive_rng(
+                5, "datagen", source.owner.kind.value, source.owner.index, 0)))).records
+        assert len(records) == 120
+        return records
+
+    def test_validation_accuracy_is_scored_at_the_configured_threshold(self, tmp_path):
+        # the registry scored an import's validation rows at evaluate's default of 0.5
+        model = {"kind": "LinearSgd", "hyperparams": {"threshold": 0.9}}
+        result = checked_run(self._config(tmp_path, [1.9], 0.05, model=model))
+        entry = result.registry.entries["m0"]
+        records = self._collected(result)  # all of them validate
+        X, y = records.columns["cpu"][:, None], records.target
+        accuracy = {t: evaluate(entry.artifact.parameters, ModelKind.LINEAR_SGD, X, y,
+                                t).accuracy for t in (0.5, 0.9)}
+        assert accuracy[0.5] != accuracy[0.9]
+        assert entry.artifact.metrics.accuracy == accuracy[0.9]
+        assert result.report.model["val_metrics"]["accuracy"] == accuracy[0.9]
 
     def test_failover_during_validation_collection_still_validates_import(self, tmp_path):
         config = self._config(
