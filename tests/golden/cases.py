@@ -75,6 +75,18 @@ def b_drift_full(workdir: Path) -> dict[str, Any]:
     }
 
 
+def b_refine_failover(workdir: Path) -> dict[str, Any]:
+    """``b_drift_full`` with 40 rounds, whose primary AI/ML instance dies while
+    it refits the drifted model: its last checkpoint holds the entry Refining."""
+    data = b_drift_full(workdir)
+    data["topology"]["aiml_instances"] = 2
+    data["monitor"]["rounds"] = 40
+    data["harness"]["failure"] = {"target": "AimlFunction#0", "replicas": ["AimlFunction#1"],
+                                  "fail_tick": 4500, "heartbeat_interval": 2,
+                                  "missed_to_declare": 2, "checkpoint_interval": 4}
+    return data
+
+
 def b_stream_incremental(workdir: Path) -> dict[str, Any]:
     schema = [numeric_feature("cpu"), numeric_feature("mem")]
     stream = {"mode": "streaming", "size": 5, "interval": 1}
@@ -284,6 +296,21 @@ def a_import_model(workdir: Path) -> dict[str, Any]:
     }
 
 
+def a_import_refine_failover(workdir: Path) -> dict[str, Any]:
+    """``a_import_model`` with 12 rounds and a drift shift from round 3, whose
+    primary AI/ML instance dies while it refits the drifted import; with a
+    checkpoint every tick, the last one holds the entry Refining."""
+    data = a_import_model(workdir)
+    data["topology"]["aiml_instances"] = 2
+    data["monitor"]["rounds"] = 12
+    data["harness"] = {
+        "drift_shift": {"at_round": 3, "bias": 2.0},
+        "failure": {"target": "AimlFunction#0", "replicas": ["AimlFunction#1"],
+                    "fail_tick": 54, "heartbeat_interval": 2, "missed_to_declare": 2,
+                    "checkpoint_interval": 1}}
+    return data
+
+
 def a_import_data(workdir: Path) -> dict[str, Any]:
     """A CSV of transformed rows is written into ``workdir`` and named by a
     relative path; the Non-RT RIC trains on it and deploys the model."""
@@ -309,6 +336,7 @@ CASES: dict[str, Callable[[Path], dict[str, Any]]] = {
     "b_online_search": b_online_search,
     "b_logistic_search": b_logistic_search,
     "b_drift_full": b_drift_full,
+    "b_refine_failover": b_refine_failover,
     "b_stream_incremental": b_stream_incremental,
     "b_stream_failover": b_stream_failover,
     "b_ridge_scheduler": b_ridge_scheduler,
@@ -318,6 +346,7 @@ CASES: dict[str, Callable[[Path], dict[str, Any]]] = {
     "c_share_models_failover": c_share_models_failover,
     "c_share_data": c_share_data,
     "a_import_model": a_import_model,
+    "a_import_refine_failover": a_import_refine_failover,
     "a_import_data": a_import_data,
 }
 

@@ -45,8 +45,6 @@ UNREACHED: dict[tuple[str, str], str] = {
     ("src/smosim/errors.py", "ConfigError.__init__"): "raised only on bad configs",
     ("src/smosim/learn.py", "StumpParams.to_list"): "serialises a stump artifact",
     ("src/smosim/learn.py", "loss_gradient"): "the SGD kernel tests' reference",
-    ("src/smosim/scenarios.py", "Driver._retrain"):
-        "a failover during a refinement retrains afresh; to narrow to the train phase",
     ("src/smosim/scenarios.py", "RunResult.registry"): "bench/rep.py reads it",
     ("src/smosim/topology.py", "ComponentId.__reduce__"):
         "only tests pickle an id; a candidate to delete",
