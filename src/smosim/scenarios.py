@@ -14,10 +14,12 @@ are those of a stepped fit, and a diverging domain fails the run at its own
 round, by stepping. Its aggregated model, once deployed to the domains, logs
 ``deployment_complete`` and ends the run as every scenario's deployment does,
 through ``Driver._deployment_complete``. A replica promoted after a failover
-resumes the failed primary's phase through one table, ``Driver.RESUME``.
-``Driver._enter`` is the only writer of the phase, and logs each entry as a
-``phase`` event. A failing step raises a named :class:`SimulationError`, and
-``Driver.run`` logs it on ``run_complete``.
+resumes from the model entry it restored, by one rule in
+``Driver.on_promotion``: with no entry the run begins again, and a restored
+model goes back into service, never trained afresh. ``Driver._enter`` is the
+only writer of the phase, and logs each entry as a ``phase`` event. A failing
+step raises a named :class:`SimulationError`, and ``Driver.run`` logs it on
+``run_complete``.
 
 Collected records take one data path, :meth:`Driver._prepare`: cleansed
 unless they arrive Cleansed (a share-data domain cleanses its own), then
@@ -875,11 +877,20 @@ class Driver:
             self._start_failover_machinery()
         if cfg.mode == "import-model":
             self._start_import()
-        elif cfg.mode == "import-data":
-            self._train_external()
-        elif cfg.mode == "share-models":
+        if cfg.mode == "share-models":
             self._enter(Phase.FEDERATED)
             self._request_round(1)
+        else:
+            self._begin()
+
+    def _begin(self) -> None:
+        """The first step of the lifecycle, which a replica that restored no model
+        takes again: collect, collect the import's validation data, or train on
+        the external CSV."""
+        if self.config.mode == "import-model":
+            self._start_collection(Phase.COLLECT_VALIDATION)
+        elif self.config.mode == "import-data":
+            self._train_external()
         else:
             self._start_collection(Phase.COLLECT)
 
@@ -894,8 +905,6 @@ class Driver:
         self.sim.schedule(self.sim.clock, lambda: self.route_send(
             provider, self.active_aiml, PayloadKind.MODEL_ARTIFACT,
             self.sizes.artifact_bytes(artifact.param_count, inflation), payload=artifact))
-        # local validation data arrives through the normal collection path
-        self._start_collection(Phase.COLLECT_VALIDATION)
 
     def _train_external(self) -> None:
         path = self.config.external.data_path
@@ -907,13 +916,6 @@ class Driver:
         self.transformed = td
         self._enter(Phase.TRAIN)
         self._train_on(td)
-
-    def _retrain(self) -> None:
-        """Train afresh: on the external CSV in import-data, on a new collection otherwise."""
-        if self.config.mode == "import-data":
-            self._train_external()
-        else:
-            self._start_collection(Phase.COLLECT)
 
     # -- collection --------------------------------------------------------------------------------
 
@@ -1039,8 +1041,8 @@ class Driver:
         ticks += result.metrics.train_ticks
         self._chosen_hp = hp
         done = self.sim.clock + self.log_job("training", ticks, self.active_aiml)
-        self.schedule_owned(done, self.active_aiml, lambda: self._install(
-            result.params, result.metrics, td.feature_names, td.scaler, refined=False))
+        self.schedule_owned(done, self.active_aiml, lambda: self._install(self._artifact(
+            result.params, result.metrics, td.feature_names, td.scaler), refined=False))
 
     def _trains_online(self) -> bool:
         """Whether :meth:`_fit` trains by one per-sample SGD pass, not as :func:`learn.train`."""
@@ -1085,22 +1087,25 @@ class Driver:
         self.sim.log_event("job_scheduled", src=src, detail=detail)
         return detail["ticks"]
 
-    def _install(self, params: learn.ModelParameters, metrics: learn.EvalMetrics,
-                 feature_names: list[str], scaler: pipeline.ScalingParams, refined: bool) -> None:
-        """Put a trained or refined model in service: build its artifact, register
-        it (or a new version of it), score it on the initial test split, validate
-        it, restart the monitor window on a refinement's baseline, and deploy it.
+    def _artifact(self, params: learn.ModelParameters, metrics: learn.EvalMetrics,
+                  feature_names: list[str], scaler: pipeline.ScalingParams) -> ModelArtifact:
+        """The artifact of a model trained or refined here, created now."""
+        cfg = self.config
+        return ModelArtifact(
+            kind=cfg.model.kind, parameters=params, feature_names=list(feature_names),
+            scaler=scaler, metrics=metrics, origin="internal", created_tick=self.sim.clock,
+            packaged=cfg.deploy.packaged)
+
+    def _install(self, artifact: ModelArtifact, refined: bool) -> None:
+        """Put a model in service: register it (or the next version of the entry),
+        score it on the initial test split, validate it, restart the monitor
+        window on a refinement's baseline, and deploy it.
 
         The test split's score becomes the run's test metrics, so that they
         describe the version the run ends with, and is also a refinement's
         ``forgetting_mse``; with no split (import-model) the metrics are None.
-        A registry restored from a checkpoint already holds the entry, so a
-        rerun after a failover also registers a new version."""
-        cfg = self.config
-        artifact = ModelArtifact(
-            kind=cfg.model.kind, parameters=params, feature_names=list(feature_names),
-            scaler=scaler, metrics=metrics, origin="internal", created_tick=self.sim.clock,
-            packaged=cfg.deploy.packaged)
+        Once the entry exists, a refinement installs its next version, and so
+        does a promoted replica that puts a model back whose refit died."""
         if MODEL_ID in self.registry.entries:
             entry = self.registry.reregister(MODEL_ID, artifact)
         else:
@@ -1108,14 +1113,15 @@ class Driver:
         split, self._test_metrics = self.split, None
         if split is not None:  # import-model has none
             self._test_metrics = test = learn.evaluate(
-                params, cfg.model.kind, split.test.X, split.test.y, self._chosen_hp.threshold)
+                artifact.parameters, artifact.kind, split.test.X, split.test.y,
+                self._chosen_hp.threshold)
             detail = {"records": len(split.test)}
             if refined:
                 detail["forgetting_mse"] = test.mse
             self.sim.log_event("inference", src=self.active_aiml, detail=detail)
         self.registry.transition(entry, LifecycleState.VALIDATED)
         if refined and self.monitor is not None:
-            self.monitor.clear(new_baseline=metrics.mse)
+            self.monitor.clear(new_baseline=artifact.metrics.mse)
         self._deploy(entry)
 
     def _provenance(self) -> dict[str, str]:
@@ -1269,8 +1275,8 @@ class Driver:
                                  hp.threshold)
         self.sim.log_event("inference", src=self.active_aiml, detail={"records": len(X_hold)})
         metrics.train_ticks = work
-        self.schedule_owned(done, self.active_aiml, lambda: self._install(
-            params, metrics, entry.artifact.feature_names, entry.artifact.scaler, refined=True))
+        self.schedule_owned(done, self.active_aiml, lambda: self._install(self._artifact(
+            params, metrics, entry.artifact.feature_names, entry.artifact.scaler), refined=True))
 
     # -- scenario C (share-models) -----------------------------------------------------------------------
 
@@ -1359,6 +1365,9 @@ class Driver:
         base = pipeline.base_design_matrix(records, self.canonical, self.derived)
         y = records.target
         try:
+            if artifact.kind is not cfg.model.kind:  # a refinement would refit it as model.kind
+                raise InvalidArtifact(f"the artifact is a {artifact.kind.value}, and "
+                                      f"model.kind is {cfg.model.kind.value}")
             entry = self.registry.register(
                 artifact, MODEL_ID, provenance=self._provenance(),
                 validation=(base[:n_val], y[:n_val]), threshold=cfg.model.hyperparams.threshold,
@@ -1446,46 +1455,38 @@ class Driver:
         # in-flight deployment and monitor state died with the node
         self._expected_artifacts.clear()
         self.monitor = None
-        self.RESUME[self.phase](self, entry)
-
-    def _monitors_as_is(self, entry) -> bool:
-        """Whether a promoted replica goes on monitoring the restored model as it
-        stands: the primary was past training, and the model is neither lost,
-        nor being refined, nor in a deployment the primary left unfinished."""
-        return (self.phase in (Phase.DEPLOY, Phase.MONITOR, Phase.REFINE) and entry is not None
-                and entry.state is not LifecycleState.REFINING
-                and not (self.phase is Phase.DEPLOY and entry.state is LifecycleState.DEPLOYED))
-
-    def _resume_model(self, entry) -> None:
-        """Deploy, monitor or refine again, from where the restored model stands."""
-        if self._monitors_as_is(entry):  # with an empty window on its baseline
+        # one failure a run, and nothing registers before training ends, so the
+        # entry alone tells how far the primary got
+        if self.config.mode == "share-models":
+            self._resume_rounds()
+        elif entry is None:  # no model yet, or lost with the node
+            self._begin()
+        elif self._monitors_as_is(entry):  # with an empty window on its baseline
             self._start_monitoring(entry)
-        elif entry is None and self.config.mode == "import-model":  # lost with the node
-            self._start_collection(Phase.COLLECT_VALIDATION)
-        elif entry is None or entry.state is LifecycleState.REFINING:  # or its refined version
-            self._retrain()
+        elif entry.state is LifecycleState.REFINING:
+            # the refit died with the primary and installed nothing, so it counts
+            # against no budget; the model goes back as the next version, which
+            # puts every target on the version the registry names
+            entry.refinements -= 1
+            self._install(entry.artifact, refined=False)
         else:  # the primary died mid-deployment
             self._deploy(entry)
 
-    def _resume_rounds(self, entry) -> None:
+    def _monitors_as_is(self, entry) -> bool:
+        """Whether a promoted replica goes on monitoring the restored model as it
+        stands: the model is neither lost, nor being refined, nor in a deployment
+        the primary left unfinished. A Deployed entry is unfinished only while
+        the primary was deploying, not once it had gone on to monitor it."""
+        return entry is not None and entry.state is not LifecycleState.REFINING \
+            and not (self.phase is Phase.DEPLOY and entry.state is LifecycleState.DEPLOYED)
+
+    def _resume_rounds(self) -> None:
         # redo the first round not yet aggregated, or the last one if all were
         r = 1
         while r < self.config.rounds and len(self._domain_models.get(r, ())) == len(self.domains):
             r += 1
         self._domain_models[r] = {}
         self._request_round(r)
-
-    # what a promoted replica does in each phase the failed primary can have been in,
-    # given the model entry of the restored registry (None if it holds none)
-    RESUME: dict[Phase, Callable[["Driver", Any], None]] = {
-        Phase.COLLECT: lambda d, entry: d._start_collection(Phase.COLLECT),
-        Phase.COLLECT_VALIDATION: lambda d, entry: d._start_collection(Phase.COLLECT_VALIDATION),
-        Phase.TRAIN: lambda d, entry: d._retrain(),
-        Phase.DEPLOY: _resume_model,
-        Phase.MONITOR: _resume_model,
-        Phase.REFINE: _resume_model,
-        Phase.FEDERATED: _resume_rounds,
-    }
 
     # -- lifecycle, phase and completion -------------------------------------------------------------------------
 

@@ -77,7 +77,10 @@ def b_drift_full(workdir: Path) -> dict[str, Any]:
 
 def b_refine_failover(workdir: Path) -> dict[str, Any]:
     """``b_drift_full`` with 40 rounds, whose primary AI/ML instance dies while
-    it refits the drifted model: its last checkpoint holds the entry Refining."""
+    it refits the drifted model: its last checkpoint holds the entry Refining.
+    The replica puts version 1 back as version 2, which drifts again, and
+    refines it twice, up to ``max_refinements``, since the dead refit counts
+    against no budget."""
     data = b_drift_full(workdir)
     data["topology"]["aiml_instances"] = 2
     data["monitor"]["rounds"] = 40
@@ -299,7 +302,8 @@ def a_import_model(workdir: Path) -> dict[str, Any]:
 def a_import_refine_failover(workdir: Path) -> dict[str, Any]:
     """``a_import_model`` with 12 rounds and a drift shift from round 3, whose
     primary AI/ML instance dies while it refits the drifted import; with a
-    checkpoint every tick, the last one holds the entry Refining."""
+    checkpoint every tick, the last one holds the entry Refining. The replica
+    puts the import back as version 2 and refines it, and trains nothing."""
     data = a_import_model(workdir)
     data["topology"]["aiml_instances"] = 2
     data["monitor"]["rounds"] = 12

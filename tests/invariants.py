@@ -115,6 +115,15 @@ def check_invariants(result: RunResult) -> None:
             assert e.detail["resumed_phase"] == phase, \
                 f"restore at {e.tick} resumes {e.detail['resumed_phase']}, the log is in {phase}"
 
+    # a model, once the run holds one, is refined and never trained afresh: no
+    # training job follows a restore of a model, and import-model trains none
+    holds_model = result.driver.config.mode == "import-model"
+    for e in entries:
+        if e.type == "mitigation" and e.detail["mechanism"] == "failover_restore":
+            holds_model = holds_model or e.detail["version"] is not None
+        elif e.type == "job_scheduled" and e.detail["job"] == "training":
+            assert not holds_model, f"training job at {e.tick} trains a model the run holds"
+
     # the report is a fold of the log: the log re-read from the lines a run
     # writes to events.jsonl gives the same report text
     reread = EventLog(map(Event.from_json, result.sim.log.to_jsonl().splitlines()))

@@ -626,9 +626,8 @@ class TestCrossFieldRules:
         with pytest.raises(ConfigError) as info:
             config_from_dict(data)
         assert info.value.field == field
-        if base == "a_import_model" and field != "harness.drift_shift":
-            # its one reader is the fresh training of a failover mid-refinement
-            assert "failover interrupts a refinement" in str(info.value)
+        if field in ("search", "scenario.online_training", "harness.filter"):
+            assert str(info.value) == f"{field}: {data['scenario']['mode']} does not read it"
 
     @pytest.mark.parametrize("kind", ["RidgeClosedForm", "DecisionStump"])
     def test_share_models_rejects_a_kind_it_cannot_average(self, kind, tmp_path):

@@ -31,7 +31,7 @@ from smosim.errors import (
 )
 from smosim.learn import LinearParams, ridge_closed_form, evaluate
 from smosim.lifecycle import ModelArtifact, Registry
-from smosim.scenarios import DomainModel, Driver, FaultRecord, Phase, Timeline, timeline
+from smosim.scenarios import DomainModel, Driver, FaultRecord, Timeline, timeline
 from smosim.topology import (
     ComponentId,
     ComponentKind,
@@ -47,8 +47,8 @@ from smosim.topology import (
 
 from conftest import (build, numeric_feature, save_artifact, scenario_b_dict, source,
                       transformed_to_csv)
-from golden.cases import (CASES, a_import_model, b_drift_full, b_stream_incremental,
-                          c_share_data, c_share_models, run_case)
+from golden.cases import (CASES, a_import_model, b_drift_full, b_refine_failover,
+                          b_stream_incremental, c_share_data, c_share_models, run_case)
 from invariants import check_invariants, checked_run
 
 TERMINATION_IFACES = ("NSSMF_NonRTRIC", "NFVO_NonRTRIC")
@@ -737,6 +737,19 @@ class TestScenarioAImportModel:
         assert entry.artifact.metrics.accuracy == accuracy[0.9]
         assert result.report.model["val_metrics"]["accuracy"] == accuracy[0.9]
 
+    def test_an_artifact_not_of_model_kind_is_rejected(self, tmp_path, monkeypatch):
+        # a refinement would refit the LinearSgd import as a LogisticSgd
+        monkeypatch.chdir(tmp_path)
+        data = a_import_model(tmp_path)
+        data["model"]["kind"] = "LogisticSgd"
+        result = checked_run(build(data))
+        report = result.report
+        assert report.status == "completed" and report.artifact_rejected
+        assert report.model is None and not result.registry.entries
+        assert [e.detail["reason"] for e in result.sim.log.of_type("artifact_rejected")] == [
+            "the artifact is a LinearSgd, and model.kind is LogisticSgd"]
+        assert not result.sim.log.of_type("deployment_complete")
+
     def test_failover_during_validation_collection_still_validates_import(self, tmp_path):
         config = self._config(
             tmp_path, [2.0], 0.0,
@@ -1415,13 +1428,14 @@ class TestMonitoringAndRefinement:
     @staticmethod
     def _retrained_drift(tmp_path) -> dict:
         """``b_drift_full`` under z-scores, with 160 rounds and a primary that dies
-        while it refines: its replica trains afresh on a new collection, so the
-        rounds after that deployment scale with another scaler."""
+        once the target reports, whose one checkpoint, at 4000, predates the
+        model: its replica trains afresh on a new collection, so the rounds
+        after that deployment scale with another scaler."""
         data = b_drift_full(tmp_path)
         data["pipeline"]["scaling"] = "zscore"
         data["topology"]["aiml_instances"] = 2
         data["monitor"]["rounds"] = 160
-        data["harness"]["failure"] = TestFailover._failure(4400)["failure"]
+        data["harness"]["failure"] = TestFailover._failure(4250, cp_interval=4000)["failure"]
         return data
 
     @pytest.mark.parametrize("case", ["drift_config", "b_stream_incremental", "retrained"])
@@ -1674,12 +1688,6 @@ class TestFailover:
         assert Registry.restore(restored, lambda entry, before: None).snapshot() == restored
         assert restored["entries"], "registry should carry the deployed model"
 
-    def test_resume_table_covers_exactly_the_phases_live_at_a_promotion(self):
-        # idle ends within the run's first call and nothing runs after done
-        assert set(Driver.RESUME) == {
-            Phase.COLLECT, Phase.COLLECT_VALIDATION, Phase.TRAIN, Phase.DEPLOY,
-            Phase.MONITOR, Phase.REFINE, Phase.FEDERATED}
-
     # Without a failure, this B config collects over ticks [0, 10), trains over
     # [10, 310), deploys over [310, 312) and, with monitoring, monitors over
     # [312, 384). With a 12-tick NSSMF_NonRTRIC link and a 40-tick window it
@@ -1767,8 +1775,10 @@ class TestFailover:
     def test_resume_around_a_refinement_ends_refined(self, tmp_path, fail_tick, phase, state):
         # drift is detected at 4329, and the refit job runs until 4929. A model
         # checkpointed as Monitored is monitored again, and the last report
-        # detects the drift again; one checkpointed as Refining is retrained.
+        # detects the drift again. One checkpointed as Refining, whose refit
+        # died with the primary, goes back as version 2, and nothing is retrained.
         data = b_drift_full(tmp_path)
+        plain = checked_run(build(data))
         data["topology"]["aiml_instances"] = 2
         data["harness"] = self._failure(fail_tick)
         result = checked_run(build(data))
@@ -1787,6 +1797,23 @@ class TestFailover:
                    (2, "Validated", "Deployed"), (2, "Deployed", "Monitored")]
         assert steps == ([(1, "Monitored", "Refining")] if state == "Monitored" else []) + refined
         assert report.model["origin"] == "internal"
+        if state == "Refining":
+            assert report.training_ticks == plain.report.training_ticks
+            assert result.sim.log.of_type("job_scheduled")[-1].src == "AimlFunction#0"
+            assert entry.artifact.parameters.to_list() == \
+                checkpoint["registry"]["entries"]["m0"]["artifact"]["parameters"]
+
+    def test_a_refit_that_died_with_the_primary_counts_against_no_budget(self, tmp_path):
+        # the primary's refit of version 1 dies; the replica puts version 1 back
+        # as version 2 and refines it twice, up to max_refinements
+        result = checked_run(build(b_refine_failover(tmp_path)))
+        refinements = [(e.src, e.detail["version"], e.detail["refinements"])
+                       for e in result.sim.log.of_type("transition")
+                       if e.detail["state"] == "Refining"]
+        assert refinements == [("AimlFunction#0", 1, 1), ("AimlFunction#1", 2, 1),
+                               ("AimlFunction#1", 3, 2)]
+        assert result.report.refinements == result.driver.config.monitor.max_refinements
+        assert result.report.status == "completed"
 
     @pytest.mark.parametrize("fail_tick, rounds", [
         (100, [1, 2, 3]), (4420, [1, 2, 3]), (13212, [1, 2, 3, 3])])
