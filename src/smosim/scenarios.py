@@ -1456,7 +1456,7 @@ class Driver:
         self._expected_artifacts.clear()
         self.monitor = None
         # one failure a run, and nothing registers before training ends, so the
-        # entry alone tells how far the primary got
+        # restored entry tells how far the primary got
         if self.config.mode == "share-models":
             self._resume_rounds()
         elif entry is None:  # no model yet, or lost with the node
