@@ -271,7 +271,9 @@ class RunReport:
       the last refinement's on the initial test split.
     - ``transition``, one per state a model entry enters, with the state it
       left as ``from`` (None for a registration): the last ``Refining`` one
-      gives ``refinements``, its entry's count.
+      gives ``refinements``, its entry's count, less one if a later
+      ``mitigation`` restored that entry as ``Refining``, whose refit died
+      with the primary and counts against no budget.
     - the last ``poison_detection``: ``poison``; any ``artifact_rejected``:
       ``artifact_rejected``.
     - :func:`timeline`: ``faults``, ``downtime_ticks``, ``time_to_detection``
@@ -336,6 +338,8 @@ def report_from(config: ScenarioConfig, log: EventLog) -> RunReport:
             forgetting = d.get("forgetting_mse", forgetting)
         elif t == "transition" and e.detail["state"] == "Refining":
             refinements = e.detail["refinements"]
+        elif t == "mitigation" and e.detail.get("state") == "Refining":
+            refinements -= 1  # the refit died with the primary: Driver.on_promotion
         elif t == "poison_detection":
             poison = e.detail
         elif t == "artifact_rejected":

@@ -8,18 +8,23 @@ traffic: :func:`signaling_table` folds the per-interface byte and message
 totals from its ``deliver`` rows, for ``scenarios.report_from`` on a run's
 log and for :meth:`Simulation.signaling_table` on a live one.
 
-A hop is kept cheap by doing its lookups once, ahead of the run:
+A hop is kept cheap by doing its lookups once, not once per message:
 
 - :class:`ComponentId` objects are interned, one per ``(kind, index)``, so
   ids compare and hash by identity.
 - :meth:`Topology.link` stores one :class:`Wire` per link, with the
-  interface, its latency and overhead and the interface's event text; a
-  send and its delivery read only that record.
+  interface, its latency and overhead and the interface's event text.
 - :class:`EventLog` keeps one row of typed columns per event, and builds no
   :class:`Event` while the run goes. A row's ``(type, src, dst, interface,
   payload_kind)`` is a code into the log's head table, which renders each
-  head's JSON text once. A run's ``send``, ``deliver`` and ``component_down``
-  rows keep only their message id, and read back as ``{"msg_id": n}``.
+  head's JSON text once.
+- The first :meth:`Simulation.send` from one component to another with one
+  payload kind caches a :class:`_Hop`: the link's wire, latency and
+  overhead, the destination's state, and the head codes of the ``send``,
+  ``deliver`` and ``component_down`` rows. Every later message over that hop
+  appends its rows straight into the log's columns, with only its message
+  id, read back as ``{"msg_id": n}``, and goes on the heap as a plain
+  ``(tick, seq, message, hop)`` entry.
 
 Nothing here depends on id hashes for order: containers of ids that are
 iterated are dicts in insertion order, or are sorted by ``(kind, index)``.
@@ -32,9 +37,10 @@ from array import array
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
-from functools import partial
 from heapq import heappop, heappush
 from typing import Any, Callable, Iterable, Iterator, NamedTuple, TYPE_CHECKING
+
+import numpy as np
 
 from .errors import DuplicateComponent, TickLimitExceeded, UndeclaredRoute, UnknownInterface
 
@@ -273,11 +279,14 @@ class EventLog:
     are bounded by ``config.MAX_BYTES``, and :meth:`Event.from_json` loads no
     line whose numbers an int64 cannot hold. The head code indexes the head
     table, one entry per distinct ``(type, src, dst, interface,
-    payload_kind)`` with its JSON text rendered once. A row added without a
-    ``msg_id`` (every row of a rebuilt log) keeps its detail dict in a sparse
-    ``{row: detail}`` map; any other row is a message's hop, whose detail is
-    ``{"msg_id": msg_id}``. :attr:`entries` reads the rows as :class:`Event`
-    objects, built only when read.
+    payload_kind)`` with its JSON text rendered once; :meth:`code` gives it.
+    Rows come by two paths. A fact (every row of a rebuilt log, too) goes
+    through :meth:`add`, and keeps its detail dict in a sparse ``{row:
+    detail}`` map. A message's ``send``, ``deliver`` or ``component_down``
+    row is appended to the columns by :class:`Simulation`, with head codes it
+    resolved once per hop; its detail is ``{"msg_id": msg_id}``. A head may
+    so have no row. :attr:`entries` reads the rows as :class:`Event` objects,
+    built only when read.
     """
 
     def __init__(self, events: Iterable[Event] = ()) -> None:
@@ -290,31 +299,31 @@ class EventLog:
         for e in events:
             self.append(e)
 
-    def add(self, tick: int, seq: int, type: str, src: str | None, dst: str | None,
-            interface: str | None, payload_kind: str | None, bytes: int,
-            detail: dict[str, Any] | None, msg_id: int | None) -> None:
-        """Append a row, with a detail (``{}`` for None) or a message id; every row
-        is made here."""
-        head = (type, src, dst, interface, payload_kind)
+    def code(self, head: _Head) -> int:
+        """The code of ``head`` in the head table, added with its JSON text if new."""
         code = self._code_of.get(head)
         if code is None:
             code = self._code_of[head] = len(self._heads)
             self._heads.append(head)
             self._texts.append(_fields_text(head))
+        return code
+
+    def add(self, tick: int, seq: int, type: str, src: str | None, dst: str | None,
+            interface: str | None, payload_kind: str | None, bytes: int,
+            detail: dict[str, Any] | None) -> None:
+        """Append a fact's row with its detail, ``{}`` for None."""
         ticks, seqs, codes, sizes, ids = self._cols
-        if msg_id is None:
-            self._details[len(ticks)] = {} if detail is None else detail
-            msg_id = 0
+        self._details[len(ticks)] = {} if detail is None else detail
         ticks.append(tick)
         seqs.append(seq)
-        codes.append(code)
+        codes.append(self.code((type, src, dst, interface, payload_kind)))
         sizes.append(bytes)
-        ids.append(msg_id)
+        ids.append(0)
 
     def append(self, event: Event) -> None:
         """Append ``event``'s row with its detail, as a rebuilt log does."""
         self.add(event.tick, event.seq, event.type, event.src, event.dst, event.interface,
-                 event.payload_kind, event.bytes, event.detail, None)
+                 event.payload_kind, event.bytes, event.detail)
 
     def _event(self, row: int) -> Event:
         detail = self._details.get(row)
@@ -335,14 +344,15 @@ class EventLog:
         return self._where(lambda type: type not in _MESSAGE_TYPES)
 
     def totals(self, type: str) -> dict[_Head, list[int]]:
-        """``[bytes summed, events]`` of the events of ``type``, per head."""
-        cells = {code: [0, 0] for code, head in enumerate(self._heads) if head[0] == type}
-        for code, size in zip(self._cols[2], self._cols[3]):
-            cell = cells.get(code)
-            if cell is not None:
-                cell[0] += size
-                cell[1] += 1
-        return {self._heads[code]: cell for code, cell in cells.items()}
+        """``[bytes summed, events]`` of the events of ``type``, per head with a
+        row. Both are summed over the columns in int64, exact while a head's
+        bytes add up inside it, as every run's do (``config.MAX_BYTES``)."""
+        codes = np.frombuffer(self._cols[2], np.int64)
+        counts = np.bincount(codes, minlength=len(self._heads))
+        sums = np.zeros(len(self._heads), np.int64)
+        np.add.at(sums, codes, np.frombuffer(self._cols[3], np.int64))
+        return {head: [int(sums[code]), int(counts[code])]
+                for code, head in enumerate(self._heads) if head[0] == type and counts[code]}
 
     def to_jsonl(self) -> str:
         """Each event's ``events.jsonl`` line, newline-terminated, rendered from the
@@ -390,6 +400,20 @@ class _ComponentState:
 
     def alive_at(self, tick: int) -> bool:
         return self.failed_since is None or tick <= self.failed_since
+
+
+class _Hop(NamedTuple):
+    """What each message from one component to another with one payload kind
+    needs, resolved at the first such send: the link, the destination's state
+    and the log's head codes of the message's rows."""
+
+    wire: Wire
+    latency: int
+    overhead_bytes: int
+    dst_state: _ComponentState
+    send: int
+    deliver: int
+    down: int  # a drop's component_down; a heartbeat's deliver, as it is never dropped
 
 
 class Topology:
@@ -526,7 +550,10 @@ class Simulation:
         self.topology = topology
         self.clock = 0
         self.log = EventLog()
-        self._heap: list[tuple[int, int, Callable[[], None]]] = []
+        self._rows = self.log._cols  # a message's rows are appended here, not through add
+        # (tick, seq, action, None), or a delivery's (tick, seq, message, hop)
+        self._heap: list[tuple[int, int, Any, _Hop | None]] = []
+        self._hops: dict[tuple[ComponentId, ComponentId, PayloadKind], _Hop] = {}
         self._seq = 0
         self._msg_counter = 0
         self._record_counter = 0
@@ -539,20 +566,17 @@ class Simulation:
         if tick < self.clock:
             raise ValueError(f"cannot schedule event in the past ({tick} < {self.clock})")
         self._seq += 1
-        heappush(self._heap, (tick, self._seq, action))
+        heappush(self._heap, (tick, self._seq, action, None))
 
     def log_event(self, type: str, *, src: ComponentId | None = None,
                   detail: dict[str, Any] | None = None) -> None:
         """Log a fact that is no message's hop, at the clock."""
-        self._event(type, None if src is None else src._text, None, None, None, 0, detail)
+        self._event(type, None if src is None else src._text, detail)
 
-    def _event(self, type: str, src: str | None, dst: str | None, interface: str | None,
-               payload_kind: str | None, bytes: int, detail: dict[str, Any] | None,
-               msg_id: int | None = None) -> None:
-        """Log an event at the clock from its texts, with a detail or a message id."""
+    def _event(self, type: str, src: str | None, detail: dict[str, Any] | None) -> None:
+        """Log a fact at the clock: its type, its source's text and its detail."""
         self._seq = seq = self._seq + 1
-        self.log.add(self.clock, seq, type, src, dst, interface, payload_kind, bytes, detail,
-                     msg_id)
+        self.log.add(self.clock, seq, type, src, None, None, None, 0, detail)
 
     def next_record_ids(self, n: int) -> range:
         start = self._record_counter
@@ -582,34 +606,58 @@ class Simulation:
              meta: dict[str, Any] | None = None) -> InterfaceMessage:
         """Emit a message over the link between src and dst.
 
-        The link's :class:`Wire` gives the interface, the latency and the
-        per-message overhead, and the same record goes with the message to
-        its delivery. Delivery is scheduled at send tick + latency; the
-        ``deliver`` event and handler dispatch happen then. A failed
-        destination silently drops everything but heartbeats (logged as a
-        component_down event).
+        The first send from src to dst with ``payload_kind`` resolves the
+        link's :class:`Wire` (raising :class:`UndeclaredRoute` if there is
+        none, and caching nothing) and the log's head codes of the hop's
+        rows, and caches them as a :class:`_Hop`; every send over the hop
+        reads only that record. The ``send`` row goes straight into the
+        log's columns, and the delivery onto the heap at send tick + latency
+        as ``(tick, seq, message, hop)``; the ``deliver`` row and handler
+        dispatch happen then. A failed destination silently drops
+        everything but heartbeats (logged as a component_down event).
         """
-        wire = self.topology.wire(src, dst)
+        hop = self._hops.get((src, dst, payload_kind))
+        if hop is None:
+            hop = self._hop(src, dst, payload_kind)
         self._msg_counter = msg_id = self._msg_counter + 1
         clock = self.clock
-        msg = InterfaceMessage(msg_id, src, dst, wire.interface, payload_kind,
-                               int(payload_bytes), clock, clock + wire.latency, payload,
+        msg = InterfaceMessage(msg_id, src, dst, hop.wire.interface, payload_kind,
+                               int(payload_bytes), clock, clock + hop.latency, payload,
                                final_dst, meta or {})
-        self._event("send", src._text, dst._text, wire.text, _KIND_TEXT[payload_kind],
-                    msg.payload_bytes + wire.overhead_bytes, None, msg_id)
-        self._seq += 1  # schedule() without its check: latency >= 0, so never in the past
-        heappush(self._heap, (msg.deliver_tick, self._seq, partial(self._deliver, msg, wire)))
+        self._seq = seq = self._seq + 2  # the send's row, then its delivery's heap entry
+        ticks, seqs, codes, sizes, ids = self._rows
+        ticks.append(clock)
+        seqs.append(seq - 1)
+        codes.append(hop.send)
+        sizes.append(msg.payload_bytes + hop.overhead_bytes)
+        ids.append(msg_id)
+        # schedule() without its check: latency >= 0, so never in the past
+        heappush(self._heap, (msg.deliver_tick, seq, msg, hop))
         return msg
 
-    def _deliver(self, msg: InterfaceMessage, wire: Wire) -> None:
-        dst = msg.dst
-        alive = self.topology.components[dst].alive_at(self.clock)  # linked, so declared
-        kind = msg.payload_kind
-        self._event("deliver" if alive or kind is PayloadKind.HEARTBEAT else "component_down",
-                    msg.src._text, dst._text, wire.text, _KIND_TEXT[kind],
-                    msg.payload_bytes + wire.overhead_bytes, None, msg.msg_id)
+    def _hop(self, src: ComponentId, dst: ComponentId, payload_kind: PayloadKind) -> _Hop:
+        wire = self.topology.wire(src, dst)
+        code = self.log.code
+        texts = (src._text, dst._text, wire.text, _KIND_TEXT[payload_kind])
+        deliver = code(("deliver", *texts))
+        hop = self._hops[src, dst, payload_kind] = _Hop(
+            wire, wire.latency, wire.overhead_bytes, self.topology.components[dst],
+            code(("send", *texts)), deliver,
+            deliver if payload_kind is PayloadKind.HEARTBEAT else code(("component_down", *texts)))
+        return hop
+
+    def _deliver(self, msg: InterfaceMessage, hop: _Hop) -> None:
+        clock = self.clock
+        alive = hop.dst_state.alive_at(clock)
+        self._seq = seq = self._seq + 1
+        ticks, seqs, codes, sizes, ids = self._rows
+        ticks.append(clock)
+        seqs.append(seq)
+        codes.append(hop.deliver if alive else hop.down)
+        sizes.append(msg.payload_bytes + hop.overhead_bytes)
+        ids.append(msg.msg_id)
         if alive:
-            handler = self.handlers.get(dst)
+            handler = self.handlers.get(msg.dst)
             if handler is not None:
                 handler(self, msg)
 
@@ -628,14 +676,17 @@ class Simulation:
         self.stopped = True
 
     def run_to_completion(self, max_tick: int = 10_000_000) -> None:
-        heap = self._heap
+        heap, deliver = self._heap, self._deliver
         while heap and not self.stopped:
             tick = heap[0][0]
             if tick > max_tick:
                 raise TickLimitExceeded(f"simulation exceeded max_tick={max_tick}")
-            action = heappop(heap)[2]
+            _, _, what, hop = heappop(heap)
             self.clock = tick
-            action()
+            if hop is None:
+                what()
+            else:
+                deliver(what, hop)
 
 
 def signaling_table(interfaces: Iterable[InterfaceName], log: EventLog) -> dict[str, Any]:

@@ -31,11 +31,12 @@ from smosim.errors import (
 )
 from smosim.learn import LinearParams, ridge_closed_form, evaluate
 from smosim.lifecycle import ModelArtifact, Registry
-from smosim.scenarios import DomainModel, Driver, FaultRecord, Timeline, timeline
+from smosim.scenarios import DomainModel, Driver, FaultRecord, Timeline, report_from, timeline
 from smosim.topology import (
     ComponentId,
     ComponentKind,
     Event,
+    EventLog,
     InterfaceName,
     InterfaceSpec,
     PayloadKind,
@@ -1802,6 +1803,24 @@ class TestFailover:
             assert result.sim.log.of_type("job_scheduled")[-1].src == "AimlFunction#0"
             assert entry.artifact.parameters.to_list() == \
                 checkpoint["registry"]["entries"]["m0"]["artifact"]["parameters"]
+
+    @pytest.mark.parametrize("fail_tick, refinements", [(4330, 1), (4500, 0), (4929, 0)])
+    def test_the_report_counts_the_refinements_the_entry_holds(self, tmp_path, fail_tick,
+                                                                refinements):
+        # the fail ticks of test_resume_around_a_refinement_ends_refined: a model
+        # restored as Monitored is refined again, and one restored as Refining
+        # goes back without its dead refit, in the entry and in the report, whether
+        # the report is folded from the run's log or from its events.jsonl
+        data = b_drift_full(tmp_path)
+        data["topology"]["aiml_instances"] = 2
+        data["harness"] = self._failure(fail_tick)
+        result = checked_run(build(data))
+        events = tmp_path / "events.jsonl"
+        events.write_text(result.sim.log.to_jsonl())
+        reread = EventLog(map(Event.from_json, events.read_text().splitlines()))
+        assert result.registry.entries["m0"].refinements == refinements
+        assert result.report.refinements == refinements
+        assert report_from(result.driver.config, reread).refinements == refinements
 
     def test_a_refit_that_died_with_the_primary_counts_against_no_budget(self, tmp_path):
         # the primary's refit of version 1 dies; the replica puts version 1 back

@@ -34,6 +34,7 @@ from smosim.topology import (
     Topology,
     build_topology,
     census,
+    signaling_table,
 )
 
 from conftest import run_until, scenario_b_dict
@@ -298,6 +299,153 @@ class TestSignalingTable:
             "directions": {"NSSMF->NssmfTermination": _cell(32, 1)},
             "by_kind": {"Heartbeat": _cell(32, 1)},
         }}
+
+
+class TestHopCache:
+    """A hop's wire and head codes are resolved at its first send and reused."""
+
+    A = ComponentId(ComponentKind.NSSMF, 0)
+    B = ComponentId(ComponentKind.NSSMF_TERMINATION, 0)
+
+    def test_an_undeclared_link_raises_on_every_send(self):
+        sim = _bare_sim()
+        stranger = ComponentId(ComponentKind.NSSMF, 1)
+        for _ in range(3):
+            with pytest.raises(UndeclaredRoute):
+                sim.send(self.A, stranger, PayloadKind.RAW_DATA, 1)
+        assert len(sim.log.entries) == 0
+        assert sim.send(self.A, self.B, PayloadKind.RAW_DATA, 1).msg_id == 1
+
+    def test_a_payload_kind_new_to_a_cached_link_gets_its_own_codes(self):
+        sim = _bare_sim(latency=1, overhead=24)
+        for kind, size in ((PayloadKind.RAW_DATA, 10), (PayloadKind.REPORT, 2),
+                           (PayloadKind.RAW_DATA, 5)):
+            sim.send(self.A, self.B, kind, size)
+        run_until(sim, 1)
+        assert [(e.type, e.payload_kind, e.bytes, e.detail["msg_id"])
+                for e in sim.log.entries] == [
+            ("send", "RawData", 34, 1), ("send", "Report", 26, 2), ("send", "RawData", 29, 3),
+            ("deliver", "RawData", 34, 1), ("deliver", "Report", 26, 2),
+            ("deliver", "RawData", 29, 3)]
+        raw = sim._hops[self.A, self.B, PayloadKind.RAW_DATA]
+        report = sim._hops[self.A, self.B, PayloadKind.REPORT]
+        assert raw.wire is report.wire
+        assert not {raw.send, raw.deliver, raw.down} & {report.send, report.deliver, report.down}
+        assert sim.log.to_jsonl() == _jsonl(sim.log.entries)
+
+    def test_a_cached_hop_switches_to_drops_when_its_destination_fails(self):
+        sim = _bare_sim(latency=1)
+        kinds = (PayloadKind.RAW_DATA, PayloadKind.HEARTBEAT)
+        for kind in kinds:
+            sim.send(self.A, self.B, kind, 10)
+        run_until(sim, 1)
+        hops = {kind: sim._hops[self.A, self.B, kind] for kind in kinds}
+        sim.fail_component(self.B, 1)
+        for kind in kinds:
+            sim.send(self.A, self.B, kind, 10)
+        run_until(sim, 2)
+        assert all(sim._hops[self.A, self.B, kind] is hops[kind] for kind in kinds)
+        assert [(e.tick, e.type, e.payload_kind) for e in sim.log.entries
+                if e.type != "send"] == [
+            (1, "deliver", "RawData"), (1, "deliver", "Heartbeat"),
+            (2, "component_down", "RawData"), (2, "deliver", "Heartbeat")]
+
+
+def _totals_fold(entries, type: str) -> dict[tuple, list[int]]:
+    """``EventLog.totals`` as a plain loop over the log's events."""
+    totals: dict[tuple, list[int]] = {}
+    for e in entries:
+        if e.type == type:
+            cell = totals.setdefault((e.type, e.src, e.dst, e.interface, e.payload_kind), [0, 0])
+            cell[0] += e.bytes
+            cell[1] += 1
+    return totals
+
+
+def _signaling_fold(interfaces, entries) -> dict:
+    """``signaling_table`` as a plain loop over the log's ``deliver`` events."""
+    table = {name.value: {"bytes": 0, "messages": 0, "directions": {}, "by_kind": {}}
+             for name in interfaces}
+    for e in entries:
+        if e.type == "deliver":
+            entry = table[e.interface]
+            direction = e.src.split("#")[0] + "->" + e.dst.split("#")[0]
+            for cell in (entry, entry["directions"].setdefault(direction, _cell(0, 0)),
+                         entry["by_kind"].setdefault(e.payload_kind, _cell(0, 0))):
+                cell["bytes"] += e.bytes
+                cell["messages"] += 1
+    for entry in table.values():
+        entry["directions"] = dict(sorted(entry["directions"].items()))
+        entry["by_kind"] = dict(sorted(entry["by_kind"].items()))
+    return table
+
+
+class TestTotals:
+    """``EventLog.totals`` and ``signaling_table`` against plain loops over the
+    events, on a run's log and on its rebuild from ``to_jsonl``."""
+
+    A = ComponentId(ComponentKind.NSSMF, 0)
+    B = ComponentId(ComponentKind.NSSMF_TERMINATION, 0)
+    TYPES = ("send", "deliver", "component_down", "run_complete", "fault")
+
+    def _logs(self, log: EventLog) -> tuple[EventLog, EventLog]:
+        return log, EventLog(map(Event.from_json, log.to_jsonl().splitlines()))
+
+    def _check(self, interfaces, log: EventLog) -> None:
+        for each in self._logs(log):
+            entries = list(each.entries)
+            for type in self.TYPES:
+                assert each.totals(type) == _totals_fold(entries, type)
+            table = signaling_table(interfaces, each)
+            assert json.dumps(table) == json.dumps(_signaling_fold(interfaces, entries))
+
+    def test_drops_heartbeats_into_a_failure_and_deliveries_left_at_the_stop(self):
+        sim = _bare_sim(latency=2, overhead=24)
+        for size in (100, 7):
+            sim.send(self.A, self.B, PayloadKind.RAW_DATA, size)
+        sim.send(self.B, self.A, PayloadKind.CONTROL, 3)
+        run_until(sim, 2)
+        sim.fail_component(self.B, 2)
+        sim.log_event("fault", src=self.B, detail={"kind": "component_failure"})
+        for kind, size in ((PayloadKind.RAW_DATA, 50), (PayloadKind.HEARTBEAT, 8),
+                           (PayloadKind.HEARTBEAT, 9)):
+            sim.send(self.A, self.B, kind, size)
+        run_until(sim, 4)
+        # sent, never delivered: the run ends first
+        sim.send(self.A, self.B, PayloadKind.REPORT, 11)
+        sim.send(self.A, self.B, PayloadKind.RAW_DATA, 12)
+        sim.schedule(5, lambda: (sim.log_event("run_complete", detail={"status": "completed"}),
+                                 sim.stop()))
+        sim.run_to_completion()
+        assert sim.clock == 5 and sim._heap
+        assert [(e.type, e.payload_kind) for e in sim.log.entries if e.type != "send"] == [
+            ("deliver", "RawData"), ("deliver", "RawData"), ("deliver", "Control"),
+            ("fault", None), ("component_down", "RawData"), ("deliver", "Heartbeat"),
+            ("deliver", "Heartbeat"), ("run_complete", None)]
+        # the Report hop's deliver head was made at its send and holds no row
+        report_deliver = ("deliver", "NSSMF#0", "NssmfTermination#0", "NSSMF_NonRTRIC",
+                          "Report")
+        assert report_deliver in sim.log._code_of
+        assert report_deliver not in sim.log.totals("deliver")
+        assert sim.log.totals("deliver") == {
+            ("deliver", "NSSMF#0", "NssmfTermination#0", "NSSMF_NonRTRIC", "RawData"):
+                [155, 2],
+            ("deliver", "NssmfTermination#0", "NSSMF#0", "NSSMF_NonRTRIC", "Control"): [27, 1],
+            ("deliver", "NSSMF#0", "NssmfTermination#0", "NSSMF_NonRTRIC", "Heartbeat"):
+                [65, 2]}
+        self._check(sim.topology.interfaces, sim.log)
+
+    def test_an_empty_log_has_no_totals(self):
+        sim = _bare_sim()
+        assert sim.log.totals("deliver") == {}
+        self._check(sim.topology.interfaces, sim.log)
+
+    @pytest.mark.parametrize("name", ["b_monitor_failover", "b_stream_failover"])
+    def test_a_failover_run(self, name, tmp_path):
+        result = run_case(name, tmp_path)
+        assert result.sim.log.totals("component_down")
+        self._check([spec.name for spec in result.driver.config.interface_specs()],
+                    result.sim.log)
 
 
 class TestDeterminism:
